@@ -4,79 +4,24 @@ A self-contained float64 autodiff stack under a video-QA architecture built
 around three ideas: multiplicative text-conditioned gating of visual tokens,
 differentiable top-K frame selection with a straight-through estimator, and
 a gated refinement stack whose single video CLS token feeds every head.
+
+The package root exports what it takes to build, run and checkpoint a model;
+everything else is imported from its module (``glimpse.sampler``,
+``glimpse.train``, ``glimpse.cli`` and so on).
 """
 
 from .config import RunConfig, desk_config
-from .data import Episode, FrameBundle, Vocab, blind_input, gen_episode
-from .gating import GateParams, cross_attention_v2t, importance_vector, la_gate
-from .gradcheck import GradReport, grad_check
+from .data import Vocab, gen_episode
 from .model import VideoQAModel, load_checkpoint, save_checkpoint
-from .objectives import (
-    answer_multichoice,
-    answer_open_ended,
-    contrastive_loss,
-    exchange_annotations,
-    mask_tokens,
-    total_loss,
-    vg_mlm_loss,
-    vtm_loss,
-)
-from .refiner import RefinerParams, refine, vr_block
-from .sampler import (
-    SampleMask,
-    SamplerParams,
-    add_temporal_embedding,
-    fs_block,
-    gumbel_softmax,
-    soft_select,
-    sparse_sample,
-    straight_through_mask,
-    uniform_select,
-)
-from .tensor import Tensor, cosine_similarity, load_tensor, save_tensor, softmax_stable
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Episode",
-    "FrameBundle",
-    "GateParams",
-    "GradReport",
-    "RefinerParams",
     "RunConfig",
-    "SampleMask",
-    "SamplerParams",
-    "Tensor",
     "VideoQAModel",
     "Vocab",
-    "add_temporal_embedding",
-    "answer_multichoice",
-    "answer_open_ended",
-    "blind_input",
-    "contrastive_loss",
-    "cosine_similarity",
-    "cross_attention_v2t",
     "desk_config",
-    "exchange_annotations",
-    "fs_block",
     "gen_episode",
-    "grad_check",
-    "gumbel_softmax",
-    "importance_vector",
-    "la_gate",
     "load_checkpoint",
-    "load_tensor",
-    "mask_tokens",
-    "refine",
     "save_checkpoint",
-    "save_tensor",
-    "soft_select",
-    "softmax_stable",
-    "sparse_sample",
-    "straight_through_mask",
-    "total_loss",
-    "uniform_select",
-    "vg_mlm_loss",
-    "vr_block",
-    "vtm_loss",
 ]

@@ -71,7 +71,7 @@ def run_grid(cfg: RunConfig, grid: str, train_episodes: int = 3000,
     elif grid == "n-sweep":
         for sampler in ("sparse", "uniform"):
             for n in N_SWEEP:
-                variant = cfg.replace(sampler=sampler, n_frames=n, n_max=0)
+                variant = cfg.replace(sampler=sampler, n_frames=n)
                 rows.append(_run_variant(f"{sampler}-n{n}", variant,
                                          train_episodes, eval_episodes, data_seed))
     else:

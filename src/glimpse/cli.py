@@ -21,7 +21,7 @@ from .data import Vocab, load_dataset, save_dataset
 from .evaluate import evaluate_model, evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
-from .sampler import SamplerParams, gumbel_softmax, selection_logits
+from .sampler import SamplerParams, selection_rows
 from .tensor import Tensor, load_tensor, save_tensor
 from .train import NumericFailure, train
 
@@ -257,8 +257,7 @@ def _cmd_sample_frames(args) -> int:
         sampler = SamplerParams(cfg.dim, cfg.heads, n, cfg.k_select, cfg.depth,
                                 np.random.default_rng(cfg.seed), fusion=cfg.fusion,
                                 tau_g=cfg.tau_g)
-    logits = selection_logits(Tensor(frame_cls), Tensor(text.reshape(-1)), sampler)
-    y_soft = gumbel_softmax(logits, sampler.tau_g, args.sample_seed)
+    y_soft = selection_rows(frame_cls, Tensor(text.reshape(1, -1)), sampler, args.sample_seed)
     indices = np.argmax(y_soft.data, axis=-1)
     stream = _open_out(args.out)
     try:

@@ -21,7 +21,6 @@ class RunConfig:
     dim: int = 1024              # hidden size
     heads: int = 8               # attention heads everywhere
     n_grid: int = 14             # patch grid side; n_grid^2 patches per frame
-    n_max: int = 0               # temporal table capacity; 0 means n_frames
 
     # temperatures
     tau_g: float = 1.0           # selection sampling temperature
@@ -80,13 +79,7 @@ class RunConfig:
             raise ValueError("soft_warmup fraction must be in [0, 1]")
         if self.init_std <= 0:
             raise ValueError("init_std must be positive")
-        if self.n_max and self.n_max < self.n_frames:
-            raise ValueError("n_max must be >= n_frames")
         return self
-
-    @property
-    def temporal_capacity(self) -> int:
-        return self.n_max or self.n_frames
 
     @property
     def answer_head_hidden(self) -> int:

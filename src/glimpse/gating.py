@@ -3,18 +3,16 @@
 The gate rescales each visual token by its projected cosine similarity to a
 text condition, so text steers which tokens survive without ever being mixed
 into the visual stream.  A video-as-query cross-attention layer with the same
-signature is provided as the ablation drop-in.
+signature is provided as the ablation drop-in.  Both take their four
+projections from a ``SelfAttention`` module without calling it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
-from .nn import Linear, Module, merge_heads, split_heads
+from .nn import SelfAttention, merge_heads, split_heads
 from .tensor import Tensor
 
 # Floor (not additive offset) on the projected norms: it guards all-zero
@@ -23,29 +21,7 @@ from .tensor import Tensor
 NORM_FLOOR = 1e-8
 
 
-class GateParams(Module):
-    """Projections for one gate: query/key/value plus output, all bias-free."""
-
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
-        if dim % heads:
-            raise ValueError("dimension mismatch: dim must divide by heads")
-        self.w_q = Linear(dim, dim, rng)
-        self.w_k = Linear(dim, dim, rng)
-        self.w_v = Linear(dim, dim, rng)
-        self.w_o = Linear(dim, dim, rng)
-        self.heads = heads
-        self.dim = dim
-        self.head_dim = dim // heads
-
-
-@dataclass
-class ImportanceVector:
-    """Per-head, per-token gate coefficients, shape (heads, m)."""
-
-    dist: Tensor
-
-
-def _check_inputs(v: Tensor, t_tokens: Tensor, params: GateParams) -> None:
+def _check_inputs(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> None:
     if v.ndim != 2 or v.shape[1] != params.dim:
         raise ValueError(f"dimension mismatch: visual input {v.shape} vs dim {params.dim}")
     if t_tokens.ndim != 2 or t_tokens.shape[1] != params.dim:
@@ -63,7 +39,7 @@ def _guarded_norm(x: Tensor) -> Tensor:
     return T.sqrt(T.maximum(T.tsum(x * x, axis=-1, keepdims=True), NORM_FLOOR ** 2))
 
 
-def _head_importance(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
+def _head_importance(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Summed per-head cosine of projected tokens against projected text, (H, m)."""
     q = split_heads(params.w_q(v), params.heads)          # (H, m, d)
     k = split_heads(params.w_k(t_tokens), params.heads)   # (H, L, d)
@@ -74,14 +50,7 @@ def _head_importance(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
     return T.tsum(cos, axis=-1)                            # (H, m)
 
 
-def importance_vector(v: Tensor, t_tokens: Tensor, params: GateParams) -> ImportanceVector:
-    """Gate coefficients: for a single text row this is plain per-token cosine;
-    for L rows the per-row cosines are summed."""
-    _check_inputs(v, t_tokens, params)
-    return ImportanceVector(dist=_head_importance(v, t_tokens, params))
-
-
-def gate_core(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
+def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Gated value path without the input skip (blocks add their own residual)."""
     _check_inputs(v, t_tokens, params)
     dist = _head_importance(v, t_tokens, params)           # (H, m)
@@ -91,12 +60,12 @@ def gate_core(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
     return params.w_o(merge_heads(gated))
 
 
-def la_gate(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
+def la_gate(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Gate the visual tokens and add the input skip; output shape equals input."""
     return v + gate_core(v, t_tokens, params)
 
 
-def cross_attention_core(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
+def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Video-as-query attention over text keys/values, without the skip."""
     _check_inputs(v, t_tokens, params)
     q = split_heads(params.w_q(v), params.heads)           # (H, m, d)
@@ -107,7 +76,7 @@ def cross_attention_core(v: Tensor, t_tokens: Tensor, params: GateParams) -> Ten
     return params.w_o(merge_heads(T.matmul(attn, val)))
 
 
-def cross_attention_v2t(v: Tensor, t_tokens: Tensor, params: GateParams) -> Tensor:
+def cross_attention_v2t(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Ablation drop-in for ``la_gate``: same signature, same skip, but the
     output rows mix text content and depend on every text token."""
     return v + cross_attention_core(v, t_tokens, params)

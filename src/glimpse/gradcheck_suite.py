@@ -23,24 +23,17 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .data import FrameBundle
-from .gating import GateParams, cross_attention_v2t, la_gate
+from .gating import cross_attention_v2t, la_gate
 from .gradcheck import GradReport, grad_check
-from .nn import Linear, Mlp, widen_weights
+from .nn import Linear, Mlp, SelfAttention, widen_weights
 from .objectives import (
     MaskedText,
     contrastive_loss,
     vg_mlm_loss,
     vtm_loss,
 )
-from .refiner import RefinerParams, VrBlock, refine, vr_block
-from .sampler import (
-    FsBlock,
-    SamplerParams,
-    apply_mask,
-    fs_block,
-    gumbel_softmax,
-    selection_logits,
-)
+from .refiner import RefinerParams, VrBlock, refine
+from .sampler import FsBlock, SamplerParams, apply_mask, selection_rows
 from .tensor import Tensor
 
 
@@ -81,7 +74,7 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
                                      tolerance=tolerance, names=names)
 
     # gate and its attention baseline
-    gate = GateParams(dim, heads, np.random.default_rng(cfg.seed))
+    gate = SelfAttention(dim, heads, np.random.default_rng(cfg.seed))
     widen_weights(gate, rng)
     v = Tensor(rng.normal(size=(4, dim)), requires_grad=True)
     t1 = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
@@ -90,7 +83,7 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
           lambda: T.tsum(la_gate(v, t1, gate) * w_gate),
           [("v", v), ("t_cls", t1)] + list(gate.named_parameters()))
 
-    xattn = GateParams(dim, heads, np.random.default_rng(cfg.seed + 1))
+    xattn = SelfAttention(dim, heads, np.random.default_rng(cfg.seed + 1))
     widen_weights(xattn, rng)
     t2 = Tensor(rng.normal(size=(2, dim)), requires_grad=True)
     check("cross_attention_v2t",
@@ -101,10 +94,10 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
     fsb = FsBlock(dim, heads, np.random.default_rng(cfg.seed + 2), fusion=cfg.fusion)
     widen_weights(fsb, rng)
     seq_fs = Tensor(rng.normal(size=(cfg.n_frames, dim)), requires_grad=True)
-    t_fs = Tensor(rng.normal(size=dim), requires_grad=True)
+    t_fs = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
     w_fs = _readout(rng, (cfg.n_frames, dim))
     check("fs_block",
-          lambda: T.tsum(fs_block(seq_fs, t_fs, fsb) * w_fs),
+          lambda: T.tsum(fsb(seq_fs, t_fs) * w_fs),
           [("seq", seq_fs), ("t_cls", t_fs)] + list(fsb.named_parameters()))
 
     # one vision-refinement block over [CLS, selected patches]
@@ -112,10 +105,10 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
     widen_weights(vrb, rng)
     seq_vr = Tensor(rng.normal(size=(1 + cfg.k_select * n_patches, dim)),
                     requires_grad=True)
-    t_vr = Tensor(rng.normal(size=dim), requires_grad=True)
+    t_vr = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
     w_vr = _readout(rng, (1 + cfg.k_select * n_patches, dim))
     check("vr_block",
-          lambda: T.tsum(vr_block(seq_vr, t_vr, vrb, cfg.k_select, n_patches) * w_vr),
+          lambda: T.tsum(vrb(seq_vr, t_vr, cfg.k_select, n_patches) * w_vr),
           [("seq", seq_vr), ("t_cls", t_vr)] + list(vrb.named_parameters()))
 
     # selection through refinement, on the soft branch with frozen noise
@@ -128,19 +121,18 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
     widen_weights(refiner, rng)
     bundle = FrameBundle(v_patch=rng.normal(size=(cfg.n_frames, n_patches, dim)),
                          v_cls=rng.normal(size=(cfg.n_frames, dim)))
-    t_pipe = Tensor(rng.normal(size=dim), requires_grad=True)
+    t_pipe = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
     w_pipe = _readout(rng, (dim,))
 
     def composite_loss():
-        logits = selection_logits(Tensor(bundle.v_cls), t_pipe, sampler)
-        y_soft = gumbel_softmax(logits, sampler.tau_g, rng_seed=cfg.seed + 6)
+        y_soft = selection_rows(bundle.v_cls, t_pipe, sampler, rng_seed=cfg.seed + 6)
         selected = apply_mask(y_soft, bundle)
         return T.tsum(refine(selected, t_pipe, refiner) * w_pipe)
 
     composite_params = ([("t_cls", t_pipe)]
                         + [("sampler." + n, p) for n, p in sampler.named_parameters()]
                         + [("refiner." + n, p) for n, p in refiner.named_parameters()])
-    check("sparse_sample_refine", composite_loss, composite_params)
+    check("selection_refine", composite_loss, composite_params)
 
     # the three losses
     v_batch = Tensor(rng.normal(size=(3, dim)), requires_grad=True)

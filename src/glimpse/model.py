@@ -17,17 +17,15 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .data import NUM_VALUES, FrameBundle, Vocab
-from .nn import LayerNorm, Linear, Mlp, Module, SelfAttention, init_normal
-from .objectives import answer_cross_entropy  # noqa: F401  (re-exported for callers)
+from .nn import Block, Linear, Mlp, Module, init_normal
 from .refiner import RefinerParams, refine
 from .sampler import (
     SamplerParams,
     apply_mask,
-    gumbel_softmax,
-    selection_logits,
-    sparse_sample,
-    straight_through_mask,
-    uniform_select,
+    check_frame_count,
+    selection_rows,
+    straight_through,
+    uniform_indices,
 )
 from .tensor import Tensor, load_tensor, save_tensor
 
@@ -37,7 +35,7 @@ def derive_init_seed(seed: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-class TextEncoder(Module):
+class TextEncoder(Block):
     """Frozen word embeddings under a small trainable encoder.
 
     One pre-norm attention/MLP block over [CLS, tokens] with learned position
@@ -50,10 +48,7 @@ class TextEncoder(Module):
         self.embed = Tensor(vocab.embeddings)  # frozen lookup table
         self.pos = init_normal(rng, (max_len, dim))
         self.cls = init_normal(rng, (1, dim))
-        self.ln_attn = LayerNorm(dim)
-        self.attn = SelfAttention(dim, heads, rng)
-        self.ln_mlp = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio * dim, rng)
+        super().__init__(dim, heads, rng, mlp_ratio)
         self.max_len = max_len
 
     def __call__(self, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
@@ -65,24 +60,8 @@ class TextEncoder(Module):
             raise ValueError(f"text length {m} exceeds max {self.max_len}")
         emb = T.take(self.embed, list(token_ids), axis=0)
         x = T.concat([self.cls, emb + T.take(self.pos, np.arange(m), axis=0)], axis=0)
-        x = x + self.attn(self.ln_attn(x))
-        x = x + self.mlp(self.ln_mlp(x))
+        x = super().__call__(x)
         return T.take(x, [0], axis=0), T.take(x, np.arange(1, m + 1), axis=0)
-
-
-class PlainFusionBlock(Module):
-    """Standard pre-norm transformer block (joint attention, no gating)."""
-
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, mlp_ratio: int = 4):
-        self.ln_attn = LayerNorm(dim)
-        self.attn = SelfAttention(dim, heads, rng)
-        self.ln_mlp = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio * dim, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln_attn(x))
-        x = x + self.mlp(self.ln_mlp(x))
-        return x
 
 
 class PlainFusion(Module):
@@ -98,7 +77,7 @@ class PlainFusion(Module):
         self.cls_init = init_normal(rng, (1, dim), 0.02)
         self.spatial_table = init_normal(rng, (n_patches, dim), 0.02)
         self.temporal_table_k = init_normal(rng, (k_select, dim), 0.02)
-        self.blocks = [PlainFusionBlock(dim, heads, rng, mlp_ratio) for _ in range(depth)]
+        self.blocks = [Block(dim, heads, rng, mlp_ratio) for _ in range(depth)]
         self.dim = dim
         self.k_select = k_select
         self.n_patches = n_patches
@@ -130,8 +109,7 @@ class VideoQAModel(Module):
         self.sampler = None
         if cfg.sampler in ("sparse", "soft"):
             self.sampler = SamplerParams(cfg.dim, cfg.heads, cfg.n_frames, cfg.k_select,
-                                         cfg.depth, rng, n_max=cfg.temporal_capacity,
-                                         fusion=cfg.fusion, tau_g=cfg.tau_g)
+                                         cfg.depth, rng, fusion=cfg.fusion, tau_g=cfg.tau_g)
         self.refiner = None
         self.plain = None
         if cfg.refiner == "gated":
@@ -173,15 +151,15 @@ class VideoQAModel(Module):
         is the branch the finite-difference oracle can certify.
         """
         cfg = self.cfg
+        if self.sampler is None:
+            check_frame_count(bundle.v_cls.shape[0], cfg.n_frames)
+            indices = uniform_indices(cfg.n_frames, cfg.k_select)
+            return apply_mask(Tensor(np.eye(cfg.n_frames)[indices]), bundle), indices
+        y_soft = selection_rows(bundle.v_cls, t_cls, self.sampler, rng_seed)
+        indices = np.argmax(y_soft.data, axis=-1)
         if cfg.sampler == "sparse" and not surrogate:
-            selected, mask = sparse_sample(bundle, t_cls, self.sampler, rng_seed)
-            return selected, mask.indices
-        if cfg.sampler in ("soft", "sparse"):
-            logits = selection_logits(Tensor(bundle.v_cls), t_cls, self.sampler)
-            y_soft = gumbel_softmax(logits, self.sampler.tau_g, rng_seed)
-            return apply_mask(y_soft, bundle), np.argmax(y_soft.data, axis=-1)
-        mask = uniform_select(cfg.n_frames, cfg.k_select)
-        return apply_mask(mask.hard, bundle), mask.indices
+            return apply_mask(straight_through(y_soft, indices), bundle), indices
+        return apply_mask(y_soft, bundle), indices
 
     def represent(self, bundle: FrameBundle, token_ids: Sequence[int], rng_seed: int,
                   surrogate: bool = False) -> dict:

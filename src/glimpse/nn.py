@@ -88,7 +88,12 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 class SelfAttention(Module):
-    """Standard multi-head self-attention over a (S, D) sequence, no biases."""
+    """Standard multi-head self-attention over a (S, D) sequence, no biases.
+
+    The four projections are also the parameter set of the text-conditioned
+    gates and of the refiner's divided attention: those read ``w_q``..``w_o``
+    directly and never call this module.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads:
@@ -98,6 +103,7 @@ class SelfAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
         self.heads = heads
+        self.dim = dim
         self.head_dim = dim // heads
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -118,3 +124,23 @@ class Mlp(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
+
+
+class Block(Module):
+    """Pre-norm residual block: self-attention, then MLP.
+
+    Subclasses that add a stage in front create its parameters before
+    calling ``Block.__init__``, which keeps the draw order and the
+    parameter names of the whole block.
+    """
+
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, mlp_ratio: int = 4):
+        self.ln_attn = LayerNorm(dim)
+        self.attn = SelfAttention(dim, heads, rng)
+        self.ln_mlp = LayerNorm(dim)
+        self.mlp = Mlp(dim, mlp_ratio * dim, rng)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.ln_attn(x))
+        x = x + self.mlp(self.ln_mlp(x))
+        return x

@@ -63,20 +63,19 @@ def exchange_annotations(batch: list[BatchItem], p: float, rng_seed: int) -> lis
     return batch
 
 
-def _onehot(indices, width: int) -> np.ndarray:
-    out = np.zeros((len(indices), width))
-    out[np.arange(len(indices)), np.asarray(indices, dtype=int)] = 1.0
-    return out
+def _nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Mean negative log-likelihood of one target class per row of ``logits``."""
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(targets)), np.asarray(targets, dtype=int)] = 1.0
+    picked = T.tsum(T.log_softmax(logits, axis=-1) * Tensor(onehot), axis=-1)
+    return -T.tmean(picked)
 
 
 def vtm_loss(v_cls_star_batch: Tensor, labels: Sequence[int], head: Linear) -> Tensor:
     """Mean negative log-likelihood of the match labels under the linear head."""
     if v_cls_star_batch.ndim != 2:
         raise ValueError("expected a (B, D) batch of video CLS tokens")
-    logits = head(v_cls_star_batch)                       # (B, 2)
-    logp = T.log_softmax(logits, axis=-1)
-    picked = T.tsum(logp * Tensor(_onehot(labels, 2)), axis=-1)
-    return -T.tmean(picked)
+    return _nll(head(v_cls_star_batch), labels)          # logits (B, 2)
 
 
 def _unit_rows(x: Tensor) -> Tensor:
@@ -168,15 +167,13 @@ def vg_mlm_loss(masked: MaskedText, encode_tokens: Callable[[Sequence[int]], Ten
     if not masked.mask_positions:
         raise ValueError("mask_tokens must force >=1 masked position")
     tokens = encode_tokens(masked.token_ids)
-    w_masked = T.stop_gradient(T.take(tokens, masked.mask_positions, axis=0))  # (I, D)
+    w_masked = T.take(tokens, masked.mask_positions, axis=0).detach()          # (I, D)
     count = len(masked.mask_positions)
     dim = v_cls_star.size
     v_row = T.reshape(v_cls_star, (1, dim))
     v_tiled = T.take(v_row, [0] * count, axis=0)                               # (I, D)
     logits = mlp_head(T.concat([w_masked, v_tiled], axis=1))                   # (I, V)
-    logp = T.log_softmax(logits, axis=-1)
-    picked = T.tsum(logp * Tensor(_onehot(masked.original_ids, logits.shape[1])), axis=-1)
-    return -T.tmean(picked)
+    return _nll(logits, masked.original_ids)
 
 
 def total_loss(l_vtm: Tensor, l_vgmlm: Tensor, l_cl: Tensor,
@@ -210,7 +207,4 @@ def answer_multichoice(candidate_v_cls_stars: Tensor, vtm_head: Linear) -> int:
 def answer_cross_entropy(v_cls_star_batch: Tensor, answers: Sequence[int],
                          mlp_head: Mlp) -> Tensor:
     """Cross-entropy for training the open-ended head on a (B, D) batch."""
-    logits = mlp_head(v_cls_star_batch)
-    logp = T.log_softmax(logits, axis=-1)
-    picked = T.tsum(logp * Tensor(_onehot(answers, logits.shape[1])), axis=-1)
-    return -T.tmean(picked)
+    return _nll(mlp_head(v_cls_star_batch), answers)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .gating import GateParams, cross_attention_core, gate_core
+from .gating import cross_attention_core, gate_core
 from .nn import LayerNorm, Mlp, Module, SelfAttention, init_normal, merge_heads, split_heads
 from .tensor import Tensor
 
@@ -64,7 +64,7 @@ class VrBlock(Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  fusion: str = "la_gate", mlp_ratio: int = 4):
         self.ln_gate = LayerNorm(dim)
-        self.gate = GateParams(dim, heads, rng)
+        self.gate = SelfAttention(dim, heads, rng)
         self.ln_temporal = LayerNorm(dim)
         self.attn_temporal = SelfAttention(dim, heads, rng)
         self.ln_spatial = LayerNorm(dim)
@@ -121,16 +121,12 @@ def assemble_refiner_input(v_patch_k: Tensor, params: RefinerParams) -> Tensor:
     return T.concat([cls_row, body], axis=0)
 
 
-def vr_block(seq: Tensor, t_cls: Tensor, block_params: VrBlock, k: int, p: int) -> Tensor:
-    """Apply one refinement block; ``t_cls`` may be (D,) or (1, D)."""
-    t_row = T.reshape(t_cls, (1, seq.shape[1])) if t_cls.ndim == 1 else t_cls
-    return block_params(seq, t_row, k, p)
-
-
 def refine(v_patch_k: Tensor, t_cls: Tensor, params: RefinerParams) -> Tensor:
-    """Run the full refinement stack and emit only the final CLS token, (D,)."""
-    t_row = T.reshape(t_cls, (1, params.dim)) if t_cls.ndim == 1 else t_cls
+    """Run the full refinement stack and emit only the final CLS token, (D,).
+
+    ``t_cls`` is the text condition row, (1, D).
+    """
     seq = assemble_refiner_input(v_patch_k, params)
     for block in params.blocks:
-        seq = block(seq, t_row, params.k_select, params.n_patches)
+        seq = block(seq, t_cls, params.k_select, params.n_patches)
     return T.reshape(T.take(seq, [0], axis=0), (params.dim,))

@@ -2,88 +2,55 @@
 
 Frame CLS tokens get a temporal embedding, pass through stacked gate+attention
 blocks, and are projected onto one logit row per selection slot.  Each row is
-Gumbel-Softmax sampled and discretized with a straight-through estimator, so
-the forward pass copies exact frames while gradients flow through the soft
-distribution into the selection stack.
+Gumbel-Softmax sampled by ``selection_rows``, the one path every caller takes.
+``VideoQAModel.select`` applies the rows in one of three modes: ``sparse``
+discretizes them with a straight-through estimator, so the forward pass copies
+exact frames while gradients flow through the soft distribution into the
+selection stack; ``soft`` weights the frames by the rows themselves; and
+without a learned sampler, fixed one-hot rows pick a uniform grid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .data import FrameBundle
-from .gating import GateParams, cross_attention_core, gate_core
-from .nn import LayerNorm, Linear, Mlp, Module, SelfAttention, init_normal
+from .gating import cross_attention_core, gate_core
+from .nn import Block, LayerNorm, Linear, Module, SelfAttention, init_normal
 from .tensor import Tensor
 
 GUMBEL_EPS = 1e-10
 
 
-class FsBlock(Module):
+class FsBlock(Block):
     """Pre-norm residual block: text-conditioned gate, then inter-frame attention."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  fusion: str = "la_gate", mlp_ratio: int = 4):
         self.ln_gate = LayerNorm(dim)
-        self.gate = GateParams(dim, heads, rng)
-        self.ln_attn = LayerNorm(dim)
-        self.attn = SelfAttention(dim, heads, rng)
-        self.ln_mlp = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio * dim, rng)
+        self.gate = SelfAttention(dim, heads, rng)
+        super().__init__(dim, heads, rng, mlp_ratio)
         self.fusion = fusion
 
     def __call__(self, seq: Tensor, t_row: Tensor) -> Tensor:
         core = gate_core if self.fusion == "la_gate" else cross_attention_core
         seq = seq + core(self.ln_gate(seq), t_row, self.gate)
-        seq = seq + self.attn(self.ln_attn(seq))
-        seq = seq + self.mlp(self.ln_mlp(seq))
-        return seq
-
-
-def fs_block(seq: Tensor, t_cls: Tensor, block_params: FsBlock) -> Tensor:
-    """Apply one frame-sampling block; ``t_cls`` may be (D,) or (1, D)."""
-    t_row = T.reshape(t_cls, (1, seq.shape[1])) if t_cls.ndim == 1 else t_cls
-    return block_params(seq, t_row)
+        return super().__call__(seq)
 
 
 class SamplerParams(Module):
-    """Everything the selection stack owns."""
+    """Everything the selection stack owns; sizes are checked by ``RunConfig``."""
 
     def __init__(self, dim: int, heads: int, n_frames: int, k_select: int,
-                 depth: int, rng: np.random.Generator, n_max: int | None = None,
-                 fusion: str = "la_gate", tau_g: float = 1.0):
-        if k_select > n_frames:
-            raise ValueError("k_select must not exceed n_frames")
-        if depth < 1:
-            raise ValueError("sampler depth must be >= 1")
-        if tau_g <= 0:
-            raise ValueError("nonpositive temperature")
-        self.n_max = n_max if n_max is not None else n_frames
-        self.temporal_table = init_normal(rng, (self.n_max, dim), 0.02)
+                 depth: int, rng: np.random.Generator, fusion: str = "la_gate",
+                 tau_g: float = 1.0):
+        self.temporal_table = init_normal(rng, (n_frames, dim), 0.02)
         self.blocks = [FsBlock(dim, heads, rng, fusion) for _ in range(depth)]
         self.w_s = Linear(dim, k_select, rng)
         self.tau_g = tau_g
         self.n_frames = n_frames
         self.k_select = k_select
-
-
-@dataclass
-class SampleMask:
-    """Row-per-slot selection over the dense frames.
-
-    ``hard`` rows are exact one-hots, ``soft`` rows live on the simplex, and
-    ``straight_through`` carries the hard values forward while routing the
-    backward pass through ``soft``.  Rows may repeat a frame; duplicates are
-    kept on purpose.
-    """
-
-    hard: Tensor
-    soft: Tensor
-    straight_through: Tensor
-    indices: np.ndarray
 
 
 def add_temporal_embedding(v_cls_seq: Tensor, table: Tensor) -> Tensor:
@@ -110,25 +77,20 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed: int) -> Tensor:
     return T.softmax_stable((x + noise) * (1.0 / tau_g), axis=-1)
 
 
-def straight_through_mask(y_soft: Tensor) -> SampleMask:
-    """Discretize each soft row at its argmax (ties break to the lowest index).
+def straight_through(y_soft: Tensor, indices: np.ndarray) -> Tensor:
+    """One-hot rows at ``indices`` carrying the gradient of ``y_soft``.
 
-    The straight-through tensor is ``hard + (y_soft - stopgrad(y_soft))``: the
-    parenthesised difference is exactly zero elementwise, so forward values
-    equal ``hard`` to the last bit, while the backward pass sees d/dy = 1.
+    The result is ``hard + (y_soft - stopgrad(y_soft))``: the parenthesised
+    difference is exactly zero elementwise, so forward values equal the
+    one-hots to the last bit, while the backward pass sees d/dy = 1.
     """
-    indices = np.argmax(y_soft.data, axis=-1)
     hard_np = np.zeros_like(y_soft.data)
     np.put_along_axis(hard_np, indices[..., None], 1.0, axis=-1)
-    hard = Tensor(hard_np)
-    straight_through = hard + (y_soft - y_soft.detach())
-    return SampleMask(hard=hard, soft=y_soft, straight_through=straight_through,
-                      indices=indices)
+    return Tensor(hard_np) + (y_soft - y_soft.detach())
 
 
-def selection_logits(v_cls: Tensor, t_cls: Tensor, params: SamplerParams) -> Tensor:
+def selection_logits(v_cls: Tensor, t_row: Tensor, params: SamplerParams) -> Tensor:
     """Run the selection stack; returns one length-N logit row per slot, (K, N)."""
-    t_row = T.reshape(t_cls, (1, v_cls.shape[1])) if t_cls.ndim == 1 else t_cls
     seq = add_temporal_embedding(v_cls, params.temporal_table)
     for block in params.blocks:
         seq = block(seq, t_row)
@@ -148,29 +110,21 @@ def apply_mask(mask_rows: Tensor, bundle: FrameBundle) -> Tensor:
     return T.reshape(picked, (mask_rows.shape[0], p, d))
 
 
-def sparse_sample(bundle: FrameBundle, t_cls: Tensor, params: SamplerParams,
-                  rng_seed: int) -> tuple[Tensor, SampleMask]:
-    """Select K frames hard; forward copies frames, backward is soft."""
-    if bundle.v_cls.shape[0] != params.n_frames:
-        raise ValueError(
-            f"bundle has {bundle.v_cls.shape[0]} frames, sampler expects {params.n_frames}"
-        )
-    logits = selection_logits(Tensor(bundle.v_cls), t_cls, params)
-    y_soft = gumbel_softmax(logits, params.tau_g, rng_seed)
-    mask = straight_through_mask(y_soft)
-    return apply_mask(mask.straight_through, bundle), mask
+def check_frame_count(n: int, expected: int) -> None:
+    if n != expected:
+        raise ValueError(f"bundle has {n} frames, sampler expects {expected}")
 
 
-def soft_select(bundle: FrameBundle, t_cls: Tensor, params: SamplerParams,
-                rng_seed: int) -> Tensor:
-    """Ablation sampler: convex frame combinations instead of hard picks."""
-    if bundle.v_cls.shape[0] != params.n_frames:
-        raise ValueError(
-            f"bundle has {bundle.v_cls.shape[0]} frames, sampler expects {params.n_frames}"
-        )
-    logits = selection_logits(Tensor(bundle.v_cls), t_cls, params)
-    y_soft = gumbel_softmax(logits, params.tau_g, rng_seed)
-    return apply_mask(y_soft, bundle)
+def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
+                   rng_seed: int) -> Tensor:
+    """Gumbel-Softmax rows over the N frames, one per slot, (K, N).
+
+    ``v_cls`` holds the frame CLS tokens (N, D) and ``t_row`` the text
+    condition (1, D).
+    """
+    check_frame_count(v_cls.shape[0], params.n_frames)
+    logits = selection_logits(Tensor(v_cls), t_row, params)
+    return gumbel_softmax(logits, params.tau_g, rng_seed)
 
 
 def uniform_indices(n: int, k: int) -> np.ndarray:
@@ -180,13 +134,3 @@ def uniform_indices(n: int, k: int) -> np.ndarray:
     if k == 1:
         return np.array([n // 2])
     return np.array([int(np.floor(f * (n - 1) / (k - 1) + 0.5)) for f in range(k)])
-
-
-def uniform_select(n: int, k: int) -> SampleMask:
-    """Non-learned baseline mask at evenly spaced frames; no gradient path."""
-    idx = uniform_indices(n, k)
-    hard_np = np.zeros((k, n))
-    hard_np[np.arange(k), idx] = 1.0
-    hard = Tensor(hard_np)
-    return SampleMask(hard=hard, soft=Tensor(hard_np.copy()),
-                      straight_through=hard, indices=idx)

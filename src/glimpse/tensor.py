@@ -473,34 +473,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    """Forward identity that blocks the backward pass."""
-    return a.detach()
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two 1-D tensors; differentiable in both arguments.
-
-    Zero-norm inputs raise rather than clamp: silently stabilizing here would
-    let an encoder that emits dead vectors pass the numeric test suites.
-    """
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("cosine_similarity expects 1-D tensors")
-    if a.data.shape != b.data.shape:
-        raise ValueError("cosine_similarity shape mismatch")
-    if not np.linalg.norm(a.data) > 0.0 or not np.linalg.norm(b.data) > 0.0:
-        raise ValueError("zero-norm vector")
-    dot = tsum(mul(a, b))
-    na = sqrt(tsum(mul(a, a)))
-    nb = sqrt(tsum(mul(b, b)))
-    return div(dot, mul(na, nb))
-
-
-def argmax_last(a: Tensor) -> Array:
-    """Index of the max along the last axis; ties resolve to the lowest index."""
-    return np.argmax(a.data, axis=-1)
-
-
 # -- binary dump format ---------------------------------------------------------
 
 _MAGIC = b"TDMP"

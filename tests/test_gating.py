@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from glimpse import tensor as T
-from glimpse.gating import (
-    GateParams,
-    cross_attention_v2t,
-    gate_core,
-    importance_vector,
-    la_gate,
-)
+from glimpse.gating import _head_importance, cross_attention_v2t, gate_core, la_gate
 from glimpse.gradcheck import grad_check
+from glimpse.nn import SelfAttention
 from glimpse.tensor import Tensor
 
 
 def make_params(dim=8, heads=2, seed=0):
-    return GateParams(dim, heads, np.random.default_rng(seed))
+    return SelfAttention(dim, heads, np.random.default_rng(seed))
 
 
 def identity_params(dim=8, heads=2):
@@ -30,29 +25,31 @@ def identity_params(dim=8, heads=2):
 
 
 class TestImportanceVector:
+    """Gate coefficients: per-token cosine for one text row, summed over L rows."""
+
     def test_identical_rows_give_one_per_head(self):
         params = identity_params()
         t_cls = np.array([1.0, 2.0, 0.5, -1.0, 0.3, 0.9, -0.2, 0.4])
         v = Tensor(np.tile(t_cls, (3, 1)))
-        iv = importance_vector(v, Tensor(t_cls[None, :]), params)
-        np.testing.assert_allclose(iv.dist.data, 1.0, atol=1e-12)
-        assert iv.dist.shape == (2, 3)
+        dist = _head_importance(v, Tensor(t_cls[None, :]), params)
+        np.testing.assert_allclose(dist.data, 1.0, atol=1e-12)
+        assert dist.shape == (2, 3)
 
     def test_orthogonal_rows_give_zero(self):
         params = identity_params(dim=4, heads=2)
         # Orthogonal within each head slice as well as globally.
         v = Tensor(np.array([[1.0, 0.0, 1.0, 0.0]]))
         t = Tensor(np.array([[0.0, 1.0, 0.0, 1.0]]))
-        iv = importance_vector(v, t, params)
-        np.testing.assert_array_equal(iv.dist.data, 0.0)
+        dist = _head_importance(v, t, params)
+        np.testing.assert_array_equal(dist.data, 0.0)
 
     def test_duplicated_text_rows_double(self):
         rng = np.random.default_rng(1)
         params = make_params()
         v = Tensor(rng.normal(size=(5, 8)))
         t1 = rng.normal(size=(1, 8))
-        single = importance_vector(v, Tensor(t1), params).dist.data
-        double = importance_vector(v, Tensor(np.vstack([t1, t1])), params).dist.data
+        single = _head_importance(v, Tensor(t1), params).data
+        double = _head_importance(v, Tensor(np.vstack([t1, t1])), params).data
         # BLAS may round (m,1)- and (m,2)-shaped products differently in the
         # last bit, so the cross-run comparison allows one ulp of slack; the
         # doubling itself (c + c == 2c) is exact in IEEE-754.
@@ -64,13 +61,13 @@ class TestImportanceVector:
         for _ in range(50):
             v = Tensor(rng.normal(size=(6, 8)))
             t = Tensor(rng.normal(size=(1, 8)))
-            dist = importance_vector(v, t, params).dist.data
+            dist = _head_importance(v, t, params).data
             assert (dist >= -1.0 - 1e-12).all() and (dist <= 1.0 + 1e-12).all()
 
     def test_empty_text_rejected(self):
         params = make_params()
         with pytest.raises(ValueError, match="empty text condition"):
-            importance_vector(Tensor(np.ones((2, 8))), Tensor(np.ones((0, 8))), params)
+            gate_core(Tensor(np.ones((2, 8))), Tensor(np.ones((0, 8))), params)
 
 
 class TestLaGate:

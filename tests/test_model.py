@@ -1,5 +1,7 @@
 """Pipeline assembly, variant wiring, determinism, and checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,9 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"dims": 32})
+
+    def test_removed_n_max_key_rejected(self):
+        # Config files written while the temporal-table capacity was an option
+        # carry "n_max"; they must fail loudly rather than load silently.
+        with pytest.raises(ValueError, match=r"unknown config keys: \['n_max'\]"):
+            RunConfig.from_dict({**dataclasses.asdict(desk_config()), "n_max": 0})

@@ -7,13 +7,7 @@ from glimpse import tensor as T
 from glimpse.gating import gate_core
 from glimpse.gradcheck import grad_check
 from glimpse.nn import widen_weights
-from glimpse.refiner import (
-    RefinerParams,
-    VrBlock,
-    assemble_refiner_input,
-    refine,
-    vr_block,
-)
+from glimpse.refiner import RefinerParams, VrBlock, assemble_refiner_input, refine
 from glimpse.tensor import Tensor
 
 
@@ -84,7 +78,7 @@ class TestVrBlock:
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
         block.mlp.fc2.b = Tensor(np.zeros(8), requires_grad=True)
         seq = rng.normal(size=(9, 8))
-        out = vr_block(Tensor(seq), Tensor(rng.normal(size=8)), block, k=2, p=4)
+        out = block(Tensor(seq), Tensor(rng.normal(size=(1, 8))), k=2, p=4)
         np.testing.assert_array_equal(out.data, seq)
 
     def test_gate_stage_is_row_local(self):
@@ -112,11 +106,11 @@ class TestVrBlock:
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
         k, p = 3, 2
         seq = rng.normal(size=(1 + k * p, 8))
-        t = Tensor(rng.normal(size=8))
-        base = vr_block(Tensor(seq), t, block, k=k, p=p).data
+        t = Tensor(rng.normal(size=(1, 8)))
+        base = block(Tensor(seq), t, k=k, p=p).data
         bumped = seq.copy()
         bumped[1] += 1.0  # frame 0, slot 0
-        moved = vr_block(Tensor(bumped), t, block, k=k, p=p).data
+        moved = block(Tensor(bumped), t, k=k, p=p).data
         slot_of = lambda row: (row - 1) % p
         for row in range(1, 1 + k * p):
             if slot_of(row) != 0:
@@ -127,9 +121,9 @@ class TestVrBlock:
         block = VrBlock(16, 2, np.random.default_rng(6))
         widen_weights(block, rng)
         seq = Tensor(rng.normal(size=(9, 16)), requires_grad=True)
-        t_cls = Tensor(rng.normal(size=16), requires_grad=True)
+        t_cls = Tensor(rng.normal(size=(1, 16)), requires_grad=True)
         report = grad_check(
-            lambda: T.tmean(vr_block(seq, t_cls, block, k=2, p=4)),
+            lambda: T.tmean(block(seq, t_cls, k=2, p=4)),
             [seq, t_cls] + block.parameters(),
         )
         assert report.passed, report.summary()
@@ -145,13 +139,15 @@ class TestRefine:
         block.attn_spatial.w_o.w = Tensor(np.zeros((16, 16)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((64, 16)), requires_grad=True)
         block.mlp.fc2.b = Tensor(np.zeros(16), requires_grad=True)
-        out = refine(Tensor(rng.normal(size=(2, 4, 16))), Tensor(rng.normal(size=16)), params)
+        out = refine(Tensor(rng.normal(size=(2, 4, 16))), Tensor(rng.normal(size=(1, 16))),
+                     params)
         np.testing.assert_array_equal(out.data, params.cls_init.data)
 
     def test_output_dimension(self):
         rng = np.random.default_rng(8)
         params = make_refiner(depth=2)
-        out = refine(Tensor(rng.normal(size=(2, 4, 16))), Tensor(rng.normal(size=16)), params)
+        out = refine(Tensor(rng.normal(size=(2, 4, 16))), Tensor(rng.normal(size=(1, 16))),
+                     params)
         assert out.shape == (16,)
 
     def test_full_connectivity_from_any_patch(self):
@@ -160,7 +156,7 @@ class TestRefine:
         rng = np.random.default_rng(9)
         params = make_refiner(seed=9)
         patches = rng.normal(size=(2, 4, 16))
-        t = Tensor(rng.normal(size=16))
+        t = Tensor(rng.normal(size=(1, 16)))
         base = refine(Tensor(patches), t, params).data
         for k in range(2):
             for p in range(4):
@@ -173,7 +169,7 @@ class TestRefine:
         rng = np.random.default_rng(10)
         params = make_refiner(seed=10, depth=2)
         patches = Tensor(rng.normal(size=(2, 4, 16)), requires_grad=True)
-        t = Tensor(rng.normal(size=16), requires_grad=True)
+        t = Tensor(rng.normal(size=(1, 16)), requires_grad=True)
         out = refine(patches, t, params)
         T.tsum(out * Tensor(rng.normal(size=16))).backward()
         assert patches.grad is not None and np.abs(patches.grad).max() > 0

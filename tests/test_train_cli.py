@@ -10,7 +10,7 @@ from glimpse import tensor as T
 from glimpse.cli import main
 from glimpse.config import desk_config
 from glimpse.data import Vocab, gen_episode, save_dataset
-from glimpse.model import VideoQAModel, load_checkpoint
+from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.sampler import uniform_indices
 from glimpse.train import AdamW, NumericFailure, derive_seed, lr_at, tau_g_at, train
 from glimpse.tensor import Tensor, load_tensor, save_tensor
@@ -209,6 +209,20 @@ class TestCli:
             assert 0 <= line["index"] < 10
             assert len(line["soft"]) == 10
             assert sum(line["soft"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_sample_frames_rejects_frame_count_mismatch(self, tmp_path, capsys):
+        # A 30-frame checkpoint must refuse a 20-frame dump, not sample from it.
+        cfg = desk_config(seed=2)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
+        save_checkpoint(tmp_path / "ckpt", model, step=0)
+        rng = np.random.default_rng(0)
+        cls_path, text_path = tmp_path / "cls.tdmp", tmp_path / "text.tdmp"
+        save_tensor(cls_path, rng.normal(size=(20, cfg.dim)))
+        save_tensor(text_path, rng.normal(size=cfg.dim))
+        code = main(["sample-frames", "--frame-cls", str(cls_path), "--text", str(text_path),
+                     "--checkpoint", str(tmp_path / "ckpt")])
+        assert code == 1
+        assert "bundle has 20 frames, sampler expects 30" in capsys.readouterr().err
 
     def test_dump_tensor_inspects_file(self, tmp_path, capsys):
         path = tmp_path / "x.tdmp"
