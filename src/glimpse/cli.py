@@ -22,7 +22,7 @@ from .evaluate import evaluate_model, evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
 from .sampler import SamplerParams, selection_rows
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor, load_tensor, no_grad, save_tensor
 from .train import NumericFailure, train
 
 EXIT_OK = 0
@@ -57,6 +57,12 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _config_overrides(args) -> dict:
+    """The RunConfig fields set by a ``--<field>`` flag."""
+    return {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
+            if getattr(args, field.name, None) is not None}
+
+
 def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
     if args.config is not None:
         cfg = RunConfig.from_file(args.config)
@@ -64,11 +70,7 @@ def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
         cfg = RunConfig(**defaults)
     else:
         cfg = RunConfig()
-    overrides = {}
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
+    overrides = _config_overrides(args)
     return cfg.replace(**overrides) if overrides else cfg.validate()
 
 
@@ -122,7 +124,8 @@ def main(argv=None) -> int:
     p.add_argument("--text", type=Path, required=True,
                    help="tensor dump of the text condition (D,)")
     p.add_argument("--checkpoint", type=Path, default=None,
-                   help="take sampler weights from this checkpoint")
+                   help="take the sampler and its config from this checkpoint "
+                        "(no config flags with it)")
     p.add_argument("--sample-seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
 
@@ -248,6 +251,11 @@ def _cmd_sample_frames(args) -> int:
         raise ValueError("frame CLS dump must be 2-D (N, D)")
     n, dim = frame_cls.shape
     if args.checkpoint:
+        flags = ["--" + name.replace("_", "-") for name in _config_overrides(args)]
+        if args.config is not None:
+            flags.insert(0, "--config")
+        if flags:
+            raise ValueError(f"--checkpoint fixes the sampler's config; drop {', '.join(flags)}")
         model, _, _ = load_checkpoint(args.checkpoint)
         if model.sampler is None:
             raise ValueError("checkpoint has no sampler module")
@@ -257,7 +265,9 @@ def _cmd_sample_frames(args) -> int:
         sampler = SamplerParams(cfg.dim, cfg.heads, n, cfg.k_select, cfg.depth,
                                 np.random.default_rng(cfg.seed), fusion=cfg.fusion,
                                 tau_g=cfg.tau_g)
-    y_soft = selection_rows(frame_cls, Tensor(text.reshape(1, -1)), sampler, args.sample_seed)
+    with no_grad():
+        y_soft = selection_rows(frame_cls, Tensor(text.reshape(1, -1)), sampler,
+                                args.sample_seed)
     indices = np.argmax(y_soft.data, axis=-1)
     stream = _open_out(args.out)
     try:

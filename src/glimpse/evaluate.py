@@ -14,6 +14,7 @@ from .train import derive_seed, episode_noise_seed
 CHANCE = 1.0 / NUM_VALUES
 
 
+@T.no_grad()
 def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
                    blind: str | None = None, mcq_choices: int = 5,
                    with_mcq: bool = True, with_vtm: bool = True) -> dict:
@@ -23,7 +24,8 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
     accuracy scores each episode against its own annotation and one foreign
     one; multiple choice asks the matching head to pick the true annotation
     out of ``mcq_choices``; hit-rate counts episodes whose ground-truth event
-    frame appears among the selected frames.
+    frame appears among the selected frames.  Nothing is taped, and within an
+    episode (one bundle, one noise seed) each distinct text is represented once.
     """
     n = len(episodes)
     qa_hits = 0
@@ -34,7 +36,15 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
     for i, ep in enumerate(episodes):
         shown = blind_input(ep, blind) if blind else ep
         seed = episode_noise_seed(eval_seed, ep.seed, 0)
-        rep = model.represent(shown.bundle, ep.question_tokens, seed)
+        passes: dict[tuple[int, ...], dict] = {}
+
+        def represent(tokens) -> dict:
+            key = tuple(tokens)
+            if key not in passes:
+                passes[key] = model.represent(shown.bundle, tokens, seed)
+            return passes[key]
+
+        rep = represent(ep.question_tokens)
         qa_hits += int(answer_open_ended(rep["v_star"], model.answer_head) == ep.answer)
         sampler_hits += int(ep.event_frame in rep["indices"])
 
@@ -42,7 +52,7 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
             logits = model.vtm_head(T.reshape(rep["v_star"], (1, model.cfg.dim)))
             vtm_hits += int(np.argmax(logits.data[0]) == MATCHED)
             foreign = episodes[(i + 1) % n].question_tokens
-            rep_bad = model.represent(shown.bundle, foreign, seed)
+            rep_bad = represent(foreign)
             logits_bad = model.vtm_head(T.reshape(rep_bad["v_star"], (1, model.cfg.dim)))
             vtm_hits += int(np.argmax(logits_bad.data[0]) == UNMATCHED)
             vtm_total += 2
@@ -56,7 +66,7 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
             candidates.insert(slot, ep.question_tokens)
             v_rows = []
             for tokens in candidates:
-                cand = model.represent(shown.bundle, tokens, seed)
+                cand = represent(tokens)
                 v_rows.append(T.reshape(cand["v_star"], (1, model.cfg.dim)))
             choice = answer_multichoice(T.concat(v_rows, axis=0), model.vtm_head)
             mcq_hits += int(choice == slot)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 LossFn = Callable[[], Tensor]
 
@@ -55,6 +55,8 @@ def grad_check(
     and be deterministic: any randomness has to be frozen by seed, which is
     probed by evaluating the loss twice before perturbing anything.  The
     relative error uses ``max(|analytic|, |numeric|, 1e-8)`` as denominator.
+    Only the analytic pass records a tape; the probe and finite-difference
+    forwards run under ``no_grad``.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
@@ -63,8 +65,9 @@ def grad_check(
     if len(names) != len(params):
         raise ValueError("names/params length mismatch")
 
-    probe_a = loss_fn().item()
-    probe_b = loss_fn().item()
+    with no_grad():
+        probe_a = loss_fn().item()
+        probe_b = loss_fn().item()
     if probe_a != probe_b:
         raise ValueError("oracle requires frozen randomness")
 
@@ -80,14 +83,15 @@ def grad_check(
     for name, p, grad_a in zip(names, params, analytic):
         flat = p.data.reshape(-1)
         numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = loss_fn().item()
-            flat[i] = orig - epsilon
-            f_minus = loss_fn().item()
-            flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * epsilon)
+        with no_grad():
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                f_plus = loss_fn().item()
+                flat[i] = orig - epsilon
+                f_minus = loss_fn().item()
+                flat[i] = orig
+                numeric[i] = (f_plus - f_minus) / (2.0 * epsilon)
         numeric = numeric.reshape(p.data.shape)
         denom = np.maximum(np.maximum(np.abs(grad_a), np.abs(numeric)), 1e-8)
         rel = np.abs(grad_a - numeric) / denom

@@ -1,17 +1,29 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every array in the library is a row-major float64 ``Tensor``.  Forward ops
-record a tape (parent links plus a backward closure); ``Tensor.backward``
-replays it in reverse topological order and accumulates gradients into the
-``grad`` buffers of leaves with ``requires_grad=True``.  Tensors that take
-part in a tape are never mutated in place; parameter updates happen on leaf
-``data`` between tapes.
+record a tape: each output keeps links to its parents and a backward closure
+``_backward(g)`` that receives the output's gradient ``g`` and accumulates the
+parents' shares into their ``grad``.  A closure captures only its parents and
+plain arrays, never its own output, so the tape is acyclic: reference counting
+frees it as soon as nothing holds the loss, with no help from the cyclic
+collector.
+
+``Tensor.backward`` replays the tape in reverse topological order.  Leaves
+with ``requires_grad=True`` keep their accumulated ``grad``; every interior
+node's ``grad`` is released once its rule has run, so a second ``backward``
+over the same graph adds exactly one more pass to the leaves.
+
+Inside ``with no_grad():`` ops build no parent links and no closures; their
+outputs are constants with the same values.  Tensors that take part in a tape
+are never mutated in place; parameter updates happen on leaf ``data`` between
+tapes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +42,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     # -- introspection -------------------------------------------------
@@ -71,7 +83,8 @@ class Tensor:
 
         Without an explicit seed gradient the tensor must be scalar-sized.
         Gradients accumulate additively, so a leaf feeding several branches
-        receives the sum of all branch contributions.
+        receives the sum of all branch contributions.  Interior nodes release
+        their ``grad`` once their rule has run; only leaves keep theirs.
         """
         if grad is None:
             if self.data.size != 1:
@@ -102,7 +115,8 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar --------------------------------------------------
 
@@ -168,10 +182,29 @@ def _unbroadcast(g: Array, target_shape: tuple[int, ...]) -> Array:
     return g
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block (a process-wide flag, not per thread).
+
+    Nests, restores the previous state on exit or exception, and also works
+    as a decorator: ``@no_grad()``.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
     return out
 
@@ -182,8 +215,7 @@ def _node(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data + b.data, (a, b))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
@@ -195,8 +227,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data - b.data, (a, b))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
@@ -208,8 +239,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data * b.data, (a, b))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
@@ -221,8 +251,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data / b.data, (a, b))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
@@ -234,8 +263,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     out = _node(-a.data, (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(-out.grad)
+        def _bw(g):
+            a._accumulate(-g)
         out._backward = _bw
     return out
 
@@ -244,17 +273,18 @@ def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
     out = _node(a.data ** exponent, (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * exponent * a.data ** (exponent - 1.0))
+        def _bw(g):
+            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
         out._backward = _bw
     return out
 
 
 def exp(a: Tensor) -> Tensor:
-    out = _node(np.exp(a.data), (a,))
+    y = np.exp(a.data)
+    out = _node(y, (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * out.data)
+        def _bw(g):
+            a._accumulate(g * y)
         out._backward = _bw
     return out
 
@@ -262,26 +292,28 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     out = _node(np.log(a.data), (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad / a.data)
+        def _bw(g):
+            a._accumulate(g / a.data)
         out._backward = _bw
     return out
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = _node(np.sqrt(a.data), (a,))
+    y = np.sqrt(a.data)
+    out = _node(y, (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * 0.5 / out.data)
+        def _bw(g):
+            a._accumulate(g * 0.5 / y)
         out._backward = _bw
     return out
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = _node(np.tanh(a.data), (a,))
+    y = np.tanh(a.data)
+    out = _node(y, (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * (1.0 - out.data * out.data))
+        def _bw(g):
+            a._accumulate(g * (1.0 - y * y))
         out._backward = _bw
     return out
 
@@ -293,10 +325,10 @@ def gelu(a: Tensor) -> Tensor:
     t = np.tanh(inner)
     out = _node(0.5 * x * (1.0 + t), (a,))
     if out.requires_grad:
-        def _bw():
+        def _bw(g):
             d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_COEF * x * x)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            a._accumulate(out.grad * local)
+            a._accumulate(g * local)
         out._backward = _bw
     return out
 
@@ -306,8 +338,8 @@ def maximum(a: Tensor, floor: float) -> Tensor:
     mask = a.data > floor
     out = _node(np.where(mask, a.data, floor), (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad * mask)
+        def _bw(g):
+            a._accumulate(g * mask)
         out._backward = _bw
     return out
 
@@ -318,8 +350,8 @@ def maximum(a: Tensor, floor: float) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = _node(a.data.reshape(shape), (a,))
     if out.requires_grad:
-        def _bw():
-            a._accumulate(out.grad.reshape(a.data.shape))
+        def _bw(g):
+            a._accumulate(g.reshape(a.data.shape))
         out._backward = _bw
     return out
 
@@ -329,8 +361,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     out = _node(np.transpose(a.data, axes), (a,))
     if out.requires_grad:
         inverse = tuple(np.argsort(axes))
-        def _bw():
-            a._accumulate(np.transpose(out.grad, inverse))
+        def _bw(g):
+            a._accumulate(np.transpose(g, inverse))
         out._backward = _bw
     return out
 
@@ -341,8 +373,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if out.requires_grad:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
-        def _bw():
-            g = out.grad
+        def _bw(g):
             for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     index = [slice(None)] * g.ndim
@@ -357,11 +388,11 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = _node(np.take(a.data, idx, axis=axis), (a,))
     if out.requires_grad:
-        def _bw():
+        def _bw(g):
             g_full = np.zeros_like(a.data)
             index = [slice(None)] * a.data.ndim
             index[axis] = idx
-            np.add.at(g_full, tuple(index), out.grad)
+            np.add.at(g_full, tuple(index), g)
             a._accumulate(g_full)
         out._backward = _bw
     return out
@@ -373,8 +404,7 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape))
@@ -399,8 +429,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = _node(np.matmul(a.data, b.data), (a, b))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.data.shape))
@@ -423,8 +452,7 @@ def softmax_stable(a: Tensor, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = _node(y, (a,))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
             a._accumulate(y * (g - dot))
         out._backward = _bw
@@ -439,8 +467,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     out = _node(shifted - log_z, (a,))
     if out.requires_grad:
         soft = np.exp(out.data)
-        def _bw():
-            g = out.grad
+        def _bw(g):
             a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
         out._backward = _bw
     return out
@@ -458,8 +485,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
     out = _node(xhat * gain.data + bias.data, (x, gain, bias))
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if gain.requires_grad:
                 gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
             if bias.requires_grad:

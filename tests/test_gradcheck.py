@@ -49,8 +49,8 @@ def test_sabotaged_backward_is_caught():
         out.requires_grad = True
         out._parents = (t,)
 
-        def _bw():
-            t._accumulate(out.grad * 3.0 * t.data)  # wrong factor on purpose
+        def _bw(g):
+            t._accumulate(g * 3.0 * t.data)  # wrong factor on purpose
 
         out._backward = _bw
         return out
@@ -58,6 +58,20 @@ def test_sabotaged_backward_is_caught():
     report = grad_check(lambda: T.tsum(corrupted_square(x)), [x], names=["x"])
     assert not report.passed
     assert report.max_rel_error["x"] > 0.1
+
+
+def test_only_the_analytic_pass_is_taped():
+    x = Tensor([0.3, -1.1], requires_grad=True)
+    taped = []
+
+    def loss():
+        out = T.tsum(T.tanh(x) * x)
+        taped.append(out.requires_grad)
+        return out
+
+    assert grad_check(loss, [x]).passed
+    # Two probes, one analytic pass, two forwards per element.
+    assert taped == [False, False, True] + [False] * 4
 
 
 def test_report_carries_per_parameter_errors():

@@ -110,6 +110,18 @@ class TestRepresent:
         assert (hard["indices"] == soft["indices"]).all()
         assert not (hard["v_star"].data == soft["v_star"].data).all()
 
+    def test_untaped_pass_is_bit_equal(self, world):
+        cfg, vocab, episode = world
+        model = build(cfg, vocab)
+        taped = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
+        with T.no_grad():
+            free = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
+        assert taped["v_star"].requires_grad and not free["v_star"].requires_grad
+        assert free["v_star"]._parents == () and free["v_star"]._backward is None
+        for key in ("v_star", "t_cls", "t_tokens"):
+            assert free[key].data.tobytes() == taped[key].data.tobytes()
+        assert (free["indices"] == taped["indices"]).all()
+
     def test_gradient_reaches_selector_through_hard_path(self, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)

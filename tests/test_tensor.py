@@ -1,5 +1,6 @@
 """Core tensor and autodiff behaviour, checked against independent references."""
 
+import gc
 import math
 import struct
 
@@ -195,6 +196,36 @@ class TestGraphSemantics:
         first, second = run(), run()
         assert (first == second).all()
 
+    def test_second_backward_adds_exactly_one_pass(self):
+        # Interior grads are released, so a second pass cannot compound them.
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        y = x * 2.0
+        z = y * 3.0
+        loss = T.tsum(z)
+        loss.backward()
+        g1 = x.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * g1)
+        assert y.grad is None and z.grad is None and loss.grad is None
+
+    def test_tape_is_freed_by_reference_counting(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
+        gain = Tensor(np.ones(4), requires_grad=True)
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            h = T.layer_norm(x, gain, bias) + T.sqrt(x) * T.exp(x) - T.tanh(x) / x
+            h = T.concat([T.gelu(h), T.maximum(-h, 0.1) ** 2.0, T.log(x)], axis=0)
+            h = T.softmax_stable(T.matmul(T.take(h, [0, 2, 2]), T.transpose(h, (1, 0))))
+            loss = T.tsum(T.log_softmax(T.reshape(h, (-1,))) * T.tmean(h)) + T.tsum(-x)
+            loss.backward()
+            del h, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
@@ -205,6 +236,33 @@ class TestGraphSemantics:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
         with pytest.raises(ValueError):
             T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+
+class TestNoGrad:
+    def test_records_no_parents_or_closures(self):
+        x = Tensor([0.5, 1.5], requires_grad=True)
+        taped = T.tsum(T.exp(x) * x)
+        with T.no_grad():
+            free = T.tsum(T.exp(x) * x)
+        assert taped.requires_grad
+        assert not free.requires_grad
+        assert free._parents == () and free._backward is None
+        assert free.data.tobytes() == taped.data.tobytes()
+
+    def test_nests(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_restores_the_flag_after_an_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert (x * 2.0).requires_grad
 
 
 class TestDumpFormat:

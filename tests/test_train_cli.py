@@ -1,5 +1,6 @@
 """Trainer semantics, CLI surface, exit codes, and stream determinism."""
 
+import gc
 import json
 import math
 
@@ -10,9 +11,11 @@ from glimpse import tensor as T
 from glimpse.cli import main
 from glimpse.config import desk_config
 from glimpse.data import Vocab, gen_episode, save_dataset
+from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.sampler import uniform_indices
-from glimpse.train import AdamW, NumericFailure, derive_seed, lr_at, tau_g_at, train
+from glimpse.train import (AdamW, NumericFailure, derive_seed, lr_at, tau_g_at, train,
+                           train_step)
 from glimpse.tensor import Tensor, load_tensor, save_tensor
 
 
@@ -125,6 +128,43 @@ class TestTrainLoop:
         assert (a["v_star"].data == b["v_star"].data).all()
 
 
+class TestTapeLifetime:
+    def test_train_step_and_eval_leave_no_cyclic_garbage(self):
+        # Tapes must be freed by reference counting alone, not by the collector.
+        cfg = smoke_config()
+        episodes = pool(cfg, 8)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(cfg.seed))
+        optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
+        gc.collect()
+        gc.disable()
+        try:
+            train_step(model, optimizer, episodes, cfg, 0)
+            evaluate_with_blind_probes(model, episodes, eval_seed=4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_eval_represents_each_distinct_text_once_per_episode(self, monkeypatch):
+        cfg = smoke_config()
+        episodes = pool(cfg, 8)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(cfg.seed))
+        expected = evaluate_model(model, episodes, eval_seed=4)
+        calls = []
+        real = model.represent
+
+        def counted(bundle, tokens, rng_seed, **kwargs):
+            calls.append((rng_seed, tuple(tokens)))
+            return real(bundle, tokens, rng_seed, **kwargs)
+
+        monkeypatch.setattr(model, "represent", counted)
+        assert evaluate_model(model, episodes, eval_seed=4) == expected
+        assert len(calls) == len(set(calls))
+        # Own text, foreign text and 4 other MCQ candidates at most.
+        assert len(calls) <= 6 * len(episodes)
+
+
 class TestCli:
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -224,6 +264,25 @@ class TestCli:
         assert code == 1
         assert "bundle has 20 frames, sampler expects 30" in capsys.readouterr().err
 
+    def test_sample_frames_checkpoint_rejects_config_flags(self, tmp_path, capsys):
+        # The checkpoint fixes K and tau_g; a flag must not be silently ignored.
+        cfg = desk_config(seed=2)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
+        save_checkpoint(tmp_path / "ckpt", model, step=0)
+        (tmp_path / "cfg.json").write_text(cfg.to_json())
+        rng = np.random.default_rng(0)
+        cls_path, text_path = tmp_path / "cls.tdmp", tmp_path / "text.tdmp"
+        save_tensor(cls_path, rng.normal(size=(cfg.n_frames, cfg.dim)))
+        save_tensor(text_path, rng.normal(size=cfg.dim))
+        base = ["sample-frames", "--frame-cls", str(cls_path), "--text", str(text_path),
+                "--checkpoint", str(tmp_path / "ckpt")]
+        assert main(base + ["--k-select", "2", "--tau-g", "0.1"]) == 1
+        assert "drop --k-select, --tau-g" in capsys.readouterr().err
+        assert main(base + ["--config", str(tmp_path / "cfg.json")]) == 1
+        assert "drop --config" in capsys.readouterr().err
+        assert main(base + ["--out", str(tmp_path / "picks.jsonl")]) == 0
+        assert len((tmp_path / "picks.jsonl").read_text().splitlines()) == cfg.k_select
+
     def test_dump_tensor_inspects_file(self, tmp_path, capsys):
         path = tmp_path / "x.tdmp"
         save_tensor(path, np.arange(6, dtype=np.float64).reshape(2, 3))
@@ -254,8 +313,8 @@ class TestCli:
             if out._backward is not None:
                 real_bw = out._backward
 
-                def lying_bw():
-                    real_bw()
+                def lying_bw(g):
+                    real_bw(g)
                     if a.grad is not None:
                         a.grad = a.grad * 1.05  # corrupt the rule
                 out._backward = lying_bw
