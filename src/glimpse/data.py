@@ -15,9 +15,9 @@ random-orthogonal projection playing the role of a pretrained image encoder.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +41,25 @@ _GAUSSIAN_BLIND_SALT = 0x67617573  # mixed into the episode seed for blind noise
 
 @dataclass
 class FrameBundle:
-    """Frozen per-video embeddings: patches (N, n^2, D) and frame CLS (N, D)."""
+    """Frozen per-video embeddings: patches (N, n^2, D) and frame CLS (N, D),
+    or a batch of them under a leading axis."""
 
     v_patch: np.ndarray
     v_cls: np.ndarray
+
+    @classmethod
+    def stack(cls, bundles: Sequence["FrameBundle"]) -> "FrameBundle":
+        """One bundle with a leading batch axis over ``bundles``.
+
+        Bundles that all share one video's arrays give a leading axis of
+        size 1, a view that broadcasts against any number of rows; distinct
+        videos are copied into a (B, ...) stack.
+        """
+        first = bundles[0]
+        if all(b.v_patch is first.v_patch and b.v_cls is first.v_cls for b in bundles):
+            return cls(v_patch=first.v_patch[None], v_cls=first.v_cls[None])
+        return cls(v_patch=np.stack([b.v_patch for b in bundles]),
+                   v_cls=np.stack([b.v_cls for b in bundles]))
 
 
 @dataclass
@@ -285,7 +300,8 @@ def load_dataset(directory) -> tuple[dict, Vocab, list[Episode]]:
 
     Generation is pure in the seed, so regeneration is bit-identical to the
     materialized dumps (asserted by the test suite); loading therefore never
-    needs to touch the per-episode files.
+    needs to touch the per-episode files.  An episode whose answer or event
+    frame disagrees with its index entry raises ``ValueError``.
     """
     directory = Path(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
@@ -296,7 +312,7 @@ def load_dataset(directory) -> tuple[dict, Vocab, list[Episode]]:
         ep = gen_episode(entry["seed"], meta["n_frames"], meta["n_grid"],
                          meta["dim"], vocab)
         if ep.answer != entry["answer"] or ep.event_frame != entry["event_frame"]:
-            warnings.warn(f"episode {entry['episode_id']} regenerated differently "
-                          "from its index entry; index may be stale")
+            raise ValueError(f"episode {entry['episode_id']} regenerated differently "
+                             "from its index entry; the index is stale")
         episodes.append(ep)
     return meta, vocab, episodes

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .data import NUM_VALUES, Episode, blind_input
+from .data import NUM_VALUES, Episode, FrameBundle, blind_input
 from .model import VideoQAModel
 from .objectives import MATCHED, UNMATCHED, answer_multichoice, answer_open_ended
 from .train import derive_seed, episode_noise_seed
@@ -24,8 +24,10 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
     accuracy scores each episode against its own annotation and one foreign
     one; multiple choice asks the matching head to pick the true annotation
     out of ``mcq_choices``; hit-rate counts episodes whose ground-truth event
-    frame appears among the selected frames.  Nothing is taped, and within an
-    episode (one bundle, one noise seed) each distinct text is represented once.
+    frame appears among the selected frames.  Nothing is taped.  Each episode
+    takes one batched ``represent`` call: its distinct texts (question,
+    foreign text, MCQ candidates) are the rows, over one broadcast bundle and
+    one noise seed.
     """
     n = len(episodes)
     qa_hits = 0
@@ -35,40 +37,36 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
 
     for i, ep in enumerate(episodes):
         shown = blind_input(ep, blind) if blind else ep
-        seed = episode_noise_seed(eval_seed, ep.seed, 0)
-        passes: dict[tuple[int, ...], dict] = {}
-
-        def represent(tokens) -> dict:
-            key = tuple(tokens)
-            if key not in passes:
-                passes[key] = model.represent(shown.bundle, tokens, seed)
-            return passes[key]
-
-        rep = represent(ep.question_tokens)
-        qa_hits += int(answer_open_ended(rep["v_star"], model.answer_head) == ep.answer)
-        sampler_hits += int(ep.event_frame in rep["indices"])
-
+        texts = [tuple(ep.question_tokens)]
         if with_vtm:
-            logits = model.vtm_head(T.reshape(rep["v_star"], (1, model.cfg.dim)))
-            vtm_hits += int(np.argmax(logits.data[0]) == MATCHED)
-            foreign = episodes[(i + 1) % n].question_tokens
-            rep_bad = represent(foreign)
-            logits_bad = model.vtm_head(T.reshape(rep_bad["v_star"], (1, model.cfg.dim)))
-            vtm_hits += int(np.argmax(logits_bad.data[0]) == UNMATCHED)
-            vtm_total += 2
-
+            texts.append(tuple(episodes[(i + 1) % n].question_tokens))
+        candidates = []
         if with_mcq and n > mcq_choices:
             rng = np.random.default_rng(derive_seed(eval_seed, 29, i))
             others = rng.choice([j for j in range(n) if j != i], size=mcq_choices - 1,
                                 replace=False)
             slot = int(rng.integers(mcq_choices))
-            candidates = [episodes[j].question_tokens for j in others]
-            candidates.insert(slot, ep.question_tokens)
-            v_rows = []
-            for tokens in candidates:
-                cand = represent(tokens)
-                v_rows.append(T.reshape(cand["v_star"], (1, model.cfg.dim)))
-            choice = answer_multichoice(T.concat(v_rows, axis=0), model.vtm_head)
+            candidates = [tuple(episodes[j].question_tokens) for j in others]
+            candidates.insert(slot, texts[0])
+        rows = {text: r for r, text in enumerate(dict.fromkeys(texts + candidates))}
+        seed = episode_noise_seed(eval_seed, ep.seed, 0)
+        rep = model.represent(FrameBundle.stack([shown.bundle]), list(rows),
+                              [seed] * len(rows))
+        v_star = rep["v_star"]                                        # (rows, D)
+
+        own = rows[texts[0]]
+        qa_hits += int(answer_open_ended(v_star[own], model.answer_head) == ep.answer)
+        sampler_hits += int(ep.event_frame in rep["indices"][own])
+
+        if with_vtm:
+            verdict = np.argmax(model.vtm_head(v_star).data, axis=-1)
+            vtm_hits += int(verdict[own] == MATCHED)
+            vtm_hits += int(verdict[rows[texts[1]]] == UNMATCHED)
+            vtm_total += 2
+
+        if candidates:
+            picked = T.take(v_star, [rows[text] for text in candidates], axis=0)
+            choice = answer_multichoice(picked, model.vtm_head)
             mcq_hits += int(choice == slot)
             mcq_total += 1
 

@@ -2,9 +2,11 @@
 
 The gate rescales each visual token by its projected cosine similarity to a
 text condition, so text steers which tokens survive without ever being mixed
-into the visual stream.  A video-as-query cross-attention layer with the same
-signature is provided as the ablation drop-in.  Both take their four
-projections from a ``SelfAttention`` module without calling it.
+into the visual stream.  A video-as-query cross-attention layer with the
+same signature is provided as the ablation drop-in.  Both take their four
+projections from a ``SelfAttention`` module without calling it.  Visual
+tokens are (..., m, D) and text rows (..., L, D); the leading (batch) axes
+broadcast, so one text row per batch entry gates that entry's tokens only.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ NORM_FLOOR = 1e-8
 
 
 def _check_inputs(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> None:
-    if v.ndim != 2 or v.shape[1] != params.dim:
+    """Visual tokens (..., m, D) and text rows (..., L, D); leading axes broadcast."""
+    if v.ndim < 2 or v.shape[-1] != params.dim:
         raise ValueError(f"dimension mismatch: visual input {v.shape} vs dim {params.dim}")
-    if t_tokens.ndim != 2 or t_tokens.shape[1] != params.dim:
+    if t_tokens.ndim < 2 or t_tokens.shape[-1] != params.dim:
         raise ValueError(f"dimension mismatch: text input {t_tokens.shape} vs dim {params.dim}")
-    if t_tokens.shape[0] == 0:
+    if t_tokens.shape[-2] == 0:
         raise ValueError("empty text condition")
 
 
@@ -40,23 +43,22 @@ def _guarded_norm(x: Tensor) -> Tensor:
 
 
 def _head_importance(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Summed per-head cosine of projected tokens against projected text, (H, m)."""
-    q = split_heads(params.w_q(v), params.heads)          # (H, m, d)
-    k = split_heads(params.w_k(t_tokens), params.heads)   # (H, L, d)
-    dots = T.matmul(q, T.transpose(k, (0, 2, 1)))          # (H, m, L)
-    qn = _guarded_norm(q)                                  # (H, m, 1)
-    kn = T.transpose(_guarded_norm(k), (0, 2, 1))          # (H, 1, L)
+    """Summed per-head cosine of projected tokens against projected text, (..., H, m)."""
+    q = split_heads(params.w_q(v), params.heads)          # (..., H, m, d)
+    k = split_heads(params.w_k(t_tokens), params.heads)   # (..., H, L, d)
+    dots = T.matmul(q, T.swapaxes(k, -1, -2))              # (..., H, m, L)
+    qn = _guarded_norm(q)                                  # (..., H, m, 1)
+    kn = T.swapaxes(_guarded_norm(k), -1, -2)              # (..., H, 1, L)
     cos = dots / (qn * kn)
-    return T.tsum(cos, axis=-1)                            # (H, m)
+    return T.tsum(cos, axis=-1)                            # (..., H, m)
 
 
 def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Gated value path without the input skip (blocks add their own residual)."""
     _check_inputs(v, t_tokens, params)
-    dist = _head_importance(v, t_tokens, params)           # (H, m)
-    values = split_heads(params.w_v(v), params.heads)      # (H, m, d)
-    h, m = dist.shape
-    gated = values * T.reshape(dist, (h, m, 1))
+    dist = _head_importance(v, t_tokens, params)           # (..., H, m)
+    values = split_heads(params.w_v(v), params.heads)      # (..., H, m, d)
+    gated = values * T.reshape(dist, (*dist.shape, 1))
     return params.w_o(merge_heads(gated))
 
 
@@ -68,11 +70,11 @@ def la_gate(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
 def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """Video-as-query attention over text keys/values, without the skip."""
     _check_inputs(v, t_tokens, params)
-    q = split_heads(params.w_q(v), params.heads)           # (H, m, d)
-    k = split_heads(params.w_k(t_tokens), params.heads)    # (H, L, d)
-    val = split_heads(params.w_v(t_tokens), params.heads)  # (H, L, d)
-    scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(params.head_dim))
-    attn = T.softmax_stable(scores, axis=-1)               # (H, m, L)
+    q = split_heads(params.w_q(v), params.heads)           # (..., H, m, d)
+    k = split_heads(params.w_k(t_tokens), params.heads)    # (..., H, L, d)
+    val = split_heads(params.w_v(t_tokens), params.heads)  # (..., H, L, d)
+    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(params.head_dim))
+    attn = T.softmax_stable(scores, axis=-1)               # (..., H, m, L)
     return params.w_o(merge_heads(T.matmul(attn, val)))
 
 

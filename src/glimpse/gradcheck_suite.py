@@ -5,7 +5,9 @@ compares every reverse-mode gradient against central differences.  The
 selection-to-refinement composite runs on the soft selection branch: the
 straight-through estimator defines its gradient as the soft branch's, and a
 piecewise-constant hard forward has no meaningful finite difference.  The
-exact hard/soft gradient identity is covered by its own bitwise test.
+exact hard/soft gradient identity is covered by its own bitwise test.  The
+composite runs once unbatched and once over a batch of two rows with their
+own videos, texts and noise seeds, which certifies the batch-axis backward.
 
 Every check loss carries a random linear tether ``sum_i c_i * theta_i`` with
 coefficients bounded away from zero.  A handful of parameter elements always
@@ -152,16 +154,31 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
                    out_dim=vocab_size)
     widen_weights(mlm_head, rng)
     token_table = Tensor(rng.normal(size=(vocab_size, dim)), requires_grad=True)
-    masked = MaskedText(token_ids=[3, 1, 4, 5], mask_positions=[1, 3],
-                        original_ids=[2, 7])
-    v_star = Tensor(rng.normal(size=dim), requires_grad=True)
+    masked = [MaskedText(token_ids=[3, 1, 4, 5], mask_positions=[1, 3], original_ids=[2, 7]),
+              MaskedText(token_ids=[6, 2, 8, 0], mask_positions=[0], original_ids=[9])]
+    v_star = Tensor(rng.normal(size=(2, dim)), requires_grad=True)
 
     def mlm_loss():
         # Token encodings are stop-gradiented inside the loss, so the token
         # table is deliberately not among the checked parameters.
-        return vg_mlm_loss(masked, lambda ids: T.take(token_table, list(ids), axis=0),
+        return vg_mlm_loss(masked, lambda ids: T.take(token_table, ids, axis=0),
                            v_star, mlm_head)
 
     check("vg_mlm_loss", mlm_loss,
           [("v_cls_star", v_star)] + list(mlm_head.named_parameters()))
+
+    # the same composite over a batch of two rows, each with its own video,
+    # text and noise seed: certifies the batch-axis backward
+    batch = FrameBundle(v_patch=rng.normal(size=(2, cfg.n_frames, n_patches, dim)),
+                        v_cls=rng.normal(size=(2, cfg.n_frames, dim)))
+    t_rows = Tensor(rng.normal(size=(2, 1, dim)), requires_grad=True)
+    w_rows = _readout(rng, (2, dim))
+
+    def batched_loss():
+        y_soft = selection_rows(batch.v_cls, t_rows, sampler,
+                                rng_seed=[cfg.seed + 6, cfg.seed + 7])
+        selected = apply_mask(y_soft, batch)
+        return T.tsum(refine(selected, t_rows, refiner) * w_rows)
+
+    check("selection_refine_batch", batched_loss, [("t_rows", t_rows)] + composite_params[1:])
     return results

@@ -51,17 +51,24 @@ class TextEncoder(Block):
         super().__init__(dim, heads, rng, mlp_ratio)
         self.max_len = max_len
 
-    def __call__(self, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
-        """Returns (t_cls (1, D), token outputs (M, D))."""
-        m = len(token_ids)
+    def __call__(self, token_ids) -> tuple[Tensor, Tensor]:
+        """Token ids (..., M) -> (t_cls (..., 1, D), token outputs (..., M, D)).
+
+        Every text of a batch has the same length M.
+        """
+        try:
+            ids = np.asarray(token_ids, dtype=np.intp)
+        except ValueError:
+            raise ValueError("texts of one batch must share a length") from None
+        m = ids.shape[-1] if ids.ndim else 0
         if m == 0:
             raise ValueError("empty text condition")
         if m > self.max_len:
             raise ValueError(f"text length {m} exceeds max {self.max_len}")
-        emb = T.take(self.embed, list(token_ids), axis=0)
-        x = T.concat([self.cls, emb + T.take(self.pos, np.arange(m), axis=0)], axis=0)
-        x = super().__call__(x)
-        return T.take(x, [0], axis=0), T.take(x, np.arange(1, m + 1), axis=0)
+        emb = Tensor(self.embed.data[ids])                   # frozen, (..., M, D)
+        cls_rows = T.broadcast_to(self.cls, (*ids.shape[:-1], 1, self.cls.shape[-1]))
+        x = super().__call__(T.concat([cls_rows, emb + self.pos[:m]], axis=-2))
+        return x[..., :1, :], x[..., 1:, :]
 
 
 class PlainFusion(Module):
@@ -83,14 +90,15 @@ class PlainFusion(Module):
         self.n_patches = n_patches
 
     def __call__(self, v_patch_k: Tensor, text_rows: Tensor) -> Tensor:
-        k, p, d = v_patch_k.shape
-        spatial = T.reshape(self.spatial_table, (1, p, d))
+        """Selected patches (..., K, P, D) and text rows (..., L, D) -> CLS (..., D)."""
+        *lead, k, p, d = v_patch_k.shape
         temporal = T.reshape(self.temporal_table_k, (k, 1, d))
-        body = T.reshape(v_patch_k + spatial + temporal, (k * p, d))
-        x = T.concat([self.cls_init, text_rows, body], axis=0)
+        body = T.reshape(v_patch_k + self.spatial_table + temporal, (*lead, k * p, d))
+        cls_rows = T.broadcast_to(self.cls_init, (*lead, 1, d))
+        x = T.concat([cls_rows, text_rows, body], axis=-2)
         for block in self.blocks:
             x = block(x)
-        return T.reshape(T.take(x, [0], axis=0), (d,))
+        return x[..., 0, :]
 
 
 class VideoQAModel(Module):
@@ -133,18 +141,22 @@ class VideoQAModel(Module):
 
     # -- forward paths ---------------------------------------------------
 
-    def encode_text(self, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:
+    def encode_text(self, token_ids) -> tuple[Tensor, Tensor]:
+        """Token ids (..., M) -> (t_cls (..., 1, D), token outputs (..., M, D))."""
         return self.text_encoder(token_ids)
 
-    def encode_text_tokens(self, token_ids: Sequence[int]) -> Tensor:
-        """Token outputs only; the masked-word loss consumes these."""
+    def encode_text_tokens(self, token_ids) -> Tensor:
+        """Token outputs only, (..., M, D); the masked-word loss consumes these."""
         return self.text_encoder(token_ids)[1]
 
-    def select(self, bundle: FrameBundle, t_cls: Tensor, rng_seed: int,
+    def select(self, bundle: FrameBundle, t_cls: Tensor, rng_seed,
                surrogate: bool = False) -> tuple[Tensor, np.ndarray]:
-        """Pick K frames per the configured sampler.
+        """Pick K frames per row, per the configured sampler.
 
-        Returns the selected patches (K, P, D) and the nominal frame indices.
+        ``bundle`` holds (B, N, ...) frames, or (1, N, ...) shared by the B
+        text rows ``t_cls`` (B, 1, D); ``rng_seed`` gives one noise seed per
+        row.  Returns the selected patches (B, K, P, D) and the nominal frame
+        indices (B, K); unbatched inputs with one seed give (K, P, D) and (K,).
         With ``surrogate=True`` a sparse sampler applies the soft distribution
         instead of the straight-through mask: the forward becomes the smooth
         function whose gradient the straight-through estimator copies, which
@@ -152,8 +164,9 @@ class VideoQAModel(Module):
         """
         cfg = self.cfg
         if self.sampler is None:
-            check_frame_count(bundle.v_cls.shape[0], cfg.n_frames)
-            indices = uniform_indices(cfg.n_frames, cfg.k_select)
+            check_frame_count(bundle.v_cls.shape[-2], cfg.n_frames)
+            lead = (*t_cls.shape[:-2], cfg.k_select)
+            indices = np.broadcast_to(uniform_indices(cfg.n_frames, cfg.k_select), lead)
             return apply_mask(Tensor(np.eye(cfg.n_frames)[indices]), bundle), indices
         y_soft = selection_rows(bundle.v_cls, t_cls, self.sampler, rng_seed)
         indices = np.argmax(y_soft.data, axis=-1)
@@ -161,19 +174,30 @@ class VideoQAModel(Module):
             return apply_mask(straight_through(y_soft, indices), bundle), indices
         return apply_mask(y_soft, bundle), indices
 
-    def represent(self, bundle: FrameBundle, token_ids: Sequence[int], rng_seed: int,
-                  surrogate: bool = False) -> dict:
-        """Full pipeline for one (video, text) pair.
+    def represent(self, bundle: FrameBundle, token_ids: Sequence[Sequence[int]],
+                  rng_seeds: Sequence[int], surrogate: bool = False) -> dict:
+        """Full pipeline for a batch of B (video, text, noise seed) rows.
 
-        Returns the video CLS ``v_star`` (D,), the text CLS ``t_cls`` (1, D),
-        text token outputs, and the selected frame indices.
+        ``bundle`` has a leading axis of B, or of 1 for rows that share one
+        video (see ``FrameBundle.stack``); ``token_ids`` holds B texts of one
+        length M; ``rng_seeds`` holds B selection-noise seeds.  Returns the
+        video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D), the
+        text token outputs ``t_tokens`` (B, M, D) and the selected frame
+        ``indices`` (B, K).  Rows never interact: each row's outputs are those
+        of the batch of that row alone.
         """
+        b = len(token_ids)
+        if len(rng_seeds) != b:
+            raise ValueError(f"{len(rng_seeds)} noise seeds for {b} texts")
+        if bundle.v_patch.ndim != 4 or bundle.v_patch.shape[0] not in (1, b):
+            raise ValueError(f"bundle of shape {bundle.v_patch.shape} for {b} rows; "
+                             f"expected (1 or {b}, N, P, D)")
         t_cls, t_tokens = self.encode_text(token_ids)
-        selected, indices = self.select(bundle, t_cls, rng_seed, surrogate=surrogate)
+        selected, indices = self.select(bundle, t_cls, list(rng_seeds), surrogate=surrogate)
         if self.refiner is not None:
             v_star = refine(selected, t_cls, self.refiner)
         else:
-            text_rows = T.concat([t_cls, t_tokens], axis=0)
+            text_rows = T.concat([t_cls, t_tokens], axis=-2)
             v_star = self.plain(selected, text_rows)
         return {"v_star": v_star, "t_cls": t_cls, "t_tokens": t_tokens,
                 "indices": indices}

@@ -1,4 +1,9 @@
-"""Parameter containers and transformer building blocks."""
+"""Parameter containers and transformer building blocks.
+
+Every block maps (..., S, D) sequences to (..., S, D): the leading axes are a
+batch of independent sequences, so one code path serves a single sequence
+and a batch of them.
+"""
 
 from __future__ import annotations
 
@@ -76,19 +81,19 @@ class LayerNorm(Module):
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(S, D) -> (H, S, D/H)."""
-    s, d = x.shape
-    return T.transpose(T.reshape(x, (s, heads, d // heads)), (1, 0, 2))
+    """(..., S, D) -> (..., H, S, D/H)."""
+    *lead, s, d = x.shape
+    return T.swapaxes(T.reshape(x, (*lead, s, heads, d // heads)), -3, -2)
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(H, S, d) -> (S, H*d)."""
-    h, s, d = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (s, h * d))
+    """(..., H, S, d) -> (..., S, H*d)."""
+    *lead, h, s, d = x.shape
+    return T.reshape(T.swapaxes(x, -3, -2), (*lead, s, h * d))
 
 
 class SelfAttention(Module):
-    """Standard multi-head self-attention over a (S, D) sequence, no biases.
+    """Standard multi-head self-attention over (..., S, D) sequences, no biases.
 
     The four projections are also the parameter set of the text-conditioned
     gates and of the refiner's divided attention: those read ``w_q``..``w_o``
@@ -110,7 +115,7 @@ class SelfAttention(Module):
         q = split_heads(self.w_q(x), self.heads)
         k = split_heads(self.w_k(x), self.heads)
         v = split_heads(self.w_v(x), self.heads)
-        scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(self.head_dim))
+        scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(self.head_dim))
         attn = T.softmax_stable(scores, axis=-1)
         return self.w_o(merge_heads(T.matmul(attn, v)))
 

@@ -65,10 +65,7 @@ def exchange_annotations(batch: list[BatchItem], p: float, rng_seed: int) -> lis
 
 def _nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of one target class per row of ``logits``."""
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(targets)), np.asarray(targets, dtype=int)] = 1.0
-    picked = T.tsum(T.log_softmax(logits, axis=-1) * Tensor(onehot), axis=-1)
-    return -T.tmean(picked)
+    return T.tmean(T.nll(logits, targets))
 
 
 def vtm_loss(v_cls_star_batch: Tensor, labels: Sequence[int], head: Linear) -> Tensor:
@@ -102,9 +99,8 @@ def contrastive_loss(v: Tensor, t: Tensor, matched: Sequence[bool], tau: float) 
         warnings.warn("contrastive_loss: no matched pairs in batch", stacklevel=2)
         return Tensor(0.0)
     sim = T.matmul(_unit_rows(v), T.transpose(_unit_rows(t), (1, 0))) * (1.0 / tau)
-    logp = T.log_softmax(sim, axis=-1)                    # row i over all j
-    diag_mask = np.diag(matched.astype(np.float64))
-    return -T.tsum(logp * Tensor(diag_mask))
+    per_row = T.nll(sim, np.arange(len(matched)))         # row i over all j, target i
+    return T.tsum(per_row * Tensor(matched.astype(np.float64)))
 
 
 @dataclass
@@ -155,34 +151,42 @@ def mask_tokens(token_ids: Sequence[int], rng_seed: int, mask_rate: float = 0.15
                       original_ids=originals, replacements=hows)
 
 
-def vg_mlm_loss(masked: MaskedText, encode_tokens: Callable[[Sequence[int]], Tensor],
+def vg_mlm_loss(masked: Sequence[MaskedText],
+                encode_tokens: Callable[[Sequence[Sequence[int]]], Tensor],
                 v_cls_star: Tensor, mlp_head: Mlp) -> Tensor:
     """Predict masked words from their stop-gradiented encodings plus the video CLS.
 
-    ``encode_tokens`` maps token ids to per-token outputs (M, D) on the live
-    graph.  The masked-token rows are detached before the head, so the text
-    encoder receives no gradient from this loss, while the video CLS (and the
-    whole visual pipeline behind it) does.
+    ``masked`` holds B masked texts of one length M and ``v_cls_star`` their
+    video CLS rows (B, D).  ``encode_tokens`` maps the B texts to per-token
+    outputs (B, M, D) in one call, which records no tape: the masked-token
+    rows are detached before the head, so the text encoder receives no
+    gradient from this loss, while the video CLS (and the whole visual
+    pipeline behind it) does.  The loss is the mean over texts of each
+    text's mean over its masked positions.
     """
-    if not masked.mask_positions:
+    if any(not m.mask_positions for m in masked):
         raise ValueError("mask_tokens must force >=1 masked position")
-    tokens = encode_tokens(masked.token_ids)
-    w_masked = T.take(tokens, masked.mask_positions, axis=0).detach()          # (I, D)
-    count = len(masked.mask_positions)
-    dim = v_cls_star.size
-    v_row = T.reshape(v_cls_star, (1, dim))
-    v_tiled = T.take(v_row, [0] * count, axis=0)                               # (I, D)
-    logits = mlp_head(T.concat([w_masked, v_tiled], axis=1))                   # (I, V)
-    return _nll(logits, masked.original_ids)
+    if v_cls_star.shape != (len(masked), v_cls_star.shape[-1]):
+        raise ValueError(f"{len(masked)} masked texts for video rows {v_cls_star.shape}")
+    with T.no_grad():  # the stop-gradient: no tape for rows that get detached
+        tokens = encode_tokens([m.token_ids for m in masked])             # (B, M, D)
+    rows = np.concatenate([[j] * len(m.mask_positions) for j, m in enumerate(masked)])
+    cols = np.concatenate([m.mask_positions for m in masked])
+    w_masked = Tensor(tokens.data[rows, cols])                            # (I, D), detached
+    v_tiled = T.take(v_cls_star, rows, axis=0)                            # (I, D)
+    logits = mlp_head(T.concat([w_masked, v_tiled], axis=1))              # (I, V)
+    per_text = np.array([len(m.mask_positions) for m in masked], dtype=np.float64)
+    weights = Tensor(1.0 / (per_text[rows] * len(masked)))
+    targets = np.concatenate([m.original_ids for m in masked])
+    return T.tsum(T.nll(logits, targets) * weights)
 
 
 def total_loss(l_vtm: Tensor, l_vgmlm: Tensor, l_cl: Tensor,
                weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> Tensor:
-    """Weighted sum of the three pretraining terms (defaults are unweighted)."""
-    terms = {"vtm": l_vtm, "vgmlm": l_vgmlm, "cl": l_cl}
-    for name, term in terms.items():
-        if not np.isfinite(term.data).all():
-            raise ValueError(f"non-finite loss term: {name}")
+    """Weighted sum of the three pretraining terms (defaults are unweighted).
+
+    ``train_step`` checks every term for finiteness before it gets here.
+    """
     return l_vtm * weights[0] + l_vgmlm * weights[1] + l_cl * weights[2]
 
 

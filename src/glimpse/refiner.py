@@ -21,40 +21,39 @@ from .tensor import Tensor
 
 def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
                        temporal: bool) -> Tensor:
-    """Grouped attention over a (1 + K*P, D) sequence.
+    """Grouped attention over (..., 1 + K*P, D) sequences.
 
     Patch tokens attend within their group only: across the K frames sharing
     a spatial slot (temporal) or across the P slots of their frame (spatial).
     The CLS token at position 0 attends over the full sequence in both modes.
     """
-    s, _ = seq.shape
+    *lead, s, _ = seq.shape
     if s != 1 + k * p:
         raise ValueError(f"sequence length {s} does not match 1 + {k}*{p}")
     heads, hd = attn.heads, attn.head_dim
     scale = 1.0 / math.sqrt(hd)
-    q = split_heads(attn.w_q(seq), heads)   # (H, S, hd)
+    q = split_heads(attn.w_q(seq), heads)   # (..., H, S, hd)
     key = split_heads(attn.w_k(seq), heads)
     val = split_heads(attn.w_v(seq), heads)
 
-    q_cls = T.take(q, [0], axis=1)                                   # (H, 1, hd)
-    cls_scores = T.matmul(q_cls, T.transpose(key, (0, 2, 1))) * scale
-    out_cls = T.matmul(T.softmax_stable(cls_scores, axis=-1), val)   # (H, 1, hd)
+    cls_scores = T.matmul(q[..., :1, :], T.swapaxes(key, -1, -2)) * scale
+    out_cls = T.matmul(T.softmax_stable(cls_scores, axis=-1), val)   # (..., H, 1, hd)
 
-    body = np.arange(1, s)
-    qp = T.reshape(T.take(q, body, axis=1), (heads, k, p, hd))
-    kp = T.reshape(T.take(key, body, axis=1), (heads, k, p, hd))
-    vp = T.reshape(T.take(val, body, axis=1), (heads, k, p, hd))
+    grid = (*lead, heads, k, p, hd)
+    qp = T.reshape(q[..., 1:, :], grid)
+    kp = T.reshape(key[..., 1:, :], grid)
+    vp = T.reshape(val[..., 1:, :], grid)
     if temporal:
-        qp = T.transpose(qp, (0, 2, 1, 3))  # (H, P, K, hd)
-        kp = T.transpose(kp, (0, 2, 1, 3))
-        vp = T.transpose(vp, (0, 2, 1, 3))
-    scores = T.matmul(qp, T.transpose(kp, (0, 1, 3, 2))) * scale
+        qp = T.swapaxes(qp, -3, -2)  # (..., H, P, K, hd)
+        kp = T.swapaxes(kp, -3, -2)
+        vp = T.swapaxes(vp, -3, -2)
+    scores = T.matmul(qp, T.swapaxes(kp, -1, -2)) * scale
     grouped = T.matmul(T.softmax_stable(scores, axis=-1), vp)
     if temporal:
-        grouped = T.transpose(grouped, (0, 2, 1, 3))
-    out_body = T.reshape(grouped, (heads, k * p, hd))
+        grouped = T.swapaxes(grouped, -3, -2)
+    out_body = T.reshape(grouped, (*lead, heads, k * p, hd))
 
-    out = T.concat([out_cls, out_body], axis=1)  # (H, S, hd)
+    out = T.concat([out_cls, out_body], axis=-2)  # (..., H, S, hd)
     return attn.w_o(merge_heads(out))
 
 
@@ -104,29 +103,29 @@ def assemble_refiner_input(v_patch_k: Tensor, params: RefinerParams) -> Tensor:
     """Prepend the CLS token and add positional context to the patch tokens.
 
     Spatial and per-slot temporal embeddings are added once, here, at the
-    input of the first block.  Output row 1 + k*P + p holds patch p of
+    input of the first block.  Selected patches (..., K, P, D) become a
+    (..., 1 + K*P, D) sequence whose row 1 + k*P + p holds patch p of
     selected frame k.
     """
-    if v_patch_k.ndim != 3 or v_patch_k.shape[1] != params.n_patches \
-            or v_patch_k.shape[2] != params.dim:
+    if v_patch_k.ndim < 3 or v_patch_k.shape[-2:] != (params.n_patches, params.dim):
         raise ValueError(f"selected patches {v_patch_k.shape} do not match refiner "
-                         f"(K, {params.n_patches}, {params.dim})")
-    k = v_patch_k.shape[0]
+                         f"(..., K, {params.n_patches}, {params.dim})")
+    *lead, k, p, d = v_patch_k.shape
     if k != params.k_select:
         raise ValueError(f"selected frame count {k} != refiner K {params.k_select}")
-    spatial = T.reshape(params.spatial_table, (1, params.n_patches, params.dim))
-    temporal = T.reshape(params.temporal_table_k, (k, 1, params.dim))
-    body = T.reshape(v_patch_k + spatial + temporal, (k * params.n_patches, params.dim))
-    cls_row = T.reshape(params.cls_init, (1, params.dim))
-    return T.concat([cls_row, body], axis=0)
+    body = v_patch_k + params.spatial_table + T.reshape(params.temporal_table_k, (k, 1, d))
+    body = T.reshape(body, (*lead, k * p, d))
+    cls_rows = T.broadcast_to(params.cls_init, (*lead, 1, d))
+    return T.concat([cls_rows, body], axis=-2)
 
 
 def refine(v_patch_k: Tensor, t_cls: Tensor, params: RefinerParams) -> Tensor:
-    """Run the full refinement stack and emit only the final CLS token, (D,).
+    """Run the full refinement stack and emit only the final CLS tokens, (..., D).
 
-    ``t_cls`` is the text condition row, (1, D).
+    ``v_patch_k`` holds the selected patches (..., K, P, D) and ``t_cls`` the
+    text condition rows, (..., 1, D).
     """
     seq = assemble_refiner_input(v_patch_k, params)
     for block in params.blocks:
         seq = block(seq, t_cls, params.k_select, params.n_patches)
-    return T.reshape(T.take(seq, [0], axis=0), (params.dim,))
+    return seq[..., 0, :]

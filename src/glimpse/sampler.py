@@ -7,7 +7,9 @@ Gumbel-Softmax sampled by ``selection_rows``, the one path every caller takes.
 discretizes them with a straight-through estimator, so the forward pass copies
 exact frames while gradients flow through the soft distribution into the
 selection stack; ``soft`` weights the frames by the rows themselves; and
-without a learned sampler, fixed one-hot rows pick a uniform grid.
+without a learned sampler, fixed one-hot rows pick a uniform grid.  Every
+function takes a leading batch axis: B rows of frames (or one shared video)
+against B text rows, each row with its own Gumbel noise seed.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class SamplerParams(Module):
 
 
 def add_temporal_embedding(v_cls_seq: Tensor, table: Tensor) -> Tensor:
-    n = v_cls_seq.shape[0]
+    """Add table rows 0..N-1 to a (..., N, D) frame sequence."""
+    n = v_cls_seq.shape[-2]
     if n > table.shape[0]:
         raise ValueError("temporal table too small")
-    return v_cls_seq + T.take(table, np.arange(n), axis=0)
+    return v_cls_seq + table[:n]
 
 
 def gumbel_noise(shape, rng_seed: int) -> np.ndarray:
@@ -67,13 +70,23 @@ def gumbel_noise(shape, rng_seed: int) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(x: Tensor, tau_g: float, rng_seed: int) -> Tensor:
-    """Softmax over perturbed logits; rows are the last axis of ``x``."""
+def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
+    """Softmax over perturbed logits; rows are the last axis of ``x``.
+
+    ``rng_seed`` is one seed for all of ``x``, or a sequence of seeds, one
+    per entry of its leading (batch) axis: each entry then draws the noise it
+    would draw alone, so batching and row order cannot change a draw.
+    """
     if tau_g <= 0:
         raise ValueError("nonpositive temperature")
     if not np.isfinite(x.data).all():
         raise ValueError("non-finite logits")
-    noise = Tensor(gumbel_noise(x.shape, rng_seed))
+    if np.ndim(rng_seed):
+        if len(rng_seed) != x.shape[0]:
+            raise ValueError(f"{len(rng_seed)} noise seeds for {x.shape[0]} rows")
+        noise = Tensor(np.stack([gumbel_noise(x.shape[1:], seed) for seed in rng_seed]))
+    else:
+        noise = Tensor(gumbel_noise(x.shape, rng_seed))
     return T.softmax_stable((x + noise) * (1.0 / tau_g), axis=-1)
 
 
@@ -90,24 +103,25 @@ def straight_through(y_soft: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def selection_logits(v_cls: Tensor, t_row: Tensor, params: SamplerParams) -> Tensor:
-    """Run the selection stack; returns one length-N logit row per slot, (K, N)."""
+    """Run the selection stack; returns one length-N logit row per slot, (..., K, N)."""
     seq = add_temporal_embedding(v_cls, params.temporal_table)
     for block in params.blocks:
         seq = block(seq, t_row)
-    per_frame = params.w_s(seq)              # (N, K)
-    return T.transpose(per_frame, (1, 0))    # (K, N)
+    per_frame = params.w_s(seq)              # (..., N, K)
+    return T.swapaxes(per_frame, -1, -2)     # (..., K, N)
 
 
 def apply_mask(mask_rows: Tensor, bundle: FrameBundle) -> Tensor:
-    """Weight dense frames by mask rows: (K, N) x (N, P*D) -> (K, P, D).
+    """Weight dense frames by mask rows: (..., K, N) x (..., N, P*D) -> (..., K, P, D).
 
-    With one-hot rows the matmul reduces to an exact frame copy, because
-    1.0 * x == x and adding 0.0 * y leaves it untouched.
+    Leading axes broadcast, so rows of a batch can share one bundle of
+    leading size 1.  With one-hot rows the matmul reduces to an exact frame
+    copy, because 1.0 * x == x and adding 0.0 * y leaves it untouched.
     """
-    n, p, d = bundle.v_patch.shape
-    flat = Tensor(bundle.v_patch.reshape(n, p * d))
+    *lead, n, p, d = bundle.v_patch.shape
+    flat = Tensor(bundle.v_patch.reshape(*lead, n, p * d))
     picked = T.matmul(mask_rows, flat)
-    return T.reshape(picked, (mask_rows.shape[0], p, d))
+    return T.reshape(picked, (*picked.shape[:-1], p, d))
 
 
 def check_frame_count(n: int, expected: int) -> None:
@@ -116,13 +130,15 @@ def check_frame_count(n: int, expected: int) -> None:
 
 
 def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
-                   rng_seed: int) -> Tensor:
-    """Gumbel-Softmax rows over the N frames, one per slot, (K, N).
+                   rng_seed) -> Tensor:
+    """Gumbel-Softmax rows over the N frames, one per slot, (B, K, N).
 
-    ``v_cls`` holds the frame CLS tokens (N, D) and ``t_row`` the text
-    condition (1, D).
+    ``v_cls`` holds the frame CLS tokens (B, N, D), or (1, N, D) shared by
+    every row, and ``t_row`` the text conditions (B, 1, D); ``rng_seed``
+    gives one noise seed per row.  Unbatched inputs, (N, D) and (1, D) with
+    one seed, give (K, N).
     """
-    check_frame_count(v_cls.shape[0], params.n_frames)
+    check_frame_count(v_cls.shape[-2], params.n_frames)
     logits = selection_logits(Tensor(v_cls), t_row, params)
     return gumbel_softmax(logits, params.tau_g, rng_seed)
 

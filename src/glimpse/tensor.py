@@ -159,6 +159,9 @@ class Tensor:
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         return transpose(self, axes)
 
+    def __getitem__(self, key) -> "Tensor":
+        return getitem(self, key)
+
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -320,15 +323,35 @@ def tanh(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Smooth GELU (tanh form); smoothness keeps finite differences honest."""
+    # In-place steps keep the temporaries to two per pass, with the same
+    # rounding as the textbook expression (scaling by 0.5 is exact).
     x = a.data
-    inner = _SQRT_2_OVER_PI * (x + _GELU_COEF * (x * x * x))
-    t = np.tanh(inner)
-    out = _node(0.5 * x * (1.0 + t), (a,))
+    t = x * x
+    t *= x
+    t *= _GELU_COEF
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)                 # tanh(sqrt(2/pi) * (x + c x^3))
+    y = 1.0 + t
+    y *= x
+    y *= 0.5
+    out = _node(y, (a,))
     if out.requires_grad:
         def _bw(g):
-            d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_COEF * x * x)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            a._accumulate(g * local)
+            local = x * (3.0 * _GELU_COEF)
+            local *= x
+            local += 1.0
+            local *= _SQRT_2_OVER_PI      # d inner / dx
+            slope = t * t
+            np.subtract(1.0, slope, out=slope)
+            slope *= x
+            slope *= 0.5
+            slope *= local                # 0.5 x (1 - t^2) d inner / dx
+            np.add(t, 1.0, out=local)
+            local *= 0.5
+            local += slope                # + 0.5 (1 + t)
+            local *= g
+            a._accumulate(local)
         out._backward = _bw
     return out
 
@@ -367,6 +390,23 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return out
 
 
+def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes; negative axes count from the end."""
+    axes = list(range(a.ndim))
+    axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
+    return transpose(a, axes)
+
+
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """Read-only broadcast view; the backward sums over the broadcast axes."""
+    out = _node(np.broadcast_to(a.data, shape), (a,))
+    if out.requires_grad:
+        def _bw(g):
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        out._backward = _bw
+    return out
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
@@ -379,6 +419,26 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                     index = [slice(None)] * g.ndim
                     index[axis] = slice(start, stop)
                     t._accumulate(g[tuple(index)])
+        out._backward = _bw
+    return out
+
+
+def getitem(a: Tensor, key) -> Tensor:
+    """Basic slicing (ints, slices, ``...``); the backward assigns into a zero slab.
+
+    Basic indexing never repeats an element, so the assignment needs no
+    ``np.add.at``; gathers by index arrays go through ``take``.
+    """
+    parts = key if isinstance(key, tuple) else (key,)
+    if not all(part is Ellipsis or isinstance(part, (int, np.integer, slice))
+               for part in parts):
+        raise TypeError(f"getitem takes ints, slices and ..., not {key!r}")
+    out = _node(a.data[key], (a,))
+    if out.requires_grad:
+        def _bw(g):
+            g_full = np.zeros_like(a.data)
+            g_full[key] = g
+            a._accumulate(g_full)
         out._backward = _bw
     return out
 
@@ -421,6 +481,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading (batch) axes broadcast.
+
+    A stack ``(..., S, D) @ (D, E)`` runs one small product per batch entry,
+    each the product that entry would get alone, and the weight gradient is
+    the sum of the per-entry gradients.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -459,42 +525,66 @@ def softmax_stable(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not np.isfinite(a.data).all():
+def nll(logits: Tensor, targets) -> Tensor:
+    """Per-row negative log-likelihood of one target class, ``(R, C) -> (R,)``.
+
+    Fused log-softmax and pick: the backward scatters ``-g`` into the target
+    column of ``g * softmax`` by index, with no dense one-hot.
+    """
+    if logits.ndim != 2:
+        raise ValueError("nll expects (rows, classes) logits")
+    rows = np.arange(logits.data.shape[0])
+    cols = np.asarray(targets, dtype=np.intp)
+    if cols.shape != rows.shape:
+        raise ValueError(f"nll: {cols.size} targets for {rows.size} rows")
+    if not np.isfinite(logits.data).all():
         raise ValueError("non-finite logits")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = _node(shifted - log_z, (a,))
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    out = _node(log_z - shifted[rows, cols], (logits,))
     if out.requires_grad:
-        soft = np.exp(out.data)
         def _bw(g):
-            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+            grad = np.exp(shifted - log_z[:, None]) * g[:, None]
+            grad[rows, cols] -= g
+            logits._accumulate(grad)
         out._backward = _bw
     return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    Row means are matrix-vector products against a ``1/D`` vector, and the
+    gain and bias gradients sum the rows with a ones vector: one BLAS call
+    each instead of a strided reduction per row.
+    """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    mean_of = np.full(d, 1.0 / d)
+
+    def row_mean(a: Array) -> Array:
+        return (a.reshape(-1, d) @ mean_of).reshape(a.shape[:-1] + (1,))
+
+    xc = x.data - row_mean(x.data)
+    inv = 1.0 / np.sqrt(row_mean(xc * xc) + eps)
     xhat = xc * inv
     out = _node(xhat * gain.data + bias.data, (x, gain, bias))
     if out.requires_grad:
         def _bw(g):
+            rows = g.reshape(-1, d)
+            ones = np.ones(rows.shape[0])
             if gain.requires_grad:
-                gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+                gain._accumulate(ones @ (g * xhat).reshape(-1, d))
             if bias.requires_grad:
-                bias._accumulate(g.reshape(-1, d).sum(axis=0))
+                bias._accumulate(ones @ rows)
             if x.requires_grad:
                 gx_hat = g * gain.data
-                term = gx_hat - gx_hat.mean(axis=-1, keepdims=True) \
-                    - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(term * inv)
+                term = gx_hat - row_mean(gx_hat)
+                gx_hat *= xhat
+                term -= xhat * row_mean(gx_hat)
+                term *= inv
+                x._accumulate(term)
         out._backward = _bw
     return out
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .data import Episode, Vocab
+from .data import Episode, FrameBundle, Vocab
 from .model import VideoQAModel, save_checkpoint
 from .objectives import (
     MATCHED,
@@ -84,10 +84,20 @@ class AdamW:
         return {"t": self.t, "moments": self.moments}
 
     def load_state(self, state: dict) -> None:
+        """Restore step count and moments; every moment must match a parameter."""
+        moments = state["moments"]
+        if set(moments) != set(self.moments):
+            missing = sorted(set(self.moments) - set(moments))
+            extra = sorted(set(moments) - set(self.moments))
+            raise ValueError(f"optimizer state mismatch: missing {missing[:6]}, "
+                             f"extra {extra[:6]}")
+        for name, (m, v) in moments.items():
+            shape = self.moments[name][0].shape
+            if np.shape(m) != shape or np.shape(v) != shape:
+                raise ValueError(f"optimizer moment shape mismatch for {name}: "
+                                 f"{np.shape(m)}/{np.shape(v)} vs {shape}")
         self.t = state["t"]
-        for name in self.moments:
-            if name in state["moments"]:
-                self.moments[name] = state["moments"][name]
+        self.moments = dict(moments)
 
 
 def lr_at(cfg: RunConfig, step: int) -> float:
@@ -114,7 +124,13 @@ def _finite_or_raise(value: Tensor, term: str, step: int) -> Tensor:
 
 def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode],
                cfg: RunConfig, step: int) -> dict:
-    """One optimization step; returns the metrics record for the step."""
+    """One optimization step; returns the metrics record for the step.
+
+    The B sampled episodes go through one batched ``represent`` call, (B, N,
+    ...) frames against B annotations, with each row's selection noise drawn
+    from its own ``episode_noise_seed``; the masked texts of the matched rows
+    are encoded in one call.  One tape covers the whole step.
+    """
     if model.sampler is not None:
         model.sampler.tau_g = tau_g_at(cfg, step)
     rng = np.random.default_rng(derive_seed(cfg.seed, 11, step))
@@ -130,14 +146,13 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
     surrogate = cfg.soft_warmup > 0 and step < cfg.soft_warmup * cfg.steps
 
     try:
-        reps = []
-        for item in batch:
-            seed = episode_noise_seed(cfg.seed, item.episode.seed, step)
-            reps.append(model.represent(item.episode.bundle, item.annotation, seed,
-                                        surrogate=surrogate))
-        dim = cfg.dim
-        v_batch = T.concat([T.reshape(r["v_star"], (1, dim)) for r in reps], axis=0)
-        t_batch = T.concat([r["t_cls"] for r in reps], axis=0)
+        rep = model.represent(
+            FrameBundle.stack([item.episode.bundle for item in batch]),
+            [item.annotation for item in batch],
+            [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch],
+            surrogate=surrogate)
+        v_batch = rep["v_star"]                                    # (B, D)
+        t_batch = T.reshape(rep["t_cls"], (len(batch), cfg.dim))   # (B, D)
         labels = [MATCHED if item.matched else UNMATCHED for item in batch]
         flags = [item.matched for item in batch]
 
@@ -146,24 +161,16 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
                 if cfg.w_cl and any(flags) else Tensor(0.0))
 
         matched_ids = [j for j, item in enumerate(batch) if item.matched]
+        v_matched = T.take(v_batch, matched_ids, axis=0)
         l_vgmlm = Tensor(0.0)
         if cfg.w_vgmlm and matched_ids:
-            parts = []
-            for j in matched_ids:
-                masked = mask_tokens(batch[j].annotation,
-                                     derive_seed(cfg.seed, 19, step, j),
-                                     cfg.mask_rate, vocab=model.vocab)
-                parts.append(vg_mlm_loss(masked, model.encode_text_tokens,
-                                         reps[j]["v_star"], model.mlm_head))
-            total_part = parts[0]
-            for part in parts[1:]:
-                total_part = total_part + part
-            l_vgmlm = total_part * (1.0 / len(parts))
+            masked = [mask_tokens(batch[j].annotation, derive_seed(cfg.seed, 19, step, j),
+                                  cfg.mask_rate, vocab=model.vocab) for j in matched_ids]
+            l_vgmlm = vg_mlm_loss(masked, model.encode_text_tokens, v_matched,
+                                  model.mlm_head)
 
         l_qa = Tensor(0.0)
         if cfg.w_qa and matched_ids:
-            v_matched = T.concat([T.reshape(reps[j]["v_star"], (1, dim))
-                                  for j in matched_ids], axis=0)
             answers = [batch[j].episode.answer for j in matched_ids]
             l_qa = answer_cross_entropy(v_matched, answers, model.answer_head)
     except ValueError as err:

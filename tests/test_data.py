@@ -210,3 +210,15 @@ class TestDatasetIO:
             assert (load_tensor(f"{stem}.cls.tdmp") == ep.frame_cls).all()
             tokens = load_tensor(f"{stem}.question.tdmp").astype(int).tolist()
             assert tokens == ep.question_tokens
+
+    def test_stale_index_entry_raises(self, tmp_path):
+        # An index whose recorded answer no longer matches the regenerated
+        # episode must stop the load, not warn and carry on.
+        save_dataset(tmp_path, base_seed=5, count=3, n_frames=N_FRAMES,
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7, materialize=False)
+        path = tmp_path / "index.json"
+        index = json.loads(path.read_text())
+        index["episodes"][1]["answer"] = (index["episodes"][1]["answer"] + 1) % NUM_VALUES
+        path.write_text(json.dumps(index))
+        with pytest.raises(ValueError, match="episode 1 regenerated differently"):
+            load_dataset(tmp_path)

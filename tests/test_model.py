@@ -7,7 +7,7 @@ import pytest
 
 from glimpse import tensor as T
 from glimpse.config import RunConfig, desk_config, loss_variant, table_variant
-from glimpse.data import Vocab, gen_episode
+from glimpse.data import FrameBundle, Vocab, gen_episode
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.tensor import Tensor
 
@@ -22,6 +22,12 @@ def world():
 
 def build(cfg, vocab):
     return VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+
+
+def represent_one(model, episode, rng_seed, **kwargs):
+    """A batch of one row: the episode's own video and question."""
+    return model.represent(FrameBundle.stack([episode.bundle]), [episode.question_tokens],
+                           [rng_seed], **kwargs)
 
 
 class TestTextEncoder:
@@ -73,9 +79,11 @@ class TestVariants:
         variant = table_variant(cfg, row)
         assert (variant.sampler, variant.refiner, variant.fusion) == (sampler, refiner, fusion)
         model = build(variant, vocab)
-        rep = model.represent(episode.bundle, episode.question_tokens, rng_seed=5)
-        assert rep["v_star"].shape == (cfg.dim,)
-        assert len(rep["indices"]) == cfg.k_select
+        rep = represent_one(model, episode, 5)
+        assert rep["v_star"].shape == (1, cfg.dim)
+        assert rep["t_cls"].shape == (1, 1, cfg.dim)
+        assert rep["t_tokens"].shape == (1, len(episode.question_tokens), cfg.dim)
+        assert rep["indices"].shape == (1, cfg.k_select)
 
     def test_loss_rows_set_weights(self, world):
         cfg, vocab, _ = world
@@ -87,8 +95,8 @@ class TestVariants:
         cfg, vocab, episode = world
         for sampler in ("uniform", "none"):
             model = build(table_variant(cfg, "a").replace(sampler=sampler), vocab)
-            rep1 = model.represent(episode.bundle, episode.question_tokens, rng_seed=1)
-            rep2 = model.represent(episode.bundle, episode.question_tokens, rng_seed=2)
+            rep1 = represent_one(model, episode, 1)
+            rep2 = represent_one(model, episode, 2)
             assert (rep1["indices"] == rep2["indices"]).all()  # seed-independent
 
 
@@ -96,26 +104,25 @@ class TestRepresent:
     def test_deterministic_given_seed(self, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        a = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
-        b = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
+        a = represent_one(model, episode, 7)
+        b = represent_one(model, episode, 7)
         assert (a["v_star"].data == b["v_star"].data).all()
         assert (a["indices"] == b["indices"]).all()
 
     def test_surrogate_branch_is_smooth_but_indices_agree(self, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        hard = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
-        soft = model.represent(episode.bundle, episode.question_tokens, rng_seed=7,
-                               surrogate=True)
+        hard = represent_one(model, episode, 7)
+        soft = represent_one(model, episode, 7, surrogate=True)
         assert (hard["indices"] == soft["indices"]).all()
         assert not (hard["v_star"].data == soft["v_star"].data).all()
 
     def test_untaped_pass_is_bit_equal(self, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        taped = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
+        taped = represent_one(model, episode, 7)
         with T.no_grad():
-            free = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
+            free = represent_one(model, episode, 7)
         assert taped["v_star"].requires_grad and not free["v_star"].requires_grad
         assert free["v_star"]._parents == () and free["v_star"]._backward is None
         for key in ("v_star", "t_cls", "t_tokens"):
@@ -125,7 +132,7 @@ class TestRepresent:
     def test_gradient_reaches_selector_through_hard_path(self, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        rep = model.represent(episode.bundle, episode.question_tokens, rng_seed=7)
+        rep = represent_one(model, episode, 7)
         T.tsum(rep["v_star"]).backward()
         assert model.sampler.w_s.w.grad is not None
         assert np.abs(model.sampler.w_s.w.grad).max() > 0
@@ -143,11 +150,11 @@ class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        before = model.represent(episode.bundle, episode.question_tokens, rng_seed=11)
+        before = represent_one(model, episode, 11)
         save_checkpoint(tmp_path, model, step=17)
         loaded, step, opt_state = load_checkpoint(tmp_path)
         assert step == 17 and opt_state is None
-        after = loaded.represent(episode.bundle, episode.question_tokens, rng_seed=11)
+        after = represent_one(loaded, episode, 11)
         assert (before["v_star"].data == after["v_star"].data).all()
         assert (before["indices"] == after["indices"]).all()
 

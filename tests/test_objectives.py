@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from glimpse import tensor as T
-from glimpse.data import Episode, Vocab
+from glimpse.config import desk_config
+from glimpse.data import Episode, Vocab, gen_episode
 from glimpse.gradcheck import grad_check
+from glimpse.model import VideoQAModel
 from glimpse.nn import Linear, Mlp
 from glimpse.objectives import (
     BatchItem,
@@ -24,6 +26,7 @@ from glimpse.objectives import (
     vtm_loss,
 )
 from glimpse.tensor import Tensor
+from glimpse.train import AdamW, NumericFailure, train_step
 
 
 def dummy_episode(seed=0, tokens=(2, 3, 4, 5)):
@@ -245,8 +248,8 @@ class TestVgMlmLoss:
         masked = MaskedText(token_ids=[0, 1], mask_positions=[1], original_ids=[1])
         dim = 4
         head = zero_mlp(2 * dim, 8, 2)  # vocab of two words, zero logits
-        encode = lambda ids: Tensor(np.random.default_rng(0).normal(size=(2, dim)))
-        loss = vg_mlm_loss(masked, encode, Tensor(np.ones(dim)), head)
+        encode = lambda ids: Tensor(np.random.default_rng(0).normal(size=(1, 2, dim)))
+        loss = vg_mlm_loss([masked], encode, Tensor(np.ones((1, dim))), head)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_stop_gradient_contract(self):
@@ -256,13 +259,13 @@ class TestVgMlmLoss:
         rng = np.random.default_rng(8)
         dim, vocab_size = 6, 9
         embed = Tensor(rng.normal(size=(vocab_size, dim)), requires_grad=True)
-        masked = MaskedText(token_ids=[3, 4, 5], mask_positions=[0, 2],
-                            original_ids=[2, 7])
-        v_star = Tensor(rng.normal(size=dim), requires_grad=True)
+        masked = [MaskedText(token_ids=[3, 4, 5], mask_positions=[0, 2],
+                             original_ids=[2, 7])]
+        v_star = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
         head = Mlp(2 * dim, 16, np.random.default_rng(9), out_dim=vocab_size)
 
         def encode(ids):
-            return T.take(embed, list(ids), axis=0)
+            return T.take(embed, ids, axis=0)
 
         loss = vg_mlm_loss(masked, encode, v_star, head)
         loss.backward()
@@ -274,12 +277,31 @@ class TestVgMlmLoss:
                             [v_star] + head.parameters())
         assert report.passed, report.summary()
 
+    def test_batch_is_mean_of_per_text_means(self):
+        # Texts with different numbers of masked words weigh equally, as if
+        # each text's loss were computed alone and the results averaged.
+        from glimpse.objectives import MaskedText
+        rng = np.random.default_rng(10)
+        dim, vocab_size = 6, 9
+        embed = Tensor(rng.normal(size=(vocab_size, dim)))
+        masked = [MaskedText(token_ids=[3, 4, 5, 1], mask_positions=[0, 2, 3],
+                             original_ids=[2, 7, 1]),
+                  MaskedText(token_ids=[6, 8, 2, 2], mask_positions=[1], original_ids=[4])]
+        v_star = rng.normal(size=(2, dim))
+        head = Mlp(2 * dim, 16, np.random.default_rng(11), out_dim=vocab_size)
+        encode = lambda ids: T.take(embed, ids, axis=0)
+        batched = vg_mlm_loss(masked, encode, Tensor(v_star), head).item()
+        alone = [vg_mlm_loss([m], encode, Tensor(v_star[j:j + 1]), head).item()
+                 for j, m in enumerate(masked)]
+        assert batched == pytest.approx(sum(alone) / 2, rel=1e-12)
+
     def test_empty_mask_positions_rejected(self):
         from glimpse.objectives import MaskedText
         masked = MaskedText(token_ids=[1, 2], mask_positions=[], original_ids=[])
         head = zero_mlp(8, 4, 2)
         with pytest.raises(ValueError, match="force"):
-            vg_mlm_loss(masked, lambda ids: Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)), head)
+            vg_mlm_loss([masked], lambda ids: Tensor(np.zeros((1, 2, 4))),
+                        Tensor(np.zeros((1, 4))), head)
 
 
 class TestTotalLoss:
@@ -287,9 +309,18 @@ class TestTotalLoss:
         out = total_loss(Tensor(0.7), Tensor(1.2), Tensor(0.1))
         assert out.item() == pytest.approx(2.0, abs=1e-15)
 
-    def test_nan_term_names_itself(self):
-        with pytest.raises(ValueError, match="non-finite loss term: vgmlm"):
-            total_loss(Tensor(1.0), Tensor(np.nan), Tensor(0.0))
+    def test_nan_term_names_itself(self, monkeypatch):
+        # train_step checks every term before total_loss sums them; a NaN
+        # masked-word term must surface as a numeric failure that names it.
+        cfg = desk_config(steps=1, batch_size=4, exchange_prob=0.0, seed=2)
+        vocab = Vocab(cfg.vocab_seed, cfg.dim)
+        episodes = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(4)]
+        model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+        optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
+        monkeypatch.setattr("glimpse.train.vg_mlm_loss", lambda *args: Tensor(np.nan))
+        with pytest.raises(NumericFailure, match="non-finite loss term 'vgmlm' at step 0") as err:
+            train_step(model, optimizer, episodes, cfg, 0)
+        assert err.value.term == "vgmlm"
 
     def test_weights_apply_per_term(self):
         out = total_loss(Tensor(1.0), Tensor(2.0), Tensor(4.0), weights=(0.0, 1.0, 0.5))

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glimpse import tensor as T
 from glimpse.gradcheck import grad_check
@@ -88,13 +90,6 @@ class TestPrimitiveGradients:
         report = grad_check(lambda: T.tsum(T.softmax_stable(x) * w), [x])
         assert report.passed, report.summary()
 
-    def test_log_softmax_gradient(self):
-        rng = np.random.default_rng(6)
-        x = _rand(rng, (2, 9))
-        w = Tensor(rng.normal(size=(2, 9)))
-        report = grad_check(lambda: T.tsum(T.log_softmax(x) * w), [x])
-        assert report.passed, report.summary()
-
     def test_layer_norm_gradient(self):
         rng = np.random.default_rng(7)
         x = _rand(rng, (5, 12))
@@ -160,6 +155,153 @@ class TestPrimitiveGradients:
             assert report.passed, f"trial {trial}: {report.summary()}"
 
 
+def _old_nll_rows(logits: Tensor, targets) -> Tensor:
+    """The composite that ``T.nll`` replaced, log-softmax times a dense one-hot,
+    with the log-softmax spelled out in primitive ops."""
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(targets)), np.asarray(targets, dtype=int)] = 1.0
+    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
+    log_p = shifted - T.log(T.tsum(T.exp(shifted), axis=-1, keepdims=True))
+    return -T.tsum(log_p * Tensor(onehot), axis=-1)
+
+
+@st.composite
+def basic_keys(draw):
+    """An array shape and a basic-indexing key for it (ints, slices, ...)."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    key = []
+    for size in shape:
+        kind = draw(st.sampled_from(["int", "slice", "all"]))
+        if kind == "int":
+            key.append(draw(st.integers(-size, size - 1)))
+        elif kind == "slice":
+            start = draw(st.integers(-size, size))
+            stop = draw(st.integers(-size, size))
+            key.append(slice(start, stop, draw(st.sampled_from([1, 2, -1]))))
+        else:
+            key.append(slice(None))
+    if draw(st.booleans()):  # drop a leading run of axes behind an ellipsis
+        cut = draw(st.integers(0, len(key)))
+        key = [Ellipsis] + key[cut:]
+    return shape, tuple(key)
+
+
+class TestBatchOps:
+    """Slicing, broadcasting, axis swaps, the fused NLL and batched matmul."""
+
+    def test_getitem_gradient(self):
+        rng = np.random.default_rng(20)
+        x = _rand(rng, (3, 5, 4))
+        report = grad_check(
+            lambda: T.tsum(x[..., 1:, :] ** 2.0) + T.tsum(x[1, :2] * x[2, 3:]) + T.tsum(x[..., 0, :]),
+            [x])
+        assert report.passed, report.summary()
+
+    @settings(max_examples=40, deadline=None)
+    @given(basic_keys(), st.integers(0, 2**31 - 1))
+    def test_getitem_matches_numpy_and_scatter(self, shape_key, seed):
+        shape, key = shape_key
+        rng = np.random.default_rng(seed)
+        x = _rand(rng, shape)
+        out = x[key]
+        assert out.data.tobytes() == x.data[key].tobytes() and out.shape == x.data[key].shape
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        expected = np.zeros(shape)
+        np.add.at(expected, key, g)
+        assert (x.grad == expected).all()
+
+    def test_getitem_rejects_gathers(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(TypeError, match="ints, slices"):
+            x[[0, 0]]
+        with pytest.raises(TypeError, match="ints, slices"):
+            x[np.array([1]), :]
+
+    def test_broadcast_and_swapaxes_gradient(self):
+        rng = np.random.default_rng(21)
+        row = _rand(rng, (1, 4))
+        x = _rand(rng, (2, 3, 4))
+        w = Tensor(rng.normal(size=(2, 4, 3)))
+        report = grad_check(
+            lambda: T.tsum(T.swapaxes(T.broadcast_to(row, (2, 3, 4)) * x, -1, -2) * w),
+            [row, x])
+        assert report.passed, report.summary()
+
+    def test_nll_gradient(self):
+        rng = np.random.default_rng(22)
+        logits = _rand(rng, (4, 6))
+        w = Tensor(rng.uniform(0.5, 1.5, size=4))
+        report = grad_check(lambda: T.tsum(T.nll(logits, [0, 5, 5, 2]) * w), [logits])
+        assert report.passed, report.summary()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 2**31 - 1))
+    def test_nll_agrees_with_dense_onehot_composite(self, rows, classes, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(rows, classes)) * 4.0
+        targets = rng.integers(0, classes, size=rows)
+        seed_grad = rng.normal(size=rows)
+        results = []
+        for op in (T.nll, _old_nll_rows):
+            logits = Tensor(data, requires_grad=True)
+            out = op(logits, targets)
+            out.backward(seed_grad)
+            results.append((out.data, logits.grad))
+        (new, new_grad), (old, old_grad) = results
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+        scale = np.abs(old_grad).max()
+        assert np.abs(new_grad - old_grad).max() <= 1e-12 * scale
+
+    def test_nll_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="2 targets for 3 rows"):
+            T.nll(Tensor(np.zeros((3, 4))), [0, 1])
+        with pytest.raises(ValueError, match="non-finite logits"):
+            T.nll(Tensor(np.array([[0.0, np.inf]])), [0])
+
+    def test_batched_matmul_against_one_matrix_gradient(self):
+        rng = np.random.default_rng(23)
+        a = _rand(rng, (2, 3, 4, 5))
+        b = _rand(rng, (5, 3))
+        report = grad_check(lambda: T.tsum(T.matmul(a, b) ** 2.0), [a, b])
+        assert report.passed, report.summary()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2**31 - 1))
+    def test_batched_matmul_rows_equal_their_own_products(self, lead, d_in, d_out, seed):
+        # Each batch entry gets exactly the product it would get alone; the
+        # weight gradient is the sum of the per-entry gradients.
+        rng = np.random.default_rng(seed)
+        a = _rand(rng, (*lead, 3, d_in))
+        b = _rand(rng, (d_in, d_out))
+        g = rng.normal(size=(*lead, 3, d_out))
+        out = T.matmul(a, b)
+        out.backward(g)
+        rows_a = a.data.reshape(-1, 3, d_in)
+        rows_g = g.reshape(-1, 3, d_out)
+        for i in range(rows_a.shape[0]):
+            assert (out.data.reshape(-1, 3, d_out)[i] == rows_a[i] @ b.data).all()
+            assert (a.grad.reshape(-1, 3, d_in)[i] == rows_g[i] @ b.data.T).all()
+        expected_b = sum(rows_a[i].T @ rows_g[i] for i in range(rows_a.shape[0]))
+        np.testing.assert_allclose(b.grad, expected_b, rtol=1e-12, atol=1e-13)
+
+    def test_new_ops_leave_no_cycles(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            h = T.matmul(T.swapaxes(T.broadcast_to(x[:, :1, :], (2, 4, 4)), 0, 1), w)
+            loss = T.tsum(T.nll(T.reshape(h, (-1, 5)), [1] * 8))
+            loss.backward()
+            del h, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestGraphSemantics:
     def test_diamond_accumulation(self):
         # A leaf feeding two branches receives the sum of both gradients.
@@ -219,7 +361,7 @@ class TestGraphSemantics:
             h = T.layer_norm(x, gain, bias) + T.sqrt(x) * T.exp(x) - T.tanh(x) / x
             h = T.concat([T.gelu(h), T.maximum(-h, 0.1) ** 2.0, T.log(x)], axis=0)
             h = T.softmax_stable(T.matmul(T.take(h, [0, 2, 2]), T.transpose(h, (1, 0))))
-            loss = T.tsum(T.log_softmax(T.reshape(h, (-1,))) * T.tmean(h)) + T.tsum(-x)
+            loss = T.tsum(T.nll(T.reshape(h, (1, -1)), [2]) * T.tmean(h)) + T.tsum(-x)
             loss.backward()
             del h, loss
             assert gc.collect() == 0

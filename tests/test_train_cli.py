@@ -10,7 +10,7 @@ import pytest
 from glimpse import tensor as T
 from glimpse.cli import main
 from glimpse.config import desk_config
-from glimpse.data import Vocab, gen_episode, save_dataset
+from glimpse.data import FrameBundle, Vocab, gen_episode, save_dataset
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.sampler import uniform_indices
@@ -58,6 +58,21 @@ class TestAdamW:
         p.grad = np.zeros(3)
         opt.step(lr=1.0)
         np.testing.assert_allclose(p.data, 0.9)
+
+    def test_load_state_rejects_missing_extra_and_misshapen_moments(self):
+        params = [("a", Tensor(np.ones(3), requires_grad=True)),
+                  ("b", Tensor(np.ones((2, 2)), requires_grad=True))]
+        good = {"a": (np.zeros(3), np.zeros(3)), "b": (np.zeros((2, 2)), np.zeros((2, 2)))}
+        opt = AdamW(params, weight_decay=0.0)
+        with pytest.raises(ValueError, match=r"missing \['b'\]"):
+            opt.load_state({"t": 4, "moments": {"a": good["a"]}})
+        with pytest.raises(ValueError, match=r"extra \['c'\]"):
+            opt.load_state({"t": 4, "moments": {**good, "c": good["a"]}})
+        with pytest.raises(ValueError, match="shape mismatch for b"):
+            opt.load_state({"t": 4, "moments": {"a": good["a"], "b": (np.zeros(4), np.zeros(4))}})
+        assert opt.t == 0  # a rejected state leaves the optimizer untouched
+        opt.load_state({"t": 4, "moments": good})
+        assert opt.t == 4 and opt.moments["b"][0].shape == (2, 2)
 
     def test_adaptive_step_is_signlike_at_start(self):
         p = Tensor(np.zeros(2), requires_grad=True)
@@ -123,8 +138,8 @@ class TestTrainLoop:
         model, _, _ = train(cfg, episodes, out_dir=tmp_path)
         reloaded, _, _ = load_checkpoint(tmp_path)
         ep = episodes[0]
-        a = model.represent(ep.bundle, ep.question_tokens, rng_seed=3)
-        b = reloaded.represent(ep.bundle, ep.question_tokens, rng_seed=3)
+        a = model.represent(FrameBundle.stack([ep.bundle]), [ep.question_tokens], [3])
+        b = reloaded.represent(FrameBundle.stack([ep.bundle]), [ep.question_tokens], [3])
         assert (a["v_star"].data == b["v_star"].data).all()
 
 
@@ -154,15 +169,19 @@ class TestTapeLifetime:
         calls = []
         real = model.represent
 
-        def counted(bundle, tokens, rng_seed, **kwargs):
-            calls.append((rng_seed, tuple(tokens)))
-            return real(bundle, tokens, rng_seed, **kwargs)
+        def counted(bundle, token_ids, rng_seeds, **kwargs):
+            calls.append((bundle.v_patch.shape[0], [tuple(t) for t in token_ids],
+                          set(rng_seeds)))
+            return real(bundle, token_ids, rng_seeds, **kwargs)
 
         monkeypatch.setattr(model, "represent", counted)
         assert evaluate_model(model, episodes, eval_seed=4) == expected
-        assert len(calls) == len(set(calls))
-        # Own text, foreign text and 4 other MCQ candidates at most.
-        assert len(calls) <= 6 * len(episodes)
+        # One call per episode: one shared video, one noise seed, and each
+        # distinct text once (own text, foreign text, 4 other MCQ candidates).
+        assert len(calls) == len(episodes)
+        for shared, texts, seeds in calls:
+            assert shared == 1 and len(seeds) == 1
+            assert len(texts) == len(set(texts)) <= 6
 
 
 class TestCli:
@@ -282,6 +301,27 @@ class TestCli:
         assert "drop --config" in capsys.readouterr().err
         assert main(base + ["--out", str(tmp_path / "picks.jsonl")]) == 0
         assert len((tmp_path / "picks.jsonl").read_text().splitlines()) == cfg.k_select
+
+    def test_stale_dataset_index_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
+                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", "--index-only",
+                     *overrides]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                     "--steps", "1", "--batch-size", "2",
+                     "--metrics", str(tmp_path / "m.jsonl"), *overrides]) == 0
+        index = json.loads((data / "index.json").read_text())
+        index["episodes"][2]["event_frame"] += 1
+        (data / "index.json").write_text(json.dumps(index))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt2"),
+                     "--steps", "1", "--batch-size", "2",
+                     "--metrics", str(tmp_path / "m2.jsonl"), *overrides]) == 1
+        assert "episode 2 regenerated differently" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--data", str(data)]) == 1
+        assert "episode 2 regenerated differently" in capsys.readouterr().err
 
     def test_dump_tensor_inspects_file(self, tmp_path, capsys):
         path = tmp_path / "x.tdmp"
