@@ -203,16 +203,31 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+# Dataset meta keys that must equal the model's config: the geometry of the
+# frames, and the seed of the frozen word table and frame rotation.
+_DATASET_KEYS = ("n_frames", "n_grid", "dim", "vocab_seed")
+
+
+def _check_dataset(meta: dict, cfg: RunConfig, owner: str) -> None:
+    for key in _DATASET_KEYS:
+        if meta[key] != getattr(cfg, key):
+            raise ValueError(f"dataset {key}={meta[key]} does not match {owner} "
+                             f"{key}={getattr(cfg, key)}")
+
+
 def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
     meta, _, episodes = load_dataset(args.data)
-    for key, attr in (("n_frames", "n_frames"), ("n_grid", "n_grid"), ("dim", "dim")):
-        if meta[key] != getattr(cfg, attr):
-            raise ValueError(f"dataset {key}={meta[key]} does not match config "
-                             f"{attr}={getattr(cfg, attr)}")
+    _check_dataset(meta, cfg, "config")
     resume = None
     if args.resume:
         ckpt_model, step, opt_state = load_checkpoint(args.resume)
+        differ = [f.name for f in dataclasses.fields(RunConfig)
+                  if getattr(ckpt_model.cfg, f.name) != getattr(cfg, f.name)]
+        if differ:
+            raise ValueError("--resume checkpoint config differs from this run's config: "
+                             + ", ".join(f"{key}={getattr(ckpt_model.cfg, key)!r} vs "
+                                         f"{getattr(cfg, key)!r}" for key in differ))
         resume = {"model_state": ckpt_model.state_dict(),
                   "optimizer_state": opt_state, "step": step}
     stream = _open_out(args.metrics)
@@ -229,8 +244,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     meta, _, episodes = load_dataset(args.data)
-    if meta["dim"] != model.cfg.dim or meta["n_frames"] != model.cfg.n_frames:
-        raise ValueError("dataset geometry does not match checkpoint config")
+    _check_dataset(meta, model.cfg, "checkpoint config")
     if args.blind:
         report = evaluate_with_blind_probes(model, episodes, args.eval_seed,
                                             modes=tuple(args.blind))
@@ -266,8 +280,8 @@ def _cmd_sample_frames(args) -> int:
                                 np.random.default_rng(cfg.seed), fusion=cfg.fusion,
                                 tau_g=cfg.tau_g)
     with no_grad():
-        y_soft = selection_rows(frame_cls, Tensor(text.reshape(1, -1)), sampler,
-                                args.sample_seed)
+        t_row = Tensor(text.reshape(1, -1).astype(sampler.dtype))
+        y_soft = selection_rows(frame_cls, t_row, sampler, args.sample_seed)
     indices = np.argmax(y_soft.data, axis=-1)
     stream = _open_out(args.out)
     try:

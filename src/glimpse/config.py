@@ -113,6 +113,14 @@ DESK_OVERRIDES = dict(n_frames=30, k_select=4, depth=2, dim=32, heads=2, n_grid=
 GRADCHECK_OVERRIDES = dict(n_frames=6, k_select=2, depth=1, dim=16, heads=2, n_grid=2)
 
 
+def tau_g_at(cfg: RunConfig, step: int) -> float:
+    """Selection temperature of ``step``: geometric from tau_g to tau_g_final when annealed."""
+    if not cfg.tau_g_anneal:
+        return cfg.tau_g
+    frac = step / max(1, cfg.steps - 1)
+    return cfg.tau_g * (cfg.tau_g_final / cfg.tau_g) ** frac
+
+
 def desk_config(**overrides) -> RunConfig:
     merged = {**DESK_OVERRIDES, **overrides}
     return RunConfig(**merged).validate()

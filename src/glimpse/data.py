@@ -48,18 +48,20 @@ class FrameBundle:
     v_cls: np.ndarray
 
     @classmethod
-    def stack(cls, bundles: Sequence["FrameBundle"]) -> "FrameBundle":
-        """One bundle with a leading batch axis over ``bundles``.
+    def stack(cls, bundles: Sequence["FrameBundle"], dtype=None) -> "FrameBundle":
+        """One bundle with a leading batch axis over ``bundles``, in ``dtype``.
 
         Bundles that all share one video's arrays give a leading axis of
-        size 1, a view that broadcasts against any number of rows; distinct
-        videos are copied into a (B, ...) stack.
+        size 1 that broadcasts against any number of rows (a view when no
+        cast is needed); distinct videos are copied into a (B, ...) stack,
+        cast in the same copy.  ``dtype=None`` keeps the bundles' dtype.
         """
         first = bundles[0]
         if all(b.v_patch is first.v_patch and b.v_cls is first.v_cls for b in bundles):
-            return cls(v_patch=first.v_patch[None], v_cls=first.v_cls[None])
-        return cls(v_patch=np.stack([b.v_patch for b in bundles]),
-                   v_cls=np.stack([b.v_cls for b in bundles]))
+            return cls(v_patch=np.asarray(first.v_patch[None], dtype=dtype),
+                       v_cls=np.asarray(first.v_cls[None], dtype=dtype))
+        return cls(v_patch=np.stack([b.v_patch for b in bundles], dtype=dtype),
+                   v_cls=np.stack([b.v_cls for b in bundles], dtype=dtype))
 
 
 @dataclass

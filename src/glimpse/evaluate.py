@@ -50,7 +50,7 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
             candidates.insert(slot, texts[0])
         rows = {text: r for r, text in enumerate(dict.fromkeys(texts + candidates))}
         seed = episode_noise_seed(eval_seed, ep.seed, 0)
-        rep = model.represent(FrameBundle.stack([shown.bundle]), list(rows),
+        rep = model.represent(FrameBundle.stack([shown.bundle], model.dtype), list(rows),
                               [seed] * len(rows))
         v_star = rep["v_star"]                                        # (rows, D)
 

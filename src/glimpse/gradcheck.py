@@ -56,7 +56,9 @@ def grad_check(
     probed by evaluating the loss twice before perturbing anything.  The
     relative error uses ``max(|analytic|, |numeric|, 1e-8)`` as denominator.
     Only the analytic pass records a tape; the probe and finite-difference
-    forwards run under ``no_grad``.
+    forwards run under ``no_grad``.  Every parameter and the loss must be
+    float64: at float32 resolution a step of ``epsilon`` measures rounding,
+    not the backward rule.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
@@ -64,10 +66,16 @@ def grad_check(
         names = [f"param{i}" for i in range(len(params))]
     if len(names) != len(params):
         raise ValueError("names/params length mismatch")
+    for name, p in zip(names, params):
+        if p.dtype != np.float64:
+            raise ValueError(f"oracle needs float64 parameters; {name} is {p.dtype}")
 
     with no_grad():
-        probe_a = loss_fn().item()
+        probe = loss_fn()
+        probe_a = probe.item()
         probe_b = loss_fn().item()
+    if probe.dtype != np.float64:
+        raise ValueError(f"oracle needs a float64 loss; the loss is {probe.dtype}")
     if probe_a != probe_b:
         raise ValueError("oracle requires frozen randomness")
 

@@ -4,6 +4,11 @@ The dense visual stream is frozen input; everything trainable lives here.
 The open-ended answer head consumes only the video CLS token, so question
 information can reach an answer solely through the conditioning it applied
 inside the selection and refinement stacks.
+
+The model holds float32 parameters and computes in float32: train steps,
+evaluation and frame sampling all run on them.  Checkpoints store ``<f8``,
+which holds float32 values exactly.  The finite-difference oracle certifies
+the same modules built in float64.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import RunConfig, tau_g_at
 from .data import NUM_VALUES, FrameBundle, Vocab
 from .nn import Block, Linear, Mlp, Module, init_normal
 from .refiner import RefinerParams, refine
@@ -28,6 +33,9 @@ from .sampler import (
     uniform_indices,
 )
 from .tensor import Tensor, load_tensor, save_tensor
+
+
+COMPUTE_DTYPE = np.float32
 
 
 def derive_init_seed(seed: int) -> int:
@@ -138,6 +146,9 @@ class VideoQAModel(Module):
             for name, p in self.named_parameters():
                 if name.endswith(".w"):
                     p.data = redraw.normal(0.0, cfg.init_std, size=p.data.shape)
+        # Weights are drawn in float64 from the seeded stream, then rounded
+        # once, together with the frozen embedding table.
+        self.astype(COMPUTE_DTYPE)
 
     # -- forward paths ---------------------------------------------------
 
@@ -167,7 +178,8 @@ class VideoQAModel(Module):
             check_frame_count(bundle.v_cls.shape[-2], cfg.n_frames)
             lead = (*t_cls.shape[:-2], cfg.k_select)
             indices = np.broadcast_to(uniform_indices(cfg.n_frames, cfg.k_select), lead)
-            return apply_mask(Tensor(np.eye(cfg.n_frames)[indices]), bundle), indices
+            one_hot = np.eye(cfg.n_frames, dtype=t_cls.dtype)[indices]
+            return apply_mask(Tensor(one_hot), bundle), indices
         y_soft = selection_rows(bundle.v_cls, t_cls, self.sampler, rng_seed)
         indices = np.argmax(y_soft.data, axis=-1)
         if cfg.sampler == "sparse" and not surrogate:
@@ -184,7 +196,9 @@ class VideoQAModel(Module):
         video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D), the
         text token outputs ``t_tokens`` (B, M, D) and the selected frame
         ``indices`` (B, K).  Rows never interact: each row's outputs are those
-        of the batch of that row alone.
+        of the batch of that row alone.  Frames are cast to the parameters'
+        dtype where they enter (``FrameBundle.stack`` takes it, so the copy
+        is made once); outputs are in that dtype.
         """
         b = len(token_ids)
         if len(rng_seeds) != b:
@@ -208,12 +222,17 @@ class VideoQAModel(Module):
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` in, cast to each parameter's dtype.
+
+        A float64 state rounds to a float32 model; float32 values written to
+        a float64 dump come back bit for bit.
+        """
         own = dict(self.named_parameters())
         if set(own) != set(state):
             missing = sorted(set(own) ^ set(state))
             raise ValueError(f"checkpoint/model parameter mismatch: {missing[:6]}")
         for name, p in own.items():
-            arr = np.asarray(state[name], dtype=np.float64)
+            arr = np.asarray(state[name], dtype=p.dtype)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}")
             p.data = arr
@@ -221,6 +240,11 @@ class VideoQAModel(Module):
 
 def save_checkpoint(directory, model: VideoQAModel, step: int,
                     optimizer_state: dict | None = None) -> None:
+    """Write config, step, parameters and optional AdamW state.
+
+    Every array is stored as ``<f8``: the float32 parameters and moments of
+    a model widen exactly, and ``load_checkpoint`` rounds them back.
+    """
     directory = Path(directory)
     (directory / "params").mkdir(parents=True, exist_ok=True)
     (directory / "config.json").write_text(model.cfg.to_json())
@@ -237,6 +261,13 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
 
 
 def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
+    """Rebuild the model, its step and the AdamW state from ``directory``.
+
+    Parameters and moments are read from ``<f8`` dumps and cast to the
+    parameters' dtype, so a float32 model round-trips bit for bit
+    and a checkpoint holding float64 weights loads rounded to float32.  An
+    annealed sampler gets the selection temperature of the last step taken.
+    """
     directory = Path(directory)
     cfg = RunConfig.from_file(directory / "config.json")
     meta = json.loads((directory / "meta.json").read_text())
@@ -246,6 +277,9 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     for path in sorted((directory / "params").glob("*.tdmp")):
         state[path.name[:-5]] = load_tensor(path)
     model.load_state_dict(state)
+    step = meta["step"]
+    if model.sampler is not None:
+        model.sampler.tau_g = tau_g_at(cfg, max(step - 1, 0))
     optimizer_state = None
     opt_dir = directory / "opt"
     if opt_dir.exists():
@@ -253,6 +287,7 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
         moments = {}
         for m_path in sorted(opt_dir.glob("*.m.tdmp")):
             name = m_path.name[:-7]
-            moments[name] = (load_tensor(m_path), load_tensor(opt_dir / f"{name}.v.tdmp"))
+            moments[name] = (load_tensor(m_path).astype(model.dtype),
+                             load_tensor(opt_dir / f"{name}.v.tdmp").astype(model.dtype))
         optimizer_state = {"t": t, "moments": moments}
-    return model, meta["step"], optimizer_state
+    return model, step, optimizer_state

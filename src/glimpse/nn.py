@@ -17,25 +17,44 @@ from .tensor import Tensor
 
 
 class Module:
-    """Base class; collects trainable tensors by attribute introspection."""
+    """Base class; collects tensors by attribute introspection."""
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        """Every tensor of the module tree, trainable or frozen."""
         for key, value in vars(self).items():
             name = f"{prefix}.{key}" if prefix else key
             if isinstance(value, Tensor):
-                if value.requires_grad:
-                    yield name, value
+                yield name, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(name)
+                yield from value.named_tensors(name)
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{name}.{i}")
-                    elif isinstance(item, Tensor) and item.requires_grad:
+                        yield from item.named_tensors(f"{name}.{i}")
+                    elif isinstance(item, Tensor):
                         yield f"{name}.{i}", item
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        return ((name, t) for name, t in self.named_tensors(prefix) if t.requires_grad)
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: that of the parameters."""
+        return next(self.named_parameters())[1].dtype
+
+    def astype(self, dtype) -> "Module":
+        """Round every tensor, frozen ones included, to ``dtype`` in place.
+
+        Gradients are dropped.  The module computes in ``dtype`` from then
+        on, because every constant that meets its tensors takes their dtype.
+        """
+        for _, t in self.named_tensors():
+            t.data = t.data.astype(dtype)
+            t.grad = None
+        return self
 
 
 def init_normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:

@@ -97,10 +97,10 @@ def contrastive_loss(v: Tensor, t: Tensor, matched: Sequence[bool], tau: float) 
     matched = np.asarray(matched, dtype=bool)
     if not matched.any():
         warnings.warn("contrastive_loss: no matched pairs in batch", stacklevel=2)
-        return Tensor(0.0)
+        return Tensor(np.zeros((), dtype=v.dtype))
     sim = T.matmul(_unit_rows(v), T.transpose(_unit_rows(t), (1, 0))) * (1.0 / tau)
     per_row = T.nll(sim, np.arange(len(matched)))         # row i over all j, target i
-    return T.tsum(per_row * Tensor(matched.astype(np.float64)))
+    return T.tsum(per_row * matched)
 
 
 @dataclass
@@ -176,7 +176,7 @@ def vg_mlm_loss(masked: Sequence[MaskedText],
     v_tiled = T.take(v_cls_star, rows, axis=0)                            # (I, D)
     logits = mlp_head(T.concat([w_masked, v_tiled], axis=1))              # (I, V)
     per_text = np.array([len(m.mask_positions) for m in masked], dtype=np.float64)
-    weights = Tensor(1.0 / (per_text[rows] * len(masked)))
+    weights = 1.0 / (per_text[rows] * len(masked))
     targets = np.concatenate([m.original_ids for m in masked])
     return T.tsum(T.nll(logits, targets) * weights)
 

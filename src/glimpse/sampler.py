@@ -75,7 +75,8 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
 
     ``rng_seed`` is one seed for all of ``x``, or a sequence of seeds, one
     per entry of its leading (batch) axis: each entry then draws the noise it
-    would draw alone, so batching and row order cannot change a draw.
+    would draw alone, so batching and row order cannot change a draw.  The
+    noise is drawn in float64 and rounded to the dtype of ``x``.
     """
     if tau_g <= 0:
         raise ValueError("nonpositive temperature")
@@ -84,9 +85,9 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
     if np.ndim(rng_seed):
         if len(rng_seed) != x.shape[0]:
             raise ValueError(f"{len(rng_seed)} noise seeds for {x.shape[0]} rows")
-        noise = Tensor(np.stack([gumbel_noise(x.shape[1:], seed) for seed in rng_seed]))
+        noise = np.stack([gumbel_noise(x.shape[1:], seed) for seed in rng_seed])
     else:
-        noise = Tensor(gumbel_noise(x.shape, rng_seed))
+        noise = gumbel_noise(x.shape, rng_seed)
     return T.softmax_stable((x + noise) * (1.0 / tau_g), axis=-1)
 
 
@@ -116,10 +117,11 @@ def apply_mask(mask_rows: Tensor, bundle: FrameBundle) -> Tensor:
 
     Leading axes broadcast, so rows of a batch can share one bundle of
     leading size 1.  With one-hot rows the matmul reduces to an exact frame
-    copy, because 1.0 * x == x and adding 0.0 * y leaves it untouched.
+    copy, because 1.0 * x == x and adding 0.0 * y leaves it untouched.  The
+    frames are cast to the rows' dtype (no copy when they already match).
     """
     *lead, n, p, d = bundle.v_patch.shape
-    flat = Tensor(bundle.v_patch.reshape(*lead, n, p * d))
+    flat = Tensor(bundle.v_patch.reshape(*lead, n, p * d).astype(mask_rows.dtype, copy=False))
     picked = T.matmul(mask_rows, flat)
     return T.reshape(picked, (*picked.shape[:-1], p, d))
 
@@ -136,10 +138,10 @@ def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
     ``v_cls`` holds the frame CLS tokens (B, N, D), or (1, N, D) shared by
     every row, and ``t_row`` the text conditions (B, 1, D); ``rng_seed``
     gives one noise seed per row.  Unbatched inputs, (N, D) and (1, D) with
-    one seed, give (K, N).
+    one seed, give (K, N).  The frame tokens are cast to the sampler's dtype.
     """
     check_frame_count(v_cls.shape[-2], params.n_frames)
-    logits = selection_logits(Tensor(v_cls), t_row, params)
+    logits = selection_logits(Tensor(np.asarray(v_cls, dtype=params.dtype)), t_row, params)
     return gumbel_softmax(logits, params.tau_g, rng_seed)
 
 

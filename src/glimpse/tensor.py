@@ -1,12 +1,18 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
-Every array in the library is a row-major float64 ``Tensor``.  Forward ops
-record a tape: each output keeps links to its parents and a backward closure
-``_backward(g)`` that receives the output's gradient ``g`` and accumulates the
-parents' shares into their ``grad``.  A closure captures only its parents and
-plain arrays, never its own output, so the tape is acyclic: reference counting
-frees it as soon as nothing holds the loss, with no help from the cyclic
-collector.
+A ``Tensor`` holds a row-major float32 or float64 array; anything else is
+stored as float64.  An op computes in the dtype of its operands, and Python
+scalars and plain arrays that meet a tensor in an arithmetic op are cast to
+that tensor's dtype, so a float32 graph never widens silently.  The model
+computes in float32; the finite-difference oracle certifies the same ops on
+float64 modules.
+
+Forward ops record a tape: each output keeps links to its parents and a
+backward closure ``_backward(g)`` that receives the output's gradient ``g``
+and accumulates the parents' shares into their ``grad``.  A closure captures
+only its parents and plain arrays, never its own output, so the tape is
+acyclic: reference counting frees it as soon as nothing holds the loss, with
+no help from the cyclic collector.
 
 ``Tensor.backward`` replays the tape in reverse topological order.  Leaves
 with ``requires_grad=True`` keep their accumulated ``grad``; every interior
@@ -31,15 +37,21 @@ Array = np.ndarray
 
 _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU form
 _GELU_COEF = 0.044715
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient tape node."""
+    """A dense float32 or float64 array plus an optional gradient tape node.
+
+    Float32 and float64 arrays are kept as they are; any other input is
+    converted to float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._backward: Callable[[Array], None] | None = None
@@ -58,6 +70,10 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -91,7 +107,7 @@ class Tensor:
                 raise ValueError("backward() without a gradient requires a scalar output")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ValueError("seed gradient shape mismatch")
 
@@ -121,28 +137,28 @@ class Tensor:
     # -- operator sugar --------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(_wrap(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, _wrap(other, self))
 
     def __rtruediv__(self, other):
-        return div(_wrap(other), self)
+        return div(_wrap(other, self), self)
 
     def __neg__(self):
         return neg(self)
@@ -151,7 +167,7 @@ class Tensor:
         return power(self, exponent)
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, _wrap(other, self))
 
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
@@ -169,8 +185,15 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _wrap(value, like: Tensor) -> Tensor:
+    """``value`` as a tensor; a scalar or plain array takes the dtype of ``like``.
+
+    Under NumPy's promotion rules a float32 array times a 0-d float64 array
+    is float64, so a constant built in float64 would widen a float32 graph.
+    """
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _unbroadcast(g: Array, target_shape: tuple[int, ...]) -> Array:
@@ -408,7 +431,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
     out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
         sizes = [t.data.shape[axis] for t in tensors]
@@ -561,7 +583,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last axis")
-    mean_of = np.full(d, 1.0 / d)
+    mean_of = np.full(d, 1.0 / d, dtype=x.data.dtype)
 
     def row_mean(a: Array) -> Array:
         return (a.reshape(-1, d) @ mean_of).reshape(a.shape[:-1] + (1,))
@@ -573,7 +595,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if out.requires_grad:
         def _bw(g):
             rows = g.reshape(-1, d)
-            ones = np.ones(rows.shape[0])
+            ones = np.ones(rows.shape[0], dtype=rows.dtype)
             if gain.requires_grad:
                 gain._accumulate(ones @ (g * xhat).reshape(-1, d))
             if bias.requires_grad:
@@ -595,7 +617,10 @@ _MAGIC = b"TDMP"
 
 
 def save_tensor(path, array) -> None:
-    """Write ``array`` in the dump format: magic, u32 rank, u64 dims, f64 payload."""
+    """Write ``array`` in the dump format: magic, u32 rank, u64 dims, f64 payload.
+
+    A float32 array is widened to ``<f8`` on disk, which holds it exactly.
+    """
     arr = np.asarray(array.data if isinstance(array, Tensor) else array, dtype=np.float64)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

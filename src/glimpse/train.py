@@ -10,7 +10,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import RunConfig, tau_g_at
 from .data import Episode, FrameBundle, Vocab
 from .model import VideoQAModel, save_checkpoint
 from .objectives import (
@@ -50,7 +50,10 @@ def episode_noise_seed(cfg_seed: int, episode_seed: int, step: int) -> int:
 
 
 class AdamW:
-    """Adam with decoupled weight decay on the raw parameters."""
+    """Adam with decoupled weight decay on the raw parameters.
+
+    Each parameter's moments are kept in that parameter's dtype.
+    """
 
     def __init__(self, named_params: Sequence[tuple[str, Tensor]], weight_decay: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -84,7 +87,10 @@ class AdamW:
         return {"t": self.t, "moments": self.moments}
 
     def load_state(self, state: dict) -> None:
-        """Restore step count and moments; every moment must match a parameter."""
+        """Restore step count and moments; every moment must match a parameter.
+
+        Moments are cast to the dtype of the moments they replace.
+        """
         moments = state["moments"]
         if set(moments) != set(self.moments):
             missing = sorted(set(self.moments) - set(moments))
@@ -97,7 +103,9 @@ class AdamW:
                 raise ValueError(f"optimizer moment shape mismatch for {name}: "
                                  f"{np.shape(m)}/{np.shape(v)} vs {shape}")
         self.t = state["t"]
-        self.moments = dict(moments)
+        own = self.moments
+        self.moments = {name: tuple(np.asarray(a, dtype=own[name][0].dtype) for a in pair)
+                        for name, pair in moments.items()}
 
 
 def lr_at(cfg: RunConfig, step: int) -> float:
@@ -107,13 +115,6 @@ def lr_at(cfg: RunConfig, step: int) -> float:
         return cfg.lr * (step + 1) / warm
     span = max(1, cfg.steps - warm)
     return cfg.lr * max(0.0, cfg.steps - step) / span
-
-
-def tau_g_at(cfg: RunConfig, step: int) -> float:
-    if not cfg.tau_g_anneal:
-        return cfg.tau_g
-    frac = step / max(1, cfg.steps - 1)
-    return cfg.tau_g * (cfg.tau_g_final / cfg.tau_g) ** frac
 
 
 def _finite_or_raise(value: Tensor, term: str, step: int) -> Tensor:
@@ -147,7 +148,7 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
 
     try:
         rep = model.represent(
-            FrameBundle.stack([item.episode.bundle for item in batch]),
+            FrameBundle.stack([item.episode.bundle for item in batch], model.dtype),
             [item.annotation for item in batch],
             [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch],
             surrogate=surrogate)
@@ -156,20 +157,21 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
         labels = [MATCHED if item.matched else UNMATCHED for item in batch]
         flags = [item.matched for item in batch]
 
-        l_vtm = vtm_loss(v_batch, labels, model.vtm_head) if cfg.w_vtm else Tensor(0.0)
+        zero = Tensor(np.zeros((), dtype=model.dtype))     # for switched-off terms
+        l_vtm = vtm_loss(v_batch, labels, model.vtm_head) if cfg.w_vtm else zero
         l_cl = (contrastive_loss(v_batch, t_batch, flags, cfg.tau)
-                if cfg.w_cl and any(flags) else Tensor(0.0))
+                if cfg.w_cl and any(flags) else zero)
 
         matched_ids = [j for j, item in enumerate(batch) if item.matched]
         v_matched = T.take(v_batch, matched_ids, axis=0)
-        l_vgmlm = Tensor(0.0)
+        l_vgmlm = zero
         if cfg.w_vgmlm and matched_ids:
             masked = [mask_tokens(batch[j].annotation, derive_seed(cfg.seed, 19, step, j),
                                   cfg.mask_rate, vocab=model.vocab) for j in matched_ids]
             l_vgmlm = vg_mlm_loss(masked, model.encode_text_tokens, v_matched,
                                   model.mlm_head)
 
-        l_qa = Tensor(0.0)
+        l_qa = zero
         if cfg.w_qa and matched_ids:
             answers = [batch[j].episode.answer for j in matched_ids]
             l_qa = answer_cross_entropy(v_matched, answers, model.answer_head)

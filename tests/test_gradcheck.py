@@ -28,6 +28,16 @@ def test_epsilon_range_enforced():
         grad_check(lambda: T.tsum(x * x), [x], epsilon=1e-8)
 
 
+def test_float32_parameter_or_loss_rejected():
+    # At float32 resolution a step of epsilon measures rounding, not the rule.
+    w = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ValueError, match="weights is float32"):
+        grad_check(lambda: T.tsum(x * w), [x, w], names=["x", "weights"])
+    with pytest.raises(ValueError, match="float64 loss"):
+        grad_check(lambda: T.tsum(Tensor((x.data * x.data).astype(np.float32))), [x])
+
+
 def test_hidden_randomness_detected():
     x = Tensor([1.0, 2.0], requires_grad=True)
     state = {"calls": 0}

@@ -8,7 +8,9 @@ import pytest
 from glimpse import tensor as T
 from glimpse.config import RunConfig, desk_config, loss_variant, table_variant
 from glimpse.data import FrameBundle, Vocab, gen_episode
+from glimpse.evaluate import evaluate_model
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
+from glimpse.train import tau_g_at, train
 from glimpse.tensor import Tensor
 
 
@@ -170,6 +172,19 @@ class TestCheckpoints:
         name = next(iter(moments))
         assert (opt_state["moments"][name][0] == moments[name][0]).all()
         assert (opt_state["moments"][name][1] == moments[name][1]).all()
+
+    def test_annealed_tau_g_restored_on_load(self, tmp_path, world):
+        # A soft sampler weights frames at its temperature, so a reloaded
+        # model must evaluate at the annealed tau_g of the last step taken.
+        cfg, vocab, _ = world
+        cfg = cfg.replace(sampler="soft", tau_g_anneal=True, tau_g=1.0, tau_g_final=0.05,
+                          steps=3, batch_size=4)
+        episodes = [gen_episode(40 + i, cfg.n_frames, cfg.n_grid, cfg.dim, vocab)
+                    for i in range(16)]
+        model, _, _ = train(cfg, episodes, out_dir=tmp_path)
+        loaded, step, _ = load_checkpoint(tmp_path)
+        assert loaded.sampler.tau_g == model.sampler.tau_g == tau_g_at(cfg, step - 1)
+        assert evaluate_model(loaded, episodes, 5) == evaluate_model(model, episodes, 5)
 
     def test_mismatched_state_rejected(self, tmp_path, world):
         cfg, vocab, _ = world

@@ -191,7 +191,7 @@ class TestSparseSample:
     def test_forward_frames_are_exact_copies(self):
         rng = np.random.default_rng(10)
         bundle = make_bundle(rng, d=MODEL_DIM)
-        model = make_model()
+        model = make_model().astype(np.float64)  # compared with float64 frames
         selected, indices = model.select(bundle, text_row(rng), rng_seed=3)
         assert selected.shape == (2, 4, MODEL_DIM)
         for row, frame in enumerate(indices):

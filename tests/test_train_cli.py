@@ -323,6 +323,54 @@ class TestCli:
                      "--data", str(data)]) == 1
         assert "episode 2 regenerated differently" in capsys.readouterr().err
 
+    def test_eval_rejects_dataset_geometry_and_vocab_mismatch(self, tmp_path, capsys):
+        desk = {"--n-frames": "30", "--k-select": "4", "--depth": "1", "--dim": "32",
+                "--heads": "2", "--n-grid": "2"}
+        cfg = desk_config(depth=1, seed=2)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                                           np.random.default_rng(2)), step=0)
+        for key, flag, value in (("n_grid", "--n-grid", "3"), ("vocab_seed", "--vocab-seed", "8")):
+            data = tmp_path / key
+            flags = [item for pair in {**desk, flag: value}.items() for item in pair]
+            assert main(["gen-data", "--out", str(data), "--episodes", "2", "--index-only",
+                         *flags]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+            assert (f"dataset {key}={value} does not match checkpoint config "
+                    f"{key}={getattr(cfg, key)}") in capsys.readouterr().err
+
+    def test_train_rejects_dataset_vocab_seed_mismatch(self, tmp_path, capsys):
+        # Another seed means another frozen word table and frame rotation.
+        data = tmp_path / "data"
+        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
+                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", "--index-only",
+                     "--vocab-seed", "8", *overrides]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                     "--steps", "1", "--batch-size", "2",
+                     "--metrics", str(tmp_path / "m.jsonl"), *overrides]) == 1
+        assert "dataset vocab_seed=8 does not match config vocab_seed=7" in capsys.readouterr().err
+
+    def test_resume_rejects_checkpoint_with_another_config(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
+                     "--dim", "32", "--heads", "2", "--n-grid", "2", "--batch-size", "2"]
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", "--index-only",
+                     *overrides[:-2]]) == 0
+        train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
+                      *overrides]
+        assert main(train_args + ["--out", str(ckpt), "--steps", "1"]) == 0
+        capsys.readouterr()
+        assert main(train_args + ["--out", str(tmp_path / "more"), "--resume", str(ckpt),
+                                  "--steps", "2", "--lr", "1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert "--resume checkpoint config differs" in err
+        assert "steps=1 vs 2" in err and "lr=3e-05 vs 0.001" in err
+        assert main(train_args + ["--out", str(tmp_path / "same"), "--resume", str(ckpt),
+                                  "--steps", "1"]) == 0
+
     def test_dump_tensor_inspects_file(self, tmp_path, capsys):
         path = tmp_path / "x.tdmp"
         save_tensor(path, np.arange(6, dtype=np.float64).reshape(2, 3))
