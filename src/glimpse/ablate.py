@@ -8,7 +8,7 @@ needed.
 from __future__ import annotations
 
 from .config import RunConfig, loss_variant, table_variant
-from .data import Vocab, gen_episode
+from .data import Vocab, episode_seeds, gen_episode
 from .evaluate import evaluate_model
 from .train import train
 
@@ -19,8 +19,8 @@ N_SWEEP = (30, 90)
 
 def _episode_pool(cfg: RunConfig, base_seed: int, count: int):
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
-    return [gen_episode(base_seed ^ i, cfg.n_frames, cfg.n_grid, cfg.dim, vocab)
-            for i in range(count)]
+    return [gen_episode(seed, cfg.n_frames, cfg.n_grid, cfg.dim, vocab)
+            for seed in episode_seeds(base_seed, count)]
 
 
 def _run_variant(label: str, cfg: RunConfig, train_episodes: int,

@@ -14,6 +14,7 @@ the same modules built in float64.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -171,8 +172,12 @@ class VideoQAModel(Module):
         With ``surrogate=True`` a sparse sampler applies the soft distribution
         instead of the straight-through mask: the forward becomes the smooth
         function whose gradient the straight-through estimator copies, which
-        is the branch the finite-difference oracle can certify.
+        is the branch the finite-difference oracle can certify.  Text rows in
+        another dtype than the parameters' raise ``ValueError``, since they
+        would silently widen (or narrow) the whole selection graph.
         """
+        if t_cls.dtype != self.dtype:
+            raise ValueError(f"text rows are {t_cls.dtype}, the model computes in {self.dtype}")
         cfg = self.cfg
         if self.sampler is None:
             check_frame_count(bundle.v_cls.shape[-2], cfg.n_frames)
@@ -244,11 +249,16 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
 
     Every array is stored as ``<f8``: the float32 parameters and moments of
     a model widen exactly, and ``load_checkpoint`` rounds them back.
+    ``meta.json`` marks a complete checkpoint: an old one is removed before
+    anything is overwritten and the new one is moved into place last, so a
+    save that stops midway leaves a directory that refuses to load instead
+    of a mix of old and new parameters.
     """
     directory = Path(directory)
     (directory / "params").mkdir(parents=True, exist_ok=True)
+    meta = directory / "meta.json"
+    meta.unlink(missing_ok=True)
     (directory / "config.json").write_text(model.cfg.to_json())
-    (directory / "meta.json").write_text(json.dumps({"step": step, "format": 1}))
     for name, arr in model.state_dict().items():
         save_tensor(directory / "params" / f"{name}.tdmp", arr)
     if optimizer_state is not None:
@@ -258,24 +268,33 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
         for name, (m, v) in optimizer_state["moments"].items():
             save_tensor(opt_dir / f"{name}.m.tdmp", m)
             save_tensor(opt_dir / f"{name}.v.tdmp", v)
+    partial = directory / "meta.json.partial"
+    partial.write_text(json.dumps({"step": step, "format": 1}))
+    os.replace(partial, meta)
 
 
 def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     """Rebuild the model, its step and the AdamW state from ``directory``.
 
-    Parameters and moments are read from ``<f8`` dumps and cast to the
+    Parameters and moments are read from ``<f8`` dumps and cast once to the
     parameters' dtype, so a float32 model round-trips bit for bit
     and a checkpoint holding float64 weights loads rounded to float32.  An
     annealed sampler gets the selection temperature of the last step taken.
+    A directory without ``meta.json`` (no checkpoint, or a save that did not
+    finish) raises ``ValueError``.
     """
     directory = Path(directory)
+    if not (directory / "meta.json").is_file():
+        raise ValueError(f"{directory} holds no complete checkpoint: meta.json is missing "
+                         "(no checkpoint was saved there, or a save did not finish)")
     cfg = RunConfig.from_file(directory / "config.json")
     meta = json.loads((directory / "meta.json").read_text())
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
     model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    dtype = model.dtype
     state = {}
     for path in sorted((directory / "params").glob("*.tdmp")):
-        state[path.name[:-5]] = load_tensor(path)
+        state[path.name[:-5]] = load_tensor(path, dtype)
     model.load_state_dict(state)
     step = meta["step"]
     if model.sampler is not None:
@@ -287,7 +306,7 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
         moments = {}
         for m_path in sorted(opt_dir.glob("*.m.tdmp")):
             name = m_path.name[:-7]
-            moments[name] = (load_tensor(m_path).astype(model.dtype),
-                             load_tensor(opt_dir / f"{name}.v.tdmp").astype(model.dtype))
+            moments[name] = (load_tensor(m_path, dtype),
+                             load_tensor(opt_dir / f"{name}.v.tdmp", dtype))
         optimizer_state = {"t": t, "moments": moments}
     return model, step, optimizer_state

@@ -190,22 +190,27 @@ def total_loss(l_vtm: Tensor, l_vgmlm: Tensor, l_cl: Tensor,
     return l_vtm * weights[0] + l_vgmlm * weights[1] + l_cl * weights[2]
 
 
-def answer_open_ended(v_cls_star: Tensor, mlp_head: Mlp) -> int:
-    """Answer index from the video CLS alone; ties resolve to the lowest index.
+def answer_open_ended(v_cls_star: Tensor, mlp_head: Mlp):
+    """Answer index per video CLS row, (..., D) -> (...); ties resolve to the
+    lowest index.  One (D,) row gives an int.
 
     No text embedding enters this head: the question can steer the answer only
     through the conditioning it already applied inside the visual pipeline.
     """
-    logits = mlp_head(T.reshape(v_cls_star, (1, v_cls_star.size)))
-    return int(np.argmax(logits.data[0]))
+    rows = T.reshape(v_cls_star, (-1, v_cls_star.shape[-1]))
+    picks = np.argmax(mlp_head(rows).data, axis=-1).reshape(v_cls_star.shape[:-1])
+    return int(picks) if picks.ndim == 0 else picks
 
 
-def answer_multichoice(candidate_v_cls_stars: Tensor, vtm_head: Linear) -> int:
-    """Pick the candidate whose matched logit is largest (lowest index on ties)."""
-    if candidate_v_cls_stars.ndim != 2 or candidate_v_cls_stars.shape[0] < 1:
-        raise ValueError("expected a (C, D) candidate batch")
-    logits = vtm_head(candidate_v_cls_stars)
-    return int(np.argmax(logits.data[:, MATCHED]))
+def answer_multichoice(candidate_v_cls_stars: Tensor, vtm_head: Linear):
+    """Pick the candidate whose matched logit is largest (lowest index on ties).
+
+    (C, D) candidates give an int; (..., C, D) give one pick per leading entry.
+    """
+    if candidate_v_cls_stars.ndim < 2 or candidate_v_cls_stars.shape[-2] < 1:
+        raise ValueError("expected a (..., C, D) candidate batch")
+    picks = np.argmax(vtm_head(candidate_v_cls_stars).data[..., MATCHED], axis=-1)
+    return int(picks) if picks.ndim == 0 else picks
 
 
 def answer_cross_entropy(v_cls_star_batch: Tensor, answers: Sequence[int],

@@ -75,7 +75,8 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
 
     ``rng_seed`` is one seed for all of ``x``, or a sequence of seeds, one
     per entry of its leading (batch) axis: each entry then draws the noise it
-    would draw alone, so batching and row order cannot change a draw.  The
+    would draw alone, so batching and row order cannot change a draw.  Each
+    distinct seed is drawn once and shared by the entries that carry it.  The
     noise is drawn in float64 and rounded to the dtype of ``x``.
     """
     if tau_g <= 0:
@@ -85,7 +86,9 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
     if np.ndim(rng_seed):
         if len(rng_seed) != x.shape[0]:
             raise ValueError(f"{len(rng_seed)} noise seeds for {x.shape[0]} rows")
-        noise = np.stack([gumbel_noise(x.shape[1:], seed) for seed in rng_seed])
+        slot = {seed: j for j, seed in enumerate(dict.fromkeys(rng_seed))}
+        draws = np.stack([gumbel_noise(x.shape[1:], seed) for seed in slot])
+        noise = draws[[slot[seed] for seed in rng_seed]]
     else:
         noise = gumbel_noise(x.shape, rng_seed)
     return T.softmax_stable((x + noise) * (1.0 / tau_g), axis=-1)

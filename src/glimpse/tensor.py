@@ -630,7 +630,8 @@ def save_tensor(path, array) -> None:
         fh.write(arr.astype("<f8").tobytes())
 
 
-def load_tensor(path) -> Array:
+def load_tensor(path, dtype=np.float64) -> Array:
+    """Read a dump as a fresh ``dtype`` array, cast from the ``<f8`` payload in one copy."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -640,7 +641,6 @@ def load_tensor(path) -> Array:
     dims = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
     offset += 8 * rank
     count = int(np.prod(dims)) if rank else 1
-    payload = blob[offset:]
-    if len(payload) != 8 * count:
+    if len(blob) - offset != 8 * count:
         raise ValueError(f"{path}: payload size does not match header dims")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+    return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims).astype(dtype)

@@ -11,7 +11,7 @@ from glimpse.data import FrameBundle, Vocab, gen_episode
 from glimpse.evaluate import evaluate_model
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.train import tau_g_at, train
-from glimpse.tensor import Tensor
+from glimpse.tensor import Tensor, save_tensor
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +185,34 @@ class TestCheckpoints:
         loaded, step, _ = load_checkpoint(tmp_path)
         assert loaded.sampler.tau_g == model.sampler.tau_g == tau_g_at(cfg, step - 1)
         assert evaluate_model(loaded, episodes, 5) == evaluate_model(model, episodes, 5)
+
+    def test_interrupted_save_refuses_to_load(self, tmp_path, monkeypatch, world):
+        # A save that stops partway over an older checkpoint must not leave a
+        # mix of old and new parameters that loads without error.
+        cfg, vocab, episode = world
+        save_checkpoint(tmp_path, build(cfg, vocab), step=1)
+        newer = build(cfg, vocab)
+        for p in newer.parameters():
+            p.data = p.data + np.float32(1.0)
+        written = []
+
+        def failing(path, array):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(path)
+            save_tensor(path, array)
+
+        monkeypatch.setattr("glimpse.model.save_tensor", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path, newer, step=2)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="meta.json is missing"):
+            load_checkpoint(tmp_path)
+        save_checkpoint(tmp_path, newer, step=2)
+        loaded, step, _ = load_checkpoint(tmp_path)
+        assert step == 2
+        assert (represent_one(loaded, episode, 4)["v_star"].data
+                == represent_one(newer, episode, 4)["v_star"].data).all()
 
     def test_mismatched_state_rejected(self, tmp_path, world):
         cfg, vocab, _ = world

@@ -16,7 +16,7 @@ from glimpse.data import Vocab, gen_episode
 from glimpse.evaluate import evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.nn import Mlp
-from glimpse.tensor import Tensor
+from glimpse.tensor import Tensor, load_tensor, save_tensor
 from glimpse.train import AdamW, train_step
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -99,6 +99,36 @@ def test_checkpoint_round_trip_keeps_dtype_and_bytes(tmp_path):
     a = train_step(model, optimizer, episodes, cfg, 2)
     b = train_step(loaded, resumed, episodes, cfg, 2)
     assert a == b
+
+
+def test_load_tensor_casts_to_the_requested_dtype(tmp_path):
+    arr = np.random.default_rng(2).normal(size=(3, 4))
+    save_tensor(tmp_path / "a.tdmp", arr)
+    got = load_tensor(tmp_path / "a.tdmp", np.float32)
+    assert got.dtype == F32 and got.flags.writeable
+    assert got.tobytes() == arr.astype(np.float32).tobytes()
+    assert load_tensor(tmp_path / "a.tdmp").tobytes() == arr.tobytes()
+
+
+def test_checkpoint_arrays_are_cast_once(tmp_path, monkeypatch):
+    # Each dump is read straight into the model's dtype, and that array is
+    # the one the model and the optimizer state keep: no second copy.
+    cfg = desk_config(seed=6, batch_size=4)
+    model, optimizer, episodes = setup(cfg)
+    train_step(model, optimizer, episodes, cfg, 0)
+    save_checkpoint(tmp_path, model, 1, optimizer.state())
+    read = []
+
+    def recorded(path, dtype=np.float64):
+        read.append(load_tensor(path, dtype))
+        return read[-1]
+
+    monkeypatch.setattr("glimpse.model.load_tensor", recorded)
+    loaded, _, opt_state = load_checkpoint(tmp_path)
+    kept = [*loaded.state_dict().values(),
+            *(arr for pair in opt_state["moments"].values() for arr in pair)]
+    assert {id(arr) for arr in read} == {id(arr) for arr in kept}
+    assert len(read) == len(kept)
 
 
 def test_float64_checkpoint_loads_rounded(tmp_path):

@@ -4,6 +4,7 @@ straight-through discretization, and the three selection modes."""
 import numpy as np
 import pytest
 
+from glimpse import sampler as sampler_module
 from glimpse import tensor as T
 from glimpse.config import RunConfig
 from glimpse.data import FrameBundle, Vocab
@@ -41,8 +42,9 @@ def make_model(sampler="sparse", n=6, k=2, seed=0):
     return VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(seed))
 
 
-def text_row(rng, d=MODEL_DIM):
-    return Tensor(rng.normal(size=(1, d)))
+def text_row(rng, d=MODEL_DIM, dtype=np.float32):
+    """A text condition in the model's dtype (float32 unless cast)."""
+    return Tensor(rng.normal(size=(1, d)).astype(dtype))
 
 
 def hard_rows(y_soft):
@@ -139,6 +141,24 @@ class TestGumbelSoftmax:
         b = gumbel_softmax(x, 1.0, rng_seed=42).data
         assert (a == b).all()
 
+    def test_each_distinct_seed_is_drawn_once(self, monkeypatch):
+        # Rows sharing a seed share one draw, and every row still gets
+        # exactly the noise it would draw alone.
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(5, 2, 6)).astype(np.float32))
+        seeds = [3, 9, 3, 3, 9]
+        alone = [gumbel_softmax(x[r:r + 1], 1.0, [seed]).data for r, seed in enumerate(seeds)]
+        drawn = []
+
+        def counted(shape, rng_seed):
+            drawn.append(rng_seed)
+            return gumbel_noise(shape, rng_seed)
+
+        monkeypatch.setattr(sampler_module, "gumbel_noise", counted)
+        y = gumbel_softmax(x, 1.0, seeds)
+        assert drawn == [3, 9]
+        assert y.data.tobytes() == np.concatenate(alone).tobytes()
+
     def test_gumbel_max_frequencies_match_softmax(self):
         # Selection frequencies of argmax(x + g) follow softmax(x); 30k draws
         # here, the acceptance suite runs the full 100k version.
@@ -192,7 +212,7 @@ class TestSparseSample:
         rng = np.random.default_rng(10)
         bundle = make_bundle(rng, d=MODEL_DIM)
         model = make_model().astype(np.float64)  # compared with float64 frames
-        selected, indices = model.select(bundle, text_row(rng), rng_seed=3)
+        selected, indices = model.select(bundle, text_row(rng, dtype=np.float64), rng_seed=3)
         assert selected.shape == (2, 4, MODEL_DIM)
         for row, frame in enumerate(indices):
             assert (selected.data[row] == bundle.v_patch[frame]).all()
@@ -212,6 +232,19 @@ class TestSparseSample:
         s2, i2 = model.select(bundle, t, rng_seed=7)
         assert (i1 == i2).all()
         assert (s1.data == s2.data).all()
+
+    def test_text_rows_in_another_dtype_rejected(self):
+        # A float64 row would silently widen a float32 model's graph.
+        rng = np.random.default_rng(20)
+        bundle = make_bundle(rng, d=MODEL_DIM)
+        for sampler in ("sparse", "soft", "uniform"):
+            model = make_model(sampler)
+            with pytest.raises(ValueError,
+                               match="text rows are float64, the model computes in float32"):
+                model.select(bundle, text_row(rng, dtype=np.float64), rng_seed=0)
+            with pytest.raises(ValueError,
+                               match="text rows are float32, the model computes in float64"):
+                model.astype(np.float64).select(bundle, text_row(rng), rng_seed=0)
 
     def test_frame_count_mismatch_rejected(self):
         # Every selection mode, the surrogate branch included, checks the count.
@@ -311,8 +344,8 @@ class TestUniformSelect:
         rng = np.random.default_rng(19)
         bundle = make_bundle(rng, d=MODEL_DIM)
         model = make_model("uniform", k=3)
-        t = Tensor(rng.normal(size=(1, MODEL_DIM)), requires_grad=True)
+        t = Tensor(rng.normal(size=(1, MODEL_DIM)).astype(np.float32), requires_grad=True)
         selected, indices = model.select(bundle, t, rng_seed=0)
         assert selected.requires_grad is False
         np.testing.assert_array_equal(indices, uniform_indices(6, 3))
-        np.testing.assert_array_equal(selected.data, bundle.v_patch[indices])
+        np.testing.assert_array_equal(selected.data, bundle.v_patch[indices].astype(np.float32))

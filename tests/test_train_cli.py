@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from glimpse import evaluate as geval
 from glimpse import tensor as T
 from glimpse.cli import main
 from glimpse.config import desk_config
@@ -14,8 +15,8 @@ from glimpse.data import FrameBundle, Vocab, gen_episode, save_dataset
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.sampler import uniform_indices
-from glimpse.train import (AdamW, NumericFailure, derive_seed, lr_at, tau_g_at, train,
-                           train_step)
+from glimpse.train import (AdamW, NumericFailure, derive_seed, episode_noise_seed, lr_at,
+                           tau_g_at, train, train_step)
 from glimpse.tensor import Tensor, load_tensor, save_tensor
 
 
@@ -161,27 +162,76 @@ class TestTapeLifetime:
             gc.enable()
 
     def test_eval_represents_each_distinct_text_once_per_episode(self, monkeypatch):
+        # A pass is a list of (episode, distinct text) rows: own question,
+        # foreign question and MCQ candidates, each once, on the episode's
+        # video with its noise seed.  A call carries at most the token
+        # budget's rows; a small budget splits the rows of one episode
+        # across calls without changing the report.
         cfg = smoke_config()
         episodes = pool(cfg, 8)
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
                              np.random.default_rng(cfg.seed))
         expected = evaluate_model(model, episodes, eval_seed=4)
-        calls = []
+        owner = {episode_noise_seed(4, ep.seed, 0): i for i, ep in enumerate(episodes)}
         real = model.represent
+        whole = geval.REFINER_TOKENS_PER_CALL
+        for budget, n_calls in ((whole, 1), (7 * (1 + cfg.k_select * cfg.n_grid ** 2), None)):
+            monkeypatch.setattr(geval, "REFINER_TOKENS_PER_CALL", budget)
+            per_call = geval.rows_per_call(cfg)
+            calls = []
 
-        def counted(bundle, token_ids, rng_seeds, **kwargs):
-            calls.append((bundle.v_patch.shape[0], [tuple(t) for t in token_ids],
-                          set(rng_seeds)))
-            return real(bundle, token_ids, rng_seeds, **kwargs)
+            def counted(bundle, token_ids, rng_seeds, **kwargs):
+                calls.append((bundle, [tuple(t) for t in token_ids], list(rng_seeds)))
+                return real(bundle, token_ids, rng_seeds, **kwargs)
 
-        monkeypatch.setattr(model, "represent", counted)
-        assert evaluate_model(model, episodes, eval_seed=4) == expected
-        # One call per episode: one shared video, one noise seed, and each
-        # distinct text once (own text, foreign text, 4 other MCQ candidates).
-        assert len(calls) == len(episodes)
-        for shared, texts, seeds in calls:
-            assert shared == 1 and len(seeds) == 1
-            assert len(texts) == len(set(texts)) <= 6
+            monkeypatch.setattr(model, "represent", counted)
+            assert evaluate_model(model, episodes, eval_seed=4) == expected
+            rows = []
+            for bundle, texts, seeds in calls:
+                assert len(texts) <= per_call
+                for r, (text, seed) in enumerate(zip(texts, seeds)):
+                    i = owner[seed]
+                    shown = bundle.v_cls[r if bundle.v_cls.shape[0] > 1 else 0]
+                    assert (shown == episodes[i].frame_cls.astype(model.dtype)).all()
+                    rows.append((i, text))
+            assert len(rows) == len(set(rows))
+            assert len(calls) == (n_calls or -(-len(rows) // per_call))
+            for i, ep in enumerate(episodes):
+                texts = {text for j, text in rows if j == i}
+                assert tuple(ep.question_tokens) in texts
+                assert tuple(episodes[(i + 1) % len(episodes)].question_tokens) in texts
+                assert len(texts) <= 6
+        assert per_call == 7 and len(calls) > 1
+
+
+class TestEvalBatching:
+    def test_one_row_per_call_gives_identical_reports(self, monkeypatch):
+        # Rows never interact, so the size of a represent call cannot change
+        # any metric of the clean, blind or no-MCQ passes.
+        cfg = smoke_config(init_std=0.3)
+        episodes = pool(cfg, 12)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(cfg.seed))
+
+        def reports():
+            return (evaluate_with_blind_probes(model, episodes, eval_seed=4),
+                    evaluate_model(model, episodes, eval_seed=4, with_mcq=False),
+                    evaluate_model(model, episodes, eval_seed=4, blind="gaussian"))
+
+        expected = reports()
+        assert geval.rows_per_call(cfg) > 6 * len(episodes)
+        monkeypatch.setattr(geval, "REFINER_TOKENS_PER_CALL", 1)
+        assert geval.rows_per_call(cfg) == 1
+        assert reports() == expected
+        with pytest.raises(ValueError, match="no episodes to evaluate"):
+            evaluate_model(model, [], eval_seed=4)
+
+    def test_budget_sets_rows_per_call(self):
+        # 1 CLS + K * n_grid^2 patch tokens per row.
+        assert geval.rows_per_call(desk_config()) == 240
+        assert geval.rows_per_call(desk_config(n_frames=100, k_select=16, dim=256,
+                                               n_grid=7)) == 5
+        assert geval.rows_per_call(desk_config(k_select=30, n_grid=12)) == 1
 
 
 class TestCli:
@@ -322,6 +372,16 @@ class TestCli:
         assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
                      "--data", str(data)]) == 1
         assert "episode 2 regenerated differently" in capsys.readouterr().err
+
+    def test_eval_of_unfinished_checkpoint_exits_1(self, tmp_path, capsys):
+        cfg = desk_config(depth=1, seed=2)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                                           np.random.default_rng(2)), step=0)
+        (ckpt / "meta.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
+        assert "holds no complete checkpoint: meta.json is missing" in capsys.readouterr().err
 
     def test_eval_rejects_dataset_geometry_and_vocab_mismatch(self, tmp_path, capsys):
         desk = {"--n-frames": "30", "--k-select": "4", "--depth": "1", "--dim": "32",
