@@ -12,13 +12,14 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from .config import GRADCHECK_OVERRIDES, RunConfig
 from .data import Vocab, load_dataset, save_dataset
-from .evaluate import evaluate_model, evaluate_with_blind_probes
+from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
 from .sampler import SamplerParams, selection_rows
@@ -75,7 +76,8 @@ def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
 
 
 def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+    """``path`` opened for writing, or stdout (left open on exit) when not given."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -144,31 +146,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return COMMANDS[args.command](args)
     except NumericFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _dispatch(args) -> int:
-    if args.command == "gradcheck":
-        return _cmd_gradcheck(args)
-    if args.command == "gen-data":
-        return _cmd_gen_data(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "sample-frames":
-        return _cmd_sample_frames(args)
-    if args.command == "ablate":
-        return _cmd_ablate(args)
-    if args.command == "dump-tensor":
-        return _cmd_dump_tensor(args)
-    raise ValueError(f"unknown command {args.command}")
 
 
 def _cmd_gradcheck(args) -> int:
@@ -230,13 +214,9 @@ def _cmd_train(args) -> int:
                                          f"{getattr(cfg, key)!r}" for key in differ))
         resume = {"model_state": ckpt_model.state_dict(),
                   "optimizer_state": opt_state, "step": step}
-    stream = _open_out(args.metrics)
-    try:
+    with _open_out(args.metrics) as stream:
         train(cfg, episodes, out_dir=args.out, metrics_stream=stream,
               resume=resume, checkpoint_every=args.checkpoint_every)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     print(f"checkpoint written to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -245,11 +225,8 @@ def _cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     meta, _, episodes = load_dataset(args.data)
     _check_dataset(meta, model.cfg, "checkpoint config")
-    if args.blind:
-        report = evaluate_with_blind_probes(model, episodes, args.eval_seed,
-                                            modes=tuple(args.blind))
-    else:
-        report = {"clean": evaluate_model(model, episodes, args.eval_seed)}
+    report = evaluate_with_blind_probes(model, episodes, args.eval_seed,
+                                        modes=tuple(args.blind or ()))
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         args.out.write_text(text)
@@ -283,15 +260,11 @@ def _cmd_sample_frames(args) -> int:
         t_row = Tensor(text.reshape(1, -1).astype(sampler.dtype))
         y_soft = selection_rows(frame_cls, t_row, sampler, args.sample_seed)
     indices = np.argmax(y_soft.data, axis=-1)
-    stream = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         for k in range(y_soft.shape[0]):
             line = {"slot": k, "index": int(indices[k]),
                     "soft": [float(x) for x in y_soft.data[k]]}
             stream.write(json.dumps(line) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 
@@ -300,15 +273,11 @@ def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     rows = run_grid(cfg, args.grid, train_episodes=args.train_episodes,
                     eval_episodes=args.eval_episodes, data_seed=args.data_seed)
-    stream = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         header = list(rows[0])
         stream.write(",".join(header) + "\n")
         for row in rows:
             stream.write(",".join(str(row[k]) for k in header) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 
@@ -322,6 +291,11 @@ def _cmd_dump_tensor(args) -> int:
         info["data"] = arr.tolist()
     print(json.dumps(info, indent=1))
     return EXIT_OK
+
+
+COMMANDS = {"gradcheck": _cmd_gradcheck, "gen-data": _cmd_gen_data, "train": _cmd_train,
+            "eval": _cmd_eval, "sample-frames": _cmd_sample_frames, "ablate": _cmd_ablate,
+            "dump-tensor": _cmd_dump_tensor}
 
 
 if __name__ == "__main__":

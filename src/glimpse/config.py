@@ -7,9 +7,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 SAMPLERS = ("sparse", "uniform", "soft", "none")
 FUSIONS = ("la_gate", "cross_attention")
 REFINERS = ("gated", "plain")
+
+# Removed knobs: MLPs are 4*dim wide, the answer head 2*dim, texts <= 16 tokens.
+REMOVED_KEYS = ("mlp_ratio", "answer_hidden", "text_max_len")
 
 
 @dataclass
@@ -52,11 +57,8 @@ class RunConfig:
     soft_warmup: float = 0.0     # fraction of steps applying the soft selection
                                  # branch before switching to straight-through
 
-    # synthetic world / minor sizes
+    # synthetic world
     vocab_seed: int = 7
-    mlp_ratio: int = 4
-    answer_hidden: int = 0       # open-ended head hidden width; 0 means 2*dim
-    text_max_len: int = 16
 
     def validate(self) -> "RunConfig":
         if self.dim % self.heads:
@@ -81,10 +83,6 @@ class RunConfig:
             raise ValueError("init_std must be positive")
         return self
 
-    @property
-    def answer_head_hidden(self) -> int:
-        return self.answer_hidden or 2 * self.dim
-
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True)
 
@@ -97,7 +95,9 @@ class RunConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(values) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            removed = sorted(unknown.intersection(REMOVED_KEYS))
+            note = f" ({', '.join(removed)}: removed, the size is fixed)" if removed else ""
+            raise ValueError(f"unknown config keys: {sorted(unknown)}{note}")
         return cls(**values).validate()
 
     def replace(self, **overrides) -> "RunConfig":
@@ -111,6 +111,12 @@ DESK_OVERRIDES = dict(n_frames=30, k_select=4, depth=2, dim=32, heads=2, n_grid=
 # Tiny sizes for the finite-difference suite, where every parameter element
 # costs two full forward passes.
 GRADCHECK_OVERRIDES = dict(n_frames=6, k_select=2, depth=1, dim=16, heads=2, n_grid=2)
+
+
+def derive_seed(*keys: int) -> int:
+    """Deterministic, well-mixed child seed from integer keys."""
+    ss = np.random.SeedSequence([abs(int(k)) for k in keys])
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def tau_g_at(cfg: RunConfig, step: int) -> float:

@@ -128,9 +128,6 @@ class Vocab:
     def decode(self, ids) -> list[str]:
         return [self.words[int(i)] for i in ids]
 
-    def value_word_id(self, kind: int, value: int) -> int:
-        return self.word_to_id[VALUE_WORDS[KINDS[kind]][value]]
-
     def bag_embedding(self, token_ids) -> np.ndarray:
         """Frozen order-free sentence embedding (mean of word vectors)."""
         return self.embeddings[np.asarray(token_ids, dtype=int)].mean(axis=0)
@@ -155,12 +152,6 @@ def question_tokens(vocab: Vocab, kind: int, window: int,
              VALUE_WORDS[KINDS[others[0]]][attrs[others[0]]],
              VALUE_WORDS[KINDS[others[1]]][attrs[others[1]]], "?"]
     return vocab.encode(words)
-
-
-def parse_question(vocab: Vocab, token_ids) -> tuple[int, int]:
-    """Recover (kind, window) from a tokenized question."""
-    words = vocab.decode(token_ids)
-    return KINDS.index(words[1]), WINDOWS.index(words[3])
 
 
 def stub_frame_encoder(raw_frames: np.ndarray, vocab: Vocab) -> FrameBundle:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import RunConfig, derive_seed
 from .data import NUM_VALUES, Episode, FrameBundle, blind_input
 from .model import VideoQAModel
 from .objectives import MATCHED, UNMATCHED, answer_multichoice, answer_open_ended
 from .tensor import Tensor
-from .train import derive_seed, episode_noise_seed
+from .train import episode_noise_seed
 
 CHANCE = 1.0 / NUM_VALUES
 REFINER_TOKENS_PER_CALL = 4096

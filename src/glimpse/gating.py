@@ -2,19 +2,19 @@
 
 The gate rescales each visual token by its projected cosine similarity to a
 text condition, so text steers which tokens survive without ever being mixed
-into the visual stream.  A video-as-query cross-attention layer with the
-same signature is provided as the ablation drop-in.  Both take their four
-projections from a ``SelfAttention`` module without calling it.  Visual
-tokens are (..., m, D) and text rows (..., L, D); the leading (batch) axes
-broadcast, so one text row per batch entry gates that entry's tokens only.
+into the visual stream.  Video-as-query cross-attention over the text, the
+ablation baseline, has the same signature.  Both take their four projections
+from a ``SelfAttention`` module without calling it, and both return the
+update without the input skip: the blocks that use them add their own
+residual.  Visual tokens are (..., m, D) and text rows (..., L, D); the
+leading (batch) axes broadcast, so one text row per batch entry gates that
+entry's tokens only.
 """
 
 from __future__ import annotations
 
-import math
-
 from . import tensor as T
-from .nn import SelfAttention, merge_heads, split_heads
+from .nn import SelfAttention, attention, merge_heads, split_heads
 from .tensor import Tensor
 
 # Floor (not additive offset) on the projected norms: it guards all-zero
@@ -62,23 +62,14 @@ def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     return params.w_o(merge_heads(gated))
 
 
-def la_gate(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Gate the visual tokens and add the input skip; output shape equals input."""
-    return v + gate_core(v, t_tokens, params)
-
-
 def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Video-as-query attention over text keys/values, without the skip."""
+    """Video-as-query attention over text keys/values, without the skip.
+
+    Unlike the gate, each output row mixes in text content and depends on
+    every text token.
+    """
     _check_inputs(v, t_tokens, params)
     q = split_heads(params.w_q(v), params.heads)           # (..., H, m, d)
     k = split_heads(params.w_k(t_tokens), params.heads)    # (..., H, L, d)
     val = split_heads(params.w_v(t_tokens), params.heads)  # (..., H, L, d)
-    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(params.head_dim))
-    attn = T.softmax_stable(scores, axis=-1)               # (..., H, m, L)
-    return params.w_o(merge_heads(T.matmul(attn, val)))
-
-
-def cross_attention_v2t(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Ablation drop-in for ``la_gate``: same signature, same skip, but the
-    output rows mix text content and depend on every text token."""
-    return v + cross_attention_core(v, t_tokens, params)
+    return params.w_o(merge_heads(attention(q, k, val)))

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .data import FrameBundle
-from .gating import cross_attention_v2t, la_gate
+from .gating import cross_attention_core, gate_core
 from .gradcheck import GradReport, grad_check
 from .nn import Linear, Mlp, SelfAttention, widen_weights
 from .objectives import (
@@ -75,21 +75,21 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
         results[target] = grad_check(tethered, params, epsilon=epsilon,
                                      tolerance=tolerance, names=names)
 
-    # gate and its attention baseline
+    # the gate and its attention baseline, under the input skip their blocks add
     gate = SelfAttention(dim, heads, np.random.default_rng(cfg.seed))
     widen_weights(gate, rng)
     v = Tensor(rng.normal(size=(4, dim)), requires_grad=True)
     t1 = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
     w_gate = _readout(rng, (4, dim))
     check("la_gate",
-          lambda: T.tsum(la_gate(v, t1, gate) * w_gate),
+          lambda: T.tsum((v + gate_core(v, t1, gate)) * w_gate),
           [("v", v), ("t_cls", t1)] + list(gate.named_parameters()))
 
     xattn = SelfAttention(dim, heads, np.random.default_rng(cfg.seed + 1))
     widen_weights(xattn, rng)
     t2 = Tensor(rng.normal(size=(2, dim)), requires_grad=True)
     check("cross_attention_v2t",
-          lambda: T.tsum(cross_attention_v2t(v, t2, xattn) * w_gate),
+          lambda: T.tsum((v + cross_attention_core(v, t2, xattn)) * w_gate),
           [("v", v), ("t_tokens", t2)] + list(xattn.named_parameters()))
 
     # one frame-sampling block over the dense frame sequence

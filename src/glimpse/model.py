@@ -5,6 +5,9 @@ The open-ended answer head consumes only the video CLS token, so question
 information can reach an answer solely through the conditioning it applied
 inside the selection and refinement stacks.
 
+The gated refiner and ``PlainFusion``, a joint transformer over [CLS,
+text, patches], assemble their tokens through the same ``refiner`` code.
+
 The model holds float32 parameters and computes in float32: train steps,
 evaluation and frame sampling all run on them.  Checkpoints store ``<f8``,
 which holds float32 values exactly.  The finite-difference oracle certifies
@@ -13,7 +16,9 @@ the same modules built in float64.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 from typing import Sequence
@@ -21,10 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig, tau_g_at
+from .config import RunConfig, derive_seed, tau_g_at
 from .data import NUM_VALUES, FrameBundle, Vocab
-from .nn import Block, Linear, Mlp, Module, init_normal
-from .refiner import RefinerParams, refine
+from .nn import Block, Linear, Mlp, Module, init_normal, widen_weights
+from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
 from .sampler import (
     SamplerParams,
     apply_mask,
@@ -39,11 +44,6 @@ from .tensor import Tensor, load_tensor, save_tensor
 COMPUTE_DTYPE = np.float32
 
 
-def derive_init_seed(seed: int) -> int:
-    ss = np.random.SeedSequence([abs(int(seed)), 0x1217])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 class TextEncoder(Block):
     """Frozen word embeddings under a small trainable encoder.
 
@@ -52,13 +52,13 @@ class TextEncoder(Block):
     outputs feed the masked-word loss.
     """
 
-    def __init__(self, vocab: Vocab, dim: int, heads: int, rng: np.random.Generator,
-                 max_len: int = 16, mlp_ratio: int = 4):
+    max_len = 16  # tokens per text
+
+    def __init__(self, vocab: Vocab, dim: int, heads: int, rng: np.random.Generator):
         self.embed = Tensor(vocab.embeddings)  # frozen lookup table
-        self.pos = init_normal(rng, (max_len, dim))
+        self.pos = init_normal(rng, (self.max_len, dim))
         self.cls = init_normal(rng, (1, dim))
-        super().__init__(dim, heads, rng, mlp_ratio)
-        self.max_len = max_len
+        super().__init__(dim, heads, rng)
 
     def __call__(self, token_ids) -> tuple[Tensor, Tensor]:
         """Token ids (..., M) -> (t_cls (..., 1, D), token outputs (..., M, D)).
@@ -80,7 +80,7 @@ class TextEncoder(Block):
         return x[..., :1, :], x[..., 1:, :]
 
 
-class PlainFusion(Module):
+class PlainFusion(PatchTokens):
     """Baseline head-end: one joint transformer over [CLS, text, patches].
 
     Text tokens sit in the same sequence as the visual tokens, so unlike the
@@ -89,22 +89,13 @@ class PlainFusion(Module):
     """
 
     def __init__(self, dim: int, heads: int, k_select: int, n_patches: int,
-                 depth: int, rng: np.random.Generator, mlp_ratio: int = 4):
-        self.cls_init = init_normal(rng, (1, dim), 0.02)
-        self.spatial_table = init_normal(rng, (n_patches, dim), 0.02)
-        self.temporal_table_k = init_normal(rng, (k_select, dim), 0.02)
-        self.blocks = [Block(dim, heads, rng, mlp_ratio) for _ in range(depth)]
-        self.dim = dim
-        self.k_select = k_select
-        self.n_patches = n_patches
+                 depth: int, rng: np.random.Generator):
+        super().__init__(dim, k_select, n_patches, rng)
+        self.blocks = [Block(dim, heads, rng) for _ in range(depth)]
 
     def __call__(self, v_patch_k: Tensor, text_rows: Tensor) -> Tensor:
         """Selected patches (..., K, P, D) and text rows (..., L, D) -> CLS (..., D)."""
-        *lead, k, p, d = v_patch_k.shape
-        temporal = T.reshape(self.temporal_table_k, (k, 1, d))
-        body = T.reshape(v_patch_k + self.spatial_table + temporal, (*lead, k * p, d))
-        cls_rows = T.broadcast_to(self.cls_init, (*lead, 1, d))
-        x = T.concat([cls_rows, text_rows, body], axis=-2)
+        x = assemble_refiner_input(v_patch_k, self, text_rows)
         for block in self.blocks:
             x = block(x)
         return x[..., 0, :]
@@ -121,8 +112,7 @@ class VideoQAModel(Module):
         self.vocab = vocab
         n_patches = cfg.n_grid * cfg.n_grid
 
-        self.text_encoder = TextEncoder(vocab, cfg.dim, cfg.heads, rng,
-                                        max_len=cfg.text_max_len, mlp_ratio=cfg.mlp_ratio)
+        self.text_encoder = TextEncoder(vocab, cfg.dim, cfg.heads, rng)
         self.sampler = None
         if cfg.sampler in ("sparse", "soft"):
             self.sampler = SamplerParams(cfg.dim, cfg.heads, cfg.n_frames, cfg.k_select,
@@ -134,19 +124,15 @@ class VideoQAModel(Module):
                                          cfg.depth, rng, fusion=cfg.fusion)
         else:
             self.plain = PlainFusion(cfg.dim, cfg.heads, cfg.k_select, n_patches,
-                                     cfg.depth, rng, mlp_ratio=cfg.mlp_ratio)
+                                     cfg.depth, rng)
 
         self.vtm_head = Linear(cfg.dim, 2, rng)
-        self.answer_head = Mlp(cfg.dim, cfg.answer_head_hidden, rng, out_dim=NUM_VALUES)
+        self.answer_head = Mlp(cfg.dim, 2 * cfg.dim, rng, out_dim=NUM_VALUES)
         self.mlm_head = Mlp(2 * cfg.dim, 2 * cfg.dim, rng, out_dim=len(vocab))
 
         if cfg.init_std != 0.02:
-            # One deterministic re-draw of every projection matrix; positional
-            # tables and norm parameters keep the standard small init.
-            redraw = np.random.default_rng(derive_init_seed(cfg.seed))
-            for name, p in self.named_parameters():
-                if name.endswith(".w"):
-                    p.data = redraw.normal(0.0, cfg.init_std, size=p.data.shape)
+            widen_weights(self, np.random.default_rng(derive_seed(cfg.seed, 0x1217)),
+                          cfg.init_std)
         # Weights are drawn in float64 from the seeded stream, then rounded
         # once, together with the frozen embedding table.
         self.astype(COMPUTE_DTYPE)
@@ -243,70 +229,90 @@ class VideoQAModel(Module):
             p.data = arr
 
 
+CHECKPOINT_FORMAT = 2
+
+
 def save_checkpoint(directory, model: VideoQAModel, step: int,
                     optimizer_state: dict | None = None) -> None:
-    """Write config, step, parameters and optional AdamW state.
+    """Write ``params.tdmp``, the optional ``moments.tdmp`` and ``meta.json``.
 
-    Every array is stored as ``<f8``: the float32 parameters and moments of
-    a model widen exactly, and ``load_checkpoint`` rounds them back.
-    ``meta.json`` marks a complete checkpoint: an old one is removed before
-    anything is overwritten and the new one is moved into place last, so a
-    save that stops midway leaves a directory that refuses to load instead
-    of a mix of old and new parameters.
+    ``params.tdmp`` holds the parameters back to back in ``named_parameters``
+    order, ``moments.tdmp`` every first moment and then every second, all as
+    ``<f8`` (which holds float32 exactly).  ``meta.json`` (format, config,
+    step, the optimizer's ``t``, parameter names) marks a complete save: it
+    and the old moments are removed first and the new one is moved in last,
+    so a save that stops midway refuses to load and no dump of an earlier
+    save outlives a new one.
     """
     directory = Path(directory)
-    (directory / "params").mkdir(parents=True, exist_ok=True)
-    meta = directory / "meta.json"
-    meta.unlink(missing_ok=True)
-    (directory / "config.json").write_text(model.cfg.to_json())
-    for name, arr in model.state_dict().items():
-        save_tensor(directory / "params" / f"{name}.tdmp", arr)
+    directory.mkdir(parents=True, exist_ok=True)
+    meta_path = directory / "meta.json"
+    meta_path.unlink(missing_ok=True)
+    (directory / "moments.tdmp").unlink(missing_ok=True)
+    state = model.state_dict()
+    meta = {"format": CHECKPOINT_FORMAT, "config": dataclasses.asdict(model.cfg),
+            "step": step, "names": list(state)}
+    save_tensor(directory / "params.tdmp", _flat(state.values()))
     if optimizer_state is not None:
-        opt_dir = directory / "opt"
-        opt_dir.mkdir(exist_ok=True)
-        (opt_dir / "opt.json").write_text(json.dumps({"t": optimizer_state["t"]}))
-        for name, (m, v) in optimizer_state["moments"].items():
-            save_tensor(opt_dir / f"{name}.m.tdmp", m)
-            save_tensor(opt_dir / f"{name}.v.tdmp", v)
+        pairs = [optimizer_state["moments"][name] for name in state]
+        save_tensor(directory / "moments.tdmp", _flat([m for m, _ in pairs] + [v for _, v in pairs]))
+        meta["t"] = optimizer_state["t"]
     partial = directory / "meta.json.partial"
-    partial.write_text(json.dumps({"step": step, "format": 1}))
-    os.replace(partial, meta)
+    partial.write_text(json.dumps(meta))
+    os.replace(partial, meta_path)
+
+
+def _flat(arrays) -> np.ndarray:
+    """``arrays`` back to back in one ``<f8`` vector, cast once."""
+    return np.concatenate([a.reshape(-1) for a in arrays], dtype="<f8")
+
+
+def _split(path: Path, dtype, shapes: list) -> list[np.ndarray]:
+    """Read the dump at ``path`` once, in ``dtype``, as views of ``shapes`` back to back."""
+    flat = load_tensor(path, dtype)
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ValueError(f"{path} holds shape {flat.shape}; the model needs ({sum(sizes)},)")
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]),
+                                                         shapes)]
 
 
 def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     """Rebuild the model, its step and the AdamW state from ``directory``.
 
-    Parameters and moments are read from ``<f8`` dumps and cast once to the
-    parameters' dtype, so a float32 model round-trips bit for bit
-    and a checkpoint holding float64 weights loads rounded to float32.  An
-    annealed sampler gets the selection temperature of the last step taken.
-    A directory without ``meta.json`` (no checkpoint, or a save that did not
-    finish) raises ``ValueError``.
+    Each dump is read once in the parameters' dtype and split into the arrays
+    the model and the moments keep: a float32 model round-trips bit for bit,
+    float64 weights load rounded.  An annealed sampler gets the temperature
+    of the last step taken.  ``ValueError`` is raised without ``meta.json``
+    (no checkpoint, or an unfinished save), for another format, for names
+    other than those of the model the config builds, and for a dump of the
+    wrong size.
     """
     directory = Path(directory)
-    if not (directory / "meta.json").is_file():
+    meta_path = directory / "meta.json"
+    if not meta_path.is_file():
         raise ValueError(f"{directory} holds no complete checkpoint: meta.json is missing "
                          "(no checkpoint was saved there, or a save did not finish)")
-    cfg = RunConfig.from_file(directory / "config.json")
-    meta = json.loads((directory / "meta.json").read_text())
-    vocab = Vocab(cfg.vocab_seed, cfg.dim)
-    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
-    dtype = model.dtype
-    state = {}
-    for path in sorted((directory / "params").glob("*.tdmp")):
-        state[path.name[:-5]] = load_tensor(path, dtype)
-    model.load_state_dict(state)
+    meta = json.loads(meta_path.read_text())
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{directory} holds a checkpoint of format {meta.get('format')}; "
+                         f"only format {CHECKPOINT_FORMAT} (params.tdmp, moments.tdmp) "
+                         "can be read")
+    cfg = RunConfig.from_dict(meta["config"])
+    model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
+    names, params = zip(*model.named_parameters())
+    if meta["names"] != list(names):
+        differ = sorted(set(names) ^ set(meta["names"]))
+        raise ValueError(f"checkpoint/model parameter mismatch: {differ[:6]}")
+    shapes = [p.shape for p in params]
+    model.load_state_dict(dict(zip(names, _split(directory / "params.tdmp", model.dtype, shapes))))
     step = meta["step"]
     if model.sampler is not None:
         model.sampler.tau_g = tau_g_at(cfg, max(step - 1, 0))
     optimizer_state = None
-    opt_dir = directory / "opt"
-    if opt_dir.exists():
-        t = json.loads((opt_dir / "opt.json").read_text())["t"]
-        moments = {}
-        for m_path in sorted(opt_dir.glob("*.m.tdmp")):
-            name = m_path.name[:-7]
-            moments[name] = (load_tensor(m_path, dtype),
-                             load_tensor(opt_dir / f"{name}.v.tdmp", dtype))
-        optimizer_state = {"t": t, "moments": moments}
+    if "t" in meta:
+        arrays = _split(directory / "moments.tdmp", model.dtype, shapes * 2)
+        optimizer_state = {"t": meta["t"],
+                           "moments": dict(zip(names, zip(arrays[:len(names)],
+                                                          arrays[len(names):])))}
     return model, step, optimizer_state

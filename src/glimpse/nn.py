@@ -2,7 +2,8 @@
 
 Every block maps (..., S, D) sequences to (..., S, D): the leading axes are a
 batch of independent sequences, so one code path serves a single sequence
-and a batch of them.
+and a batch of them.  ``attention`` is the one attention core: every
+attention path (self, divided space-time, cross) calls it on split heads.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ def init_normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
 
 
 def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25) -> None:
-    """Re-draw all projection matrices at a larger scale.
+    """Re-draw every projection matrix (``*.w``) from N(0, std^2).
 
-    The training init (std 0.02) puts attention scores so close to uniform
-    that key/query gradients sit at the 1e-8 scale, where central differences
-    are pure roundoff.  Finite-difference checks run at a better-conditioned
-    random point instead; the differentiation rules do not depend on it.
+    Positional tables, CLS tokens and norm parameters keep their init.  The
+    training init (std 0.02) puts attention scores so close to uniform that
+    key/query gradients sit at the 1e-8 scale, where central differences are
+    pure roundoff, so finite-difference checks run at a better-conditioned
+    random point; ``RunConfig.init_std`` re-draws through here as well.
     """
     for name, p in module.named_parameters():
         if name.endswith(".w"):
@@ -111,6 +113,13 @@ def merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.swapaxes(x, -3, -2), (*lead, s, h * d))
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q @ k^T / sqrt(d)) @ v`` over split heads: queries (..., H, Sq, d)
+    against keys and values (..., H, Sk, d) give (..., H, Sq, d)."""
+    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax_stable(scores, axis=-1), v)
+
+
 class SelfAttention(Module):
     """Standard multi-head self-attention over (..., S, D) sequences, no biases.
 
@@ -134,9 +143,7 @@ class SelfAttention(Module):
         q = split_heads(self.w_q(x), self.heads)
         k = split_heads(self.w_k(x), self.heads)
         v = split_heads(self.w_v(x), self.heads)
-        scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(self.head_dim))
-        attn = T.softmax_stable(scores, axis=-1)
-        return self.w_o(merge_heads(T.matmul(attn, v)))
+        return self.w_o(merge_heads(attention(q, k, v)))
 
 
 class Mlp(Module):
@@ -158,11 +165,11 @@ class Block(Module):
     parameter names of the whole block.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, mlp_ratio: int = 4):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         self.ln_attn = LayerNorm(dim)
         self.attn = SelfAttention(dim, heads, rng)
         self.ln_mlp = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio * dim, rng)
+        self.mlp = Mlp(dim, 4 * dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln_attn(x))

@@ -4,18 +4,19 @@ A learnable video-level CLS token is prepended to the selected patch tokens;
 stacked blocks then alternate text-conditioned gating with divided space-time
 attention (patches attend across frames at the same spatial slot, then within
 their own frame; the CLS token attends over everything in both stages).  Only
-the final CLS token leaves the module.
+the final CLS token leaves the module.  ``PatchTokens`` (CLS token and
+positional tables) and ``assemble_refiner_input`` are shared with the plain
+joint-transformer baseline, ``model.PlainFusion``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import tensor as T
 from .gating import cross_attention_core, gate_core
-from .nn import LayerNorm, Mlp, Module, SelfAttention, init_normal, merge_heads, split_heads
+from .nn import (LayerNorm, Mlp, Module, SelfAttention, attention, init_normal, merge_heads,
+                 split_heads)
 from .tensor import Tensor
 
 
@@ -31,24 +32,16 @@ def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
     if s != 1 + k * p:
         raise ValueError(f"sequence length {s} does not match 1 + {k}*{p}")
     heads, hd = attn.heads, attn.head_dim
-    scale = 1.0 / math.sqrt(hd)
     q = split_heads(attn.w_q(seq), heads)   # (..., H, S, hd)
     key = split_heads(attn.w_k(seq), heads)
     val = split_heads(attn.w_v(seq), heads)
-
-    cls_scores = T.matmul(q[..., :1, :], T.swapaxes(key, -1, -2)) * scale
-    out_cls = T.matmul(T.softmax_stable(cls_scores, axis=-1), val)   # (..., H, 1, hd)
+    out_cls = attention(q[..., :1, :], key, val)   # (..., H, 1, hd)
 
     grid = (*lead, heads, k, p, hd)
-    qp = T.reshape(q[..., 1:, :], grid)
-    kp = T.reshape(key[..., 1:, :], grid)
-    vp = T.reshape(val[..., 1:, :], grid)
-    if temporal:
-        qp = T.swapaxes(qp, -3, -2)  # (..., H, P, K, hd)
-        kp = T.swapaxes(kp, -3, -2)
-        vp = T.swapaxes(vp, -3, -2)
-    scores = T.matmul(qp, T.swapaxes(kp, -1, -2)) * scale
-    grouped = T.matmul(T.softmax_stable(scores, axis=-1), vp)
+    qp, kp, vp = (T.reshape(x[..., 1:, :], grid) for x in (q, key, val))
+    if temporal:  # (..., H, P, K, hd)
+        qp, kp, vp = (T.swapaxes(x, -3, -2) for x in (qp, kp, vp))
+    grouped = attention(qp, kp, vp)
     if temporal:
         grouped = T.swapaxes(grouped, -3, -2)
     out_body = T.reshape(grouped, (*lead, heads, k * p, hd))
@@ -61,7 +54,7 @@ class VrBlock(Module):
     """Gate, temporal attention, spatial attention, MLP; all pre-norm residual."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 fusion: str = "la_gate", mlp_ratio: int = 4):
+                 fusion: str = "la_gate"):
         self.ln_gate = LayerNorm(dim)
         self.gate = SelfAttention(dim, heads, rng)
         self.ln_temporal = LayerNorm(dim)
@@ -69,7 +62,7 @@ class VrBlock(Module):
         self.ln_spatial = LayerNorm(dim)
         self.attn_spatial = SelfAttention(dim, heads, rng)
         self.ln_mlp = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_ratio * dim, rng)
+        self.mlp = Mlp(dim, 4 * dim, rng)
         self.fusion = fusion
 
     def __call__(self, seq: Tensor, t_row: Tensor, k: int, p: int) -> Tensor:
@@ -83,29 +76,38 @@ class VrBlock(Module):
         return seq
 
 
-class RefinerParams(Module):
+class PatchTokens(Module):
+    """CLS token and positional tables over K selected frames of P patches;
+    subclasses draw their blocks after them."""
+
+    def __init__(self, dim: int, k_select: int, n_patches: int, rng: np.random.Generator):
+        self.cls_init = init_normal(rng, (dim,), 0.02)
+        self.spatial_table = init_normal(rng, (n_patches, dim), 0.02)
+        self.temporal_table_k = init_normal(rng, (k_select, dim), 0.02)
+        self.dim = dim
+        self.k_select = k_select
+        self.n_patches = n_patches
+
+
+class RefinerParams(PatchTokens):
     """CLS token, positional tables, and the refinement blocks."""
 
     def __init__(self, dim: int, heads: int, k_select: int, n_patches: int,
                  depth: int, rng: np.random.Generator, fusion: str = "la_gate"):
         if depth < 1:
             raise ValueError("refiner depth must be >= 1")
-        self.cls_init = init_normal(rng, (dim,), 0.02)
-        self.spatial_table = init_normal(rng, (n_patches, dim), 0.02)
-        self.temporal_table_k = init_normal(rng, (k_select, dim), 0.02)
+        super().__init__(dim, k_select, n_patches, rng)
         self.blocks = [VrBlock(dim, heads, rng, fusion) for _ in range(depth)]
-        self.dim = dim
-        self.k_select = k_select
-        self.n_patches = n_patches
 
 
-def assemble_refiner_input(v_patch_k: Tensor, params: RefinerParams) -> Tensor:
+def assemble_refiner_input(v_patch_k: Tensor, params: PatchTokens, *middle: Tensor) -> Tensor:
     """Prepend the CLS token and add positional context to the patch tokens.
 
     Spatial and per-slot temporal embeddings are added once, here, at the
     input of the first block.  Selected patches (..., K, P, D) become a
     (..., 1 + K*P, D) sequence whose row 1 + k*P + p holds patch p of
-    selected frame k.
+    selected frame k.  ``middle`` tensors (..., L, D), such as the plain
+    fusion's text rows, go between the CLS token and the patches.
     """
     if v_patch_k.ndim < 3 or v_patch_k.shape[-2:] != (params.n_patches, params.dim):
         raise ValueError(f"selected patches {v_patch_k.shape} do not match refiner "
@@ -116,7 +118,7 @@ def assemble_refiner_input(v_patch_k: Tensor, params: RefinerParams) -> Tensor:
     body = v_patch_k + params.spatial_table + T.reshape(params.temporal_table_k, (k, 1, d))
     body = T.reshape(body, (*lead, k * p, d))
     cls_rows = T.broadcast_to(params.cls_init, (*lead, 1, d))
-    return T.concat([cls_rows, body], axis=-2)
+    return T.concat([cls_rows, *middle, body], axis=-2)
 
 
 def refine(v_patch_k: Tensor, t_cls: Tensor, params: RefinerParams) -> Tensor:

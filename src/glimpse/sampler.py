@@ -29,10 +29,10 @@ class FsBlock(Block):
     """Pre-norm residual block: text-conditioned gate, then inter-frame attention."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 fusion: str = "la_gate", mlp_ratio: int = 4):
+                 fusion: str = "la_gate"):
         self.ln_gate = LayerNorm(dim)
         self.gate = SelfAttention(dim, heads, rng)
-        super().__init__(dim, heads, rng, mlp_ratio)
+        super().__init__(dim, heads, rng)
         self.fusion = fusion
 
     def __call__(self, seq: Tensor, t_row: Tensor) -> Tensor:

@@ -27,6 +27,8 @@ tapes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -614,33 +616,45 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # -- binary dump format ---------------------------------------------------------
 
 _MAGIC = b"TDMP"
+_CHUNK_BYTES = 1 << 20
 
 
 def save_tensor(path, array) -> None:
     """Write ``array`` in the dump format: magic, u32 rank, u64 dims, f64 payload.
 
-    A float32 array is widened to ``<f8`` on disk, which holds it exactly.
+    A float32 array is widened to ``<f8`` on disk, which holds it exactly.  The
+    payload is written from the buffer of that one ``<f8`` array (the array
+    itself when it is already contiguous ``<f8``).
     """
-    arr = np.asarray(array.data if isinstance(array, Tensor) else array, dtype=np.float64)
+    arr = np.asarray(array.data if isinstance(array, Tensor) else array, dtype="<f8", order="C")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        if arr.ndim:
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype("<f8").tobytes())
+        fh.write(_MAGIC + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+        fh.write(arr.data)
 
 
 def load_tensor(path, dtype=np.float64) -> Array:
-    """Read a dump as a fresh ``dtype`` array, cast from the ``<f8`` payload in one copy."""
+    """Read a dump into a fresh ``dtype`` array.
+
+    The ``<f8`` payload passes through one reused buffer of ``_CHUNK_BYTES``
+    and is cast into the result chunk by chunk, so a dump is never held twice.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic, not a tensor dump")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    offset = 8
-    dims = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-    offset += 8 * rank
-    count = int(np.prod(dims)) if rank else 1
-    if len(blob) - offset != 8 * count:
-        raise ValueError(f"{path}: payload size does not match header dims")
-    return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims).astype(dtype)
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != _MAGIC:
+            raise ValueError(f"{path}: bad magic, not a tensor dump")
+        (rank,) = struct.unpack("<I", head[4:])
+        raw = fh.read(8 * rank)
+        if len(raw) != 8 * rank:
+            raise ValueError(f"{path}: header ends before its {rank} dims")
+        dims = struct.unpack(f"<{rank}Q", raw)
+        count = math.prod(dims)
+        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * count:
+            raise ValueError(f"{path}: payload size does not match header dims")
+        out = np.empty(dims, dtype)
+        flat = out.reshape(-1)
+        chunk = np.empty(max(1, min(count, _CHUNK_BYTES // 8)), "<f8")
+        for start in range(0, count, chunk.size):
+            part = chunk[:count - start]
+            fh.readinto(part)
+            flat[start:start + part.size] = part
+    return out

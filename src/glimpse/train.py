@@ -10,7 +10,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig, tau_g_at
+from .config import RunConfig, derive_seed, tau_g_at
 from .data import Episode, FrameBundle, Vocab
 from .model import VideoQAModel, save_checkpoint
 from .objectives import (
@@ -35,12 +35,6 @@ class NumericFailure(RuntimeError):
         super().__init__(f"non-finite loss term '{term}' at step {step}")
         self.term = term
         self.step = step
-
-
-def derive_seed(*keys: int) -> int:
-    """Deterministic, well-mixed child seed from integer keys."""
-    ss = np.random.SeedSequence([abs(int(k)) for k in keys])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def episode_noise_seed(cfg_seed: int, episode_seed: int, step: int) -> int:

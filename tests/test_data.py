@@ -10,12 +10,12 @@ from glimpse.data import (
     KINDS,
     NUM_VALUES,
     VALUE_WORDS,
+    WINDOWS,
     Episode,
     Vocab,
     blind_input,
     gen_episode,
     load_dataset,
-    parse_question,
     save_dataset,
     stub_frame_encoder,
     window_bounds,
@@ -74,8 +74,8 @@ class TestGenEpisode:
         for ep in episodes(vocab, 300):
             lo, hi = window_bounds(ep.window, N_FRAMES)
             assert lo <= ep.event_frame < hi
-            kind, window = parse_question(vocab, ep.question_tokens)
-            assert (kind, window) == (ep.question_kind, ep.window)
+            words = vocab.decode(ep.question_tokens)
+            assert (words[1], words[3]) == (KINDS[ep.question_kind], WINDOWS[ep.window])
 
     def test_answer_is_queried_attribute(self, vocab):
         for ep in episodes(vocab, 100):

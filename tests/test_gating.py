@@ -1,12 +1,13 @@
-"""Algebraic contract of the text-conditioned gate and its attention baseline."""
+"""Algebraic contract of the text-conditioned gate, its attention baseline and
+the attention core they share with every attention path."""
 
 import numpy as np
 import pytest
 
 from glimpse import tensor as T
-from glimpse.gating import _head_importance, cross_attention_v2t, gate_core, la_gate
+from glimpse.gating import _head_importance, cross_attention_core, gate_core
 from glimpse.gradcheck import grad_check
-from glimpse.nn import SelfAttention
+from glimpse.nn import SelfAttention, attention
 from glimpse.tensor import Tensor
 
 
@@ -71,9 +72,12 @@ class TestImportanceVector:
 
 
 class TestLaGate:
+    """The gated value path as the blocks apply it, before their input skip."""
+
     def test_zero_gate_identity(self):
         # Construct projections so every gate coefficient is exactly zero:
         # w_k maps the text onto a coordinate line orthogonal to every query.
+        # The update is then exactly zero, and the block's skip passes v on.
         dim, heads = 4, 2
         params = identity_params(dim=dim, heads=heads)
         wk = np.zeros((dim, dim))
@@ -83,19 +87,19 @@ class TestLaGate:
         v = np.zeros((3, dim))
         v[:, 0] = [1.0, -2.0, 0.5]
         v[:, 2] = [0.3, 0.7, -0.1]
-        out = la_gate(Tensor(v), Tensor(np.ones((1, dim))), params)
-        np.testing.assert_array_equal(out.data, v)
+        out = gate_core(Tensor(v), Tensor(np.ones((1, dim))), params)
+        np.testing.assert_array_equal(out.data, 0.0)
 
     def test_row_locality_bitwise(self):
         rng = np.random.default_rng(3)
         params = make_params()
         v = rng.normal(size=(6, 8))
         t = Tensor(rng.normal(size=(1, 8)))
-        base = la_gate(Tensor(v), t, params).data
+        base = gate_core(Tensor(v), t, params).data
         for j in range(6):
             perturbed = v.copy()
             perturbed[j] += rng.normal(size=8)
-            out = la_gate(Tensor(perturbed), t, params).data
+            out = gate_core(Tensor(perturbed), t, params).data
             untouched = [i for i in range(6) if i != j]
             assert (out[untouched] == base[untouched]).all()
 
@@ -106,9 +110,9 @@ class TestLaGate:
         params = make_params()
         v = Tensor(rng.normal(size=(5, 8)))
         t = rng.normal(size=(1, 8))
-        base = la_gate(v, Tensor(t), params).data
+        base = gate_core(v, Tensor(t), params).data
         for exponent in (-8, -2, 1, 6, 15):
-            scaled = la_gate(v, Tensor(t * 2.0 ** exponent), params).data
+            scaled = gate_core(v, Tensor(t * 2.0 ** exponent), params).data
             assert (scaled == base).all()
 
     def test_arbitrary_positive_scale_near_invariance(self):
@@ -116,15 +120,15 @@ class TestLaGate:
         params = make_params()
         v = Tensor(rng.normal(size=(5, 8)))
         t = rng.normal(size=(1, 8))
-        base = la_gate(v, Tensor(t), params).data
+        base = gate_core(v, Tensor(t), params).data
         for c in (0.37, 3.14159, 812.25):
-            scaled = la_gate(v, Tensor(t * c), params).data
+            scaled = gate_core(v, Tensor(t * c), params).data
             np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
     def test_zero_video_gives_zero_output(self):
         rng = np.random.default_rng(6)
         params = make_params()
-        out = la_gate(Tensor(np.zeros((4, 8))), Tensor(rng.normal(size=(1, 8))), params)
+        out = gate_core(Tensor(np.zeros((4, 8))), Tensor(rng.normal(size=(1, 8))), params)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_row_permutation_equivariance(self):
@@ -133,8 +137,8 @@ class TestLaGate:
         v = rng.normal(size=(6, 8))
         t = Tensor(rng.normal(size=(1, 8)))
         perm = rng.permutation(6)
-        direct = la_gate(Tensor(v[perm]), t, params).data
-        permuted = la_gate(Tensor(v), t, params).data[perm]
+        direct = gate_core(Tensor(v[perm]), t, params).data
+        permuted = gate_core(Tensor(v), t, params).data[perm]
         assert (direct == permuted).all()
 
     def test_shape_preserved(self):
@@ -142,12 +146,12 @@ class TestLaGate:
         params = make_params()
         for m in (1, 3, 9):
             v = Tensor(rng.normal(size=(m, 8)))
-            assert la_gate(v, Tensor(rng.normal(size=(1, 8))), params).shape == (m, 8)
+            assert gate_core(v, Tensor(rng.normal(size=(1, 8))), params).shape == (m, 8)
 
     def test_dimension_mismatch_rejected(self):
         params = make_params(dim=8)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            la_gate(Tensor(np.ones((2, 6))), Tensor(np.ones((1, 8))), params)
+            gate_core(Tensor(np.ones((2, 6))), Tensor(np.ones((1, 8))), params)
 
     def test_gradients_pass_oracle(self):
         rng = np.random.default_rng(9)
@@ -156,7 +160,7 @@ class TestLaGate:
         t = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         checked = [v, t] + params.parameters()
         report = grad_check(
-            lambda: T.tmean(la_gate(v, t, params)), checked, epsilon=1e-5
+            lambda: T.tmean(gate_core(v, t, params)), checked, epsilon=1e-5
         )
         assert report.passed, report.summary()
 
@@ -179,10 +183,10 @@ class TestCrossAttentionBaseline:
         params = make_params()
         v = Tensor(rng.normal(size=(5, 8)))
         t = Tensor(rng.normal(size=(1, 8)))
-        out = cross_attention_v2t(v, t, params).data
-        # Softmax over one key is exactly 1, so each row adds the same vector.
+        out = cross_attention_core(v, t, params).data
+        # Softmax over one key is exactly 1, so every row is the same vector.
         projected = (t.data @ params.w_v.w.data) @ params.w_o.w.data
-        np.testing.assert_allclose(out, v.data + projected, atol=1e-12)
+        np.testing.assert_allclose(out, np.broadcast_to(projected, out.shape), atol=1e-12)
 
     def test_no_row_locality_with_two_keys(self):
         # Witness for the contrast with the gate: touching one text token
@@ -191,10 +195,10 @@ class TestCrossAttentionBaseline:
         params = make_params()
         v = Tensor(rng.normal(size=(5, 8)))
         t = rng.normal(size=(2, 8))
-        base = cross_attention_v2t(v, Tensor(t), params).data
+        base = cross_attention_core(v, Tensor(t), params).data
         t2 = t.copy()
         t2[1] += 1.0
-        moved = cross_attention_v2t(v, Tensor(t2), params).data
+        moved = cross_attention_core(v, Tensor(t2), params).data
         assert (np.abs(moved - base) > 0).all()
 
     def test_shape_matches_gate_signature(self):
@@ -202,7 +206,7 @@ class TestCrossAttentionBaseline:
         params = make_params()
         v = Tensor(rng.normal(size=(7, 8)))
         t = Tensor(rng.normal(size=(3, 8)))
-        assert cross_attention_v2t(v, t, params).shape == (7, 8)
+        assert cross_attention_core(v, t, params).shape == (7, 8)
 
     def test_gradients_pass_oracle(self):
         rng = np.random.default_rng(14)
@@ -210,7 +214,30 @@ class TestCrossAttentionBaseline:
         v = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         t = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
         report = grad_check(
-            lambda: T.tmean(cross_attention_v2t(v, t, params)),
+            lambda: T.tmean(cross_attention_core(v, t, params)),
             [v, t] + params.parameters(),
         )
+        assert report.passed, report.summary()
+
+
+class TestAttentionCore:
+    @staticmethod
+    def reference(q, k, v):
+        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return (weights / weights.sum(axis=-1, keepdims=True)) @ v
+
+    def test_matches_numpy_reference_over_leading_axes(self):
+        rng = np.random.default_rng(15)
+        for lead, sq, sk, d in (((), 1, 3, 4), ((2,), 4, 4, 8), ((2, 3), 5, 2, 4)):
+            q, k, v = (rng.normal(size=(*lead, 2, s, d)) for s in (sq, sk, sk))
+            out = attention(Tensor(q), Tensor(k), Tensor(v))
+            assert out.shape == (*lead, 2, sq, d)
+            np.testing.assert_allclose(out.data, self.reference(q, k, v), rtol=1e-12)
+
+    def test_gradients_pass_oracle(self):
+        rng = np.random.default_rng(16)
+        q, k, v = (Tensor(rng.normal(size=(2, 2, s, 4)), requires_grad=True) for s in (3, 5, 5))
+        w = Tensor(rng.normal(size=(2, 2, 3, 4)))
+        report = grad_check(lambda: T.tsum(attention(q, k, v) * w), [q, k, v])
         assert report.passed, report.summary()

@@ -1,6 +1,7 @@
 """Pipeline assembly, variant wiring, determinism, and checkpoints."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from glimpse import tensor as T
 from glimpse.config import RunConfig, desk_config, loss_variant, table_variant
 from glimpse.data import FrameBundle, Vocab, gen_episode
 from glimpse.evaluate import evaluate_model
-from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
+from glimpse.model import PlainFusion, VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.train import tau_g_at, train
 from glimpse.tensor import Tensor, save_tensor
 
@@ -24,6 +25,11 @@ def world():
 
 def build(cfg, vocab):
     return VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+
+
+def zero_moments(model, t=3):
+    return {"t": t, "moments": {name: (np.zeros_like(p.data), np.zeros_like(p.data))
+                                for name, p in model.named_parameters()}}
 
 
 def represent_one(model, episode, rng_seed, **kwargs):
@@ -58,7 +64,7 @@ class TestTextEncoder:
         with pytest.raises(ValueError, match="empty text"):
             model.encode_text([])
         with pytest.raises(ValueError, match="exceeds"):
-            model.encode_text([2] * (cfg.text_max_len + 1))
+            model.encode_text([2] * 17)  # texts hold at most 16 tokens
 
 
 class TestVariants:
@@ -86,6 +92,16 @@ class TestVariants:
         assert rep["t_cls"].shape == (1, 1, cfg.dim)
         assert rep["t_tokens"].shape == (1, len(episode.question_tokens), cfg.dim)
         assert rep["indices"].shape == (1, cfg.k_select)
+
+    def test_plain_fusion_checks_patches_like_the_refiner(self):
+        plain = PlainFusion(16, 2, k_select=2, n_patches=4, depth=1,
+                            rng=np.random.default_rng(0))
+        text = Tensor(np.zeros((3, 16)))
+        assert plain(Tensor(np.zeros((2, 4, 16))), text).shape == (16,)
+        with pytest.raises(ValueError, match="selected frame count 3 != refiner K 2"):
+            plain(Tensor(np.zeros((3, 4, 16))), text)
+        with pytest.raises(ValueError, match=r"do not match refiner \(\.\.\., K, 4, 16\)"):
+            plain(Tensor(np.zeros((2, 5, 16))), text)
 
     def test_loss_rows_set_weights(self, world):
         cfg, vocab, _ = world
@@ -188,24 +204,26 @@ class TestCheckpoints:
 
     def test_interrupted_save_refuses_to_load(self, tmp_path, monkeypatch, world):
         # A save that stops partway over an older checkpoint must not leave a
-        # mix of old and new parameters that loads without error.
+        # mix of old and new parameters and moments that loads without error.
         cfg, vocab, episode = world
-        save_checkpoint(tmp_path, build(cfg, vocab), step=1)
+        older = build(cfg, vocab)
+        save_checkpoint(tmp_path, older, step=1, optimizer_state=zero_moments(older))
         newer = build(cfg, vocab)
         for p in newer.parameters():
             p.data = p.data + np.float32(1.0)
         written = []
 
         def failing(path, array):
-            if len(written) == 3:
+            if len(written) == 1:
                 raise OSError("disk full")
             written.append(path)
             save_tensor(path, array)
 
         monkeypatch.setattr("glimpse.model.save_tensor", failing)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(tmp_path, newer, step=2)
+            save_checkpoint(tmp_path, newer, step=2, optimizer_state=zero_moments(newer))
         monkeypatch.undo()
+        assert written == [tmp_path / "params.tdmp"]
         with pytest.raises(ValueError, match="meta.json is missing"):
             load_checkpoint(tmp_path)
         save_checkpoint(tmp_path, newer, step=2)
@@ -213,6 +231,54 @@ class TestCheckpoints:
         assert step == 2
         assert (represent_one(loaded, episode, 4)["v_star"].data
                 == represent_one(newer, episode, 4)["v_star"].data).all()
+
+    def test_save_without_optimizer_state_drops_older_moments(self, tmp_path, world):
+        # A later save without optimizer state must not load with the moments
+        # an earlier save left in the same directory.
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
+        save_checkpoint(tmp_path, model, step=3, optimizer_state=zero_moments(model))
+        save_checkpoint(tmp_path, model, step=9)
+        _, step, opt_state = load_checkpoint(tmp_path)
+        assert step == 9 and opt_state is None
+
+    def test_save_of_another_config_replaces_every_parameter(self, tmp_path, world):
+        # A uniform-frame model has no sampler parameters: the sparse model's
+        # dumps must not survive its save and make the load refuse.
+        cfg, vocab, episode = world
+        save_checkpoint(tmp_path, build(cfg, vocab), step=1)
+        uniform = build(cfg.replace(sampler="uniform"), vocab)
+        save_checkpoint(tmp_path, uniform, step=2)
+        loaded, step, _ = load_checkpoint(tmp_path)
+        assert step == 2 and loaded.cfg == uniform.cfg
+        assert (represent_one(loaded, episode, 4)["v_star"].data
+                == represent_one(uniform, episode, 4)["v_star"].data).all()
+
+    def test_format_1_checkpoint_rejected(self, tmp_path, world):
+        # Format 1 kept config.json and one dump per parameter under params/;
+        # its meta.json names the format, and the load refuses it by name.
+        cfg, vocab, _ = world
+        (tmp_path / "params").mkdir()
+        (tmp_path / "config.json").write_text(cfg.to_json())
+        for name, arr in build(cfg, vocab).state_dict().items():
+            save_tensor(tmp_path / "params" / f"{name}.tdmp", arr)
+        (tmp_path / "meta.json").write_text(json.dumps({"step": 1, "format": 1}))
+        with pytest.raises(ValueError, match="checkpoint of format 1; only format 2"):
+            load_checkpoint(tmp_path)
+
+    def test_names_or_dump_size_that_do_not_fit_rejected(self, tmp_path, world):
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
+        save_checkpoint(tmp_path, model, step=1, optimizer_state=zero_moments(model))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        first = meta["names"].pop(0)
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"parameter mismatch: \['{first}'\]"):
+            load_checkpoint(tmp_path)
+        save_checkpoint(tmp_path, model, step=1, optimizer_state=zero_moments(model))
+        save_tensor(tmp_path / "moments.tdmp", np.zeros(5))
+        with pytest.raises(ValueError, match=r"moments.tdmp holds shape \(5,\); the model needs"):
+            load_checkpoint(tmp_path)
 
     def test_mismatched_state_rejected(self, tmp_path, world):
         cfg, vocab, _ = world
@@ -247,3 +313,12 @@ class TestConfig:
         # carry "n_max"; they must fail loudly rather than load silently.
         with pytest.raises(ValueError, match=r"unknown config keys: \['n_max'\]"):
             RunConfig.from_dict({**dataclasses.asdict(desk_config()), "n_max": 0})
+
+    def test_removed_size_keys_rejected(self):
+        # The MLP width, the answer-head width and the text length are fixed;
+        # config files that still carry their old knobs must fail loudly, and
+        # say that the key was removed, rather than load silently.
+        for key in ("mlp_ratio", "answer_hidden", "text_max_len"):
+            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\] "
+                                                 rf"\({key}: removed"):
+                RunConfig.from_dict({**dataclasses.asdict(desk_config()), key: 4})

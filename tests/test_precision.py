@@ -111,8 +111,8 @@ def test_load_tensor_casts_to_the_requested_dtype(tmp_path):
 
 
 def test_checkpoint_arrays_are_cast_once(tmp_path, monkeypatch):
-    # Each dump is read straight into the model's dtype, and that array is
-    # the one the model and the optimizer state keep: no second copy.
+    # Each dump is read once, straight into the model's dtype, and the arrays
+    # the model and the optimizer state keep are views of that one read.
     cfg = desk_config(seed=6, batch_size=4)
     model, optimizer, episodes = setup(cfg)
     train_step(model, optimizer, episodes, cfg, 0)
@@ -125,10 +125,12 @@ def test_checkpoint_arrays_are_cast_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("glimpse.model.load_tensor", recorded)
     loaded, _, opt_state = load_checkpoint(tmp_path)
-    kept = [*loaded.state_dict().values(),
-            *(arr for pair in opt_state["moments"].values() for arr in pair)]
-    assert {id(arr) for arr in read} == {id(arr) for arr in kept}
-    assert len(read) == len(kept)
+    assert [arr.dtype for arr in read] == [F32, F32]
+    params = list(loaded.state_dict().values())
+    moments = [arr for pair in opt_state["moments"].values() for arr in pair]
+    assert len(params) == len(opt_state["moments"]) == len(list(model.parameters()))
+    assert all(arr.base is read[0] for arr in params)
+    assert all(arr.base is read[1] for arr in moments)
 
 
 def test_float64_checkpoint_loads_rounded(tmp_path):

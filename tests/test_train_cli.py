@@ -1,5 +1,6 @@
 """Trainer semantics, CLI surface, exit codes, and stream determinism."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -382,6 +383,25 @@ class TestCli:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
         assert "holds no complete checkpoint: meta.json is missing" in capsys.readouterr().err
+
+    def test_format_1_checkpoint_and_removed_config_keys_exit_1(self, tmp_path, capsys):
+        # Both compatibility breaks fail loudly and name their cause: a
+        # format-1 checkpoint, and a config file or flag with a removed knob.
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "meta.json").write_text(json.dumps({"step": 1, "format": 1}))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
+        assert "checkpoint of format 1; only format 2" in capsys.readouterr().err
+        for key in ("mlp_ratio", "answer_hidden", "text_max_len"):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({**dataclasses.asdict(desk_config()), key: 4}))
+            out = ["--out", str(tmp_path / key), "--episodes", "1", "--index-only"]
+            assert main(["gen-data", "--config", str(path), *out]) == 1
+            assert f"unknown config keys: ['{key}'] ({key}: removed" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exit_info:
+                main(["gen-data", "--" + key.replace("_", "-"), "4", *out])
+            assert exit_info.value.code == 1
 
     def test_eval_rejects_dataset_geometry_and_vocab_mismatch(self, tmp_path, capsys):
         desk = {"--n-frames": "30", "--k-select": "4", "--depth": "1", "--dim": "32",
