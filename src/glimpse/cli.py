@@ -203,20 +203,9 @@ def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
     meta, _, episodes = load_dataset(args.data)
     _check_dataset(meta, cfg, "config")
-    resume = None
-    if args.resume:
-        ckpt_model, step, opt_state = load_checkpoint(args.resume)
-        differ = [f.name for f in dataclasses.fields(RunConfig)
-                  if getattr(ckpt_model.cfg, f.name) != getattr(cfg, f.name)]
-        if differ:
-            raise ValueError("--resume checkpoint config differs from this run's config: "
-                             + ", ".join(f"{key}={getattr(ckpt_model.cfg, key)!r} vs "
-                                         f"{getattr(cfg, key)!r}" for key in differ))
-        resume = {"model_state": ckpt_model.state_dict(),
-                  "optimizer_state": opt_state, "step": step}
     with _open_out(args.metrics) as stream:
         train(cfg, episodes, out_dir=args.out, metrics_stream=stream,
-              resume=resume, checkpoint_every=args.checkpoint_every)
+              resume=args.resume, checkpoint_every=args.checkpoint_every)
     print(f"checkpoint written to {args.out}", file=sys.stderr)
     return EXIT_OK
 

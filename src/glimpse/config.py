@@ -83,9 +83,6 @@ class RunConfig:
             raise ValueError("init_std must be positive")
         return self
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True)
-
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))

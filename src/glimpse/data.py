@@ -125,9 +125,6 @@ class Vocab:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.word_to_id[w] for w in tokens]
 
-    def decode(self, ids) -> list[str]:
-        return [self.words[int(i)] for i in ids]
-
     def bag_embedding(self, token_ids) -> np.ndarray:
         """Frozen order-free sentence embedding (mean of word vectors)."""
         return self.embeddings[np.asarray(token_ids, dtype=int)].mean(axis=0)
@@ -203,12 +200,12 @@ def gen_episode(seed: int, n_frames: int, n_grid: int, dim: int, vocab: Vocab) -
     )
 
 
-def blind_input(episode: Episode, mode: str) -> Episode:
-    """Replace the visual stream for language-bias probes.
+def blind_input(episode: Episode, mode: str) -> FrameBundle:
+    """The episode's video with its visual stream replaced, for language-bias probes.
 
     ``static`` freezes frame 0 across the whole video; ``gaussian`` redraws
     every patch from the background distribution (seeded by the episode, so
-    repeated calls agree).  Question and answer are untouched.
+    repeated calls agree).  The question and answer stay the episode's.
     """
     if mode == "static":
         frames = np.broadcast_to(episode.frames[0], episode.frames.shape).copy()
@@ -221,18 +218,7 @@ def blind_input(episode: Episode, mode: str) -> Episode:
         frame_cls = frames.mean(axis=1)
     else:
         raise ValueError(f"unknown blind mode: {mode!r}")
-    return Episode(
-        seed=episode.seed,
-        frames=frames,
-        frame_cls=frame_cls,
-        question_tokens=list(episode.question_tokens),
-        question_cls=episode.question_cls,
-        answer=episode.answer,
-        event_frame=episode.event_frame,
-        event_attr=episode.event_attr,
-        question_kind=episode.question_kind,
-        window=episode.window,
-    )
+    return FrameBundle(v_patch=frames, v_cls=frame_cls)
 
 
 # -- on-disk datasets -----------------------------------------------------------

@@ -30,6 +30,7 @@ from .tensor import Tensor
 from .train import episode_noise_seed
 
 CHANCE = 1.0 / NUM_VALUES
+MCQ_CHOICES = 5  # candidate texts of one multiple-choice question
 REFINER_TOKENS_PER_CALL = 4096
 
 
@@ -51,7 +52,7 @@ def _represent_rows(model: VideoQAModel, episodes: list[Episode], owners: list[i
     v_star, indices = [], []
     for start in range(0, len(texts), per_call):
         chunk = owners[start:start + per_call]
-        shown = {i: (blind_input(episodes[i], blind) if blind else episodes[i]).bundle
+        shown = {i: blind_input(episodes[i], blind) if blind else episodes[i].bundle
                  for i in dict.fromkeys(chunk)}
         rep = model.represent(FrameBundle.stack([shown[i] for i in chunk], model.dtype),
                               texts[start:start + per_call], [seeds[i] for i in chunk])
@@ -62,14 +63,13 @@ def _represent_rows(model: VideoQAModel, episodes: list[Episode], owners: list[i
 
 @T.no_grad()
 def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
-                   blind: str | None = None, mcq_choices: int = 5,
-                   with_mcq: bool = True, with_vtm: bool = True) -> dict:
+                   blind: str | None = None, with_mcq: bool = True, with_vtm: bool = True) -> dict:
     """Deterministic metric pass over a list of episodes.
 
     QA answers come from the open-ended head on the video CLS; matching
     accuracy scores each episode against its own annotation and one foreign
     one; multiple choice asks the matching head to pick the true annotation
-    out of ``mcq_choices``; hit-rate counts episodes whose ground-truth event
+    out of ``MCQ_CHOICES``; hit-rate counts episodes whose ground-truth event
     frame appears among the selected frames.  Nothing is taped.
 
     Each episode contributes its distinct texts as rows, in episode order:
@@ -89,11 +89,11 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
         if with_vtm:
             wanted.append(tuple(episodes[(i + 1) % n].question_tokens))
         choices = []
-        if with_mcq and n > mcq_choices:
+        if with_mcq and n > MCQ_CHOICES:
             rng = np.random.default_rng(derive_seed(eval_seed, 29, i))
-            others = rng.choice([j for j in range(n) if j != i], size=mcq_choices - 1,
+            others = rng.choice([j for j in range(n) if j != i], size=MCQ_CHOICES - 1,
                                 replace=False)
-            slot = int(rng.integers(mcq_choices))
+            slot = int(rng.integers(MCQ_CHOICES))
             choices = [tuple(episodes[j].question_tokens) for j in others]
             choices.insert(slot, question)
             slots.append(slot)
@@ -130,11 +130,10 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
     return metrics
 
 
-def evaluate_with_blind_probes(model: VideoQAModel, episodes: list[Episode],
-                               eval_seed: int, modes: tuple[str, ...] = ("static", "gaussian"),
-                               **kwargs) -> dict:
+def evaluate_with_blind_probes(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
+                               modes: tuple[str, ...] = ("static", "gaussian")) -> dict:
     """Clean metrics plus per-blind-mode QA accuracy and its delta."""
-    report = {"clean": evaluate_model(model, episodes, eval_seed, **kwargs)}
+    report = {"clean": evaluate_model(model, episodes, eval_seed)}
     clean_qa = report["clean"]["qa_accuracy"]
     for mode in modes:
         blinded = evaluate_model(model, episodes, eval_seed, blind=mode,

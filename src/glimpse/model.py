@@ -104,7 +104,9 @@ class PlainFusion(PatchTokens):
 class VideoQAModel(Module):
     """Composes the configured pipeline and owns every trainable parameter."""
 
-    def __init__(self, cfg: RunConfig, vocab: Vocab, rng: np.random.Generator):
+    def __init__(self, cfg: RunConfig, vocab: Vocab, rng: np.random.Generator | None):
+        """Draw the weights from ``rng``.  ``rng=None`` draws nothing (zero weights, no
+        ``init_std`` re-draw); only ``load_checkpoint`` passes it, then binds saved weights."""
         cfg.validate()
         if vocab.dim != cfg.dim:
             raise ValueError("vocab dimension does not match config")
@@ -130,7 +132,7 @@ class VideoQAModel(Module):
         self.answer_head = Mlp(cfg.dim, 2 * cfg.dim, rng, out_dim=NUM_VALUES)
         self.mlm_head = Mlp(2 * cfg.dim, 2 * cfg.dim, rng, out_dim=len(vocab))
 
-        if cfg.init_std != 0.02:
+        if cfg.init_std != 0.02 and rng is not None:
             widen_weights(self, np.random.default_rng(derive_seed(cfg.seed, 0x1217)),
                           cfg.init_std)
         # Weights are drawn in float64 from the seeded stream, then rounded
@@ -212,22 +214,6 @@ class VideoQAModel(Module):
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Copy ``state`` in, cast to each parameter's dtype.
-
-        A float64 state rounds to a float32 model; float32 values written to
-        a float64 dump come back bit for bit.
-        """
-        own = dict(self.named_parameters())
-        if set(own) != set(state):
-            missing = sorted(set(own) ^ set(state))
-            raise ValueError(f"checkpoint/model parameter mismatch: {missing[:6]}")
-        for name, p in own.items():
-            arr = np.asarray(state[name], dtype=p.dtype)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            p.data = arr
-
 
 CHECKPOINT_FORMAT = 2
 
@@ -280,13 +266,14 @@ def _split(path: Path, dtype, shapes: list) -> list[np.ndarray]:
 def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     """Rebuild the model, its step and the AdamW state from ``directory``.
 
-    Each dump is read once in the parameters' dtype and split into the arrays
-    the model and the moments keep: a float32 model round-trips bit for bit,
-    float64 weights load rounded.  An annealed sampler gets the temperature
-    of the last step taken.  ``ValueError`` is raised without ``meta.json``
-    (no checkpoint, or an unfinished save), for another format, for names
-    other than those of the model the config builds, and for a dump of the
-    wrong size.
+    The one way saved state enters a model.  The model is built without a
+    draw, and each dump is read once in the parameters' dtype and split into
+    views that become the parameters and the moments: a float32 model
+    round-trips bit for bit, float64 weights load rounded.  An annealed
+    sampler gets the temperature of the last step taken.  ``ValueError`` is
+    raised without ``meta.json`` (no checkpoint, or an unfinished save), for
+    another format, for names other than those of the model the config
+    builds, and for a dump of the wrong size.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -299,13 +286,14 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
                          f"only format {CHECKPOINT_FORMAT} (params.tdmp, moments.tdmp) "
                          "can be read")
     cfg = RunConfig.from_dict(meta["config"])
-    model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
+    model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), None)
     names, params = zip(*model.named_parameters())
     if meta["names"] != list(names):
         differ = sorted(set(names) ^ set(meta["names"]))
         raise ValueError(f"checkpoint/model parameter mismatch: {differ[:6]}")
     shapes = [p.shape for p in params]
-    model.load_state_dict(dict(zip(names, _split(directory / "params.tdmp", model.dtype, shapes))))
+    for p, arr in zip(params, _split(directory / "params.tdmp", model.dtype, shapes)):
+        p.data = arr
     step = meta["step"]
     if model.sampler is not None:
         model.sampler.tau_g = tau_g_at(cfg, max(step - 1, 0))

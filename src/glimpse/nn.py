@@ -58,8 +58,10 @@ class Module:
         return self
 
 
-def init_normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
+    """A trainable tensor drawn from N(0, 0.02^2); zeros, drawing nothing, for ``rng=None``."""
+    data = np.zeros(shape) if rng is None else rng.normal(0.0, 0.02, size=shape)
+    return Tensor(data, requires_grad=True)
 
 
 def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25) -> None:
@@ -79,9 +81,8 @@ def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25)
 class Linear(Module):
     """Dense projection ``x @ w (+ b)``; weight shape (d_in, d_out)."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = False, std: float = 0.02):
-        self.w = init_normal(rng, (d_in, d_out), std)
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = False):
+        self.w = init_normal(rng, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -92,13 +93,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:

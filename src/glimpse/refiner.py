@@ -81,9 +81,9 @@ class PatchTokens(Module):
     subclasses draw their blocks after them."""
 
     def __init__(self, dim: int, k_select: int, n_patches: int, rng: np.random.Generator):
-        self.cls_init = init_normal(rng, (dim,), 0.02)
-        self.spatial_table = init_normal(rng, (n_patches, dim), 0.02)
-        self.temporal_table_k = init_normal(rng, (k_select, dim), 0.02)
+        self.cls_init = init_normal(rng, (dim,))
+        self.spatial_table = init_normal(rng, (n_patches, dim))
+        self.temporal_table_k = init_normal(rng, (k_select, dim))
         self.dim = dim
         self.k_select = k_select
         self.n_patches = n_patches

@@ -47,7 +47,7 @@ class SamplerParams(Module):
     def __init__(self, dim: int, heads: int, n_frames: int, k_select: int,
                  depth: int, rng: np.random.Generator, fusion: str = "la_gate",
                  tau_g: float = 1.0):
-        self.temporal_table = init_normal(rng, (n_frames, dim), 0.02)
+        self.temporal_table = init_normal(rng, (n_frames, dim))
         self.blocks = [FsBlock(dim, heads, rng, fusion) for _ in range(depth)]
         self.w_s = Linear(dim, k_select, rng)
         self.tau_g = tau_g

@@ -3,6 +3,7 @@ deterministic seeding, JSON-lines metrics, and bit-exact checkpoints."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import IO, Sequence
@@ -12,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig, derive_seed, tau_g_at
 from .data import Episode, FrameBundle, Vocab
-from .model import VideoQAModel, save_checkpoint
+from .model import VideoQAModel, load_checkpoint, save_checkpoint
 from .objectives import (
     MATCHED,
     UNMATCHED,
@@ -195,24 +196,29 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
 
 
 def train(cfg: RunConfig, episodes: Sequence[Episode], out_dir=None,
-          metrics_stream: IO[str] | None = None, resume: dict | None = None,
+          metrics_stream: IO[str] | None = None, resume: str | Path | None = None,
           checkpoint_every: int = 0) -> tuple[VideoQAModel, AdamW, list[dict]]:
     """Run the configured number of steps over the episode pool.
 
-    ``resume`` is the (model_state, optimizer_state, step) payload produced by
-    checkpoint loading; training continues from the recorded step with the
-    same seed streams, so a resumed run emits the same metrics as an
-    uninterrupted one.
+    ``resume`` is a checkpoint directory: its model, AdamW moments and step
+    (via ``load_checkpoint``) go on with the same seed streams, so a resumed
+    run emits the same metrics as an uninterrupted one.  A checkpoint saved
+    under another config raises ``ValueError`` naming every differing key.
     """
-    vocab = Vocab(cfg.vocab_seed, cfg.dim)
-    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    if resume is None:
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
+        start_step, opt_state = 0, None
+    else:
+        model, start_step, opt_state = load_checkpoint(resume)
+        differ = [f.name for f in dataclasses.fields(RunConfig)
+                  if getattr(model.cfg, f.name) != getattr(cfg, f.name)]
+        if differ:
+            raise ValueError("--resume checkpoint config differs from this run's config: "
+                             + ", ".join(f"{key}={getattr(model.cfg, key)!r} vs "
+                                         f"{getattr(cfg, key)!r}" for key in differ))
     optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
-    start_step = 0
-    if resume is not None:
-        model.load_state_dict(resume["model_state"])
-        if resume.get("optimizer_state"):
-            optimizer.load_state(resume["optimizer_state"])
-        start_step = resume["step"]
+    if opt_state is not None:
+        optimizer.load_state(opt_state)
 
     records = []
     for step in range(start_step, cfg.steps):

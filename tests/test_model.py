@@ -6,6 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from glimpse import model as gmodel
+from glimpse import nn
+from glimpse import refiner as grefiner
+from glimpse import sampler as gsampler
 from glimpse import tensor as T
 from glimpse.config import RunConfig, desk_config, loss_variant, table_variant
 from glimpse.data import FrameBundle, Vocab, gen_episode
@@ -202,6 +206,33 @@ class TestCheckpoints:
         assert loaded.sampler.tau_g == model.sampler.tau_g == tau_g_at(cfg, step - 1)
         assert evaluate_model(loaded, episodes, 5) == evaluate_model(model, episodes, 5)
 
+    def test_load_draws_nothing_and_keeps_the_saved_bits(self, tmp_path, monkeypatch, world):
+        # The model a load builds gets every weight from the dump, so building
+        # it must draw none, not even the init_std re-draw; the weights that
+        # come back are the saved ones, bit for bit.
+        cfg, vocab, _ = world
+        original = nn.init_normal
+        for wide in (cfg, cfg.replace(init_std=0.3)):
+            model = build(wide, vocab)
+            save_checkpoint(tmp_path, model, step=1)
+            rngs = []
+
+            def recording(rng, shape, *rest):
+                rngs.append(rng)
+                return original(rng, shape, *rest)
+
+            for module in (nn, gmodel, grefiner, gsampler):
+                monkeypatch.setattr(module, "init_normal", recording)
+            monkeypatch.setattr(gmodel, "widen_weights", lambda *args: rngs.append("widen"))
+            loaded, _, _ = load_checkpoint(tmp_path)
+            monkeypatch.undo()
+            assert rngs and all(rng is None for rng in rngs)
+            saved, back = model.state_dict(), loaded.state_dict()
+            assert list(saved) == list(back)
+            for name, arr in saved.items():
+                assert back[name].dtype == arr.dtype and back[name].shape == arr.shape
+                assert back[name].tobytes() == arr.tobytes()
+
     def test_interrupted_save_refuses_to_load(self, tmp_path, monkeypatch, world):
         # A save that stops partway over an older checkpoint must not leave a
         # mix of old and new parameters and moments that loads without error.
@@ -259,7 +290,7 @@ class TestCheckpoints:
         # its meta.json names the format, and the load refuses it by name.
         cfg, vocab, _ = world
         (tmp_path / "params").mkdir()
-        (tmp_path / "config.json").write_text(cfg.to_json())
+        (tmp_path / "config.json").write_text(json.dumps(dataclasses.asdict(cfg)))
         for name, arr in build(cfg, vocab).state_dict().items():
             save_tensor(tmp_path / "params" / f"{name}.tdmp", arr)
         (tmp_path / "meta.json").write_text(json.dumps({"step": 1, "format": 1}))
@@ -280,14 +311,6 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"moments.tdmp holds shape \(5,\); the model needs"):
             load_checkpoint(tmp_path)
 
-    def test_mismatched_state_rejected(self, tmp_path, world):
-        cfg, vocab, _ = world
-        model = build(cfg, vocab)
-        state = model.state_dict()
-        state.pop(next(iter(state)))
-        with pytest.raises(ValueError, match="mismatch"):
-            model.load_state_dict(state)
-
 
 class TestConfig:
     def test_validation_catches_bad_values(self):
@@ -301,7 +324,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = desk_config(seed=9, lr=1e-3)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert RunConfig.from_file(path) == cfg
 
     def test_unknown_keys_rejected(self):

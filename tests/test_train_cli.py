@@ -111,22 +111,57 @@ class TestTrainLoop:
         assert streams[0] == streams[1]
         assert len(streams[0].splitlines()) == 3
 
-    def test_checkpoints_resume_to_identical_stream(self, tmp_path):
+    def test_checkpoints_resume_to_identical_stream(self, tmp_path, monkeypatch):
+        # A run stopped after step 2 resumes from its checkpoint directory,
+        # under the same config, and emits the rest of the uninterrupted stream.
         cfg = smoke_config(steps=4, batch_size=4)
         episodes = pool(cfg, 8)
         import io
         full = io.StringIO()
         train(cfg, episodes, metrics_stream=full)
 
-        half_dir = tmp_path / "half"
-        cfg_half = cfg.replace(steps=2)
-        train(cfg_half, episodes, out_dir=half_dir)
-        model, step, opt_state = load_checkpoint(half_dir)
-        resume = {"model_state": model.state_dict(), "optimizer_state": opt_state,
-                  "step": step}
+        def stop_at_step_2(model, optimizer, episodes, cfg, step):
+            if step == 2:
+                raise RuntimeError("interrupted")
+            return train_step(model, optimizer, episodes, cfg, step)
+
+        monkeypatch.setattr("glimpse.train.train_step", stop_at_step_2)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            train(cfg, episodes, out_dir=tmp_path, checkpoint_every=2)
+        monkeypatch.undo()
+        assert load_checkpoint(tmp_path)[1] == 2
         rest = io.StringIO()
-        train(cfg, episodes, metrics_stream=rest, resume=resume)
+        train(cfg, episodes, metrics_stream=rest, resume=tmp_path)
         assert full.getvalue().splitlines()[2:] == rest.getvalue().splitlines()
+
+    def test_resume_with_another_config_rejected(self, tmp_path):
+        # Through the API as on the command line, a checkpoint continues only
+        # the config it was saved under: another lr must not go on silently.
+        cfg = smoke_config()
+        episodes = pool(cfg, 8)
+        train(cfg, episodes, out_dir=tmp_path)
+        with pytest.raises(ValueError, match=r"config differs from this run's config: "
+                                             r"lr=0\.001 vs 0\.002$"):
+            train(cfg.replace(lr=2e-3), episodes, resume=tmp_path)
+
+    def test_resume_builds_one_model(self, tmp_path, monkeypatch):
+        # The checkpoint's model is the one trained on: no second model is
+        # built, and the one built draws no weights.
+        cfg = smoke_config()
+        episodes = pool(cfg, 8)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(1))
+        save_checkpoint(tmp_path, model, step=1)
+        rngs = []
+        init = VideoQAModel.__init__
+
+        def counting(self, cfg, vocab, rng):
+            rngs.append(rng)
+            init(self, cfg, vocab, rng)
+
+        monkeypatch.setattr(VideoQAModel, "__init__", counting)
+        _, _, records = train(cfg, episodes, resume=tmp_path)
+        assert rngs == [None]
+        assert [r["step"] for r in records] == [1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_step(self):
@@ -339,7 +374,7 @@ class TestCli:
         cfg = desk_config(seed=2)
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
         save_checkpoint(tmp_path / "ckpt", model, step=0)
-        (tmp_path / "cfg.json").write_text(cfg.to_json())
+        (tmp_path / "cfg.json").write_text(json.dumps(dataclasses.asdict(cfg)))
         rng = np.random.default_rng(0)
         cls_path, text_path = tmp_path / "cls.tdmp", tmp_path / "text.tdmp"
         save_tensor(cls_path, rng.normal(size=(cfg.n_frames, cfg.dim)))
