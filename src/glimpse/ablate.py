@@ -1,14 +1,14 @@
 """Variant grids: train and evaluate configurations side by side.
 
 All variants of a grid share the same seed and step budget, so rows are
-comparable; episode pools regenerate from seeds, so no dataset directory is
-needed.
+comparable; episode pools are ``EpisodeSet``s over seeds, generated as they
+are read, so no dataset directory is needed.
 """
 
 from __future__ import annotations
 
 from .config import RunConfig, loss_variant, table_variant
-from .data import Vocab, episode_seeds, gen_episode
+from .data import EpisodeSet, Vocab, episode_seeds
 from .evaluate import evaluate_model
 from .train import train
 
@@ -17,10 +17,9 @@ FRAME_SWEEP_K = (4, 8, 16, 32)
 N_SWEEP = (30, 90)
 
 
-def _episode_pool(cfg: RunConfig, base_seed: int, count: int):
-    vocab = Vocab(cfg.vocab_seed, cfg.dim)
-    return [gen_episode(seed, cfg.n_frames, cfg.n_grid, cfg.dim, vocab)
-            for seed in episode_seeds(base_seed, count)]
+def _episode_pool(cfg: RunConfig, base_seed: int, count: int) -> EpisodeSet:
+    return EpisodeSet(episode_seeds(base_seed, count), cfg.n_frames, cfg.n_grid,
+                      Vocab(cfg.vocab_seed, cfg.dim))
 
 
 def _run_variant(label: str, cfg: RunConfig, train_episodes: int,

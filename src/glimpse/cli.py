@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import GRADCHECK_OVERRIDES, RunConfig
-from .data import Vocab, load_dataset, save_dataset
+from .data import load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
 from .sampler import SamplerParams, selection_rows
-from .tensor import Tensor, load_tensor, no_grad, save_tensor
+from .tensor import Tensor, load_tensor, no_grad
 from .train import NumericFailure, train
 
 EXIT_OK = 0
@@ -93,13 +93,12 @@ def main(argv=None) -> int:
                    help="also report epsilon sweep {1e-4, 1e-5, 1e-6}")
     p.add_argument("--out", type=Path, default=None, help="write the report as JSON")
 
-    p = sub.add_parser("gen-data", help="generate a synthetic episode dataset")
+    p = sub.add_parser("gen-data",
+                       help="write a synthetic dataset's index (episodes regenerate from seeds)")
     _add_config_flags(p)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--data-seed", type=int, default=1)
-    p.add_argument("--index-only", action="store_true",
-                   help="skip per-episode tensor dumps (episodes regenerate from seeds)")
 
     p = sub.add_parser("train", help="train on a generated dataset")
     _add_config_flags(p)
@@ -182,7 +181,7 @@ def _cmd_gen_data(args) -> int:
     cfg = _config_from_args(args)
     save_dataset(args.out, base_seed=args.data_seed, count=args.episodes,
                  n_frames=cfg.n_frames, n_grid=cfg.n_grid, dim=cfg.dim,
-                 vocab_seed=cfg.vocab_seed, materialize=not args.index_only)
+                 vocab_seed=cfg.vocab_seed)
     print(f"wrote {args.episodes} episodes to {args.out}")
     return EXIT_OK
 

@@ -9,6 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
+# The dtype a model's parameters, activations and episode frames are held in.
+# The finite-difference oracle builds its modules in float64 instead.
+COMPUTE_DTYPE = np.float32
+
 SAMPLERS = ("sparse", "uniform", "soft", "none")
 FUSIONS = ("la_gate", "cross_attention")
 REFINERS = ("gated", "plain")

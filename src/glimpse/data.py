@@ -10,18 +10,25 @@ a text-only model is pinned to chance.
 
 Everything is embedding-space synthesis: there are no pixels, just a frozen
 random-orthogonal projection playing the role of a pretrained image encoder.
+
+An episode's frames are drawn in float64 and stored once, rounded to the
+compute dtype, so they are the bits the model reads.  A dataset on disk is an
+index of episode seeds; loading it replays only each episode's header draws
+(kind, window, attributes, event frame) to check the index, and an episode's
+frames are generated when it is first read.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .tensor import load_tensor, save_tensor
+from .config import COMPUTE_DTYPE
 
 KINDS = ("color", "shape", "position")
 WINDOWS = ("early", "middle", "late")
@@ -37,6 +44,7 @@ PAD_WORD = "[pad]"
 MASK_WORD = "[mask]"
 
 _GAUSSIAN_BLIND_SALT = 0x67617573  # mixed into the episode seed for blind noise
+EPISODE_CACHE_BYTES = 256 << 20    # generated frames one EpisodeSet keeps
 
 
 @dataclass
@@ -48,29 +56,31 @@ class FrameBundle:
     v_cls: np.ndarray
 
     @classmethod
-    def stack(cls, bundles: Sequence["FrameBundle"], dtype=None) -> "FrameBundle":
-        """One bundle with a leading batch axis over ``bundles``, in ``dtype``.
+    def stack(cls, bundles: Sequence["FrameBundle"]) -> "FrameBundle":
+        """One bundle with a leading batch axis over ``bundles``.
 
-        Bundles that all share one video's arrays give a leading axis of
-        size 1 that broadcasts against any number of rows (a view when no
-        cast is needed); distinct videos are copied into a (B, ...) stack,
-        cast in the same copy.  ``dtype=None`` keeps the bundles' dtype.
+        Bundles that all share one video's arrays give a view with a leading
+        axis of size 1 that broadcasts against any number of rows; distinct
+        videos are copied into a (B, ...) stack.
         """
         first = bundles[0]
         if all(b.v_patch is first.v_patch and b.v_cls is first.v_cls for b in bundles):
-            return cls(v_patch=np.asarray(first.v_patch[None], dtype=dtype),
-                       v_cls=np.asarray(first.v_cls[None], dtype=dtype))
-        return cls(v_patch=np.stack([b.v_patch for b in bundles], dtype=dtype),
-                   v_cls=np.stack([b.v_cls for b in bundles], dtype=dtype))
+            return cls(v_patch=first.v_patch[None], v_cls=first.v_cls[None])
+        return cls(v_patch=np.stack([b.v_patch for b in bundles]),
+                   v_cls=np.stack([b.v_cls for b in bundles]))
 
 
 @dataclass
 class Episode:
-    """One synthetic QA item with full ground truth."""
+    """One synthetic QA item with full ground truth.
+
+    The frames are held in the compute dtype (float32), rounded once from
+    their float64 draw; the frozen question embedding stays float64.
+    """
 
     seed: int
-    frames: np.ndarray            # (N, P, D) encoded patch embeddings
-    frame_cls: np.ndarray         # (N, D)
+    frames: np.ndarray            # (N, P, D) encoded patch embeddings, float32
+    frame_cls: np.ndarray         # (N, D), float32
     question_tokens: list[int]
     question_cls: np.ndarray      # (D,) frozen bag-of-words embedding
     answer: int
@@ -95,11 +105,7 @@ class Vocab:
     """
 
     def __init__(self, seed: int, dim: int):
-        if dim < len(KINDS) * NUM_VALUES:
-            raise ValueError(
-                f"dim must be >= {len(KINDS) * NUM_VALUES} to fit orthonormal "
-                f"attribute directions, got {dim}"
-            )
+        _check_dim(dim)
         self.seed = seed
         self.dim = dim
         words = [PAD_WORD, MASK_WORD, "what", "at", "with", "?"]
@@ -128,6 +134,13 @@ class Vocab:
     def bag_embedding(self, token_ids) -> np.ndarray:
         """Frozen order-free sentence embedding (mean of word vectors)."""
         return self.embeddings[np.asarray(token_ids, dtype=int)].mean(axis=0)
+
+
+def _check_dim(dim: int) -> None:
+    """Raise unless ``dim`` fits the orthonormal attribute directions."""
+    if dim < len(KINDS) * NUM_VALUES:
+        raise ValueError(f"dim must be >= {len(KINDS) * NUM_VALUES} to fit orthonormal "
+                         f"attribute directions, got {dim}")
 
 
 def window_bounds(window: int, n_frames: int) -> tuple[int, int]:
@@ -166,18 +179,31 @@ def stub_frame_encoder(raw_frames: np.ndarray, vocab: Vocab) -> FrameBundle:
     )
 
 
-def gen_episode(seed: int, n_frames: int, n_grid: int, dim: int, vocab: Vocab) -> Episode:
-    """Deterministically synthesize one episode from its seed."""
+def _draw_header(rng: np.random.Generator, n_frames: int) -> tuple[int, int, tuple, int]:
+    """An episode's first draws: question kind, window, attribute values, event frame.
+
+    They come before the frames in the episode's stream, so a dataset index
+    can be written and checked from them alone.
+    """
     if n_frames < 3:
         raise ValueError("need at least 3 frames for the coarse-time windows")
-    if vocab.dim != dim:
-        raise ValueError("vocab dimension mismatch")
-    rng = np.random.default_rng(seed)
     kind = int(rng.integers(len(KINDS)))
     window = int(rng.integers(len(WINDOWS)))
     attrs = tuple(int(v) for v in rng.integers(0, NUM_VALUES, size=len(KINDS)))
     lo, hi = window_bounds(window, n_frames)
-    event_frame = int(rng.integers(lo, hi))
+    return kind, window, attrs, int(rng.integers(lo, hi))
+
+
+def gen_episode(seed: int, n_frames: int, n_grid: int, dim: int, vocab: Vocab) -> Episode:
+    """Deterministically synthesize one episode from its seed.
+
+    The frames are drawn and encoded in float64, then rounded once to the
+    compute dtype.
+    """
+    if vocab.dim != dim:
+        raise ValueError("vocab dimension mismatch")
+    rng = np.random.default_rng(seed)
+    kind, window, attrs, event_frame = _draw_header(rng, n_frames)
 
     p = n_grid * n_grid
     raw = rng.standard_normal((n_frames, p, dim))
@@ -188,8 +214,8 @@ def gen_episode(seed: int, n_frames: int, n_grid: int, dim: int, vocab: Vocab) -
     tokens = question_tokens(vocab, kind, window, attrs)
     return Episode(
         seed=seed,
-        frames=bundle.v_patch,
-        frame_cls=bundle.v_cls,
+        frames=bundle.v_patch.astype(COMPUTE_DTYPE),
+        frame_cls=bundle.v_cls.astype(COMPUTE_DTYPE),
         question_tokens=tokens,
         question_cls=vocab.bag_embedding(tokens),
         answer=attrs[kind],
@@ -205,7 +231,9 @@ def blind_input(episode: Episode, mode: str) -> FrameBundle:
 
     ``static`` freezes frame 0 across the whole video; ``gaussian`` redraws
     every patch from the background distribution (seeded by the episode, so
-    repeated calls agree).  The question and answer stay the episode's.
+    repeated calls agree), in float64, and rounds the patches and their
+    means once to the compute dtype.  The question and answer stay the
+    episode's.
     """
     if mode == "static":
         frames = np.broadcast_to(episode.frames[0], episode.frames.shape).copy()
@@ -214,14 +242,15 @@ def blind_input(episode: Episode, mode: str) -> FrameBundle:
         rng = np.random.default_rng(episode.seed ^ _GAUSSIAN_BLIND_SALT)
         # Isotropic noise is invariant under the encoder rotation, so fresh
         # draws can skip the projection without changing the distribution.
-        frames = rng.standard_normal(episode.frames.shape)
-        frame_cls = frames.mean(axis=1)
+        drawn = rng.standard_normal(episode.frames.shape)
+        frame_cls = drawn.mean(axis=1).astype(COMPUTE_DTYPE)
+        frames = drawn.astype(COMPUTE_DTYPE)
     else:
         raise ValueError(f"unknown blind mode: {mode!r}")
     return FrameBundle(v_patch=frames, v_cls=frame_cls)
 
 
-# -- on-disk datasets -----------------------------------------------------------
+# -- datasets -------------------------------------------------------------------
 
 INDEX_NAME = "index.json"
 
@@ -231,33 +260,58 @@ def episode_seeds(base_seed: int, count: int) -> list[int]:
     return [base_seed ^ i for i in range(count)]
 
 
-def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
-                 n_grid: int, dim: int, vocab_seed: int,
-                 materialize: bool = True) -> dict:
-    """Write an episode index (and optionally per-episode tensor dumps).
+class EpisodeSet(Sequence):
+    """Episodes addressed by seed, generated when first read.
 
-    Episodes regenerate bit-exactly from their seeds, so the index alone fully
-    determines the dataset; materialized dumps serve external consumers and
-    golden-file checks.
+    ``episodes[i]`` generates episode ``i`` from ``seeds[i]`` and keeps it
+    in a least-recently-used cache that holds at most
+    ``EPISODE_CACHE_BYTES`` of frames (always the episode just read).  An
+    evicted episode regenerates bit for bit on its next read.
     """
+
+    def __init__(self, seeds: Sequence[int], n_frames: int, n_grid: int, vocab: Vocab):
+        self.seeds = list(seeds)
+        self.n_frames = n_frames
+        self.n_grid = n_grid
+        self.vocab = vocab
+        self._cache: OrderedDict[int, Episode] = OrderedDict()
+        self._bytes = 0
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, i: int) -> Episode:
+        i = range(len(self.seeds))[i]
+        if i in self._cache:
+            self._cache.move_to_end(i)
+            return self._cache[i]
+        ep = gen_episode(self.seeds[i], self.n_frames, self.n_grid, self.vocab.dim, self.vocab)
+        self._cache[i] = ep
+        self._bytes += ep.frames.nbytes + ep.frame_cls.nbytes
+        while self._bytes > EPISODE_CACHE_BYTES and len(self._cache) > 1:
+            _, old = self._cache.popitem(last=False)
+            self._bytes -= old.frames.nbytes + old.frame_cls.nbytes
+        return ep
+
+
+def _index_entry(episode_id: int, seed: int, n_frames: int) -> dict:
+    """An episode's index entry, from its header draws alone."""
+    kind, _, attrs, event_frame = _draw_header(np.random.default_rng(seed), n_frames)
+    return {"episode_id": episode_id, "seed": seed, "answer": attrs[kind],
+            "event_frame": event_frame}
+
+
+def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
+                 n_grid: int, dim: int, vocab_seed: int) -> dict:
+    """Write a dataset's index: its geometry and each episode's seed and header.
+
+    Episodes regenerate bit-exactly from their seeds, so the index alone
+    determines the dataset.  It is written from the header draws alone; no
+    frame is generated.
+    """
+    _check_dim(dim)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    vocab = Vocab(vocab_seed, dim)
-    entries = []
-    for episode_id, seed in enumerate(episode_seeds(base_seed, count)):
-        ep = gen_episode(seed, n_frames, n_grid, dim, vocab)
-        entries.append({
-            "episode_id": episode_id,
-            "seed": seed,
-            "answer": ep.answer,
-            "event_frame": ep.event_frame,
-        })
-        if materialize:
-            stem = directory / f"ep{episode_id:06d}"
-            save_tensor(f"{stem}.frames.tdmp", ep.frames)
-            save_tensor(f"{stem}.cls.tdmp", ep.frame_cls)
-            save_tensor(f"{stem}.question.tdmp",
-                        np.asarray(ep.question_tokens, dtype=np.float64))
     index = {
         "meta": {
             "base_seed": base_seed,
@@ -266,32 +320,29 @@ def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
             "n_grid": n_grid,
             "dim": dim,
             "vocab_seed": vocab_seed,
-            "materialized": materialize,
         },
-        "episodes": entries,
+        "episodes": [_index_entry(episode_id, seed, n_frames)
+                     for episode_id, seed in enumerate(episode_seeds(base_seed, count))],
     }
     (directory / INDEX_NAME).write_text(json.dumps(index, indent=1, sort_keys=True))
     return index
 
 
-def load_dataset(directory) -> tuple[dict, Vocab, list[Episode]]:
-    """Rebuild all episodes of a dataset directory from its index.
+def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
+    """The meta, the vocab and the episodes of a dataset directory.
 
-    Generation is pure in the seed, so regeneration is bit-identical to the
-    materialized dumps (asserted by the test suite); loading therefore never
-    needs to touch the per-episode files.  An episode whose answer or event
-    frame disagrees with its index entry raises ``ValueError``.
+    Each episode's header draws are replayed and checked against its index
+    entry, so a stale index (an answer or event frame that its seed no
+    longer gives) raises ``ValueError`` here, before any frame is generated.
+    The episodes come back as an ``EpisodeSet`` over the index's seeds.
     """
     directory = Path(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
     meta = index["meta"]
-    vocab = Vocab(meta["vocab_seed"], meta["dim"])
-    episodes = []
     for entry in index["episodes"]:
-        ep = gen_episode(entry["seed"], meta["n_frames"], meta["n_grid"],
-                         meta["dim"], vocab)
-        if ep.answer != entry["answer"] or ep.event_frame != entry["event_frame"]:
+        if _index_entry(entry["episode_id"], entry["seed"], meta["n_frames"]) != entry:
             raise ValueError(f"episode {entry['episode_id']} regenerated differently "
                              "from its index entry; the index is stale")
-        episodes.append(ep)
-    return meta, vocab, episodes
+    vocab = Vocab(meta["vocab_seed"], meta["dim"])
+    seeds = [entry["seed"] for entry in index["episodes"]]
+    return meta, vocab, EpisodeSet(seeds, meta["n_frames"], meta["n_grid"], vocab)

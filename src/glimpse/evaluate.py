@@ -19,6 +19,8 @@ peak memory of a clean pass.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import tensor as T
@@ -39,14 +41,15 @@ def rows_per_call(cfg: RunConfig) -> int:
     return max(1, REFINER_TOKENS_PER_CALL // (1 + cfg.k_select * cfg.n_grid ** 2))
 
 
-def _represent_rows(model: VideoQAModel, episodes: list[Episode], owners: list[int],
+def _represent_rows(model: VideoQAModel, episodes: Sequence[Episode], owners: list[int],
                     texts: list[tuple], seeds: list[int], blind: str | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """``v_star`` (R, D) and frame ``indices`` (R, K) of R (episode, text) rows.
 
     Row r shows the video of ``episodes[owners[r]]``, blinded per ``blind``,
-    with noise seed ``seeds[owners[r]]``.  Blind inputs are built one chunk
-    at a time, so at most one chunk's videos are held at once.
+    with noise seed ``seeds[owners[r]]``.  Owners come in episode order, so
+    a chunk reads only the episodes it shows, and blind inputs are built one
+    chunk at a time: at most one chunk's videos are held at once.
     """
     per_call = rows_per_call(model.cfg)
     v_star, indices = [], []
@@ -54,7 +57,7 @@ def _represent_rows(model: VideoQAModel, episodes: list[Episode], owners: list[i
         chunk = owners[start:start + per_call]
         shown = {i: blind_input(episodes[i], blind) if blind else episodes[i].bundle
                  for i in dict.fromkeys(chunk)}
-        rep = model.represent(FrameBundle.stack([shown[i] for i in chunk], model.dtype),
+        rep = model.represent(FrameBundle.stack([shown[i] for i in chunk]),
                               texts[start:start + per_call], [seeds[i] for i in chunk])
         v_star.append(rep["v_star"].data)
         indices.append(rep["indices"])
@@ -62,7 +65,7 @@ def _represent_rows(model: VideoQAModel, episodes: list[Episode], owners: list[i
 
 
 @T.no_grad()
-def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
+def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
                    blind: str | None = None, with_mcq: bool = True, with_vtm: bool = True) -> dict:
     """Deterministic metric pass over a list of episodes.
 
@@ -76,25 +79,29 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
     its question, the next episode's question (with ``with_vtm``) and its
     MCQ candidates, each text once.  A blind probe without VTM and MCQ
     contributes one question row per episode.  The rows are represented in
-    chunks under the refiner-token budget (``rows_per_call``).
+    chunks under the refiner-token budget (``rows_per_call``).  The pass
+    reads each episode twice, in order: once for its question and ground
+    truth, once for its video.
     """
     n = len(episodes)
     if n == 0:
         raise ValueError("no episodes to evaluate")
+    questions, seeds, answers, events = zip(*[
+        (tuple(ep.question_tokens), episode_noise_seed(eval_seed, ep.seed, 0), ep.answer,
+         ep.event_frame) for ep in episodes])
     owners, texts = [], []
     own, foreign, candidates, slots = [], [], [], []
-    for i, ep in enumerate(episodes):
-        question = tuple(ep.question_tokens)
+    for i, question in enumerate(questions):
         wanted = [question]
         if with_vtm:
-            wanted.append(tuple(episodes[(i + 1) % n].question_tokens))
+            wanted.append(questions[(i + 1) % n])
         choices = []
         if with_mcq and n > MCQ_CHOICES:
             rng = np.random.default_rng(derive_seed(eval_seed, 29, i))
             others = rng.choice([j for j in range(n) if j != i], size=MCQ_CHOICES - 1,
                                 replace=False)
             slot = int(rng.integers(MCQ_CHOICES))
-            choices = [tuple(episodes[j].question_tokens) for j in others]
+            choices = [questions[j] for j in others]
             choices.insert(slot, question)
             slots.append(slot)
         rows = {text: len(texts) + r for r, text in enumerate(dict.fromkeys(wanted + choices))}
@@ -106,10 +113,8 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
         if choices:
             candidates.append([rows[text] for text in choices])
 
-    seeds = [episode_noise_seed(eval_seed, ep.seed, 0) for ep in episodes]
     v_star, indices = _represent_rows(model, episodes, owners, texts, seeds, blind)
-    answers = np.array([ep.answer for ep in episodes])
-    events = np.array([ep.event_frame for ep in episodes])
+    answers, events = np.array(answers), np.array(events)
     picks = answer_open_ended(Tensor(v_star[own]), model.answer_head)
 
     metrics = {
@@ -130,7 +135,7 @@ def evaluate_model(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
     return metrics
 
 
-def evaluate_with_blind_probes(model: VideoQAModel, episodes: list[Episode], eval_seed: int,
+def evaluate_with_blind_probes(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
                                modes: tuple[str, ...] = ("static", "gaussian")) -> dict:
     """Clean metrics plus per-blind-mode QA accuracy and its delta."""
     report = {"clean": evaluate_model(model, episodes, eval_seed)}

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig, derive_seed, tau_g_at
+from .config import COMPUTE_DTYPE, RunConfig, derive_seed, tau_g_at
 from .data import NUM_VALUES, FrameBundle, Vocab
 from .nn import Block, Linear, Mlp, Module, init_normal, widen_weights
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
@@ -39,9 +39,6 @@ from .sampler import (
     uniform_indices,
 )
 from .tensor import Tensor, load_tensor, save_tensor
-
-
-COMPUTE_DTYPE = np.float32
 
 
 class TextEncoder(Block):
@@ -189,9 +186,10 @@ class VideoQAModel(Module):
         video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D), the
         text token outputs ``t_tokens`` (B, M, D) and the selected frame
         ``indices`` (B, K).  Rows never interact: each row's outputs are those
-        of the batch of that row alone.  Frames are cast to the parameters'
-        dtype where they enter (``FrameBundle.stack`` takes it, so the copy
-        is made once); outputs are in that dtype.
+        of the batch of that row alone.  Episodes hold their frames in the
+        compute dtype; a module in another dtype (the oracle's float64) casts
+        them where they enter the selection.  Outputs are in the parameters'
+        dtype.
         """
         b = len(token_ids)
         if len(rng_seeds) != b:

@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
+from .config import COMPUTE_DTYPE
 from .tensor import Tensor
 
 
@@ -51,16 +52,18 @@ class Module:
 
         Gradients are dropped.  The module computes in ``dtype`` from then
         on, because every constant that meets its tensors takes their dtype.
+        Arrays already in ``dtype`` are kept, not copied.
         """
         for _, t in self.named_tensors():
-            t.data = t.data.astype(dtype)
+            t.data = t.data.astype(dtype, copy=False)
             t.grad = None
         return self
 
 
 def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
-    """A trainable tensor drawn from N(0, 0.02^2); zeros, drawing nothing, for ``rng=None``."""
-    data = np.zeros(shape) if rng is None else rng.normal(0.0, 0.02, size=shape)
+    """A trainable tensor drawn from N(0, 0.02^2) in float64; for ``rng=None``, zeros
+    in the compute dtype, drawing nothing."""
+    data = np.zeros(shape, COMPUTE_DTYPE) if rng is None else rng.normal(0.0, 0.02, size=shape)
     return Tensor(data, requires_grad=True)
 
 

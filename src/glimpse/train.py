@@ -143,7 +143,7 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
 
     try:
         rep = model.represent(
-            FrameBundle.stack([item.episode.bundle for item in batch], model.dtype),
+            FrameBundle.stack([item.episode.bundle for item in batch]),
             [item.annotation for item in batch],
             [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch],
             surrogate=surrogate)

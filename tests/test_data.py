@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from glimpse import data
+from glimpse.config import RunConfig
 from glimpse.data import (
     KINDS,
     NUM_VALUES,
@@ -14,13 +16,13 @@ from glimpse.data import (
     Episode,
     Vocab,
     blind_input,
+    episode_seeds,
     gen_episode,
     load_dataset,
     save_dataset,
     stub_frame_encoder,
     window_bounds,
 )
-from glimpse.tensor import load_tensor
 
 DIM = 32
 N_FRAMES = 30
@@ -190,34 +192,108 @@ class TestBlindInput:
 class TestDatasetIO:
     def test_index_schema_and_reload(self, tmp_path):
         save_dataset(tmp_path, base_seed=5, count=4, n_frames=N_FRAMES,
-                     n_grid=N_GRID, dim=DIM, vocab_seed=7, materialize=False)
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
         index = json.loads((tmp_path / "index.json").read_text())
         assert {"episode_id", "seed", "answer", "event_frame"} == set(index["episodes"][0])
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "index.json"]
         meta, vocab, eps = load_dataset(tmp_path)
         assert len(eps) == 4
         for entry, ep in zip(index["episodes"], eps):
             assert entry["answer"] == ep.answer
             assert entry["event_frame"] == ep.event_frame
+        # An index written when gen-data still dumped every episode loads too.
+        index["meta"]["materialized"] = True
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        assert len(load_dataset(tmp_path)[2]) == 4
 
-    def test_materialized_dumps_match_regeneration(self, tmp_path):
+    def test_loaded_episodes_equal_generation(self, tmp_path):
         save_dataset(tmp_path, base_seed=11, count=3, n_frames=N_FRAMES,
-                     n_grid=N_GRID, dim=DIM, vocab_seed=7, materialize=True)
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
         _, vocab, eps = load_dataset(tmp_path)
-        for i, ep in enumerate(eps):
-            stem = tmp_path / f"ep{i:06d}"
-            assert (load_tensor(f"{stem}.frames.tdmp") == ep.frames).all()
-            assert (load_tensor(f"{stem}.cls.tdmp") == ep.frame_cls).all()
-            tokens = load_tensor(f"{stem}.question.tdmp").astype(int).tolist()
-            assert tokens == ep.question_tokens
+        for i, seed in enumerate(episode_seeds(11, 3)):
+            want, got = gen_episode(seed, N_FRAMES, N_GRID, DIM, vocab), eps[i]
+            assert got.seed == seed
+            for name in ("frames", "frame_cls", "question_cls"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert got.question_tokens == want.question_tokens
+            assert ((got.answer, got.event_frame, got.event_attr, got.question_kind, got.window)
+                    == (want.answer, want.event_frame, want.event_attr, want.question_kind,
+                        want.window))
 
-    def test_stale_index_entry_raises(self, tmp_path):
-        # An index whose recorded answer no longer matches the regenerated
-        # episode must stop the load, not warn and carry on.
+    def test_stale_index_entry_raises(self, tmp_path, monkeypatch):
+        # An index whose recorded answer no longer matches its seed must stop
+        # the load, not warn and carry on, and the header replay finds it
+        # before any frame is generated.
         save_dataset(tmp_path, base_seed=5, count=3, n_frames=N_FRAMES,
-                     n_grid=N_GRID, dim=DIM, vocab_seed=7, materialize=False)
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
         path = tmp_path / "index.json"
         index = json.loads(path.read_text())
-        index["episodes"][1]["answer"] = (index["episodes"][1]["answer"] + 1) % NUM_VALUES
+        index["episodes"][2]["answer"] = (index["episodes"][2]["answer"] + 1) % NUM_VALUES
         path.write_text(json.dumps(index))
-        with pytest.raises(ValueError, match="episode 1 regenerated differently"):
+        _forbid_frames(monkeypatch)
+        with pytest.raises(ValueError, match="episode 2 regenerated differently"):
             load_dataset(tmp_path)
+
+    def test_reference_size_index_loads_without_frames(self, tmp_path, monkeypatch):
+        # 3,000 episodes at the reference geometry would be 240 GB of float32
+        # frames: writing and loading the index must generate none of them.
+        cfg = RunConfig()
+        calls = _forbid_frames(monkeypatch)
+        save_dataset(tmp_path, base_seed=1, count=3000, n_frames=cfg.n_frames,
+                     n_grid=cfg.n_grid, dim=cfg.dim, vocab_seed=cfg.vocab_seed)
+        meta, vocab, eps = load_dataset(tmp_path)
+        assert len(eps) == 3000 and vocab.dim == cfg.dim and meta["count"] == 3000
+        assert calls == []
+
+    def test_cache_stays_within_budget_and_regenerates_bit_identically(self, tmp_path,
+                                                                        monkeypatch):
+        save_dataset(tmp_path, base_seed=9, count=6, n_frames=N_FRAMES,
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
+        _, vocab, eps = load_dataset(tmp_path)
+        size = eps[0].frames.nbytes + eps[0].frame_cls.nbytes
+        monkeypatch.setattr(data, "EPISODE_CACHE_BYTES", 2 * size + size // 2)
+        first = [eps[i].frames.tobytes() for i in range(6)]
+        calls = []
+        real = data.gen_episode
+        monkeypatch.setattr(data, "gen_episode", lambda *a: calls.append(a[0]) or real(*a))
+        resident = sum(ep.frames.nbytes + ep.frame_cls.nbytes for ep in eps._cache.values())
+        assert len(eps._cache) == 2 and resident <= data.EPISODE_CACHE_BYTES
+        assert eps[5].frames.tobytes() == first[5] and calls == []  # still cached
+        assert eps[0].frames.tobytes() == first[0] and calls == [eps.seeds[0]]  # evicted
+        assert list(eps._cache) == [5, 0]
+
+
+def _forbid_frames(monkeypatch) -> list:
+    """Record every frame encoding and fail it; returns the record."""
+    calls = []
+
+    def forbidden(raw, vocab):
+        calls.append(raw.shape)
+        raise AssertionError("frames were generated")
+
+    monkeypatch.setattr(data, "stub_frame_encoder", forbidden)
+    return calls
+
+
+class TestComputeDtype:
+    def test_frames_are_the_float64_draw_rounded_once(self, vocab, monkeypatch):
+        encoded = []
+        real = data.stub_frame_encoder
+        monkeypatch.setattr(data, "stub_frame_encoder",
+                            lambda raw, v: encoded.append(real(raw, v)) or encoded[-1])
+        ep = gen_episode(42, N_FRAMES, N_GRID, DIM, vocab)
+        (bundle,) = encoded
+        assert bundle.v_patch.dtype == np.float64
+        assert ep.frames.dtype == ep.frame_cls.dtype == np.float32
+        assert ep.frames.tobytes() == bundle.v_patch.astype(np.float32).tobytes()
+        assert ep.frame_cls.tobytes() == bundle.v_cls.astype(np.float32).tobytes()
+
+    def test_gaussian_blind_is_the_float64_draw_rounded_once(self, vocab):
+        ep = episodes(vocab, 1)[0]
+        drawn = np.random.default_rng(ep.seed ^ data._GAUSSIAN_BLIND_SALT).standard_normal(
+            ep.frames.shape)
+        blind = blind_input(ep, "gaussian")
+        assert blind.v_patch.dtype == blind.v_cls.dtype == np.float32
+        assert blind.v_patch.tobytes() == drawn.astype(np.float32).tobytes()
+        assert blind.v_cls.tobytes() == drawn.mean(axis=1).astype(np.float32).tobytes()

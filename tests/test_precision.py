@@ -15,7 +15,7 @@ from glimpse.config import desk_config, loss_variant, table_variant
 from glimpse.data import Vocab, gen_episode
 from glimpse.evaluate import evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
-from glimpse.nn import Mlp
+from glimpse.nn import Mlp, init_normal
 from glimpse.tensor import Tensor, load_tensor, save_tensor
 from glimpse.train import AdamW, train_step
 
@@ -78,6 +78,16 @@ def test_astype_casts_every_tensor_and_drops_grads():
     assert model.vtm_head.w.grad is None
     # Modules built directly, as the oracle builds them, stay float64.
     assert Mlp(4, 8, np.random.default_rng(0)).dtype == F64
+
+
+def test_draw_free_zeros_are_float32_and_the_cast_keeps_them():
+    # The build under load_checkpoint allocates each weight once, in the
+    # compute dtype; the final cast does not copy arrays already in it.
+    assert init_normal(None, (3, 4)).dtype == F32
+    mlp = Mlp(4, 8, np.random.default_rng(0))
+    before = [t.data for _, t in mlp.named_tensors()]
+    mlp.astype(F64)
+    assert all(a is t.data for a, (_, t) in zip(before, mlp.named_tensors()))
 
 
 def test_checkpoint_round_trip_keeps_dtype_and_bytes(tmp_path):

@@ -288,7 +288,7 @@ class TestCli:
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
                      "--dim", "32", "--heads", "2", "--n-grid", "2"]
         assert main(["gen-data", "--out", str(data), "--episodes", "12",
-                     "--index-only", *overrides]) == 0
+                     *overrides]) == 0
         assert main(["train", "--data", str(data), "--out", str(ckpt),
                      "--metrics", str(metrics), "--steps", "2",
                      "--batch-size", "4", "--lr", "1e-3", *overrides]) == 0
@@ -309,7 +309,7 @@ class TestCli:
         ckpt = tmp_path / "ckpt"
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
                      "--dim", "32", "--heads", "2", "--n-grid", "2"]
-        main(["gen-data", "--out", str(data), "--episodes", "64", "--index-only",
+        main(["gen-data", "--out", str(data), "--episodes", "64",
               *overrides])
         main(["train", "--data", str(data), "--out", str(ckpt), "--steps", "1",
               "--batch-size", "4", "--metrics", str(tmp_path / "m.jsonl"), *overrides])
@@ -392,7 +392,7 @@ class TestCli:
         data = tmp_path / "data"
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
                      "--dim", "32", "--heads", "2", "--n-grid", "2"]
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", "--index-only",
+        assert main(["gen-data", "--out", str(data), "--episodes", "4",
                      *overrides]) == 0
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
                      "--steps", "1", "--batch-size", "2",
@@ -431,7 +431,7 @@ class TestCli:
         for key in ("mlp_ratio", "answer_hidden", "text_max_len"):
             path = tmp_path / f"{key}.json"
             path.write_text(json.dumps({**dataclasses.asdict(desk_config()), key: 4}))
-            out = ["--out", str(tmp_path / key), "--episodes", "1", "--index-only"]
+            out = ["--out", str(tmp_path / key), "--episodes", "1"]
             assert main(["gen-data", "--config", str(path), *out]) == 1
             assert f"unknown config keys: ['{key}'] ({key}: removed" in capsys.readouterr().err
             with pytest.raises(SystemExit) as exit_info:
@@ -448,7 +448,7 @@ class TestCli:
         for key, flag, value in (("n_grid", "--n-grid", "3"), ("vocab_seed", "--vocab-seed", "8")):
             data = tmp_path / key
             flags = [item for pair in {**desk, flag: value}.items() for item in pair]
-            assert main(["gen-data", "--out", str(data), "--episodes", "2", "--index-only",
+            assert main(["gen-data", "--out", str(data), "--episodes", "2",
                          *flags]) == 0
             capsys.readouterr()
             assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
@@ -460,7 +460,7 @@ class TestCli:
         data = tmp_path / "data"
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
                      "--dim", "32", "--heads", "2", "--n-grid", "2"]
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", "--index-only",
+        assert main(["gen-data", "--out", str(data), "--episodes", "4",
                      "--vocab-seed", "8", *overrides]) == 0
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
@@ -472,7 +472,7 @@ class TestCli:
         data, ckpt = tmp_path / "data", tmp_path / "ckpt"
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
                      "--dim", "32", "--heads", "2", "--n-grid", "2", "--batch-size", "2"]
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", "--index-only",
+        assert main(["gen-data", "--out", str(data), "--episodes", "4",
                      *overrides[:-2]]) == 0
         train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
                       *overrides]
@@ -499,7 +499,7 @@ class TestCli:
         data = tmp_path / "data"
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
                      "--dim", "32", "--heads", "2", "--n-grid", "2"]
-        main(["gen-data", "--out", str(data), "--episodes", "8", "--index-only",
+        main(["gen-data", "--out", str(data), "--episodes", "8",
               *overrides])
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
                      "--steps", "5", "--batch-size", "4", "--lr", "1e15",
