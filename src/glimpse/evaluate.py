@@ -67,7 +67,7 @@ def _represent_rows(model: VideoQAModel, episodes: Sequence[Episode], owners: li
 @T.no_grad()
 def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
                    blind: str | None = None, with_mcq: bool = True, with_vtm: bool = True) -> dict:
-    """Deterministic metric pass over a list of episodes.
+    """Deterministic metric pass over a sequence of episodes.
 
     QA answers come from the open-ended head on the video CLS; matching
     accuracy scores each episode against its own annotation and one foreign

@@ -17,7 +17,8 @@ def test_golden_fingerprints():
     assert current == recorded, (
         f"golden.json was written under numpy {recorded['numpy']} with {recorded['blas']}; "
         f"this environment has numpy {current['numpy']} with {current['blas']}. "
-        "Regenerate it with tests/write_golden.py in the recorded environment's place.")
+        "The digests hold only under the recorded builds; regenerate them with "
+        "tests/write_golden.py.")
     got = fingerprints()
     moved = sorted(key for key in golden["digests"] if got.get(key) != golden["digests"][key])
     assert got.keys() == golden["digests"].keys() and not moved, f"digests moved: {moved}"
