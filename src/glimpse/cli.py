@@ -1,9 +1,9 @@
 """Command-line harness.
 
-Subcommands: gradcheck, gen-data, train, eval, sample-frames, ablate,
-dump-tensor.  Configuration comes from an optional JSON file; every field can
-be overridden with a ``--<field> value`` flag.  Exit codes: 0 success, 1 usage
-error, 2 numeric failure (gradient-check failure or non-finite loss).
+Subcommands: gradcheck, gen-data, train, eval, ablate.  Configuration comes
+from an optional JSON file; every field can be overridden with a
+``--<field> value`` flag.  Exit codes: 0 success, 1 usage error, 2 numeric
+failure (gradient-check failure or non-finite loss).
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from .config import GRADCHECK_OVERRIDES, RunConfig
 from .data import load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
-from .sampler import SamplerParams, selection_rows
-from .tensor import Tensor, load_tensor, no_grad
 from .train import NumericFailure, train
 
 EXIT_OK = 0
@@ -58,12 +54,6 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _config_overrides(args) -> dict:
-    """The RunConfig fields set by a ``--<field>`` flag."""
-    return {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
-            if getattr(args, field.name, None) is not None}
-
-
 def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
     if args.config is not None:
         cfg = RunConfig.from_file(args.config)
@@ -71,7 +61,8 @@ def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
         cfg = RunConfig(**defaults)
     else:
         cfg = RunConfig()
-    overrides = _config_overrides(args)
+    overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
+                 if getattr(args, field.name) is not None}
     return cfg.replace(**overrides) if overrides else cfg.validate()
 
 
@@ -117,19 +108,6 @@ def main(argv=None) -> int:
     p.add_argument("--eval-seed", type=int, default=2024)
     p.add_argument("--out", type=Path, default=None)
 
-    p = sub.add_parser("sample-frames",
-                       help="run the selection stack on dumped embeddings")
-    _add_config_flags(p)
-    p.add_argument("--frame-cls", type=Path, required=True,
-                   help="tensor dump of per-frame CLS embeddings (N, D)")
-    p.add_argument("--text", type=Path, required=True,
-                   help="tensor dump of the text condition (D,)")
-    p.add_argument("--checkpoint", type=Path, default=None,
-                   help="take the sampler and its config from this checkpoint "
-                        "(no config flags with it)")
-    p.add_argument("--sample-seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=None)
-
     p = sub.add_parser("ablate", help="train/evaluate a variant grid, emit CSV")
     _add_config_flags(p)
     p.add_argument("--grid", choices=["modules", "frames", "losses", "n-sweep"],
@@ -138,10 +116,6 @@ def main(argv=None) -> int:
     p.add_argument("--eval-episodes", type=int, default=300)
     p.add_argument("--data-seed", type=int, default=1)
     p.add_argument("--out", type=Path, default=None)
-
-    p = sub.add_parser("dump-tensor", help="inspect a binary tensor dump")
-    p.add_argument("path", type=Path)
-    p.add_argument("--json", action="store_true", help="print values as JSON")
 
     args = parser.parse_args(argv)
     try:
@@ -223,39 +197,6 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sample_frames(args) -> int:
-    frame_cls = load_tensor(args.frame_cls)
-    text = load_tensor(args.text)
-    if frame_cls.ndim != 2:
-        raise ValueError("frame CLS dump must be 2-D (N, D)")
-    n, dim = frame_cls.shape
-    if args.checkpoint:
-        flags = ["--" + name.replace("_", "-") for name in _config_overrides(args)]
-        if args.config is not None:
-            flags.insert(0, "--config")
-        if flags:
-            raise ValueError(f"--checkpoint fixes the sampler's config; drop {', '.join(flags)}")
-        model, _, _ = load_checkpoint(args.checkpoint)
-        if model.sampler is None:
-            raise ValueError("checkpoint has no sampler module")
-        sampler = model.sampler
-    else:
-        cfg = _config_from_args(args).replace(dim=dim, n_frames=n)
-        sampler = SamplerParams(cfg.dim, cfg.heads, n, cfg.k_select, cfg.depth,
-                                np.random.default_rng(cfg.seed), fusion=cfg.fusion,
-                                tau_g=cfg.tau_g)
-    with no_grad():
-        t_row = Tensor(text.reshape(1, -1).astype(sampler.dtype))
-        y_soft = selection_rows(frame_cls, t_row, sampler, args.sample_seed)
-    indices = np.argmax(y_soft.data, axis=-1)
-    with _open_out(args.out) as stream:
-        for k in range(y_soft.shape[0]):
-            line = {"slot": k, "index": int(indices[k]),
-                    "soft": [float(x) for x in y_soft.data[k]]}
-            stream.write(json.dumps(line) + "\n")
-    return EXIT_OK
-
-
 def _cmd_ablate(args) -> int:
     from .ablate import run_grid
     cfg = _config_from_args(args)
@@ -269,21 +210,8 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dump_tensor(args) -> int:
-    arr = load_tensor(args.path)
-    info = {"shape": list(arr.shape), "dtype": "float64",
-            "min": float(arr.min()) if arr.size else None,
-            "max": float(arr.max()) if arr.size else None,
-            "mean": float(arr.mean()) if arr.size else None}
-    if args.json:
-        info["data"] = arr.tolist()
-    print(json.dumps(info, indent=1))
-    return EXIT_OK
-
-
 COMMANDS = {"gradcheck": _cmd_gradcheck, "gen-data": _cmd_gen_data, "train": _cmd_train,
-            "eval": _cmd_eval, "sample-frames": _cmd_sample_frames, "ablate": _cmd_ablate,
-            "dump-tensor": _cmd_dump_tensor}
+            "eval": _cmd_eval, "ablate": _cmd_ablate}
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ a text-only model is pinned to chance.
 Everything is embedding-space synthesis: there are no pixels, just a frozen
 random-orthogonal projection playing the role of a pretrained image encoder.
 
-An episode's frames are drawn in float64 and stored once, rounded to the
-compute dtype, so they are the bits the model reads.  A dataset on disk is an
-index of episode seeds; loading it replays only each episode's header draws
-(kind, window, attributes, event frame) to check the index, and an episode's
-frames are generated when it is first read.
+An episode's frames are drawn and encoded in float64, a block of frames at a
+time, and stored once, rounded to the compute dtype, so they are the bits the
+model reads.  A dataset on disk is an index of episode seeds; loading it
+replays only each episode's header draws (kind, window, attributes, event
+frame) to check the index, and an episode's frames are generated when it is
+first read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ MASK_WORD = "[mask]"
 
 _GAUSSIAN_BLIND_SALT = 0x67617573  # mixed into the episode seed for blind noise
 EPISODE_CACHE_BYTES = 256 << 20    # generated frames one EpisodeSet keeps
+FRAME_BLOCK_BYTES = 8 << 20        # float64 frames drawn and encoded at once
 
 
 @dataclass
@@ -164,19 +166,32 @@ def question_tokens(vocab: Vocab, kind: int, window: int,
     return vocab.encode(words)
 
 
-def stub_frame_encoder(raw_frames: np.ndarray, vocab: Vocab) -> FrameBundle:
-    """Frozen encoder stand-in: a fixed rotation of the raw patch space.
+def _draw_frames(rng: np.random.Generator, shape: tuple[int, int, int],
+                 proj: np.ndarray | None = None, event: tuple | None = None) -> FrameBundle:
+    """Standard-normal frames of ``shape`` (N, P, D), encoded, in the compute dtype.
 
-    No gradient ever reaches the projection; callers receive plain arrays.
-    Frame CLS is the patch mean pushed through the same projection.
+    The frozen encoder stand-in: patches go through ``proj``, a fixed rotation
+    of the raw patch space (or stay raw without it), and a frame's CLS is its
+    patch mean through ``proj``.  ``event = (frame, shift)`` adds ``shift`` to
+    every patch of that frame before encoding.  The float64 draw is made and
+    encoded in blocks of at most ``FRAME_BLOCK_BYTES`` (at least one frame),
+    so only one block is held next to the result.  The stream, the per-frame
+    products and the means are those of one whole draw, so the result is
+    that draw rounded once.  Callers get plain arrays, outside any tape.
     """
-    if raw_frames.ndim != 3 or raw_frames.shape[-1] != vocab.dim:
-        raise ValueError(f"raw frames must be (N, P, {vocab.dim})")
-    proj = vocab.frame_projection
-    return FrameBundle(
-        v_patch=raw_frames @ proj,
-        v_cls=raw_frames.mean(axis=1) @ proj,
-    )
+    n, p, d = shape
+    frames = np.empty(shape, COMPUTE_DTYPE)
+    means = np.empty((n, d))
+    per_block = max(1, FRAME_BLOCK_BYTES // (8 * p * d))
+    for start in range(0, n, per_block):
+        raw = rng.standard_normal((min(per_block, n - start), p, d))
+        stop = start + len(raw)
+        if event is not None and start <= event[0] < stop:
+            raw[event[0] - start] += event[1]
+        frames[start:stop] = raw if proj is None else raw @ proj
+        means[start:stop] = raw.mean(axis=1)
+    return FrameBundle(v_patch=frames,
+                       v_cls=(means if proj is None else means @ proj).astype(COMPUTE_DTYPE))
 
 
 def _draw_header(rng: np.random.Generator, n_frames: int) -> tuple[int, int, tuple, int]:
@@ -198,24 +213,22 @@ def gen_episode(seed: int, n_frames: int, n_grid: int, dim: int, vocab: Vocab) -
     """Deterministically synthesize one episode from its seed.
 
     The frames are drawn and encoded in float64, then rounded once to the
-    compute dtype.
+    compute dtype (``_draw_frames``).
     """
     if vocab.dim != dim:
         raise ValueError("vocab dimension mismatch")
     rng = np.random.default_rng(seed)
     kind, window, attrs, event_frame = _draw_header(rng, n_frames)
 
-    p = n_grid * n_grid
-    raw = rng.standard_normal((n_frames, p, dim))
+    # every patch of the event frame carries the signal
     shift = EVENT_MAGNITUDE * sum(vocab.directions[k, attrs[k]] for k in range(len(KINDS)))
-    raw[event_frame] += shift  # every patch of the event frame carries the signal
-
-    bundle = stub_frame_encoder(raw, vocab)
+    bundle = _draw_frames(rng, (n_frames, n_grid * n_grid, dim), vocab.frame_projection,
+                          (event_frame, shift))
     tokens = question_tokens(vocab, kind, window, attrs)
     return Episode(
         seed=seed,
-        frames=bundle.v_patch.astype(COMPUTE_DTYPE),
-        frame_cls=bundle.v_cls.astype(COMPUTE_DTYPE),
+        frames=bundle.v_patch,
+        frame_cls=bundle.v_cls,
         question_tokens=tokens,
         question_cls=vocab.bag_embedding(tokens),
         answer=attrs[kind],
@@ -236,18 +249,15 @@ def blind_input(episode: Episode, mode: str) -> FrameBundle:
     episode's.
     """
     if mode == "static":
-        frames = np.broadcast_to(episode.frames[0], episode.frames.shape).copy()
-        frame_cls = np.broadcast_to(episode.frame_cls[0], episode.frame_cls.shape).copy()
-    elif mode == "gaussian":
-        rng = np.random.default_rng(episode.seed ^ _GAUSSIAN_BLIND_SALT)
+        return FrameBundle(
+            v_patch=np.broadcast_to(episode.frames[0], episode.frames.shape).copy(),
+            v_cls=np.broadcast_to(episode.frame_cls[0], episode.frame_cls.shape).copy())
+    if mode == "gaussian":
         # Isotropic noise is invariant under the encoder rotation, so fresh
         # draws can skip the projection without changing the distribution.
-        drawn = rng.standard_normal(episode.frames.shape)
-        frame_cls = drawn.mean(axis=1).astype(COMPUTE_DTYPE)
-        frames = drawn.astype(COMPUTE_DTYPE)
-    else:
-        raise ValueError(f"unknown blind mode: {mode!r}")
-    return FrameBundle(v_patch=frames, v_cls=frame_cls)
+        return _draw_frames(np.random.default_rng(episode.seed ^ _GAUSSIAN_BLIND_SALT),
+                            episode.frames.shape)
+    raise ValueError(f"unknown blind mode: {mode!r}")
 
 
 # -- datasets -------------------------------------------------------------------

@@ -70,9 +70,10 @@ def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: 
     """Deterministic metric pass over a sequence of episodes.
 
     QA answers come from the open-ended head on the video CLS; matching
-    accuracy scores each episode against its own annotation and one foreign
-    one; multiple choice asks the matching head to pick the true annotation
-    out of ``MCQ_CHOICES``; hit-rate counts episodes whose ground-truth event
+    accuracy scores each episode against its own annotation and the next
+    episode's, so it is reported only for two or more episodes; multiple
+    choice asks the matching head to pick the true annotation out of
+    ``MCQ_CHOICES``; hit-rate counts episodes whose ground-truth event
     frame appears among the selected frames.  Nothing is taped.
 
     Each episode contributes its distinct texts as rows, in episode order:
@@ -86,6 +87,7 @@ def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: 
     n = len(episodes)
     if n == 0:
         raise ValueError("no episodes to evaluate")
+    with_vtm = with_vtm and n > 1  # one episode's foreign text would be its own
     questions, seeds, answers, events = zip(*[
         (tuple(ep.question_tokens), episode_noise_seed(eval_seed, ep.seed, 0), ep.answer,
          ep.event_frame) for ep in episodes])

@@ -23,16 +23,6 @@ from .tensor import Tensor
 NORM_FLOOR = 1e-8
 
 
-def _check_inputs(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> None:
-    """Visual tokens (..., m, D) and text rows (..., L, D); leading axes broadcast."""
-    if v.ndim < 2 or v.shape[-1] != params.dim:
-        raise ValueError(f"dimension mismatch: visual input {v.shape} vs dim {params.dim}")
-    if t_tokens.ndim < 2 or t_tokens.shape[-1] != params.dim:
-        raise ValueError(f"dimension mismatch: text input {t_tokens.shape} vs dim {params.dim}")
-    if t_tokens.shape[-2] == 0:
-        raise ValueError("empty text condition")
-
-
 def _guarded_norm(x: Tensor) -> Tensor:
     """Euclidean norm over the last axis, floored before the sqrt.
 
@@ -54,8 +44,11 @@ def _head_importance(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tens
 
 
 def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Gated value path without the input skip (blocks add their own residual)."""
-    _check_inputs(v, t_tokens, params)
+    """Gated value path without the input skip (blocks add their own residual).
+
+    Shapes are not checked here: ``VideoQAModel.represent`` checks the frames
+    where they enter the model, and the text encoder checks the texts.
+    """
     dist = _head_importance(v, t_tokens, params)           # (..., H, m)
     values = split_heads(params.w_v(v), params.heads)      # (..., H, m, d)
     gated = values * T.reshape(dist, (*dist.shape, 1))
@@ -68,7 +61,6 @@ def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> 
     Unlike the gate, each output row mixes in text content and depends on
     every text token.
     """
-    _check_inputs(v, t_tokens, params)
     q = split_heads(params.w_q(v), params.heads)           # (..., H, m, d)
     k = split_heads(params.w_k(t_tokens), params.heads)    # (..., H, L, d)
     val = split_heads(params.w_v(t_tokens), params.heads)  # (..., H, L, d)

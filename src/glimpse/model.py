@@ -9,7 +9,7 @@ The gated refiner and ``PlainFusion``, a joint transformer over [CLS,
 text, patches], assemble their tokens through the same ``refiner`` code.
 
 The model holds float32 parameters and computes in float32: train steps,
-evaluation and frame sampling all run on them.  Checkpoints store ``<f8``,
+evaluation and ablation all run on them.  Checkpoints store ``<f8``,
 which holds float32 values exactly.  The finite-difference oracle certifies
 the same modules built in float64.
 """
@@ -30,14 +30,7 @@ from .config import COMPUTE_DTYPE, RunConfig, derive_seed, tau_g_at
 from .data import NUM_VALUES, FrameBundle, Vocab
 from .nn import Block, Linear, Mlp, Module, init_normal, widen_weights
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
-from .sampler import (
-    SamplerParams,
-    apply_mask,
-    check_frame_count,
-    selection_rows,
-    straight_through,
-    uniform_indices,
-)
+from .sampler import SamplerParams, apply_mask, selection_rows, straight_through, uniform_indices
 from .tensor import Tensor, load_tensor, save_tensor
 
 
@@ -159,13 +152,13 @@ class VideoQAModel(Module):
         function whose gradient the straight-through estimator copies, which
         is the branch the finite-difference oracle can certify.  Text rows in
         another dtype than the parameters' raise ``ValueError``, since they
-        would silently widen (or narrow) the whole selection graph.
+        would silently widen (or narrow) the whole selection graph.  The
+        bundle's shapes are not checked here; ``represent`` checks them.
         """
         if t_cls.dtype != self.dtype:
             raise ValueError(f"text rows are {t_cls.dtype}, the model computes in {self.dtype}")
         cfg = self.cfg
         if self.sampler is None:
-            check_frame_count(bundle.v_cls.shape[-2], cfg.n_frames)
             lead = (*t_cls.shape[:-2], cfg.k_select)
             indices = np.broadcast_to(uniform_indices(cfg.n_frames, cfg.k_select), lead)
             one_hot = np.eye(cfg.n_frames, dtype=t_cls.dtype)[indices]
@@ -190,13 +183,25 @@ class VideoQAModel(Module):
         compute dtype; a module in another dtype (the oracle's float64) casts
         them where they enter the selection.  Outputs are in the parameters'
         dtype.
+
+        This is the one check of the frames for the whole pipeline: the
+        patches must be (R, N, P, D) and the frame CLS (R, N, D) for the
+        configured N frames of P = n_grid**2 patches of width D, with R = 1
+        or B, and there must be one seed per text.  Anything else raises
+        ``ValueError`` before any module runs; the text encoder checks the
+        texts.
         """
         b = len(token_ids)
         if len(rng_seeds) != b:
             raise ValueError(f"{len(rng_seeds)} noise seeds for {b} texts")
-        if bundle.v_patch.ndim != 4 or bundle.v_patch.shape[0] not in (1, b):
-            raise ValueError(f"bundle of shape {bundle.v_patch.shape} for {b} rows; "
-                             f"expected (1 or {b}, N, P, D)")
+        cfg = self.cfg
+        n, p, d = cfg.n_frames, cfg.n_grid ** 2, cfg.dim
+        rows = bundle.v_patch.shape[0] if bundle.v_patch.ndim == 4 else -1
+        if (rows not in (1, b) or bundle.v_patch.shape != (rows, n, p, d)
+                or bundle.v_cls.shape != (rows, n, d)):
+            raise ValueError(f"bundle of patches {bundle.v_patch.shape} and frame CLS "
+                             f"{bundle.v_cls.shape} for {b} rows; expected (R, {n}, {p}, {d}) "
+                             f"and (R, {n}, {d}) with R = 1 or {b}")
         t_cls, t_tokens = self.encode_text(token_ids)
         selected, indices = self.select(bundle, t_cls, list(rng_seeds), surrogate=surrogate)
         if self.refiner is not None:

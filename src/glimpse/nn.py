@@ -139,7 +139,6 @@ class SelfAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
         self.heads = heads
-        self.dim = dim
         self.head_dim = dim // heads
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -10,7 +10,6 @@ combined with the video CLS, which makes the visual pathway carry the signal.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -87,17 +86,14 @@ def contrastive_loss(v: Tensor, t: Tensor, matched: Sequence[bool], tau: float) 
 
     Each matched row i contributes -log softmax_j(cos(v_i, t_j)/tau) at j=i;
     exchanged rows are dropped from the outer sum but stay in every
-    denominator.  With no matched rows the loss is zero (with a warning),
-    since there is nothing to align.
+    denominator.  With no matched rows the masked sum is zero, since there
+    is nothing to align.
     """
     if tau <= 0:
         raise ValueError("nonpositive temperature")
     if v.shape != t.shape or v.ndim != 2:
         raise ValueError("contrastive_loss expects matching (B, D) batches")
     matched = np.asarray(matched, dtype=bool)
-    if not matched.any():
-        warnings.warn("contrastive_loss: no matched pairs in batch", stacklevel=2)
-        return Tensor(np.zeros((), dtype=v.dtype))
     sim = T.matmul(_unit_rows(v), T.transpose(_unit_rows(t), (1, 0))) * (1.0 / tau)
     per_row = T.nll(sim, np.arange(len(matched)))         # row i over all j, target i
     return T.tsum(per_row * matched)

@@ -28,9 +28,7 @@ def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
     a spatial slot (temporal) or across the P slots of their frame (spatial).
     The CLS token at position 0 attends over the full sequence in both modes.
     """
-    *lead, s, _ = seq.shape
-    if s != 1 + k * p:
-        raise ValueError(f"sequence length {s} does not match 1 + {k}*{p}")
+    lead = seq.shape[:-2]
     heads, hd = attn.heads, attn.head_dim
     q = split_heads(attn.w_q(seq), heads)   # (..., H, S, hd)
     key = split_heads(attn.w_k(seq), heads)
@@ -84,7 +82,6 @@ class PatchTokens(Module):
         self.cls_init = init_normal(rng, (dim,))
         self.spatial_table = init_normal(rng, (n_patches, dim))
         self.temporal_table_k = init_normal(rng, (k_select, dim))
-        self.dim = dim
         self.k_select = k_select
         self.n_patches = n_patches
 
@@ -107,14 +104,11 @@ def assemble_refiner_input(v_patch_k: Tensor, params: PatchTokens, *middle: Tens
     input of the first block.  Selected patches (..., K, P, D) become a
     (..., 1 + K*P, D) sequence whose row 1 + k*P + p holds patch p of
     selected frame k.  ``middle`` tensors (..., L, D), such as the plain
-    fusion's text rows, go between the CLS token and the patches.
+    fusion's text rows, go between the CLS token and the patches.  The shapes
+    are checked once, where the frames enter the model
+    (``VideoQAModel.represent``).
     """
-    if v_patch_k.ndim < 3 or v_patch_k.shape[-2:] != (params.n_patches, params.dim):
-        raise ValueError(f"selected patches {v_patch_k.shape} do not match refiner "
-                         f"(..., K, {params.n_patches}, {params.dim})")
     *lead, k, p, d = v_patch_k.shape
-    if k != params.k_select:
-        raise ValueError(f"selected frame count {k} != refiner K {params.k_select}")
     body = v_patch_k + params.spatial_table + T.reshape(params.temporal_table_k, (k, 1, d))
     body = T.reshape(body, (*lead, k * p, d))
     cls_rows = T.broadcast_to(params.cls_init, (*lead, 1, d))

@@ -51,16 +51,11 @@ class SamplerParams(Module):
         self.blocks = [FsBlock(dim, heads, rng, fusion) for _ in range(depth)]
         self.w_s = Linear(dim, k_select, rng)
         self.tau_g = tau_g
-        self.n_frames = n_frames
-        self.k_select = k_select
 
 
 def add_temporal_embedding(v_cls_seq: Tensor, table: Tensor) -> Tensor:
     """Add table rows 0..N-1 to a (..., N, D) frame sequence."""
-    n = v_cls_seq.shape[-2]
-    if n > table.shape[0]:
-        raise ValueError("temporal table too small")
-    return v_cls_seq + table[:n]
+    return v_cls_seq + table[:v_cls_seq.shape[-2]]
 
 
 def gumbel_noise(shape, rng_seed: int) -> np.ndarray:
@@ -74,18 +69,17 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
     """Softmax over perturbed logits; rows are the last axis of ``x``.
 
     ``rng_seed`` is one seed for all of ``x``, or a sequence of seeds, one
-    per entry of its leading (batch) axis: each entry then draws the noise it
-    would draw alone, so batching and row order cannot change a draw.  Each
-    distinct seed is drawn once and shared by the entries that carry it.  The
-    noise is drawn in float64 and rounded to the dtype of ``x``.
+    per entry of its leading (batch) axis (``VideoQAModel.represent`` checks
+    the count): each entry then draws the noise it would draw alone, so
+    batching and row order cannot change a draw.  Each distinct seed is drawn
+    once and shared by the entries that carry it.  The noise is drawn in
+    float64 and rounded to the dtype of ``x``.
     """
     if tau_g <= 0:
         raise ValueError("nonpositive temperature")
     if not np.isfinite(x.data).all():
         raise ValueError("non-finite logits")
     if np.ndim(rng_seed):
-        if len(rng_seed) != x.shape[0]:
-            raise ValueError(f"{len(rng_seed)} noise seeds for {x.shape[0]} rows")
         slot = {seed: j for j, seed in enumerate(dict.fromkeys(rng_seed))}
         draws = np.stack([gumbel_noise(x.shape[1:], seed) for seed in slot])
         noise = draws[[slot[seed] for seed in rng_seed]]
@@ -129,11 +123,6 @@ def apply_mask(mask_rows: Tensor, bundle: FrameBundle) -> Tensor:
     return T.reshape(picked, (*picked.shape[:-1], p, d))
 
 
-def check_frame_count(n: int, expected: int) -> None:
-    if n != expected:
-        raise ValueError(f"bundle has {n} frames, sampler expects {expected}")
-
-
 def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
                    rng_seed) -> Tensor:
     """Gumbel-Softmax rows over the N frames, one per slot, (B, K, N).
@@ -142,8 +131,9 @@ def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
     every row, and ``t_row`` the text conditions (B, 1, D); ``rng_seed``
     gives one noise seed per row.  Unbatched inputs, (N, D) and (1, D) with
     one seed, give (K, N).  The frame tokens are cast to the sampler's dtype.
+    Their count N is not checked here: ``VideoQAModel.represent`` checks it
+    where the frames enter the model.
     """
-    check_frame_count(v_cls.shape[-2], params.n_frames)
     logits = selection_logits(Tensor(np.asarray(v_cls, dtype=params.dtype)), t_row, params)
     return gumbel_softmax(logits, params.tau_g, rng_seed)
 

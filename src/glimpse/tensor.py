@@ -7,6 +7,10 @@ that tensor's dtype, so a float32 graph never widens silently.  The model
 computes in float32; the finite-difference oracle certifies the same ops on
 float64 modules.
 
+Only the ops the program calls exist: ``+ - * /`` with a tensor on the left,
+basic slicing, and the functions below, which stand in for powers (``x * x``)
+and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.transpose``.
+
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
 and accumulates the parents' shares into their ``grad``.  A closure captures
@@ -141,50 +145,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other, self))
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self))
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
     def __getitem__(self, key) -> "Tensor":
         return getitem(self, key)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -288,60 +259,12 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = _node(-a.data, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(-g)
-        out._backward = _bw
-    return out
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out = _node(a.data ** exponent, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-        out._backward = _bw
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = _node(y, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * y)
-        out._backward = _bw
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = _node(np.log(a.data), (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g / a.data)
-        out._backward = _bw
-    return out
-
-
 def sqrt(a: Tensor) -> Tensor:
     y = np.sqrt(a.data)
     out = _node(y, (a,))
     if out.requires_grad:
         def _bw(g):
             a._accumulate(g * 0.5 / y)
-        out._backward = _bw
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = _node(y, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * (1.0 - y * y))
         out._backward = _bw
     return out
 

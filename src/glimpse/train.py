@@ -82,25 +82,10 @@ class AdamW:
         return {"t": self.t, "moments": self.moments}
 
     def load_state(self, state: dict) -> None:
-        """Restore step count and moments; every moment must match a parameter.
-
-        Moments are cast to the dtype of the moments they replace.
-        """
-        moments = state["moments"]
-        if set(moments) != set(self.moments):
-            missing = sorted(set(self.moments) - set(moments))
-            extra = sorted(set(moments) - set(self.moments))
-            raise ValueError(f"optimizer state mismatch: missing {missing[:6]}, "
-                             f"extra {extra[:6]}")
-        for name, (m, v) in moments.items():
-            shape = self.moments[name][0].shape
-            if np.shape(m) != shape or np.shape(v) != shape:
-                raise ValueError(f"optimizer moment shape mismatch for {name}: "
-                                 f"{np.shape(m)}/{np.shape(v)} vs {shape}")
+        """Restore the step count and the moments of ``load_checkpoint``, which has
+        checked them against the parameters and built them in their dtype."""
         self.t = state["t"]
-        own = self.moments
-        self.moments = {name: tuple(np.asarray(a, dtype=own[name][0].dtype) for a in pair)
-                        for name, pair in moments.items()}
+        self.moments = dict(state["moments"])
 
 
 def lr_at(cfg: RunConfig, step: int) -> float:

@@ -172,5 +172,10 @@ def test_batch_arguments_must_agree():
         model.represent(stacked, texts, noise[:1])
     with pytest.raises(ValueError, match="for 2 rows"):
         model.represent(FrameBundle.stack(bundles + bundles[:1]), texts, noise)
+    # Frame CLS of two videos over the patches of one: row 1 would pick its
+    # frames by video 2 and copy them from video 1.
+    mixed = FrameBundle(v_patch=bundles[0].v_patch[None], v_cls=stacked.v_cls)
+    with pytest.raises(ValueError, match=r"frame CLS \(2, 6, 24\) for 2 rows"):
+        model.represent(mixed, texts, noise)
     with pytest.raises(ValueError, match="texts of one batch must share a length"):
         model.represent(stacked, [texts[0], texts[1][:-1]], noise)

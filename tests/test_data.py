@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glimpse import data
-from glimpse.config import RunConfig
+from glimpse.config import RunConfig, desk_config
 from glimpse.data import (
     KINDS,
     NUM_VALUES,
@@ -20,7 +20,6 @@ from glimpse.data import (
     gen_episode,
     load_dataset,
     save_dataset,
-    stub_frame_encoder,
     window_bounds,
 )
 
@@ -140,33 +139,33 @@ class TestVisionOracles:
 
 
 class TestStubEncoder:
+    """The frozen encoder stand-in inside episode generation."""
+
     def test_identical_inputs_identical_embeddings(self, vocab):
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=(5, 4, DIM))
-        a = stub_frame_encoder(raw, vocab)
-        b = stub_frame_encoder(raw.copy(), vocab)
+        a, b = (data._draw_frames(np.random.default_rng(0), (5, 4, DIM), vocab.frame_projection)
+                for _ in range(2))
         assert (a.v_patch == b.v_patch).all()
         assert (a.v_cls == b.v_cls).all()
 
     def test_cls_is_projected_patch_mean(self, vocab):
-        rng = np.random.default_rng(1)
-        raw = rng.normal(size=(3, 4, DIM))
-        bundle = stub_frame_encoder(raw, vocab)
+        raw = np.random.default_rng(1).standard_normal((3, 4, DIM))
+        bundle = data._draw_frames(np.random.default_rng(1), (3, 4, DIM), vocab.frame_projection)
+        # float32 results against the float64 reference
+        np.testing.assert_allclose(bundle.v_patch, raw @ vocab.frame_projection, atol=1e-6)
         np.testing.assert_allclose(
-            bundle.v_cls, raw.mean(axis=1) @ vocab.frame_projection, atol=1e-12
+            bundle.v_cls, raw.mean(axis=1) @ vocab.frame_projection, atol=1e-6
         )
 
     def test_frozen_outputs_are_plain_arrays(self, vocab):
         # The encoder is outside the trainable graph by construction: it deals
         # in numpy arrays, so no gradient can ever reach the projection.
-        raw = np.zeros((2, 4, DIM))
-        bundle = stub_frame_encoder(raw, vocab)
-        assert isinstance(bundle.v_patch, np.ndarray)
-        assert isinstance(bundle.v_cls, np.ndarray)
+        ep = gen_episode(0, N_FRAMES, N_GRID, DIM, vocab)
+        assert isinstance(ep.frames, np.ndarray)
+        assert isinstance(ep.frame_cls, np.ndarray)
 
     def test_wrong_shape_rejected(self, vocab):
-        with pytest.raises(ValueError):
-            stub_frame_encoder(np.zeros((2, 4, DIM + 1)), vocab)
+        with pytest.raises(ValueError, match="vocab dimension mismatch"):
+            gen_episode(0, N_FRAMES, N_GRID, DIM + 1, vocab)
 
 
 class TestBlindInput:
@@ -265,29 +264,47 @@ class TestDatasetIO:
 
 
 def _forbid_frames(monkeypatch) -> list:
-    """Record every frame encoding and fail it; returns the record."""
+    """Record every frame draw and fail it; returns the record."""
     calls = []
 
-    def forbidden(raw, vocab):
-        calls.append(raw.shape)
+    def forbidden(rng, shape, *rest):
+        calls.append(shape)
         raise AssertionError("frames were generated")
 
-    monkeypatch.setattr(data, "stub_frame_encoder", forbidden)
+    monkeypatch.setattr(data, "_draw_frames", forbidden)
     return calls
 
 
 class TestComputeDtype:
-    def test_frames_are_the_float64_draw_rounded_once(self, vocab, monkeypatch):
-        encoded = []
-        real = data.stub_frame_encoder
-        monkeypatch.setattr(data, "stub_frame_encoder",
-                            lambda raw, v: encoded.append(real(raw, v)) or encoded[-1])
+    def test_frames_are_the_float64_draw_rounded_once(self, vocab):
+        # Reference: the whole video drawn and encoded in float64 at once.
         ep = gen_episode(42, N_FRAMES, N_GRID, DIM, vocab)
-        (bundle,) = encoded
-        assert bundle.v_patch.dtype == np.float64
+        rng = np.random.default_rng(42)
+        _, _, attrs, event_frame = data._draw_header(rng, N_FRAMES)
+        raw = rng.standard_normal((N_FRAMES, N_GRID * N_GRID, DIM))
+        raw[event_frame] += data.EVENT_MAGNITUDE * sum(
+            vocab.directions[k, attrs[k]] for k in range(len(KINDS)))
+        proj = vocab.frame_projection
         assert ep.frames.dtype == ep.frame_cls.dtype == np.float32
-        assert ep.frames.tobytes() == bundle.v_patch.astype(np.float32).tobytes()
-        assert ep.frame_cls.tobytes() == bundle.v_cls.astype(np.float32).tobytes()
+        assert ep.frames.tobytes() == (raw @ proj).astype(np.float32).tobytes()
+        assert ep.frame_cls.tobytes() == (raw.mean(axis=1) @ proj).astype(np.float32).tobytes()
+
+    def test_frame_blocks_do_not_change_a_bit(self, monkeypatch):
+        # A desk video is one block; a budget of one byte draws and encodes
+        # frame by frame, and must give the bytes of one block, at desk and
+        # at bench geometry.
+        cfg = desk_config()
+        assert 8 * cfg.n_frames * cfg.n_grid ** 2 * cfg.dim <= data.FRAME_BLOCK_BYTES
+        for n_frames, n_grid, dim in ((N_FRAMES, N_GRID, DIM), (100, 7, 256)):
+            world = Vocab(seed=7, dim=dim)
+            outputs = []
+            for budget in (1, 1 << 40):
+                monkeypatch.setattr(data, "FRAME_BLOCK_BYTES", budget)
+                ep = gen_episode(3, n_frames, n_grid, dim, world)
+                blind = blind_input(ep, "gaussian")
+                outputs.append([a.tobytes() for a in (ep.frames, ep.frame_cls,
+                                                      blind.v_patch, blind.v_cls)])
+            assert outputs[0] == outputs[1]
 
     def test_gaussian_blind_is_the_float64_draw_rounded_once(self, vocab):
         ep = episodes(vocab, 1)[0]

@@ -5,14 +5,24 @@ import numpy as np
 import pytest
 
 from glimpse import tensor as T
+from glimpse.config import RunConfig
+from glimpse.data import FrameBundle, Vocab
 from glimpse.gating import _head_importance, cross_attention_core, gate_core
 from glimpse.gradcheck import grad_check
+from glimpse.model import VideoQAModel
 from glimpse.nn import SelfAttention, attention
 from glimpse.tensor import Tensor
 
 
 def make_params(dim=8, heads=2, seed=0):
     return SelfAttention(dim, heads, np.random.default_rng(seed))
+
+
+def represent(fusion, v_patch, v_cls, texts):
+    """A sparse-sampler model of width 24 over 6 frames of 4 patches, one seed per text."""
+    cfg = RunConfig(n_frames=6, k_select=2, depth=1, dim=24, heads=2, n_grid=2, fusion=fusion)
+    model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(0))
+    return model.represent(FrameBundle(v_patch=v_patch, v_cls=v_cls), texts, [0] * len(texts))
 
 
 def identity_params(dim=8, heads=2):
@@ -66,9 +76,12 @@ class TestImportanceVector:
             assert (dist >= -1.0 - 1e-12).all() and (dist <= 1.0 + 1e-12).all()
 
     def test_empty_text_rejected(self):
-        params = make_params()
-        with pytest.raises(ValueError, match="empty text condition"):
-            gate_core(Tensor(np.ones((2, 8))), Tensor(np.ones((0, 8))), params)
+        # The gates trust their text rows: the text encoder stops an empty
+        # text before any gate runs.
+        frames = np.ones((1, 6, 4, 24)), np.ones((1, 6, 24))
+        for fusion in ("la_gate", "cross_attention"):
+            with pytest.raises(ValueError, match="empty text condition"):
+                represent(fusion, *frames, [[]])
 
 
 class TestLaGate:
@@ -149,9 +162,11 @@ class TestLaGate:
             assert gate_core(v, Tensor(rng.normal(size=(1, 8))), params).shape == (m, 8)
 
     def test_dimension_mismatch_rejected(self):
-        params = make_params(dim=8)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            gate_core(Tensor(np.ones((2, 6))), Tensor(np.ones((1, 8))), params)
+        # The gates trust their visual tokens: frames of another width than the
+        # model's are stopped where they enter it, under either fusion.
+        for fusion in ("la_gate", "cross_attention"):
+            with pytest.raises(ValueError, match=r"expected \(R, 6, 4, 24\) and \(R, 6, 24\)"):
+                represent(fusion, np.ones((1, 6, 4, 22)), np.ones((1, 6, 22)), [[2, 3]])
 
     def test_gradients_pass_oracle(self):
         rng = np.random.default_rng(9)

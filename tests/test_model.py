@@ -97,15 +97,19 @@ class TestVariants:
         assert rep["t_tokens"].shape == (1, len(episode.question_tokens), cfg.dim)
         assert rep["indices"].shape == (1, cfg.k_select)
 
-    def test_plain_fusion_checks_patches_like_the_refiner(self):
+    def test_plain_fusion_checks_patches_like_the_refiner(self, world):
+        # Both fusions get their patches through represent's one check: rows
+        # a and d (plain, without and with a sampler) and f (gated).
+        cfg, vocab, episode = world
         plain = PlainFusion(16, 2, k_select=2, n_patches=4, depth=1,
                             rng=np.random.default_rng(0))
-        text = Tensor(np.zeros((3, 16)))
-        assert plain(Tensor(np.zeros((2, 4, 16))), text).shape == (16,)
-        with pytest.raises(ValueError, match="selected frame count 3 != refiner K 2"):
-            plain(Tensor(np.zeros((3, 4, 16))), text)
-        with pytest.raises(ValueError, match=r"do not match refiner \(\.\.\., K, 4, 16\)"):
-            plain(Tensor(np.zeros((2, 5, 16))), text)
+        assert plain(Tensor(np.zeros((2, 4, 16))), Tensor(np.zeros((3, 16)))).shape == (16,)
+        for row in ("a", "d", "f"):
+            model = build(table_variant(cfg, row), vocab)
+            for patches in (episode.frames[:, :3], episode.frames[..., :-1]):
+                bundle = FrameBundle(v_patch=patches[None], v_cls=episode.frame_cls[None])
+                with pytest.raises(ValueError, match=r"expected \(R, 30, 4, 32\)"):
+                    model.represent(bundle, [episode.question_tokens], [0])
 
     def test_loss_rows_set_weights(self, world):
         cfg, vocab, _ = world

@@ -167,10 +167,12 @@ class TestContrastiveLoss:
         # Dropping row 1 from the outer sum can only lower the total.
         assert with_unmatched.item() < all_matched.item()
 
-    def test_no_matched_pairs_warns_and_returns_zero(self):
+    def test_no_matched_pairs_returns_zero(self):
+        # The masked sum over no matched rows is exactly zero, with no special case.
         rng = np.random.default_rng(6)
         v = Tensor(rng.normal(size=(2, 4)))
-        with pytest.warns(UserWarning, match="no matched pairs"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             loss = contrastive_loss(v, v, [False, False], tau=0.07)
         assert loss.item() == 0.0
 

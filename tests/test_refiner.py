@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from glimpse import tensor as T
+from glimpse.config import RunConfig
+from glimpse.data import FrameBundle, Vocab
 from glimpse.gating import gate_core
 from glimpse.gradcheck import grad_check
+from glimpse.model import VideoQAModel
 from glimpse.nn import widen_weights
 from glimpse.refiner import RefinerParams, VrBlock, assemble_refiner_input, refine
 from glimpse.tensor import Tensor
@@ -50,11 +53,16 @@ class TestAssemble:
                 np.testing.assert_array_equal(out.data[1 + k * 4 + p], expected)
 
     def test_shape_mismatch_rejected(self):
-        params = make_refiner()
-        with pytest.raises(ValueError):
-            assemble_refiner_input(Tensor(np.zeros((2, 3, 16))), params)
-        with pytest.raises(ValueError):
-            assemble_refiner_input(Tensor(np.zeros((3, 4, 16))), params)
+        # The refiner trusts its input: patches whose count P or width D do not
+        # fit it are stopped where the frames enter the model.
+        cfg = RunConfig(n_frames=6, k_select=2, depth=1, dim=24, heads=2, n_grid=2)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        for p, d in ((3, 24), (4, 25)):
+            bundle = FrameBundle(v_patch=rng.normal(size=(1, 6, p, d)),
+                                 v_cls=rng.normal(size=(1, 6, d)))
+            with pytest.raises(ValueError, match=r"expected \(R, 6, 4, 24\) and \(R, 6, 24\)"):
+                model.represent(bundle, [[2, 3]], [0])
 
     def test_gradient_reaches_cls_and_tables(self):
         rng = np.random.default_rng(2)

@@ -47,6 +47,11 @@ def text_row(rng, d=MODEL_DIM, dtype=np.float32):
     return Tensor(rng.normal(size=(1, d)).astype(dtype))
 
 
+def represent(model, bundle, surrogate=False):
+    """One row: ``bundle``'s video under a fixed two-word text."""
+    return model.represent(FrameBundle.stack([bundle]), [[2, 3]], [0], surrogate=surrogate)
+
+
 def hard_rows(y_soft):
     """Discretize as ``VideoQAModel.select`` does: argmax per row."""
     indices = np.argmax(y_soft.data, axis=-1)
@@ -67,8 +72,12 @@ class TestTemporalEmbedding:
         np.testing.assert_array_equal(out.data, table[:4])
 
     def test_table_too_small_rejected(self):
-        with pytest.raises(ValueError, match="temporal table too small"):
-            add_temporal_embedding(Tensor(np.zeros((5, 8))), Tensor(np.zeros((3, 8))))
+        # A video longer than the sampler's temporal table is stopped where it
+        # enters the model, before the embedding is added.
+        model = make_model(n=6)
+        assert model.sampler.temporal_table.shape[0] == 6
+        with pytest.raises(ValueError, match=r"expected \(R, 6, 4, 24\)"):
+            represent(model, make_bundle(np.random.default_rng(3), n=7, d=MODEL_DIM))
 
     def test_gradient_reaches_input_and_table(self):
         rng = np.random.default_rng(2)
@@ -247,19 +256,17 @@ class TestSparseSample:
                 model.astype(np.float64).select(bundle, text_row(rng), rng_seed=0)
 
     def test_frame_count_mismatch_rejected(self):
-        # Every selection mode, the surrogate branch included, checks the count.
+        # Every selection mode, the surrogate branch included, gets its frames
+        # through represent, which checks the count against the config.
         rng = np.random.default_rng(12)
-        bundle = make_bundle(rng, n=5)
-        with pytest.raises(ValueError, match="bundle has 5 frames, sampler expects 6"):
-            selection_rows(bundle.v_cls, Tensor(rng.normal(size=(1, 16))), make_sampler(n=6),
-                           rng_seed=0)
         for sampler, surrogate in (("sparse", False), ("sparse", True), ("soft", False),
                                    ("uniform", False), ("none", False)):
             model = make_model(sampler, n=6)
             for n in (5, 7):
                 bundle = make_bundle(rng, n=n, d=MODEL_DIM)
-                with pytest.raises(ValueError, match=f"bundle has {n} frames, sampler expects 6"):
-                    model.select(bundle, text_row(rng), rng_seed=0, surrogate=surrogate)
+                with pytest.raises(ValueError, match=rf"frame CLS \(1, {n}, 24\) for 1 rows; "
+                                                     r"expected \(R, 6, 4, 24\)"):
+                    represent(model, bundle, surrogate=surrogate)
 
     def test_permutation_mask_permutes_frames(self):
         rng = np.random.default_rng(13)

@@ -54,6 +54,10 @@ def _rand(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def _square(t):
+    return t * t
+
+
 class TestPrimitiveGradients:
     """Every primitive against central finite differences on random shapes."""
 
@@ -73,7 +77,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(3)
         a = _rand(rng, (4, 6))
         b = _rand(rng, (6, 3))
-        report = grad_check(lambda: T.tsum(T.matmul(a, b) ** 2.0), [a, b])
+        report = grad_check(lambda: T.tsum(_square(T.matmul(a, b))), [a, b])
         assert report.passed, report.summary()
 
     def test_matmul_batched(self):
@@ -105,7 +109,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(8)
         x = Tensor(rng.uniform(0.5, 2.0, size=(4, 4)), requires_grad=True)
         report = grad_check(
-            lambda: T.tsum(T.log(T.exp(T.tanh(x)) + 1.0) * T.sqrt(x) + T.gelu(x)),
+            lambda: T.tsum(T.sqrt(T.gelu(x) * x + 1.0) * T.sqrt(x) + T.gelu(T.gelu(x))),
             [x],
         )
         assert report.passed, report.summary()
@@ -116,7 +120,7 @@ class TestPrimitiveGradients:
         b = _rand(rng, (2, 3))
         # Duplicate index exercises additive scatter in the backward pass.
         report = grad_check(
-            lambda: T.tsum(T.concat([T.take(a, [0, 2, 2, 5]), b], axis=0) ** 2.0),
+            lambda: T.tsum(_square(T.concat([T.take(a, [0, 2, 2, 5]), b], axis=0))),
             [a, b],
         )
         assert report.passed, report.summary()
@@ -135,7 +139,7 @@ class TestPrimitiveGradients:
     def test_maximum_floor(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=10) * 2, requires_grad=True)
-        report = grad_check(lambda: T.tsum(T.maximum(x, 0.25) ** 2.0), [x])
+        report = grad_check(lambda: T.tsum(_square(T.maximum(x, 0.25))), [x])
         assert report.passed, report.summary()
 
     def test_randomized_composite_shapes(self):
@@ -155,14 +159,13 @@ class TestPrimitiveGradients:
             assert report.passed, f"trial {trial}: {report.summary()}"
 
 
-def _old_nll_rows(logits: Tensor, targets) -> Tensor:
-    """The composite that ``T.nll`` replaced, log-softmax times a dense one-hot,
-    with the log-softmax spelled out in primitive ops."""
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(targets)), np.asarray(targets, dtype=int)] = 1.0
-    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    log_p = shifted - T.log(T.tsum(T.exp(shifted), axis=-1, keepdims=True))
-    return -T.tsum(log_p * Tensor(onehot), axis=-1)
+def _dense_nll_rows(logits: np.ndarray, targets, seed_grad: np.ndarray):
+    """Per-row NLL and its logits gradient for ``seed_grad``, in plain numpy,
+    through a log-softmax times a dense one-hot."""
+    onehot = np.eye(logits.shape[-1])[np.asarray(targets, dtype=int)]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return -(log_p * onehot).sum(axis=-1), (np.exp(log_p) - onehot) * seed_grad[:, None]
 
 
 @st.composite
@@ -193,7 +196,8 @@ class TestBatchOps:
         rng = np.random.default_rng(20)
         x = _rand(rng, (3, 5, 4))
         report = grad_check(
-            lambda: T.tsum(x[..., 1:, :] ** 2.0) + T.tsum(x[1, :2] * x[2, 3:]) + T.tsum(x[..., 0, :]),
+            lambda: T.tsum(_square(x[..., 1:, :])) + T.tsum(x[1, :2] * x[2, 3:])
+            + T.tsum(x[..., 0, :]),
             [x])
         assert report.passed, report.summary()
 
@@ -242,13 +246,11 @@ class TestBatchOps:
         data = rng.normal(size=(rows, classes)) * 4.0
         targets = rng.integers(0, classes, size=rows)
         seed_grad = rng.normal(size=rows)
-        results = []
-        for op in (T.nll, _old_nll_rows):
-            logits = Tensor(data, requires_grad=True)
-            out = op(logits, targets)
-            out.backward(seed_grad)
-            results.append((out.data, logits.grad))
-        (new, new_grad), (old, old_grad) = results
+        logits = Tensor(data, requires_grad=True)
+        out = T.nll(logits, targets)
+        out.backward(seed_grad)
+        new, new_grad = out.data, logits.grad
+        old, old_grad = _dense_nll_rows(data, targets, seed_grad)
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
         scale = np.abs(old_grad).max()
         assert np.abs(new_grad - old_grad).max() <= 1e-12 * scale
@@ -263,7 +265,7 @@ class TestBatchOps:
         rng = np.random.default_rng(23)
         a = _rand(rng, (2, 3, 4, 5))
         b = _rand(rng, (5, 3))
-        report = grad_check(lambda: T.tsum(T.matmul(a, b) ** 2.0), [a, b])
+        report = grad_check(lambda: T.tsum(_square(T.matmul(a, b))), [a, b])
         assert report.passed, report.summary()
 
     @settings(max_examples=25, deadline=None)
@@ -300,6 +302,92 @@ class TestBatchOps:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+seeds = st.integers(0, 2**31 - 1)
+small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+
+
+class TestShapeOpProperties:
+    """Backward rules of broadcasting, reductions, concatenation and gathers
+    over random shapes, each against the finite-difference oracle."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=3, max_size=4), st.data(), seeds)
+    def test_unbroadcast_over_middle_axes(self, shape, data, seed):
+        # ``b`` has size 1 on some middle axes and may lack the leading one,
+        # so ``add`` and ``mul`` must sum its gradient back over both kinds.
+        keep = data.draw(st.lists(st.booleans(), min_size=len(shape) - 2,
+                                  max_size=len(shape) - 2))
+        b_shape = [n if k else 1 for n, k in zip(shape[1:-1], keep)] + [shape[-1]]
+        if data.draw(st.booleans()):
+            b_shape = [shape[0]] + b_shape
+        rng = np.random.default_rng(seed)
+        a, b = _rand(rng, shape), _rand(rng, b_shape)
+        w = Tensor(rng.normal(size=shape))
+        report = grad_check(lambda: T.tsum((a * b + b) * w), [a, b])
+        assert report.passed, report.summary()
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_shapes, st.data(), st.booleans(), seeds)
+    def test_tsum_and_tmean_with_keepdims(self, shape, data, keepdims, seed):
+        axis = data.draw(st.none() | st.integers(-len(shape), len(shape) - 1))
+        rng = np.random.default_rng(seed)
+        x = _rand(rng, shape)
+        expected = x.data.sum(axis=axis, keepdims=keepdims)
+        w_sum = Tensor(rng.normal(size=expected.shape))
+        w_mean = Tensor(rng.normal(size=expected.shape))
+        assert T.tsum(x, axis=axis, keepdims=keepdims).data.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(T.tmean(x, axis=axis, keepdims=keepdims).data,
+                                   x.data.mean(axis=axis, keepdims=keepdims), rtol=1e-14)
+        report = grad_check(
+            lambda: T.tsum(T.tsum(x, axis=axis, keepdims=keepdims) * w_sum)
+            + T.tsum(T.tmean(x, axis=axis, keepdims=keepdims) * w_mean), [x])
+        assert report.passed, report.summary()
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_shapes, st.data(), seeds)
+    def test_concat(self, shape, data, seed):
+        # Parts differ along ``axis`` only; a constant part takes no gradient.
+        axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        constant = data.draw(st.integers(0, len(sizes)))  # == len(sizes): none
+        rng = np.random.default_rng(seed)
+        parts = []
+        for j, size in enumerate(sizes):
+            part_shape = list(shape)
+            part_shape[axis] = size
+            parts.append(Tensor(rng.normal(size=part_shape), requires_grad=j != constant))
+        out = T.concat(parts, axis=axis)
+        assert out.data.tobytes() == np.concatenate([p.data for p in parts], axis=axis).tobytes()
+        w = Tensor(rng.normal(size=out.shape))
+        checked = [p for p in parts if p.requires_grad]
+        if checked:
+            report = grad_check(lambda: T.tsum(T.concat(parts, axis=axis) * w), checked)
+            assert report.passed, report.summary()
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_shapes, st.data(), seeds)
+    def test_take_with_duplicate_indices(self, shape, data, seed):
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        picks = data.draw(st.lists(st.integers(0, shape[axis] - 1), min_size=1, max_size=5))
+        picks = picks + picks[:1]  # at least one index repeats
+        rng = np.random.default_rng(seed)
+        x = _rand(rng, shape)
+        out = T.take(x, picks, axis=axis)
+        assert out.data.tobytes() == np.take(x.data, picks, axis=axis).tobytes()
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        expected = np.zeros(shape)
+        for j, pick in enumerate(picks):  # each pick adds its slice of g
+            index = [slice(None)] * len(shape)
+            index[axis] = pick
+            expected[tuple(index)] += np.take(g, j, axis=axis)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-14, atol=1e-15)
+        x.grad = None
+        w = Tensor(rng.normal(size=out.shape))
+        report = grad_check(lambda: T.tsum(T.take(x, picks, axis=axis) * w), [x])
+        assert report.passed, report.summary()
 
 
 class TestGraphSemantics:
@@ -358,10 +446,10 @@ class TestGraphSemantics:
         gc.collect()
         gc.disable()
         try:
-            h = T.layer_norm(x, gain, bias) + T.sqrt(x) * T.exp(x) - T.tanh(x) / x
-            h = T.concat([T.gelu(h), T.maximum(-h, 0.1) ** 2.0, T.log(x)], axis=0)
+            h = T.layer_norm(x, gain, bias) + T.sqrt(x) * T.gelu(x) - T.maximum(x, 0.7) / x
+            h = T.concat([T.gelu(h), _square(T.maximum(h, 0.1)), T.sqrt(x)], axis=0)
             h = T.softmax_stable(T.matmul(T.take(h, [0, 2, 2]), T.transpose(h, (1, 0))))
-            loss = T.tsum(T.nll(T.reshape(h, (1, -1)), [2]) * T.tmean(h)) + T.tsum(-x)
+            loss = T.tsum(T.nll(T.reshape(h, (1, -1)), [2]) * T.tmean(h)) - T.tsum(x)
             loss.backward()
             del h, loss
             assert gc.collect() == 0
@@ -383,9 +471,9 @@ class TestGraphSemantics:
 class TestNoGrad:
     def test_records_no_parents_or_closures(self):
         x = Tensor([0.5, 1.5], requires_grad=True)
-        taped = T.tsum(T.exp(x) * x)
+        taped = T.tsum(T.gelu(x) * x)
         with T.no_grad():
-            free = T.tsum(T.exp(x) * x)
+            free = T.tsum(T.gelu(x) * x)
         assert taped.requires_grad
         assert not free.requires_grad
         assert free._parents == () and free._backward is None
