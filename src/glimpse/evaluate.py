@@ -71,13 +71,14 @@ def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: 
 
     QA answers come from the open-ended head on the video CLS; matching
     accuracy scores each episode against its own annotation and the next
-    episode's, so it is reported only for two or more episodes; multiple
-    choice asks the matching head to pick the true annotation out of
-    ``MCQ_CHOICES``; hit-rate counts episodes whose ground-truth event
-    frame appears among the selected frames.  Nothing is taped.
+    one that differs from it, so it is reported only when the episodes ask
+    more than one question; multiple choice asks the matching head to pick
+    the true annotation out of ``MCQ_CHOICES``; hit-rate counts episodes
+    whose ground-truth event frame appears among the selected frames.
+    Nothing is taped.
 
     Each episode contributes its distinct texts as rows, in episode order:
-    its question, the next episode's question (with ``with_vtm``) and its
+    its question, the foreign question (with ``with_vtm``) and its
     MCQ candidates, each text once.  A blind probe without VTM and MCQ
     contributes one question row per episode.  The rows are represented in
     chunks under the refiner-token budget (``rows_per_call``).  The pass
@@ -87,16 +88,17 @@ def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: 
     n = len(episodes)
     if n == 0:
         raise ValueError("no episodes to evaluate")
-    with_vtm = with_vtm and n > 1  # one episode's foreign text would be its own
     questions, seeds, answers, events = zip(*[
         (tuple(ep.question_tokens), episode_noise_seed(eval_seed, ep.seed, 0), ep.answer,
          ep.event_frame) for ep in episodes])
+    with_vtm = with_vtm and len(set(questions)) > 1  # else no question differs from its own
     owners, texts = [], []
     own, foreign, candidates, slots = [], [], [], []
     for i, question in enumerate(questions):
         wanted = [question]
-        if with_vtm:
-            wanted.append(questions[(i + 1) % n])
+        if with_vtm:  # the next question that differs from the episode's own
+            wanted.append(next(other for k in range(1, n)
+                               if (other := questions[(i + k) % n]) != question))
         choices = []
         if with_mcq and n > MCQ_CHOICES:
             rng = np.random.default_rng(derive_seed(eval_seed, 29, i))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .config import COMPUTE_DTYPE, RunConfig, derive_seed, tau_g_at
 from .data import NUM_VALUES, FrameBundle, Vocab
-from .nn import Block, Linear, Mlp, Module, init_normal, widen_weights
+from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views, widen_weights
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
 from .sampler import SamplerParams, apply_mask, selection_rows, straight_through, uniform_indices
 from .tensor import Tensor, load_tensor, save_tensor
@@ -45,7 +44,7 @@ class TextEncoder(Block):
     max_len = 16  # tokens per text
 
     def __init__(self, vocab: Vocab, dim: int, heads: int, rng: np.random.Generator):
-        self.embed = Tensor(vocab.embeddings)  # frozen lookup table
+        self.embed = Tensor(vocab.embeddings.astype(COMPUTE_DTYPE))  # frozen lookup table
         self.pos = init_normal(rng, (self.max_len, dim))
         self.cls = init_normal(rng, (1, dim))
         super().__init__(dim, heads, rng)
@@ -96,7 +95,8 @@ class VideoQAModel(Module):
 
     def __init__(self, cfg: RunConfig, vocab: Vocab, rng: np.random.Generator | None):
         """Draw the weights from ``rng``.  ``rng=None`` draws nothing (zero weights, no
-        ``init_std`` re-draw); only ``load_checkpoint`` passes it, then binds saved weights."""
+        ``init_std`` re-draw, no buffer yet); only ``load_checkpoint`` passes it, then
+        reads the saved weights into a new buffer."""
         cfg.validate()
         if vocab.dim != cfg.dim:
             raise ValueError("vocab dimension does not match config")
@@ -122,12 +122,13 @@ class VideoQAModel(Module):
         self.answer_head = Mlp(cfg.dim, 2 * cfg.dim, rng, out_dim=NUM_VALUES)
         self.mlm_head = Mlp(2 * cfg.dim, 2 * cfg.dim, rng, out_dim=len(vocab))
 
-        if cfg.init_std != 0.02 and rng is not None:
-            widen_weights(self, np.random.default_rng(derive_seed(cfg.seed, 0x1217)),
-                          cfg.init_std)
-        # Weights are drawn in float64 from the seeded stream, then rounded
-        # once, together with the frozen embedding table.
-        self.astype(COMPUTE_DTYPE)
+        if rng is not None:
+            if cfg.init_std != 0.02:
+                widen_weights(self, np.random.default_rng(derive_seed(cfg.seed, 0x1217)),
+                              cfg.init_std)
+            # Weights are drawn in float64 from the seeded stream, then rounded
+            # once into the one parameter buffer.
+            param_buffer(self.parameters(), COMPUTE_DTYPE)
 
     # -- forward paths ---------------------------------------------------
 
@@ -238,45 +239,31 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
     meta_path = directory / "meta.json"
     meta_path.unlink(missing_ok=True)
     (directory / "moments.tdmp").unlink(missing_ok=True)
-    state = model.state_dict()
+    names, params = zip(*model.named_parameters())
     meta = {"format": CHECKPOINT_FORMAT, "config": dataclasses.asdict(model.cfg),
-            "step": step, "names": list(state)}
-    save_tensor(directory / "params.tdmp", _flat(state.values()))
+            "step": step, "names": list(names)}
+    save_tensor(directory / "params.tdmp", param_buffer(params))
     if optimizer_state is not None:
-        pairs = [optimizer_state["moments"][name] for name in state]
-        save_tensor(directory / "moments.tdmp", _flat([m for m, _ in pairs] + [v for _, v in pairs]))
+        pairs = [optimizer_state["moments"][name] for name in names]
+        moments = [Tensor(m) for m, _ in pairs] + [Tensor(v) for _, v in pairs]
+        save_tensor(directory / "moments.tdmp", param_buffer(moments))
         meta["t"] = optimizer_state["t"]
     partial = directory / "meta.json.partial"
     partial.write_text(json.dumps(meta))
     os.replace(partial, meta_path)
 
 
-def _flat(arrays) -> np.ndarray:
-    """``arrays`` back to back in one ``<f8`` vector, cast once."""
-    return np.concatenate([a.reshape(-1) for a in arrays], dtype="<f8")
-
-
-def _split(path: Path, dtype, shapes: list) -> list[np.ndarray]:
-    """Read the dump at ``path`` once, in ``dtype``, as views of ``shapes`` back to back."""
-    flat = load_tensor(path, dtype)
-    sizes = [math.prod(shape) for shape in shapes]
-    if flat.shape != (sum(sizes),):
-        raise ValueError(f"{path} holds shape {flat.shape}; the model needs ({sum(sizes)},)")
-    return [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]),
-                                                         shapes)]
-
-
 def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     """Rebuild the model, its step and the AdamW state from ``directory``.
 
     The one way saved state enters a model.  The model is built without a
-    draw, and each dump is read once in the parameters' dtype and split into
-    views that become the parameters and the moments: a float32 model
-    round-trips bit for bit, float64 weights load rounded.  An annealed
-    sampler gets the temperature of the last step taken.  ``ValueError`` is
-    raised without ``meta.json`` (no checkpoint, or an unfinished save), for
-    another format, for names other than those of the model the config
-    builds, and for a dump of the wrong size.
+    draw, and each dump is read once in the parameters' dtype: into the
+    parameter buffer, and into one vector whose views become the moments.  A
+    float32 model round-trips bit for bit, float64 weights load rounded.  An
+    annealed sampler gets the temperature of the last step taken.
+    ``ValueError`` is raised without ``meta.json`` (no checkpoint, or an
+    unfinished save), for another format, for names other than those of the
+    model the config builds, and for a dump of the wrong size.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -294,15 +281,15 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     if meta["names"] != list(names):
         differ = sorted(set(names) ^ set(meta["names"]))
         raise ValueError(f"checkpoint/model parameter mismatch: {differ[:6]}")
-    shapes = [p.shape for p in params]
-    for p, arr in zip(params, _split(directory / "params.tdmp", model.dtype, shapes)):
-        p.data = arr
+    flat = load_tensor(directory / "params.tdmp", out=param_buffer(params, copy=False))
     step = meta["step"]
     if model.sampler is not None:
         model.sampler.tau_g = tau_g_at(cfg, max(step - 1, 0))
     optimizer_state = None
     if "t" in meta:
-        arrays = _split(directory / "moments.tdmp", model.dtype, shapes * 2)
+        arrays = split_views(load_tensor(directory / "moments.tdmp",
+                                         out=np.empty(2 * flat.size, flat.dtype)),
+                             [p.shape for p in params] * 2)
         optimizer_state = {"t": meta["t"],
                            "moments": dict(zip(names, zip(arrays[:len(names)],
                                                           arrays[len(names):])))}

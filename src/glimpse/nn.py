@@ -8,8 +8,9 @@ attention path (self, divided space-time, cross) calls it on split heads.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .tensor import Tensor
 
 
 class Module:
-    """Base class; collects tensors by attribute introspection."""
+    """Base class; collects tensors by attribute introspection.  A model's parameters
+    are views of one buffer (``param_buffer``), updated in place between tapes."""
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         """Every tensor of the module tree, trainable or frozen."""
@@ -52,12 +54,40 @@ class Module:
 
         Gradients are dropped.  The module computes in ``dtype`` from then
         on, because every constant that meets its tensors takes their dtype.
-        Arrays already in ``dtype`` are kept, not copied.
+        Arrays already in ``dtype`` are kept, not copied; parameters that are
+        cast are rounded into one new buffer of ``dtype`` (``param_buffer``).
         """
+        if any(p.dtype != dtype for p in self.parameters()):
+            param_buffer(self.parameters(), dtype)
         for _, t in self.named_tensors():
             t.data = t.data.astype(dtype, copy=False)
             t.grad = None
         return self
+
+
+def param_buffer(params: Sequence[Tensor], dtype=None, copy: bool = True) -> np.ndarray:
+    """The one vector that holds ``params`` back to back, in order, each ``p.data``
+    a view of it.  Parameters not yet laid out so in ``dtype`` (default: the first
+    one's) are rounded into a new vector (``copy=False``: left unset, to be filled)."""
+    dtype = np.dtype(params[0].dtype if dtype is None else dtype)
+    buf = params[0].data.base
+    if buf is not None and buf.dtype == dtype and buf.ndim == 1:
+        at = np.cumsum([0] + [p.data.nbytes for p in params]) + buf.ctypes.data
+        if at[-1] == buf.ctypes.data + buf.nbytes and all(
+                p.data.base is buf and p.data.flags.c_contiguous and p.data.ctypes.data == a
+                for p, a in zip(params, at.tolist())):
+            return buf
+    buf = (np.concatenate([p.data.reshape(-1) for p in params], dtype=dtype) if copy
+           else np.empty(sum(p.size for p in params), dtype))
+    for p, view in zip(params, split_views(buf, [p.shape for p in params])):
+        p.data = view
+    return buf
+
+
+def split_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of ``flat`` in ``shapes``, back to back from its start."""
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
@@ -68,7 +98,7 @@ def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
 
 
 def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25) -> None:
-    """Re-draw every projection matrix (``*.w``) from N(0, std^2).
+    """Re-draw every projection matrix (``*.w``) from N(0, std^2), in place.
 
     Positional tables, CLS tokens and norm parameters keep their init.  The
     training init (std 0.02) puts attention scores so close to uniform that
@@ -78,7 +108,7 @@ def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25)
     """
     for name, p in module.named_parameters():
         if name.endswith(".w"):
-            p.data = rng.normal(0.0, std, size=p.data.shape)
+            p.data[...] = rng.normal(0.0, std, size=p.data.shape)
 
 
 class Linear(Module):

@@ -25,8 +25,8 @@ over the same graph adds exactly one more pass to the leaves.
 
 Inside ``with no_grad():`` ops build no parent links and no closures; their
 outputs are constants with the same values.  Tensors that take part in a tape
-are never mutated in place; parameter updates happen on leaf ``data`` between
-tapes.
+are never mutated in place; a model's parameters are views of one buffer that
+the optimizer updates in place between tapes.
 """
 
 from __future__ import annotations
@@ -555,8 +555,9 @@ def save_tensor(path, array) -> None:
         fh.write(arr.data)
 
 
-def load_tensor(path, dtype=np.float64) -> Array:
-    """Read a dump into a fresh ``dtype`` array.
+def load_tensor(path, dtype=np.float64, out: Array | None = None) -> Array:
+    """Read a dump into a fresh ``dtype`` array, or into ``out``, a C-contiguous
+    array of the dump's shape whose dtype it takes, and return that array.
 
     The ``<f8`` payload passes through one reused buffer of ``_CHUNK_BYTES``
     and is cast into the result chunk by chunk, so a dump is never held twice.
@@ -573,7 +574,10 @@ def load_tensor(path, dtype=np.float64) -> Array:
         count = math.prod(dims)
         if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * count:
             raise ValueError(f"{path}: payload size does not match header dims")
-        out = np.empty(dims, dtype)
+        if out is None:
+            out = np.empty(dims, dtype)
+        elif out.shape != dims or not out.flags.c_contiguous:
+            raise ValueError(f"{path} holds shape {dims}; the model needs {out.shape}")
         flat = out.reshape(-1)
         chunk = np.empty(max(1, min(count, _CHUNK_BYTES // 8)), "<f8")
         for start in range(0, count, chunk.size):

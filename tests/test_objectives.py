@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glimpse import tensor as T
 from glimpse.config import desk_config
@@ -101,6 +103,32 @@ class TestExchange:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             exchange_annotations(self.batch(2), 1.5, rng_seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_exchange_pairs_flagged_items_and_keeps_the_annotations(size, p, seed):
+    batch = make_batch([dummy_episode(seed=i, tokens=(2, 3, 4 + i)) for i in range(size)])
+    before = [list(item.annotation) for item in batch]
+    exchange_annotations(batch, p, rng_seed=seed)
+    # The annotation multiset is preserved.
+    assert sorted(map(tuple, before)) == sorted(tuple(item.annotation) for item in batch)
+    # Swapped items come in pairs that point at each other, hold each
+    # other's annotation and are unmatched; every other item is untouched.
+    for i, item in enumerate(batch):
+        j = item.exchanged_with
+        if j is None:
+            assert item.matched and item.annotation == before[i]
+        else:
+            assert j != i and batch[j].exchanged_with == i and not item.matched
+            assert item.annotation == before[j]
+    # The swap is an involution: swapping every pair again restores the batch.
+    again = [batch[item.exchanged_with].annotation if item.exchanged_with is not None
+             else item.annotation for item in batch]
+    assert again == before
+    # All flagged items but an odd leftover are swapped; that one stays matched.
+    flagged = int((np.random.default_rng(seed).random(size) < p).sum())
+    assert sum(item.exchanged_with is not None for item in batch) == flagged - flagged % 2
 
 
 class TestVtmLoss:

@@ -1,0 +1,174 @@
+"""The flat parameter buffer and the fused, chunked AdamW over it.
+
+A model's parameters are views of one vector in ``named_parameters`` order;
+AdamW updates that vector in place, a chunk at a time, and must give the
+bytes of the per-tensor rule kept here as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from glimpse import train as gtrain
+from glimpse.config import desk_config
+from glimpse.data import Vocab, gen_episode
+from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
+from glimpse.nn import param_buffer, widen_weights
+from glimpse.tensor import Tensor, load_tensor
+from glimpse.train import AdamW, train_step
+
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+class ReferenceAdamW:
+    """The per-tensor rule: fresh arrays for every moment and parameter."""
+
+    def __init__(self, named_params, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.named_params = list(named_params)
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.t = 0
+        self.moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data))
+                        for name, p in self.named_params}
+
+    def step(self, lr):
+        self.t += 1
+        correct1 = 1.0 - self.beta1 ** self.t
+        correct2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.named_params:
+            if p.grad is None:
+                continue
+            m, v = self.moments[name]
+            m = self.beta1 * m + (1.0 - self.beta1) * p.grad
+            v = self.beta2 * v + (1.0 - self.beta2) * (p.grad * p.grad)
+            self.moments[name] = (m, v)
+            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p.data = p.data - lr * update - lr * self.weight_decay * p.data
+
+
+# Sizes around a chunk of 64 values: inside one, on its edge, across two or
+# three, and a scalar.
+SHAPES = [(3, 5), (64,), (1,), (5, 13), (2, 2, 16), (130,), (7,), (1, 63)]
+
+
+def tensors(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(f"t{i}", Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True))
+            for i, shape in enumerate(SHAPES)]
+
+
+@pytest.mark.parametrize("dtype", [F32, F64], ids=["float32", "float64"])
+def test_fused_update_matches_the_per_tensor_rule_bit_for_bit(dtype, monkeypatch):
+    monkeypatch.setattr(gtrain, "UPDATE_CHUNK", 64)
+    fused, ref = tensors(dtype), tensors(dtype)
+    opt = AdamW(fused, weight_decay=0.05)
+    want = ReferenceAdamW(ref, weight_decay=0.05)
+    rng = np.random.default_rng(1)
+    skipped = "t3"  # no grad in steps 1 and 4: data and moments must not move
+    for step in range(6):
+        for (name, p), (_, q) in zip(fused, ref):
+            if name == skipped and step in (1, 4):
+                p.grad = q.grad = None
+            else:
+                g = rng.normal(size=p.shape).astype(dtype)
+                p.grad, q.grad = g.copy(), g
+        before = {name: (p.data.copy(), *(a.copy() for a in opt.moments[name]))
+                  for name, p in fused}
+        lr = 1e-2 / (step + 1)
+        opt.step(lr)
+        want.step(lr)
+        for (name, p), (_, q) in zip(fused, ref):
+            assert p.data.dtype == dtype and p.data.tobytes() == q.data.tobytes(), (step, name)
+            for got, exp in zip(opt.moments[name], want.moments[name]):
+                assert got.dtype == dtype and got.tobytes() == exp.tobytes(), (step, name)
+            if p.grad is None:
+                assert all(a.tobytes() == b.tobytes() for a, b in
+                           zip(before[name], (p.data, *opt.moments[name]))), (step, name)
+    assert param_buffer([p for _, p in fused]) is opt.data
+
+
+def test_ufunc_calls_follow_chunks_not_tensors(monkeypatch):
+    # Many tensors in one chunk cost the update what one tensor of the same
+    # size costs; only the grad copy is per tensor, and it is no ufunc.
+    class Counting:
+        calls = 0
+
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not isinstance(attr, np.ufunc):
+                return attr
+
+            def counted(*args, **kwargs):
+                Counting.calls += 1
+                return attr(*args, **kwargs)
+            return counted
+
+    def calls(shapes):
+        params = [(f"t{i}", Tensor(np.ones(shape), requires_grad=True))
+                  for i, shape in enumerate(shapes)]
+        opt = AdamW(params, weight_decay=0.1)
+        for _, p in params:
+            p.grad = np.ones(p.shape)
+        Counting.calls = 0
+        opt.step(1e-3)
+        return Counting.calls
+
+    monkeypatch.setattr(gtrain, "np", Counting())
+    monkeypatch.setattr(gtrain, "UPDATE_CHUNK", 256)
+    assert calls([(2,)] * 100) == calls([(200,)]) > 0
+    assert calls([(2,)] * 200) == calls([(400,)]) == 2 * calls([(200,)])
+
+
+def is_packed(model):
+    """Every parameter is a view of the model's one buffer, in order."""
+    params = model.parameters()
+    buf = params[0].data.base
+    return param_buffer(params) is buf and all(p.data.base is buf for p in params)
+
+
+def test_parameters_stay_views_of_one_buffer(tmp_path):
+    cfg = desk_config(seed=6, batch_size=4)
+    vocab = Vocab(cfg.vocab_seed, cfg.dim)
+    episodes = [gen_episode(70 + i, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for i in range(4)]
+    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    assert is_packed(model) and param_buffer(model.parameters()).dtype == F32
+    buf = param_buffer(model.parameters())
+    widen_weights(model, np.random.default_rng(3))
+    assert is_packed(model) and param_buffer(model.parameters()) is buf
+    assert is_packed(model.astype(F64)) and model.dtype == F64
+    assert is_packed(model.astype(F32)) and model.dtype == F32
+    buf = param_buffer(model.parameters())
+    optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
+    assert optimizer.data is buf
+    train_step(model, optimizer, episodes, cfg, 0)
+    assert is_packed(model) and param_buffer(model.parameters()) is buf
+    assert all(p.grad is None or p.grad.base is optimizer.grads for p in model.parameters())
+
+    save_checkpoint(tmp_path, model, 1, optimizer.state())
+    assert load_tensor(tmp_path / "params.tdmp", F32).tobytes() == buf.tobytes()
+    moments = np.concatenate([optimizer.m, optimizer.v])
+    assert load_tensor(tmp_path / "moments.tdmp", F32).tobytes() == moments.tobytes()
+    loaded, _, opt_state = load_checkpoint(tmp_path)
+    assert is_packed(loaded)
+    assert param_buffer(loaded.parameters()).tobytes() == buf.tobytes()
+    resumed = AdamW(list(loaded.named_parameters()), cfg.weight_decay)
+    resumed.load_state(opt_state)
+    assert resumed.data is param_buffer(loaded.parameters())
+    assert np.concatenate([resumed.m, resumed.v]).tobytes() == moments.tobytes()
+
+
+def test_a_rebound_parameter_is_repacked_before_the_update():
+    # Rebinding ``p.data`` after the optimizer was built detaches it from the
+    # buffer; the next step packs the parameters again and updates them all.
+    fused, ref = tensors(F64), tensors(F64)
+    opt = AdamW(fused, weight_decay=0.1)
+    want = ReferenceAdamW(ref, weight_decay=0.1)
+    for (_, p), (_, q) in zip(fused[2:4], ref[2:4]):
+        p.data = p.data + 1.0
+        q.data = q.data + 1.0
+    for (_, p), (_, q) in zip(fused, ref):
+        p.grad = q.grad = np.full(p.shape, 0.5)
+    opt.step(1e-2)
+    want.step(1e-2)
+    assert param_buffer([p for _, p in fused]) is opt.data
+    assert all(p.data.tobytes() == q.data.tobytes() for (_, p), (_, q) in zip(fused, ref))

@@ -15,7 +15,7 @@ from glimpse.config import desk_config, loss_variant, table_variant
 from glimpse.data import Vocab, gen_episode
 from glimpse.evaluate import evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
-from glimpse.nn import Mlp, init_normal
+from glimpse.nn import Mlp, init_normal, param_buffer
 from glimpse.tensor import Tensor, load_tensor, save_tensor
 from glimpse.train import AdamW, train_step
 
@@ -121,21 +121,23 @@ def test_load_tensor_casts_to_the_requested_dtype(tmp_path):
 
 
 def test_checkpoint_arrays_are_cast_once(tmp_path, monkeypatch):
-    # Each dump is read once, straight into the model's dtype, and the arrays
-    # the model and the optimizer state keep are views of that one read.
+    # Each dump is read once, straight into the model's dtype: the parameters
+    # into the loaded model's parameter buffer, the moments into one vector,
+    # and the arrays the model and the optimizer state keep are views of it.
     cfg = desk_config(seed=6, batch_size=4)
     model, optimizer, episodes = setup(cfg)
     train_step(model, optimizer, episodes, cfg, 0)
     save_checkpoint(tmp_path, model, 1, optimizer.state())
     read = []
 
-    def recorded(path, dtype=np.float64):
-        read.append(load_tensor(path, dtype))
+    def recorded(path, dtype=np.float64, out=None):
+        read.append(load_tensor(path, dtype, out))
         return read[-1]
 
     monkeypatch.setattr("glimpse.model.load_tensor", recorded)
     loaded, _, opt_state = load_checkpoint(tmp_path)
     assert [arr.dtype for arr in read] == [F32, F32]
+    assert read[0] is param_buffer(loaded.parameters())
     params = list(loaded.state_dict().values())
     moments = [arr for pair in opt_state["moments"].values() for arr in pair]
     assert len(params) == len(opt_state["moments"]) == len(list(model.parameters()))

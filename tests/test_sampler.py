@@ -3,6 +3,8 @@ straight-through discretization, and the three selection modes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glimpse import sampler as sampler_module
 from glimpse import tensor as T
@@ -214,6 +216,31 @@ class TestStraightThrough:
             return logits.grad
 
         assert (grad_through(True) == grad_through(False)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(2, 9),
+       st.sampled_from((np.float32, np.float64)), st.integers(0, 2**32 - 1))
+def test_straight_through_is_one_hot_forward_and_soft_backward(b, k, n, dtype, seed):
+    # For any leading shape, width, dtype and indices (the argmax or not),
+    # the forward is exactly the one-hot rows and the gradient reaching the
+    # logits is, bit for bit, the one the soft rows would pass.
+    rng = np.random.default_rng(seed)
+    logits_data = (rng.normal(size=(b, k, n)) * 3).astype(dtype)
+    indices = rng.integers(n, size=(b, k))
+    weights = Tensor(rng.normal(size=(b, k, n)).astype(dtype))
+
+    def run(hard):
+        logits = Tensor(logits_data, requires_grad=True)
+        y = T.softmax_stable(logits)
+        out = straight_through(y, indices) if hard else y
+        T.tsum(out * weights).backward()
+        return out.data, logits.grad
+
+    hard, hard_grad = run(True)
+    _, soft_grad = run(False)
+    assert hard.dtype == dtype and hard.tobytes() == np.eye(n, dtype=dtype)[indices].tobytes()
+    assert hard_grad.tobytes() == soft_grad.tobytes()
 
 
 class TestSparseSample:

@@ -15,6 +15,7 @@ from glimpse.config import desk_config
 from glimpse.data import FrameBundle, Vocab, gen_episode, save_dataset
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
+from glimpse.objectives import MATCHED, UNMATCHED
 from glimpse.sampler import uniform_indices
 from glimpse.train import (AdamW, NumericFailure, derive_seed, episode_noise_seed, lr_at,
                            tau_g_at, train, train_step)
@@ -256,6 +257,39 @@ class TestEvalBatching:
         episodes = pool(cfg, 2)
         assert "vtm_accuracy" not in evaluate_model(model, episodes[:1], eval_seed=4)
         assert "vtm_accuracy" in evaluate_model(model, episodes, eval_seed=4)
+
+    def test_vtm_scores_against_the_next_question_that_differs(self):
+        # Episodes 0 and 1 ask one question, so episode 0's foreign text is
+        # episode 2's question, not its own again: with it, the matched and
+        # the foreign row would be one row, scored both ways.  When every
+        # episode asks one question there is no foreign text at all.
+        cfg = smoke_config(init_std=1.0)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(cfg.seed))
+        episodes = pool(cfg, 4)
+        episodes[1] = dataclasses.replace(episodes[1],
+                                          question_tokens=list(episodes[0].question_tokens))
+        questions = [tuple(ep.question_tokens) for ep in episodes]
+        assert len(set(questions)) == 3
+
+        @T.no_grad()
+        def verdict(ep, text):
+            rep = model.represent(FrameBundle.stack([ep.bundle]), [list(text)],
+                                  [episode_noise_seed(4, ep.seed, 0)])
+            return int(np.argmax(model.vtm_head(rep["v_star"]).data))
+
+        foreign = [questions[2], questions[2], questions[3], questions[0]]
+        # At this init episode 0 scores 2 of 2 against episode 2's question,
+        # where its own question as the foreign text would score 1 of 2.
+        assert verdict(episodes[0], questions[0]) == MATCHED
+        assert verdict(episodes[0], questions[2]) == UNMATCHED
+        hits = sum((verdict(ep, own) == MATCHED) + (verdict(ep, other) == UNMATCHED)
+                   for ep, own, other in zip(episodes, questions, foreign))
+        metrics = evaluate_model(model, episodes, eval_seed=4, with_mcq=False)
+        assert metrics["vtm_accuracy"] == hits / 8
+        one_question = [dataclasses.replace(ep, question_tokens=list(questions[0]))
+                        for ep in episodes]
+        assert "vtm_accuracy" not in evaluate_model(model, one_question, eval_seed=4)
 
     def test_budget_sets_rows_per_call(self):
         # 1 CLS + K * n_grid^2 patch tokens per row.
