@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .config import GRADCHECK_OVERRIDES, RunConfig
-from .data import load_dataset, save_dataset
+from .data import BLIND_MODES, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--blind", choices=["static", "gaussian"], action="append",
+    p.add_argument("--blind", choices=BLIND_MODES, action="append",
                    default=None, help="also run this blinded probe (repeatable)")
     p.add_argument("--eval-seed", type=int, default=2024)
     p.add_argument("--out", type=Path, default=None)
@@ -187,8 +187,7 @@ def _cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     meta, _, episodes = load_dataset(args.data)
     _check_dataset(meta, model.cfg, "checkpoint config")
-    report = evaluate_with_blind_probes(model, episodes, args.eval_seed,
-                                        modes=tuple(args.blind or ()))
+    report = evaluate_with_blind_probes(model, episodes, args.eval_seed, args.blind or ())
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         args.out.write_text(text)

@@ -40,6 +40,7 @@ VALUE_WORDS = {
 }
 NUM_VALUES = 8          # values per attribute kind == answer-space size
 EVENT_MAGNITUDE = 3.0   # shift along each attribute direction, in background sigmas
+BLIND_MODES = ("static", "gaussian")  # language-bias probes, see blind_input
 
 PAD_WORD = "[pad]"
 MASK_WORD = "[mask]"
@@ -248,16 +249,16 @@ def blind_input(episode: Episode, mode: str) -> FrameBundle:
     means once to the compute dtype.  The question and answer stay the
     episode's.
     """
+    if mode not in BLIND_MODES:
+        raise ValueError(f"unknown blind mode: {mode!r}")
     if mode == "static":
         return FrameBundle(
             v_patch=np.broadcast_to(episode.frames[0], episode.frames.shape).copy(),
             v_cls=np.broadcast_to(episode.frame_cls[0], episode.frame_cls.shape).copy())
-    if mode == "gaussian":
-        # Isotropic noise is invariant under the encoder rotation, so fresh
-        # draws can skip the projection without changing the distribution.
-        return _draw_frames(np.random.default_rng(episode.seed ^ _GAUSSIAN_BLIND_SALT),
-                            episode.frames.shape)
-    raise ValueError(f"unknown blind mode: {mode!r}")
+    # Isotropic noise is invariant under the encoder rotation, so fresh
+    # draws can skip the projection without changing the distribution.
+    return _draw_frames(np.random.default_rng(episode.seed ^ _GAUSSIAN_BLIND_SALT),
+                        episode.frames.shape)
 
 
 # -- datasets -------------------------------------------------------------------

@@ -179,11 +179,11 @@ class VideoQAModel(Module):
         length M; ``rng_seeds`` holds B selection-noise seeds.  Returns the
         video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D), the
         text token outputs ``t_tokens`` (B, M, D) and the selected frame
-        ``indices`` (B, K).  Rows never interact: each row's outputs are those
-        of the batch of that row alone.  Episodes hold their frames in the
-        compute dtype; a module in another dtype (the oracle's float64) casts
-        them where they enter the selection.  Outputs are in the parameters'
-        dtype.
+        ``indices`` (B, K).  Rows never interact in exact arithmetic: a row's
+        outputs are those of any batch it could run in up to float32 rounding.
+        Episodes hold their frames in the compute dtype; a module in another
+        dtype (the oracle's float64) casts them where they enter the
+        selection.  Outputs are in the parameters' dtype.
 
         This is the one check of the frames for the whole pipeline: the
         patches must be (R, N, P, D) and the frame CLS (R, N, D) for the

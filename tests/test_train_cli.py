@@ -8,11 +8,13 @@ import math
 import numpy as np
 import pytest
 
+from glimpse import data
 from glimpse import evaluate as geval
 from glimpse import tensor as T
 from glimpse.cli import main
 from glimpse.config import desk_config
-from glimpse.data import FrameBundle, Vocab, gen_episode, save_dataset
+from glimpse.data import (BLIND_MODES, EpisodeSet, FrameBundle, Vocab, blind_input,
+                          episode_seeds, gen_episode, save_dataset)
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.objectives import MATCHED, UNMATCHED
@@ -184,17 +186,22 @@ class TestTapeLifetime:
             gc.enable()
 
     def test_eval_represents_each_distinct_text_once_per_episode(self, monkeypatch):
-        # A pass is a list of (episode, distinct text) rows: own question,
-        # foreign question and MCQ candidates, each once, on the episode's
-        # video with its noise seed.  A call carries at most the token
-        # budget's rows; a small budget splits the rows of one episode
+        # A blind-probe report is one list of rows: each episode's distinct
+        # clean texts (own question, foreign question and MCQ candidates,
+        # each once) on its video, then each blind mode's question on the
+        # episode's blinded video, all with the episode's noise seed.  A call
+        # carries at most the token budget's rows, so an 8-episode desk
+        # report is one call; a small budget splits the rows of one episode
         # across calls without changing the report.
         cfg = smoke_config()
         episodes = pool(cfg, 8)
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
                              np.random.default_rng(cfg.seed))
-        expected = evaluate_model(model, episodes, eval_seed=4)
+        expected = evaluate_with_blind_probes(model, episodes, eval_seed=4)
         owner = {episode_noise_seed(4, ep.seed, 0): i for i, ep in enumerate(episodes)}
+        kinds = (None, *BLIND_MODES)
+        videos = {(i, kind): ep.frame_cls if kind is None else blind_input(ep, kind).v_cls
+                  for i, ep in enumerate(episodes) for kind in kinds}
         real = model.represent
         whole = geval.REFINER_TOKENS_PER_CALL
         for budget, n_calls in ((whole, 1), (7 * (1 + cfg.k_select * cfg.n_grid ** 2), None)):
@@ -207,29 +214,33 @@ class TestTapeLifetime:
                 return real(bundle, token_ids, rng_seeds, **kwargs)
 
             monkeypatch.setattr(model, "represent", counted)
-            assert evaluate_model(model, episodes, eval_seed=4) == expected
+            assert evaluate_with_blind_probes(model, episodes, eval_seed=4) == expected
             rows = []
             for bundle, texts, seeds in calls:
                 assert len(texts) <= per_call
                 for r, (text, seed) in enumerate(zip(texts, seeds)):
                     i = owner[seed]
                     shown = bundle.v_cls[r if bundle.v_cls.shape[0] > 1 else 0]
-                    assert (shown == episodes[i].frame_cls.astype(model.dtype)).all()
-                    rows.append((i, text))
+                    kind, = [k for k in kinds if (shown == videos[i, k]).all()]
+                    rows.append((i, text, kind))
             assert len(rows) == len(set(rows))
             assert len(calls) == (n_calls or -(-len(rows) // per_call))
             for i, ep in enumerate(episodes):
-                texts = {text for j, text in rows if j == i}
+                texts = {text for j, text, kind in rows if j == i and kind is None}
                 assert tuple(ep.question_tokens) in texts
                 assert tuple(episodes[(i + 1) % len(episodes)].question_tokens) in texts
                 assert len(texts) <= 6
+                for mode in BLIND_MODES:
+                    assert [text for j, text, kind in rows
+                            if (j, kind) == (i, mode)] == [tuple(ep.question_tokens)]
         assert per_call == 7 and len(calls) > 1
 
 
 class TestEvalBatching:
     def test_one_row_per_call_gives_identical_reports(self, monkeypatch):
-        # Rows never interact, so the size of a represent call cannot change
-        # any metric of the clean, blind or no-MCQ passes.
+        # A row's outputs move with the rows it shares a call with only by
+        # float32 rounding, so the size of a represent call changes no metric
+        # of the blind-probe, no-MCQ or single-mode reports.
         cfg = smoke_config(init_std=0.3)
         episodes = pool(cfg, 12)
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
@@ -238,7 +249,7 @@ class TestEvalBatching:
         def reports():
             return (evaluate_with_blind_probes(model, episodes, eval_seed=4),
                     evaluate_model(model, episodes, eval_seed=4, with_mcq=False),
-                    evaluate_model(model, episodes, eval_seed=4, blind="gaussian"))
+                    evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=("gaussian",)))
 
         expected = reports()
         assert geval.rows_per_call(cfg) > 6 * len(episodes)
@@ -247,6 +258,44 @@ class TestEvalBatching:
         assert reports() == expected
         with pytest.raises(ValueError, match="no episodes to evaluate"):
             evaluate_model(model, [], eval_seed=4)
+
+    def test_blind_modes_are_checked_first_and_represented_once(self, monkeypatch):
+        # An unknown mode fails before any row is represented, and a mode
+        # named twice adds its rows once.
+        cfg = smoke_config()
+        episodes = pool(cfg, 8)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(cfg.seed))
+        rows = []
+        real = model.represent
+        monkeypatch.setattr(model, "represent",
+                            lambda bundle, texts, *a, **k: rows.extend(texts)
+                            or real(bundle, texts, *a, **k))
+        with pytest.raises(ValueError, match="unknown blind mode: 'sepia'"):
+            evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=("static", "sepia"))
+        assert rows == []
+        once = evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=("static",))
+        n_rows = len(rows)
+        rows.clear()
+        assert evaluate_with_blind_probes(model, episodes, eval_seed=4,
+                                          modes=("static", "static")) == once
+        assert len(rows) == n_rows
+
+    def test_report_generates_each_episode_at_most_twice(self, monkeypatch):
+        # An episode set larger than its cache regenerates on every read.  A
+        # report reads each episode once to lay out its rows and once in the
+        # one call that shows them, clean and blinded alike.
+        cfg = smoke_config()
+        episodes = EpisodeSet(episode_seeds(0, 16), cfg.n_frames, cfg.n_grid,
+                              Vocab(cfg.vocab_seed, cfg.dim))
+        model = VideoQAModel(cfg, episodes.vocab, np.random.default_rng(cfg.seed))
+        size = episodes[0].frames.nbytes + episodes[0].frame_cls.nbytes
+        monkeypatch.setattr(data, "EPISODE_CACHE_BYTES", 4 * size)
+        calls = []
+        real = data.gen_episode
+        monkeypatch.setattr(data, "gen_episode", lambda *a: calls.append(a[0]) or real(*a))
+        evaluate_with_blind_probes(model, episodes, eval_seed=4)
+        assert len(calls) <= 2 * len(episodes)
 
     def test_one_episode_reports_no_matching_accuracy(self):
         # One episode's "next episode's question" is its own, so the matched
@@ -366,8 +415,7 @@ class TestCli:
         from glimpse.evaluate import evaluate_model
         vocab = Vocab(cfg.vocab_seed, cfg.dim)
         model = VideoQAModel(cfg, vocab, np.random.default_rng(1))
-        metrics = evaluate_model(model, episodes, eval_seed=9, with_mcq=False,
-                                 with_vtm=False)
+        metrics = evaluate_model(model, episodes, eval_seed=9, with_mcq=False)
         grid = set(uniform_indices(cfg.n_frames, cfg.k_select).tolist())
         expected = 0.0
         for window in range(3):

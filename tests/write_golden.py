@@ -23,7 +23,8 @@ records both versions next to the digests.  Regenerate it with
 
     PYTHONPATH=src python tests/write_golden.py
 
-and say in CHANGES.md which digests moved and why.
+which prints each digest that changed, old and new, and how many did not;
+say in CHANGES.md which digests moved and why.
 """
 
 from __future__ import annotations
@@ -162,9 +163,17 @@ def fingerprints() -> dict:
 
 
 def main() -> int:
-    golden = {"environment": environment(), "digests": fingerprints()}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden['digests'])} digests to {GOLDEN}")
+    """Rewrite the file and print each digest that changed and how many did not."""
+    before = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    after = fingerprints()
+    GOLDEN.write_text(json.dumps({"environment": environment(), "digests": after},
+                                 indent=1, sort_keys=True) + "\n")
+    keys = sorted(before.keys() | after.keys())
+    changed = [key for key in keys if before.get(key) != after.get(key)]
+    for key in changed:
+        print(f"{key}: {before.get(key)} -> {after.get(key)}")
+    print(f"wrote {len(after)} digests to {GOLDEN}: {len(changed)} changed, "
+          f"{len(keys) - len(changed)} unchanged")
     return 0
 
 
