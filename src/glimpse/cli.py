@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .config import GRADCHECK_OVERRIDES, RunConfig
+from .config import GRADCHECK_OVERRIDES, RunConfig, removed_note
 from .data import BLIND_MODES, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
@@ -29,8 +29,9 @@ EXIT_NUMERIC = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
+        flags = {w.split("=")[0][2:].replace("-", "_") for w in message.split() if w[:2] == "--"}
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {message}{removed_note(flags)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -38,29 +39,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with RunConfig fields")
     for field in dataclasses.fields(RunConfig):
-        flag = "--" + field.name.replace("_", "-")
-        if field.type == "bool":
-            parser.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        else:
-            parser.add_argument(flag, type=field.type and eval(field.type), default=None)
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+        parser.add_argument("--" + field.name.replace("_", "-"), type=eval(field.type))
 
 
 def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
     if args.config is not None:
         cfg = RunConfig.from_file(args.config)
-    elif defaults:
-        cfg = RunConfig(**defaults)
     else:
-        cfg = RunConfig()
+        cfg = RunConfig(**(defaults or {}))
     overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
                  if getattr(args, field.name) is not None}
     return cfg.replace(**overrides) if overrides else cfg.validate()
@@ -153,6 +139,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     cfg = _config_from_args(args)
+    if args.episodes < 1:
+        raise ValueError("--episodes must be >= 1")
     save_dataset(args.out, base_seed=args.data_seed, count=args.episodes,
                  n_frames=cfg.n_frames, n_grid=cfg.n_grid, dim=cfg.dim,
                  vocab_seed=cfg.vocab_seed)

@@ -17,8 +17,22 @@ SAMPLERS = ("sparse", "uniform", "soft", "none")
 FUSIONS = ("la_gate", "cross_attention")
 REFINERS = ("gated", "plain")
 
-# Removed knobs: MLPs are 4*dim wide, the answer head 2*dim, texts <= 16 tokens.
-REMOVED_KEYS = ("mlp_ratio", "answer_hidden", "text_max_len")
+# Removed knobs and what holds instead; a config, flag or checkpoint with one fails.
+REMOVED_KEYS = {
+    "mlp_ratio": "MLPs are 4*dim wide",
+    "answer_hidden": "the answer head is 2*dim wide",
+    "text_max_len": "texts are at most 16 tokens",
+    "soft_warmup": "selection is straight-through from step 0",
+    "init_std": "weights are drawn at std 0.02",
+    "tau_g_anneal": "tau_g is fixed for the whole run",
+    "tau_g_final": "tau_g is fixed for the whole run",
+}
+
+
+def removed_note(keys) -> str:
+    """`` (key: removed, why; ...)`` for the removed keys among ``keys``, else ``""``."""
+    notes = [f"{k}: removed, {why}" for k, why in sorted(REMOVED_KEYS.items()) if k in keys]
+    return f" ({'; '.join(notes)})" if notes else ""
 
 
 @dataclass
@@ -33,8 +47,6 @@ class RunConfig:
 
     # temperatures
     tau_g: float = 1.0           # selection sampling temperature
-    tau_g_anneal: bool = False   # exponential anneal tau_g -> tau_g_final
-    tau_g_final: float = 0.5
     tau: float = 0.07            # contrastive temperature
 
     # module switches (ablation grid axes)
@@ -57,20 +69,19 @@ class RunConfig:
     seed: int = 0
     exchange_prob: float = 0.5
     mask_rate: float = 0.15
-    init_std: float = 0.02       # projection-weight init scale
-    soft_warmup: float = 0.0     # fraction of steps applying the soft selection
-                                 # branch before switching to straight-through
 
     # synthetic world
     vocab_seed: int = 7
 
     def validate(self) -> "RunConfig":
+        for name, low in (("heads", 1), ("k_select", 1), ("depth", 1), ("batch_size", 1),
+                          ("n_grid", 1), ("steps", 0), ("lr", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.dim % self.heads:
             raise ValueError("dim must be divisible by heads")
         if self.k_select > self.n_frames:
             raise ValueError("k_select must not exceed n_frames")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
         if self.tau_g <= 0 or self.tau <= 0:
             raise ValueError("temperatures must be positive")
         if self.sampler not in SAMPLERS:
@@ -81,10 +92,6 @@ class RunConfig:
             raise ValueError(f"refiner must be one of {REFINERS}")
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError("warmup fraction must be in [0, 1)")
-        if not 0.0 <= self.soft_warmup <= 1.0:
-            raise ValueError("soft_warmup fraction must be in [0, 1]")
-        if self.init_std <= 0:
-            raise ValueError("init_std must be positive")
         return self
 
     @classmethod
@@ -96,9 +103,7 @@ class RunConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(values) - known
         if unknown:
-            removed = sorted(unknown.intersection(REMOVED_KEYS))
-            note = f" ({', '.join(removed)}: removed, the size is fixed)" if removed else ""
-            raise ValueError(f"unknown config keys: {sorted(unknown)}{note}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}{removed_note(unknown)}")
         return cls(**values).validate()
 
     def replace(self, **overrides) -> "RunConfig":
@@ -118,14 +123,6 @@ def derive_seed(*keys: int) -> int:
     """Deterministic, well-mixed child seed from integer keys."""
     ss = np.random.SeedSequence([abs(int(k)) for k in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def tau_g_at(cfg: RunConfig, step: int) -> float:
-    """Selection temperature of ``step``: geometric from tau_g to tau_g_final when annealed."""
-    if not cfg.tau_g_anneal:
-        return cfg.tau_g
-    frac = step / max(1, cfg.steps - 1)
-    return cfg.tau_g * (cfg.tau_g_final / cfg.tau_g) ** frac
 
 
 def desk_config(**overrides) -> RunConfig:

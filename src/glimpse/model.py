@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import COMPUTE_DTYPE, RunConfig, derive_seed, tau_g_at
+from .config import COMPUTE_DTYPE, RunConfig
 from .data import NUM_VALUES, FrameBundle, Vocab
-from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views, widen_weights
+from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
 from .sampler import SamplerParams, apply_mask, selection_rows, straight_through, uniform_indices
 from .tensor import Tensor, load_tensor, save_tensor
@@ -94,9 +94,8 @@ class VideoQAModel(Module):
     """Composes the configured pipeline and owns every trainable parameter."""
 
     def __init__(self, cfg: RunConfig, vocab: Vocab, rng: np.random.Generator | None):
-        """Draw the weights from ``rng``.  ``rng=None`` draws nothing (zero weights, no
-        ``init_std`` re-draw, no buffer yet); only ``load_checkpoint`` passes it, then
-        reads the saved weights into a new buffer."""
+        """Draw the weights from ``rng``.  ``rng=None`` draws nothing: zero weights, no buffer.
+        Only ``load_checkpoint`` passes it, then reads the saved weights into a new buffer."""
         cfg.validate()
         if vocab.dim != cfg.dim:
             raise ValueError("vocab dimension does not match config")
@@ -123,9 +122,6 @@ class VideoQAModel(Module):
         self.mlm_head = Mlp(2 * cfg.dim, 2 * cfg.dim, rng, out_dim=len(vocab))
 
         if rng is not None:
-            if cfg.init_std != 0.02:
-                widen_weights(self, np.random.default_rng(derive_seed(cfg.seed, 0x1217)),
-                              cfg.init_std)
             # Weights are drawn in float64 from the seeded stream, then rounded
             # once into the one parameter buffer.
             param_buffer(self.parameters(), COMPUTE_DTYPE)
@@ -259,8 +255,7 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     The one way saved state enters a model.  The model is built without a
     draw, and each dump is read once in the parameters' dtype: into the
     parameter buffer, and into one vector whose views become the moments.  A
-    float32 model round-trips bit for bit, float64 weights load rounded.  An
-    annealed sampler gets the temperature of the last step taken.
+    float32 model round-trips bit for bit, float64 weights load rounded.
     ``ValueError`` is raised without ``meta.json`` (no checkpoint, or an
     unfinished save), for another format, for names other than those of the
     model the config builds, and for a dump of the wrong size.
@@ -282,9 +277,6 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
         differ = sorted(set(names) ^ set(meta["names"]))
         raise ValueError(f"checkpoint/model parameter mismatch: {differ[:6]}")
     flat = load_tensor(directory / "params.tdmp", out=param_buffer(params, copy=False))
-    step = meta["step"]
-    if model.sampler is not None:
-        model.sampler.tau_g = tau_g_at(cfg, max(step - 1, 0))
     optimizer_state = None
     if "t" in meta:
         arrays = split_views(load_tensor(directory / "moments.tdmp",
@@ -293,4 +285,4 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
         optimizer_state = {"t": meta["t"],
                            "moments": dict(zip(names, zip(arrays[:len(names)],
                                                           arrays[len(names):])))}
-    return model, step, optimizer_state
+    return model, meta["step"], optimizer_state

@@ -103,8 +103,7 @@ def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25)
     Positional tables, CLS tokens and norm parameters keep their init.  The
     training init (std 0.02) puts attention scores so close to uniform that
     key/query gradients sit at the 1e-8 scale, where central differences are
-    pure roundoff, so finite-difference checks run at a better-conditioned
-    random point; ``RunConfig.init_std`` re-draws through here as well.
+    pure roundoff, so finite-difference checks run at a better-conditioned random point.
     """
     for name, p in module.named_parameters():
         if name.endswith(".w"):

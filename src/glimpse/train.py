@@ -12,7 +12,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig, derive_seed, tau_g_at
+from .config import RunConfig, derive_seed
 from .data import Episode, FrameBundle, Vocab
 from .model import VideoQAModel, load_checkpoint, save_checkpoint
 from .nn import param_buffer, split_views
@@ -156,26 +156,17 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
     from its own ``episode_noise_seed``; the masked texts of the matched rows
     are encoded in one call.  One tape covers the whole step.
     """
-    if model.sampler is not None:
-        model.sampler.tau_g = tau_g_at(cfg, step)
     rng = np.random.default_rng(derive_seed(cfg.seed, 11, step))
     take = min(cfg.batch_size, len(episodes))
     idx = rng.choice(len(episodes), size=take, replace=False)
     batch = make_batch([episodes[i] for i in idx])
     exchange_annotations(batch, cfg.exchange_prob, derive_seed(cfg.seed, 13, step))
 
-    # Early steps may run the soft selection branch: its gradient is exactly
-    # what the straight-through estimator propagates, but its forward carries
-    # a little of every frame, so the refiner and heads see event content
-    # before the selector has learned to find it.
-    surrogate = cfg.soft_warmup > 0 and step < cfg.soft_warmup * cfg.steps
-
     try:
         rep = model.represent(
             FrameBundle.stack([item.episode.bundle for item in batch]),
             [item.annotation for item in batch],
-            [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch],
-            surrogate=surrogate)
+            [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch])
         v_batch = rep["v_star"]                                    # (B, D)
         t_batch = T.reshape(rep["t_cls"], (len(batch), cfg.dim))   # (B, D)
         labels = [MATCHED if item.matched else UNMATCHED for item in batch]
@@ -231,9 +222,11 @@ def train(cfg: RunConfig, episodes: Sequence[Episode], out_dir=None,
 
     ``resume`` is a checkpoint directory: its model, AdamW moments and step
     (via ``load_checkpoint``) go on with the same seed streams, so a resumed
-    run emits the same metrics as an uninterrupted one.  A checkpoint saved
-    under another config raises ``ValueError`` naming every differing key.
+    run emits the same metrics as an uninterrupted one.  ``ValueError`` is raised
+    for an empty pool, and for a checkpoint of another config naming every differing key.
     """
+    if len(episodes) == 0:
+        raise ValueError("no episodes to train on")
     if resume is None:
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
         start_step, opt_state = 0, None

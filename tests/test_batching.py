@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glimpse import tensor as T
-from glimpse.config import RunConfig
+from glimpse.config import RunConfig, derive_seed
 from glimpse.data import FrameBundle, Vocab, gen_episode
 from glimpse.model import VideoQAModel
+from glimpse.nn import widen_weights
 from glimpse.tensor import Tensor
 
 SAMPLERS = ("sparse", "soft", "uniform")
@@ -35,8 +36,9 @@ seeds = st.integers(0, 2**31 - 1)
 @functools.lru_cache(maxsize=None)
 def model_for(sampler: str, dtype=np.float64) -> VideoQAModel:
     cfg = RunConfig(n_frames=6, k_select=2, depth=1, dim=24, heads=2, n_grid=2,
-                    sampler=sampler, init_std=0.3, seed=4)
+                    sampler=sampler, seed=4)
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
+    widen_weights(model, np.random.default_rng(derive_seed(cfg.seed, 0x1217)), 0.3)
     return model.astype(dtype)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,22 +13,33 @@ from glimpse import data
 from glimpse import evaluate as geval
 from glimpse import tensor as T
 from glimpse.cli import main
-from glimpse.config import desk_config
+from glimpse.config import RunConfig, desk_config
 from glimpse.data import (BLIND_MODES, EpisodeSet, FrameBundle, Vocab, blind_input,
                           episode_seeds, gen_episode, save_dataset)
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.objectives import MATCHED, UNMATCHED
 from glimpse.sampler import uniform_indices
+from glimpse.nn import widen_weights
 from glimpse.train import (AdamW, NumericFailure, derive_seed, episode_noise_seed, lr_at,
-                           tau_g_at, train, train_step)
+                           train, train_step)
 from glimpse.tensor import Tensor
+
+
+DESK_RECIPE = Path(__file__).resolve().parent.parent / "configs" / "desk_recipe.json"
 
 
 def smoke_config(**overrides):
     base = dict(steps=2, batch_size=4, lr=1e-3, warmup=0.0, seed=5)
     base.update(overrides)
     return desk_config(**base)
+
+
+def wide_model(cfg, std):
+    """A model whose projections are re-drawn at ``std``, off the near-uniform init."""
+    model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
+    widen_weights(model, np.random.default_rng(derive_seed(cfg.seed, 0x1217)), std)
+    return model
 
 
 def pool(cfg, count, base=0):
@@ -43,13 +55,6 @@ class TestSchedules:
         assert lr_at(cfg, 9) == pytest.approx(1.0)
         assert lr_at(cfg, 99) == pytest.approx(1.0 / 90)
         assert lr_at(cfg, 54) == pytest.approx(46 / 90)
-
-    def test_tau_anneal_endpoints(self):
-        cfg = smoke_config(steps=50, tau_g_anneal=True, tau_g_final=0.5)
-        assert tau_g_at(cfg, 0) == pytest.approx(1.0)
-        assert tau_g_at(cfg, 49) == pytest.approx(0.5)
-        cfg_flat = smoke_config(steps=50)
-        assert tau_g_at(cfg_flat, 25) == 1.0
 
     def test_derive_seed_is_stable_and_mixed(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -241,10 +246,9 @@ class TestEvalBatching:
         # A row's outputs move with the rows it shares a call with only by
         # float32 rounding, so the size of a represent call changes no metric
         # of the blind-probe, no-MCQ or single-mode reports.
-        cfg = smoke_config(init_std=0.3)
+        cfg = smoke_config()
         episodes = pool(cfg, 12)
-        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
-                             np.random.default_rng(cfg.seed))
+        model = wide_model(cfg, 0.3)
 
         def reports():
             return (evaluate_with_blind_probes(model, episodes, eval_seed=4),
@@ -312,9 +316,8 @@ class TestEvalBatching:
         # episode 2's question, not its own again: with it, the matched and
         # the foreign row would be one row, scored both ways.  When every
         # episode asks one question there is no foreign text at all.
-        cfg = smoke_config(init_std=1.0)
-        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
-                             np.random.default_rng(cfg.seed))
+        cfg = smoke_config()
+        model = wide_model(cfg, 1.0)
         episodes = pool(cfg, 4)
         episodes[1] = dataclasses.replace(episodes[1],
                                           question_tokens=list(episodes[0].question_tokens))
@@ -391,6 +394,19 @@ class TestCli:
         assert report["static"]["delta"] == pytest.approx(
             report["static"]["qa_accuracy"] - report["clean"]["qa_accuracy"])
 
+    def test_desk_recipe_reads_and_trains(self, tmp_path):
+        # The committed recipe: desk sizes, QA only, no exchange, lr 1e-3,
+        # 2,000 steps at batch 16, seed 1; every other field a default.
+        recipe = RunConfig.from_file(DESK_RECIPE)
+        assert recipe == desk_config(w_vtm=0.0, w_cl=0.0, w_vgmlm=0.0, exchange_prob=0.0,
+                                     lr=1e-3, steps=2000, batch_size=16, seed=1)
+        data, config = tmp_path / "data", ["--config", str(DESK_RECIPE)]
+        assert main(["gen-data", "--out", str(data), "--episodes", "8", *config]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                     "--metrics", str(tmp_path / "m.jsonl"), *config,
+                     "--steps", "2", "--batch-size", "4"]) == 0
+        assert load_checkpoint(tmp_path / "ckpt")[0].cfg == recipe.replace(steps=2, batch_size=4)
+
     def test_eval_untrained_is_near_chance(self, tmp_path):
         data = tmp_path / "data"
         ckpt = tmp_path / "ckpt"
@@ -444,6 +460,37 @@ class TestCli:
                      "--data", str(data)]) == 1
         assert "episode 2 regenerated differently" in capsys.readouterr().err
 
+    def test_out_of_range_sizes_exit_1_with_an_error_line(self, tmp_path, capsys):
+        # Sizes that cannot run fail at the config, the pool or the episode
+        # count with a usage error, not deep in the model with a traceback.
+        data, empty = tmp_path / "data", tmp_path / "empty"
+        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
+                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", *overrides]) == 0
+        save_dataset(empty, base_seed=1, count=0, n_frames=30, n_grid=2, dim=32, vocab_seed=7)
+        train_args = ["train", "--out", str(tmp_path / "ckpt"), "--steps", "1",
+                      "--batch-size", "2", "--metrics", str(tmp_path / "m.jsonl"), *overrides]
+        cases = [
+            (["--data", str(data), "--heads", "0"], "heads must be >= 1"),
+            (["--data", str(data), "--batch-size", "0"], "batch_size must be >= 1"),
+            (["--data", str(data), "--k-select", "0"], "k_select must be >= 1"),
+            (["--data", str(data), "--lr", "-1"], "lr must be >= 0"),
+            (["--data", str(data), "--n-grid", "0"], "n_grid must be >= 1"),
+            (["--data", str(data), "--steps", "-1"], "steps must be >= 0"),
+            (["--data", str(empty)], "no episodes to train on"),
+        ]
+        capsys.readouterr()
+        for extra, message in cases:
+            assert main(train_args + extra) == 1, extra
+            assert f"error: {message}" in capsys.readouterr().err
+        assert main(["ablate", "--train-episodes", "0", "--eval-episodes", "2",
+                     "--steps", "1", *overrides]) == 1
+        assert "error: no episodes to train on" in capsys.readouterr().err
+        assert main(["gen-data", "--out", str(tmp_path / "neg"), "--episodes", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: --episodes must be >= 1" in captured.err and "wrote" not in captured.out
+        assert not (tmp_path / "neg").exists()
+
     def test_eval_of_unfinished_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = desk_config(depth=1, seed=2)
         ckpt = tmp_path / "ckpt"
@@ -456,22 +503,40 @@ class TestCli:
 
     def test_format_1_checkpoint_and_removed_config_keys_exit_1(self, tmp_path, capsys):
         # Both compatibility breaks fail loudly and name their cause: a
-        # format-1 checkpoint, and a config file or flag with a removed knob.
+        # format-1 checkpoint, and a config file, flag or checkpoint with a
+        # removed knob.
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
         (ckpt / "meta.json").write_text(json.dumps({"step": 1, "format": 1}))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
         assert "checkpoint of format 1; only format 2" in capsys.readouterr().err
-        for key in ("mlp_ratio", "answer_hidden", "text_max_len"):
+        for key in ("mlp_ratio", "answer_hidden", "text_max_len",
+                    "soft_warmup", "init_std", "tau_g_anneal", "tau_g_final"):
             path = tmp_path / f"{key}.json"
             path.write_text(json.dumps({**dataclasses.asdict(desk_config()), key: 4}))
             out = ["--out", str(tmp_path / key), "--episodes", "1"]
             assert main(["gen-data", "--config", str(path), *out]) == 1
-            assert f"unknown config keys: ['{key}'] ({key}: removed" in capsys.readouterr().err
+            assert f"unknown config keys: ['{key}'] ({key}: removed, " in capsys.readouterr().err
             with pytest.raises(SystemExit) as exit_info:
                 main(["gen-data", "--" + key.replace("_", "-"), "4", *out])
             assert exit_info.value.code == 1
+            assert f"({key}: removed, " in capsys.readouterr().err
+        # Every checkpoint saved while the four training knobs existed carries
+        # them in its config, at their defaults.
+        cfg = desk_config(depth=1, seed=2)
+        old = tmp_path / "old"
+        save_checkpoint(old, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                                          np.random.default_rng(2)), step=0)
+        meta = json.loads((old / "meta.json").read_text())
+        meta["config"].update(soft_warmup=0.0, init_std=0.02, tau_g_anneal=False,
+                              tau_g_final=0.5)
+        (old / "meta.json").write_text(json.dumps(meta))
+        assert main(["eval", "--checkpoint", str(old), "--data", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert "soft_warmup: removed, selection is straight-through from step 0" in err
+        for key in ("init_std", "tau_g_anneal", "tau_g_final"):
+            assert f"{key}: removed, " in err
 
     def test_eval_rejects_dataset_geometry_and_vocab_mismatch(self, tmp_path, capsys):
         desk = {"--n-frames": "30", "--k-select": "4", "--depth": "1", "--dim": "32",
