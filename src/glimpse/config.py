@@ -75,9 +75,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for name, low in (("heads", 1), ("k_select", 1), ("depth", 1), ("batch_size", 1),
-                          ("n_grid", 1), ("steps", 0), ("lr", 0)):
+                          ("n_grid", 1), ("steps", 0), ("lr", 0), ("weight_decay", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if not 0.0 <= self.mask_rate <= 1.0:
+            raise ValueError("mask_rate must be in [0, 1]")
         if self.dim % self.heads:
             raise ValueError("dim must be divisible by heads")
         if self.k_select > self.n_frames:

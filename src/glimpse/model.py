@@ -9,9 +9,9 @@ The gated refiner and ``PlainFusion``, a joint transformer over [CLS,
 text, patches], assemble their tokens through the same ``refiner`` code.
 
 The model holds float32 parameters and computes in float32: train steps,
-evaluation and ablation all run on them.  Checkpoints store ``<f8``,
-which holds float32 values exactly.  The finite-difference oracle certifies
-the same modules built in float64.
+evaluation and ablation all run on them, and checkpoints store them as
+float32 ``.npy`` vectors.  The finite-difference oracle certifies the same
+modules built in float64.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +31,7 @@ from .data import NUM_VALUES, FrameBundle, Vocab
 from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
 from .sampler import SamplerParams, apply_mask, selection_rows, straight_through, uniform_indices
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor
 
 
 class TextEncoder(Block):
@@ -215,35 +216,39 @@ class VideoQAModel(Module):
         return {name: p.data for name, p in self.named_parameters()}
 
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def save_checkpoint(directory, model: VideoQAModel, step: int,
                     optimizer_state: dict | None = None) -> None:
-    """Write ``params.tdmp``, the optional ``moments.tdmp`` and ``meta.json``.
+    """Write ``params.npy``, the optional ``moments.npy`` and ``meta.json``.
 
-    ``params.tdmp`` holds the parameters back to back in ``named_parameters``
-    order, ``moments.tdmp`` every first moment and then every second, all as
-    ``<f8`` (which holds float32 exactly).  ``meta.json`` (format, config,
-    step, the optimizer's ``t``, parameter names) marks a complete save: it
-    and the old moments are removed first and the new one is moved in last,
-    so a save that stops midway refuses to load and no dump of an earlier
-    save outlives a new one.
+    ``params.npy`` holds the parameters back to back in ``named_parameters``
+    order, ``moments.npy`` every first moment and then every second, each as
+    one float32 vector (a float64 model saves rounded).  ``meta.json``
+    (format, config, step, the optimizer's ``t``, parameter names, the crc32
+    of each dump's values) marks a complete save: it and the old moments are
+    removed first and the new one is moved in last, so a save that stops
+    midway refuses to load and no dump of an earlier save outlives a new one.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta_path = directory / "meta.json"
     meta_path.unlink(missing_ok=True)
-    (directory / "moments.tdmp").unlink(missing_ok=True)
+    (directory / "moments.npy").unlink(missing_ok=True)
     names, params = zip(*model.named_parameters())
     meta = {"format": CHECKPOINT_FORMAT, "config": dataclasses.asdict(model.cfg),
             "step": step, "names": list(names)}
-    save_tensor(directory / "params.tdmp", param_buffer(params))
+    dumps = {"params": param_buffer(params).astype(COMPUTE_DTYPE, copy=False)}
     if optimizer_state is not None:
         pairs = [optimizer_state["moments"][name] for name in names]
-        moments = [Tensor(m) for m, _ in pairs] + [Tensor(v) for _, v in pairs]
-        save_tensor(directory / "moments.tdmp", param_buffer(moments))
+        dumps["moments"] = np.concatenate([m.reshape(-1) for m, _ in pairs]
+                                          + [v.reshape(-1) for _, v in pairs],
+                                          dtype=COMPUTE_DTYPE)
         meta["t"] = optimizer_state["t"]
+    for name, vector in dumps.items():
+        np.save(directory / f"{name}.npy", vector)
+        meta[f"{name}_crc32"] = zlib.crc32(vector)
     partial = directory / "meta.json.partial"
     partial.write_text(json.dumps(meta))
     os.replace(partial, meta_path)
@@ -253,12 +258,14 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     """Rebuild the model, its step and the AdamW state from ``directory``.
 
     The one way saved state enters a model.  The model is built without a
-    draw, and each dump is read once in the parameters' dtype: into the
-    parameter buffer, and into one vector whose views become the moments.  A
-    float32 model round-trips bit for bit, float64 weights load rounded.
-    ``ValueError`` is raised without ``meta.json`` (no checkpoint, or an
-    unfinished save), for another format, for names other than those of the
-    model the config builds, and for a dump of the wrong size.
+    draw, and each dump is copied once from its mapped file: into the
+    parameter buffer, and into one vector whose views become the moments.
+    A float32 model round-trips bit for bit.  ``ValueError`` is raised
+    without ``meta.json`` (no checkpoint, or an unfinished save), for another
+    format, for a ``meta.json`` that lacks a field, for names other than
+    those of the model the config builds, for a dump that is not one float32
+    ``.npy`` vector of the model's length, and for a dump whose values do not
+    match their checksum.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -266,23 +273,55 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
         raise ValueError(f"{directory} holds no complete checkpoint: meta.json is missing "
                          "(no checkpoint was saved there, or a save did not finish)")
     meta = json.loads(meta_path.read_text())
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{directory} holds a checkpoint of format {meta.get('format')}; "
-                         f"only format {CHECKPOINT_FORMAT} (params.tdmp, moments.tdmp) "
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"{directory} holds a checkpoint of format {found}; "
+                         f"only format {CHECKPOINT_FORMAT} (params.npy, moments.npy) "
                          "can be read")
+    required = ["config", "step", "names", "params_crc32"]
+    if "t" in meta:
+        required.append("moments_crc32")
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path} lacks {missing}")
     cfg = RunConfig.from_dict(meta["config"])
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), None)
     names, params = zip(*model.named_parameters())
     if meta["names"] != list(names):
         differ = sorted(set(names) ^ set(meta["names"]))
         raise ValueError(f"checkpoint/model parameter mismatch: {differ[:6]}")
-    flat = load_tensor(directory / "params.tdmp", out=param_buffer(params, copy=False))
+    flat = param_buffer(params, copy=False)
+    _read_dump(directory / "params.npy", flat, meta["params_crc32"])
     optimizer_state = None
     if "t" in meta:
-        arrays = split_views(load_tensor(directory / "moments.tdmp",
-                                         out=np.empty(2 * flat.size, flat.dtype)),
-                             [p.shape for p in params] * 2)
+        moments = np.empty(2 * flat.size, flat.dtype)
+        _read_dump(directory / "moments.npy", moments, meta["moments_crc32"])
+        arrays = split_views(moments, [p.shape for p in params] * 2)
         optimizer_state = {"t": meta["t"],
                            "moments": dict(zip(names, zip(arrays[:len(names)],
                                                           arrays[len(names):])))}
     return model, meta["step"], optimizer_state
+
+
+def _read_dump(path: Path, out: np.ndarray, crc32: int) -> None:
+    """Copy the float32 vector dumped at ``path`` into ``out`` and check its crc32.
+
+    The file is mapped only for the copy: no view of it outlives the call, so
+    a later save may overwrite it.
+    """
+    size = path.stat().st_size
+    try:
+        mapped = np.lib.format.open_memmap(path, mode="r")
+    except ValueError as err:
+        raise ValueError(f"{path} is not a .npy dump: {err}") from None
+    try:
+        if (mapped.dtype != out.dtype or mapped.shape != out.shape
+                or mapped.offset + mapped.nbytes != size):
+            raise ValueError(f"{path} holds {mapped.dtype} {mapped.shape} in {size} bytes; "
+                             f"the model needs {out.dtype} {out.shape} with nothing after it")
+        np.copyto(out, mapped)
+    finally:
+        del mapped
+    if zlib.crc32(out) != crc32:
+        raise ValueError(f"{path} does not match its checksum in meta.json: "
+                         "it changed after the save")

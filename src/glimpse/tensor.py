@@ -31,9 +31,6 @@ the optimizer updates in place between tapes.
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -535,53 +532,3 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         out._backward = _bw
     return out
 
-
-# -- binary dump format ---------------------------------------------------------
-
-_MAGIC = b"TDMP"
-_CHUNK_BYTES = 1 << 20
-
-
-def save_tensor(path, array) -> None:
-    """Write ``array`` in the dump format: magic, u32 rank, u64 dims, f64 payload.
-
-    A float32 array is widened to ``<f8`` on disk, which holds it exactly.  The
-    payload is written from the buffer of that one ``<f8`` array (the array
-    itself when it is already contiguous ``<f8``).
-    """
-    arr = np.asarray(array.data if isinstance(array, Tensor) else array, dtype="<f8", order="C")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-        fh.write(arr.data)
-
-
-def load_tensor(path, dtype=np.float64, out: Array | None = None) -> Array:
-    """Read a dump into a fresh ``dtype`` array, or into ``out``, a C-contiguous
-    array of the dump's shape whose dtype it takes, and return that array.
-
-    The ``<f8`` payload passes through one reused buffer of ``_CHUNK_BYTES``
-    and is cast into the result chunk by chunk, so a dump is never held twice.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != _MAGIC:
-            raise ValueError(f"{path}: bad magic, not a tensor dump")
-        (rank,) = struct.unpack("<I", head[4:])
-        raw = fh.read(8 * rank)
-        if len(raw) != 8 * rank:
-            raise ValueError(f"{path}: header ends before its {rank} dims")
-        dims = struct.unpack(f"<{rank}Q", raw)
-        count = math.prod(dims)
-        if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * count:
-            raise ValueError(f"{path}: payload size does not match header dims")
-        if out is None:
-            out = np.empty(dims, dtype)
-        elif out.shape != dims or not out.flags.c_contiguous:
-            raise ValueError(f"{path} holds shape {dims}; the model needs {out.shape}")
-        flat = out.reshape(-1)
-        chunk = np.empty(max(1, min(count, _CHUNK_BYTES // 8)), "<f8")
-        for start in range(0, count, chunk.size):
-            part = chunk[:count - start]
-            fh.readinto(part)
-            flat[start:start + part.size] = part
-    return out

@@ -1,7 +1,10 @@
 """Pipeline assembly, variant wiring, determinism, and checkpoints."""
 
 import dataclasses
+import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from glimpse import tensor as T
 from glimpse.config import RunConfig, desk_config, loss_variant, table_variant
 from glimpse.data import FrameBundle, Vocab, gen_episode
 from glimpse.model import PlainFusion, VideoQAModel, load_checkpoint, save_checkpoint
-from glimpse.tensor import Tensor, save_tensor
+from glimpse.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -224,19 +227,19 @@ class TestCheckpoints:
         newer = build(cfg, vocab)
         for p in newer.parameters():
             p.data = p.data + np.float32(1.0)
-        written = []
+        written, save = [], np.save
 
         def failing(path, array):
             if len(written) == 1:
                 raise OSError("disk full")
             written.append(path)
-            save_tensor(path, array)
+            save(path, array)
 
-        monkeypatch.setattr("glimpse.model.save_tensor", failing)
+        monkeypatch.setattr(gmodel.np, "save", failing)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(tmp_path, newer, step=2, optimizer_state=zero_moments(newer))
         monkeypatch.undo()
-        assert written == [tmp_path / "params.tdmp"]
+        assert written == [tmp_path / "params.npy"]
         with pytest.raises(ValueError, match="meta.json is missing"):
             load_checkpoint(tmp_path)
         save_checkpoint(tmp_path, newer, step=2)
@@ -268,16 +271,24 @@ class TestCheckpoints:
                 == represent_one(uniform, episode, 4)["v_star"].data).all()
 
     def test_format_1_checkpoint_rejected(self, tmp_path, world):
-        # Format 1 kept config.json and one dump per parameter under params/;
-        # its meta.json names the format, and the load refuses it by name.
+        # Format 1 kept config.json and one dump per parameter under params/,
+        # format 2 one "TDMP" dump of <f8 values per vector; each meta.json
+        # names its format, and the load refuses it by that number.
         cfg, vocab, _ = world
+        model = build(cfg, vocab)
         (tmp_path / "params").mkdir()
         (tmp_path / "config.json").write_text(json.dumps(dataclasses.asdict(cfg)))
-        for name, arr in build(cfg, vocab).state_dict().items():
-            save_tensor(tmp_path / "params" / f"{name}.tdmp", arr)
         (tmp_path / "meta.json").write_text(json.dumps({"step": 1, "format": 1}))
-        with pytest.raises(ValueError, match="checkpoint of format 1; only format 2"):
+        with pytest.raises(ValueError, match="checkpoint of format 1; only format 3"):
             load_checkpoint(tmp_path)
+        old = tmp_path / "format2"
+        old.mkdir()
+        (old / "params.tdmp").write_bytes(tdmp_bytes(nn.param_buffer(model.parameters())))
+        (old / "meta.json").write_text(json.dumps({
+            "format": 2, "config": dataclasses.asdict(cfg), "step": 1,
+            "names": [name for name, _ in model.named_parameters()]}))
+        with pytest.raises(ValueError, match="checkpoint of format 2; only format 3"):
+            load_checkpoint(old)
 
     def test_names_or_dump_size_that_do_not_fit_rejected(self, tmp_path, world):
         cfg, vocab, _ = world
@@ -288,10 +299,102 @@ class TestCheckpoints:
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=rf"parameter mismatch: \['{first}'\]"):
             load_checkpoint(tmp_path)
+        # Every dump that is not exactly one float32 .npy vector of the
+        # model's length, with nothing after it, is refused by name.
+        flat = nn.param_buffer(model.parameters())
+
+        def bad_dumps(vector):
+            npy = npy_bytes(vector)
+            return {
+                "truncated": npy[:-4],
+                "empty": b"",
+                "a format-2 TDMP dump": tdmp_bytes(vector),
+                "trailing bytes": npy + b"\0" * 4,
+                "float64": npy_bytes(vector.astype(np.float64)),
+                "int64": npy_bytes(vector.astype(np.int64)),
+                "too short": npy_bytes(vector[:-1]),
+                "too long": npy_bytes(np.append(vector, np.float32(0))),
+            }
+
+        for name, vector in (("params.npy", flat),
+                             ("moments.npy", np.zeros(2 * flat.size, np.float32))):
+            for case, blob in bad_dumps(vector).items():
+                save_checkpoint(tmp_path, model, step=1, optimizer_state=zero_moments(model))
+                (tmp_path / name).write_bytes(blob)
+                with pytest.raises(ValueError, match=name) as err:
+                    load_checkpoint(tmp_path)
+                assert "checksum" not in str(err.value), (name, case)
+
+    def test_dump_changed_after_the_save_refuses_to_load(self, tmp_path, world):
+        # A dump whose bytes change after a finished save, at the same size,
+        # refuses to load: here one value's exponent byte is flipped.
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
+        for name in ("params.npy", "moments.npy"):
+            save_checkpoint(tmp_path, model, step=1, optimizer_state=zero_moments(model))
+            blob = bytearray((tmp_path / name).read_bytes())
+            blob[-5] ^= 0x01
+            (tmp_path / name).write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match=rf"{name} does not match its checksum"):
+                load_checkpoint(tmp_path)
+
+    def test_meta_without_a_required_key_rejected(self, tmp_path, world):
+        # A meta.json of the current format that lacks a field refuses to load
+        # and names the field; one that is not a JSON object has no format.
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
         save_checkpoint(tmp_path, model, step=1, optimizer_state=zero_moments(model))
-        save_tensor(tmp_path / "moments.tdmp", np.zeros(5))
-        with pytest.raises(ValueError, match=r"moments.tdmp holds shape \(5,\); the model needs"):
+        full = json.loads((tmp_path / "meta.json").read_text())
+        for key in ("config", "step", "names", "params_crc32", "moments_crc32"):
+            meta = {k: v for k, v in full.items() if k != key}
+            (tmp_path / "meta.json").write_text(json.dumps(meta))
+            with pytest.raises(ValueError, match=rf"meta.json lacks \['{key}'\]"):
+                load_checkpoint(tmp_path)
+        (tmp_path / "meta.json").write_text(json.dumps({"format": gmodel.CHECKPOINT_FORMAT}))
+        with pytest.raises(ValueError,
+                           match=r"lacks \['config', 'step', 'names', 'params_crc32'\]"):
             load_checkpoint(tmp_path)
+        (tmp_path / "meta.json").write_text("[]")
+        with pytest.raises(ValueError, match="checkpoint of format None"):
+            load_checkpoint(tmp_path)
+
+    def test_dumps_are_plain_float32_npy_with_their_checksums(self, tmp_path, world):
+        # The on-disk contract: numpy alone reads each dump as one float32
+        # vector; the parameters are the model's buffer, the moments every
+        # first moment and then every second; meta.json holds the crc32 of
+        # each dump's values.  Nothing else is written.
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
+        rng = np.random.default_rng(4)
+        moments = {name: (rng.normal(size=p.shape).astype(np.float32),
+                          rng.random(p.shape).astype(np.float32))
+                   for name, p in model.named_parameters()}
+        save_checkpoint(tmp_path, model, step=2, optimizer_state={"t": 2, "moments": moments})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.json", "moments.npy",
+                                                               "params.npy"]
+        params, stacked = np.load(tmp_path / "params.npy"), np.load(tmp_path / "moments.npy")
+        assert params.dtype == stacked.dtype == np.float32
+        assert params.ndim == stacked.ndim == 1
+        assert params.tobytes() == nn.param_buffer(model.parameters()).tobytes()
+        pairs = list(moments.values())
+        want = np.concatenate([m.ravel() for m, _ in pairs] + [v.ravel() for _, v in pairs])
+        assert stacked.tobytes() == want.tobytes()
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["params_crc32"] == zlib.crc32(params.tobytes())
+        assert meta["moments_crc32"] == zlib.crc32(stacked.tobytes())
+
+
+def npy_bytes(array) -> bytes:
+    """``array`` as numpy writes it to a .npy file."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def tdmp_bytes(array) -> bytes:
+    """A flat vector in format 2's dump: b"TDMP", u32 rank, u64 dims, <f8 values."""
+    return (b"TDMP" + struct.pack("<IQ", 1, array.size)
+            + np.asarray(array, "<f8").tobytes())
 
 
 class TestConfig:

@@ -3,9 +3,11 @@
 A ``VideoQAModel`` holds float32 parameters, so every tensor of a train step
 or an eval pass, every gradient and every AdamW moment is float32; one
 float64 constant would widen the whole graph behind it.  Checkpoints store
-``<f8`` and round-trip a float32 model bit for bit.  Modules built directly
+float32 and round-trip a float32 model bit for bit.  Modules built directly
 (the oracle's targets) stay float64.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from glimpse.data import Vocab, gen_episode
 from glimpse.evaluate import evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.nn import Mlp, init_normal, param_buffer
-from glimpse.tensor import Tensor, load_tensor, save_tensor
+from glimpse.tensor import Tensor
 from glimpse.train import AdamW, train_step
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -111,32 +113,28 @@ def test_checkpoint_round_trip_keeps_dtype_and_bytes(tmp_path):
     assert a == b
 
 
-def test_load_tensor_casts_to_the_requested_dtype(tmp_path):
-    arr = np.random.default_rng(2).normal(size=(3, 4))
-    save_tensor(tmp_path / "a.tdmp", arr)
-    got = load_tensor(tmp_path / "a.tdmp", np.float32)
-    assert got.dtype == F32 and got.flags.writeable
-    assert got.tobytes() == arr.astype(np.float32).tobytes()
-    assert load_tensor(tmp_path / "a.tdmp").tobytes() == arr.tobytes()
-
-
 def test_checkpoint_arrays_are_cast_once(tmp_path, monkeypatch):
-    # Each dump is read once, straight into the model's dtype: the parameters
-    # into the loaded model's parameter buffer, the moments into one vector,
-    # and the arrays the model and the optimizer state keep are views of it.
+    # Each dump is read once, straight from the mapped file into the model's
+    # dtype: the parameters into the loaded model's parameter buffer, the
+    # moments into one vector, and the arrays the model and the optimizer
+    # state keep are views of it.  No mapped file outlives the load.
     cfg = desk_config(seed=6, batch_size=4)
     model, optimizer, episodes = setup(cfg)
     train_step(model, optimizer, episodes, cfg, 0)
     save_checkpoint(tmp_path, model, 1, optimizer.state())
-    read = []
+    read, mapped, copyto = [], [], np.copyto
 
-    def recorded(path, dtype=np.float64, out=None):
-        read.append(load_tensor(path, dtype, out))
-        return read[-1]
+    def recorded(dst, src, **kwargs):
+        read.append(dst)
+        mapped.append(weakref.ref(src))
+        assert isinstance(src, np.memmap) and src.dtype == F32
+        return copyto(dst, src, **kwargs)
 
-    monkeypatch.setattr("glimpse.model.load_tensor", recorded)
+    monkeypatch.setattr(np, "copyto", recorded)
     loaded, _, opt_state = load_checkpoint(tmp_path)
+    monkeypatch.undo()
     assert [arr.dtype for arr in read] == [F32, F32]
+    assert all(ref() is None for ref in mapped)
     assert read[0] is param_buffer(loaded.parameters())
     params = list(loaded.state_dict().values())
     moments = [arr for pair in opt_state["moments"].values() for arr in pair]
@@ -146,8 +144,8 @@ def test_checkpoint_arrays_are_cast_once(tmp_path, monkeypatch):
 
 
 def test_float64_checkpoint_loads_rounded(tmp_path):
-    # A checkpoint holding float64 weights and moments, as written before the
-    # model computed in float32, loads with every value rounded to float32.
+    # A float64 model (the oracle's dtype) saves its weights and moments
+    # rounded to float32, and loads with every value so rounded.
     cfg = desk_config(seed=6)
     model, _, _ = setup(cfg, dtype=F64)
     rng = np.random.default_rng(1)
@@ -156,6 +154,8 @@ def test_float64_checkpoint_loads_rounded(tmp_path):
     moments = {name: (rng.normal(size=p.data.shape), rng.random(p.data.shape))
                for name, p in model.named_parameters()}
     save_checkpoint(tmp_path, model, 5, {"t": 5, "moments": moments})
+    assert model.dtype == F64
+    assert np.load(tmp_path / "params.npy").dtype == np.load(tmp_path / "moments.npy").dtype == F32
     loaded, step, opt_state = load_checkpoint(tmp_path)
     assert step == 5 and loaded.dtype == F32
     for name, arr in model.state_dict().items():

@@ -2,7 +2,6 @@
 
 import gc
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -493,45 +492,3 @@ class TestNoGrad:
             with T.no_grad():
                 raise RuntimeError("inside")
         assert (x * 2.0).requires_grad
-
-
-class TestDumpFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        arr = rng.normal(size=(3, 4, 2))
-        path = tmp_path / "x.tdmp"
-        T.save_tensor(path, arr)
-        np.testing.assert_array_equal(T.load_tensor(path), arr)
-
-    def test_exact_layout(self, tmp_path):
-        # Golden bytes assembled by hand: magic, u32 rank, u64 dims, f64 payload.
-        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
-        path = tmp_path / "y.tdmp"
-        T.save_tensor(path, arr)
-        blob = path.read_bytes()
-        expected = (
-            b"TDMP"
-            + struct.pack("<I", 2)
-            + struct.pack("<2Q", 2, 2)
-            + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
-        )
-        assert blob == expected
-
-    def test_scalar_rank_zero(self, tmp_path):
-        path = tmp_path / "s.tdmp"
-        T.save_tensor(path, np.float64(7.25))
-        loaded = T.load_tensor(path)
-        assert loaded.shape == ()
-        assert loaded == 7.25
-
-    def test_corrupt_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.tdmp"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            T.load_tensor(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "short.tdmp"
-        path.write_bytes(b"TDMP" + struct.pack("<I", 1) + struct.pack("<Q", 4) + b"\x00" * 8)
-        with pytest.raises(ValueError, match="payload"):
-            T.load_tensor(path)

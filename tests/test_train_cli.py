@@ -477,6 +477,9 @@ class TestCli:
             (["--data", str(data), "--lr", "-1"], "lr must be >= 0"),
             (["--data", str(data), "--n-grid", "0"], "n_grid must be >= 1"),
             (["--data", str(data), "--steps", "-1"], "steps must be >= 0"),
+            (["--data", str(data), "--weight-decay", "-5"], "weight_decay must be >= 0"),
+            (["--data", str(data), "--mask-rate", "2"], "mask_rate must be in [0, 1]"),
+            (["--data", str(data), "--mask-rate", "-1"], "mask_rate must be in [0, 1]"),
             (["--data", str(empty)], "no episodes to train on"),
         ]
         capsys.readouterr()
@@ -503,14 +506,16 @@ class TestCli:
 
     def test_format_1_checkpoint_and_removed_config_keys_exit_1(self, tmp_path, capsys):
         # Both compatibility breaks fail loudly and name their cause: a
-        # format-1 checkpoint, and a config file, flag or checkpoint with a
-        # removed knob.
+        # format-1 or format-2 checkpoint, and a config file, flag or
+        # checkpoint with a removed knob.
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        (ckpt / "meta.json").write_text(json.dumps({"step": 1, "format": 1}))
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
-        assert "checkpoint of format 1; only format 2" in capsys.readouterr().err
+        for number in (1, 2):
+            (ckpt / "meta.json").write_text(json.dumps({"step": 1, "format": number}))
+            assert main(["eval", "--checkpoint", str(ckpt),
+                         "--data", str(tmp_path / "data")]) == 1
+            assert f"checkpoint of format {number}; only format 3" in capsys.readouterr().err
         for key in ("mlp_ratio", "answer_hidden", "text_max_len",
                     "soft_warmup", "init_std", "tau_g_anneal", "tau_g_final"):
             path = tmp_path / f"{key}.json"
@@ -537,6 +542,31 @@ class TestCli:
         assert "soft_warmup: removed, selection is straight-through from step 0" in err
         for key in ("init_std", "tau_g_anneal", "tau_g_final"):
             assert f"{key}: removed, " in err
+
+    def test_changed_dump_or_bare_meta_exits_1(self, tmp_path, capsys):
+        # eval and train --resume refuse a dump whose bytes changed after the
+        # save, and a meta.json that lacks a field, with an error line.
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
+                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", *overrides]) == 0
+        train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
+                      "--steps", "1", "--batch-size", "2", *overrides]
+        assert main(train_args + ["--out", str(ckpt)]) == 0
+        commands = (["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+                    train_args + ["--out", str(tmp_path / "more"), "--resume", str(ckpt)])
+        blob = bytearray((ckpt / "params.npy").read_bytes())
+        blob[-5] ^= 0x01
+        (ckpt / "params.npy").write_bytes(bytes(blob))
+        meta = (ckpt / "meta.json").read_text()
+        for broken, message in ((meta, "params.npy does not match its checksum"),
+                                (json.dumps({"format": 3}), "meta.json lacks ['config', ")):
+            (ckpt / "meta.json").write_text(broken)
+            for command in commands:
+                capsys.readouterr()
+                assert main(command) == 1, command[0]
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and message in err, command[0]
 
     def test_eval_rejects_dataset_geometry_and_vocab_mismatch(self, tmp_path, capsys):
         desk = {"--n-frames": "30", "--k-select": "4", "--depth": "1", "--dim": "32",
