@@ -8,6 +8,8 @@ piecewise-constant hard forward has no meaningful finite difference.  The
 exact hard/soft gradient identity is covered by its own bitwise test.  The
 composite runs once unbatched and once over a batch of two rows with their
 own videos, texts and noise seeds, which certifies the batch-axis backward.
+The plain joint transformer runs over [CLS, text rows, patches] with two
+blocks, so that both the full block and the CLS-only last block are checked.
 
 Every check loss carries a random linear tether ``sum_i c_i * theta_i`` with
 coefficients bounded away from zero.  A handful of parameter elements always
@@ -27,6 +29,7 @@ from .config import RunConfig
 from .data import FrameBundle
 from .gating import cross_attention_core, gate_core
 from .gradcheck import GradReport, grad_check
+from .model import PlainFusion
 from .nn import Linear, Mlp, SelfAttention, widen_weights
 from .objectives import (
     MaskedText,
@@ -181,4 +184,15 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
         return T.tsum(refine(selected, t_rows, refiner) * w_rows)
 
     check("selection_refine_batch", batched_loss, [("t_rows", t_rows)] + composite_params[1:])
+
+    # the plain fusion baseline over [CLS, text rows, patches]
+    plain = PlainFusion(dim, heads, cfg.k_select, n_patches, 2,
+                        np.random.default_rng(cfg.seed + 9))
+    widen_weights(plain, rng)
+    patches = Tensor(rng.normal(size=(cfg.k_select, n_patches, dim)), requires_grad=True)
+    text_rows = Tensor(rng.normal(size=(3, dim)), requires_grad=True)
+    w_plain = _readout(rng, (dim,))
+    check("plain_fusion",
+          lambda: T.tsum(plain(patches, text_rows) * w_plain),
+          [("v_patch_k", patches), ("text_rows", text_rows)] + list(plain.named_parameters()))
     return results

@@ -75,7 +75,8 @@ class PlainFusion(PatchTokens):
 
     Text tokens sit in the same sequence as the visual tokens, so unlike the
     gated refiner this module fuses language directly into the representation
-    the heads consume.
+    the heads consume.  As in ``refine``, the last block is called with
+    ``readout`` and computes the CLS row alone.
     """
 
     def __init__(self, dim: int, heads: int, k_select: int, n_patches: int,
@@ -86,9 +87,10 @@ class PlainFusion(PatchTokens):
     def __call__(self, v_patch_k: Tensor, text_rows: Tensor) -> Tensor:
         """Selected patches (..., K, P, D) and text rows (..., L, D) -> CLS (..., D)."""
         x = assemble_refiner_input(v_patch_k, self, text_rows)
-        for block in self.blocks:
+        *body, last = self.blocks
+        for block in body:
             x = block(x)
-        return x[..., 0, :]
+        return last(x, readout=True)[..., 0, :]
 
 
 class VideoQAModel(Module):
@@ -227,15 +229,16 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
     order, ``moments.npy`` every first moment and then every second, each as
     one float32 vector (a float64 model saves rounded).  ``meta.json``
     (format, config, step, the optimizer's ``t``, parameter names, the crc32
-    of each dump's values) marks a complete save: it and the old moments are
-    removed first and the new one is moved in last, so a save that stops
-    midway refuses to load and no dump of an earlier save outlives a new one.
+    of each dump's values) marks a complete save: it is removed first, with
+    the old moments and a format-2 save's ``.tdmp`` dumps, and the new one is
+    moved in last, so a save that stops midway refuses to load and no dump
+    of an earlier save outlives a new one.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta_path = directory / "meta.json"
-    meta_path.unlink(missing_ok=True)
-    (directory / "moments.npy").unlink(missing_ok=True)
+    for stale in ("meta.json", "moments.npy", "params.tdmp", "moments.tdmp"):
+        (directory / stale).unlink(missing_ok=True)
     names, params = zip(*model.named_parameters())
     meta = {"format": CHECKPOINT_FORMAT, "config": dataclasses.asdict(model.cfg),
             "step": step, "names": list(names)}

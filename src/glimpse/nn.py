@@ -2,8 +2,11 @@
 
 Every block maps (..., S, D) sequences to (..., S, D): the leading axes are a
 batch of independent sequences, so one code path serves a single sequence
-and a batch of them.  ``attention`` is the one attention core: every
-attention path (self, divided space-time, cross) calls it on split heads.
+and a batch of them.  Called with ``readout=True``, a block emits row 0 only,
+(..., 1, D): the last block of a stack whose caller reads only the CLS row
+computes only that row past its keys and values.  ``attention`` is the one
+attention core: every attention path (self, divided space-time, cross)
+calls it on split heads.
 """
 
 from __future__ import annotations
@@ -155,9 +158,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 class SelfAttention(Module):
     """Standard multi-head self-attention over (..., S, D) sequences, no biases.
 
-    The four projections are also the parameter set of the text-conditioned
-    gates and of the refiner's divided attention: those read ``w_q``..``w_o``
-    directly and never call this module.
+    With ``readout=True`` only row 0 is queried: its query attends over the
+    keys and values of every row, and the output is (..., 1, D), row 0 of
+    the full output.  That is the one path for a row that reads a whole
+    sequence, so the refiner's last spatial stage calls it too.  The four
+    projections are also the parameter set of the text-conditioned gates and
+    of the refiner's divided attention: those read ``w_q``..``w_o`` directly.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -170,8 +176,8 @@ class SelfAttention(Module):
         self.heads = heads
         self.head_dim = dim // heads
 
-    def __call__(self, x: Tensor) -> Tensor:
-        q = split_heads(self.w_q(x), self.heads)
+    def __call__(self, x: Tensor, readout: bool = False) -> Tensor:
+        q = split_heads(self.w_q(x[..., :1, :] if readout else x), self.heads)
         k = split_heads(self.w_k(x), self.heads)
         v = split_heads(self.w_v(x), self.heads)
         return self.w_o(merge_heads(attention(q, k, v)))
@@ -191,6 +197,10 @@ class Mlp(Module):
 class Block(Module):
     """Pre-norm residual block: self-attention, then MLP.
 
+    With ``readout=True`` the block returns row 0 only, (..., 1, D): row 0
+    queries the keys and values of every row, and the residual and the MLP
+    run on that row alone.  ``PlainFusion`` calls its last block so.
+
     Subclasses that add a stage in front create its parameters before
     calling ``Block.__init__``, which keeps the draw order and the
     parameter names of the whole block.
@@ -202,7 +212,7 @@ class Block(Module):
         self.ln_mlp = LayerNorm(dim)
         self.mlp = Mlp(dim, 4 * dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln_attn(x))
+    def __call__(self, x: Tensor, readout: bool = False) -> Tensor:
+        x = (x[..., :1, :] if readout else x) + self.attn(self.ln_attn(x), readout=readout)
         x = x + self.mlp(self.ln_mlp(x))
         return x

@@ -4,9 +4,10 @@ A learnable video-level CLS token is prepended to the selected patch tokens;
 stacked blocks then alternate text-conditioned gating with divided space-time
 attention (patches attend across frames at the same spatial slot, then within
 their own frame; the CLS token attends over everything in both stages).  Only
-the final CLS token leaves the module.  ``PatchTokens`` (CLS token and
-positional tables) and ``assemble_refiner_input`` are shared with the plain
-joint-transformer baseline, ``model.PlainFusion``.
+the final CLS token leaves the module, so the last block computes that row
+alone once its spatial keys and values are in hand.  ``PatchTokens`` (CLS
+token and positional tables) and ``assemble_refiner_input`` are shared with
+the plain joint-transformer baseline, ``model.PlainFusion``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,14 @@ def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
 
 
 class VrBlock(Module):
-    """Gate, temporal attention, spatial attention, MLP; all pre-norm residual."""
+    """Gate, temporal attention, spatial attention, MLP; all pre-norm residual.
+
+    With ``readout=True`` the block returns the CLS row only, (..., 1, D),
+    row 0 of the full output in exact arithmetic.  The gate and the temporal
+    stage still run on every row, since the spatial keys and values read
+    them; the spatial stage is the CLS row's query over every row, and the
+    residual and the MLP run on that row alone.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  fusion: str = "la_gate"):
@@ -63,13 +71,17 @@ class VrBlock(Module):
         self.mlp = Mlp(dim, 4 * dim, rng)
         self.fusion = fusion
 
-    def __call__(self, seq: Tensor, t_row: Tensor, k: int, p: int) -> Tensor:
+    def __call__(self, seq: Tensor, t_row: Tensor, k: int, p: int,
+                 readout: bool = False) -> Tensor:
         core = gate_core if self.fusion == "la_gate" else cross_attention_core
         seq = seq + core(self.ln_gate(seq), t_row, self.gate)
         seq = seq + _divided_attention(self.ln_temporal(seq), self.attn_temporal,
                                        k, p, temporal=True)
-        seq = seq + _divided_attention(self.ln_spatial(seq), self.attn_spatial,
-                                       k, p, temporal=False)
+        if readout:  # the CLS row attends over everything, as in _divided_attention
+            seq = seq[..., :1, :] + self.attn_spatial(self.ln_spatial(seq), readout=True)
+        else:
+            seq = seq + _divided_attention(self.ln_spatial(seq), self.attn_spatial,
+                                           k, p, temporal=False)
         seq = seq + self.mlp(self.ln_mlp(seq))
         return seq
 
@@ -119,9 +131,12 @@ def refine(v_patch_k: Tensor, t_cls: Tensor, params: RefinerParams) -> Tensor:
     """Run the full refinement stack and emit only the final CLS tokens, (..., D).
 
     ``v_patch_k`` holds the selected patches (..., K, P, D) and ``t_cls`` the
-    text condition rows, (..., 1, D).
+    text condition rows, (..., 1, D).  Every block but the last maps the whole
+    sequence; the last one is called with ``readout`` and computes the CLS
+    row alone past its spatial keys and values.
     """
     seq = assemble_refiner_input(v_patch_k, params)
-    for block in params.blocks:
+    *body, last = params.blocks
+    for block in body:
         seq = block(seq, t_cls, params.k_select, params.n_patches)
-    return seq[..., 0, :]
+    return last(seq, t_cls, params.k_select, params.n_patches, readout=True)[..., 0, :]

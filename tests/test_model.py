@@ -283,12 +283,21 @@ class TestCheckpoints:
             load_checkpoint(tmp_path)
         old = tmp_path / "format2"
         old.mkdir()
-        (old / "params.tdmp").write_bytes(tdmp_bytes(nn.param_buffer(model.parameters())))
+        flat = nn.param_buffer(model.parameters())
+        (old / "params.tdmp").write_bytes(tdmp_bytes(flat))
+        (old / "moments.tdmp").write_bytes(tdmp_bytes(np.zeros(2 * flat.size)))
         (old / "meta.json").write_text(json.dumps({
-            "format": 2, "config": dataclasses.asdict(cfg), "step": 1,
+            "format": 2, "config": dataclasses.asdict(cfg), "step": 1, "t": 3,
             "names": [name for name, _ in model.named_parameters()]}))
         with pytest.raises(ValueError, match="checkpoint of format 2; only format 3"):
             load_checkpoint(old)
+        # A save over it leaves none of the format-2 dumps behind.
+        save_checkpoint(old, model, step=2, optimizer_state=zero_moments(model))
+        assert sorted(p.name for p in old.iterdir()) == ["meta.json", "moments.npy",
+                                                          "params.npy"]
+        loaded, step, state = load_checkpoint(old)
+        assert step == 2 and state["t"] == 3
+        assert (nn.param_buffer(loaded.parameters()) == flat).all()
 
     def test_names_or_dump_size_that_do_not_fit_rejected(self, tmp_path, world):
         cfg, vocab, _ = world

@@ -1,5 +1,7 @@
 """Refinement stack: assembly, divided attention topology, and CLS extraction."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from glimpse.data import FrameBundle, Vocab
 from glimpse.gating import gate_core
 from glimpse.gradcheck import grad_check
 from glimpse.model import VideoQAModel
-from glimpse.nn import widen_weights
+from glimpse.nn import Block, Linear, Mlp, widen_weights
 from glimpse.refiner import RefinerParams, VrBlock, assemble_refiner_input, refine
 from glimpse.tensor import Tensor
 
@@ -185,3 +187,89 @@ class TestRefine:
         for name, p in params.named_parameters():
             assert p.grad is not None, f"{name} got no gradient"
             assert np.abs(p.grad).max() > 0, f"{name} gradient identically zero"
+
+
+class TestReadout:
+    """The last block of a readout stack computes the CLS row alone.
+
+    Its readout call must be row 0 of its full call, in value and in every
+    gradient of a loss that weights row 0 only.  The two calls reach row 0
+    through products of other sizes, so they agree to float64 roundoff, not
+    bit for bit.
+    """
+
+    REL = 1e-12
+
+    def assert_readout_is_row_0(self, block, call, inputs):
+        rng = np.random.default_rng(12)
+        widen_weights(block, rng)
+        checked = [*inputs, *block.parameters()]
+        w0 = Tensor(rng.normal(size=(*inputs[0].shape[:-2], 1, inputs[0].shape[-1])))
+        results = []
+        for readout in (False, True):
+            for t in checked:
+                t.grad = None
+            row = call(readout=readout)
+            if not readout:
+                row = row[..., :1, :]
+            T.tsum(row * w0).backward()
+            results.append((row.data, [t.grad for t in checked]))
+        (full, full_grads), (row, row_grads) = results
+        assert row.shape == full.shape
+        np.testing.assert_allclose(row, full, rtol=0, atol=self.REL * np.abs(full).max())
+        names = ["seq", "text"][:len(inputs)] + [n for n, _ in block.named_parameters()]
+        for name, want, got in zip(names, full_grads, row_grads):
+            assert np.abs(want).max() > 0, f"{name} gets no gradient from row 0"
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= self.REL, f"{name}: {err:.1e}"
+
+    @pytest.mark.parametrize("fusion", ["la_gate", "cross_attention"])
+    def test_vr_block(self, fusion):
+        rng = np.random.default_rng(13)
+        k, p = 2, 3
+        block = VrBlock(16, 2, np.random.default_rng(13), fusion=fusion)
+        seq = Tensor(rng.normal(size=(2, 1 + k * p, 16)), requires_grad=True)
+        # Two text rows: over one, cross-attention's softmax is constant.
+        text = Tensor(rng.normal(size=(2, 2, 16)), requires_grad=True)
+        self.assert_readout_is_row_0(
+            block, functools.partial(block, seq, text, k, p), [seq, text])
+
+    def test_block(self):
+        rng = np.random.default_rng(14)
+        block = Block(16, 2, np.random.default_rng(14))
+        x = Tensor(rng.normal(size=(2, 7, 16)), requires_grad=True)
+        self.assert_readout_is_row_0(block, functools.partial(block, x), [x])
+
+    @pytest.mark.parametrize("refiner", ["gated", "plain"])
+    def test_represent_runs_the_last_block_on_the_cls_row(self, refiner, monkeypatch):
+        # Every block but the last maps whole sequences; the last one's MLP
+        # and its row-mixing stage's queries see one row per sequence.
+        cfg = RunConfig(n_frames=6, k_select=2, depth=2, dim=24, heads=2, n_grid=2,
+                        refiner=refiner)
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(0))
+        shapes = {}
+        for cls in (Mlp, Linear):
+            original = cls.__call__
+
+            def recorded(module, x, original=original):
+                shapes.setdefault(id(module), []).append(x.shape)
+                return original(module, x)
+
+            monkeypatch.setattr(cls, "__call__", recorded)
+        rng = np.random.default_rng(15)
+        b, n, p, d = 3, 6, 4, 24
+        bundle = FrameBundle(v_patch=rng.normal(size=(b, n, p, d)).astype(np.float32),
+                             v_cls=rng.normal(size=(b, n, d)).astype(np.float32))
+        out = model.represent(bundle, [[2, 3, 4]] * b, [0, 1, 2])
+        assert out["v_star"].shape == (b, d)
+        stack = model.refiner if refiner == "gated" else model.plain
+        *body, last = stack.blocks
+        mixing = "attn_spatial" if refiner == "gated" else "attn"
+        text = 0 if refiner == "gated" else 1 + 3   # plain: the text CLS and 3 tokens
+        s = 1 + text + cfg.k_select * p
+        for block in body:
+            assert shapes[id(block.mlp)] == [(b, s, d)]
+            assert shapes[id(getattr(block, mixing).w_q)] == [(b, s, d)]
+        assert shapes[id(last.mlp)] == [(b, 1, d)]
+        assert shapes[id(getattr(last, mixing).w_q)] == [(b, 1, d)]
+        assert shapes[id(getattr(last, mixing).w_k)] == [(b, s, d)]

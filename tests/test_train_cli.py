@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -628,7 +629,7 @@ class TestCli:
                      "--metrics", str(tmp_path / "m.jsonl"), *overrides])
         assert code == 2
 
-    def test_gradcheck_detects_sabotaged_backward(self, monkeypatch):
+    def test_gradcheck_detects_sabotaged_backward(self, monkeypatch, capsys):
         import glimpse.tensor as gt
 
         real_gelu = gt.gelu
@@ -650,3 +651,5 @@ class TestCli:
                      "--depth", "1", "--dim", "8", "--heads", "2",
                      "--n-grid", "2"])
         assert code == 2
+        # Every target with an MLP fails, the plain fusion among them.
+        assert re.search(r"^FAIL .* plain_fusion ", capsys.readouterr().out, re.M)
