@@ -4,15 +4,16 @@ Every block maps (..., S, D) sequences to (..., S, D): the leading axes are a
 batch of independent sequences, so one code path serves a single sequence
 and a batch of them.  Called with ``readout=True``, a block emits row 0 only,
 (..., 1, D): the last block of a stack whose caller reads only the CLS row
-computes only that row past its keys and values.  ``attention`` is the one
-attention core: every attention path (self, divided space-time, cross)
-calls it on split heads.
+computes only that row past its keys and values.  ``tensor.attention`` is
+the one attention core: every attention path (self, divided space-time,
+cross) is four ``Linear`` projections around one call of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,22 +69,34 @@ class Module:
         return self
 
 
+# The views ``param_buffer`` laid out, by the id of their buffer, all held
+# weakly.  An array's data pointer cannot be rebound, so a parameter whose data
+# is still its view sits at its place: the check compares identities and
+# reads no addresses.  A record goes when its buffer does.
+_layouts: dict[int, tuple] = {}
+
+
 def param_buffer(params: Sequence[Tensor], dtype=None, copy: bool = True) -> np.ndarray:
     """The one vector that holds ``params`` back to back, in order, each ``p.data``
-    a view of it.  Parameters not yet laid out so in ``dtype`` (default: the first
-    one's) are rounded into a new vector (``copy=False``: left unset, to be filled)."""
+    a C-contiguous view of it.  Parameters not yet laid out so in ``dtype`` (default:
+    the first one's) are rounded into a new vector (``copy=False``: left unset, to be
+    filled)."""
     dtype = np.dtype(params[0].dtype if dtype is None else dtype)
     buf = params[0].data.base
-    if buf is not None and buf.dtype == dtype and buf.ndim == 1:
-        at = np.cumsum([0] + [p.data.nbytes for p in params]) + buf.ctypes.data
-        if at[-1] == buf.ctypes.data + buf.nbytes and all(
-                p.data.base is buf and p.data.flags.c_contiguous and p.data.ctypes.data == a
-                for p, a in zip(params, at.tolist())):
-            return buf
+    record = _layouts.get(id(buf))
+    if (record is not None and record[0]() is buf and buf.dtype == dtype
+            and len(record[1]) == len(params)
+            and all(view() is p.data and p.data.flags.c_contiguous
+                    for p, view in zip(params, record[1]))):
+        return buf
     buf = (np.concatenate([p.data.reshape(-1) for p in params], dtype=dtype) if copy
            else np.empty(sum(p.size for p in params), dtype))
-    for p, view in zip(params, split_views(buf, [p.shape for p in params])):
+    views = split_views(buf, [p.shape for p in params])
+    for p, view in zip(params, views):
         p.data = view
+    key = id(buf)
+    _layouts[key] = (weakref.ref(buf, lambda _: _layouts.pop(key, None)),
+                     [weakref.ref(view) for view in views])
     return buf
 
 
@@ -136,25 +149,6 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias)
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., S, D) -> (..., H, S, D/H)."""
-    *lead, s, d = x.shape
-    return T.swapaxes(T.reshape(x, (*lead, s, heads, d // heads)), -3, -2)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., H, S, d) -> (..., S, H*d)."""
-    *lead, h, s, d = x.shape
-    return T.reshape(T.swapaxes(x, -3, -2), (*lead, s, h * d))
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """``softmax(q @ k^T / sqrt(d)) @ v`` over split heads: queries (..., H, Sq, d)
-    against keys and values (..., H, Sk, d) give (..., H, Sq, d)."""
-    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    return T.matmul(T.softmax_stable(scores, axis=-1), v)
-
-
 class SelfAttention(Module):
     """Standard multi-head self-attention over (..., S, D) sequences, no biases.
 
@@ -163,7 +157,8 @@ class SelfAttention(Module):
     the full output.  That is the one path for a row that reads a whole
     sequence, so the refiner's last spatial stage calls it too.  The four
     projections are also the parameter set of the text-conditioned gates and
-    of the refiner's divided attention: those read ``w_q``..``w_o`` directly.
+    of the refiner's divided attention: those read ``w_q``..``w_o`` directly
+    and call ``tensor.cosine_gate`` or ``tensor.attention`` between them.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -174,13 +169,10 @@ class SelfAttention(Module):
         self.w_v = Linear(dim, dim, rng)
         self.w_o = Linear(dim, dim, rng)
         self.heads = heads
-        self.head_dim = dim // heads
 
     def __call__(self, x: Tensor, readout: bool = False) -> Tensor:
-        q = split_heads(self.w_q(x[..., :1, :] if readout else x), self.heads)
-        k = split_heads(self.w_k(x), self.heads)
-        v = split_heads(self.w_v(x), self.heads)
-        return self.w_o(merge_heads(attention(q, k, v)))
+        q = self.w_q(x[..., :1, :] if readout else x)
+        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads))
 
 
 class Mlp(Module):

@@ -3,9 +3,11 @@
 A learnable video-level CLS token is prepended to the selected patch tokens;
 stacked blocks then alternate text-conditioned gating with divided space-time
 attention (patches attend across frames at the same spatial slot, then within
-their own frame; the CLS token attends over everything in both stages).  Only
-the final CLS token leaves the module, so the last block computes that row
-alone once its spatial keys and values are in hand.  ``PatchTokens`` (CLS
+their own frame; the CLS token attends over everything in both stages).
+Each stage, the gate included, is four ``Linear`` projections around one
+fused op of ``tensor``, one tape node.  Only the final CLS token leaves the
+module, so the last block computes that row alone once its spatial keys and
+values are in hand.  ``PatchTokens`` (CLS
 token and positional tables) and ``assemble_refiner_input`` are shared with
 the plain joint-transformer baseline, ``model.PlainFusion``.
 """
@@ -16,37 +18,21 @@ import numpy as np
 
 from . import tensor as T
 from .gating import cross_attention_core, gate_core
-from .nn import (LayerNorm, Mlp, Module, SelfAttention, attention, init_normal, merge_heads,
-                 split_heads)
+from .nn import LayerNorm, Mlp, Module, SelfAttention, init_normal
 from .tensor import Tensor
 
 
 def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
                        temporal: bool) -> Tensor:
-    """Grouped attention over (..., 1 + K*P, D) sequences.
+    """Divided space-time attention stage over (..., 1 + K*P, D) sequences.
 
-    Patch tokens attend within their group only: across the K frames sharing
-    a spatial slot (temporal) or across the P slots of their frame (spatial).
-    The CLS token at position 0 attends over the full sequence in both modes.
+    The four projections of ``attn`` around one grouped ``tensor.attention``:
+    patch tokens attend within their group only, across the K frames sharing
+    a spatial slot (temporal) or across the P slots of their frame (spatial),
+    and the CLS token at position 0 attends over the full sequence.
     """
-    lead = seq.shape[:-2]
-    heads, hd = attn.heads, attn.head_dim
-    q = split_heads(attn.w_q(seq), heads)   # (..., H, S, hd)
-    key = split_heads(attn.w_k(seq), heads)
-    val = split_heads(attn.w_v(seq), heads)
-    out_cls = attention(q[..., :1, :], key, val)   # (..., H, 1, hd)
-
-    grid = (*lead, heads, k, p, hd)
-    qp, kp, vp = (T.reshape(x[..., 1:, :], grid) for x in (q, key, val))
-    if temporal:  # (..., H, P, K, hd)
-        qp, kp, vp = (T.swapaxes(x, -3, -2) for x in (qp, kp, vp))
-    grouped = attention(qp, kp, vp)
-    if temporal:
-        grouped = T.swapaxes(grouped, -3, -2)
-    out_body = T.reshape(grouped, (*lead, heads, k * p, hd))
-
-    out = T.concat([out_cls, out_body], axis=-2)  # (..., H, S, hd)
-    return attn.w_o(merge_heads(out))
+    q, key, val = attn.w_q(seq), attn.w_k(seq), attn.w_v(seq)
+    return attn.w_o(T.attention(q, key, val, attn.heads, grid=(k, p), temporal=temporal))
 
 
 class VrBlock(Module):

@@ -10,6 +10,11 @@ float64 modules.
 Only the ops the program calls exist: ``+ - * /`` with a tensor on the left,
 basic slicing, and the functions below, which stand in for powers (``x * x``)
 and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.transpose``.
+The fused numerics at the end are one tape node each, with a hand-written
+backward: softmax, the negative log-likelihood, layer norm, and the two
+token-mixing ops every block calls between its projections, multi-head
+``attention`` (plain, or grouped as divided space-time attention) and the
+language-aware ``cosine_gate``.
 
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
@@ -31,6 +36,7 @@ the optimizer updates in place between tapes.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -453,18 +459,160 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- fused numerics ------------------------------------------------------------
 
 
+def _softmax(x: Array, axis: int = -1, out: Array | None = None) -> Array:
+    """Softmax over ``axis`` with max-subtraction so huge logits cannot overflow;
+    written into ``out`` (which may be ``x``) when given."""
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite logits")
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_backward(y: Array, g: Array, axis: int = -1) -> Array:
+    """The softmax rule: the logits' gradient ``y * (g - rowsum(g * y))`` for
+    probabilities ``y`` whose gradient is ``g``."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax_stable(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax over ``axis`` with max-subtraction so huge logits cannot overflow."""
-    if not np.isfinite(a.data).all():
-        raise ValueError("non-finite logits")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
     out = _node(y, (a,))
     if out.requires_grad:
         def _bw(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - dot))
+            a._accumulate(_softmax_backward(y, g, axis))
+        out._backward = _bw
+    return out
+
+
+def _heads(x: Array, heads: int) -> Array:
+    """(..., S, D) -> (..., H, S, D/H); a view of a row-major ``x``."""
+    *lead, s, d = x.shape
+    return x.reshape(*lead, s, heads, d // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(x: Array) -> Array:
+    """(..., H, S, d) -> (..., S, H*d)."""
+    *lead, h, s, d = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, s, h * d)
+
+
+def _groups(x: Array, grid: tuple[int, int], temporal: bool) -> Array:
+    """Rows 1.. of (..., H, 1 + K*P, d), frame-major, as a view of groups:
+    (..., H, P, K, d) across frames (``temporal``) or (..., H, K, P, d) within one."""
+    k, p = grid
+    body = x[..., 1:, :].reshape(*x.shape[:-2], k, p, x.shape[-1])
+    return body.swapaxes(-3, -2) if temporal else body
+
+
+def _attend(q: Array, k: Array, v: Array, scale: Array) -> tuple[Array, Array]:
+    """Probabilities ``softmax(q k^T * scale)`` and output ``P v`` over the last two axes."""
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores *= scale
+    probs = _softmax(scores, out=scores)
+    return probs, np.matmul(probs, v)
+
+
+def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array,
+                     scale: Array) -> tuple[Array, Array, Array]:
+    """Gradients of ``_attend``'s output for q, k and v, through the softmax rule."""
+    ds = _softmax_backward(probs, np.matmul(g, v.swapaxes(-1, -2))) * scale
+    dv = np.matmul(probs.swapaxes(-1, -2), g)
+    return np.matmul(ds, k), np.matmul(ds.swapaxes(-1, -2), q), dv
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              grid: tuple[int, int] | None = None, temporal: bool = False) -> Tensor:
+    """Multi-head ``softmax(q k^T / sqrt(d)) v`` over (..., S, D) projections.
+
+    Queries (..., Sq, D) attend over keys and values (..., Sk, D) in ``heads``
+    slices of width d = D / heads, and the output is (..., Sq, D); leading
+    axes broadcast.  With ``grid=(K, P)``, q, k and v hold [CLS, K*P body
+    rows] with the body frame-major (TimeSformer's divided attention): row 0
+    attends over every row, and a body row over its group only, the K rows
+    of its spatial slot (``temporal``) or the P rows of its frame.
+
+    One tape node.  The forward keeps the probabilities P; the backward is the
+    softmax rule dS = P * (dP - rowsum(P * dP)), which is exactly zero over a
+    single key, so no gradient leaks into the queries there.
+    """
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
+    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    if grid is None:
+        probs, out_h = _attend(qh, kh, vh, scale)
+        data = _merge_heads(out_h)
+    else:
+        probs_cls, out_cls = _attend(qh[..., :1, :], kh, vh, scale)
+        probs, out_body = _attend(*(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale)
+        data = np.empty(out_cls.shape[:-3] + q.shape[-2:], q.dtype)
+        out_h = _heads(data, heads)
+        out_h[..., :1, :] = out_cls
+        _groups(out_h, grid, temporal)[...] = out_body
+    out = _node(data, (q, k, v))
+    if out.requires_grad:
+        def _bw(g):
+            gh = _heads(g, heads)
+            if grid is None:
+                grads = [_merge_heads(d) for d in _attend_backward(gh, probs, qh, kh, vh, scale)]
+            else:
+                dq_cls, *dkv_cls = _attend_backward(gh[..., :1, :], probs_cls, qh[..., :1, :],
+                                                    kh, vh, scale)
+                dq_body, *dkv_body = _attend_backward(
+                    _groups(gh, grid, temporal), probs,
+                    *(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale)
+                grads = [np.empty(g.shape, g.dtype) for _ in range(3)]
+                dq_h, dk_h, dv_h = (_heads(grad, heads) for grad in grads)
+                dq_h[..., :1, :] = dq_cls
+                _groups(dq_h, grid, temporal)[...] = dq_body
+                for grad_h, d_cls, d_body in zip((dk_h, dv_h), dkv_cls, dkv_body):
+                    grad_h[...] = d_cls    # row 0 reads every key and value
+                    _groups(grad_h, grid, temporal)[...] += d_body
+            for t, grad in zip((q, k, v), grads):
+                if t.requires_grad:
+                    t._accumulate(_unbroadcast(grad, t.data.shape))
+        out._backward = _bw
+    return out
+
+
+def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Tensor:
+    """Language-aware gate over (..., S, D) projections.
+
+    In each of ``heads`` slices, value row i of v (..., m, D) is scaled by
+    the summed cosine of query row i of q (..., m, D) against every key row
+    of k (..., L, D): ``v_i * sum_j q_i.k_j / (|q_i| |k_j|)``.  The output is
+    (..., m, D); leading axes broadcast.  A norm is floored at ``floor`` (its
+    square at ``floor**2``, so an all-zero row keeps a finite gradient), and
+    a floored norm passes no gradient.  One tape node.
+    """
+    floor_sq = floor ** 2
+    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+
+    def norm(x):
+        sq = (x * x).sum(axis=-1, keepdims=True)
+        live = sq > floor_sq
+        return np.sqrt(np.where(live, sq, floor_sq)), live
+
+    (qn, q_live), (kn, k_live) = norm(qh), norm(kh)      # (..., H, m | L, 1)
+    kn_row = kn.swapaxes(-1, -2)                         # (..., H, 1, L)
+    dots = np.matmul(qh, kh.swapaxes(-1, -2))            # (..., H, m, L)
+    denom = qn * kn_row
+    weight = (dots / denom).sum(axis=-1)[..., None]      # (..., H, m, 1)
+    out = _node(_merge_heads(vh * weight), (q, k, v))
+    if out.requires_grad:
+        def _bw(g):
+            gh = _heads(g, heads)
+            g_cos = (gh * vh).sum(axis=-1, keepdims=True)  # broadcast over the L keys
+            g_dots = g_cos / denom
+            g_denom = -g_cos * dots / (denom * denom)
+            dq = _unbroadcast(np.matmul(g_dots, kh), qh.shape)
+            dq += qh * (_unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live)
+            dk = _unbroadcast(np.matmul(qh.swapaxes(-1, -2), g_dots).swapaxes(-1, -2), kh.shape)
+            dk += kh * (_unbroadcast(g_denom * qn, kn_row.shape).swapaxes(-1, -2) / kn * k_live)
+            for t, grad in zip((q, k, v), (dq, dk, gh * weight)):
+                if t.requires_grad:
+                    t._accumulate(_unbroadcast(_merge_heads(grad), t.data.shape))
         out._backward = _bw
     return out
 

@@ -1,5 +1,6 @@
 """Algebraic contract of the text-conditioned gate, its attention baseline and
-the attention core they share with every attention path."""
+the fused ops under them: ``tensor.cosine_gate`` and ``tensor.attention``,
+the attention core every attention path shares."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from glimpse import tensor as T
 from glimpse.config import RunConfig
 from glimpse.data import FrameBundle, Vocab
-from glimpse.gating import _head_importance, cross_attention_core, gate_core
+from glimpse.gating import NORM_FLOOR, cross_attention_core, gate_core
 from glimpse.gradcheck import grad_check
 from glimpse.model import VideoQAModel
-from glimpse.nn import SelfAttention, attention
+from glimpse.nn import SelfAttention
 from glimpse.tensor import Tensor
 
 
@@ -23,6 +24,14 @@ def represent(fusion, v_patch, v_cls, texts):
     cfg = RunConfig(n_frames=6, k_select=2, depth=1, dim=24, heads=2, n_grid=2, fusion=fusion)
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(0))
     return model.represent(FrameBundle(v_patch=v_patch, v_cls=v_cls), texts, [0] * len(texts))
+
+
+def importance(v, t_tokens, params):
+    """Per-head gate coefficients (H, m): the fused gate over unit values."""
+    q, k = params.w_q(v), params.w_k(t_tokens)
+    out = T.cosine_gate(q, k, Tensor(np.ones(q.shape)), params.heads, NORM_FLOOR).data
+    m, d = out.shape
+    return Tensor(out.reshape(m, params.heads, d // params.heads)[..., 0].T)
 
 
 def identity_params(dim=8, heads=2):
@@ -42,7 +51,7 @@ class TestImportanceVector:
         params = identity_params()
         t_cls = np.array([1.0, 2.0, 0.5, -1.0, 0.3, 0.9, -0.2, 0.4])
         v = Tensor(np.tile(t_cls, (3, 1)))
-        dist = _head_importance(v, Tensor(t_cls[None, :]), params)
+        dist = importance(v, Tensor(t_cls[None, :]), params)
         np.testing.assert_allclose(dist.data, 1.0, atol=1e-12)
         assert dist.shape == (2, 3)
 
@@ -51,7 +60,7 @@ class TestImportanceVector:
         # Orthogonal within each head slice as well as globally.
         v = Tensor(np.array([[1.0, 0.0, 1.0, 0.0]]))
         t = Tensor(np.array([[0.0, 1.0, 0.0, 1.0]]))
-        dist = _head_importance(v, t, params)
+        dist = importance(v, t, params)
         np.testing.assert_array_equal(dist.data, 0.0)
 
     def test_duplicated_text_rows_double(self):
@@ -59,8 +68,8 @@ class TestImportanceVector:
         params = make_params()
         v = Tensor(rng.normal(size=(5, 8)))
         t1 = rng.normal(size=(1, 8))
-        single = _head_importance(v, Tensor(t1), params).data
-        double = _head_importance(v, Tensor(np.vstack([t1, t1])), params).data
+        single = importance(v, Tensor(t1), params).data
+        double = importance(v, Tensor(np.vstack([t1, t1])), params).data
         # BLAS may round (m,1)- and (m,2)-shaped products differently in the
         # last bit, so the cross-run comparison allows one ulp of slack; the
         # doubling itself (c + c == 2c) is exact in IEEE-754.
@@ -72,7 +81,7 @@ class TestImportanceVector:
         for _ in range(50):
             v = Tensor(rng.normal(size=(6, 8)))
             t = Tensor(rng.normal(size=(1, 8)))
-            dist = _head_importance(v, t, params).data
+            dist = importance(v, t, params).data
             assert (dist >= -1.0 - 1e-12).all() and (dist <= 1.0 + 1e-12).all()
 
     def test_empty_text_rejected(self):
@@ -235,24 +244,49 @@ class TestCrossAttentionBaseline:
         assert report.passed, report.summary()
 
 
+    def test_one_text_row_gives_queries_exactly_zero_gradient(self):
+        # Softmax over one key is the constant 1, so nothing reaches a gate's
+        # queries: its ln_gate, w_q and w_k gradients must be exactly 0, not
+        # roundoff that AdamW would turn into real updates.
+        cfg = RunConfig(n_frames=6, k_select=2, depth=2, dim=24, heads=2, n_grid=2,
+                        fusion="cross_attention")
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(0)).astype(np.float64)
+        rng = np.random.default_rng(17)
+        bundle = FrameBundle(v_patch=rng.normal(size=(3, 6, 4, 24)),
+                             v_cls=rng.normal(size=(3, 6, 24)))
+        rep = model.represent(bundle, [[2, 3, 4]] * 3, [0, 1, 2])
+        T.tsum(rep["v_star"] * Tensor(rng.normal(size=(3, 24)))).backward()
+        blocks = model.sampler.blocks + model.refiner.blocks
+        for block in blocks:
+            for zero in (block.ln_gate.gain, block.ln_gate.bias, block.gate.w_q.w,
+                         block.gate.w_k.w):
+                assert zero.grad is not None and not zero.grad.any()
+            assert np.abs(block.gate.w_v.w.grad).max() > 0
+
+
 class TestAttentionCore:
     @staticmethod
-    def reference(q, k, v):
+    def reference(q, k, v, heads):
+        """Per-head softmax attention in numpy, heads split and merged by hand."""
+        split = lambda x: np.swapaxes(x.reshape(*x.shape[:-1], heads, -1), -3, -2)
+        q, k, v = split(q), split(k), split(v)
         scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        return (weights / weights.sum(axis=-1, keepdims=True)) @ v
+        out = (weights / weights.sum(axis=-1, keepdims=True)) @ v
+        return np.swapaxes(out, -3, -2).reshape(*out.shape[:-3], out.shape[-2], -1)
 
     def test_matches_numpy_reference_over_leading_axes(self):
         rng = np.random.default_rng(15)
         for lead, sq, sk, d in (((), 1, 3, 4), ((2,), 4, 4, 8), ((2, 3), 5, 2, 4)):
-            q, k, v = (rng.normal(size=(*lead, 2, s, d)) for s in (sq, sk, sk))
-            out = attention(Tensor(q), Tensor(k), Tensor(v))
-            assert out.shape == (*lead, 2, sq, d)
-            np.testing.assert_allclose(out.data, self.reference(q, k, v), rtol=1e-12)
+            q, k, v = (rng.normal(size=(*lead, s, 2 * d)) for s in (sq, sk, sk))
+            out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads=2)
+            assert out.shape == (*lead, sq, 2 * d)
+            np.testing.assert_allclose(out.data, self.reference(q, k, v, 2), rtol=1e-12)
 
     def test_gradients_pass_oracle(self):
         rng = np.random.default_rng(16)
-        q, k, v = (Tensor(rng.normal(size=(2, 2, s, 4)), requires_grad=True) for s in (3, 5, 5))
-        w = Tensor(rng.normal(size=(2, 2, 3, 4)))
-        report = grad_check(lambda: T.tsum(attention(q, k, v) * w), [q, k, v])
+        q, k, v = (Tensor(rng.normal(size=(2, s, 8)), requires_grad=True) for s in (3, 5, 5))
+        w = Tensor(rng.normal(size=(2, 3, 8)))
+        report = grad_check(lambda: T.tsum(T.attention(q, k, v, heads=2) * w), [q, k, v])
         assert report.passed, report.summary()

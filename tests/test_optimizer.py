@@ -172,3 +172,29 @@ def test_a_rebound_parameter_is_repacked_before_the_update():
     want.step(1e-2)
     assert param_buffer([p for _, p in fused]) is opt.data
     assert all(p.data.tobytes() == q.data.tobytes() for (_, p), (_, q) in zip(fused, ref))
+
+
+@pytest.mark.parametrize("misplace", ["swapped", "strided", "restrided", "copied", "dropped"])
+def test_a_parameter_out_of_place_is_repacked(misplace):
+    # The layout check proves each parameter a C-contiguous view at its own
+    # place in the buffer; any other layout is packed into a new buffer.
+    params = [p for _, p in tensors(F64)]
+    buf = param_buffer(params)
+    assert param_buffer(params) is buf
+    if misplace == "swapped":      # two views of the buffer, out of order
+        params[1].data, params[6].data = params[6].data, params[1].data
+    elif misplace == "strided":    # a view of the buffer, not contiguous
+        params[0].data = buf[:30:2].reshape(3, 5)
+    elif misplace == "restrided":  # its own view, made non-contiguous in place
+        with pytest.warns(DeprecationWarning):
+            params[0].data.strides = (8, 24)
+    elif misplace == "copied":
+        params[2].data = params[2].data.copy()
+    else:                          # the buffer holds one more parameter
+        params = params[:-1]
+    values = [p.data.copy() for p in params]
+    packed = param_buffer(params)
+    assert packed is not buf
+    assert packed.tobytes() == np.concatenate([v.reshape(-1) for v in values]).tobytes()
+    assert all(p.data.base is packed and p.data.flags.c_contiguous for p in params)
+    assert param_buffer(params) is packed

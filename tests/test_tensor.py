@@ -389,6 +389,167 @@ class TestShapeOpProperties:
         assert report.passed, report.summary()
 
 
+def _split(x, heads):
+    """(..., S, D) -> (..., H, S, D/H) on the tape."""
+    *lead, s, d = x.shape
+    return T.swapaxes(T.reshape(x, (*lead, s, heads, d // heads)), -3, -2)
+
+
+def _merge(x):
+    *lead, h, s, d = x.shape
+    return T.reshape(T.swapaxes(x, -3, -2), (*lead, s, h * d))
+
+
+def _attend(q, k, v):
+    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax_stable(scores, axis=-1), v)
+
+
+def composed_attention(q, k, v, heads, grid=None, temporal=False):
+    """``T.attention`` as a chain of primitive tape ops: the reference."""
+    q, k, v = (_split(x, heads) for x in (q, k, v))
+    if grid is None:
+        return _merge(_attend(q, k, v))
+    out_cls = _attend(q[..., :1, :], k, v)
+    grouped = [T.reshape(x[..., 1:, :], (*x.shape[:-2], *grid, x.shape[-1])) for x in (q, k, v)]
+    if temporal:
+        grouped = [T.swapaxes(x, -3, -2) for x in grouped]
+    body = _attend(*grouped)
+    if temporal:
+        body = T.swapaxes(body, -3, -2)
+    body = T.reshape(body, (*body.shape[:-3], grid[0] * grid[1], body.shape[-1]))
+    return _merge(T.concat([out_cls, body], axis=-2))
+
+
+def composed_gate(q, k, v, heads, floor):
+    """``T.cosine_gate`` as a chain of primitive tape ops: the reference."""
+    q, k, v = (_split(x, heads) for x in (q, k, v))
+
+    def norm(x):
+        return T.sqrt(T.maximum(T.tsum(x * x, axis=-1, keepdims=True), floor ** 2))
+
+    cos = T.matmul(q, T.swapaxes(k, -1, -2)) / (norm(q) * T.swapaxes(norm(k), -1, -2))
+    dist = T.tsum(cos, axis=-1)
+    return _merge(v * T.reshape(dist, (*dist.shape, 1)))
+
+
+@st.composite
+def mixing_inputs(draw, grid):
+    """Shapes of q, k and v for one fused op, with the op's keyword arguments.
+
+    The leading axes broadcast: some are 1 on the query side or on the key
+    side, and the query side may lack the first one.  ``grid`` draws a
+    (K, P) divided-attention layout; otherwise Sq and Sk are free, down to 1.
+    """
+    heads, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    sides = draw(st.lists(st.sampled_from(["both", "q", "k"]), min_size=len(lead),
+                          max_size=len(lead)))
+    q_lead = [1 if side == "q" else n for n, side in zip(lead, sides)]
+    k_lead = [1 if side == "k" else n for n, side in zip(lead, sides)]
+    if lead and draw(st.booleans()):
+        q_lead = q_lead[1:]
+    kwargs = {}
+    if grid:
+        kwargs = dict(grid=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                      temporal=draw(st.booleans()))
+        sq = sk = 1 + kwargs["grid"][0] * kwargs["grid"][1]
+    else:
+        sq, sk = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    d = heads * width
+    return (*q_lead, sq, d), (*k_lead, sk, d), heads, kwargs
+
+
+def assert_matches_reference(fused, composed, inputs, seed):
+    """Same value and same gradients, within 1e-12 of each array's largest
+    element, and at least 1e-12 absolute for these unit-scale inputs: a
+    gradient that is zero in exact arithmetic is roundoff on both sides.  A
+    gradient that is exactly zero in the reference must be exactly zero."""
+    w = Tensor(np.random.default_rng(seed).normal(size=fused().shape))
+    results = []
+    for fn in (fused, composed):
+        for x in inputs:
+            x.grad = None
+        out = fn()
+        T.tsum(out * w).backward()
+        results.append([out.data] + [x.grad for x in inputs])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert want.any() or not got.any()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1.0))
+
+
+class TestFusedMixingOps:
+    """``attention`` and ``cosine_gate`` against their composed references
+    over random shapes, and against the finite-difference oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(mixing_inputs), seeds)
+    def test_attention_matches_composed_path(self, case, seed):
+        q_shape, k_shape, heads, kwargs = case
+        rng = np.random.default_rng(seed)
+        q, k, v = _rand(rng, q_shape), _rand(rng, k_shape), _rand(rng, k_shape)
+        assert_matches_reference(lambda: T.attention(q, k, v, heads, **kwargs),
+                                 lambda: composed_attention(q, k, v, heads, **kwargs),
+                                 [q, k, v], seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixing_inputs(grid=False), st.sampled_from([None, "token", "key"]),
+           st.sampled_from([0.0, 1e-9]), seeds)
+    def test_cosine_gate_matches_composed_path(self, case, floored, size, seed):
+        q_shape, k_shape, heads, _ = case
+        rng = np.random.default_rng(seed)
+        q, k, v = _rand(rng, q_shape), _rand(rng, k_shape), _rand(rng, q_shape)
+        # A row whose norm sits under the floor: a visual token (its query and
+        # value rows) or a text key, all-zero or just nonzero.
+        if floored == "token":
+            q.data[..., 0, :] *= size
+            v.data[..., 0, :] *= size
+        elif floored == "key":
+            k.data[..., 0, :] *= size
+        assert_matches_reference(lambda: T.cosine_gate(q, k, v, heads, 1e-8),
+                                 lambda: composed_gate(q, k, v, heads, 1e-8),
+                                 [q, k, v], seed)
+
+    @pytest.mark.parametrize("q_shape, k_shape, kwargs", [
+        ((2, 1, 6), (2, 5, 6), {}),                          # readout: Sq = 1
+        ((3, 4, 6), (3, 1, 6), {}),                          # one key
+        ((1, 4, 6), (2, 3, 6), {}),                          # broadcast leading axes
+        ((2, 7, 6), (2, 7, 6), dict(grid=(2, 3), temporal=True)),
+        ((7, 6), (7, 6), dict(grid=(3, 2), temporal=False)),
+    ])
+    def test_attention_gradients_pass_oracle(self, q_shape, k_shape, kwargs):
+        rng = np.random.default_rng(30)
+        q, k, v = _rand(rng, q_shape), _rand(rng, k_shape), _rand(rng, k_shape)
+        w = Tensor(rng.normal(size=T.attention(q, k, v, 2, **kwargs).shape))
+        report = grad_check(lambda: T.tsum(T.attention(q, k, v, 2, **kwargs) * w), [q, k, v])
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("q_shape, k_shape", [
+        ((5, 6), (1, 6)),
+        ((1, 4, 6), (2, 3, 6)),
+        ((2, 4, 6), (2, 1, 6)),
+    ])
+    def test_cosine_gate_gradients_pass_oracle(self, q_shape, k_shape):
+        # Row 1 is an all-zero token: its norm sits under the floor.
+        rng = np.random.default_rng(31)
+        q, k, v = _rand(rng, q_shape), _rand(rng, k_shape), _rand(rng, q_shape)
+        q.data[..., 1, :] = v.data[..., 1, :] = 0.0
+        w = Tensor(rng.normal(size=T.cosine_gate(q, k, v, 2, 1e-8).shape))
+        report = grad_check(lambda: T.tsum(T.cosine_gate(q, k, v, 2, 1e-8) * w), [q, k, v])
+        assert report.passed, report.summary()
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(32)
+        q, k, v = (Tensor(rng.normal(size=(2, 7, 6)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        for out in (T.attention(q, k, v, 2), T.attention(q, k, v, 3, grid=(2, 3)),
+                    T.cosine_gate(q, k, v, 2, 1e-8)):
+            assert out.dtype == np.float32
+            T.tsum(out).backward()
+            assert all(x.grad.dtype == np.float32 for x in (q, k, v))
+
+
 class TestGraphSemantics:
     def test_diamond_accumulation(self):
         # A leaf feeding two branches receives the sum of both gradients.
