@@ -127,17 +127,15 @@ def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25)
 
 
 class Linear(Module):
-    """Dense projection ``x @ w (+ b)``; weight shape (d_in, d_out)."""
+    """Dense projection ``x @ w (+ b)``, one ``tensor.matmul`` node with the bias
+    folded in; weight shape (d_in, d_out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = False):
         self.w = init_normal(rng, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.w)
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return T.matmul(x, self.w, self.b)
 
 
 class LayerNorm(Module):

@@ -19,12 +19,13 @@ language-aware ``cosine_gate``.
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
 and accumulates the parents' shares into their ``grad``.  A closure captures
-only its parents and plain arrays, never its own output, so the tape is
-acyclic: reference counting frees it as soon as nothing holds the loss, with
-no help from the cyclic collector.
+only its parents and the arrays its rule reads, never its own output, so the
+tape is acyclic: reference counting frees it as soon as nothing holds the
+loss, with no help from the cyclic collector.
 
 ``Tensor.backward`` replays the tape in reverse topological order.  Leaves
-with ``requires_grad=True`` keep their accumulated ``grad``; every interior
+with ``requires_grad=True`` keep their accumulated ``grad``, in their
+``grad_slot`` (their view of an optimizer's vector) if set; every interior
 node's ``grad`` is released once its rule has run, so a second ``backward``
 over the same graph adds exactly one more pass to the leaves.
 
@@ -56,13 +57,14 @@ class Tensor:
     converted to float64.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        self.grad_slot: Array | None = None
         self._backward: Callable[[Array], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
@@ -100,8 +102,14 @@ class Tensor:
         return Tensor(self.data)
 
     def _accumulate(self, g: Array) -> None:
-        # Rebinding (never in-place add) keeps aliased upstream buffers safe.
-        self.grad = g if self.grad is None else self.grad + g
+        # Rebinding keeps aliased upstream buffers safe; a grad slot is written in place.
+        if self.grad is None and self.grad_slot is not None:
+            self.grad = self.grad_slot
+            self.grad[...] = g
+        elif self.grad is not None and self.grad is self.grad_slot:
+            self.grad += g
+        else:
+            self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad: Array | None = None) -> None:
         """Reverse-mode pass from this tensor.
@@ -430,8 +438,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- linear algebra ------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading (batch) axes broadcast.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product over the last two axes plus ``bias``; leading (batch) axes broadcast.
 
     A stack ``(..., S, D) @ (D, E)`` runs one small product per batch entry,
     each the product that entry would get alone, and the weight gradient is
@@ -443,9 +451,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul inner dimension mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    out = _node(np.matmul(a.data, b.data), (a, b))
+    data = np.matmul(a.data, b.data)
+    if bias is not None:
+        data += bias.data     # in this node: the tape keeps no pre-bias copy
+    out = _node(data, (a, b) if bias is None else (a, b, bias))
     if out.requires_grad:
         def _bw(g):
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_unbroadcast(g, bias.data.shape))
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.data.shape))
@@ -658,12 +671,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def row_mean(a: Array) -> Array:
         return (a.reshape(-1, d) @ mean_of).reshape(a.shape[:-1] + (1,))
 
-    xc = x.data - row_mean(x.data)
+    mean = row_mean(x.data)
+    xc = x.data - mean
     inv = 1.0 / np.sqrt(row_mean(xc * xc) + eps)
-    xhat = xc * inv
-    out = _node(xhat * gain.data + bias.data, (x, gain, bias))
+    out = _node(xc * inv * gain.data + bias.data, (x, gain, bias))
     if out.requires_grad:
         def _bw(g):
+            xhat = (x.data - mean) * inv   # recomputed: the node keeps row statistics only
             rows = g.reshape(-1, d)
             ones = np.ones(rows.shape[0], dtype=rows.dtype)
             if gain.requires_grad:

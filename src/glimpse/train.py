@@ -57,8 +57,8 @@ class AdamW:
     The parameters are views of one buffer (``nn.param_buffer``) that a step
     updates in place between tapes, in chunks over each run of tensors with a
     grad and in the per-tensor rule's elementwise order; moments and grads
-    are vectors laid out alike, and ``p.grad`` is rebound to its copy there.
-    A tensor without a grad keeps its data and moments.
+    are vectors laid out alike, and ``backward`` writes ``p.grad`` into its
+    ``grad_slot`` there.  A tensor without a grad keeps its data and moments.
     """
 
     def __init__(self, named_params: Sequence[tuple[str, Tensor]], weight_decay: float,
@@ -75,6 +75,8 @@ class AdamW:
         self.m, self.v, self.grads = self._moments[:n], self._moments[n:], np.empty_like(self.data)
         ends = list(itertools.accumulate((p.size for p in params), initial=0))
         self._slots = list(zip(params, split_views(self.grads, shapes), ends, ends[1:]))
+        for p, grad, _, _ in self._slots:
+            p.grad_slot = grad
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
@@ -89,8 +91,9 @@ class AdamW:
         for p, grad, start, stop in self._slots:
             moved = moved or p.data.base is not self.data
             if p.grad is not None:
-                np.copyto(grad, p.grad)
-                p.grad = grad         # so one copy of each grad stays alive
+                if p.grad is not grad:  # a grad bound elsewhere, e.g. by hand
+                    np.copyto(grad, p.grad)
+                    p.grad = grad     # so one copy of each grad stays alive
                 if runs and runs[-1][1] == start:
                     runs[-1][1] = stop
                 else:

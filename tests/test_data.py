@@ -71,6 +71,10 @@ class TestGenEpisode:
         assert a.question_tokens == b.question_tokens
         assert (a.answer, a.event_frame, a.event_attr) == (b.answer, b.event_frame, b.event_attr)
 
+    def test_window_edges_at_the_reference_length(self):
+        # Thirds of N = 100 frames round down at both inner edges.
+        assert [window_bounds(w, 100) for w in range(3)] == [(0, 33), (33, 66), (66, 100)]
+
     def test_event_frame_inside_named_window(self, vocab):
         for ep in episodes(vocab, 300):
             lo, hi = window_bounds(ep.window, N_FRAMES)

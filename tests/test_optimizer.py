@@ -8,6 +8,7 @@ bytes of the per-tensor rule kept here as the reference.
 import numpy as np
 import pytest
 
+from glimpse import tensor as T
 from glimpse import train as gtrain
 from glimpse.config import desk_config
 from glimpse.data import Vocab, gen_episode
@@ -198,3 +199,26 @@ def test_a_parameter_out_of_place_is_repacked(misplace):
     assert packed.tobytes() == np.concatenate([v.reshape(-1) for v in values]).tobytes()
     assert all(p.data.base is packed and p.data.flags.c_contiguous for p in params)
     assert param_buffer(params) is packed
+
+
+def test_backward_writes_grads_into_the_optimizer_vector():
+    # A parameter's first gradient of a backward is copied into its view of
+    # AdamW.grads and later ones are added there, with the bytes that
+    # rebinding gives a tensor outside any optimizer; a second backward over
+    # the same graph adds one more pass.
+    (_, w), (_, unused) = tensors(F32)[:2]
+    free = Tensor(w.data.copy(), requires_grad=True)
+    opt = AdamW([("w", w), ("unused", unused)], weight_decay=0.1)
+
+    def loss(t):
+        return T.tsum(t * t) + T.tsum(t * 3.0)
+
+    graph, free_graph = loss(w), loss(free)
+    for _ in range(2):
+        graph.backward()
+        free_graph.backward()
+        assert w.grad is w.grad_slot and w.grad.base is opt.grads
+        assert w.grad.tobytes() == free.grad.tobytes()
+    assert unused.grad is None
+    opt.step(1e-3)
+    assert w.grad is w.grad_slot and unused.grad is None

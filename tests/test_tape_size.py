@@ -2,19 +2,25 @@
 
 Every attention path and the gate are four ``Linear`` projections around one
 fused op of ``tensor``, so each stage adds exactly five interior nodes to the
-tape; a readout call adds the slice of its query row.  Desk training time is
-per-node overhead, so the whole step's tape is pinned too.
+tape; a readout call adds the slice of its query row.  A biased ``Linear`` is
+one node too.  Desk training time is per-node overhead, so the whole step's
+tape is pinned; bench-geometry memory is the tape's bytes, so a node keeps
+only what its backward reads, and a parameter's gradient is written straight
+into the optimizer's vector.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from glimpse import tensor as T
 from glimpse import train as gtrain
 from glimpse.config import desk_config
 from glimpse.data import Vocab, gen_episode
 from glimpse.gating import cross_attention_core, gate_core
 from glimpse.model import VideoQAModel
-from glimpse.nn import SelfAttention
+from glimpse.nn import Linear, SelfAttention
 from glimpse.refiner import _divided_attention
 from glimpse.tensor import Tensor
 
@@ -54,19 +60,69 @@ def test_each_mixing_stage_adds_five_nodes(stage):
         assert interior(_divided_attention(seq, attn, 2, 3, temporal)) == 5
 
 
-def test_desk_train_step_tapes_at_most_320_nodes(monkeypatch):
-    cfg = desk_config(seed=1, batch_size=8)
+def test_biased_linear_is_one_node():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    assert interior(Linear(4, 5, rng, bias=True)(x)) == 1
+    assert interior(Linear(4, 5, rng)(x)) == 1
+
+
+def test_layer_norm_keeps_no_input_sized_array_but_its_output():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(256, 64)), requires_grad=True)
+    gain, bias = (Tensor(rng.normal(size=64), requires_grad=True) for _ in range(2))
+    tracemalloc.start()
+    try:
+        out = T.layer_norm(x, gain, bias)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes <= held < out.data.nbytes + x.data.nbytes // 4
+
+
+def desk_step(monkeypatch, at_backward, **overrides):
+    """One desk train step at B=8; ``at_backward(model, optimizer, nodes)`` runs
+    right after the step's ``backward``, with every node of its tape."""
+    cfg = desk_config(seed=1, batch_size=8, **overrides)
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
     batch = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
     model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
     optimizer = gtrain.AdamW(list(model.named_parameters()), cfg.weight_decay)
-    counts = []
     backward = Tensor.backward
 
-    def counted(root, *args, **kwargs):
-        counts.append(len(reachable(root)))
-        return backward(root, *args, **kwargs)
+    def observed(root, *args, **kwargs):
+        nodes = reachable(root)
+        backward(root, *args, **kwargs)
+        at_backward(model, optimizer, nodes)
 
-    monkeypatch.setattr(Tensor, "backward", counted)
+    monkeypatch.setattr(Tensor, "backward", observed)
     gtrain.train_step(model, optimizer, batch, cfg, 0)
-    assert len(counts) == 1 and counts[0] <= 320, counts
+    return model, optimizer
+
+
+def test_desk_train_step_tapes_at_most_297_nodes(monkeypatch):
+    counts = []
+    desk_step(monkeypatch, lambda model, optimizer, nodes: counts.append(len(nodes)))
+    assert len(counts) == 1 and counts[0] <= 297, counts
+
+
+def test_parameter_grads_are_views_of_the_optimizer_vector(monkeypatch):
+    # With the masked-text term off, the MLM head is not on the tape: its
+    # grad stays None, and the step leaves its data and moments alone.
+    unreached = []
+
+    def check(model, optimizer, nodes):
+        on_tape = {id(node) for node in nodes}
+        for name, p in model.named_parameters():
+            if id(p) in on_tape:
+                assert p.grad is p.grad_slot and p.grad.base is optimizer.grads, name
+            else:
+                assert p.grad is None, name
+                unreached.append((name, p.data.copy()))
+
+    model, optimizer = desk_step(monkeypatch, check, w_vgmlm=0.0)
+    assert unreached and all(name.startswith("mlm_head.") for name, _ in unreached)
+    params, moments = dict(model.named_parameters()), optimizer.moments
+    for name, before in unreached:
+        assert (params[name].data == before).all(), name
+        assert not moments[name][0].any() and not moments[name][1].any(), name

@@ -302,6 +302,26 @@ class TestEvalBatching:
         evaluate_with_blind_probes(model, episodes, eval_seed=4)
         assert len(calls) <= 2 * len(episodes)
 
+    def test_blind_delta_is_blind_minus_clean(self):
+        # At this init the blinded videos change some answers, so each delta
+        # is nonzero and its sign is pinned.
+        cfg = smoke_config()
+        report = evaluate_with_blind_probes(wide_model(cfg, 0.3), pool(cfg, 12), eval_seed=4)
+        clean = report["clean"]["qa_accuracy"]
+        for mode in BLIND_MODES:
+            assert report[mode]["qa_accuracy"] != clean, mode
+            assert report[mode]["delta"] == report[mode]["qa_accuracy"] - clean, mode
+
+    def test_mcq_needs_more_episodes_than_choices(self):
+        # Multiple choice is asked only of more episodes than it has choices;
+        # both sides of that boundary are pinned.
+        cfg = smoke_config()
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                             np.random.default_rng(cfg.seed))
+        episodes = pool(cfg, geval.MCQ_CHOICES + 1)
+        assert "mcq_accuracy" in evaluate_model(model, episodes, eval_seed=4)
+        assert "mcq_accuracy" not in evaluate_model(model, episodes[:-1], eval_seed=4)
+
     def test_one_episode_reports_no_matching_accuracy(self):
         # One episode's "next episode's question" is its own, so the matched
         # and the foreign row would be one row and score exactly 0.5.
