@@ -6,10 +6,10 @@ into the visual stream.  Video-as-query cross-attention over the text, the
 ablation baseline, has the same signature.  Both take their four projections
 from a ``SelfAttention`` module without calling it: each is those four
 ``Linear`` calls around one fused op, ``tensor.cosine_gate`` or
-``tensor.attention``.  Both return the update without the input skip: the
-blocks that use them add their own residual.  Visual tokens are (..., m, D)
-and text rows (..., L, D); the leading (batch) axes broadcast, so one text
-row per batch entry gates that entry's tokens only.
+``tensor.attention``.  A block passes its skip connection as ``residual``,
+which the output projection adds inside its node.  Visual tokens are
+(..., m, D) and text rows (..., L, D); the leading (batch) axes broadcast, so
+one text row per batch entry gates that entry's tokens only.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .tensor import Tensor
 NORM_FLOOR = 1e-8
 
 
-def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Gated value path without the input skip (blocks add their own residual).
+def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention,
+              residual: Tensor | None = None) -> Tensor:
+    """Gated value path, plus ``residual`` (the block's skip) if given.
 
     Per head, each projected value row is scaled by the summed cosine of its
     projected query against the projected text keys.  Shapes are not checked
@@ -34,15 +35,17 @@ def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
     """
     q = params.w_q(v)
     key = params.w_k(t_tokens)
-    return params.w_o(T.cosine_gate(q, key, params.w_v(v), params.heads, NORM_FLOOR))
+    return params.w_o(T.cosine_gate(q, key, params.w_v(v), params.heads, NORM_FLOOR),
+                      residual)
 
 
-def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention) -> Tensor:
-    """Video-as-query attention over text keys/values, without the skip.
+def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention,
+                         residual: Tensor | None = None) -> Tensor:
+    """Video-as-query attention over text keys/values, plus ``residual`` if given.
 
     Unlike the gate, each output row mixes in text content and depends on
     every text token.
     """
     q = params.w_q(v)
     key = params.w_k(t_tokens)
-    return params.w_o(T.attention(q, key, params.w_v(t_tokens), params.heads))
+    return params.w_o(T.attention(q, key, params.w_v(t_tokens), params.heads), residual)

@@ -6,7 +6,8 @@ and a batch of them.  Called with ``readout=True``, a block emits row 0 only,
 (..., 1, D): the last block of a stack whose caller reads only the CLS row
 computes only that row past its keys and values.  ``tensor.attention`` is
 the one attention core: every attention path (self, divided space-time,
-cross) is four ``Linear`` projections around one call of it.
+cross) is four ``Linear`` projections around one call of it.  A stage adds
+its block's skip (``residual=``) inside its last node, with no add node of its own.
 """
 
 from __future__ import annotations
@@ -127,15 +128,15 @@ def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25)
 
 
 class Linear(Module):
-    """Dense projection ``x @ w (+ b)``, one ``tensor.matmul`` node with the bias
-    folded in; weight shape (d_in, d_out)."""
+    """Dense projection ``x @ w (+ b) (+ residual)``, one ``tensor.matmul`` node
+    with the bias and the skip folded in; weight shape (d_in, d_out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = False):
         self.w = init_normal(rng, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w, self.b)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return T.matmul(x, self.w, self.b, residual)
 
 
 class LayerNorm(Module):
@@ -168,20 +169,21 @@ class SelfAttention(Module):
         self.w_o = Linear(dim, dim, rng)
         self.heads = heads
 
-    def __call__(self, x: Tensor, readout: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, readout: bool = False,
+                 residual: Tensor | None = None) -> Tensor:
         q = self.w_q(x[..., :1, :] if readout else x)
-        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads))
+        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads), residual)
 
 
 class Mlp(Module):
-    """Two dense layers around a GELU."""
+    """Two dense layers around a GELU, one ``tensor.mlp`` node."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator, out_dim: int | None = None):
         self.fc1 = Linear(dim, hidden, rng, bias=True)
         self.fc2 = Linear(hidden, out_dim if out_dim is not None else dim, rng, bias=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return T.mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b, residual)
 
 
 class Block(Module):
@@ -203,6 +205,6 @@ class Block(Module):
         self.mlp = Mlp(dim, 4 * dim, rng)
 
     def __call__(self, x: Tensor, readout: bool = False) -> Tensor:
-        x = (x[..., :1, :] if readout else x) + self.attn(self.ln_attn(x), readout=readout)
-        x = x + self.mlp(self.ln_mlp(x))
-        return x
+        x = self.attn(self.ln_attn(x), readout=readout,
+                      residual=x[..., :1, :] if readout else x)
+        return self.mlp(self.ln_mlp(x), residual=x)

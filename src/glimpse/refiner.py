@@ -5,9 +5,10 @@ stacked blocks then alternate text-conditioned gating with divided space-time
 attention (patches attend across frames at the same spatial slot, then within
 their own frame; the CLS token attends over everything in both stages).
 Each stage, the gate included, is four ``Linear`` projections around one
-fused op of ``tensor``, one tape node.  Only the final CLS token leaves the
-module, so the last block computes that row alone once its spatial keys and
-values are in hand.  ``PatchTokens`` (CLS
+fused op of ``tensor``, one tape node; the output projection adds the
+block's skip inside its node, and the MLP is one node with its skip.  Only
+the final CLS token leaves the module, so the last block computes that row
+alone once its spatial keys and values are in hand.  ``PatchTokens`` (CLS
 token and positional tables) and ``assemble_refiner_input`` are shared with
 the plain joint-transformer baseline, ``model.PlainFusion``.
 """
@@ -23,16 +24,18 @@ from .tensor import Tensor
 
 
 def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
-                       temporal: bool) -> Tensor:
+                       temporal: bool, residual: Tensor | None = None) -> Tensor:
     """Divided space-time attention stage over (..., 1 + K*P, D) sequences.
 
     The four projections of ``attn`` around one grouped ``tensor.attention``:
     patch tokens attend within their group only, across the K frames sharing
     a spatial slot (temporal) or across the P slots of their frame (spatial),
-    and the CLS token at position 0 attends over the full sequence.
+    and the CLS token at position 0 attends over the full sequence.  The
+    output projection adds ``residual`` (the block's skip) if given.
     """
     q, key, val = attn.w_q(seq), attn.w_k(seq), attn.w_v(seq)
-    return attn.w_o(T.attention(q, key, val, attn.heads, grid=(k, p), temporal=temporal))
+    return attn.w_o(T.attention(q, key, val, attn.heads, grid=(k, p), temporal=temporal),
+                    residual)
 
 
 class VrBlock(Module):
@@ -60,16 +63,16 @@ class VrBlock(Module):
     def __call__(self, seq: Tensor, t_row: Tensor, k: int, p: int,
                  readout: bool = False) -> Tensor:
         core = gate_core if self.fusion == "la_gate" else cross_attention_core
-        seq = seq + core(self.ln_gate(seq), t_row, self.gate)
-        seq = seq + _divided_attention(self.ln_temporal(seq), self.attn_temporal,
-                                       k, p, temporal=True)
+        seq = core(self.ln_gate(seq), t_row, self.gate, residual=seq)
+        seq = _divided_attention(self.ln_temporal(seq), self.attn_temporal, k, p,
+                                 temporal=True, residual=seq)
         if readout:  # the CLS row attends over everything, as in _divided_attention
-            seq = seq[..., :1, :] + self.attn_spatial(self.ln_spatial(seq), readout=True)
+            seq = self.attn_spatial(self.ln_spatial(seq), readout=True,
+                                    residual=seq[..., :1, :])
         else:
-            seq = seq + _divided_attention(self.ln_spatial(seq), self.attn_spatial,
-                                           k, p, temporal=False)
-        seq = seq + self.mlp(self.ln_mlp(seq))
-        return seq
+            seq = _divided_attention(self.ln_spatial(seq), self.attn_spatial, k, p,
+                                     temporal=False, residual=seq)
+        return self.mlp(self.ln_mlp(seq), residual=seq)
 
 
 class PatchTokens(Module):

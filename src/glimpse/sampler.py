@@ -37,8 +37,7 @@ class FsBlock(Block):
 
     def __call__(self, seq: Tensor, t_row: Tensor) -> Tensor:
         core = gate_core if self.fusion == "la_gate" else cross_attention_core
-        seq = seq + core(self.ln_gate(seq), t_row, self.gate)
-        return super().__call__(seq)
+        return super().__call__(core(self.ln_gate(seq), t_row, self.gate, residual=seq))
 
 
 class SamplerParams(Module):

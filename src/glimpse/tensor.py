@@ -11,10 +11,10 @@ Only the ops the program calls exist: ``+ - * /`` with a tensor on the left,
 basic slicing, and the functions below, which stand in for powers (``x * x``)
 and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.transpose``.
 The fused numerics at the end are one tape node each, with a hand-written
-backward: softmax, the negative log-likelihood, layer norm, and the two
-token-mixing ops every block calls between its projections, multi-head
-``attention`` (plain, or grouped as divided space-time attention) and the
-language-aware ``cosine_gate``.
+backward: softmax, the negative log-likelihood, layer norm, the two-layer
+GELU ``mlp``, and the two token-mixing ops every block calls between its
+projections, multi-head ``attention`` (plain, or grouped as divided
+space-time attention) and the language-aware ``cosine_gate``.
 
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
@@ -25,9 +25,10 @@ loss, with no help from the cyclic collector.
 
 ``Tensor.backward`` replays the tape in reverse topological order.  Leaves
 with ``requires_grad=True`` keep their accumulated ``grad``, in their
-``grad_slot`` (their view of an optimizer's vector) if set; every interior
-node's ``grad`` is released once its rule has run, so a second ``backward``
-over the same graph adds exactly one more pass to the leaves.
+``grad_slot`` (their view of an optimizer's vector) if set.  Each interior
+node drops its ``grad``, its closure and its parent links once its rule has
+run, so activations are freed as the pass moves toward the inputs; a second
+``backward`` through a graph that a pass already used raises ``RuntimeError``.
 
 Inside ``with no_grad():`` ops build no parent links and no closures; their
 outputs are constants with the same values.  Tensors that take part in a tape
@@ -117,7 +118,8 @@ class Tensor:
         Without an explicit seed gradient the tensor must be scalar-sized.
         Gradients accumulate additively, so a leaf feeding several branches
         receives the sum of all branch contributions.  Interior nodes release
-        their ``grad`` once their rule has run; only leaves keep theirs.
+        their ``grad``, closure and parent links once their rule has run, so a
+        second pass through them raises ``RuntimeError``; leaves keep ``grad``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -146,10 +148,11 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-                node.grad = None
+                node.grad, node._backward, node._parents = None, _spent, ()
 
     # -- operator sugar --------------------------------------------------
 
@@ -167,6 +170,10 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         return getitem(self, key)
+
+
+def _spent(g: Array) -> None:
+    raise RuntimeError("backward through a graph that an earlier backward already freed")
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -190,6 +197,13 @@ def _unbroadcast(g: Array, target_shape: tuple[int, ...]) -> Array:
         if want == 1 and have != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
+
+
+def _addend_grads(g: Array, *addends: Tensor | None) -> None:
+    """Pass ``g`` to each addend that takes a gradient, summed over its broadcast axes."""
+    for t in addends:
+        if t is not None and t.requires_grad:
+            t._accumulate(_unbroadcast(g, t.data.shape))
 
 
 _grad_enabled = True
@@ -225,12 +239,7 @@ def _node(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data + b.data, (a, b))
     if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-        out._backward = _bw
+        out._backward = lambda g: _addend_grads(g, a, b)
     return out
 
 
@@ -276,52 +285,6 @@ def sqrt(a: Tensor) -> Tensor:
     if out.requires_grad:
         def _bw(g):
             a._accumulate(g * 0.5 / y)
-        out._backward = _bw
-    return out
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Smooth GELU (tanh form); smoothness keeps finite differences honest."""
-    # In-place steps keep the temporaries to two per pass, with the same
-    # rounding as the textbook expression (scaling by 0.5 is exact).
-    x = a.data
-    t = x * x
-    t *= x
-    t *= _GELU_COEF
-    t += x
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)                 # tanh(sqrt(2/pi) * (x + c x^3))
-    y = 1.0 + t
-    y *= x
-    y *= 0.5
-    out = _node(y, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            local = x * (3.0 * _GELU_COEF)
-            local *= x
-            local += 1.0
-            local *= _SQRT_2_OVER_PI      # d inner / dx
-            slope = t * t
-            np.subtract(1.0, slope, out=slope)
-            slope *= x
-            slope *= 0.5
-            slope *= local                # 0.5 x (1 - t^2) d inner / dx
-            np.add(t, 1.0, out=local)
-            local *= 0.5
-            local += slope                # + 0.5 (1 + t)
-            local *= g
-            a._accumulate(local)
-        out._backward = _bw
-    return out
-
-
-def maximum(a: Tensor, floor: float) -> Tensor:
-    """Elementwise max against a scalar floor; gradient flows only above it."""
-    mask = a.data > floor
-    out = _node(np.where(mask, a.data, floor), (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * mask)
         out._backward = _bw
     return out
 
@@ -438,12 +401,33 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- linear algebra ------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product over the last two axes plus ``bias``; leading (batch) axes broadcast.
+def _affine(a: Array, w: Array, *addends: Tensor | None) -> Array:
+    """``a @ w`` plus the given addends, in order and in place: no partial sum is kept."""
+    data = np.matmul(a, w)
+    for t in addends:
+        if t is not None:
+            data += t.data
+    return data
+
+
+def _affine_grads(g: Array, a: Tensor, w: Tensor, *addends: Tensor | None) -> None:
+    """Accumulate the shares of ``_affine``'s gradient ``g``: addends, then ``a``, then ``w``."""
+    _addend_grads(g, *addends)
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), a.data.shape))
+    if w.requires_grad:
+        w._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), w.data.shape))
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
+           residual: Tensor | None = None) -> Tensor:
+    """``residual + (a @ b + bias)`` over the last two axes; leading (batch) axes broadcast.
 
     A stack ``(..., S, D) @ (D, E)`` runs one small product per batch entry,
     each the product that entry would get alone, and the weight gradient is
-    the sum of the per-entry gradients.
+    the sum of the per-entry gradients.  The bias and a block's skip are added
+    inside this node.  The skip is the first parent, so the tape replays in
+    the order of a separate ``residual + product`` add.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
@@ -451,20 +435,49 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(
             f"matmul inner dimension mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    data = np.matmul(a.data, b.data)
-    if bias is not None:
-        data += bias.data     # in this node: the tape keeps no pre-bias copy
-    out = _node(data, (a, b) if bias is None else (a, b, bias))
+    out = _node(_affine(a.data, b.data, bias, residual),
+                tuple(t for t in (residual, a, b, bias) if t is not None))
+    if out.requires_grad:
+        out._backward = lambda g: _affine_grads(g, a, b, bias, residual)
+    return out
+
+
+def _gelu(h: Array) -> tuple[Array, Array]:
+    """GELU of ``h`` and the tanh it reads, by in-place steps: two arrays in all."""
+    t = h * h
+    t *= h
+    t *= _GELU_COEF
+    t += h
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)                 # tanh(sqrt(2/pi) * (h + c h^3))
+    y = 1.0 + t
+    y *= h
+    y *= 0.5
+    return y, t
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        residual: Tensor | None = None) -> Tensor:
+    """``residual + (gelu(x @ w1 + b1) @ w2 + b2)``, one tape node.
+
+    GELU is the smooth tanh form; smoothness keeps finite differences honest.
+    The node keeps ``x`` and the pre-activation ``h`` only; its backward
+    recomputes the tanh and the GELU output with the forward's own steps, bit
+    for bit.  The skip is the first parent, as in ``matmul``.
+    """
+    h = _affine(x.data, w1.data, b1)
+    out = _node(_affine(_gelu(h)[0], w2.data, b2, residual),
+                tuple(t for t in (residual, x, w1, b1, w2, b2) if t is not None))
     if out.requires_grad:
         def _bw(g):
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.data.shape))
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.data.shape))
+            y, t = _gelu(h)
+            _affine_grads(g, Tensor(y), w2, b2, residual)
+            del y   # before the slope's hidden-sized temporaries, to lower the peak
+            # d gelu / dh: 0.5 h (1 - t^2) d inner / dh + 0.5 (1 + t)
+            slope = (1.0 - t * t) * h * 0.5 * ((h * (3.0 * _GELU_COEF) * h + 1.0)
+                                                * _SQRT_2_OVER_PI) + (t + 1.0) * 0.5
+            slope *= np.matmul(g, np.swapaxes(w2.data, -1, -2))   # now the share of h
+            _affine_grads(slope, x, w1, b1)
         out._backward = _bw
     return out
 

@@ -75,7 +75,7 @@ def test_only_the_analytic_pass_is_taped():
     taped = []
 
     def loss():
-        out = T.tsum(T.gelu(x) * x)
+        out = T.tsum(T.sqrt(x * x + 1.0) * x)
         taped.append(out.requires_grad)
         return out
 
@@ -89,7 +89,7 @@ def test_report_carries_per_parameter_errors():
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     report = grad_check(
-        lambda: T.tsum(T.gelu(a) * b), [a, b], names=["a", "b"], epsilon=1e-5
+        lambda: T.tsum(T.sqrt(a * a + 1.0) * b), [a, b], names=["a", "b"], epsilon=1e-5
     )
     assert report.passed
     assert set(report.max_rel_error) == {"a", "b"}

@@ -204,8 +204,8 @@ def test_a_parameter_out_of_place_is_repacked(misplace):
 def test_backward_writes_grads_into_the_optimizer_vector():
     # A parameter's first gradient of a backward is copied into its view of
     # AdamW.grads and later ones are added there, with the bytes that
-    # rebinding gives a tensor outside any optimizer; a second backward over
-    # the same graph adds one more pass.
+    # rebinding gives a tensor outside any optimizer; the backward of a
+    # second graph adds one more pass.
     (_, w), (_, unused) = tensors(F32)[:2]
     free = Tensor(w.data.copy(), requires_grad=True)
     opt = AdamW([("w", w), ("unused", unused)], weight_decay=0.1)
@@ -213,8 +213,8 @@ def test_backward_writes_grads_into_the_optimizer_vector():
     def loss(t):
         return T.tsum(t * t) + T.tsum(t * 3.0)
 
-    graph, free_graph = loss(w), loss(free)
     for _ in range(2):
+        graph, free_graph = loss(w), loss(free)
         graph.backward()
         free_graph.backward()
         assert w.grad is w.grad_slot and w.grad.base is opt.grads

@@ -251,9 +251,9 @@ class TestReadout:
         for cls in (Mlp, Linear):
             original = cls.__call__
 
-            def recorded(module, x, original=original):
+            def recorded(module, x, *args, original=original, **kwargs):
                 shapes.setdefault(id(module), []).append(x.shape)
-                return original(module, x)
+                return original(module, x, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__call__", recorded)
         rng = np.random.default_rng(15)

@@ -2,11 +2,14 @@
 
 Every attention path and the gate are four ``Linear`` projections around one
 fused op of ``tensor``, so each stage adds exactly five interior nodes to the
-tape; a readout call adds the slice of its query row.  A biased ``Linear`` is
-one node too.  Desk training time is per-node overhead, so the whole step's
-tape is pinned; bench-geometry memory is the tape's bytes, so a node keeps
-only what its backward reads, and a parameter's gradient is written straight
-into the optimizer's vector.
+tape, its block's skip connection included: the output projection adds it
+inside its node.  A readout call adds the slice of its query row.  A biased
+``Linear`` is one node, and so is an ``Mlp`` with its skip.  Desk training
+time is per-node overhead, so the whole step's tape is pinned: 267 nodes, 138
+of them interior.  Bench-geometry memory is the tape's bytes, so a node keeps
+only what its backward reads, ``backward`` frees each node once its rule has
+run, and a parameter's gradient is written straight into the optimizer's
+vector.
 """
 
 import tracemalloc
@@ -20,7 +23,7 @@ from glimpse.config import desk_config
 from glimpse.data import Vocab, gen_episode
 from glimpse.gating import cross_attention_core, gate_core
 from glimpse.model import VideoQAModel
-from glimpse.nn import Linear, SelfAttention
+from glimpse.nn import Linear, Mlp, SelfAttention
 from glimpse.refiner import _divided_attention
 from glimpse.tensor import Tensor
 
@@ -51,13 +54,31 @@ def stage():
 
 
 def test_each_mixing_stage_adds_five_nodes(stage):
+    # With its block's skip too, which the output projection adds in its node.
     attn, seq, text = stage
-    assert interior(attn(seq)) == 5
     assert interior(attn(seq, readout=True)) == 6  # and the query row's slice
-    assert interior(gate_core(seq, text, attn)) == 5
-    assert interior(cross_attention_core(seq, text, attn)) == 5
-    for temporal in (True, False):
-        assert interior(_divided_attention(seq, attn, 2, 3, temporal)) == 5
+    for skip in (None, seq):
+        assert interior(attn(seq, residual=skip)) == 5
+        assert interior(gate_core(seq, text, attn, residual=skip)) == 5
+        assert interior(cross_attention_core(seq, text, attn, residual=skip)) == 5
+        for temporal in (True, False):
+            assert interior(_divided_attention(seq, attn, 2, 3, temporal, residual=skip)) == 5
+
+
+def test_mlp_is_one_node_that_keeps_only_its_pre_activation():
+    rng = np.random.default_rng(3)
+    mlp = Mlp(64, 256, rng)
+    x = Tensor(rng.normal(size=(128, 64)), requires_grad=True)
+    assert interior(mlp(x)) == 1
+    assert interior(mlp(x, residual=x)) == 1
+    hidden = 128 * 256 * x.data.itemsize
+    tracemalloc.start()
+    try:
+        out = mlp(x, residual=x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes + hidden <= held < out.data.nbytes + hidden + hidden // 4
 
 
 def test_biased_linear_is_one_node():
@@ -81,8 +102,10 @@ def test_layer_norm_keeps_no_input_sized_array_but_its_output():
 
 
 def desk_step(monkeypatch, at_backward, **overrides):
-    """One desk train step at B=8; ``at_backward(model, optimizer, nodes)`` runs
-    right after the step's ``backward``, with every node of its tape."""
+    """One desk train step at B=8; ``at_backward(model, optimizer, nodes,
+    n_interior)`` runs right after the step's ``backward``, with every node of
+    its tape and the count of interior ones, taken before ``backward`` freed
+    their links."""
     cfg = desk_config(seed=1, batch_size=8, **overrides)
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
     batch = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
@@ -92,18 +115,22 @@ def desk_step(monkeypatch, at_backward, **overrides):
 
     def observed(root, *args, **kwargs):
         nodes = reachable(root)
+        n_interior = sum(1 for node in nodes if node._parents)
         backward(root, *args, **kwargs)
-        at_backward(model, optimizer, nodes)
+        at_backward(model, optimizer, nodes, n_interior)
 
     monkeypatch.setattr(Tensor, "backward", observed)
     gtrain.train_step(model, optimizer, batch, cfg, 0)
     return model, optimizer
 
 
-def test_desk_train_step_tapes_at_most_297_nodes(monkeypatch):
+def test_desk_train_step_tapes_at_most_267_nodes_138_interior(monkeypatch):
     counts = []
-    desk_step(monkeypatch, lambda model, optimizer, nodes: counts.append(len(nodes)))
-    assert len(counts) == 1 and counts[0] <= 297, counts
+    desk_step(monkeypatch, lambda model, optimizer, nodes, n_interior:
+              counts.append((len(nodes), n_interior)))
+    assert len(counts) == 1, counts
+    (n_nodes, n_interior), = counts
+    assert n_nodes <= 267 and n_interior <= 138, counts
 
 
 def test_parameter_grads_are_views_of_the_optimizer_vector(monkeypatch):
@@ -111,7 +138,7 @@ def test_parameter_grads_are_views_of_the_optimizer_vector(monkeypatch):
     # grad stays None, and the step leaves its data and moments alone.
     unreached = []
 
-    def check(model, optimizer, nodes):
+    def check(model, optimizer, nodes, n_interior):
         on_tape = {id(node) for node in nodes}
         for name, p in model.named_parameters():
             if id(p) in on_tape:

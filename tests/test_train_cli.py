@@ -652,21 +652,21 @@ class TestCli:
     def test_gradcheck_detects_sabotaged_backward(self, monkeypatch, capsys):
         import glimpse.tensor as gt
 
-        real_gelu = gt.gelu
+        real_mlp = gt.mlp
 
-        def broken_gelu(a):
-            out = real_gelu(a)
+        def broken_mlp(x, *args, **kwargs):
+            out = real_mlp(x, *args, **kwargs)
             if out._backward is not None:
                 real_bw = out._backward
 
                 def lying_bw(g):
                     real_bw(g)
-                    if a.grad is not None:
-                        a.grad = a.grad * 1.05  # corrupt the rule
+                    if x.grad is not None:
+                        x.grad = x.grad * 1.05  # corrupt the rule
                 out._backward = lying_bw
             return out
 
-        monkeypatch.setattr("glimpse.tensor.gelu", broken_gelu)
+        monkeypatch.setattr("glimpse.tensor.mlp", broken_mlp)
         code = main(["gradcheck", "--n-frames", "3", "--k-select", "2",
                      "--depth", "1", "--dim", "8", "--heads", "2",
                      "--n-grid", "2"])
