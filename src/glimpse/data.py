@@ -52,25 +52,11 @@ FRAME_BLOCK_BYTES = 8 << 20        # float64 frames drawn and encoded at once
 
 @dataclass
 class FrameBundle:
-    """Frozen per-video embeddings: patches (N, n^2, D) and frame CLS (N, D),
-    or a batch of them under a leading axis."""
+    """One video's frozen embeddings: patches (N, n^2, D) and frame CLS (N, D).
+    A batch is a list of bundles, one per row, that the model reads in place."""
 
     v_patch: np.ndarray
     v_cls: np.ndarray
-
-    @classmethod
-    def stack(cls, bundles: Sequence["FrameBundle"]) -> "FrameBundle":
-        """One bundle with a leading batch axis over ``bundles``.
-
-        Bundles that all share one video's arrays give a view with a leading
-        axis of size 1 that broadcasts against any number of rows; distinct
-        videos are copied into a (B, ...) stack.
-        """
-        first = bundles[0]
-        if all(b.v_patch is first.v_patch and b.v_cls is first.v_cls for b in bundles):
-            return cls(v_patch=first.v_patch[None], v_cls=first.v_cls[None])
-        return cls(v_patch=np.stack([b.v_patch for b in bundles]),
-                   v_cls=np.stack([b.v_cls for b in bundles]))
 
 
 @dataclass
@@ -252,9 +238,8 @@ def blind_input(episode: Episode, mode: str) -> FrameBundle:
     if mode not in BLIND_MODES:
         raise ValueError(f"unknown blind mode: {mode!r}")
     if mode == "static":
-        return FrameBundle(
-            v_patch=np.broadcast_to(episode.frames[0], episode.frames.shape).copy(),
-            v_cls=np.broadcast_to(episode.frame_cls[0], episode.frame_cls.shape).copy())
+        return FrameBundle(v_patch=np.repeat(episode.frames[:1], len(episode.frames), axis=0),
+                           v_cls=np.repeat(episode.frame_cls[:1], len(episode.frames), axis=0))
     # Isotropic noise is invariant under the encoder rotation, so fresh
     # draws can skip the projection without changing the distribution.
     return _draw_frames(np.random.default_rng(episode.seed ^ _GAUSSIAN_BLIND_SALT),

@@ -12,10 +12,10 @@ so chunking changes no metric; it bounds the size of a call.
 The bound is a budget of refiner tokens per call: a row refines its CLS
 token and the patches of its K selected frames, ``1 + K * n_grid**2``
 tokens.  A desk-scale call costs about 2 ms fixed against 0.4 ms per row,
-so its 17-token rows go 240 to a call.  At bench geometry (785 tokens a
-row) the budget allows 5 rows, about the size of one episode's rows; calls
-of 8 or 32 rows there measured 10-20% slower per row, with 1.2x and 3x the
-peak memory of a clean pass.
+so its 17-token rows go 240 to a call.  At bench geometry (785 tokens a row)
+the budget allows 5 rows, about one episode's rows; calls of 8 or 32 rows
+measured 10-20% slower per row, with 1.2x and 3x a clean pass's peak memory.
+A chunk holds each video it shows once, read in place by each of its rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig, derive_seed
-from .data import BLIND_MODES, NUM_VALUES, Episode, FrameBundle, blind_input
+from .data import BLIND_MODES, NUM_VALUES, Episode, blind_input
 from .model import VideoQAModel
 from .objectives import MATCHED, UNMATCHED, answer_multichoice, answer_open_ended
 from .tensor import Tensor
@@ -57,8 +57,8 @@ def _represent_rows(model: VideoQAModel, episodes: Sequence[Episode], videos: li
         read = {i: episodes[i] for i in dict.fromkeys(i for i, _ in chunk)}
         shown = {(i, mode): blind_input(read[i], mode) if mode else read[i].bundle
                  for i, mode in dict.fromkeys(chunk)}
-        rep = model.represent(FrameBundle.stack([shown[video] for video in chunk]),
-                              texts[start:start + per_call], [seeds[i] for i, _ in chunk])
+        rep = model.represent([shown[video] for video in chunk], texts[start:start + per_call],
+                              [seeds[i] for i, _ in chunk])
         v_star.append(rep["v_star"].data)
         indices.append(rep["indices"])
     return np.concatenate(v_star), np.concatenate(indices)

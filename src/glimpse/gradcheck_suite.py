@@ -131,7 +131,7 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
 
     def composite_loss():
         y_soft = selection_rows(bundle.v_cls, t_pipe, sampler, rng_seed=cfg.seed + 6)
-        selected = apply_mask(y_soft, bundle)
+        selected = apply_mask(T.reshape(y_soft, (1, *y_soft.shape)), [bundle])[0]
         return T.tsum(refine(selected, t_pipe, refiner) * w_pipe)
 
     composite_params = ([("t_cls", t_pipe)]
@@ -172,15 +172,15 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
 
     # the same composite over a batch of two rows, each with its own video,
     # text and noise seed: certifies the batch-axis backward
-    batch = FrameBundle(v_patch=rng.normal(size=(2, cfg.n_frames, n_patches, dim)),
-                        v_cls=rng.normal(size=(2, cfg.n_frames, dim)))
+    videos = rng.normal(size=(2, cfg.n_frames, n_patches, dim))
+    frame_cls = rng.normal(size=(2, cfg.n_frames, dim))
+    rows = [FrameBundle(v_patch=v, v_cls=c) for v, c in zip(videos, frame_cls)]
     t_rows = Tensor(rng.normal(size=(2, 1, dim)), requires_grad=True)
     w_rows = _readout(rng, (2, dim))
 
     def batched_loss():
-        y_soft = selection_rows(batch.v_cls, t_rows, sampler,
-                                rng_seed=[cfg.seed + 6, cfg.seed + 7])
-        selected = apply_mask(y_soft, batch)
+        y_soft = selection_rows(frame_cls, t_rows, sampler, rng_seed=[cfg.seed + 6, cfg.seed + 7])
+        selected = apply_mask(y_soft, rows)
         return T.tsum(refine(selected, t_rows, refiner) * w_rows)
 
     check("selection_refine_batch", batched_loss, [("t_rows", t_rows)] + composite_params[1:])

@@ -139,43 +139,41 @@ class VideoQAModel(Module):
         """Token outputs only, (..., M, D); the masked-word loss consumes these."""
         return self.text_encoder(token_ids)[1]
 
-    def select(self, bundle: FrameBundle, t_cls: Tensor, rng_seed,
+    def select(self, bundles: Sequence[FrameBundle], t_cls: Tensor, rng_seed,
                surrogate: bool = False) -> tuple[Tensor, np.ndarray]:
         """Pick K frames per row, per the configured sampler.
 
-        ``bundle`` holds (B, N, ...) frames, or (1, N, ...) shared by the B
-        text rows ``t_cls`` (B, 1, D); ``rng_seed`` gives one noise seed per
-        row.  Returns the selected patches (B, K, P, D) and the nominal frame
-        indices (B, K); unbatched inputs with one seed give (K, P, D) and (K,).
-        With ``surrogate=True`` a sparse sampler applies the soft distribution
+        ``bundles`` holds one video per text row of ``t_cls`` (B, 1, D), and
+        ``rng_seed`` one noise seed per row.  Returns the selected patches
+        (B, K, P, D) and the nominal frame indices (B, K).  With
+        ``surrogate=True`` a sparse sampler applies the soft distribution
         instead of the straight-through mask: the forward becomes the smooth
         function whose gradient the straight-through estimator copies, which
         is the branch the finite-difference oracle can certify.  Text rows in
         another dtype than the parameters' raise ``ValueError``, since they
         would silently widen (or narrow) the whole selection graph.  The
-        bundle's shapes are not checked here; ``represent`` checks them.
+        bundles are not checked here; ``represent`` checks them.
         """
         if t_cls.dtype != self.dtype:
             raise ValueError(f"text rows are {t_cls.dtype}, the model computes in {self.dtype}")
         cfg = self.cfg
         if self.sampler is None:
-            lead = (*t_cls.shape[:-2], cfg.k_select)
-            indices = np.broadcast_to(uniform_indices(cfg.n_frames, cfg.k_select), lead)
+            indices = np.tile(uniform_indices(cfg.n_frames, cfg.k_select), (len(bundles), 1))
             one_hot = np.eye(cfg.n_frames, dtype=t_cls.dtype)[indices]
-            return apply_mask(Tensor(one_hot), bundle), indices
-        y_soft = selection_rows(bundle.v_cls, t_cls, self.sampler, rng_seed)
+            return apply_mask(Tensor(one_hot), bundles), indices
+        y_soft = selection_rows([b.v_cls for b in bundles], t_cls, self.sampler, rng_seed)
         indices = np.argmax(y_soft.data, axis=-1)
         if cfg.sampler == "sparse" and not surrogate:
-            return apply_mask(straight_through(y_soft, indices), bundle), indices
-        return apply_mask(y_soft, bundle), indices
+            return apply_mask(straight_through(y_soft, indices), bundles), indices
+        return apply_mask(y_soft, bundles), indices
 
-    def represent(self, bundle: FrameBundle, token_ids: Sequence[Sequence[int]],
+    def represent(self, bundles: Sequence[FrameBundle], token_ids: Sequence[Sequence[int]],
                   rng_seeds: Sequence[int], surrogate: bool = False) -> dict:
         """Full pipeline for a batch of B (video, text, noise seed) rows.
 
-        ``bundle`` has a leading axis of B, or of 1 for rows that share one
-        video (see ``FrameBundle.stack``); ``token_ids`` holds B texts of one
-        length M; ``rng_seeds`` holds B selection-noise seeds.  Returns the
+        ``bundles`` holds B videos, one per row, read in place: rows that show
+        one video pass the same bundle object.  ``token_ids`` holds B texts of
+        one length M; ``rng_seeds`` holds B selection-noise seeds.  Returns the
         video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D), the
         text token outputs ``t_tokens`` (B, M, D) and the selected frame
         ``indices`` (B, K).  Rows never interact in exact arithmetic: a row's
@@ -184,26 +182,26 @@ class VideoQAModel(Module):
         dtype (the oracle's float64) casts them where they enter the
         selection.  Outputs are in the parameters' dtype.
 
-        This is the one check of the frames for the whole pipeline: the
-        patches must be (R, N, P, D) and the frame CLS (R, N, D) for the
-        configured N frames of P = n_grid**2 patches of width D, with R = 1
-        or B, and there must be one seed per text.  Anything else raises
-        ``ValueError`` before any module runs; the text encoder checks the
-        texts.
+        This is the one check of the frames for the whole pipeline: there
+        must be one bundle and one seed per text, and each bundle must hold
+        float32 or float64 patches (N, P, D) and frame CLS (N, D) for the
+        configured N frames of P = n_grid**2 patches of width D.  Anything
+        else raises ``ValueError``, naming the row, before any module runs;
+        the text encoder checks the texts.
         """
         b = len(token_ids)
-        if len(rng_seeds) != b:
-            raise ValueError(f"{len(rng_seeds)} noise seeds for {b} texts")
+        if len(rng_seeds) != b or len(bundles) != b:
+            raise ValueError(f"{len(rng_seeds)} noise seeds, {len(bundles)} videos for {b} texts")
         cfg = self.cfg
         n, p, d = cfg.n_frames, cfg.n_grid ** 2, cfg.dim
-        rows = bundle.v_patch.shape[0] if bundle.v_patch.ndim == 4 else -1
-        if (rows not in (1, b) or bundle.v_patch.shape != (rows, n, p, d)
-                or bundle.v_cls.shape != (rows, n, d)):
-            raise ValueError(f"bundle of patches {bundle.v_patch.shape} and frame CLS "
-                             f"{bundle.v_cls.shape} for {b} rows; expected (R, {n}, {p}, {d}) "
-                             f"and (R, {n}, {d}) with R = 1 or {b}")
+        for r, x in enumerate(bundles):
+            if ((x.v_patch.shape, x.v_cls.shape) != ((n, p, d), (n, d))
+                    or not {x.v_patch.dtype, x.v_cls.dtype} <= T.FLOAT_DTYPES):
+                raise ValueError(f"row {r}: patches {x.v_patch.shape} {x.v_patch.dtype} and frame "
+                                 f"CLS {x.v_cls.shape} {x.v_cls.dtype}; expected float32 or "
+                                 f"float64 ({n}, {p}, {d}) and ({n}, {d})")
         t_cls, t_tokens = self.encode_text(token_ids)
-        selected, indices = self.select(bundle, t_cls, list(rng_seeds), surrogate=surrogate)
+        selected, indices = self.select(bundles, t_cls, list(rng_seeds), surrogate=surrogate)
         if self.refiner is not None:
             v_star = refine(selected, t_cls, self.refiner)
         else:

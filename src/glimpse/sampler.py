@@ -8,8 +8,8 @@ discretizes them with a straight-through estimator, so the forward pass copies
 exact frames while gradients flow through the soft distribution into the
 selection stack; ``soft`` weights the frames by the rows themselves; and
 without a learned sampler, fixed one-hot rows pick a uniform grid.  Every
-function takes a leading batch axis: B rows of frames (or one shared video)
-against B text rows, each row with its own Gumbel noise seed.
+function takes a leading batch axis: B text rows, each with its own Gumbel
+noise seed, against one video per row, read in place.
 """
 
 from __future__ import annotations
@@ -108,28 +108,26 @@ def selection_logits(v_cls: Tensor, t_row: Tensor, params: SamplerParams) -> Ten
     return T.swapaxes(per_frame, -1, -2)     # (..., K, N)
 
 
-def apply_mask(mask_rows: Tensor, bundle: FrameBundle) -> Tensor:
-    """Weight dense frames by mask rows: (..., K, N) x (..., N, P*D) -> (..., K, P, D).
+def apply_mask(mask_rows: Tensor, bundles: list[FrameBundle]) -> Tensor:
+    """Weight each row's frames by its mask rows: (B, K, N) -> (B, K, P, D).
 
-    Leading axes broadcast, so rows of a batch can share one bundle of
-    leading size 1.  With one-hot rows the matmul reduces to an exact frame
-    copy, because 1.0 * x == x and adding 0.0 * y leaves it untouched.  The
-    frames are cast to the rows' dtype (no copy when they already match).
+    Row r reads the patches (N, P, D) of ``bundles[r]`` in place, in one tape
+    node.  With one-hot rows the product is an exact frame copy, because
+    1.0 * x == x and adding 0.0 * y leaves it untouched.  The frames are cast
+    to the rows' dtype (no copy when they already match).
     """
-    *lead, n, p, d = bundle.v_patch.shape
-    flat = Tensor(bundle.v_patch.reshape(*lead, n, p * d).astype(mask_rows.dtype, copy=False))
-    picked = T.matmul(mask_rows, flat)
-    return T.reshape(picked, (*picked.shape[:-1], p, d))
+    return T.matmul_each(mask_rows, [b.v_patch.astype(mask_rows.dtype, copy=False)
+                                     for b in bundles])
 
 
 def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
                    rng_seed) -> Tensor:
     """Gumbel-Softmax rows over the N frames, one per slot, (B, K, N).
 
-    ``v_cls`` holds the frame CLS tokens (B, N, D), or (1, N, D) shared by
-    every row, and ``t_row`` the text conditions (B, 1, D); ``rng_seed``
-    gives one noise seed per row.  Unbatched inputs, (N, D) and (1, D) with
-    one seed, give (K, N).  The frame tokens are cast to the sampler's dtype.
+    ``v_cls`` holds the frame CLS tokens (B, N, D), or one (N, D) array per
+    row, and ``t_row`` the text conditions (B, 1, D); ``rng_seed`` gives one
+    noise seed per row.  Unbatched inputs, (N, D) and (1, D) with one seed,
+    give (K, N).  The frame tokens are stacked and cast to the sampler's dtype.
     Their count N is not checked here: ``VideoQAModel.represent`` checks it
     where the frames enter the model.
     """

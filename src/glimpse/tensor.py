@@ -48,7 +48,7 @@ Array = np.ndarray
 
 _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU form
 _GELU_COEF = 0.044715
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 class Tensor:
@@ -62,7 +62,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
-        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
+        self.data = data if data.dtype in FLOAT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self.grad_slot: Array | None = None
@@ -442,6 +442,24 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     return out
 
 
+def matmul_each(a: Tensor, tables: Sequence[Array]) -> Tensor:
+    """``a[r] @ tables[r]`` per row: (R, K, N) by R constant (N, ...) arrays -> (R, K, ...).
+    One 2-D product per row, as a batched ``matmul`` makes; the node keeps the tables, no copy."""
+    flat = [t.reshape(len(t), -1) for t in tables]
+    data = np.empty((len(flat), a.shape[-2], flat[0].shape[1]), a.dtype)
+    for row, w, t in zip(data, a.data, flat, strict=True):
+        np.matmul(w, t, out=row)
+    out = _node(data.reshape(*data.shape[:2], *tables[0].shape[1:]), (a,))
+    if out.requires_grad:
+        def _bw(g):
+            grad = np.empty(a.data.shape, a.dtype)
+            for row, g_row, t in zip(grad, g.reshape(len(flat), a.shape[-2], -1), flat):
+                np.matmul(g_row, t.T, out=row)
+            a._accumulate(grad)
+        out._backward = _bw
+    return out
+
+
 def _gelu(h: Array) -> tuple[Array, Array]:
     """GELU of ``h`` and the tanh it reads, by in-place steps: two arrays in all."""
     t = h * h
@@ -545,8 +563,9 @@ def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array,
                      scale: Array) -> tuple[Array, Array, Array]:
     """Gradients of ``_attend``'s output for q, k and v, through the softmax rule."""
     ds = _softmax_backward(probs, np.matmul(g, v.swapaxes(-1, -2))) * scale
-    dv = np.matmul(probs.swapaxes(-1, -2), g)
-    return np.matmul(ds, k), np.matmul(ds.swapaxes(-1, -2), q), dv
+    # One query row: dk and dv are outer products, as broadcast multiplies (same bits).
+    outer = np.multiply if q.shape[-2] == 1 else np.matmul
+    return np.matmul(ds, k), outer(ds.swapaxes(-1, -2), q), outer(probs.swapaxes(-1, -2), g)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,

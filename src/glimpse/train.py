@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig, derive_seed
-from .data import Episode, FrameBundle, Vocab
+from .data import Episode, Vocab
 from .model import VideoQAModel, load_checkpoint, save_checkpoint
 from .nn import param_buffer, split_views
 from .objectives import (
@@ -154,8 +154,8 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
                cfg: RunConfig, step: int) -> dict:
     """One optimization step; returns the metrics record for the step.
 
-    The B sampled episodes go through one batched ``represent`` call, (B, N,
-    ...) frames against B annotations, with each row's selection noise drawn
+    The B sampled episodes go through one batched ``represent`` call, their
+    own frames read in place against B annotations, with each row's noise
     from its own ``episode_noise_seed``; the masked texts of the matched rows
     are encoded in one call.  One tape covers the whole step.
     """
@@ -167,7 +167,7 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
 
     try:
         rep = model.represent(
-            FrameBundle.stack([item.episode.bundle for item in batch]),
+            [item.episode.bundle for item in batch],
             [item.annotation for item in batch],
             [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch])
         v_batch = rep["v_star"]                                    # (B, D)

@@ -12,6 +12,7 @@ cast to float64; the bitwise row-independence check also runs in float32.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from glimpse.config import RunConfig, derive_seed
 from glimpse.data import FrameBundle, Vocab, gen_episode
 from glimpse.model import VideoQAModel
 from glimpse.nn import widen_weights
+from glimpse.sampler import apply_mask
 from glimpse.tensor import Tensor
 
 SAMPLERS = ("sparse", "soft", "uniform")
@@ -57,7 +59,7 @@ def run(model, bundles, texts, noise, readout=None):
     """Outputs of one batched pass, and parameter grads of a summed readout."""
     for p in model.parameters():
         p.grad = None
-    rep = model.represent(FrameBundle.stack(bundles), texts, noise)
+    rep = model.represent(bundles, texts, noise)
     grads = {}
     if readout is not None:
         T.tsum(rep["v_star"] * Tensor(readout)).backward()
@@ -141,43 +143,68 @@ def test_perturbing_one_row_leaves_the_others_bit_unchanged(b, sampler, seed, da
 def test_straight_through_selection_copies_exact_frames(b, seed):
     model = model_for("sparse")
     bundles, texts, noise = make_rows(model, b, seed)
-    stacked = FrameBundle.stack(bundles)
     t_cls, _ = model.encode_text(texts)
-    selected, indices = model.select(stacked, t_cls, noise)
-    assert selected.shape == (b, model.cfg.k_select, *stacked.v_patch.shape[2:])
+    selected, indices = model.select(bundles, t_cls, noise)
+    assert selected.shape == (b, model.cfg.k_select, *bundles[0].v_patch.shape[1:])
     assert selected.requires_grad
     for row in range(b):
         for slot, frame in enumerate(indices[row]):
-            assert (selected.data[row, slot] == stacked.v_patch[row, frame]).all()
+            assert (selected.data[row, slot] == bundles[row].v_patch[frame]).all()
 
 
 def test_shared_bundle_is_broadcast_not_copied():
-    model = model_for("sparse")
-    bundles, texts, noise = make_rows(model, 3, 5)
-    shared = FrameBundle.stack([bundles[0]] * 3)
-    assert shared.v_patch.shape[0] == 1
-    assert np.shares_memory(shared.v_patch, bundles[0].v_patch)
-    with T.no_grad():
-        broadcast = model.represent(shared, texts, noise)
-        copied = model.represent(FrameBundle(v_patch=np.stack([bundles[0].v_patch] * 3),
-                                             v_cls=np.stack([bundles[0].v_cls] * 3)),
-                                 texts, noise)
-    assert_close(broadcast["v_star"].data, copied["v_star"].data, "v_star")
-    assert (broadcast["indices"] == copied["indices"]).all()
+    # Three rows that show one video pass its one bundle: they equal three
+    # rows that pass equal copies bit for bit, and the selection reads the
+    # shared frames in place, holding no copy of them.
+    for dtype in (np.float32, np.float64):
+        model = model_for("sparse", dtype)
+        bundles, texts, noise = make_rows(model, 3, 5)
+        copies = [FrameBundle(v_patch=bundles[0].v_patch.copy(), v_cls=bundles[0].v_cls.copy())
+                  for _ in range(3)]
+        with T.no_grad():
+            shared = model.represent([bundles[0]] * 3, texts, noise)
+            copied = model.represent(copies, texts, noise)
+        assert shared["v_star"].data.tobytes() == copied["v_star"].data.tobytes()
+        assert (shared["indices"] == copied["indices"]).all()
+
+        long = np.random.default_rng(5).normal(size=(200, 4, 24)).astype(dtype)
+        rows = Tensor(np.full((3, 1, 200), 1.0 / 200, dtype), requires_grad=True)
+        tracemalloc.start()
+        try:
+            selected = apply_mask(rows, [FrameBundle(v_patch=long, v_cls=long[:, 0])] * 3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert selected.requires_grad and held < long.nbytes // 8
 
 
 def test_batch_arguments_must_agree():
     model = model_for("sparse")
     bundles, texts, noise = make_rows(model, 2, 1)
-    stacked = FrameBundle.stack(bundles)
-    with pytest.raises(ValueError, match="1 noise seeds for 2 texts"):
-        model.represent(stacked, texts, noise[:1])
-    with pytest.raises(ValueError, match="for 2 rows"):
-        model.represent(FrameBundle.stack(bundles + bundles[:1]), texts, noise)
+    with pytest.raises(ValueError, match="1 noise seeds, 2 videos for 2 texts"):
+        model.represent(bundles, texts, noise[:1])
+    with pytest.raises(ValueError, match="2 noise seeds, 3 videos for 2 texts"):
+        model.represent(bundles + bundles[:1], texts, noise)
     # Frame CLS of two videos over the patches of one: row 1 would pick its
     # frames by video 2 and copy them from video 1.
-    mixed = FrameBundle(v_patch=bundles[0].v_patch[None], v_cls=stacked.v_cls)
-    with pytest.raises(ValueError, match=r"frame CLS \(2, 6, 24\) for 2 rows"):
-        model.represent(mixed, texts, noise)
+    mixed = FrameBundle(v_patch=bundles[0].v_patch, v_cls=np.stack([b.v_cls for b in bundles]))
+    with pytest.raises(ValueError, match=r"row 1: .* frame CLS \(2, 6, 24\)"):
+        model.represent([bundles[0], mixed], texts, noise)
     with pytest.raises(ValueError, match="texts of one batch must share a length"):
-        model.represent(stacked, [texts[0], texts[1][:-1]], noise)
+        model.represent(bundles, [texts[0], texts[1][:-1]], noise)
+
+
+def test_each_row_needs_one_video_of_the_model_geometry():
+    model = model_for("sparse")
+    bundles, texts, noise = make_rows(model, 3, 2)
+    video = bundles[1]
+    for wrong in (FrameBundle(v_patch=video.v_patch[:, :3], v_cls=video.v_cls),
+                  FrameBundle(v_patch=video.v_patch, v_cls=video.v_cls[:5]),
+                  FrameBundle(v_patch=video.v_patch[None], v_cls=video.v_cls[None]),  # 4-D
+                  FrameBundle(v_patch=video.v_patch.astype(np.float16), v_cls=video.v_cls),
+                  FrameBundle(v_patch=video.v_patch, v_cls=video.v_cls.astype(np.int64))):
+        with pytest.raises(ValueError, match=r"^row 1: .*expected float32 or float64 "
+                                             r"\(6, 4, 24\) and \(6, 24\)$"):
+            model.represent([bundles[0], wrong, bundles[2]], texts, noise)
+        with pytest.raises(ValueError, match="3 noise seeds, 2 videos for 3 texts"):
+            model.represent([bundles[0], wrong], texts, noise)

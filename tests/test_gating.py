@@ -20,10 +20,12 @@ def make_params(dim=8, heads=2, seed=0):
 
 
 def represent(fusion, v_patch, v_cls, texts):
-    """A sparse-sampler model of width 24 over 6 frames of 4 patches, one seed per text."""
+    """A sparse-sampler model of width 24 over 6 frames of 4 patches, one seed per text;
+    row r shows video ``v_patch[r]``, ``v_cls[r]``."""
     cfg = RunConfig(n_frames=6, k_select=2, depth=1, dim=24, heads=2, n_grid=2, fusion=fusion)
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(0))
-    return model.represent(FrameBundle(v_patch=v_patch, v_cls=v_cls), texts, [0] * len(texts))
+    return model.represent([FrameBundle(v_patch=p, v_cls=c) for p, c in zip(v_patch, v_cls)],
+                           texts, [0] * len(texts))
 
 
 def importance(v, t_tokens, params):
@@ -174,7 +176,8 @@ class TestLaGate:
         # The gates trust their visual tokens: frames of another width than the
         # model's are stopped where they enter it, under either fusion.
         for fusion in ("la_gate", "cross_attention"):
-            with pytest.raises(ValueError, match=r"expected \(R, 6, 4, 24\) and \(R, 6, 24\)"):
+            with pytest.raises(ValueError,
+                               match=r"expected float32 or float64 \(6, 4, 24\) and \(6, 24\)"):
                 represent(fusion, np.ones((1, 6, 4, 22)), np.ones((1, 6, 22)), [[2, 3]])
 
     def test_gradients_pass_oracle(self):
@@ -253,9 +256,9 @@ class TestCrossAttentionBaseline:
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
                              np.random.default_rng(0)).astype(np.float64)
         rng = np.random.default_rng(17)
-        bundle = FrameBundle(v_patch=rng.normal(size=(3, 6, 4, 24)),
-                             v_cls=rng.normal(size=(3, 6, 24)))
-        rep = model.represent(bundle, [[2, 3, 4]] * 3, [0, 1, 2])
+        videos, frame_cls = rng.normal(size=(3, 6, 4, 24)), rng.normal(size=(3, 6, 24))
+        rep = model.represent([FrameBundle(v_patch=p, v_cls=c) for p, c in zip(videos, frame_cls)],
+                              [[2, 3, 4]] * 3, [0, 1, 2])
         T.tsum(rep["v_star"] * Tensor(rng.normal(size=(3, 24)))).backward()
         blocks = model.sampler.blocks + model.refiner.blocks
         for block in blocks:

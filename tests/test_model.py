@@ -39,8 +39,7 @@ def zero_moments(model, t=3):
 
 def represent_one(model, episode, rng_seed, **kwargs):
     """A batch of one row: the episode's own video and question."""
-    return model.represent(FrameBundle.stack([episode.bundle]), [episode.question_tokens],
-                           [rng_seed], **kwargs)
+    return model.represent([episode.bundle], [episode.question_tokens], [rng_seed], **kwargs)
 
 
 class TestTextEncoder:
@@ -108,9 +107,9 @@ class TestVariants:
         for row in ("a", "d", "f"):
             model = build(table_variant(cfg, row), vocab)
             for patches in (episode.frames[:, :3], episode.frames[..., :-1]):
-                bundle = FrameBundle(v_patch=patches[None], v_cls=episode.frame_cls[None])
-                with pytest.raises(ValueError, match=r"expected \(R, 30, 4, 32\)"):
-                    model.represent(bundle, [episode.question_tokens], [0])
+                bundle = FrameBundle(v_patch=patches, v_cls=episode.frame_cls)
+                with pytest.raises(ValueError, match=r"expected float32 or float64 \(30, 4, 32\)"):
+                    model.represent([bundle], [episode.question_tokens], [0])
 
     def test_loss_rows_set_weights(self, world):
         cfg, vocab, _ = world

@@ -61,10 +61,10 @@ class TestAssemble:
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(0))
         rng = np.random.default_rng(3)
         for p, d in ((3, 24), (4, 25)):
-            bundle = FrameBundle(v_patch=rng.normal(size=(1, 6, p, d)),
-                                 v_cls=rng.normal(size=(1, 6, d)))
-            with pytest.raises(ValueError, match=r"expected \(R, 6, 4, 24\) and \(R, 6, 24\)"):
-                model.represent(bundle, [[2, 3]], [0])
+            bundle = FrameBundle(v_patch=rng.normal(size=(6, p, d)), v_cls=rng.normal(size=(6, d)))
+            with pytest.raises(ValueError,
+                               match=r"expected float32 or float64 \(6, 4, 24\) and \(6, 24\)"):
+                model.represent([bundle], [[2, 3]], [0])
 
     def test_gradient_reaches_cls_and_tables(self):
         rng = np.random.default_rng(2)
@@ -258,9 +258,10 @@ class TestReadout:
             monkeypatch.setattr(cls, "__call__", recorded)
         rng = np.random.default_rng(15)
         b, n, p, d = 3, 6, 4, 24
-        bundle = FrameBundle(v_patch=rng.normal(size=(b, n, p, d)).astype(np.float32),
-                             v_cls=rng.normal(size=(b, n, d)).astype(np.float32))
-        out = model.represent(bundle, [[2, 3, 4]] * b, [0, 1, 2])
+        videos = rng.normal(size=(b, n, p, d)).astype(np.float32)
+        frame_cls = rng.normal(size=(b, n, d)).astype(np.float32)
+        out = model.represent([FrameBundle(v_patch=v, v_cls=c) for v, c in zip(videos, frame_cls)],
+                              [[2, 3, 4]] * b, [0, 1, 2])
         assert out["v_star"].shape == (b, d)
         stack = model.refiner if refiner == "gated" else model.plain
         *body, last = stack.blocks

@@ -45,13 +45,14 @@ def make_model(sampler="sparse", n=6, k=2, seed=0):
 
 
 def text_row(rng, d=MODEL_DIM, dtype=np.float32):
-    """A text condition in the model's dtype (float32 unless cast)."""
-    return Tensor(rng.normal(size=(1, d)).astype(dtype))
+    """The text condition of one batch row, (1, 1, d), in the model's dtype
+    (float32 unless cast)."""
+    return Tensor(rng.normal(size=(1, 1, d)).astype(dtype))
 
 
 def represent(model, bundle, surrogate=False):
     """One row: ``bundle``'s video under a fixed two-word text."""
-    return model.represent(FrameBundle.stack([bundle]), [[2, 3]], [0], surrogate=surrogate)
+    return model.represent([bundle], [[2, 3]], [0], surrogate=surrogate)
 
 
 def hard_rows(y_soft):
@@ -78,7 +79,7 @@ class TestTemporalEmbedding:
         # enters the model, before the embedding is added.
         model = make_model(n=6)
         assert model.sampler.temporal_table.shape[0] == 6
-        with pytest.raises(ValueError, match=r"expected \(R, 6, 4, 24\)"):
+        with pytest.raises(ValueError, match=r"expected float32 or float64 \(6, 4, 24\)"):
             represent(model, make_bundle(np.random.default_rng(3), n=7, d=MODEL_DIM))
 
     def test_gradient_reaches_input_and_table(self):
@@ -248,10 +249,10 @@ class TestSparseSample:
         rng = np.random.default_rng(10)
         bundle = make_bundle(rng, d=MODEL_DIM)
         model = make_model().astype(np.float64)  # compared with float64 frames
-        selected, indices = model.select(bundle, text_row(rng, dtype=np.float64), rng_seed=3)
-        assert selected.shape == (2, 4, MODEL_DIM)
-        for row, frame in enumerate(indices):
-            assert (selected.data[row] == bundle.v_patch[frame]).all()
+        selected, indices = model.select([bundle], text_row(rng, dtype=np.float64), rng_seed=[3])
+        assert selected.shape == (1, 2, 4, MODEL_DIM)
+        for row, frame in enumerate(indices[0]):
+            assert (selected.data[0, row] == bundle.v_patch[frame]).all()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
@@ -264,8 +265,8 @@ class TestSparseSample:
         model = make_model()
         bundle = make_bundle(rng, d=MODEL_DIM)
         t = text_row(rng)
-        s1, i1 = model.select(bundle, t, rng_seed=7)
-        s2, i2 = model.select(bundle, t, rng_seed=7)
+        s1, i1 = model.select([bundle], t, rng_seed=[7])
+        s2, i2 = model.select([bundle], t, rng_seed=[7])
         assert (i1 == i2).all()
         assert (s1.data == s2.data).all()
 
@@ -277,10 +278,10 @@ class TestSparseSample:
             model = make_model(sampler)
             with pytest.raises(ValueError,
                                match="text rows are float64, the model computes in float32"):
-                model.select(bundle, text_row(rng, dtype=np.float64), rng_seed=0)
+                model.select([bundle], text_row(rng, dtype=np.float64), rng_seed=[0])
             with pytest.raises(ValueError,
                                match="text rows are float32, the model computes in float64"):
-                model.astype(np.float64).select(bundle, text_row(rng), rng_seed=0)
+                model.astype(np.float64).select([bundle], text_row(rng), rng_seed=[0])
 
     def test_frame_count_mismatch_rejected(self):
         # Every selection mode, the surrogate branch included, gets its frames
@@ -291,8 +292,9 @@ class TestSparseSample:
             model = make_model(sampler, n=6)
             for n in (5, 7):
                 bundle = make_bundle(rng, n=n, d=MODEL_DIM)
-                with pytest.raises(ValueError, match=rf"frame CLS \(1, {n}, 24\) for 1 rows; "
-                                                     r"expected \(R, 6, 4, 24\)"):
+                with pytest.raises(ValueError, match=rf"row 0: patches \({n}, 4, 24\) float64 "
+                                                     rf"and frame CLS \({n}, 24\) float64; "
+                                                     r"expected float32 or float64 \(6, 4, 24\)"):
                     represent(model, bundle, surrogate=surrogate)
 
     def test_permutation_mask_permutes_frames(self):
@@ -301,14 +303,14 @@ class TestSparseSample:
         perm = np.array([2, 0, 3, 1])
         rows = np.zeros((4, 4))
         rows[np.arange(4), perm] = 1.0
-        out = apply_mask(Tensor(rows), bundle)
-        np.testing.assert_array_equal(out.data, bundle.v_patch[perm])
+        out = apply_mask(Tensor(rows[None]), [bundle])
+        np.testing.assert_array_equal(out.data[0], bundle.v_patch[perm])
 
     def test_selection_gradient_reaches_sampler_parameters(self):
         rng = np.random.default_rng(14)
         bundle = make_bundle(rng, d=MODEL_DIM)
         model = make_model()
-        selected, _ = model.select(bundle, text_row(rng), rng_seed=1)
+        selected, _ = model.select([bundle], text_row(rng), rng_seed=[1])
         T.tsum(selected * Tensor(rng.normal(size=selected.shape))).backward()
         params = model.sampler
         assert params.w_s.w.grad is not None
@@ -321,17 +323,17 @@ class TestSoftSelect:
     def test_uniform_soft_row_averages_frames(self):
         rng = np.random.default_rng(15)
         bundle = make_bundle(rng, n=5)
-        rows = np.full((2, 5), 1.0 / 5.0)
-        out = apply_mask(Tensor(rows), bundle)
-        np.testing.assert_allclose(out.data[0], bundle.v_patch.mean(axis=0), atol=1e-12)
+        rows = np.full((1, 2, 5), 1.0 / 5.0)
+        out = apply_mask(Tensor(rows), [bundle])
+        np.testing.assert_allclose(out.data[0, 0], bundle.v_patch.mean(axis=0), atol=1e-12)
 
     def test_onehot_soft_row_equals_hard_copy(self):
         rng = np.random.default_rng(16)
         bundle = make_bundle(rng, n=5)
-        rows = np.zeros((1, 5))
-        rows[0, 3] = 1.0
-        out = apply_mask(Tensor(rows), bundle)
-        np.testing.assert_array_equal(out.data[0], bundle.v_patch[3])
+        rows = np.zeros((1, 1, 5))
+        rows[0, 0, 3] = 1.0
+        out = apply_mask(Tensor(rows), [bundle])
+        np.testing.assert_array_equal(out.data[0, 0], bundle.v_patch[3])
 
     def test_soft_mode_applies_the_rows(self):
         # The soft sampler and the surrogate branch weight the frames by the
@@ -341,23 +343,38 @@ class TestSoftSelect:
         t = text_row(rng)
         for sampler, surrogate in (("soft", False), ("sparse", True)):
             model = make_model(sampler)
-            selected, indices = model.select(bundle, t, rng_seed=4, surrogate=surrogate)
-            y_soft = selection_rows(bundle.v_cls, t, model.sampler, rng_seed=4)
-            assert (selected.data == apply_mask(y_soft, bundle).data).all()
+            selected, indices = model.select([bundle], t, rng_seed=[4], surrogate=surrogate)
+            y_soft = selection_rows(bundle.v_cls[None], t, model.sampler, rng_seed=[4])
+            assert (selected.data == apply_mask(y_soft, [bundle]).data).all()
             assert (indices == np.argmax(y_soft.data, axis=-1)).all()
 
     def test_gradcheck_through_soft_pipeline(self):
         rng = np.random.default_rng(17)
         bundle = make_bundle(rng, n=4, p=2, d=8)
         params = make_sampler(d=8, n=4, k=2)
-        t = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 2, 8)))
+        t = Tensor(rng.normal(size=(1, 1, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(1, 2, 2, 8)))
         checked = [t, params.w_s.w, params.temporal_table]
         report = grad_check(
-            lambda: T.tsum(apply_mask(selection_rows(bundle.v_cls, t, params, rng_seed=5),
-                                      bundle) * w), checked
+            lambda: T.tsum(apply_mask(selection_rows(bundle.v_cls[None], t, params,
+                                                     rng_seed=[5]), [bundle]) * w), checked
         )
         assert report.passed, report.summary()
+
+    def test_rows_sharing_a_video_pass_the_oracle(self):
+        # Rows 0 and 2 pass one bundle object; each row reads its own video.
+        rng = np.random.default_rng(21)
+        shared, other = make_bundle(rng, n=5, p=2, d=3), make_bundle(rng, n=5, p=2, d=3)
+        bundles = [shared, other, shared]
+        rows = Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 2, 3)))
+        out = apply_mask(rows, bundles)
+        want = np.einsum("rkn,rnpd->rkpd", rows.data, np.stack([b.v_patch for b in bundles]))
+        np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-15)
+        report = grad_check(lambda: T.tsum(apply_mask(rows, bundles) * w), [rows])
+        assert report.passed, report.summary()
+        with pytest.raises(ValueError):  # one bundle per row, no fewer
+            apply_mask(rows, bundles[:2])
 
 
 class TestUniformSelect:
@@ -378,8 +395,9 @@ class TestUniformSelect:
         rng = np.random.default_rng(19)
         bundle = make_bundle(rng, d=MODEL_DIM)
         model = make_model("uniform", k=3)
-        t = Tensor(rng.normal(size=(1, MODEL_DIM)).astype(np.float32), requires_grad=True)
-        selected, indices = model.select(bundle, t, rng_seed=0)
+        t = Tensor(rng.normal(size=(1, 1, MODEL_DIM)).astype(np.float32), requires_grad=True)
+        selected, indices = model.select([bundle], t, rng_seed=[0])
         assert selected.requires_grad is False
-        np.testing.assert_array_equal(indices, uniform_indices(6, 3))
-        np.testing.assert_array_equal(selected.data, bundle.v_patch[indices].astype(np.float32))
+        np.testing.assert_array_equal(indices, [uniform_indices(6, 3)])
+        np.testing.assert_array_equal(selected.data[0],
+                                      bundle.v_patch[indices[0]].astype(np.float32))

@@ -8,8 +8,9 @@ inside its node.  A readout call adds the slice of its query row.  A biased
 time is per-node overhead, so the whole step's tape is pinned: 267 nodes, 138
 of them interior.  Bench-geometry memory is the tape's bytes, so a node keeps
 only what its backward reads, ``backward`` frees each node once its rule has
-run, and a parameter's gradient is written straight into the optimizer's
-vector.
+run, a parameter's gradient is written straight into the optimizer's
+vector, and the selection reads each row's frames in place, so the tape
+holds no copy of the batch's videos.
 """
 
 import tracemalloc
@@ -131,6 +132,32 @@ def test_desk_train_step_tapes_at_most_267_nodes_138_interior(monkeypatch):
     assert len(counts) == 1, counts
     (n_nodes, n_interior), = counts
     assert n_nodes <= 267 and n_interior <= 138, counts
+
+
+def test_desk_train_step_tapes_no_copy_of_the_batch_videos(monkeypatch):
+    # Each row's selection reads its episode's frames in place, so no array
+    # of the batch's B*N*P*D frame values is live when backward starts.  A
+    # 3x3 grid makes P*D differ from the sampler MLP's hidden width, 4*D.
+    cfg = desk_config(seed=1, batch_size=8, n_grid=3)
+    vocab = Vocab(cfg.vocab_seed, cfg.dim)
+    batch = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
+    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    optimizer = gtrain.AdamW(list(model.named_parameters()), cfg.weight_decay)
+    blocks = []
+    backward = Tensor.backward
+
+    def snapshot(root, *args, **kwargs):
+        blocks.extend(trace.size for trace in tracemalloc.take_snapshot().traces)
+        backward(root, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", snapshot)
+    tracemalloc.start()
+    try:
+        gtrain.train_step(model, optimizer, batch, cfg, 0)
+    finally:
+        tracemalloc.stop()
+    videos = sum(episode.frames.nbytes for episode in batch)
+    assert blocks and max(blocks) < videos, (max(blocks), videos)
 
 
 def test_parameter_grads_are_views_of_the_optimizer_vector(monkeypatch):

@@ -542,6 +542,24 @@ class TestFusedMixingOps:
         report = grad_check(lambda: T.tsum(T.cosine_gate(q, k, v, 2, 1e-8) * w), [q, k, v])
         assert report.passed, report.summary()
 
+    def test_one_query_row_backward_keeps_the_matmul_bits(self):
+        # With one query row the backward makes dk and dv as broadcast
+        # multiplies, not products over an inner size of 1; they must be the
+        # products' bits, here at the bench readout's (2, 8, 785, 1) x (2, 8, 1, 32).
+        rng = np.random.default_rng(33)
+        for dtype in (np.float32, np.float64):
+            q, g = (rng.normal(size=(2, 8, 1, 32)).astype(dtype) for _ in range(2))
+            k, v = (rng.normal(size=(2, 8, 785, 32)).astype(dtype) for _ in range(2))
+            outer = rng.normal(size=(2, 8, 785, 1)).astype(dtype)
+            assert (outer * g).tobytes() == np.matmul(outer, g).tobytes()
+            scale = np.asarray(0.25, dtype=dtype)
+            probs, _ = T._attend(q, k, v, scale)
+            dq, dk, dv = T._attend_backward(g, probs, q, k, v, scale)
+            ds = T._softmax_backward(probs, np.matmul(g, v.swapaxes(-1, -2))) * scale
+            assert dq.tobytes() == np.matmul(ds, k).tobytes()
+            assert dk.tobytes() == np.matmul(ds.swapaxes(-1, -2), q).tobytes()
+            assert dv.tobytes() == np.matmul(probs.swapaxes(-1, -2), g).tobytes()
+
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(32)
         q, k, v = (Tensor(rng.normal(size=(2, 7, 6)).astype(np.float32), requires_grad=True)

@@ -15,7 +15,7 @@ from glimpse import evaluate as geval
 from glimpse import tensor as T
 from glimpse.cli import main
 from glimpse.config import RunConfig, desk_config
-from glimpse.data import (BLIND_MODES, EpisodeSet, FrameBundle, Vocab, blind_input,
+from glimpse.data import (BLIND_MODES, EpisodeSet, Vocab, blind_input,
                           episode_seeds, gen_episode, save_dataset)
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
@@ -169,8 +169,8 @@ class TestTrainLoop:
         model, _, _ = train(cfg, episodes, out_dir=tmp_path)
         reloaded, _, _ = load_checkpoint(tmp_path)
         ep = episodes[0]
-        a = model.represent(FrameBundle.stack([ep.bundle]), [ep.question_tokens], [3])
-        b = reloaded.represent(FrameBundle.stack([ep.bundle]), [ep.question_tokens], [3])
+        a = model.represent([ep.bundle], [ep.question_tokens], [3])
+        b = reloaded.represent([ep.bundle], [ep.question_tokens], [3])
         assert (a["v_star"].data == b["v_star"].data).all()
 
 
@@ -215,18 +215,18 @@ class TestTapeLifetime:
             per_call = geval.rows_per_call(cfg)
             calls = []
 
-            def counted(bundle, token_ids, rng_seeds, **kwargs):
-                calls.append((bundle, [tuple(t) for t in token_ids], list(rng_seeds)))
-                return real(bundle, token_ids, rng_seeds, **kwargs)
+            def counted(bundles, token_ids, rng_seeds, **kwargs):
+                calls.append((bundles, [tuple(t) for t in token_ids], list(rng_seeds)))
+                return real(bundles, token_ids, rng_seeds, **kwargs)
 
             monkeypatch.setattr(model, "represent", counted)
             assert evaluate_with_blind_probes(model, episodes, eval_seed=4) == expected
             rows = []
-            for bundle, texts, seeds in calls:
+            for bundles, texts, seeds in calls:
                 assert len(texts) <= per_call
                 for r, (text, seed) in enumerate(zip(texts, seeds)):
                     i = owner[seed]
-                    shown = bundle.v_cls[r if bundle.v_cls.shape[0] > 1 else 0]
+                    shown = bundles[r].v_cls
                     kind, = [k for k in kinds if (shown == videos[i, k]).all()]
                     rows.append((i, text, kind))
             assert len(rows) == len(set(rows))
@@ -274,8 +274,8 @@ class TestEvalBatching:
         rows = []
         real = model.represent
         monkeypatch.setattr(model, "represent",
-                            lambda bundle, texts, *a, **k: rows.extend(texts)
-                            or real(bundle, texts, *a, **k))
+                            lambda bundles, texts, *a, **k: rows.extend(texts)
+                            or real(bundles, texts, *a, **k))
         with pytest.raises(ValueError, match="unknown blind mode: 'sepia'"):
             evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=("static", "sepia"))
         assert rows == []
@@ -347,7 +347,7 @@ class TestEvalBatching:
 
         @T.no_grad()
         def verdict(ep, text):
-            rep = model.represent(FrameBundle.stack([ep.bundle]), [list(text)],
+            rep = model.represent([ep.bundle], [list(text)],
                                   [episode_noise_seed(4, ep.seed, 0)])
             return int(np.argmax(model.vtm_head(rep["v_star"]).data))
 
