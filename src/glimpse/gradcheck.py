@@ -31,16 +31,6 @@ class GradReport:
     def worst(self) -> float:
         return max(self.max_rel_error.values(), default=0.0)
 
-    def summary(self) -> str:
-        lines = []
-        for name in self.max_rel_error:
-            ok = self.max_rel_error[name] < self.tolerance
-            lines.append(
-                f"{'PASS' if ok else 'FAIL'}  {name}: "
-                f"rel={self.max_rel_error[name]:.3e} abs={self.max_abs_error[name]:.3e}"
-            )
-        return "\n".join(lines)
-
 
 def grad_check(
     loss_fn: LossFn,

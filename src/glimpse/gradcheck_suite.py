@@ -6,8 +6,8 @@ selection-to-refinement composite runs on the soft selection branch: the
 straight-through estimator defines its gradient as the soft branch's, and a
 piecewise-constant hard forward has no meaningful finite difference.  The
 exact hard/soft gradient identity is covered by its own bitwise test.  The
-composite runs once unbatched and once over a batch of two rows with their
-own videos, texts and noise seeds, which certifies the batch-axis backward.
+composite runs over a batch of one row, and over two rows with their own
+videos, texts and noise seeds, which certifies the batch-axis backward.
 The plain joint transformer runs over [CLS, text rows, patches] with two
 blocks, so that both the full block and the CLS-only last block are checked.
 
@@ -129,15 +129,16 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
     t_pipe = Tensor(rng.normal(size=(1, dim)), requires_grad=True)
     w_pipe = _readout(rng, (dim,))
 
-    def composite_loss():
-        y_soft = selection_rows(bundle.v_cls, t_pipe, sampler, rng_seed=cfg.seed + 6)
-        selected = apply_mask(T.reshape(y_soft, (1, *y_soft.shape)), [bundle])[0]
-        return T.tsum(refine(selected, t_pipe, refiner) * w_pipe)
+    def composite(bundles, t_rows, seeds, w_rows):
+        def loss():
+            y_soft = selection_rows([b.v_cls for b in bundles], t_rows, sampler, rng_seed=seeds)
+            return T.tsum(refine(apply_mask(y_soft, bundles), t_rows, refiner) * w_rows)
+        return loss
 
     composite_params = ([("t_cls", t_pipe)]
                         + [("sampler." + n, p) for n, p in sampler.named_parameters()]
                         + [("refiner." + n, p) for n, p in refiner.named_parameters()])
-    check("selection_refine", composite_loss, composite_params)
+    check("selection_refine", composite([bundle], t_pipe, [cfg.seed + 6], w_pipe), composite_params)
 
     # the three losses
     v_batch = Tensor(rng.normal(size=(3, dim)), requires_grad=True)
@@ -178,12 +179,8 @@ def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
     t_rows = Tensor(rng.normal(size=(2, 1, dim)), requires_grad=True)
     w_rows = _readout(rng, (2, dim))
 
-    def batched_loss():
-        y_soft = selection_rows(frame_cls, t_rows, sampler, rng_seed=[cfg.seed + 6, cfg.seed + 7])
-        selected = apply_mask(y_soft, rows)
-        return T.tsum(refine(selected, t_rows, refiner) * w_rows)
-
-    check("selection_refine_batch", batched_loss, [("t_rows", t_rows)] + composite_params[1:])
+    check("selection_refine_batch", composite(rows, t_rows, [cfg.seed + 6, cfg.seed + 7], w_rows),
+          [("t_rows", t_rows)] + composite_params[1:])
 
     # the plain fusion baseline over [CLS, text rows, patches]
     plain = PlainFusion(dim, heads, cfg.k_select, n_patches, 2,

@@ -139,20 +139,19 @@ class VideoQAModel(Module):
         """Token outputs only, (..., M, D); the masked-word loss consumes these."""
         return self.text_encoder(token_ids)[1]
 
-    def select(self, bundles: Sequence[FrameBundle], t_cls: Tensor, rng_seed,
-               surrogate: bool = False) -> tuple[Tensor, np.ndarray]:
+    def select(self, bundles: Sequence[FrameBundle], t_cls: Tensor,
+               rng_seed: Sequence[int]) -> tuple[Tensor, np.ndarray]:
         """Pick K frames per row, per the configured sampler.
 
         ``bundles`` holds one video per text row of ``t_cls`` (B, 1, D), and
         ``rng_seed`` one noise seed per row.  Returns the selected patches
-        (B, K, P, D) and the nominal frame indices (B, K).  With
-        ``surrogate=True`` a sparse sampler applies the soft distribution
-        instead of the straight-through mask: the forward becomes the smooth
-        function whose gradient the straight-through estimator copies, which
-        is the branch the finite-difference oracle can certify.  Text rows in
-        another dtype than the parameters' raise ``ValueError``, since they
-        would silently widen (or narrow) the whole selection graph.  The
-        bundles are not checked here; ``represent`` checks them.
+        (B, K, P, D) and the nominal frame indices (B, K).  ``sparse`` applies
+        Gumbel-Softmax rows through the straight-through estimator; ``soft``
+        applies the rows themselves, the smooth function whose gradient the
+        estimator copies.  Text rows in another dtype than the parameters'
+        raise ``ValueError``, since they would silently widen (or narrow) the
+        whole selection graph.  The bundles are not checked here;
+        ``represent`` checks them.
         """
         if t_cls.dtype != self.dtype:
             raise ValueError(f"text rows are {t_cls.dtype}, the model computes in {self.dtype}")
@@ -163,12 +162,12 @@ class VideoQAModel(Module):
             return apply_mask(Tensor(one_hot), bundles), indices
         y_soft = selection_rows([b.v_cls for b in bundles], t_cls, self.sampler, rng_seed)
         indices = np.argmax(y_soft.data, axis=-1)
-        if cfg.sampler == "sparse" and not surrogate:
+        if cfg.sampler == "sparse":
             return apply_mask(straight_through(y_soft, indices), bundles), indices
         return apply_mask(y_soft, bundles), indices
 
     def represent(self, bundles: Sequence[FrameBundle], token_ids: Sequence[Sequence[int]],
-                  rng_seeds: Sequence[int], surrogate: bool = False) -> dict:
+                  rng_seeds: Sequence[int]) -> dict:
         """Full pipeline for a batch of B (video, text, noise seed) rows.
 
         ``bundles`` holds B videos, one per row, read in place: rows that show
@@ -201,7 +200,7 @@ class VideoQAModel(Module):
                                  f"CLS {x.v_cls.shape} {x.v_cls.dtype}; expected float32 or "
                                  f"float64 ({n}, {p}, {d}) and ({n}, {d})")
         t_cls, t_tokens = self.encode_text(token_ids)
-        selected, indices = self.select(bundles, t_cls, list(rng_seeds), surrogate=surrogate)
+        selected, indices = self.select(bundles, t_cls, list(rng_seeds))
         if self.refiner is not None:
             v_star = refine(selected, t_cls, self.refiner)
         else:

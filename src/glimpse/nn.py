@@ -36,12 +36,9 @@ class Module:
                 yield name, value
             elif isinstance(value, Module):
                 yield from value.named_tensors(name)
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_tensors(f"{name}.{i}")
-                    elif isinstance(item, Tensor):
-                        yield f"{name}.{i}", item
+            elif isinstance(value, list):  # a stack of blocks
+                for i, block in enumerate(value):
+                    yield from block.named_tensors(f"{name}.{i}")
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         return ((name, t) for name, t in self.named_tensors(prefix) if t.requires_grad)

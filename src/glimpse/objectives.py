@@ -186,27 +186,24 @@ def total_loss(l_vtm: Tensor, l_vgmlm: Tensor, l_cl: Tensor,
     return l_vtm * weights[0] + l_vgmlm * weights[1] + l_cl * weights[2]
 
 
-def answer_open_ended(v_cls_star: Tensor, mlp_head: Mlp):
-    """Answer index per video CLS row, (..., D) -> (...); ties resolve to the
-    lowest index.  One (D,) row gives an int.
+def answer_open_ended(v_cls_star: Tensor, mlp_head: Mlp) -> np.ndarray:
+    """Answer index per video CLS row, (B, ..., D) -> (B, ...) array; ties
+    resolve to the lowest index.
 
     No text embedding enters this head: the question can steer the answer only
     through the conditioning it already applied inside the visual pipeline.
     """
-    rows = T.reshape(v_cls_star, (-1, v_cls_star.shape[-1]))
-    picks = np.argmax(mlp_head(rows).data, axis=-1).reshape(v_cls_star.shape[:-1])
-    return int(picks) if picks.ndim == 0 else picks
+    return np.argmax(mlp_head(v_cls_star).data, axis=-1)
 
 
-def answer_multichoice(candidate_v_cls_stars: Tensor, vtm_head: Linear):
+def answer_multichoice(candidate_v_cls_stars: Tensor, vtm_head: Linear) -> np.ndarray:
     """Pick the candidate whose matched logit is largest (lowest index on ties).
 
-    (C, D) candidates give an int; (..., C, D) give one pick per leading entry.
+    (..., C, D) candidates give an array of one pick per leading entry.
     """
     if candidate_v_cls_stars.ndim < 2 or candidate_v_cls_stars.shape[-2] < 1:
         raise ValueError("expected a (..., C, D) candidate batch")
-    picks = np.argmax(vtm_head(candidate_v_cls_stars).data[..., MATCHED], axis=-1)
-    return int(picks) if picks.ndim == 0 else picks
+    return np.argmax(vtm_head(candidate_v_cls_stars).data[..., MATCHED], axis=-1)
 
 
 def answer_cross_entropy(v_cls_star_batch: Tensor, answers: Sequence[int],

@@ -65,25 +65,25 @@ def gumbel_noise(shape, rng_seed: int) -> np.ndarray:
 
 
 def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
-    """Softmax over perturbed logits; rows are the last axis of ``x``.
+    """Softmax over perturbed logits (B, ..., N); rows are the last axis.
 
-    ``rng_seed`` is one seed for all of ``x``, or a sequence of seeds, one
-    per entry of its leading (batch) axis (``VideoQAModel.represent`` checks
-    the count): each entry then draws the noise it would draw alone, so
-    batching and row order cannot change a draw.  Each distinct seed is drawn
-    once and shared by the entries that carry it.  The noise is drawn in
-    float64 and rounded to the dtype of ``x``.
+    ``rng_seed`` holds one seed per entry of the leading batch axis, and any
+    other count, or a scalar, raises ``ValueError``.  Each entry draws the
+    noise it would draw alone, so batching and row order cannot change a
+    draw.  Each distinct seed is drawn once and shared by the entries that
+    carry it.  The noise is drawn in float64 and rounded to the dtype of ``x``.
     """
     if tau_g <= 0:
         raise ValueError("nonpositive temperature")
     if not np.isfinite(x.data).all():
         raise ValueError("non-finite logits")
-    if np.ndim(rng_seed):
-        slot = {seed: j for j, seed in enumerate(dict.fromkeys(rng_seed))}
-        draws = np.stack([gumbel_noise(x.shape[1:], seed) for seed in slot])
-        noise = draws[[slot[seed] for seed in rng_seed]]
-    else:
-        noise = gumbel_noise(x.shape, rng_seed)
+    rows = x.shape[0] if x.ndim > 1 else 0
+    if np.ndim(rng_seed) != 1 or len(rng_seed) != rows:
+        got = f"{len(rng_seed)} noise seeds" if np.ndim(rng_seed) == 1 else "a scalar noise seed"
+        raise ValueError(f"{got} for {rows} batch rows; one seed per row is needed")
+    slot = {seed: j for j, seed in enumerate(dict.fromkeys(rng_seed))}
+    draws = np.stack([gumbel_noise(x.shape[1:], seed) for seed in slot])
+    noise = draws[[slot[seed] for seed in rng_seed]]
     return T.softmax_stable((x + noise) * (1.0 / tau_g), axis=-1)
 
 
@@ -125,11 +125,10 @@ def selection_rows(v_cls: np.ndarray, t_row: Tensor, params: SamplerParams,
     """Gumbel-Softmax rows over the N frames, one per slot, (B, K, N).
 
     ``v_cls`` holds the frame CLS tokens (B, N, D), or one (N, D) array per
-    row, and ``t_row`` the text conditions (B, 1, D); ``rng_seed`` gives one
-    noise seed per row.  Unbatched inputs, (N, D) and (1, D) with one seed,
-    give (K, N).  The frame tokens are stacked and cast to the sampler's dtype.
-    Their count N is not checked here: ``VideoQAModel.represent`` checks it
-    where the frames enter the model.
+    row, ``t_row`` the text conditions (B, 1, D), and ``rng_seed`` one noise
+    seed per row (``gumbel_softmax`` checks the count).  The frame tokens are
+    stacked and cast to the sampler's dtype.  Their count N is not checked
+    here: ``VideoQAModel.represent`` checks it where the frames enter the model.
     """
     logits = selection_logits(Tensor(np.asarray(v_cls, dtype=params.dtype)), t_row, params)
     return gumbel_softmax(logits, params.tau_g, rng_seed)

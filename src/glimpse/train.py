@@ -61,12 +61,11 @@ class AdamW:
     ``grad_slot`` there.  A tensor without a grad keeps its data and moments.
     """
 
-    def __init__(self, named_params: Sequence[tuple[str, Tensor]], weight_decay: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params: Sequence[tuple[str, Tensor]], weight_decay: float):
         self.named_params = list(named_params)
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         params = [p for _, p in self.named_params]
         self.data = param_buffer(params)

@@ -37,9 +37,9 @@ def zero_moments(model, t=3):
                                 for name, p in model.named_parameters()}}
 
 
-def represent_one(model, episode, rng_seed, **kwargs):
+def represent_one(model, episode, rng_seed):
     """A batch of one row: the episode's own video and question."""
-    return model.represent([episode.bundle], [episode.question_tokens], [rng_seed], **kwargs)
+    return model.represent([episode.bundle], [episode.question_tokens], [rng_seed])
 
 
 class TestTextEncoder:
@@ -135,11 +135,17 @@ class TestRepresent:
         assert (a["v_star"].data == b["v_star"].data).all()
         assert (a["indices"] == b["indices"]).all()
 
-    def test_surrogate_branch_is_smooth_but_indices_agree(self, world):
+    def test_soft_model_is_smooth_but_indices_agree(self, world):
+        # A soft model from the same seed holds the sparse model's parameters
+        # and draws its noise, so only how the rows are applied differs.
         cfg, vocab, episode = world
         model = build(cfg, vocab)
+        smooth = build(cfg.replace(sampler="soft"), vocab)
+        params, same = model.state_dict(), smooth.state_dict()
+        assert params.keys() == same.keys()
+        assert all(params[k].tobytes() == same[k].tobytes() for k in params)
         hard = represent_one(model, episode, 7)
-        soft = represent_one(model, episode, 7, surrogate=True)
+        soft = represent_one(smooth, episode, 7)
         assert (hard["indices"] == soft["indices"]).all()
         assert not (hard["v_star"].data == soft["v_star"].data).all()
 

@@ -159,7 +159,7 @@ class TestVtmLoss:
         loss = vtm_loss(v, [1, 0, 1, 1], head)
         assert loss.item() >= 0
         report = grad_check(lambda: vtm_loss(v, [1, 0, 1, 1], head), [v, head.w])
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
 
 
 class TestContrastiveLoss:
@@ -222,7 +222,7 @@ class TestContrastiveLoss:
         loss = contrastive_loss(v, t, flags, tau=0.5)
         assert loss.item() >= 0
         report = grad_check(lambda: contrastive_loss(v, t, flags, tau=0.5), [v, t])
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
 
 
 class TestMaskTokens:
@@ -305,7 +305,7 @@ class TestVgMlmLoss:
         # Finite differences confirm the live path into the video CLS.
         report = grad_check(lambda: vg_mlm_loss(masked, encode, v_star, head),
                             [v_star] + head.parameters())
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
 
     def test_batch_is_mean_of_per_text_means(self):
         # Texts with different numbers of masked words weigh equally, as if
@@ -360,22 +360,25 @@ class TestTotalLoss:
 class TestAnswerHeads:
     def test_single_answer_space(self):
         head = zero_mlp(4, 8, 1)
-        assert answer_open_ended(Tensor(np.ones(4)), head) == 0
+        picks = answer_open_ended(Tensor(np.ones((2, 4))), head)
+        assert isinstance(picks, np.ndarray) and picks.tolist() == [0, 0]
 
     def test_tie_goes_to_lowest_index(self):
         head = zero_mlp(4, 8, 5)  # all logits zero -> five-way tie
-        assert answer_open_ended(Tensor(np.ones(4)), head) == 0
+        picks = answer_open_ended(Tensor(np.ones((1, 3, 4))), head)
+        assert isinstance(picks, np.ndarray) and picks.tolist() == [[0, 0, 0]]
 
     def test_multichoice_identical_candidates_tie(self):
         head = zero_linear(4, 2)
-        candidates = Tensor(np.ones((3, 4)))
-        assert answer_multichoice(candidates, head) == 0
+        candidates = Tensor(np.ones((1, 3, 4)))
+        picks = answer_multichoice(candidates, head)
+        assert isinstance(picks, np.ndarray) and picks.tolist() == [0]
 
     def test_multichoice_picks_largest_matched_logit(self):
         head = Linear(2, 2, np.random.default_rng(0))
         head.w = Tensor(np.array([[0.0, 1.0], [0.0, -1.0]]), requires_grad=True)
-        candidates = Tensor(np.array([[-10.0, 0.0], [10.0, 0.0], [-10.0, 0.0]]))
-        assert answer_multichoice(candidates, head) == 1
+        candidates = Tensor(np.array([[[-10.0, 0.0], [10.0, 0.0], [-10.0, 0.0]]]))
+        assert answer_multichoice(candidates, head).tolist() == [1]
 
     def test_answer_cross_entropy_matches_uniform_anchor(self):
         head = zero_mlp(4, 8, 8)

@@ -50,9 +50,9 @@ def text_row(rng, d=MODEL_DIM, dtype=np.float32):
     return Tensor(rng.normal(size=(1, 1, d)).astype(dtype))
 
 
-def represent(model, bundle, surrogate=False):
+def represent(model, bundle):
     """One row: ``bundle``'s video under a fixed two-word text."""
-    return model.represent([bundle], [[2, 3]], [0], surrogate=surrogate)
+    return model.represent([bundle], [[2, 3]], [0])
 
 
 def hard_rows(y_soft):
@@ -90,7 +90,7 @@ class TestTemporalEmbedding:
         report = grad_check(
             lambda: T.tsum(add_temporal_embedding(seq, table) * w), [seq, table]
         )
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
 
 
 class TestFsBlock:
@@ -115,7 +115,7 @@ class TestFsBlock:
             lambda: T.tmean(block(seq, t_cls)),
             [seq, t_cls] + block.parameters(),
         )
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
 
     def test_stacks_compose(self):
         rng = np.random.default_rng(5)
@@ -129,8 +129,8 @@ class TestFsBlock:
 class TestGumbelSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(4, 9)) * 3)
-        y = gumbel_softmax(x, 1.0, rng_seed=0)
+        x = Tensor(rng.normal(size=(1, 4, 9)) * 3)
+        y = gumbel_softmax(x, 1.0, rng_seed=[0])
         np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-10)
         assert ((y.data > 0) & (y.data < 1)).all()
 
@@ -139,19 +139,34 @@ class TestGumbelSoftmax:
         x = rng.normal(size=6)
         noise = gumbel_noise(x.shape, rng_seed=11)
         expected = np.argmax(x + noise)
-        y = gumbel_softmax(Tensor(x), 1e-4, rng_seed=11)
-        assert np.argmax(y.data) == expected
-        assert y.data[expected] == pytest.approx(1.0, abs=1e-12)
+        y = gumbel_softmax(Tensor(x[None]), 1e-4, rng_seed=[11]).data[0]
+        assert np.argmax(y) == expected
+        assert y[expected] == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError, match="nonpositive temperature"):
-            gumbel_softmax(Tensor([1.0, 2.0]), 0.0, rng_seed=0)
+            gumbel_softmax(Tensor([[1.0, 2.0]]), 0.0, rng_seed=[0])
 
     def test_same_seed_same_draw(self):
-        x = Tensor(np.array([0.3, -0.2, 1.1]))
-        a = gumbel_softmax(x, 1.0, rng_seed=42).data
-        b = gumbel_softmax(x, 1.0, rng_seed=42).data
+        x = Tensor(np.array([[0.3, -0.2, 1.1]]))
+        a = gumbel_softmax(x, 1.0, rng_seed=[42]).data
+        b = gumbel_softmax(x, 1.0, rng_seed=[42]).data
         assert (a == b).all()
+
+    def test_one_seed_per_batch_row(self):
+        # One seed for two rows would give both the same noise, and one for
+        # a (K, N) logit would give every slot the same noise row.
+        x = Tensor(np.zeros((2, 3, 5)))
+        for seeds, got in (([11], "1 noise seeds"), ([1, 2, 3], "3 noise seeds"),
+                           (11, "a scalar noise seed")):
+            with pytest.raises(ValueError, match=f"^{got} for 2 batch rows"):
+                gumbel_softmax(x, 1.0, seeds)
+        with pytest.raises(ValueError, match="^1 noise seeds for 3 batch rows"):
+            gumbel_softmax(Tensor(np.zeros((3, 5))), 1.0, [11])
+        rng = np.random.default_rng(22)
+        with pytest.raises(ValueError, match="^1 noise seeds for 2 batch rows"):
+            selection_rows(rng.normal(size=(2, 6, 16)), Tensor(rng.normal(size=(2, 1, 16))),
+                           make_sampler(), rng_seed=[7])
 
     def test_each_distinct_seed_is_drawn_once(self, monkeypatch):
         # Rows sharing a seed share one draw, and every row still gets
@@ -257,10 +272,10 @@ class TestSparseSample:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         bundle = make_bundle(rng)
-        t = Tensor(rng.normal(size=(1, 16)))
+        t = Tensor(rng.normal(size=(1, 1, 16)))
         params = make_sampler()
-        y1 = selection_rows(bundle.v_cls, t, params, rng_seed=7)
-        y2 = selection_rows(bundle.v_cls, t, params, rng_seed=7)
+        y1 = selection_rows(bundle.v_cls[None], t, params, rng_seed=[7])
+        y2 = selection_rows(bundle.v_cls[None], t, params, rng_seed=[7])
         assert (y1.data == y2.data).all()
         model = make_model()
         bundle = make_bundle(rng, d=MODEL_DIM)
@@ -284,18 +299,17 @@ class TestSparseSample:
                 model.astype(np.float64).select([bundle], text_row(rng), rng_seed=[0])
 
     def test_frame_count_mismatch_rejected(self):
-        # Every selection mode, the surrogate branch included, gets its frames
-        # through represent, which checks the count against the config.
+        # Every selection mode gets its frames through represent, which
+        # checks the count against the config.
         rng = np.random.default_rng(12)
-        for sampler, surrogate in (("sparse", False), ("sparse", True), ("soft", False),
-                                   ("uniform", False), ("none", False)):
+        for sampler in ("sparse", "soft", "uniform", "none"):
             model = make_model(sampler, n=6)
             for n in (5, 7):
                 bundle = make_bundle(rng, n=n, d=MODEL_DIM)
                 with pytest.raises(ValueError, match=rf"row 0: patches \({n}, 4, 24\) float64 "
                                                      rf"and frame CLS \({n}, 24\) float64; "
                                                      r"expected float32 or float64 \(6, 4, 24\)"):
-                    represent(model, bundle, surrogate=surrogate)
+                    represent(model, bundle)
 
     def test_permutation_mask_permutes_frames(self):
         rng = np.random.default_rng(13)
@@ -336,17 +350,16 @@ class TestSoftSelect:
         np.testing.assert_array_equal(out.data[0, 0], bundle.v_patch[3])
 
     def test_soft_mode_applies_the_rows(self):
-        # The soft sampler and the surrogate branch weight the frames by the
-        # Gumbel-Softmax rows themselves; the nominal indices are their argmax.
+        # The soft sampler weights the frames by the Gumbel-Softmax rows
+        # themselves; the nominal indices are their argmax.
         rng = np.random.default_rng(18)
         bundle = make_bundle(rng, d=MODEL_DIM)
         t = text_row(rng)
-        for sampler, surrogate in (("soft", False), ("sparse", True)):
-            model = make_model(sampler)
-            selected, indices = model.select([bundle], t, rng_seed=[4], surrogate=surrogate)
-            y_soft = selection_rows(bundle.v_cls[None], t, model.sampler, rng_seed=[4])
-            assert (selected.data == apply_mask(y_soft, [bundle]).data).all()
-            assert (indices == np.argmax(y_soft.data, axis=-1)).all()
+        model = make_model("soft")
+        selected, indices = model.select([bundle], t, rng_seed=[4])
+        y_soft = selection_rows(bundle.v_cls[None], t, model.sampler, rng_seed=[4])
+        assert (selected.data == apply_mask(y_soft, [bundle]).data).all()
+        assert (indices == np.argmax(y_soft.data, axis=-1)).all()
 
     def test_gradcheck_through_soft_pipeline(self):
         rng = np.random.default_rng(17)
@@ -359,7 +372,7 @@ class TestSoftSelect:
             lambda: T.tsum(apply_mask(selection_rows(bundle.v_cls[None], t, params,
                                                      rng_seed=[5]), [bundle]) * w), checked
         )
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
 
     def test_rows_sharing_a_video_pass_the_oracle(self):
         # Rows 0 and 2 pass one bundle object; each row reads its own video.
@@ -372,7 +385,7 @@ class TestSoftSelect:
         want = np.einsum("rkn,rnpd->rkpd", rows.data, np.stack([b.v_patch for b in bundles]))
         np.testing.assert_allclose(out.data, want, rtol=1e-13, atol=1e-15)
         report = grad_check(lambda: T.tsum(apply_mask(rows, bundles) * w), [rows])
-        assert report.passed, report.summary()
+        assert report.passed, report.max_rel_error
         with pytest.raises(ValueError):  # one bundle per row, no fewer
             apply_mask(rows, bundles[:2])
 
