@@ -24,11 +24,11 @@ tape is acyclic: reference counting frees it as soon as nothing holds the
 loss, with no help from the cyclic collector.
 
 ``Tensor.backward`` replays the tape in reverse topological order.  Leaves
-with ``requires_grad=True`` keep their accumulated ``grad``, in their
-``grad_slot`` (their view of an optimizer's vector) if set.  Each interior
-node drops its ``grad``, its closure and its parent links once its rule has
-run, so activations are freed as the pass moves toward the inputs; a second
-``backward`` through a graph that a pass already used raises ``RuntimeError``.
+with ``requires_grad=True`` keep their summed ``grad``, in their ``grad_slot``
+(a view of an optimizer's vector) if set, which a weight's or bias's product
+fills directly.  Each interior node drops its ``grad``, closure and parent
+links once its rule has run, freeing activations as the pass moves toward the
+inputs; a second ``backward`` through a used graph raises ``RuntimeError``.
 
 Inside ``with no_grad():`` ops build no parent links and no closures; their
 outputs are constants with the same values.  Tensors that take part in a tape
@@ -111,6 +111,13 @@ class Tensor:
             self.grad += g
         else:
             self.grad = g if self.grad is None else self.grad + g
+
+    def _accumulate_product(self, left: Array, right: Array) -> None:
+        """Accumulate ``left @ right``; a pass's first product is computed into the grad slot."""
+        if self.grad is None and self.grad_slot is not None:
+            self.grad = np.matmul(left, right, out=self.grad_slot)
+        else:
+            self._accumulate(left @ right)
 
     def backward(self, grad: Array | None = None) -> None:
         """Reverse-mode pass from this tensor.
@@ -199,13 +206,6 @@ def _unbroadcast(g: Array, target_shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _addend_grads(g: Array, *addends: Tensor | None) -> None:
-    """Pass ``g`` to each addend that takes a gradient, summed over its broadcast axes."""
-    for t in addends:
-        if t is not None and t.requires_grad:
-            t._accumulate(_unbroadcast(g, t.data.shape))
-
-
 _grad_enabled = True
 
 
@@ -239,7 +239,11 @@ def _node(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data + b.data, (a, b))
     if out.requires_grad:
-        out._backward = lambda g: _addend_grads(g, a, b)
+        def _bw(g):
+            for t in (a, b):
+                if t.requires_grad:
+                    t._accumulate(_unbroadcast(g, t.data.shape))
+        out._backward = _bw
     return out
 
 
@@ -411,11 +415,18 @@ def _affine(a: Array, w: Array, *addends: Tensor | None) -> Array:
 
 
 def _affine_grads(g: Array, a: Tensor, w: Tensor, *addends: Tensor | None) -> None:
-    """Accumulate the shares of ``_affine``'s gradient ``g``: addends, then ``a``, then ``w``."""
-    _addend_grads(g, *addends)
+    """Accumulate ``g``'s shares: addends, ``a``, ``w``; a bias's or 2-D weight's as one product."""
+    rows = g.reshape(-1, g.shape[-1])
+    for t in addends:
+        if t is not None and t.requires_grad and t.data.shape == rows.shape[1:]:
+            t._accumulate_product(np.ones(len(rows), g.dtype), rows)
+        elif t is not None and t.requires_grad:
+            t._accumulate(_unbroadcast(g, t.data.shape))
     if a.requires_grad:
         a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), a.data.shape))
-    if w.requires_grad:
+    if w.requires_grad and w.ndim == 2:
+        w._accumulate_product(a.data.reshape(-1, a.data.shape[-1]).T, rows)
+    elif w.requires_grad:
         w._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), w.data.shape))
 
 
@@ -424,8 +435,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     """``residual + (a @ b + bias)`` over the last two axes; leading (batch) axes broadcast.
 
     A stack ``(..., S, D) @ (D, E)`` runs one small product per batch entry,
-    each the product that entry would get alone, and the weight gradient is
-    the sum of the per-entry gradients.  The bias and a block's skip are added
+    each the product that entry would get alone; the weight gradient is one
+    product over the rows of all entries.  The bias and a block's skip are added
     inside this node.  The skip is the first parent, so the tape replays in
     the order of a separate ``residual + product`` add.
     """
@@ -713,9 +724,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             rows = g.reshape(-1, d)
             ones = np.ones(rows.shape[0], dtype=rows.dtype)
             if gain.requires_grad:
-                gain._accumulate(ones @ (g * xhat).reshape(-1, d))
+                gain._accumulate_product(ones, (g * xhat).reshape(-1, d))
             if bias.requires_grad:
-                bias._accumulate(ones @ rows)
+                bias._accumulate_product(ones, rows)
             if x.requires_grad:
                 gx_hat = g * gain.data
                 term = gx_hat - row_mean(gx_hat)

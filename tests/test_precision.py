@@ -33,9 +33,11 @@ def setup(cfg, dtype=F32, count=8):
 
 
 def record_dtypes(monkeypatch) -> list:
-    """Record the dtype of every op output and of every gradient accumulated."""
+    """Record the dtype of every op output and of every gradient accumulated,
+    a product's before it is written into a grad slot too."""
     seen = []
     real_node, real_accumulate = T._node, Tensor._accumulate
+    real_product = Tensor._accumulate_product
 
     def node(data, parents):
         seen.append(("node", data.dtype))
@@ -45,8 +47,13 @@ def record_dtypes(monkeypatch) -> list:
         seen.append(("grad", np.asarray(g).dtype))
         return real_accumulate(self, g)
 
+    def accumulate_product(self, left, right):
+        seen.append(("grad", np.result_type(left, right)))
+        return real_product(self, left, right)
+
     monkeypatch.setattr(T, "_node", node)
     monkeypatch.setattr(Tensor, "_accumulate", accumulate)
+    monkeypatch.setattr(Tensor, "_accumulate_product", accumulate_product)
     return seen
 
 

@@ -102,6 +102,26 @@ def test_layer_norm_keeps_no_input_sized_array_but_its_output():
     assert out.data.nbytes <= held < out.data.nbytes + x.data.nbytes // 4
 
 
+def test_weight_gradient_is_one_product_written_into_its_slot():
+    # Per-entry products of a (4, S, 64) @ (64, 256) stack would make a
+    # (4, 64, 256) array and then sum it; one product over the 4*S rows
+    # writes the gradient into the slot, so no weight-sized array is made.
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(4, 3, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 256)).astype(np.float32), requires_grad=True)
+    w.grad_slot = np.zeros(w.shape, np.float32)
+    out = T.matmul(x, w)
+    seed = np.ones(out.shape, np.float32)
+    tracemalloc.start()
+    try:
+        out.backward(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.grad is w.grad_slot
+    assert peak < w.data.nbytes, peak
+
+
 def desk_step(monkeypatch, at_backward, **overrides):
     """One desk train step at B=8; ``at_backward(model, optimizer, nodes,
     n_interior)`` runs right after the step's ``backward``, with every node of

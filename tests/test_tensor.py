@@ -271,7 +271,7 @@ class TestBatchOps:
            st.integers(1, 6), st.integers(0, 2**31 - 1))
     def test_batched_matmul_rows_equal_their_own_products(self, lead, d_in, d_out, seed):
         # Each batch entry gets exactly the product it would get alone; the
-        # weight gradient is the sum of the per-entry gradients.
+        # weight gradient equals the sum of the per-entry gradients within 1e-12.
         rng = np.random.default_rng(seed)
         a = _rand(rng, (*lead, 3, d_in))
         b = _rand(rng, (d_in, d_out))
@@ -285,6 +285,54 @@ class TestBatchOps:
             assert (a.grad.reshape(-1, 3, d_in)[i] == rows_g[i] @ b.data.T).all()
         expected_b = sum(rows_a[i].T @ rows_g[i] for i in range(rows_a.shape[0]))
         np.testing.assert_allclose(b.grad, expected_b, rtol=1e-12, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 4),
+           st.sampled_from(["contiguous", "readout", "swapaxes"]), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    @example(lead=[2], s=1, layout="readout", shared=True, seed=0)
+    def test_weight_and_bias_grads_equal_the_per_entry_sums(self, lead, s, layout, shared, seed):
+        # A 2-D weight's gradient is one product over the rows of every entry and
+        # a bias's one ones-vector product, so they sum in another order than
+        # the per-entry products: equal within 1e-12 of the largest element.
+        # With ``shared`` one weight feeds two products and its slot accumulates.
+        rng = np.random.default_rng(seed)
+        d, e = 5, 3
+        w, b = _rand(rng, (d, e)), _rand(rng, (e,))
+        for p in (w, b):
+            p.grad_slot = np.full(p.shape, np.nan)
+        loss, want_w, want_b = None, np.zeros((d, e)), np.zeros(e)
+        for _ in range(2 if shared else 1):
+            if layout == "readout":     # the first row of each sequence: S = 1
+                a = _rand(rng, (*lead, s + 1, d))[..., :1, :]
+            elif layout == "swapaxes":  # a strided view with the same leading axes
+                a = T.swapaxes(_rand(rng, (s, *lead[1:], lead[0], d)), 0, -2)
+            else:
+                a = _rand(rng, (*lead, s, d))
+            g = rng.normal(size=(*a.shape[:-1], e))
+            term = T.tsum(T.matmul(a, w, b) * g)
+            loss = term if loss is None else loss + term
+            rows = a.shape[-2]
+            for a_i, g_i in zip(a.data.reshape(-1, rows, d), g.reshape(-1, rows, e)):
+                want_w += a_i.T @ g_i
+                want_b += g_i.sum(axis=0)
+        loss.backward()
+        assert w.grad is w.grad_slot and b.grad is b.grad_slot
+        for got, want in ((w.grad, want_w), (b.grad, want_b)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_first_product_share_is_written_into_the_grad_slot(self):
+        # matmul's weight and bias and layer_norm's gain and bias each compute
+        # their first share of a pass into the slot, which then is their grad.
+        rng = np.random.default_rng(5)
+        x = _rand(rng, (2, 3, 4))
+        params = [_rand(rng, (4, 4))] + [_rand(rng, (4,)) for _ in range(3)]
+        for p in params:
+            p.grad_slot = np.full(p.shape, np.nan)
+        w, b, gain, bias = params
+        T.tsum(_square(T.layer_norm(T.matmul(x, w, b), gain, bias))).backward()
+        for p in params:
+            assert p.grad is p.grad_slot and np.isfinite(p.grad).all()
 
     def test_new_ops_leave_no_cycles(self):
         rng = np.random.default_rng(24)
