@@ -55,7 +55,7 @@ def run_grid(cfg: RunConfig, grid: str, train_episodes: int = 3000,
             rows.append(_run_variant(row, table_variant(cfg, row),
                                      train_episodes, eval_episodes, data_seed))
     elif grid == "frames":
-        for sampler in ("sparse", "none"):
+        for sampler in ("sparse", "uniform"):
             for k in FRAME_SWEEP_K:
                 if k > cfg.n_frames:
                     continue

@@ -13,7 +13,7 @@ import numpy as np
 # The finite-difference oracle builds its modules in float64 instead.
 COMPUTE_DTYPE = np.float32
 
-SAMPLERS = ("sparse", "uniform", "soft", "none")
+SAMPLERS = ("sparse", "uniform", "soft")
 FUSIONS = ("la_gate", "cross_attention")
 REFINERS = ("gated", "plain")
 
@@ -75,11 +75,13 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for name, low in (("heads", 1), ("k_select", 1), ("depth", 1), ("batch_size", 1),
-                          ("n_grid", 1), ("steps", 0), ("lr", 0), ("weight_decay", 0)):
+                          ("n_grid", 1), ("steps", 0), ("lr", 0), ("weight_decay", 0),
+                          ("w_vtm", 0), ("w_cl", 0), ("w_vgmlm", 0), ("w_qa", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValueError("mask_rate must be in [0, 1]")
+        for name in ("mask_rate", "exchange_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.dim % self.heads:
             raise ValueError("dim must be divisible by heads")
         if self.k_select > self.n_frames:
@@ -135,12 +137,12 @@ def desk_config(**overrides) -> RunConfig:
 def table_variant(config: RunConfig, row: str) -> RunConfig:
     """Module-ablation rows: which of sampler/refiner/gating is active.
 
-    (a) no sampler, plain fusion; (b) uniform frames + refiner; (c) soft
+    (a) uniform frames, plain fusion; (b) uniform frames + refiner; (c) soft
     selection + refiner; (d) sampler + plain fusion; (e) full with
     cross-attention instead of gates; (f) the full model.
     """
     rows = {
-        "a": dict(sampler="none", refiner="plain"),
+        "a": dict(sampler="uniform", refiner="plain"),
         "b": dict(sampler="uniform", refiner="gated", fusion="la_gate"),
         "c": dict(sampler="soft", refiner="gated", fusion="la_gate"),
         "d": dict(sampler="sparse", refiner="plain", fusion="la_gate"),

@@ -17,6 +17,7 @@ modules built in float64.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import zlib
@@ -148,10 +149,10 @@ class VideoQAModel(Module):
         (B, K, P, D) and the nominal frame indices (B, K).  ``sparse`` applies
         Gumbel-Softmax rows through the straight-through estimator; ``soft``
         applies the rows themselves, the smooth function whose gradient the
-        estimator copies.  Text rows in another dtype than the parameters'
-        raise ``ValueError``, since they would silently widen (or narrow) the
-        whole selection graph.  The bundles are not checked here;
-        ``represent`` checks them.
+        estimator copies; ``uniform``, the fixed grid of ``uniform_indices``.
+        Text rows in another dtype than the parameters' raise ``ValueError``,
+        since they would silently widen (or narrow) the whole selection
+        graph.  The bundles are not checked here; ``represent`` checks them.
         """
         if t_cls.dtype != self.dtype:
             raise ValueError(f"text rows are {t_cls.dtype}, the model computes in {self.dtype}")
@@ -288,8 +289,11 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), None)
     names, params = zip(*model.named_parameters())
     if meta["names"] != list(names):
-        differ = sorted(set(names) ^ set(meta["names"]))
-        raise ValueError(f"checkpoint/model parameter mismatch: {differ[:6]}")
+        at, (saved, built) = next((i, pair) for i, pair in enumerate(
+            itertools.zip_longest(meta["names"], names)) if pair[0] != pair[1])
+        differ = (sorted(set(names) ^ set(meta["names"]))[:6]
+                  or f"order differs at position {at}: {saved!r} saved, {built!r} built")
+        raise ValueError(f"checkpoint/model parameter mismatch: {differ}")
     flat = param_buffer(params, copy=False)
     _read_dump(directory / "params.npy", flat, meta["params_crc32"])
     optimizer_state = None

@@ -151,10 +151,10 @@ class SelfAttention(Module):
     With ``readout=True`` only row 0 is queried: its query attends over the
     keys and values of every row, and the output is (..., 1, D), row 0 of
     the full output.  That is the one path for a row that reads a whole
-    sequence, so the refiner's last spatial stage calls it too.  The four
-    projections are also the parameter set of the text-conditioned gates and
-    of the refiner's divided attention: those read ``w_q``..``w_o`` directly
-    and call ``tensor.cosine_gate`` or ``tensor.attention`` between them.
+    sequence, so the refiner's last spatial stage calls it too.  ``grid`` and
+    ``temporal`` make it a divided space-time stage (``tensor.attention``).
+    The four projections are also the parameter set of the text-conditioned
+    gates, which call ``tensor.cosine_gate`` or ``tensor.attention`` between them.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -166,10 +166,11 @@ class SelfAttention(Module):
         self.w_o = Linear(dim, dim, rng)
         self.heads = heads
 
-    def __call__(self, x: Tensor, readout: bool = False,
-                 residual: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, readout: bool = False, residual: Tensor | None = None,
+                 grid: tuple[int, int] | None = None, temporal: bool = False) -> Tensor:
         q = self.w_q(x[..., :1, :] if readout else x)
-        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads), residual)
+        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads, grid, temporal),
+                        residual)
 
 
 class Mlp(Module):

@@ -94,7 +94,7 @@ def contrastive_loss(v: Tensor, t: Tensor, matched: Sequence[bool], tau: float) 
     if v.shape != t.shape or v.ndim != 2:
         raise ValueError("contrastive_loss expects matching (B, D) batches")
     matched = np.asarray(matched, dtype=bool)
-    sim = T.matmul(_unit_rows(v), T.transpose(_unit_rows(t), (1, 0))) * (1.0 / tau)
+    sim = T.matmul(_unit_rows(v), T.swapaxes(_unit_rows(t), 0, 1)) * (1.0 / tau)
     per_row = T.nll(sim, np.arange(len(matched)))         # row i over all j, target i
     return T.tsum(per_row * matched)
 

@@ -4,13 +4,14 @@ A learnable video-level CLS token is prepended to the selected patch tokens;
 stacked blocks then alternate text-conditioned gating with divided space-time
 attention (patches attend across frames at the same spatial slot, then within
 their own frame; the CLS token attends over everything in both stages).
-Each stage, the gate included, is four ``Linear`` projections around one
-fused op of ``tensor``, one tape node; the output projection adds the
-block's skip inside its node, and the MLP is one node with its skip.  Only
-the final CLS token leaves the module, so the last block computes that row
-alone once its spatial keys and values are in hand.  ``PatchTokens`` (CLS
-token and positional tables) and ``assemble_refiner_input`` are shared with
-the plain joint-transformer baseline, ``model.PlainFusion``.
+Each stage is four ``Linear`` projections around one fused op of ``tensor``,
+one tape node; the two attention stages are ``nn.SelfAttention`` over the
+frame grid.  The output projection adds the block's skip inside its node,
+and the MLP is one node with its skip.  Only the final CLS token leaves the
+module, so the last block computes that row alone once its spatial keys and
+values are in hand.  ``PatchTokens`` (CLS token and positional tables) and
+``assemble_refiner_input`` are shared with the plain joint-transformer
+baseline, ``model.PlainFusion``.
 """
 
 from __future__ import annotations
@@ -21,21 +22,6 @@ from . import tensor as T
 from .gating import cross_attention_core, gate_core
 from .nn import LayerNorm, Mlp, Module, SelfAttention, init_normal
 from .tensor import Tensor
-
-
-def _divided_attention(seq: Tensor, attn: SelfAttention, k: int, p: int,
-                       temporal: bool, residual: Tensor | None = None) -> Tensor:
-    """Divided space-time attention stage over (..., 1 + K*P, D) sequences.
-
-    The four projections of ``attn`` around one grouped ``tensor.attention``:
-    patch tokens attend within their group only, across the K frames sharing
-    a spatial slot (temporal) or across the P slots of their frame (spatial),
-    and the CLS token at position 0 attends over the full sequence.  The
-    output projection adds ``residual`` (the block's skip) if given.
-    """
-    q, key, val = attn.w_q(seq), attn.w_k(seq), attn.w_v(seq)
-    return attn.w_o(T.attention(q, key, val, attn.heads, grid=(k, p), temporal=temporal),
-                    residual)
 
 
 class VrBlock(Module):
@@ -64,14 +50,11 @@ class VrBlock(Module):
                  readout: bool = False) -> Tensor:
         core = gate_core if self.fusion == "la_gate" else cross_attention_core
         seq = core(self.ln_gate(seq), t_row, self.gate, residual=seq)
-        seq = _divided_attention(self.ln_temporal(seq), self.attn_temporal, k, p,
-                                 temporal=True, residual=seq)
-        if readout:  # the CLS row attends over everything, as in _divided_attention
-            seq = self.attn_spatial(self.ln_spatial(seq), readout=True,
-                                    residual=seq[..., :1, :])
+        seq = self.attn_temporal(self.ln_temporal(seq), residual=seq, grid=(k, p), temporal=True)
+        if readout:  # the CLS row attends over everything, as in the grouped stage
+            seq = self.attn_spatial(self.ln_spatial(seq), readout=True, residual=seq[..., :1, :])
         else:
-            seq = _divided_attention(self.ln_spatial(seq), self.attn_spatial, k, p,
-                                     temporal=False, residual=seq)
+            seq = self.attn_spatial(self.ln_spatial(seq), residual=seq, grid=(k, p))
         return self.mlp(self.ln_mlp(seq), residual=seq)
 
 

@@ -7,7 +7,8 @@ Gumbel-Softmax sampled by ``selection_rows``, the one path every caller takes.
 discretizes them with a straight-through estimator, so the forward pass copies
 exact frames while gradients flow through the soft distribution into the
 selection stack; ``soft`` weights the frames by the rows themselves; and
-without a learned sampler, fixed one-hot rows pick a uniform grid.  Every
+``uniform``, the one configuration without a learned sampler, applies fixed
+one-hot rows that pick an even grid (``uniform_indices``).  Every
 function takes a leading batch axis: B text rows, each with its own Gumbel
 noise seed, against one video per row, read in place.
 """

@@ -9,7 +9,7 @@ float64 modules.
 
 Only the ops the program calls exist: ``+ - * /`` with a tensor on the left,
 basic slicing, and the functions below, which stand in for powers (``x * x``)
-and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.transpose``.
+and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.swapaxes``.
 The fused numerics at the end are one tape node each, with a hand-written
 backward: softmax, the negative log-likelihood, layer norm, the two-layer
 GELU ``mlp``, and the two token-mixing ops every block calls between its
@@ -119,23 +119,16 @@ class Tensor:
         else:
             self._accumulate(left @ right)
 
-    def backward(self, grad: Array | None = None) -> None:
-        """Reverse-mode pass from this tensor.
+    def backward(self) -> None:
+        """Reverse-mode pass from this scalar-sized tensor, seeded with 1.
 
-        Without an explicit seed gradient the tensor must be scalar-sized.
         Gradients accumulate additively, so a leaf feeding several branches
         receives the sum of all branch contributions.  Interior nodes release
         their ``grad``, closure and parent links once their rule has run, so a
         second pass through them raises ``RuntimeError``; leaves keep ``grad``.
         """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a gradient requires a scalar output")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise ValueError("seed gradient shape mismatch")
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
 
         # Iterative post-order DFS; recursion would overflow on long tapes.
         topo: list[Tensor] = []
@@ -154,7 +147,7 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.data))
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -305,22 +298,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    out = _node(np.transpose(a.data, axes), (a,))
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
-        def _bw(g):
-            a._accumulate(np.transpose(g, inverse))
-        out._backward = _bw
-    return out
-
-
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; negative axes count from the end."""
-    axes = list(range(a.ndim))
-    axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-    return transpose(a, axes)
+    out = _node(np.swapaxes(a.data, axis1, axis2), (a,))
+    if out.requires_grad:
+        def _bw(g):
+            a._accumulate(np.swapaxes(g, axis1, axis2))
+        out._backward = _bw
+    return out
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:

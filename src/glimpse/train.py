@@ -59,6 +59,8 @@ class AdamW:
     grad and in the per-tensor rule's elementwise order; moments and grads
     are vectors laid out alike, and ``backward`` writes ``p.grad`` into its
     ``grad_slot`` there.  A tensor without a grad keeps its data and moments.
+    A step raises ``ValueError``, naming the parameter, if one's data is no
+    longer a view of the buffer or its grad is not its ``grad_slot``.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -73,8 +75,8 @@ class AdamW:
         self._moments = np.zeros(2 * n, self.data.dtype)      # every m, then every v
         self.m, self.v, self.grads = self._moments[:n], self._moments[n:], np.empty_like(self.data)
         ends = list(itertools.accumulate((p.size for p in params), initial=0))
-        self._slots = list(zip(params, split_views(self.grads, shapes), ends, ends[1:]))
-        for p, grad, _, _ in self._slots:
+        self._slots = list(zip(self.named_params, split_views(self.grads, shapes), ends, ends[1:]))
+        for (_, p), grad, _, _ in self._slots:
             p.grad_slot = grad
 
     def zero_grad(self) -> None:
@@ -82,23 +84,20 @@ class AdamW:
             p.grad = None
 
     def step(self, lr: float) -> None:
-        self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        b1, b2, decay = self.beta1, self.beta2, lr * self.weight_decay
-        runs, moved = [], False       # [start, stop) of tensors with a grad
-        for p, grad, start, stop in self._slots:
-            moved = moved or p.data.base is not self.data
+        runs = []                     # [start, stop) of tensors with a grad
+        for (name, p), grad, start, stop in self._slots:
+            if p.data.base is not self.data:
+                raise ValueError(f"parameter {name} was rebound outside the optimizer's buffer")
             if p.grad is not None:
-                if p.grad is not grad:  # a grad bound elsewhere, e.g. by hand
-                    np.copyto(grad, p.grad)
-                    p.grad = grad     # so one copy of each grad stays alive
+                if p.grad is not grad:
+                    raise ValueError(f"parameter {name} has a grad outside its grad_slot")
                 if runs and runs[-1][1] == start:
                     runs[-1][1] = stop
                 else:
                     runs.append([start, stop])
-        if moved:  # a parameter was rebound since: repack, same layout
-            self.data = param_buffer([p for _, p in self.named_params])
+        self.t += 1
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        b1, b2, decay = self.beta1, self.beta2, lr * self.weight_decay
         work = np.empty((2, min(self.data.size, UPDATE_CHUNK)), self.data.dtype)
         for start, stop in runs:
             for lo in range(start, stop, UPDATE_CHUNK):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 import struct
 import zlib
 
@@ -79,7 +80,7 @@ class TestVariants:
         assert model.plain is None
 
     @pytest.mark.parametrize("row,sampler,refiner,fusion", [
-        ("a", "none", "plain", "la_gate"),
+        ("a", "uniform", "plain", "la_gate"),
         ("b", "uniform", "gated", "la_gate"),
         ("c", "soft", "gated", "la_gate"),
         ("d", "sparse", "plain", "la_gate"),
@@ -117,13 +118,18 @@ class TestVariants:
         row_e = loss_variant(cfg, "e")
         assert (row_e.w_vtm, row_e.w_cl, row_e.w_vgmlm) == (1.0, 0.0, 1.0)
 
-    def test_uniform_and_none_use_fixed_grid(self, world):
+    def test_uniform_uses_fixed_grid_and_none_is_refused(self, world):
+        # "uniform" is the one fixed-grid sampler: no parameters, the same
+        # indices for every seed.  The name "none" it once had is refused.
         cfg, vocab, episode = world
-        for sampler in ("uniform", "none"):
-            model = build(table_variant(cfg, "a").replace(sampler=sampler), vocab)
-            rep1 = represent_one(model, episode, 1)
-            rep2 = represent_one(model, episode, 2)
-            assert (rep1["indices"] == rep2["indices"]).all()  # seed-independent
+        model = build(table_variant(cfg, "a"), vocab)
+        assert model.sampler is None
+        rep1 = represent_one(model, episode, 1)
+        rep2 = represent_one(model, episode, 2)
+        assert (rep1["indices"] == rep2["indices"]).all()  # seed-independent
+        with pytest.raises(ValueError, match=r"sampler must be one of \('sparse', 'uniform', "
+                                             r"'soft'\)"):
+            cfg.replace(sampler="none")
 
 
 class TestRepresent:
@@ -312,6 +318,13 @@ class TestCheckpoints:
         first = meta["names"].pop(0)
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=rf"parameter mismatch: \['{first}'\]"):
+            load_checkpoint(tmp_path)
+        # The same names in another order name the first position that differs.
+        names = [first, *meta["names"]]
+        (tmp_path / "meta.json").write_text(json.dumps({**meta, "names": names[::-1]}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"parameter mismatch: order differs at position 0: '{names[-1]}' saved, "
+                f"'{first}' built")):
             load_checkpoint(tmp_path)
         # Every dump that is not exactly one float32 .npy vector of the
         # model's length, with nothing after it, is refused by name.

@@ -52,6 +52,12 @@ class ReferenceAdamW:
 SHAPES = [(3, 5), (64,), (1,), (5, 13), (2, 2, 16), (130,), (7,), (1, 63)]
 
 
+def set_grad(p, g):
+    """Hand ``p`` the gradient ``g`` where a backward writes it: its grad slot."""
+    p.grad_slot[...] = g
+    p.grad = p.grad_slot
+
+
 def tensors(dtype, seed=0):
     rng = np.random.default_rng(seed)
     return [(f"t{i}", Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True))
@@ -72,7 +78,8 @@ def test_fused_update_matches_the_per_tensor_rule_bit_for_bit(dtype, monkeypatch
                 p.grad = q.grad = None
             else:
                 g = rng.normal(size=p.shape).astype(dtype)
-                p.grad, q.grad = g.copy(), g
+                set_grad(p, g)
+                q.grad = g
         before = {name: (p.data.copy(), *(a.copy() for a in opt.moments[name]))
                   for name, p in fused}
         lr = 1e-2 / (step + 1)
@@ -90,7 +97,7 @@ def test_fused_update_matches_the_per_tensor_rule_bit_for_bit(dtype, monkeypatch
 
 def test_ufunc_calls_follow_chunks_not_tensors(monkeypatch):
     # Many tensors in one chunk cost the update what one tensor of the same
-    # size costs; only the grad copy is per tensor, and it is no ufunc.
+    # size costs; only the checks are per tensor, and they call no ufunc.
     class Counting:
         calls = 0
 
@@ -109,7 +116,7 @@ def test_ufunc_calls_follow_chunks_not_tensors(monkeypatch):
                   for i, shape in enumerate(shapes)]
         opt = AdamW(params, weight_decay=0.1)
         for _, p in params:
-            p.grad = np.ones(p.shape)
+            set_grad(p, 1.0)
         Counting.calls = 0
         opt.step(1e-3)
         return Counting.calls
@@ -158,21 +165,27 @@ def test_parameters_stay_views_of_one_buffer(tmp_path):
     assert np.concatenate([resumed.m, resumed.v]).tobytes() == moments.tobytes()
 
 
-def test_a_rebound_parameter_is_repacked_before_the_update():
+@pytest.mark.parametrize("fault", ["rebound", "grad-outside-slot"])
+def test_a_step_refuses_a_parameter_it_does_not_hold(fault):
     # Rebinding ``p.data`` after the optimizer was built detaches it from the
-    # buffer; the next step packs the parameters again and updates them all.
-    fused, ref = tensors(F64), tensors(F64)
+    # buffer, and a grad bound by hand is not the one the update reads: the
+    # step names the parameter and changes no value of any of them.
+    fused = tensors(F64)
     opt = AdamW(fused, weight_decay=0.1)
-    want = ReferenceAdamW(ref, weight_decay=0.1)
-    for (_, p), (_, q) in zip(fused[2:4], ref[2:4]):
+    for _, p in fused:
+        set_grad(p, 0.5)
+    name, p = fused[3]
+    if fault == "rebound":
         p.data = p.data + 1.0
-        q.data = q.data + 1.0
-    for (_, p), (_, q) in zip(fused, ref):
-        p.grad = q.grad = np.full(p.shape, 0.5)
-    opt.step(1e-2)
-    want.step(1e-2)
-    assert param_buffer([p for _, p in fused]) is opt.data
-    assert all(p.data.tobytes() == q.data.tobytes() for (_, p), (_, q) in zip(fused, ref))
+        match = f"parameter {name} was rebound outside the optimizer's buffer"
+    else:
+        p.grad = np.full(p.shape, 0.5)
+        match = f"parameter {name} has a grad outside its grad_slot"
+    before = opt.data.copy(), np.concatenate([opt.m, opt.v])
+    with pytest.raises(ValueError, match=match):
+        opt.step(1e-2)
+    assert opt.data.tobytes() == before[0].tobytes() and opt.t == 0
+    assert np.concatenate([opt.m, opt.v]).tobytes() == before[1].tobytes()
 
 
 @pytest.mark.parametrize("misplace", ["swapped", "strided", "restrided", "copied", "dropped"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from glimpse import sampler as sampler_module
 from glimpse import tensor as T
-from glimpse.config import RunConfig
+from glimpse.config import SAMPLERS, RunConfig
 from glimpse.data import FrameBundle, Vocab
 from glimpse.gradcheck import grad_check
 from glimpse.model import VideoQAModel
@@ -302,7 +302,7 @@ class TestSparseSample:
         # Every selection mode gets its frames through represent, which
         # checks the count against the config.
         rng = np.random.default_rng(12)
-        for sampler in ("sparse", "soft", "uniform", "none"):
+        for sampler in SAMPLERS:
             model = make_model(sampler, n=6)
             for n in (5, 7):
                 bundle = make_bundle(rng, n=n, d=MODEL_DIM)

@@ -25,7 +25,6 @@ from glimpse.data import Vocab, gen_episode
 from glimpse.gating import cross_attention_core, gate_core
 from glimpse.model import VideoQAModel
 from glimpse.nn import Linear, Mlp, SelfAttention
-from glimpse.refiner import _divided_attention
 from glimpse.tensor import Tensor
 
 
@@ -63,7 +62,7 @@ def test_each_mixing_stage_adds_five_nodes(stage):
         assert interior(gate_core(seq, text, attn, residual=skip)) == 5
         assert interior(cross_attention_core(seq, text, attn, residual=skip)) == 5
         for temporal in (True, False):
-            assert interior(_divided_attention(seq, attn, 2, 3, temporal, residual=skip)) == 5
+            assert interior(attn(seq, residual=skip, grid=(2, 3), temporal=temporal)) == 5
 
 
 def test_mlp_is_one_node_that_keeps_only_its_pre_activation():
@@ -110,11 +109,10 @@ def test_weight_gradient_is_one_product_written_into_its_slot():
     x = Tensor(rng.normal(size=(4, 3, 64)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(64, 256)).astype(np.float32), requires_grad=True)
     w.grad_slot = np.zeros(w.shape, np.float32)
-    out = T.matmul(x, w)
-    seed = np.ones(out.shape, np.float32)
+    loss = T.tsum(T.matmul(x, w))
     tracemalloc.start()
     try:
-        out.backward(seed)
+        loss.backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

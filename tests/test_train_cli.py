@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from glimpse import cli as gcli
 from glimpse import data
 from glimpse import evaluate as geval
 from glimpse import tensor as T
@@ -66,14 +67,16 @@ class TestAdamW:
     def test_decoupled_decay_shrinks_without_gradient_signal(self):
         p = Tensor(np.ones(3), requires_grad=True)
         opt = AdamW([("p", p)], weight_decay=0.1)
-        p.grad = np.zeros(3)
+        p.grad = p.grad_slot
+        p.grad[...] = 0.0
         opt.step(lr=1.0)
         np.testing.assert_allclose(p.data, 0.9)
 
     def test_adaptive_step_is_signlike_at_start(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         opt = AdamW([("p", p)], weight_decay=0.0)
-        p.grad = np.array([1e-3, -1e3])
+        p.grad = p.grad_slot
+        p.grad[...] = [1e-3, -1e3]
         opt.step(lr=0.01)
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-4)
         assert p.data[0] < 0 < p.data[1]
@@ -514,6 +517,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error: --episodes must be >= 1" in captured.err and "wrote" not in captured.out
         assert not (tmp_path / "neg").exists()
+
+    def test_bad_probability_weight_or_sampler_exits_1_before_any_dataset_read(
+            self, tmp_path, capsys, monkeypatch):
+        # An exchange probability outside [0, 1], a negative loss weight and
+        # the sampler name "none" (one configuration with "uniform") fail at
+        # the config, in a flag, a config file or a checkpoint, before the
+        # dataset is read.
+        reads = []
+        monkeypatch.setattr(gcli, "load_dataset", lambda path: reads.append(path))
+        train_args = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "c")]
+        samplers = "sampler must be one of ('sparse', 'uniform', 'soft')"
+        cases = [(["--exchange-prob", "1.5"], "exchange_prob must be in [0, 1]"),
+                 (["--exchange-prob", "-0.1"], "exchange_prob must be in [0, 1]"),
+                 *((["--" + w.replace("_", "-"), "-1"], f"{w} must be >= 0")
+                   for w in ("w_vtm", "w_cl", "w_vgmlm", "w_qa")),
+                 (["--sampler", "none"], samplers)]
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps({**dataclasses.asdict(desk_config()), "sampler": "none"}))
+        cases.append((["--config", str(path)], samplers))
+        capsys.readouterr()
+        for extra, message in cases:
+            assert main(train_args + extra) == 1, extra
+            assert f"error: {message}" in capsys.readouterr().err, extra
+        cfg = desk_config(depth=1, sampler="uniform")
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                                           np.random.default_rng(2)), step=0)
+        meta = json.loads((ckpt / "meta.json").read_text())
+        meta["config"]["sampler"] = "none"
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
+        assert f"error: {samplers}" in capsys.readouterr().err
+        assert reads == []
 
     def test_eval_of_unfinished_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = desk_config(depth=1, seed=2)

@@ -86,7 +86,7 @@ def glimpse(*argv) -> None:
 def run_commands(tmp: Path) -> None:
     data = tmp / "data"
     glimpse("gen-data", *DESK, "--out", data, "--episodes", 12)
-    for sampler in ("sparse", "soft", "uniform", "none"):
+    for sampler in ("sparse", "soft", "uniform"):
         for refiner in ("gated", "plain"):
             for fusion in ("la_gate", "cross_attention"):
                 out = tmp / f"{sampler}-{refiner}-{fusion}"
