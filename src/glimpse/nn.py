@@ -5,9 +5,9 @@ batch of independent sequences, so one code path serves a single sequence
 and a batch of them.  Called with ``readout=True``, a block emits row 0 only,
 (..., 1, D): the last block of a stack whose caller reads only the CLS row
 computes only that row past its keys and values.  ``tensor.attention`` is
-the one attention core: every attention path (self, divided space-time,
-cross) is four ``Linear`` projections around one call of it.  A stage adds
-its block's skip (``residual=``) inside its last node, with no add node of its own.
+the one attention core: self and divided space-time (both ``SelfAttention``)
+and cross-attention are four ``Linear`` projections around one call of it.
+A stage adds its block's skip (``residual=``) inside its last node, not in an add node.
 """
 
 from __future__ import annotations

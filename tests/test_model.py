@@ -120,7 +120,7 @@ class TestVariants:
 
     def test_uniform_uses_fixed_grid_and_none_is_refused(self, world):
         # "uniform" is the one fixed-grid sampler: no parameters, the same
-        # indices for every seed.  The name "none" it once had is refused.
+        # indices for every seed; "none" is not a sampler name.
         cfg, vocab, episode = world
         model = build(table_variant(cfg, "a"), vocab)
         assert model.sampler is None

@@ -125,7 +125,7 @@ class TestPrimitiveGradients:
         )
         assert report.passed, report.max_rel_error
 
-    def test_swapaxes_reshape_mean(self):
+    def test_transpose_reshape_mean(self):
         rng = np.random.default_rng(10)
         x = _rand(rng, (3, 4, 5))
         w = Tensor(rng.normal(size=(12, 7)))

@@ -521,9 +521,8 @@ class TestCli:
     def test_bad_probability_weight_or_sampler_exits_1_before_any_dataset_read(
             self, tmp_path, capsys, monkeypatch):
         # An exchange probability outside [0, 1], a negative loss weight and
-        # the sampler name "none" (one configuration with "uniform") fail at
-        # the config, in a flag, a config file or a checkpoint, before the
-        # dataset is read.
+        # the sampler name "none" fail at the config, in a flag, a config
+        # file or a checkpoint, before the dataset is read.
         reads = []
         monkeypatch.setattr(gcli, "load_dataset", lambda path: reads.append(path))
         train_args = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "c")]
