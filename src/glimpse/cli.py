@@ -104,6 +104,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=None)
 
     args = parser.parse_args(argv)
+    for seed in ("data_seed", "eval_seed"):  # gen-data's and ablate's, eval's
+        if getattr(args, seed, 0) < 0:
+            parser.error(f"--{seed.replace('_', '-')} must be >= 0")
     try:
         return COMMANDS[args.command](args)
     except NumericFailure as err:

@@ -76,7 +76,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for name, low in (("heads", 1), ("k_select", 1), ("depth", 1), ("batch_size", 1),
                           ("n_grid", 1), ("steps", 0), ("lr", 0), ("weight_decay", 0),
-                          ("w_vtm", 0), ("w_cl", 0), ("w_vgmlm", 0), ("w_qa", 0)):
+                          ("w_vtm", 0), ("w_cl", 0), ("w_vgmlm", 0), ("w_qa", 0),
+                          ("seed", 0), ("vocab_seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         for name in ("mask_rate", "exchange_prob"):

@@ -24,7 +24,6 @@ class GradReport:
     epsilon: float
     tolerance: float
     max_rel_error: dict[str, float] = field(default_factory=dict)
-    max_abs_error: dict[str, float] = field(default_factory=dict)
     passed: bool = True
 
     @property
@@ -94,7 +93,6 @@ def grad_check(
         denom = np.maximum(np.maximum(np.abs(grad_a), np.abs(numeric)), 1e-8)
         rel = np.abs(grad_a - numeric) / denom
         report.max_rel_error[name] = float(rel.max()) if rel.size else 0.0
-        report.max_abs_error[name] = float(np.abs(grad_a - numeric).max()) if rel.size else 0.0
         if report.max_rel_error[name] >= tolerance:
             report.passed = False
     return report

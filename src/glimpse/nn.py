@@ -2,12 +2,14 @@
 
 Every block maps (..., S, D) sequences to (..., S, D): the leading axes are a
 batch of independent sequences, so one code path serves a single sequence
-and a batch of them.  Called with ``readout=True``, a block emits row 0 only,
-(..., 1, D): the last block of a stack whose caller reads only the CLS row
-computes only that row past its keys and values.  ``tensor.attention`` is
-the one attention core: self and divided space-time (both ``SelfAttention``)
-and cross-attention are four ``Linear`` projections around one call of it.
-A stage adds its block's skip (``residual=``) inside its last node, not in an add node.
+and a batch of them.  ``Block`` is the one pre-norm residual skeleton; the
+sampler's and the refiner's blocks put their own stages in front of it.
+Called with ``readout=True``, a block emits row 0 only, (..., 1, D): the last
+block of a stack whose caller reads only the CLS row computes only that row
+past its keys and values.  ``tensor.attention`` is the one attention core:
+self and divided space-time (both ``SelfAttention``) and cross-attention are
+four ``Linear`` projections around one call of it.  A stage adds its block's
+skip (``residual=``) inside its last node, not in an add node.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ class SelfAttention(Module):
     With ``readout=True`` only row 0 is queried: its query attends over the
     keys and values of every row, and the output is (..., 1, D), row 0 of
     the full output.  That is the one path for a row that reads a whole
-    sequence, so the refiner's last spatial stage calls it too.  ``grid`` and
-    ``temporal`` make it a divided space-time stage (``tensor.attention``).
+    sequence.  ``grid`` and ``temporal`` make it a divided space-time stage
+    (``tensor.attention``), except under ``readout``: row 0 reads every row.
     The four projections are also the parameter set of the text-conditioned
     gates, which call ``tensor.cosine_gate`` or ``tensor.attention`` between them.
     """
@@ -169,8 +171,8 @@ class SelfAttention(Module):
     def __call__(self, x: Tensor, readout: bool = False, residual: Tensor | None = None,
                  grid: tuple[int, int] | None = None, temporal: bool = False) -> Tensor:
         q = self.w_q(x[..., :1, :] if readout else x)
-        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads, grid, temporal),
-                        residual)
+        return self.w_o(T.attention(q, self.w_k(x), self.w_v(x), self.heads,
+                                    None if readout else grid, temporal), residual)
 
 
 class Mlp(Module):
@@ -185,15 +187,15 @@ class Mlp(Module):
 
 
 class Block(Module):
-    """Pre-norm residual block: self-attention, then MLP.
+    """Pre-norm residual block: self-attention, then MLP; the one block skeleton.
 
     With ``readout=True`` the block returns row 0 only, (..., 1, D): row 0
     queries the keys and values of every row, and the residual and the MLP
-    run on that row alone.  ``PlainFusion`` calls its last block so.
+    run on that row alone.  ``grid`` passes through to ``SelfAttention``.
 
-    Subclasses that add a stage in front create its parameters before
-    calling ``Block.__init__``, which keeps the draw order and the
-    parameter names of the whole block.
+    Subclasses that add stages in front (``FsBlock``, ``VrBlock``) create
+    their parameters before calling ``Block.__init__``, which keeps the draw
+    order and the parameter names of the whole block.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -202,7 +204,8 @@ class Block(Module):
         self.ln_mlp = LayerNorm(dim)
         self.mlp = Mlp(dim, 4 * dim, rng)
 
-    def __call__(self, x: Tensor, readout: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, readout: bool = False,
+                 grid: tuple[int, int] | None = None) -> Tensor:
         x = self.attn(self.ln_attn(x), readout=readout,
-                      residual=x[..., :1, :] if readout else x)
+                      residual=x[..., :1, :] if readout else x, grid=grid)
         return self.mlp(self.ln_mlp(x), residual=x)

@@ -30,7 +30,6 @@ class BatchItem:
     episode: Episode
     annotation: list[int]
     matched: bool = True
-    exchanged_with: int | None = None
 
 
 def make_batch(episodes: Sequence[Episode]) -> list[BatchItem]:
@@ -57,8 +56,6 @@ def exchange_annotations(batch: list[BatchItem], p: float, rng_seed: int) -> lis
         ia, ib = int(a), int(b)
         batch[ia].annotation, batch[ib].annotation = batch[ib].annotation, batch[ia].annotation
         batch[ia].matched = batch[ib].matched = False
-        batch[ia].exchanged_with = ib
-        batch[ib].exchanged_with = ia
     return batch
 
 
@@ -175,15 +172,6 @@ def vg_mlm_loss(masked: Sequence[MaskedText],
     weights = 1.0 / (per_text[rows] * len(masked))
     targets = np.concatenate([m.original_ids for m in masked])
     return T.tsum(T.nll(logits, targets) * weights)
-
-
-def total_loss(l_vtm: Tensor, l_vgmlm: Tensor, l_cl: Tensor,
-               weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> Tensor:
-    """Weighted sum of the three pretraining terms (defaults are unweighted).
-
-    ``train_step`` checks every term for finiteness before it gets here.
-    """
-    return l_vtm * weights[0] + l_vgmlm * weights[1] + l_cl * weights[2]
 
 
 def answer_open_ended(v_cls_star: Tensor, mlp_head: Mlp) -> np.ndarray:

@@ -4,10 +4,8 @@ A learnable video-level CLS token is prepended to the selected patch tokens;
 stacked blocks then alternate text-conditioned gating with divided space-time
 attention (patches attend across frames at the same spatial slot, then within
 their own frame; the CLS token attends over everything in both stages).
-Each stage is four ``Linear`` projections around one fused op of ``tensor``,
-one tape node; the two attention stages are ``nn.SelfAttention`` over the
-frame grid.  The output projection adds the block's skip inside its node,
-and the MLP is one node with its skip.  Only the final CLS token leaves the
+``VrBlock`` puts a gate and a temporal stage in front of ``nn.Block``, which
+runs the spatial stage and the MLP.  Only the final CLS token leaves the
 module, so the last block computes that row alone once its spatial keys and
 values are in hand.  ``PatchTokens`` (CLS token and positional tables) and
 ``assemble_refiner_input`` are shared with the plain joint-transformer
@@ -20,18 +18,17 @@ import numpy as np
 
 from . import tensor as T
 from .gating import cross_attention_core, gate_core
-from .nn import LayerNorm, Mlp, Module, SelfAttention, init_normal
+from .nn import Block, LayerNorm, Module, SelfAttention, init_normal
 from .tensor import Tensor
 
 
-class VrBlock(Module):
-    """Gate, temporal attention, spatial attention, MLP; all pre-norm residual.
+class VrBlock(Block):
+    """Pre-norm residual block: text-conditioned gate and temporal attention in
+    front of ``Block``, whose attention stage is the spatial one.
 
     With ``readout=True`` the block returns the CLS row only, (..., 1, D),
     row 0 of the full output in exact arithmetic.  The gate and the temporal
-    stage still run on every row, since the spatial keys and values read
-    them; the spatial stage is the CLS row's query over every row, and the
-    residual and the MLP run on that row alone.
+    stage still run on every row, since the spatial keys and values read them.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -40,10 +37,7 @@ class VrBlock(Module):
         self.gate = SelfAttention(dim, heads, rng)
         self.ln_temporal = LayerNorm(dim)
         self.attn_temporal = SelfAttention(dim, heads, rng)
-        self.ln_spatial = LayerNorm(dim)
-        self.attn_spatial = SelfAttention(dim, heads, rng)
-        self.ln_mlp = LayerNorm(dim)
-        self.mlp = Mlp(dim, 4 * dim, rng)
+        super().__init__(dim, heads, rng)
         self.fusion = fusion
 
     def __call__(self, seq: Tensor, t_row: Tensor, k: int, p: int,
@@ -51,11 +45,7 @@ class VrBlock(Module):
         core = gate_core if self.fusion == "la_gate" else cross_attention_core
         seq = core(self.ln_gate(seq), t_row, self.gate, residual=seq)
         seq = self.attn_temporal(self.ln_temporal(seq), residual=seq, grid=(k, p), temporal=True)
-        if readout:  # the CLS row attends over everything, as in the grouped stage
-            seq = self.attn_spatial(self.ln_spatial(seq), readout=True, residual=seq[..., :1, :])
-        else:
-            seq = self.attn_spatial(self.ln_spatial(seq), residual=seq, grid=(k, p))
-        return self.mlp(self.ln_mlp(seq), residual=seq)
+        return super().__call__(seq, readout=readout, grid=(k, p))
 
 
 class PatchTokens(Module):

@@ -24,7 +24,6 @@ from .objectives import (
     exchange_annotations,
     make_batch,
     mask_tokens,
-    total_loss,
     vg_mlm_loss,
     vtm_loss,
 )
@@ -60,7 +59,7 @@ class AdamW:
     are vectors laid out alike, and ``backward`` writes ``p.grad`` into its
     ``grad_slot`` there.  A tensor without a grad keeps its data and moments.
     A step raises ``ValueError``, naming the parameter, if one's data is no
-    longer a view of the buffer or its grad is not its ``grad_slot``.
+    longer its own view of the buffer or its grad is not its ``grad_slot``.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -75,8 +74,9 @@ class AdamW:
         self._moments = np.zeros(2 * n, self.data.dtype)      # every m, then every v
         self.m, self.v, self.grads = self._moments[:n], self._moments[n:], np.empty_like(self.data)
         ends = list(itertools.accumulate((p.size for p in params), initial=0))
-        self._slots = list(zip(self.named_params, split_views(self.grads, shapes), ends, ends[1:]))
-        for (_, p), grad, _, _ in self._slots:
+        self._slots = list(zip(self.named_params, [p.data for p in params],
+                               split_views(self.grads, shapes), ends, ends[1:]))
+        for (_, p), _, grad, _, _ in self._slots:
             p.grad_slot = grad
 
     def zero_grad(self) -> None:
@@ -85,9 +85,9 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         runs = []                     # [start, stop) of tensors with a grad
-        for (name, p), grad, start, stop in self._slots:
-            if p.data.base is not self.data:
-                raise ValueError(f"parameter {name} was rebound outside the optimizer's buffer")
+        for (name, p), view, grad, start, stop in self._slots:
+            if p.data is not view:
+                raise ValueError(f"parameter {name} was rebound from its place in the buffer")
             if p.grad is not None:
                 if p.grad is not grad:
                     raise ValueError(f"parameter {name} has a grad outside its grad_slot")
@@ -198,8 +198,8 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
 
     for term, value in (("vtm", l_vtm), ("cl", l_cl), ("vgmlm", l_vgmlm), ("qa", l_qa)):
         _finite_or_raise(value, term, step)
-    pretrain = total_loss(l_vtm, l_vgmlm, l_cl, (cfg.w_vtm, cfg.w_vgmlm, cfg.w_cl))
-    total = _finite_or_raise(pretrain + l_qa * cfg.w_qa, "total", step)
+    total = _finite_or_raise(l_vtm * cfg.w_vtm + l_vgmlm * cfg.w_vgmlm + l_cl * cfg.w_cl
+                             + l_qa * cfg.w_qa, "total", step)
 
     lr = lr_at(cfg, step)
     optimizer.zero_grad()

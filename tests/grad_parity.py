@@ -19,9 +19,12 @@ update is about ``lr`` times the gradient's sign.
 
 It drives both trees only through callables that keep their signatures:
 ``desk_config``, ``Vocab``, ``gen_episode``, ``VideoQAModel``,
-``Module.astype``, ``AdamW`` and ``train_step``.  The exit status is 1 when
-``v_star`` or a gradient other than those named differs by more than 1e-12,
-or when the two trees give gradients for different parameters.
+``Module.astype``, ``AdamW`` and ``train_step``.  When the two trees name
+their parameters differently but hold the same number of gradients with the
+same shapes in order, the gradients are paired by position and each rename
+is printed.  The exit status is 1 when ``v_star`` or a gradient other than
+those named differs by more than 1e-12, or when the two trees give gradients
+for different parameters.
 
 pytest does not collect this file; it takes under a minute.
 """
@@ -100,19 +103,29 @@ def compare(ours: dict, theirs: dict) -> bool:
     ok, streams_equal = True, True
     for name, _ in CASES:
         prefix = f"{name}/grad/"
-        names = sorted(k[len(prefix):] for k in ours if k.startswith(prefix))
-        other = sorted(k[len(prefix):] for k in theirs if k.startswith(prefix))
-        if names != other:
+        # Each side's names in its own named_parameters order (npz keeps it).
+        names = [k[len(prefix):] for k in ours if k.startswith(prefix)]
+        other = [k[len(prefix):] for k in theirs if k.startswith(prefix)]
+        if set(names) == set(other):
+            pairs = [(n, n) for n in sorted(names)]
+        elif len(names) == len(other) and all(
+                ours[prefix + a].shape == theirs[prefix + b].shape for a, b in zip(names, other)):
+            pairs = list(zip(names, other))
+            print(f"{name}: paired by position, REV name -> name here: "
+                  + ", ".join(f"{b} -> {a}" for a, b in pairs if a != b))
+        else:
             ok = False
             print(f"{name}: gradients for different parameters: "
                   f"only here {sorted(set(names) - set(other))}, "
                   f"only at REV {sorted(set(other) - set(names))}")
-            names = sorted(set(names) & set(other))
-        largest = [max(np.abs(side[prefix + n]).max() for n in names) for side in (ours, theirs)]
-        zeros = [n for n in names if all(np.abs(side[prefix + n]).max() <= ZERO * big
-                                         for side, big in zip((ours, theirs), largest))]
-        errors = {n: rel_error(ours[prefix + n], theirs[prefix + n])
-                  for n in names if n not in zeros}
+            pairs = [(n, n) for n in sorted(set(names) & set(other))]
+        largest = [max(np.abs(side[prefix + n]).max() for n in side_names)
+                   for side, side_names in ((ours, [a for a, _ in pairs]),
+                                            (theirs, [b for _, b in pairs]))]
+        zeros = [a for a, b in pairs if all(np.abs(side[prefix + n]).max() <= ZERO * big
+                                            for side, n, big in zip((ours, theirs), (a, b), largest))]
+        errors = {a: rel_error(ours[prefix + a], theirs[prefix + b])
+                  for a, b in pairs if a not in zeros}
         worst = max(errors, key=errors.get)
         v_error = rel_error(ours[f"{name}/v_star"], theirs[f"{name}/v_star"])
         over = sorted(n for n, e in errors.items() if e > TOLERANCE)

@@ -23,7 +23,6 @@ from glimpse.objectives import (
     exchange_annotations,
     make_batch,
     mask_tokens,
-    total_loss,
     vg_mlm_loss,
     vtm_loss,
 )
@@ -60,6 +59,14 @@ def zero_mlp(d_in, hidden, d_out):
     return head
 
 
+def partners(before, batch):
+    """Each item's exchange partner: the index of the annotation it now holds,
+    its own if it was not swapped.  The dummy episodes' tokens are distinct,
+    so the index is unique."""
+    assert len(set(map(tuple, before))) == len(before)
+    return [before.index(item.annotation) for item in batch]
+
+
 class TestExchange:
     def batch(self, size, seed=0):
         return make_batch([dummy_episode(seed=seed * 1000 + i, tokens=(2, 3, 4 + i))
@@ -76,19 +83,17 @@ class TestExchange:
         assert not batch[0].matched and not batch[1].matched
         assert batch[0].annotation == before[1]
         assert batch[1].annotation == before[0]
-        assert batch[0].exchanged_with == 1 and batch[1].exchanged_with == 0
 
     def test_exchange_is_involution_and_preserves_multiset(self):
         batch = self.batch(17, seed=3)
-        before = sorted(tuple(item.annotation) for item in batch)
+        before = [list(item.annotation) for item in batch]
         exchange_annotations(batch, 0.6, rng_seed=3)
-        after = sorted(tuple(item.annotation) for item in batch)
-        assert before == after
+        assert sorted(map(tuple, before)) == sorted(tuple(item.annotation) for item in batch)
+        partner = partners(before, batch)
         for i, item in enumerate(batch):
-            if item.exchanged_with is not None:
-                partner = batch[item.exchanged_with]
-                assert partner.exchanged_with == i
-                assert not item.matched and not partner.matched
+            if partner[i] != i:
+                assert partner[partner[i]] == i
+                assert not item.matched and not batch[partner[i]].matched
             else:
                 assert item.matched
 
@@ -113,22 +118,21 @@ def test_exchange_pairs_flagged_items_and_keeps_the_annotations(size, p, seed):
     exchange_annotations(batch, p, rng_seed=seed)
     # The annotation multiset is preserved.
     assert sorted(map(tuple, before)) == sorted(tuple(item.annotation) for item in batch)
-    # Swapped items come in pairs that point at each other, hold each
-    # other's annotation and are unmatched; every other item is untouched.
+    # Swapped items come in pairs that hold each other's annotation and are
+    # unmatched; every other item keeps its own and stays matched.
+    partner = partners(before, batch)
     for i, item in enumerate(batch):
-        j = item.exchanged_with
-        if j is None:
-            assert item.matched and item.annotation == before[i]
+        j = partner[i]
+        if j == i:
+            assert item.matched
         else:
-            assert j != i and batch[j].exchanged_with == i and not item.matched
-            assert item.annotation == before[j]
+            assert partner[j] == i and not item.matched
     # The swap is an involution: swapping every pair again restores the batch.
-    again = [batch[item.exchanged_with].annotation if item.exchanged_with is not None
-             else item.annotation for item in batch]
+    again = [batch[j].annotation for j in partner]
     assert again == before
     # All flagged items but an odd leftover are swapped; that one stays matched.
     flagged = int((np.random.default_rng(seed).random(size) < p).sum())
-    assert sum(item.exchanged_with is not None for item in batch) == flagged - flagged % 2
+    assert sum(j != i for i, j in enumerate(partner)) == flagged - flagged % 2
 
 
 class TestVtmLoss:
@@ -335,13 +339,26 @@ class TestVgMlmLoss:
 
 
 class TestTotalLoss:
-    def test_plain_sum(self):
-        out = total_loss(Tensor(0.7), Tensor(1.2), Tensor(0.1))
-        assert out.item() == pytest.approx(2.0, abs=1e-15)
+    def test_train_step_sums_the_weighted_terms_in_order(self):
+        # l_total is the float32 sum vtm + vgmlm + cl + qa, each term times its
+        # weight, added left to right; the weights are not powers of two, so
+        # another order or a float64 sum would round differently.
+        cfg = desk_config(steps=1, batch_size=8, exchange_prob=0.5, seed=2,
+                          w_vtm=0.3, w_vgmlm=1.7, w_cl=0.6, w_qa=2.3)
+        vocab = Vocab(cfg.vocab_seed, cfg.dim)
+        episodes = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
+        model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+        optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
+        record = train_step(model, optimizer, episodes, cfg, 0)
+        f32 = np.float32
+        terms = [f32(record[key]) * f32(w) for key, w in (
+            ("l_vtm", cfg.w_vtm), ("l_vgmlm", cfg.w_vgmlm), ("l_cl", cfg.w_cl), ("l_qa", cfg.w_qa))]
+        assert all(terms)
+        assert record["l_total"] == float(((terms[0] + terms[1]) + terms[2]) + terms[3])
 
     def test_nan_term_names_itself(self, monkeypatch):
-        # train_step checks every term before total_loss sums them; a NaN
-        # masked-word term must surface as a numeric failure that names it.
+        # train_step checks every term before it sums them; a NaN masked-word
+        # term must surface as a numeric failure that names it.
         cfg = desk_config(steps=1, batch_size=4, exchange_prob=0.0, seed=2)
         vocab = Vocab(cfg.vocab_seed, cfg.dim)
         episodes = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(4)]
@@ -351,10 +368,6 @@ class TestTotalLoss:
         with pytest.raises(NumericFailure, match="non-finite loss term 'vgmlm' at step 0") as err:
             train_step(model, optimizer, episodes, cfg, 0)
         assert err.value.term == "vgmlm"
-
-    def test_weights_apply_per_term(self):
-        out = total_loss(Tensor(1.0), Tensor(2.0), Tensor(4.0), weights=(0.0, 1.0, 0.5))
-        assert out.item() == pytest.approx(4.0)
 
 
 class TestAnswerHeads:

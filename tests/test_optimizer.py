@@ -165,19 +165,22 @@ def test_parameters_stay_views_of_one_buffer(tmp_path):
     assert np.concatenate([resumed.m, resumed.v]).tobytes() == moments.tobytes()
 
 
-@pytest.mark.parametrize("fault", ["rebound", "grad-outside-slot"])
+@pytest.mark.parametrize("fault", ["rebound", "swapped", "grad-outside-slot"])
 def test_a_step_refuses_a_parameter_it_does_not_hold(fault):
-    # Rebinding ``p.data`` after the optimizer was built detaches it from the
-    # buffer, and a grad bound by hand is not the one the update reads: the
-    # step names the parameter and changes no value of any of them.
+    # Rebinding ``p.data`` after the optimizer was built detaches it from its
+    # place in the buffer (swapped views stay in the buffer, but the update
+    # writes by position), and a grad bound by hand is not the one the update
+    # reads: the step names the parameter and changes no value of any of them.
     fused = tensors(F64)
     opt = AdamW(fused, weight_decay=0.1)
     for _, p in fused:
         set_grad(p, 0.5)
     name, p = fused[3]
+    match = f"parameter {name} was rebound from its place in the buffer"
     if fault == "rebound":
         p.data = p.data + 1.0
-        match = f"parameter {name} was rebound outside the optimizer's buffer"
+    elif fault == "swapped":
+        p.data, fused[4][1].data = fused[4][1].data, p.data
     else:
         p.grad = np.full(p.shape, 0.5)
         match = f"parameter {name} has a grad outside its grad_slot"

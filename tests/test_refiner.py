@@ -82,8 +82,7 @@ class TestVrBlock:
     def test_zero_output_projections_make_identity(self):
         rng = np.random.default_rng(3)
         block = VrBlock(8, 2, rng)
-        for proj in (block.gate.w_o, block.attn_temporal.w_o,
-                     block.attn_spatial.w_o):
+        for proj in (block.gate.w_o, block.attn_temporal.w_o, block.attn.w_o):
             proj.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
         block.mlp.fc2.b = Tensor(np.zeros(8), requires_grad=True)
@@ -112,7 +111,7 @@ class TestVrBlock:
         rng = np.random.default_rng(5)
         block = VrBlock(8, 2, rng)
         block.gate.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
-        block.attn_spatial.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
+        block.attn.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
         k, p = 3, 2
         seq = rng.normal(size=(1 + k * p, 8))
@@ -146,7 +145,7 @@ class TestRefine:
         block = params.blocks[0]
         block.gate.w_o.w = Tensor(np.zeros((16, 16)), requires_grad=True)
         block.attn_temporal.w_o.w = Tensor(np.zeros((16, 16)), requires_grad=True)
-        block.attn_spatial.w_o.w = Tensor(np.zeros((16, 16)), requires_grad=True)
+        block.attn.w_o.w = Tensor(np.zeros((16, 16)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((64, 16)), requires_grad=True)
         block.mlp.fc2.b = Tensor(np.zeros(16), requires_grad=True)
         out = refine(Tensor(rng.normal(size=(2, 4, 16))), Tensor(rng.normal(size=(1, 16))),
@@ -265,12 +264,11 @@ class TestReadout:
         assert out["v_star"].shape == (b, d)
         stack = model.refiner if refiner == "gated" else model.plain
         *body, last = stack.blocks
-        mixing = "attn_spatial" if refiner == "gated" else "attn"
         text = 0 if refiner == "gated" else 1 + 3   # plain: the text CLS and 3 tokens
         s = 1 + text + cfg.k_select * p
         for block in body:
             assert shapes[id(block.mlp)] == [(b, s, d)]
-            assert shapes[id(getattr(block, mixing).w_q)] == [(b, s, d)]
+            assert shapes[id(block.attn.w_q)] == [(b, s, d)]
         assert shapes[id(last.mlp)] == [(b, 1, d)]
-        assert shapes[id(getattr(last, mixing).w_q)] == [(b, 1, d)]
-        assert shapes[id(getattr(last, mixing).w_k)] == [(b, s, d)]
+        assert shapes[id(last.attn.w_q)] == [(b, 1, d)]
+        assert shapes[id(last.attn.w_k)] == [(b, s, d)]

@@ -550,6 +550,41 @@ class TestCli:
         assert f"error: {samplers}" in capsys.readouterr().err
         assert reads == []
 
+    def test_negative_seeds_exit_1_naming_the_field_before_any_dataset_read(
+            self, tmp_path, capsys, monkeypatch):
+        # Every seed is a non-negative integer; a negative one fails at its
+        # flag or at the config, named there, before the dataset is read.
+        reads = []
+        monkeypatch.setattr(gcli, "load_dataset", lambda path: reads.append(path))
+        cfg = desk_config(depth=1)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                                           np.random.default_rng(2)), step=0)
+        data, out = str(tmp_path / "data"), tmp_path / "out"
+        tiny = ["--n-frames", "6", "--k-select", "2", "--depth", "1", "--dim", "16",
+                "--heads", "2", "--n-grid", "2", "--steps", "1", "--batch-size", "2",
+                "--train-episodes", "2", "--eval-episodes", "2"]
+        cases = [
+            (["train", "--data", data, "--out", str(out), "--seed", "-1"],
+             "error: seed must be >= 0"),
+            (["train", "--data", data, "--out", str(out), "--vocab-seed", "-1"],
+             "error: vocab_seed must be >= 0"),
+            (["eval", "--checkpoint", str(ckpt), "--data", data, "--eval-seed", "-5"],
+             "error: --eval-seed must be >= 0"),
+            (["gen-data", "--out", str(out), "--episodes", "2", "--data-seed", "-1"],
+             "error: --data-seed must be >= 0"),
+            (["ablate", *tiny, "--data-seed", "-1"], "error: --data-seed must be >= 0"),
+        ]
+        capsys.readouterr()
+        for argv, message in cases:
+            try:
+                code = main(argv)
+            except SystemExit as err:   # a flag's check exits from the parser
+                code = err.code
+            assert code == 1, argv
+            assert message in capsys.readouterr().err, argv
+        assert reads == [] and not out.exists()
+
     def test_eval_of_unfinished_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = desk_config(depth=1, seed=2)
         ckpt = tmp_path / "ckpt"
