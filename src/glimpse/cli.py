@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=None)
 
     args = parser.parse_args(argv)
-    for seed in ("data_seed", "eval_seed"):  # gen-data's and ablate's, eval's
+    for seed in ("data_seed", "eval_seed"):  # the seed flags outside RunConfig
         if getattr(args, seed, 0) < 0:
             parser.error(f"--{seed.replace('_', '-')} must be >= 0")
     try:

@@ -341,8 +341,8 @@ class TestVgMlmLoss:
 class TestTotalLoss:
     def test_train_step_sums_the_weighted_terms_in_order(self):
         # l_total is the float32 sum vtm + vgmlm + cl + qa, each term times its
-        # weight, added left to right; the weights are not powers of two, so
-        # another order or a float64 sum would round differently.
+        # weight, added left to right.  No weight is 1, so a dropped or swapped
+        # weight shows, and the sum is compared to the bit.
         cfg = desk_config(steps=1, batch_size=8, exchange_prob=0.5, seed=2,
                           w_vtm=0.3, w_vgmlm=1.7, w_cl=0.6, w_qa=2.3)
         vocab = Vocab(cfg.vocab_seed, cfg.dim)
