@@ -338,21 +338,35 @@ class TestVgMlmLoss:
                         Tensor(np.zeros((1, 4))), head)
 
 
+def weighted_step_record(**weights):
+    # One desk train_step with the given loss weights; returns its record and
+    # the float32 weighted terms vtm, vgmlm, cl, qa in the order they are summed.
+    cfg = desk_config(steps=1, batch_size=8, exchange_prob=0.5, seed=2, **weights)
+    vocab = Vocab(cfg.vocab_seed, cfg.dim)
+    episodes = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
+    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
+    record = train_step(model, optimizer, episodes, cfg, 0)
+    f32 = np.float32
+    terms = [f32(record[key]) * f32(w) for key, w in (
+        ("l_vtm", cfg.w_vtm), ("l_vgmlm", cfg.w_vgmlm), ("l_cl", cfg.w_cl), ("l_qa", cfg.w_qa))]
+    return record, terms
+
+
 class TestTotalLoss:
-    def test_train_step_sums_the_weighted_terms_in_order(self):
-        # l_total is the float32 sum vtm + vgmlm + cl + qa, each term times its
-        # weight, added left to right.  No weight is 1, so a dropped or swapped
-        # weight shows, and the sum is compared to the bit.
-        cfg = desk_config(steps=1, batch_size=8, exchange_prob=0.5, seed=2,
-                          w_vtm=0.3, w_vgmlm=1.7, w_cl=0.6, w_qa=2.3)
-        vocab = Vocab(cfg.vocab_seed, cfg.dim)
-        episodes = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
-        model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
-        optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
-        record = train_step(model, optimizer, episodes, cfg, 0)
-        f32 = np.float32
-        terms = [f32(record[key]) * f32(w) for key, w in (
-            ("l_vtm", cfg.w_vtm), ("l_vgmlm", cfg.w_vgmlm), ("l_cl", cfg.w_cl), ("l_qa", cfg.w_qa))]
+    def test_plain_sum(self):
+        # Unit weights: l_total is the float32 sum vtm + vgmlm + cl + qa,
+        # added left to right, compared to the bit.
+        record, terms = weighted_step_record()
+        assert all(terms)
+        assert terms == [np.float32(record[key]) for key in ("l_vtm", "l_vgmlm", "l_cl", "l_qa")]
+        assert record["l_total"] == float(((terms[0] + terms[1]) + terms[2]) + terms[3])
+
+    def test_weights_apply_per_term(self):
+        # Each term is multiplied by its own weight before the left-to-right
+        # sum.  No weight is 1 and all differ, so a dropped or swapped weight
+        # shows, and the sum is compared to the bit.
+        record, terms = weighted_step_record(w_vtm=0.3, w_vgmlm=1.7, w_cl=0.6, w_qa=2.3)
         assert all(terms)
         assert record["l_total"] == float(((terms[0] + terms[1]) + terms[2]) + terms[3])
 
