@@ -104,9 +104,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=None)
 
     args = parser.parse_args(argv)
-    for seed in ("data_seed", "eval_seed"):  # the seed flags outside RunConfig
-        if getattr(args, seed, 0) < 0:
-            parser.error(f"--{seed.replace('_', '-')} must be >= 0")
+    # The bounded integer flags outside RunConfig, checked before any work.
+    for name, low in (("data_seed", 0), ("eval_seed", 0), ("checkpoint_every", 0),
+                      ("episodes", 1), ("train_episodes", 1), ("eval_episodes", 1)):
+        if getattr(args, name, low) < low:
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}")
     try:
         return COMMANDS[args.command](args)
     except NumericFailure as err:
@@ -142,8 +144,6 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     cfg = _config_from_args(args)
-    if args.episodes < 1:
-        raise ValueError("--episodes must be >= 1")
     save_dataset(args.out, base_seed=args.data_seed, count=args.episodes,
                  n_frames=cfg.n_frames, n_grid=cfg.n_grid, dim=cfg.dim,
                  vocab_seed=cfg.vocab_seed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,10 +75,13 @@ class RunConfig:
     vocab_seed: int = 7
 
     def validate(self) -> "RunConfig":
-        for name, low in (("heads", 1), ("k_select", 1), ("depth", 1), ("batch_size", 1),
-                          ("n_grid", 1), ("steps", 0), ("lr", 0), ("weight_decay", 0),
-                          ("w_vtm", 0), ("w_cl", 0), ("w_vgmlm", 0), ("w_qa", 0),
-                          ("seed", 0), ("vocab_seed", 0)):
+        for name in ("lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "tau", "tau_g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name, low in (("dim", 1), ("heads", 1), ("k_select", 1), ("depth", 1),
+                          ("batch_size", 1), ("n_grid", 1), ("steps", 0), ("lr", 0),
+                          ("weight_decay", 0), ("w_vtm", 0), ("w_cl", 0), ("w_vgmlm", 0),
+                          ("w_qa", 0), ("seed", 0), ("vocab_seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         for name in ("mask_rate", "exchange_prob"):

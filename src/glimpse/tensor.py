@@ -34,11 +34,18 @@ Inside ``with no_grad():`` ops build no parent links and no closures; their
 outputs are constants with the same values.  Tensors that take part in a tape
 are never mutated in place; a model's parameters are views of one buffer that
 the optimizer updates in place between tapes.
+
+Importing this module (so importing glimpse) sets glibc's malloc trim and mmap
+thresholds for the whole process, so the memory a freed tape held stays in the
+heap for the next pass instead of going back to the kernel and being faulted
+in again.  Under any other libc it changes nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -49,6 +56,27 @@ Array = np.ndarray
 _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU form
 _GELU_COEF = 0.044715
 FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+
+
+def _keep_freed_memory() -> None:
+    """Under glibc, fix malloc's thresholds at the ceiling of its dynamic rule.
+
+    glibc raises its mmap threshold to the largest mmapped block freed so
+    far, up to 32 MiB on 64-bit, with a trim threshold of twice that.  Left
+    dynamic, the arrays a pass frees go back to the kernel, unmapped or
+    trimmed off the top of the heap, and the next pass faults them in again.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for name, option, value in (("M_TRIM_THRESHOLD", -1, 64 << 20),
+                                ("M_MMAP_THRESHOLD", -3, 32 << 20)):
+        if mallopt(option, value) == 0:
+            raise RuntimeError(f"mallopt({name}, {value}) failed")
+
+
+_keep_freed_memory()
 
 
 class Tensor:

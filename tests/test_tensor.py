@@ -2,7 +2,12 @@
 
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -774,3 +779,30 @@ class TestNoGrad:
             with T.no_grad():
                 raise RuntimeError("inside")
         assert (x * 2.0).requires_grad
+
+
+# Twenty passes that each hold four 4 MiB float32 arrays at once and then
+# free them, as a tape does; prints the minor faults of passes 2-20.
+_HEAP_PASSES = """
+import resource
+import numpy as np
+import glimpse.tensor
+
+faults = []
+for _ in range(20):
+    tape = [np.full(1 << 20, 1.0, np.float32) for _ in range(4)]
+    del tape
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(faults[-1] - faults[0])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_import_keeps_freed_arrays_in_the_heap():
+    # With glibc's dynamic thresholds the freed 16 MiB goes back to the
+    # kernel after every pass and is faulted in again (about 2k faults a
+    # pass); kept in the heap, the later passes fault less than one array.
+    env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _HEAP_PASSES], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert int(done.stdout) < 1024

@@ -44,6 +44,14 @@ def wide_model(cfg, std):
     return model
 
 
+def exit_code(argv) -> int:
+    """``main``'s exit code, also when a flag's check exits from the parser."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
 def pool(cfg, count, base=0):
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
     return [gen_episode(base ^ i, cfg.n_frames, cfg.n_grid, cfg.dim, vocab)
@@ -510,10 +518,7 @@ class TestCli:
         for extra, message in cases:
             assert main(train_args + extra) == 1, extra
             assert f"error: {message}" in capsys.readouterr().err
-        assert main(["ablate", "--train-episodes", "0", "--eval-episodes", "2",
-                     "--steps", "1", *overrides]) == 1
-        assert "error: no episodes to train on" in capsys.readouterr().err
-        assert main(["gen-data", "--out", str(tmp_path / "neg"), "--episodes", "-1"]) == 1
+        assert exit_code(["gen-data", "--out", str(tmp_path / "neg"), "--episodes", "-1"]) == 1
         captured = capsys.readouterr()
         assert "error: --episodes must be >= 1" in captured.err and "wrote" not in captured.out
         assert not (tmp_path / "neg").exists()
@@ -577,13 +582,48 @@ class TestCli:
         ]
         capsys.readouterr()
         for argv, message in cases:
-            try:
-                code = main(argv)
-            except SystemExit as err:   # a flag's check exits from the parser
-                code = err.code
-            assert code == 1, argv
+            assert exit_code(argv) == 1, argv
             assert message in capsys.readouterr().err, argv
         assert reads == [] and not out.exists()
+
+    def test_negative_interval_or_empty_episode_counts_exit_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        # A negative --checkpoint-every would act as 1 (every step modulo -1
+        # is 0) and an ablation with no train or eval episodes would train a
+        # whole variant first; both fail at their flag, named there.
+        reads, trains = [], []
+        monkeypatch.setattr(gcli, "load_dataset", lambda path: reads.append(path))
+        monkeypatch.setattr("glimpse.ablate.train", lambda *a, **k: trains.append(a))
+        out = tmp_path / "out"
+        tiny = ["--n-frames", "6", "--k-select", "2", "--depth", "1", "--dim", "16",
+                "--heads", "2", "--n-grid", "2", "--steps", "1", "--batch-size", "2"]
+        cases = [
+            (["train", "--data", str(tmp_path / "data"), "--out", str(out),
+              "--checkpoint-every", "-1"], "error: --checkpoint-every must be >= 0"),
+            (["ablate", *tiny, "--train-episodes", "0"], "error: --train-episodes must be >= 1"),
+            (["ablate", *tiny, "--eval-episodes", "0"], "error: --eval-episodes must be >= 1"),
+            (["ablate", *tiny, "--eval-episodes", "-3"], "error: --eval-episodes must be >= 1"),
+        ]
+        capsys.readouterr()
+        for argv, message in cases:
+            assert exit_code(argv) == 1, argv
+            assert message in capsys.readouterr().err, argv
+        assert reads == [] and trains == [] and not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        *((f, v) for f in ("lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "tau",
+                           "tau_g") for v in ("nan", "inf")),
+        ("dim", "0")])
+    def test_non_finite_float_or_zero_dim_exits_1_before_any_dataset_read(
+            self, field, value, tmp_path, capsys, monkeypatch):
+        reads = []
+        monkeypatch.setattr(gcli, "load_dataset", lambda path: reads.append(path))
+        argv = ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"),
+                "--" + field.replace("_", "-"), value]
+        assert main(argv) == 1
+        message = "dim must be >= 1" if field == "dim" else f"{field} must be finite"
+        assert f"error: {message}" in capsys.readouterr().err
+        assert reads == []
 
     def test_eval_of_unfinished_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = desk_config(depth=1, seed=2)
