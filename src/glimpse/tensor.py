@@ -14,7 +14,8 @@ The fused numerics at the end are one tape node each, with a hand-written
 backward: softmax, the negative log-likelihood, layer norm, the two-layer
 GELU ``mlp``, and the two token-mixing ops every block calls between its
 projections, multi-head ``attention`` (plain, or grouped as divided
-space-time attention) and the language-aware ``cosine_gate``.
+space-time attention) and the language-aware ``cosine_gate``; ``attention``
+holds its probabilities key by query, so it reduces over keys in whole rows.
 
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
@@ -527,21 +528,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 # -- fused numerics ------------------------------------------------------------
 
 
-def _softmax(x: Array, axis: int = -1, out: Array | None = None) -> Array:
-    """Softmax over ``axis`` with max-subtraction so huge logits cannot overflow;
-    written into ``out`` (which may be ``x``) when given."""
+def _softmax(x: Array, axis: int = -1) -> Array:
+    """Softmax over ``axis`` with max-subtraction so huge logits cannot overflow."""
     if not np.isfinite(x).all():
         raise ValueError("non-finite logits")
-    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    out = x - x.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
-
-
-def _softmax_backward(y: Array, g: Array, axis: int = -1) -> Array:
-    """The softmax rule: the logits' gradient ``y * (g - rowsum(g * y))`` for
-    probabilities ``y`` whose gradient is ``g``."""
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
 def softmax_stable(a: Tensor, axis: int = -1) -> Tensor:
@@ -549,10 +543,16 @@ def softmax_stable(a: Tensor, axis: int = -1) -> Tensor:
     y = _softmax(a.data, axis)
     out = _node(y, (a,))
     if out.requires_grad:
-        def _bw(g):
-            a._accumulate(_softmax_backward(y, g, axis))
+        def _bw(g):   # the softmax rule
+            a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
         out._backward = _bw
     return out
+
+
+def _row_sums(a: Array, weights: Array) -> Array:
+    """(..., n * w) -> (..., n): sums of each run of w = len(weights) along the last
+    axis, weighted, as one matrix-vector product over all rows of a row-major ``a``."""
+    return (a.reshape(-1, weights.shape[0]) @ weights).reshape(a.shape[:-1] + (-1,))
 
 
 def _heads(x: Array, heads: int) -> Array:
@@ -575,21 +575,38 @@ def _groups(x: Array, grid: tuple[int, int], temporal: bool) -> Array:
     return body.swapaxes(-3, -2) if temporal else body
 
 
+def _key_max(x: Array) -> Array:
+    """``x.max(axis=-2, keepdims=True)`` up to the sign of a tied zero: the last half
+    of the rows folded onto the first (sharing one row when the count is odd), in
+    whole-row passes where numpy walks short rows; one column numpy reduces at once."""
+    if x.shape[-1] == 1:
+        return x.max(axis=-2, keepdims=True)
+    while (n := x.shape[-2]) > 1:
+        x = np.maximum(x[..., :n - n // 2, :], x[..., n // 2:, :])
+    return x
+
+
 def _attend(q: Array, k: Array, v: Array, scale: Array) -> tuple[Array, Array]:
-    """Probabilities ``softmax(q k^T * scale)`` and output ``P v`` over the last two axes."""
-    scores = np.matmul(q, k.swapaxes(-1, -2))
-    scores *= scale
-    probs = _softmax(scores, out=scores)
-    return probs, np.matmul(probs, v)
+    """Key-by-query probabilities P = softmax over keys of ``k q^T * scale``, (..., Sk, Sq),
+    summed over keys by a ones vector, and ``P^T v``, with BLAS reading P^T transposed."""
+    probs = np.matmul(k, q.swapaxes(-1, -2)) * scale
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite logits")
+    probs -= _key_max(probs)
+    np.exp(probs, out=probs)
+    probs /= np.matmul(np.ones(probs.shape[-2], probs.dtype), probs)[..., None, :]
+    return probs, np.matmul(probs.swapaxes(-1, -2), v)
 
 
 def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array,
                      scale: Array) -> tuple[Array, Array, Array]:
-    """Gradients of ``_attend``'s output for q, k and v, through the softmax rule."""
-    ds = _softmax_backward(probs, np.matmul(g, v.swapaxes(-1, -2))) * scale
+    """Gradients of ``_attend``'s output for q, k and v, all key by query: dP = v g^T,
+    dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and dv = P g."""
+    dp, ones = np.matmul(v, g.swapaxes(-1, -2)), np.ones(probs.shape[-2], probs.dtype)
+    ds = (dp - np.matmul(ones, probs * dp)[..., None, :]) * probs * scale
     # One query row: dk and dv are outer products, as broadcast multiplies (same bits).
     outer = np.multiply if q.shape[-2] == 1 else np.matmul
-    return np.matmul(ds, k), outer(ds.swapaxes(-1, -2), q), outer(probs.swapaxes(-1, -2), g)
+    return np.matmul(ds.swapaxes(-1, -2), k), outer(ds, q), outer(probs, g)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -603,9 +620,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     attends over every row, and a body row over its group only, the K rows
     of its spatial slot (``temporal``) or the P rows of its frame.
 
-    One tape node.  The forward keeps the probabilities P; the backward is the
-    softmax rule dS = P * (dP - rowsum(P * dP)), which is exactly zero over a
-    single key, so no gradient leaks into the queries there.
+    One tape node.  The forward keeps the probabilities P, key by query; the
+    backward is the softmax rule dS = P * (dP - sum_keys(P * dP)), exactly
+    zero over a single key, so no gradient leaks into the queries there.
     """
     scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
@@ -656,23 +673,24 @@ def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Te
     a floored norm passes no gradient.  One tape node.
     """
     floor_sq = floor ** 2
+    ones = np.ones(q.shape[-1] // heads, q.dtype)
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
 
     def norm(x):
-        sq = (x * x).sum(axis=-1, keepdims=True)
+        sq = _heads(_row_sums(x * x, ones), heads)      # (..., H, S, 1)
         live = sq > floor_sq
         return np.sqrt(np.where(live, sq, floor_sq)), live
 
-    (qn, q_live), (kn, k_live) = norm(qh), norm(kh)      # (..., H, m | L, 1)
+    (qn, q_live), (kn, k_live) = norm(q.data), norm(k.data)   # (..., H, m | L, 1)
     kn_row = kn.swapaxes(-1, -2)                         # (..., H, 1, L)
     dots = np.matmul(qh, kh.swapaxes(-1, -2))            # (..., H, m, L)
     denom = qn * kn_row
-    weight = (dots / denom).sum(axis=-1)[..., None]      # (..., H, m, 1)
+    weight = _row_sums(dots / denom, np.ones(dots.shape[-1], q.dtype))   # (..., H, m, 1)
     out = _node(_merge_heads(vh * weight), (q, k, v))
     if out.requires_grad:
         def _bw(g):
             gh = _heads(g, heads)
-            g_cos = (gh * vh).sum(axis=-1, keepdims=True)  # broadcast over the L keys
+            g_cos = _heads(_row_sums(g * v.data, ones), heads)  # broadcast over the L keys
             g_dots = g_cos / denom
             g_denom = -g_cos * dots / (denom * denom)
             dq = _unbroadcast(np.matmul(g_dots, kh), qh.shape)
@@ -723,13 +741,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last axis")
     mean_of = np.full(d, 1.0 / d, dtype=x.data.dtype)
-
-    def row_mean(a: Array) -> Array:
-        return (a.reshape(-1, d) @ mean_of).reshape(a.shape[:-1] + (1,))
-
-    mean = row_mean(x.data)
+    mean = _row_sums(x.data, mean_of)
     xc = x.data - mean
-    inv = 1.0 / np.sqrt(row_mean(xc * xc) + eps)
+    inv = 1.0 / np.sqrt(_row_sums(xc * xc, mean_of) + eps)
     out = _node(xc * inv * gain.data + bias.data, (x, gain, bias))
     if out.requires_grad:
         def _bw(g):
@@ -742,9 +756,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 bias._accumulate_product(ones, rows)
             if x.requires_grad:
                 gx_hat = g * gain.data
-                term = gx_hat - row_mean(gx_hat)
+                term = gx_hat - _row_sums(gx_hat, mean_of)
                 gx_hat *= xhat
-                term -= xhat * row_mean(gx_hat)
+                term -= xhat * _row_sums(gx_hat, mean_of)
                 term *= inv
                 x._accumulate(term)
         out._backward = _bw

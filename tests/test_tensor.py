@@ -598,7 +598,8 @@ class TestFusedMixingOps:
     def test_one_query_row_backward_keeps_the_matmul_bits(self):
         # With one query row the backward makes dk and dv as broadcast
         # multiplies, not products over an inner size of 1; they must be the
-        # products' bits, here at the bench readout's (2, 8, 785, 1) x (2, 8, 1, 32).
+        # products' bits, here at the bench readout's key-by-query
+        # (2, 8, 785, 1) x (2, 8, 1, 32).
         rng = np.random.default_rng(33)
         for dtype in (np.float32, np.float64):
             q, g = (rng.normal(size=(2, 8, 1, 32)).astype(dtype) for _ in range(2))
@@ -607,11 +608,43 @@ class TestFusedMixingOps:
             assert (outer * g).tobytes() == np.matmul(outer, g).tobytes()
             scale = np.asarray(0.25, dtype=dtype)
             probs, _ = T._attend(q, k, v, scale)
+            assert probs.shape == (2, 8, 785, 1)
             dq, dk, dv = T._attend_backward(g, probs, q, k, v, scale)
-            ds = T._softmax_backward(probs, np.matmul(g, v.swapaxes(-1, -2))) * scale
-            assert dq.tobytes() == np.matmul(ds, k).tobytes()
-            assert dk.tobytes() == np.matmul(ds.swapaxes(-1, -2), q).tobytes()
-            assert dv.tobytes() == np.matmul(probs.swapaxes(-1, -2), g).tobytes()
+            dp = np.matmul(v, g.swapaxes(-1, -2))
+            ds = (dp - np.matmul(np.ones(785, dtype), probs * dp)[..., None, :]) * probs * scale
+            assert dq.tobytes() == np.matmul(ds.swapaxes(-1, -2), k).tobytes()
+            assert dk.tobytes() == np.matmul(ds, q).tobytes()
+            assert dv.tobytes() == np.matmul(probs, g).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 5), st.sampled_from([np.float32, np.float64]),
+           seeds)
+    @example(4, 2, np.float32, 0).via("a column whose max is a tie of +0 and -0")
+    def test_key_max_is_numpy_max(self, keys, queries, dtype, seed):
+        # Mostly zeros of both signs and -1, so columns tie often, many at a
+        # zero max.  numpy's own max returns either zero of such a tie,
+        # depending on the layout (one column is reduced another way than
+        # several), so the bits are pinned up to the sign of a zero, and
+        # exp(x - max), all that the softmax reads of it, bit for bit.
+        rng = np.random.default_rng(seed)
+        x = rng.choice(np.array([-0.0, 0.0, -1.0, 2.5], dtype), size=(3, keys, queries),
+                       p=[0.3, 0.3, 0.3, 0.1])
+        got, want = T._key_max(x), x.max(axis=-2, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert np.exp(x - got).tobytes() == np.exp(x - want).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), seeds)
+    def test_attend_probabilities_are_a_float64_softmax_per_query(self, sq, sk, seed):
+        rng = np.random.default_rng(seed)
+        q, k, v = (rng.normal(size=(2, s, 8)).astype(np.float32) for s in (sq, sk, sk))
+        probs, _ = T._attend(q, k, v, np.asarray(1.0 / math.sqrt(8), np.float32))
+        assert probs.shape == (2, sk, sq) and probs.dtype == np.float32
+        scores = np.matmul(q.astype(np.float64), k.astype(np.float64).swapaxes(-1, -2))
+        want = np.exp((scores - scores.max(axis=-1, keepdims=True)) / math.sqrt(8))
+        want /= want.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(probs.swapaxes(-1, -2), want, rtol=0, atol=1e-6)
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(32)
