@@ -49,6 +49,8 @@ def _run_variant(label: str, cfg: RunConfig, train_episodes: int,
 
 def run_grid(cfg: RunConfig, grid: str, train_episodes: int = 3000,
              eval_episodes: int = 300, data_seed: int = 1) -> list[dict]:
+    if min(train_episodes, eval_episodes) < 1:
+        raise ValueError(f"episode counts must be >= 1, got {train_episodes} and {eval_episodes}")
     rows = []
     if grid == "modules":
         for row in MODULE_ROWS:

@@ -223,11 +223,13 @@ def train(cfg: RunConfig, episodes: Sequence[Episode], out_dir=None,
 
     ``resume`` is a checkpoint directory: its model, AdamW moments and step
     (via ``load_checkpoint``) go on with the same seed streams, so a resumed
-    run emits the same metrics as an uninterrupted one.  ``ValueError`` is raised
-    for an empty pool, and for a checkpoint of another config naming every differing key.
+    run emits the same metrics as an uninterrupted one.  ``ValueError`` is raised for an empty
+    pool, a negative ``checkpoint_every``, and another config's checkpoint, naming each key.
     """
     if len(episodes) == 0:
         raise ValueError("no episodes to train on")
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0 (0: none), got {checkpoint_every}")
     if resume is None:
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
         start_step, opt_state = 0, None

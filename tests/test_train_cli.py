@@ -14,6 +14,7 @@ from glimpse import cli as gcli
 from glimpse import data
 from glimpse import evaluate as geval
 from glimpse import tensor as T
+from glimpse.ablate import run_grid
 from glimpse.cli import main
 from glimpse.config import RunConfig, desk_config
 from glimpse.data import (BLIND_MODES, EpisodeSet, Vocab, blind_input,
@@ -167,6 +168,30 @@ class TestTrainLoop:
         _, _, records = train(cfg, episodes, resume=tmp_path)
         assert rngs == [None]
         assert [r["step"] for r in records] == [1]
+
+    def test_negative_checkpoint_interval_raises_before_any_step(self, tmp_path, monkeypatch):
+        # Every step modulo -1 is 0, so -1 would checkpoint after every step.
+        steps = []
+        monkeypatch.setattr("glimpse.train.train_step", lambda *a: steps.append(a))
+        cfg = smoke_config()
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0"):
+            train(cfg, pool(cfg, 2), out_dir=tmp_path, checkpoint_every=-1)
+        assert steps == [] and not any(tmp_path.iterdir())
+
+    def test_grid_without_episodes_raises_before_any_pool_or_step(self, monkeypatch):
+        # Without the check a variant trains to the end before its empty
+        # eval pool fails.
+        pools = []
+        monkeypatch.setattr("glimpse.ablate._episode_pool", lambda *a: pools.append(a))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant trained")
+
+        monkeypatch.setattr("glimpse.ablate.train", no_training)
+        for counts in ((0, 4), (4, 0), (-1, 4)):
+            with pytest.raises(ValueError, match="episode counts must be >= 1"):
+                run_grid(smoke_config(), "modules", *counts)
+        assert pools == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_step(self):
