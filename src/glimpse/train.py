@@ -223,8 +223,9 @@ def train(cfg: RunConfig, episodes: Sequence[Episode], out_dir=None,
 
     ``resume`` is a checkpoint directory: its model, AdamW moments and step
     (via ``load_checkpoint``) go on with the same seed streams, so a resumed
-    run emits the same metrics as an uninterrupted one.  ``ValueError`` is raised for an empty
-    pool, a negative ``checkpoint_every``, and another config's checkpoint, naming each key.
+    run emits the same metrics as an uninterrupted one.  ``ValueError`` is raised
+    for an empty pool, a negative ``checkpoint_every``, and a checkpoint of another
+    config, naming every differing key.
     """
     if len(episodes) == 0:
         raise ValueError("no episodes to train on")
