@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,10 @@ def removed_note(keys) -> str:
     """`` (key: removed, why; ...)`` for the removed keys among ``keys``, else ``""``."""
     notes = [f"{k}: removed, {why}" for k, why in sorted(REMOVED_KEYS.items()) if k in keys]
     return f" ({'; '.join(notes)})" if notes else ""
+
+
+# The values each declared field type takes: numpy scalars count, bool does not.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass
@@ -75,6 +80,11 @@ class RunConfig:
     vocab_seed: int = 7
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, "
+                                 f"not {type(value).__name__} ({value!r})")
         for name in ("lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "tau", "tau_g"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

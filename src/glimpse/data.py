@@ -324,18 +324,30 @@ def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
     return index
 
 
+def _require_keys(value, keys, what: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f"{what} lacks {missing}")
+
+
 def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
     """The meta, the vocab and the episodes of a dataset directory.
 
     Each episode's header draws are replayed and checked against its index
     entry, so a stale index (an answer or event frame that its seed no
-    longer gives) raises ``ValueError`` here, before any frame is generated.
-    The episodes come back as an ``EpisodeSet`` over the index's seeds.
+    longer gives) raises ``ValueError`` here, before any frame is generated,
+    and so does an index that lacks a key this function reads.  The episodes
+    come back as an ``EpisodeSet`` over the index's seeds.
     """
     directory = Path(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
+    _require_keys(index, ("meta", "episodes"), "dataset index")
     meta = index["meta"]
+    _require_keys(meta, ("n_frames", "n_grid", "dim", "vocab_seed"), "dataset meta")
     for entry in index["episodes"]:
+        _require_keys(entry, ("episode_id", "seed"), "dataset episode entry")
         if _index_entry(entry["episode_id"], entry["seed"], meta["n_frames"]) != entry:
             raise ValueError(f"episode {entry['episode_id']} regenerated differently "
                              "from its index entry; the index is stale")

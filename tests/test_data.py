@@ -238,6 +238,31 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="episode 2 regenerated differently"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("break_index, message", [
+        (lambda index: index.pop("meta"), r"dataset index lacks \['meta'\]"),
+        (lambda index: index["meta"].pop("vocab_seed"), r"dataset meta lacks \['vocab_seed'\]"),
+        (lambda index: index["episodes"][1].pop("seed"),
+         r"dataset episode entry lacks \['seed'\]"),
+        (lambda index: index.clear(), r"dataset index lacks \['meta', 'episodes'\]"),
+    ])
+    def test_index_missing_a_key_raises_naming_it(self, break_index, message, tmp_path,
+                                                  monkeypatch):
+        save_dataset(tmp_path, base_seed=5, count=3, n_frames=N_FRAMES,
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
+        path = tmp_path / "index.json"
+        index = json.loads(path.read_text())
+        break_index(index)
+        path.write_text(json.dumps(index))
+        calls = _forbid_frames(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path)
+        assert calls == []
+
+    def test_index_that_is_a_list_raises(self, tmp_path):
+        (tmp_path / "index.json").write_text(json.dumps([{"meta": {}}]))
+        with pytest.raises(ValueError, match="dataset index must be a JSON object, not list"):
+            load_dataset(tmp_path)
+
     def test_reference_size_index_loads_without_frames(self, tmp_path, monkeypatch):
         # 3,000 episodes at the reference geometry would be 240 GB of float32
         # frames: writing and loading the index must generate none of them.

@@ -449,6 +449,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"unknown config keys: \['n_max'\]"):
             RunConfig.from_dict({**dataclasses.asdict(desk_config()), "n_max": 0})
 
+    def test_field_of_the_wrong_type_rejected_by_name(self):
+        # A JSON string, a fractional count or a bool would otherwise pass
+        # validation and fail far from the config, or not at all.
+        base = dataclasses.asdict(desk_config())
+        for key, value in (("dim", "32"), ("steps", 2.5), ("batch_size", True),
+                           ("lr", False), ("lr", "1e-3"), ("sampler", 1), ("seed", None)):
+            with pytest.raises(ValueError, match=rf"^{key} must be of type "):
+                RunConfig.from_dict({**base, key: value})
+        # Integers fill float fields, and numpy scalars count as their kind.
+        cfg = RunConfig.from_dict({**base, "lr": 1, "steps": np.int64(3), "tau": np.float32(0.5)})
+        assert (cfg.lr, cfg.steps) == (1, 3)
+
     def test_removed_size_keys_rejected(self):
         # The MLP width, the answer-head width and the text length are fixed;
         # config files that still carry their old knobs must fail loudly, and

@@ -660,6 +660,29 @@ class TestCli:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
         assert "holds no complete checkpoint: meta.json is missing" in capsys.readouterr().err
 
+    def test_config_value_of_the_wrong_type_exits_1_naming_the_field(self, tmp_path, capsys):
+        # A string size and a fractional step count fail at gen-data, before
+        # any dataset is written, not as a traceback or later in train.
+        desk = {k: getattr(desk_config(), k)
+                for k in ("n_frames", "k_select", "depth", "dim", "heads", "n_grid")}
+        for values, message in (({"dim": "32"}, "dim must be of type int, not str ('32')"),
+                                ({**desk, "steps": 2.5}, "steps must be of type int, not float")):
+            path, out = tmp_path / "config.json", tmp_path / "data"
+            path.write_text(json.dumps(values))
+            capsys.readouterr()
+            assert main(["gen-data", "--config", str(path), "--out", str(out),
+                         "--episodes", "2"]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_dataset_index_without_meta_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "index.json").write_text(json.dumps({"episodes": []}))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt")]) == 1
+        assert "error: dataset index lacks ['meta']" in capsys.readouterr().err
+
     def test_format_1_checkpoint_and_removed_config_keys_exit_1(self, tmp_path, capsys):
         # Both compatibility breaks fail loudly and name their cause: a
         # format-1 or format-2 checkpoint, and a config file, flag or
