@@ -262,7 +262,8 @@ class EpisodeSet(Sequence):
     ``episodes[i]`` generates episode ``i`` from ``seeds[i]`` and keeps it
     in a least-recently-used cache that holds at most
     ``EPISODE_CACHE_BYTES`` of frames (always the episode just read).  An
-    evicted episode regenerates bit for bit on its next read.
+    evicted episode regenerates bit for bit on its next read.  A slice is a
+    list of the episodes it selects, read in its order.
     """
 
     def __init__(self, seeds: Sequence[int], n_frames: int, n_grid: int, vocab: Vocab):
@@ -276,7 +277,9 @@ class EpisodeSet(Sequence):
     def __len__(self) -> int:
         return len(self.seeds)
 
-    def __getitem__(self, i: int) -> Episode:
+    def __getitem__(self, i: int | slice) -> Episode | list[Episode]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.seeds))[i]]
         i = range(len(self.seeds))[i]
         if i in self._cache:
             self._cache.move_to_end(i)

@@ -11,11 +11,14 @@ so chunking changes no metric; it bounds the size of a call.
 
 The bound is a budget of refiner tokens per call: a row refines its CLS
 token and the patches of its K selected frames, ``1 + K * n_grid**2``
-tokens.  A desk-scale call costs about 2 ms fixed against 0.4 ms per row,
-so its 17-token rows go 240 to a call.  At bench geometry (785 tokens a row)
-the budget allows 5 rows, about one episode's rows; calls of 8 or 32 rows
-measured 10-20% slower per row, with 1.2x and 3x a clean pass's peak memory.
-A chunk holds each video it shows once, read in place by each of its rows.
+tokens.  The budget keeps a call's fixed cost a small share of its work: at
+desk scale a call costs as much as about 15 rows (paired in-process calls of
+60 rows split 1, 2 and 4 ways read 2.1-2.5 ms per extra call and 0.16 ms
+per row on 2 cores), and its 17-token rows go 240 to a call.  At bench
+geometry (785 tokens a row) the budget allows 5 rows, about one episode's
+rows; calls of 8 or 32 rows measured 10-20% slower per row, with 1.2x and 3x
+a clean pass's peak memory.  A chunk holds each video it shows once, read in
+place by each of its rows.
 """
 
 from __future__ import annotations

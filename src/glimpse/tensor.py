@@ -16,6 +16,11 @@ GELU ``mlp``, and the two token-mixing ops every block calls between its
 projections, multi-head ``attention`` (plain, or grouped as divided
 space-time attention) and the language-aware ``cosine_gate``; ``attention``
 holds its probabilities key by query, so it reduces over keys in whole rows.
+Their elementwise chains run in place over row blocks of at most
+``BLOCK_VALUES`` values, so the few arrays a chain touches stay in a core's L2
+cache from one step to the next; each element sees the ops it would see over
+the whole array, and every product and every row sum keeps its shape, so the
+bits do not depend on the block size.
 
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
@@ -58,20 +63,30 @@ _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU form
 _GELU_COEF = 0.044715
 FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
+# Values in one row block of a fused op's elementwise chain, and in one chunk of
+# AdamW's update: 2^16 float32 values are 256 KB, so the three to six arrays a
+# chain touches at once fit a 2 MB per-core L2.  At 2^15 the update's fixed
+# cost per ufunc call showed at bench geometry (a 17 ms update took 21 ms).
+BLOCK_VALUES = 1 << 16
+
 
 def _keep_freed_memory() -> None:
-    """Under glibc, fix malloc's thresholds at the ceiling of its dynamic rule.
+    """Under glibc, fix malloc's mmap threshold at the ceiling of its dynamic rule
+    and trim only a heap top of 1 GiB or more.
 
     glibc raises its mmap threshold to the largest mmapped block freed so
     far, up to 32 MiB on 64-bit, with a trim threshold of twice that.  Left
     dynamic, the arrays a pass frees go back to the kernel, unmapped or
     trimmed off the top of the heap, and the next pass faults them in again.
+    A backward pass frees the tape from its newest arrays down, so the free
+    top of the heap grows toward a whole tape: at bench geometry, trimmed at
+    64 MiB, a step faulted about 57 MB back in.
     """
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for name, option, value in (("M_TRIM_THRESHOLD", -1, 64 << 20),
+    for name, option, value in (("M_TRIM_THRESHOLD", -1, 1 << 30),
                                 ("M_MMAP_THRESHOLD", -3, 32 << 20)):
         if mallopt(option, value) == 0:
             raise RuntimeError(f"mallopt({name}, {value}) failed")
@@ -485,18 +500,66 @@ def matmul_each(a: Tensor, tables: Sequence[Array]) -> Tensor:
     return out
 
 
-def _gelu(h: Array) -> tuple[Array, Array]:
-    """GELU of ``h`` and the tanh it reads, by in-place steps: two arrays in all."""
-    t = h * h
-    t *= h
-    t *= _GELU_COEF
-    t += h
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)                 # tanh(sqrt(2/pi) * (h + c h^3))
-    y = 1.0 + t
-    y *= h
-    y *= 0.5
-    return y, t
+def _block_starts(rows: int, width: int) -> tuple[int, range]:
+    """Rows per block, ``BLOCK_VALUES // width`` but at least one, and each block's first row."""
+    step = max(1, BLOCK_VALUES // width)
+    return step, range(0, rows, step)
+
+
+def _blockwise(chain: Callable[..., Sequence[Array]], *arrays: Array,
+               outputs: int = 0) -> Sequence[Array]:
+    """Run ``chain`` over row blocks of ``arrays``, which share their leading axes,
+    and return its outputs.
+
+    A row is an array's last axis; a block holds at most ``BLOCK_VALUES`` values
+    of the first array.  ``chain`` takes ``outputs`` arrays to fill, then the
+    arrays' blocks, and returns the filled ones; the arrays it changes in place
+    must be C-contiguous.  When one block holds the first array, ``chain`` runs
+    once on the arrays themselves with None for each output and makes the
+    outputs itself; otherwise they are made here, shaped like the first array,
+    and filled block by block.
+    """
+    first = arrays[0]
+    if first.size <= BLOCK_VALUES:
+        return chain(*(None,) * outputs, *arrays)
+    step, starts = _block_starts(first.size // first.shape[-1], first.shape[-1])
+    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    outs = [np.empty(first.shape, first.dtype) for _ in range(outputs)]
+    out_rows = [o.reshape(rows[0].shape) for o in outs]
+    for lo in starts:
+        chain(*(a[lo:lo + step] for a in out_rows + rows))
+    return outs
+
+
+def _gelu(h: Array, grad: Array | None = None) -> Array:
+    """GELU of ``h`` by in-place steps over row blocks, with the tanh it reads in a
+    block-sized array.  Given ``grad``, the gradient of the output, it also turns
+    ``grad`` in place into the gradient of ``h``, each block while its tanh is at hand."""
+    def chain(y, h, g=None):
+        t = h * h
+        t *= h
+        t *= _GELU_COEF
+        t += h
+        t *= _SQRT_2_OVER_PI
+        np.tanh(t, out=t)             # tanh(sqrt(2/pi) * (h + c h^3))
+        if g is not None:   # d gelu / dh: 0.5 h (1 - t^2) d inner / dh + 0.5 (1 + t)
+            a = t * t
+            np.subtract(1.0, a, out=a)
+            a *= h
+            a *= 0.5
+            b = h * (3.0 * _GELU_COEF)
+            b *= h
+            b += 1.0
+            b *= _SQRT_2_OVER_PI
+            a *= b
+        y = np.add(t, 1.0, out=y)
+        if g is not None:
+            a += np.multiply(y, 0.5, out=b)
+            g *= a
+        y *= h
+        y *= 0.5
+        return (y,)
+    return _blockwise(chain, h, *(() if grad is None else (grad,)), outputs=1)[0]
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -505,22 +568,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
     GELU is the smooth tanh form; smoothness keeps finite differences honest.
     The node keeps ``x`` and the pre-activation ``h`` only; its backward
-    recomputes the tanh and the GELU output with the forward's own steps, bit
-    for bit.  The skip is the first parent, as in ``matmul``.
+    recomputes the GELU output with the forward's own steps, bit for bit, and
+    in the same pass over row blocks multiplies the hidden gradient by GELU's
+    slope in place.  The skip is the first parent, as in ``matmul``.
     """
     h = _affine(x.data, w1.data, b1)
-    out = _node(_affine(_gelu(h)[0], w2.data, b2, residual),
+    out = _node(_affine(_gelu(h), w2.data, b2, residual),
                 tuple(t for t in (residual, x, w1, b1, w2, b2) if t is not None))
     if out.requires_grad:
         def _bw(g):
-            y, t = _gelu(h)
+            g_h = np.matmul(g, np.swapaxes(w2.data, -1, -2))   # the share of gelu(h) ...
+            y = _gelu(h, g_h)                                  # ... now the share of h
             _affine_grads(g, Tensor(y), w2, b2, residual)
-            del y   # before the slope's hidden-sized temporaries, to lower the peak
-            # d gelu / dh: 0.5 h (1 - t^2) d inner / dh + 0.5 (1 + t)
-            slope = (1.0 - t * t) * h * 0.5 * ((h * (3.0 * _GELU_COEF) * h + 1.0)
-                                                * _SQRT_2_OVER_PI) + (t + 1.0) * 0.5
-            slope *= np.matmul(g, np.swapaxes(w2.data, -1, -2))   # now the share of h
-            _affine_grads(slope, x, w1, b1)
+            del y
+            _affine_grads(g_h, x, w1, b1)
         out._backward = _bw
     return out
 
@@ -555,16 +616,33 @@ def _row_sums(a: Array, weights: Array) -> Array:
     return (a.reshape(-1, weights.shape[0]) @ weights).reshape(a.shape[:-1] + (-1,))
 
 
+def _head_rows(x: Array, heads: int) -> Array:
+    """(..., S, D) -> (..., S, H, D/H); a view of a row-major ``x``."""
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
+
+
 def _heads(x: Array, heads: int) -> Array:
     """(..., S, D) -> (..., H, S, D/H); a view of a row-major ``x``."""
-    *lead, s, d = x.shape
-    return x.reshape(*lead, s, heads, d // heads).swapaxes(-3, -2)
+    return _head_rows(x, heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x: Array) -> Array:
     """(..., H, S, d) -> (..., S, H*d)."""
     *lead, h, s, d = x.shape
     return x.swapaxes(-3, -2).reshape(*lead, s, h * d)
+
+
+def _times_heads(x: Array, c: Array, heads: int) -> Array:
+    """``_merge_heads(_heads(x) * c)`` for one factor per head and row, c (..., H, S, 1),
+    multiplied in the (..., S, D) layout, so no head merge copies the product."""
+    product = _head_rows(x, heads) * c.swapaxes(-3, -2)
+    return product.reshape(*product.shape[:-2], -1)
+
+
+def _add_product(total: Array, a: Array, b: Array) -> tuple:
+    """``total += a * b``, a chain for ``_blockwise``."""
+    total += a * b
+    return ()
 
 
 def _groups(x: Array, grid: tuple[int, int], temporal: bool) -> Array:
@@ -586,6 +664,12 @@ def _key_max(x: Array) -> Array:
     return x
 
 
+def _matrices(a: Array) -> Array:
+    """(..., m, n) -> (N, m, n): a view of a dense array's matrices in memory order."""
+    lead = sorted(range(a.ndim - 2), key=lambda axis: -a.strides[axis])
+    return a.transpose(*lead, -2, -1).reshape(-1, *a.shape[-2:], copy=False)
+
+
 def _attend(q: Array, k: Array, v: Array, scale: Array) -> tuple[Array, Array]:
     """Key-by-query probabilities P = softmax over keys of ``k q^T * scale``, (..., Sk, Sq),
     summed over keys by a ones vector, and ``P^T v``, with BLAS reading P^T transposed."""
@@ -598,15 +682,27 @@ def _attend(q: Array, k: Array, v: Array, scale: Array) -> tuple[Array, Array]:
     return probs, np.matmul(probs.swapaxes(-1, -2), v)
 
 
-def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array,
-                     scale: Array) -> tuple[Array, Array, Array]:
+def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array, scale: Array,
+                     out: Sequence[Array | None] = (None, None, None)) -> tuple[Array, ...]:
     """Gradients of ``_attend``'s output for q, k and v, all key by query: dP = v g^T,
-    dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and dv = P g."""
-    dp, ones = np.matmul(v, g.swapaxes(-1, -2)), np.ones(probs.shape[-2], probs.dtype)
-    ds = (dp - np.matmul(ones, probs * dp)[..., None, :]) * probs * scale
+    dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and dv = P g; each is
+    written into its array of ``out`` if one is given there."""
+    ones = np.ones(probs.shape[-2], probs.dtype)
+    if probs.size <= BLOCK_VALUES:   # fresh arrays: in-place steps cost more on small strided ones
+        dp = np.matmul(v, g.swapaxes(-1, -2))
+        ds = (dp - np.matmul(ones, probs * dp)[..., None, :]) * probs * scale
+    else:   # dS in place in dP, laid out as P, over blocks of whole matrices
+        ds = np.matmul(v, g.swapaxes(-1, -2), out=np.empty_like(probs))
+        p_mats, s_mats = _matrices(probs), _matrices(ds)
+        step, starts = _block_starts(len(p_mats), probs.shape[-2] * probs.shape[-1])
+        for p, s in ((p_mats[lo:lo + step], s_mats[lo:lo + step]) for lo in starts):
+            s -= np.matmul(ones, p * s)[..., None, :]
+            s *= p
+            s *= scale
     # One query row: dk and dv are outer products, as broadcast multiplies (same bits).
     outer = np.multiply if q.shape[-2] == 1 else np.matmul
-    return np.matmul(ds.swapaxes(-1, -2), k), outer(ds, q), outer(probs, g)
+    return (np.matmul(ds.swapaxes(-1, -2), k, out=out[0]), outer(ds, q, out=out[1]),
+            outer(probs, g, out=out[2]))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -639,22 +735,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     out = _node(data, (q, k, v))
     if out.requires_grad:
         def _bw(g):
+            # The products are written into each gradient's (..., S, D) layout, so no head
+            # merge or group placement copies them.
             gh = _heads(g, heads)
             if grid is None:
-                grads = [_merge_heads(d) for d in _attend_backward(gh, probs, qh, kh, vh, scale)]
+                grads = [np.empty(g.shape[:-2] + t.shape[-2:], g.dtype) for t in (q, k, v)]
+                _attend_backward(gh, probs, qh, kh, vh, scale,
+                                 out=[_heads(grad, heads) for grad in grads])
             else:
-                dq_cls, *dkv_cls = _attend_backward(gh[..., :1, :], probs_cls, qh[..., :1, :],
-                                                    kh, vh, scale)
-                dq_body, *dkv_body = _attend_backward(
-                    _groups(gh, grid, temporal), probs,
-                    *(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale)
                 grads = [np.empty(g.shape, g.dtype) for _ in range(3)]
                 dq_h, dk_h, dv_h = (_heads(grad, heads) for grad in grads)
-                dq_h[..., :1, :] = dq_cls
-                _groups(dq_h, grid, temporal)[...] = dq_body
-                for grad_h, d_cls, d_body in zip((dk_h, dv_h), dkv_cls, dkv_body):
-                    grad_h[...] = d_cls    # row 0 reads every key and value
-                    _groups(grad_h, grid, temporal)[...] += d_body
+                _attend_backward(_groups(gh, grid, temporal), probs,
+                                 *(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale,
+                                 out=[_groups(x, grid, temporal) for x in (dq_h, dk_h, dv_h)])
+                _, *dkv_cls = _attend_backward(gh[..., :1, :], probs_cls, qh[..., :1, :], kh, vh,
+                                               scale, out=(dq_h[..., :1, :], None, None))
+                for grad_h, d_cls in zip((dk_h, dv_h), dkv_cls):   # row 0 reads every row
+                    grad_h[..., :1, :] = d_cls[..., :1, :]
+                    grad_h[..., 1:, :] += d_cls[..., 1:, :]
             for t, grad in zip((q, k, v), grads):
                 if t.requires_grad:
                     t._accumulate(_unbroadcast(grad, t.data.shape))
@@ -674,7 +772,7 @@ def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Te
     """
     floor_sq = floor ** 2
     ones = np.ones(q.shape[-1] // heads, q.dtype)
-    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    qh, kh = _heads(q.data, heads), _heads(k.data, heads)
 
     def norm(x):
         sq = _heads(_row_sums(x * x, ones), heads)      # (..., H, S, 1)
@@ -686,20 +784,24 @@ def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Te
     dots = np.matmul(qh, kh.swapaxes(-1, -2))            # (..., H, m, L)
     denom = qn * kn_row
     weight = _row_sums(dots / denom, np.ones(dots.shape[-1], q.dtype))   # (..., H, m, 1)
-    out = _node(_merge_heads(vh * weight), (q, k, v))
+    out = _node(_times_heads(v.data, weight, heads), (q, k, v))
     if out.requires_grad:
         def _bw(g):
-            gh = _heads(g, heads)
             g_cos = _heads(_row_sums(g * v.data, ones), heads)  # broadcast over the L keys
             g_dots = g_cos / denom
             g_denom = -g_cos * dots / (denom * denom)
-            dq = _unbroadcast(np.matmul(g_dots, kh), qh.shape)
-            dq += qh * (_unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live)
+            # dq = g_dots k + q * scale, in (..., m, D) layout: no head merge copies it
+            dq = np.empty(g_dots.shape[:-3] + q.shape[-2:], q.dtype)
+            np.matmul(g_dots, kh, out=_heads(dq, heads))
+            dq = _unbroadcast(dq, q.shape)
+            q_scale = _unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live   # (..., H, m, 1)
+            _blockwise(_add_product, _head_rows(dq, heads), _head_rows(q.data, heads),
+                       q_scale.swapaxes(-3, -2))
             dk = _unbroadcast(np.matmul(qh.swapaxes(-1, -2), g_dots).swapaxes(-1, -2), kh.shape)
             dk += kh * (_unbroadcast(g_denom * qn, kn_row.shape).swapaxes(-1, -2) / kn * k_live)
-            for t, grad in zip((q, k, v), (dq, dk, gh * weight)):
+            for t, grad in zip((q, k, v), (dq, _merge_heads(dk), _times_heads(g, weight, heads))):
                 if t.requires_grad:
-                    t._accumulate(_unbroadcast(_merge_heads(grad), t.data.shape))
+                    t._accumulate(_unbroadcast(grad, t.data.shape))
         out._backward = _bw
     return out
 
@@ -735,32 +837,56 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     Row means are matrix-vector products against a ``1/D`` vector, and the
     gain and bias gradients sum the rows with a ones vector: one BLAS call
-    each instead of a strided reduction per row.
+    each instead of a strided reduction per row.  Those products take the
+    whole array, since a product over fewer rows may round differently; the
+    elementwise steps between them run in place over row blocks.
     """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last axis")
     mean_of = np.full(d, 1.0 / d, dtype=x.data.dtype)
     mean = _row_sums(x.data, mean_of)
-    xc = x.data - mean
+    xc = np.subtract(x.data, mean, order="C")
     inv = 1.0 / np.sqrt(_row_sums(xc * xc, mean_of) + eps)
-    out = _node(xc * inv * gain.data + bias.data, (x, gain, bias))
+
+    def affine(y, inv):           # xc * inv * gain + bias, in place in xc
+        y *= inv
+        y *= gain.data
+        y += bias.data
+        return ()
+
+    _blockwise(affine, xc, inv)
+    out = _node(xc, (x, gain, bias))
     if out.requires_grad:
-        def _bw(g):
-            xhat = (x.data - mean) * inv   # recomputed: the node keeps row statistics only
-            rows = g.reshape(-1, d)
-            ones = np.ones(rows.shape[0], dtype=rows.dtype)
+        def normalized(xhat, g_xhat, g_x, g_x_xhat, xb, mb, ib, gb):
+            # x-hat (recomputed: the node keeps row statistics only), g x-hat,
+            # g gain and g gain x-hat
+            xhat = np.subtract(xb, mb, out=xhat)
+            xhat *= ib
             if gain.requires_grad:
-                gain._accumulate_product(ones, (g * xhat).reshape(-1, d))
-            if bias.requires_grad:
-                bias._accumulate_product(ones, rows)
+                g_xhat = np.multiply(gb, xhat, out=g_xhat)
             if x.requires_grad:
-                gx_hat = g * gain.data
-                term = gx_hat - _row_sums(gx_hat, mean_of)
-                gx_hat *= xhat
-                term -= xhat * _row_sums(gx_hat, mean_of)
-                term *= inv
-                x._accumulate(term)
+                g_x = np.multiply(gb, gain.data, out=g_x)
+                g_x_xhat = np.multiply(g_x, xhat, out=g_x_xhat)
+            return xhat, g_xhat, g_x, g_x_xhat
+
+        def term(t, sum1, sum2, xhat, ib):   # (g_x - sum1 - xhat sum2) inv, in place in g_x
+            t -= sum1
+            t -= xhat * sum2
+            t *= ib
+            return ()
+
+        def _bw(g):
+            xhat, g_xhat, g_x, g_x_xhat = _blockwise(normalized, x.data, mean, inv, g, outputs=4)
+            ones = np.ones(g.size // d, dtype=g.dtype)
+            if gain.requires_grad:
+                gain._accumulate_product(ones, g_xhat.reshape(-1, d))
+            if bias.requires_grad:
+                bias._accumulate_product(ones, g.reshape(-1, d))
+            if x.requires_grad:
+                _blockwise(term, g_x, _row_sums(g_x, mean_of), _row_sums(g_x_xhat, mean_of),
+                           xhat, inv)
+                x._accumulate(g_x)
         out._backward = _bw
     return out
 

@@ -45,17 +45,13 @@ def episode_noise_seed(cfg_seed: int, episode_seed: int, step: int) -> int:
     return derive_seed(cfg_seed ^ episode_seed, step)
 
 
-# Values per pass of the fused update, which makes 16 ufunc calls a pass: at
-# 2^15 their fixed cost showed at bench geometry (a 17 ms update took 21 ms).
-UPDATE_CHUNK = 1 << 16
-
-
 class AdamW:
     """Adam with decoupled weight decay on the raw parameters.
 
     The parameters are views of one buffer (``nn.param_buffer``) that a step
-    updates in place between tapes, in chunks over each run of tensors with a
-    grad and in the per-tensor rule's elementwise order; moments and grads
+    updates in place between tapes, in chunks of ``tensor.BLOCK_VALUES`` values
+    (the row blocks the fused ops' chains run over) over each run of tensors
+    with a grad and in the per-tensor rule's elementwise order; moments and grads
     are vectors laid out alike, and ``backward`` writes ``p.grad`` into its
     ``grad_slot`` there.  A tensor without a grad keeps its data and moments.
     A step raises ``ValueError``, naming the parameter, if one's data is no
@@ -98,10 +94,11 @@ class AdamW:
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         b1, b2, decay = self.beta1, self.beta2, lr * self.weight_decay
-        work = np.empty((2, min(self.data.size, UPDATE_CHUNK)), self.data.dtype)
+        chunk = T.BLOCK_VALUES
+        work = np.empty((2, min(self.data.size, chunk)), self.data.dtype)
         for start, stop in runs:
-            for lo in range(start, stop, UPDATE_CHUNK):
-                hi = min(lo + UPDATE_CHUNK, stop)
+            for lo in range(start, stop, chunk):
+                hi = min(lo + chunk, stop)
                 p, m, v, g = self.data[lo:hi], self.m[lo:hi], self.v[lo:hi], self.grads[lo:hi]
                 s, u = work[0, :hi - lo], work[1, :hi - lo]
                 # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)

@@ -275,20 +275,22 @@ def peak_rss_mb() -> float:
 
 
 def traced(op) -> None:
-    """Runs train step ``op`` under tracemalloc; prints the MB at and in backward and at AdamW."""
+    """Runs train step ``op`` under tracemalloc, started with the step, so it sees only the
+    step's own allocations: prints the MB of them live when backward starts, their peak
+    inside backward, and the MB of them live when AdamW.step starts."""
     from glimpse.tensor import Tensor
     from glimpse.train import AdamW
 
     originals, mb = (Tensor.backward, AdamW.step), {}
 
     def backward(*args, **kwargs):
-        mb["live at backward"] = tracemalloc.get_traced_memory()[0] / 1e6
+        mb["step allocations live at backward"] = tracemalloc.get_traced_memory()[0] / 1e6
         tracemalloc.reset_peak()
         originals[0](*args, **kwargs)
-        mb["peak inside backward"] = tracemalloc.get_traced_memory()[1] / 1e6
+        mb["step allocations at peak inside backward"] = tracemalloc.get_traced_memory()[1] / 1e6
 
     def step(*args, **kwargs):
-        mb["live at AdamW.step"] = tracemalloc.get_traced_memory()[0] / 1e6
+        mb["step allocations live at AdamW.step"] = tracemalloc.get_traced_memory()[0] / 1e6
         originals[1](*args, **kwargs)
 
     Tensor.backward, AdamW.step = backward, step
@@ -332,7 +334,10 @@ def memory_child(name: str) -> None:
 def memory_mode() -> int:
     """Time, faults and memory of single workloads: desk-eval, bench-train (and one step under
     tracemalloc) and bench-eval (8 episodes), each in its own child, because ``ru_maxrss`` is
-    per process and one workload's heap changes the next one's faults."""
+    per process and one workload's heap changes the next one's faults.  Tracing starts with
+    the traced step, so its readings count only what the step allocates: not the parameters,
+    gradients and moments made at set-up (about 96 MB at bench geometry), and, at AdamW.step,
+    none of the tape, which backward has freed by then."""
     for name in MEMORY_OPS:
         subprocess.run([sys.executable, HERE, "--child", "memory", name], check=True)
     return 0

@@ -291,6 +291,18 @@ class TestDatasetIO:
         assert eps[0].frames.tobytes() == first[0] and calls == [eps.seeds[0]]  # evicted
         assert list(eps._cache) == [5, 0]
 
+    def test_slices_are_lists_of_the_episodes_they_select(self, tmp_path):
+        save_dataset(tmp_path, base_seed=3, count=5, n_frames=N_FRAMES,
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
+        _, _, eps = load_dataset(tmp_path)
+        for key, picks in ((slice(1, 3), [1, 2]), (slice(-1, 0, -2), [4, 2]),
+                           (slice(None, None, -1), [4, 3, 2, 1, 0]), (slice(-2, 9), [3, 4]),
+                           (slice(3, 1), [])):
+            got = eps[key]
+            assert isinstance(got, list) and len(got) == len(picks), key
+            for ep, i in zip(got, picks):
+                assert ep.seed == eps.seeds[i] and ep.frames.tobytes() == eps[i].frames.tobytes()
+
 
 def _forbid_frames(monkeypatch) -> list:
     """Record every frame draw and fail it; returns the record."""

@@ -66,7 +66,7 @@ def tensors(dtype, seed=0):
 
 @pytest.mark.parametrize("dtype", [F32, F64], ids=["float32", "float64"])
 def test_fused_update_matches_the_per_tensor_rule_bit_for_bit(dtype, monkeypatch):
-    monkeypatch.setattr(gtrain, "UPDATE_CHUNK", 64)
+    monkeypatch.setattr(T, "BLOCK_VALUES", 64)
     fused, ref = tensors(dtype), tensors(dtype)
     opt = AdamW(fused, weight_decay=0.05)
     want = ReferenceAdamW(ref, weight_decay=0.05)
@@ -122,7 +122,7 @@ def test_ufunc_calls_follow_chunks_not_tensors(monkeypatch):
         return Counting.calls
 
     monkeypatch.setattr(gtrain, "np", Counting())
-    monkeypatch.setattr(gtrain, "UPDATE_CHUNK", 256)
+    monkeypatch.setattr(T, "BLOCK_VALUES", 256)
     assert calls([(2,)] * 100) == calls([(200,)]) > 0
     assert calls([(2,)] * 200) == calls([(400,)]) == 2 * calls([(200,)])
 

@@ -694,6 +694,59 @@ class TestMlp:
         assert report.passed, report.max_rel_error
 
 
+SMALL_BLOCK = 40   # values; at the shapes below every blocked chain ends in a ragged block
+
+# op, its input shapes and further arguments: LayerNorm rows of 8 go 5 to a block
+# (21 rows), GELU rows of 16 go 2 (21 rows), the gate's head rows of 4 go 10 (42
+# rows), and attention's key-by-query matrices of 12 values go 3 (10 matrices), of
+# 4 values 10 (18 matrices) and its CLS column of 7 values 5 (6 columns).
+BLOCKED_OPS = [
+    ("layer_norm", [(3, 7, 8), (8,), (8,)], {}),
+    ("mlp", [(3, 7, 8), (8, 16), (16,), (16, 8), (8,), (3, 7, 8)], {}),
+    ("cosine_gate", [(3, 7, 8), (3, 2, 8), (3, 7, 8)], dict(heads=2, floor=1e-8)),
+    ("attention", [(5, 4, 6), (5, 3, 6), (5, 3, 6)], dict(heads=2)),
+    ("attention", [(3, 7, 8)] * 3, dict(heads=2, grid=(3, 2), temporal=False)),
+    ("attention", [(3, 7, 8)] * 3, dict(heads=2, grid=(2, 3), temporal=True)),
+]
+
+
+class TestRowBlocks:
+    """The fused ops run their elementwise chains over row blocks of
+    ``T.BLOCK_VALUES`` values.  Gradcheck's tiny shapes fit one block, so
+    these tests patch the block down to a few rows."""
+
+    @staticmethod
+    def inputs(shapes, dtype, seed=50):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                for shape in shapes]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name, shapes, kwargs", BLOCKED_OPS)
+    def test_block_size_changes_no_bit(self, name, shapes, kwargs, dtype, monkeypatch):
+        results = []
+        for block in (T.BLOCK_VALUES, SMALL_BLOCK):
+            monkeypatch.setattr(T, "BLOCK_VALUES", block)
+            tensors = self.inputs(shapes, dtype)
+            out = getattr(T, name)(*tensors, **kwargs)
+            w = Tensor(np.random.default_rng(51).normal(size=out.shape).astype(dtype))
+            T.tsum(out * w).backward()
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("name, shapes, kwargs", BLOCKED_OPS)
+    def test_gradients_pass_oracle_in_small_blocks(self, name, shapes, kwargs, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_VALUES", SMALL_BLOCK)
+        tensors = self.inputs(shapes, np.float64)
+        if name == "mlp":    # a GELU away from its linear part
+            for t in tensors[1:5]:
+                t.data *= 0.5
+        out_shape = getattr(T, name)(*tensors, **kwargs).shape
+        w = Tensor(np.random.default_rng(52).normal(size=out_shape))
+        report = grad_check(lambda: T.tsum(getattr(T, name)(*tensors, **kwargs) * w), tensors)
+        assert report.passed, report.max_rel_error
+
+
 class TestGraphSemantics:
     def test_diamond_accumulation(self):
         # A leaf feeding two branches receives the sum of both gradients.
@@ -837,5 +890,32 @@ def test_import_keeps_freed_arrays_in_the_heap():
     # pass); kept in the heap, the later passes fault less than one array.
     env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", _HEAP_PASSES], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert int(done.stdout) < 1024
+
+
+# Six passes that each hold 96 MiB in 4 MiB float32 arrays and free them newest
+# first, as backward frees a tape; prints the minor faults of passes 2-6.
+_TAPE_PASSES = """
+import resource
+import numpy as np
+import glimpse.tensor
+
+faults = []
+for _ in range(6):
+    tape = [np.full(1 << 20, 1.0, np.float32) for _ in range(24)]
+    while tape:
+        tape.pop()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(faults[-1] - faults[0])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_a_tape_freed_from_the_top_of_the_heap_stays_in_it():
+    # Trimmed once 64 MiB of the heap's top is free, each pass would fault
+    # in about 16k pages again; kept, the later passes fault less than one array.
+    env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _TAPE_PASSES], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert int(done.stdout) < 1024
