@@ -667,7 +667,10 @@ def _key_max(x: Array) -> Array:
 def _matrices(a: Array) -> Array:
     """(..., m, n) -> (N, m, n): a view of a dense array's matrices in memory order."""
     lead = sorted(range(a.ndim - 2), key=lambda axis: -a.strides[axis])
-    return a.transpose(*lead, -2, -1).reshape(-1, *a.shape[-2:], copy=False)
+    ordered = a.transpose(*lead, -2, -1)
+    if not ordered.flags.c_contiguous:   # a reshape would copy, and writes to it would be lost
+        raise ValueError("_matrices needs a dense array")
+    return ordered.reshape(-1, *a.shape[-2:])
 
 
 def _attend(q: Array, k: Array, v: Array, scale: Array) -> tuple[Array, Array]:
