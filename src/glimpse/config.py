@@ -139,8 +139,11 @@ GRADCHECK_OVERRIDES = dict(n_frames=6, k_select=2, depth=1, dim=16, heads=2, n_g
 
 
 def derive_seed(*keys: int) -> int:
-    """Deterministic, well-mixed child seed from integer keys."""
-    ss = np.random.SeedSequence([abs(int(k)) for k in keys])
+    """Deterministic, well-mixed child seed from non-negative integer keys; a negative
+    key raises ``ValueError`` rather than share a stream with its absolute value."""
+    if min(keys, default=0) < 0:
+        raise ValueError(f"derive_seed keys must be non-negative, got {min(keys)} in {keys}")
+    ss = np.random.SeedSequence([int(k) for k in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -327,12 +327,18 @@ def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
     return index
 
 
-def _require_keys(value, keys, what: str) -> None:
+def _require_keys(value, keys, what: str, counts: bool = False) -> None:
+    """Raise unless ``value`` is a JSON object with ``keys``, each holding a non-negative
+    int if ``counts`` (JSON ``true`` is not one)."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
     missing = [key for key in keys if key not in value]
     if missing:
         raise ValueError(f"{what} lacks {missing}")
+    for key in keys if counts else ():
+        if type(value[key]) is not int or value[key] < 0:
+            raise ValueError(f"{what}: {key} must be a non-negative integer, "
+                             f"not {json.dumps(value[key])}")
 
 
 def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
@@ -341,16 +347,18 @@ def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
     Each episode's header draws are replayed and checked against its index
     entry, so a stale index (an answer or event frame that its seed no
     longer gives) raises ``ValueError`` here, before any frame is generated,
-    and so does an index that lacks a key this function reads.  The episodes
-    come back as an ``EpisodeSet`` over the index's seeds.
+    and so does an index that lacks a key this function reads or holds there
+    anything but a non-negative int.  The episodes come back as an
+    ``EpisodeSet`` over the index's seeds.
     """
     directory = Path(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
     _require_keys(index, ("meta", "episodes"), "dataset index")
     meta = index["meta"]
-    _require_keys(meta, ("n_frames", "n_grid", "dim", "vocab_seed"), "dataset meta")
+    _require_keys(meta, ("n_frames", "n_grid", "dim", "vocab_seed"), "dataset meta", counts=True)
+    for i, entry in enumerate(index["episodes"]):
+        _require_keys(entry, ("episode_id", "seed"), f"dataset episode entry {i}", counts=True)
     for entry in index["episodes"]:
-        _require_keys(entry, ("episode_id", "seed"), "dataset episode entry")
         if _index_entry(entry["episode_id"], entry["seed"], meta["n_frames"]) != entry:
             raise ValueError(f"episode {entry['episode_id']} regenerated differently "
                              "from its index entry; the index is stale")

@@ -16,11 +16,12 @@ GELU ``mlp``, and the two token-mixing ops every block calls between its
 projections, multi-head ``attention`` (plain, or grouped as divided
 space-time attention) and the language-aware ``cosine_gate``; ``attention``
 holds its probabilities key by query, so it reduces over keys in whole rows.
-Their elementwise chains run in place over row blocks of at most
-``BLOCK_VALUES`` values, so the few arrays a chain touches stay in a core's L2
-cache from one step to the next; each element sees the ops it would see over
-the whole array, and every product and every row sum keeps its shape, so the
-bits do not depend on the block size.
+One loop, ``_blockwise``, cuts their elementwise chains, attention's dS and
+AdamW's update into blocks of at most ``BLOCK_VALUES`` values (but at least one
+row, matrix or value), so the few arrays a chain touches stay in a core's L2
+cache from one step to the next; each element sees the ops it would see over the
+whole array, and every product and every row sum keeps its shape, so the bits
+do not depend on the block size.
 
 Forward ops record a tape: each output keeps links to its parents and a
 backward closure ``_backward(g)`` that receives the output's gradient ``g``
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import platform
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -63,10 +65,10 @@ _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU form
 _GELU_COEF = 0.044715
 FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
-# Values in one row block of a fused op's elementwise chain, and in one chunk of
-# AdamW's update: 2^16 float32 values are 256 KB, so the three to six arrays a
-# chain touches at once fit a 2 MB per-core L2.  At 2^15 the update's fixed
-# cost per ufunc call showed at bench geometry (a 17 ms update took 21 ms).
+# Values in one block of ``_blockwise``: 2^16 float32 values are 256 KB, so the
+# three to six arrays a chain touches at once fit a 2 MB per-core L2.  At 2^15
+# the fixed cost per ufunc call of AdamW's update showed at bench geometry (a
+# 17 ms update took 21 ms).
 BLOCK_VALUES = 1 << 16
 
 
@@ -500,35 +502,23 @@ def matmul_each(a: Tensor, tables: Sequence[Array]) -> Tensor:
     return out
 
 
-def _block_starts(rows: int, width: int) -> tuple[int, range]:
-    """Rows per block, ``BLOCK_VALUES // width`` but at least one, and each block's first row."""
-    step = max(1, BLOCK_VALUES // width)
-    return step, range(0, rows, step)
+def _blockwise(chain: Callable[..., None], *arrays: Array) -> None:
+    """Run ``chain`` over blocks of ``arrays``, which share the length of their leading
+    axis: the one loop that cuts arrays into blocks.  A block holds at most
+    ``BLOCK_VALUES`` values of the first array, but at least one entry of its leading
+    axis.  ``chain`` works in place, so each array it writes is one its caller made or a
+    view of one: rows from ``_rows``, matrices from ``_matrices``, a run of a vector."""
+    n = len(arrays[0])
+    step = BLOCK_VALUES * n // (arrays[0].size or 1) or 1   # entries per block
+    for lo in range(0, n, step):
+        chain(*map(operator.itemgetter(slice(lo, lo + step)), arrays))
 
 
-def _blockwise(chain: Callable[..., Sequence[Array]], *arrays: Array,
-               outputs: int = 0) -> Sequence[Array]:
-    """Run ``chain`` over row blocks of ``arrays``, which share their leading axes,
-    and return its outputs.
-
-    A row is an array's last axis; a block holds at most ``BLOCK_VALUES`` values
-    of the first array.  ``chain`` takes ``outputs`` arrays to fill, then the
-    arrays' blocks, and returns the filled ones; the arrays it changes in place
-    must be C-contiguous.  When one block holds the first array, ``chain`` runs
-    once on the arrays themselves with None for each output and makes the
-    outputs itself; otherwise they are made here, shaped like the first array,
-    and filled block by block.
-    """
-    first = arrays[0]
-    if first.size <= BLOCK_VALUES:
-        return chain(*(None,) * outputs, *arrays)
-    step, starts = _block_starts(first.size // first.shape[-1], first.shape[-1])
-    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
-    outs = [np.empty(first.shape, first.dtype) for _ in range(outputs)]
-    out_rows = [o.reshape(rows[0].shape) for o in outs]
-    for lo in starts:
-        chain(*(a[lo:lo + step] for a in out_rows + rows))
-    return outs
+def _rows(a: Array) -> Array:
+    """(..., n) -> (N, n): a view of a row-major array's rows."""
+    if not a.flags.c_contiguous:   # a reshape could copy, and writes to it would be lost
+        raise ValueError("_rows needs a row-major array")
+    return a.reshape(-1, a.shape[-1])
 
 
 def _gelu(h: Array, grad: Array | None = None) -> Array:
@@ -552,14 +542,15 @@ def _gelu(h: Array, grad: Array | None = None) -> Array:
             b += 1.0
             b *= _SQRT_2_OVER_PI
             a *= b
-        y = np.add(t, 1.0, out=y)
+        np.add(t, 1.0, out=y)
         if g is not None:
             a += np.multiply(y, 0.5, out=b)
             g *= a
         y *= h
         y *= 0.5
-        return (y,)
-    return _blockwise(chain, h, *(() if grad is None else (grad,)), outputs=1)[0]
+    y = np.empty_like(h)
+    _blockwise(chain, *map(_rows, (y, h) if grad is None else (y, h, grad)))
+    return y
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -618,7 +609,7 @@ def _row_sums(a: Array, weights: Array) -> Array:
 
 def _head_rows(x: Array, heads: int) -> Array:
     """(..., S, D) -> (..., S, H, D/H); a view of a row-major ``x``."""
-    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
 
 
 def _heads(x: Array, heads: int) -> Array:
@@ -626,23 +617,16 @@ def _heads(x: Array, heads: int) -> Array:
     return _head_rows(x, heads).swapaxes(-3, -2)
 
 
-def _merge_heads(x: Array) -> Array:
-    """(..., H, S, d) -> (..., S, H*d)."""
-    *lead, h, s, d = x.shape
-    return x.swapaxes(-3, -2).reshape(*lead, s, h * d)
-
-
 def _times_heads(x: Array, c: Array, heads: int) -> Array:
-    """``_merge_heads(_heads(x) * c)`` for one factor per head and row, c (..., H, S, 1),
-    multiplied in the (..., S, D) layout, so no head merge copies the product."""
+    """``_heads(x) * c`` for one factor per head and row, c (..., H, S, 1), multiplied
+    and returned in the (..., S, D) layout, so no head merge copies the product."""
     product = _head_rows(x, heads) * c.swapaxes(-3, -2)
     return product.reshape(*product.shape[:-2], -1)
 
 
-def _add_product(total: Array, a: Array, b: Array) -> tuple:
+def _add_product(total: Array, a: Array, b: Array) -> None:
     """``total += a * b``, a chain for ``_blockwise``."""
     total += a * b
-    return ()
 
 
 def _groups(x: Array, grid: tuple[int, int], temporal: bool) -> Array:
@@ -666,23 +650,26 @@ def _key_max(x: Array) -> Array:
 
 def _matrices(a: Array) -> Array:
     """(..., m, n) -> (N, m, n): a view of a dense array's matrices in memory order."""
-    lead = sorted(range(a.ndim - 2), key=lambda axis: -a.strides[axis])
-    ordered = a.transpose(*lead, -2, -1)
-    if not ordered.flags.c_contiguous:   # a reshape would copy, and writes to it would be lost
-        raise ValueError("_matrices needs a dense array")
-    return ordered.reshape(-1, *a.shape[-2:])
+    if not a.flags.c_contiguous:   # leading axes in memory order
+        a = a.transpose(*sorted(range(a.ndim - 2), key=a.strides.__getitem__, reverse=True),
+                        -2, -1)
+        if not a.flags.c_contiguous:   # a reshape would copy, and writes to it would be lost
+            raise ValueError("_matrices needs a dense array")
+    return a.reshape(-1, *a.shape[-2:])
 
 
-def _attend(q: Array, k: Array, v: Array, scale: Array) -> tuple[Array, Array]:
+def _attend(q: Array, k: Array, v: Array, scale: Array,
+            out: Array | None = None) -> tuple[Array, Array]:
     """Key-by-query probabilities P = softmax over keys of ``k q^T * scale``, (..., Sk, Sq),
-    summed over keys by a ones vector, and ``P^T v``, with BLAS reading P^T transposed."""
-    probs = np.matmul(k, q.swapaxes(-1, -2)) * scale
+    summed over keys by a ones vector, and ``P^T v`` (into ``out``), BLAS reading P^T."""
+    probs = np.matmul(k, q.swapaxes(-1, -2))
+    probs *= scale
     if not np.isfinite(probs).all():
         raise ValueError("non-finite logits")
     probs -= _key_max(probs)
     np.exp(probs, out=probs)
     probs /= np.matmul(np.ones(probs.shape[-2], probs.dtype), probs)[..., None, :]
-    return probs, np.matmul(probs.swapaxes(-1, -2), v)
+    return probs, np.matmul(probs.swapaxes(-1, -2), v, out=out)
 
 
 def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array, scale: Array,
@@ -691,17 +678,14 @@ def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array, scale
     dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and dv = P g; each is
     written into its array of ``out`` if one is given there."""
     ones = np.ones(probs.shape[-2], probs.dtype)
-    if probs.size <= BLOCK_VALUES:   # fresh arrays: in-place steps cost more on small strided ones
-        dp = np.matmul(v, g.swapaxes(-1, -2))
-        ds = (dp - np.matmul(ones, probs * dp)[..., None, :]) * probs * scale
-    else:   # dS in place in dP, laid out as P, over blocks of whole matrices
-        ds = np.matmul(v, g.swapaxes(-1, -2), out=np.empty_like(probs))
-        p_mats, s_mats = _matrices(probs), _matrices(ds)
-        step, starts = _block_starts(len(p_mats), probs.shape[-2] * probs.shape[-1])
-        for p, s in ((p_mats[lo:lo + step], s_mats[lo:lo + step]) for lo in starts):
-            s -= np.matmul(ones, p * s)[..., None, :]
-            s *= p
-            s *= scale
+
+    def softmax_rule(s, p):   # dS in place in dP
+        s -= np.matmul(ones, p * s)[..., None, :]
+        s *= p
+        s *= scale
+
+    ds = np.matmul(v, g.swapaxes(-1, -2), out=np.empty_like(probs))
+    _blockwise(softmax_rule, _matrices(ds), _matrices(probs))
     # One query row: dk and dv are outer products, as broadcast multiplies (same bits).
     outer = np.multiply if q.shape[-2] == 1 else np.matmul
     return (np.matmul(ds.swapaxes(-1, -2), k, out=out[0]), outer(ds, q, out=out[1]),
@@ -725,16 +709,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """
     scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    # Each P^T v goes into its heads or group view: no head merge or placement copies it.
+    data = np.empty(np.broadcast(*(t.data[..., 0, 0] for t in (q, k, v))).shape
+                    + q.shape[-2:], q.dtype)
+    out_h = _heads(data, heads)
     if grid is None:
-        probs, out_h = _attend(qh, kh, vh, scale)
-        data = _merge_heads(out_h)
+        probs, _ = _attend(qh, kh, vh, scale, out_h)
     else:
-        probs_cls, out_cls = _attend(qh[..., :1, :], kh, vh, scale)
-        probs, out_body = _attend(*(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale)
-        data = np.empty(out_cls.shape[:-3] + q.shape[-2:], q.dtype)
-        out_h = _heads(data, heads)
-        out_h[..., :1, :] = out_cls
-        _groups(out_h, grid, temporal)[...] = out_body
+        probs_cls, _ = _attend(qh[..., :1, :], kh, vh, scale, out_h[..., :1, :])
+        probs, _ = _attend(*(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale,
+                           _groups(out_h, grid, temporal))
     out = _node(data, (q, k, v))
     if out.requires_grad:
         def _bw(g):
@@ -793,16 +777,19 @@ def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Te
             g_cos = _heads(_row_sums(g * v.data, ones), heads)  # broadcast over the L keys
             g_dots = g_cos / denom
             g_denom = -g_cos * dots / (denom * denom)
-            # dq = g_dots k + q * scale, in (..., m, D) layout: no head merge copies it
-            dq = np.empty(g_dots.shape[:-3] + q.shape[-2:], q.dtype)
+            # dq = g_dots k + q * scale and dk = g_dots^T q + k * scale, each made in the
+            # (..., S, D) layout of its input, so no head merge copies it
+            dq, dk = (np.empty(g_dots.shape[:-3] + t.shape[-2:], t.dtype) for t in (q, k))
             np.matmul(g_dots, kh, out=_heads(dq, heads))
-            dq = _unbroadcast(dq, q.shape)
+            np.matmul(g_dots.swapaxes(-1, -2), qh, out=_heads(dk, heads))
+            dq, dk = _unbroadcast(dq, q.shape), _unbroadcast(dk, k.shape)
             q_scale = _unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live   # (..., H, m, 1)
-            _blockwise(_add_product, _head_rows(dq, heads), _head_rows(q.data, heads),
-                       q_scale.swapaxes(-3, -2))
-            dk = _unbroadcast(np.matmul(qh.swapaxes(-1, -2), g_dots).swapaxes(-1, -2), kh.shape)
-            dk += kh * (_unbroadcast(g_denom * qn, kn_row.shape).swapaxes(-1, -2) / kn * k_live)
-            for t, grad in zip((q, k, v), (dq, _merge_heads(dk), _times_heads(g, weight, heads))):
+            _blockwise(_add_product, *map(_rows, (
+                _head_rows(dq, heads), _head_rows(np.ascontiguousarray(q.data), heads),
+                np.ascontiguousarray(q_scale.swapaxes(-3, -2)))))
+            dk += _times_heads(k.data, _unbroadcast(g_denom * qn, kn_row.shape).swapaxes(-1, -2)
+                               / kn * k_live, heads)
+            for t, grad in zip((q, k, v), (dq, dk, _times_heads(g, weight, heads))):
                 if t.requires_grad:
                     t._accumulate(_unbroadcast(grad, t.data.shape))
         out._backward = _bw
@@ -848,48 +835,48 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last axis")
     mean_of = np.full(d, 1.0 / d, dtype=x.data.dtype)
-    mean = _row_sums(x.data, mean_of)
-    xc = np.subtract(x.data, mean, order="C")
-    inv = 1.0 / np.sqrt(_row_sums(xc * xc, mean_of) + eps)
+    rows = x.data.reshape(-1, d)           # (N, d), only read: a copy would do
+    mean = (rows @ mean_of)[:, None]
+    xc = rows - mean
+    inv = (1.0 / np.sqrt((xc * xc) @ mean_of + eps))[:, None]
 
     def affine(y, inv):           # xc * inv * gain + bias, in place in xc
         y *= inv
         y *= gain.data
         y += bias.data
-        return ()
 
     _blockwise(affine, xc, inv)
-    out = _node(xc, (x, gain, bias))
+    out = _node(xc.reshape(x.data.shape), (x, gain, bias))
     if out.requires_grad:
         def normalized(xhat, g_xhat, g_x, g_x_xhat, xb, mb, ib, gb):
             # x-hat (recomputed: the node keeps row statistics only), g x-hat,
             # g gain and g gain x-hat
-            xhat = np.subtract(xb, mb, out=xhat)
+            np.subtract(xb, mb, out=xhat)
             xhat *= ib
             if gain.requires_grad:
-                g_xhat = np.multiply(gb, xhat, out=g_xhat)
+                np.multiply(gb, xhat, out=g_xhat)
             if x.requires_grad:
-                g_x = np.multiply(gb, gain.data, out=g_x)
-                g_x_xhat = np.multiply(g_x, xhat, out=g_x_xhat)
-            return xhat, g_xhat, g_x, g_x_xhat
+                np.multiply(gb, gain.data, out=g_x)
+                np.multiply(g_x, xhat, out=g_x_xhat)
 
         def term(t, sum1, sum2, xhat, ib):   # (g_x - sum1 - xhat sum2) inv, in place in g_x
             t -= sum1
             t -= xhat * sum2
             t *= ib
-            return ()
 
         def _bw(g):
-            xhat, g_xhat, g_x, g_x_xhat = _blockwise(normalized, x.data, mean, inv, g, outputs=4)
-            ones = np.ones(g.size // d, dtype=g.dtype)
+            g_rows = g.reshape(-1, d)
+            xhat, g_xhat, g_x, g_x_xhat = made = [np.empty(g_rows.shape, g.dtype) for _ in range(4)]
+            _blockwise(normalized, *made, x.data.reshape(-1, d), mean, inv, g_rows)
+            ones = np.ones(len(g_rows), dtype=g.dtype)
             if gain.requires_grad:
-                gain._accumulate_product(ones, g_xhat.reshape(-1, d))
+                gain._accumulate_product(ones, g_xhat)
             if bias.requires_grad:
-                bias._accumulate_product(ones, g.reshape(-1, d))
+                bias._accumulate_product(ones, g_rows)
             if x.requires_grad:
-                _blockwise(term, g_x, _row_sums(g_x, mean_of), _row_sums(g_x_xhat, mean_of),
+                _blockwise(term, g_x, (g_x @ mean_of)[:, None], (g_x_xhat @ mean_of)[:, None],
                            xhat, inv)
-                x._accumulate(g_x)
+                x._accumulate(g_x.reshape(x.data.shape))
         out._backward = _bw
     return out
 

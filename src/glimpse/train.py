@@ -49,11 +49,11 @@ class AdamW:
     """Adam with decoupled weight decay on the raw parameters.
 
     The parameters are views of one buffer (``nn.param_buffer``) that a step
-    updates in place between tapes, in chunks of ``tensor.BLOCK_VALUES`` values
-    (the row blocks the fused ops' chains run over) over each run of tensors
-    with a grad and in the per-tensor rule's elementwise order; moments and grads
-    are vectors laid out alike, and ``backward`` writes ``p.grad`` into its
-    ``grad_slot`` there.  A tensor without a grad keeps its data and moments.
+    updates in place between tapes, in the per-tensor rule's elementwise order,
+    over each run of tensors with a grad, through the fused ops' block loop
+    ``tensor._blockwise``; moments and grads are vectors laid out alike, and
+    ``backward`` writes ``p.grad`` into its ``grad_slot`` there.  A tensor
+    without a grad keeps its data and moments.
     A step raises ``ValueError``, naming the parameter, if one's data is no
     longer its own view of the buffer or its grad is not its ``grad_slot``.
     """
@@ -94,22 +94,22 @@ class AdamW:
         self.t += 1
         c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         b1, b2, decay = self.beta1, self.beta2, lr * self.weight_decay
-        chunk = T.BLOCK_VALUES
-        work = np.empty((2, min(self.data.size, chunk)), self.data.dtype)
+
+        def update(p, m, v, g):
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            s = np.multiply(g, 1.0 - b1)
+            np.add(np.multiply(m, b1, out=m), s, out=m)
+            np.add(np.multiply(v, b2, out=v),
+                   np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s), out=v)
+            # u = (m/c1) / (sqrt(v/c2) + eps);  p = (p - lr*u) - (lr*wd)*p
+            np.add(np.sqrt(np.divide(v, c2, out=s), out=s), self.eps, out=s)
+            u = np.divide(m, c1)
+            np.divide(u, s, out=u)
+            np.multiply(p, decay, out=s)
+            np.subtract(np.subtract(p, np.multiply(u, lr, out=u), out=p), s, out=p)
+
         for start, stop in runs:
-            for lo in range(start, stop, chunk):
-                hi = min(lo + chunk, stop)
-                p, m, v, g = self.data[lo:hi], self.m[lo:hi], self.v[lo:hi], self.grads[lo:hi]
-                s, u = work[0, :hi - lo], work[1, :hi - lo]
-                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-                np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=s), out=m)
-                np.add(np.multiply(v, b2, out=v),
-                       np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s), out=v)
-                # u = (m/c1) / (sqrt(v/c2) + eps);  p = (p - lr*u) - (lr*wd)*p
-                np.add(np.sqrt(np.divide(v, c2, out=s), out=s), self.eps, out=s)
-                np.divide(np.divide(m, c1, out=u), s, out=u)
-                np.multiply(p, decay, out=s)
-                np.subtract(np.subtract(p, np.multiply(u, lr, out=u), out=p), s, out=p)
+            T._blockwise(update, *(a[start:stop] for a in (self.data, self.m, self.v, self.grads)))
 
     @property
     def moments(self) -> dict:

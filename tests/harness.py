@@ -14,6 +14,7 @@ driven only through callables that keep their signatures.  Each mode's
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import itertools
 import json
@@ -157,12 +158,35 @@ def time_child(first: str, rev_dir: str, rounds: str) -> None:
         print(json.dumps([f"{name} attention", times]), flush=True)
 
 
+def malloc_setup(tensor_source: str) -> str | None:
+    """The source of ``_keep_freed_memory`` in the text of a ``tensor.py``, if it has one."""
+    for node in ast.parse(tensor_source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_keep_freed_memory":
+            return ast.get_source_segment(tensor_source, node)
+    return None
+
+
+def same_malloc_setup(rev: str) -> bool:
+    """Whether REV's ``tensor._keep_freed_memory`` reads as this checkout's."""
+    theirs = subprocess.run(["git", "-C", ROOT, "show", f"{rev}:src/glimpse/tensor.py"],
+                            stdout=subprocess.PIPE, text=True, check=True).stdout
+    return malloc_setup(theirs) == malloc_setup((ROOT / "src/glimpse/tensor.py").read_text())
+
+
 def time_mode(rev: str, rounds: int) -> int:
     """Paired in-process timing against REV.  The trees take turns, one operation each, the
     side that goes first alternating by round (Kalibera and Jones, ISMM 2013): desk-eval,
     desk-train, bench-train (a tenth of the rounds) and each one's attention calls.  The side
     built second runs faster, so half the rounds run in a child that builds this checkout
-    first.  Prints each side's min and median and the rounds this checkout won."""
+    first.  Prints each side's min and median and the rounds this checkout won.  Both trees
+    run under the glibc malloc thresholds of the tree imported last, so a change to
+    ``tensor._keep_freed_memory`` cannot show here: when its source differs between the
+    trees, this mode exits 1; compare such trees with perfbench, in separate processes."""
+    if not same_malloc_setup(rev):
+        print(f"error: tensor._keep_freed_memory differs between this checkout and {rev}, and "
+              "one process runs both under one malloc setup; compare such trees with "
+              "perfbench, in separate processes", file=sys.stderr)
+        return 1
     kinds: dict[str, dict[str, list]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         export(rev, Path(tmp))

@@ -2,6 +2,7 @@
 that make the end-to-end targets meaningful."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ class TestDatasetIO:
         (lambda index: index.pop("meta"), r"dataset index lacks \['meta'\]"),
         (lambda index: index["meta"].pop("vocab_seed"), r"dataset meta lacks \['vocab_seed'\]"),
         (lambda index: index["episodes"][1].pop("seed"),
-         r"dataset episode entry lacks \['seed'\]"),
+         r"dataset episode entry 1 lacks \['seed'\]"),
         (lambda index: index.clear(), r"dataset index lacks \['meta', 'episodes'\]"),
     ])
     def test_index_missing_a_key_raises_naming_it(self, break_index, message, tmp_path,
@@ -257,6 +258,36 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path)
         assert calls == []
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("entry", "seed", "12"),
+        ("entry", "seed", 3.0),
+        ("entry", "seed", True),      # JSON true is not read as 1
+        ("entry", "seed", -4),
+        ("entry", "episode_id", "2"),
+        ("meta", "n_frames", "30"),
+        ("meta", "n_grid", 2.0),
+        ("meta", "dim", False),
+        ("meta", "vocab_seed", -7),
+    ])
+    def test_index_value_that_is_not_a_count_raises_naming_it(self, part, key, value,
+                                                              tmp_path, monkeypatch):
+        # Refused before any header is replayed, naming the key and the entry,
+        # where numpy's seeding or a comparison would raise a TypeError, read
+        # a bool as 1, or name no entry.
+        save_dataset(tmp_path, base_seed=5, count=3, n_frames=N_FRAMES,
+                     n_grid=N_GRID, dim=DIM, vocab_seed=7)
+        path = tmp_path / "index.json"
+        index = json.loads(path.read_text())
+        (index["meta"] if part == "meta" else index["episodes"][2])[key] = value
+        path.write_text(json.dumps(index))
+        replays = []
+        monkeypatch.setattr(data, "_draw_header", lambda *a: replays.append(a))
+        where = "dataset meta" if part == "meta" else "dataset episode entry 2"
+        with pytest.raises(ValueError, match=f"^{where}: {key} must be a non-negative "
+                                             f"integer, not {re.escape(json.dumps(value))}$"):
+            load_dataset(tmp_path)
+        assert replays == []
 
     def test_index_that_is_a_list_raises(self, tmp_path):
         (tmp_path / "index.json").write_text(json.dumps([{"meta": {}}]))

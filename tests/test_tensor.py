@@ -746,6 +746,34 @@ class TestRowBlocks:
         report = grad_check(lambda: T.tsum(getattr(T, name)(*tensors, **kwargs) * w), tensors)
         assert report.passed, report.max_rel_error
 
+    @staticmethod
+    def blocks(shape, block, monkeypatch) -> list[tuple]:
+        """The block shapes ``_blockwise`` hands its chain for an array of ``shape``."""
+        monkeypatch.setattr(T, "BLOCK_VALUES", block)
+        seen = []
+        T._blockwise(lambda a: seen.append(a.shape), np.empty(shape))
+        return seen
+
+    def test_a_block_holds_at_most_block_values_and_at_least_one_entry(self, monkeypatch):
+        assert self.blocks((21, 8), 40, monkeypatch) == [(5, 8)] * 4 + [(1, 8)]
+        assert self.blocks((100,), 40, monkeypatch) == [(40,), (40,), (20,)]
+        assert self.blocks((3, 2, 4), 40, monkeypatch) == [(3, 2, 4)]
+        # Rows wider than a block go one row per block.
+        assert self.blocks((3, 50), 40, monkeypatch) == [(1, 50)] * 3
+
+    def test_a_chain_writes_into_the_callers_arrays(self, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_VALUES", 6)
+        total, a = np.zeros((4, 3, 2)), np.arange(24.0).reshape(4, 3, 2)
+        T._blockwise(T._add_product, *map(T._rows, (total, a, np.full((4, 3, 1), 2.0))))
+        assert (total == 2 * a).all()
+
+    def test_rows_refuse_an_array_whose_reshape_would_copy(self):
+        x = np.zeros((3, 4, 5))
+        assert np.shares_memory(T._rows(x), x) and T._rows(x).shape == (12, 5)
+        for copied in (np.zeros((4, 3)).T, x.swapaxes(0, 1), x[:, :2, :2]):
+            with pytest.raises(ValueError, match="row-major"):
+                T._rows(copied)
+
 
 class TestGraphSemantics:
     def test_diamond_accumulation(self):

@@ -71,6 +71,13 @@ class TestSchedules:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
 
+    def test_derive_seed_refuses_a_negative_key(self):
+        # abs() would give derive_seed(-5, 3) the stream of derive_seed(5, 3).
+        for keys, negative in (((-5, 3), -5), ((5, -3), -3), ((np.int64(-1), 29, 0), -1)):
+            with pytest.raises(ValueError, match=f"non-negative, got {negative} in"):
+                derive_seed(*keys)
+        assert derive_seed(0, 3) != derive_seed(5, 3)
+
 
 class TestAdamW:
     def test_decoupled_decay_shrinks_without_gradient_signal(self):
@@ -682,6 +689,19 @@ class TestCli:
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt")]) == 1
         assert "error: dataset index lacks ['meta']" in capsys.readouterr().err
+
+    def test_dataset_seed_of_the_wrong_type_exits_1_naming_the_entry(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--episodes", "3", "--n-frames", "30",
+                     "--n-grid", "2", "--dim", "32"]) == 0
+        index = json.loads((data / "index.json").read_text())
+        index["episodes"][1]["seed"] = str(index["episodes"][1]["seed"])
+        (data / "index.json").write_text(json.dumps(index))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset episode entry 1: seed must be a non-negative "
+                              "integer, not \"") and "Traceback" not in err
 
     def test_format_1_checkpoint_and_removed_config_keys_exit_1(self, tmp_path, capsys):
         # Both compatibility breaks fail loudly and name their cause: a
