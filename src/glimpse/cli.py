@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     except NumericFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -119,6 +119,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
+        if not isinstance(values, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(values).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(values) - known
         if unknown:

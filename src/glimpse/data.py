@@ -347,15 +347,18 @@ def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
     Each episode's header draws are replayed and checked against its index
     entry, so a stale index (an answer or event frame that its seed no
     longer gives) raises ``ValueError`` here, before any frame is generated,
-    and so does an index that lacks a key this function reads or holds there
-    anything but a non-negative int.  The episodes come back as an
-    ``EpisodeSet`` over the index's seeds.
+    and so does an index that lacks a key this function reads, holds there
+    anything but a non-negative int, or keeps its episodes in no JSON list.
+    The episodes come back as an ``EpisodeSet`` over the index's seeds.
     """
     directory = Path(directory)
     index = json.loads((directory / INDEX_NAME).read_text())
     _require_keys(index, ("meta", "episodes"), "dataset index")
     meta = index["meta"]
     _require_keys(meta, ("n_frames", "n_grid", "dim", "vocab_seed"), "dataset meta", counts=True)
+    if not isinstance(index["episodes"], list):
+        raise ValueError("dataset index: episodes must be a JSON list, "
+                         f"not {type(index['episodes']).__name__}")
     for i, entry in enumerate(index["episodes"]):
         _require_keys(entry, ("episode_id", "seed"), f"dataset episode entry {i}", counts=True)
     for entry in index["episodes"]:

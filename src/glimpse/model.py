@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import COMPUTE_DTYPE, RunConfig
-from .data import NUM_VALUES, FrameBundle, Vocab
+from .data import NUM_VALUES, FrameBundle, Vocab, _require_keys
 from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
 from .sampler import SamplerParams, apply_mask, selection_rows, straight_through, uniform_indices
@@ -263,10 +263,10 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     parameter buffer, and into one vector whose views become the moments.
     A float32 model round-trips bit for bit.  ``ValueError`` is raised
     without ``meta.json`` (no checkpoint, or an unfinished save), for another
-    format, for a ``meta.json`` that lacks a field, for names other than
-    those of the model the config builds, for a dump that is not one float32
-    ``.npy`` vector of the model's length, and for a dump whose values do not
-    match their checksum.
+    format, before the model is built for a ``meta.json`` field that is missing,
+    of the wrong type or a step past its config's ``steps``, for names other
+    than those of the model the config builds, for a dump that is not one float32
+    ``.npy`` vector of the model's length, and for one that fails its checksum.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -275,17 +275,22 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
                          "(no checkpoint was saved there, or a save did not finish)")
     meta = json.loads(meta_path.read_text())
     found = meta.get("format") if isinstance(meta, dict) else None
-    if found != CHECKPOINT_FORMAT:
-        raise ValueError(f"{directory} holds a checkpoint of format {found}; "
+    if type(found) is not int or found != CHECKPOINT_FORMAT:
+        raise ValueError(f"{directory} holds a checkpoint of format {found!r}; "
                          f"only format {CHECKPOINT_FORMAT} (params.npy, moments.npy) "
                          "can be read")
     required = ["config", "step", "names", "params_crc32"]
     if "t" in meta:
-        required.append("moments_crc32")
-    missing = [key for key in required if key not in meta]
-    if missing:
-        raise ValueError(f"{meta_path} lacks {missing}")
+        required += ["t", "moments_crc32"]
+    _require_keys(meta, required, str(meta_path))
+    _require_keys(meta, [key for key in required if key not in ("config", "names")],
+                  str(meta_path), counts=True)
+    if not (isinstance(meta["names"], list) and all(isinstance(n, str) for n in meta["names"])):
+        raise ValueError(f"{meta_path}: names must be a list of strings, "
+                         f"not {json.dumps(meta['names'])}")
     cfg = RunConfig.from_dict(meta["config"])
+    if meta["step"] > cfg.steps:
+        raise ValueError(f"{meta_path}: step {meta['step']} exceeds the config's steps {cfg.steps}")
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), None)
     names, params = zip(*model.named_parameters())
     if meta["names"] != list(names):

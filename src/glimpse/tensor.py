@@ -13,9 +13,10 @@ and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.swapaxes``.
 The fused numerics at the end are one tape node each, with a hand-written
 backward: softmax, the negative log-likelihood, layer norm, the two-layer
 GELU ``mlp``, and the two token-mixing ops every block calls between its
-projections, multi-head ``attention`` (plain, or grouped as divided
-space-time attention) and the language-aware ``cosine_gate``; ``attention``
-holds its probabilities key by query, so it reduces over keys in whole rows.
+projections, multi-head ``attention`` (plain, as one group, or grouped as
+divided space-time attention) and the language-aware ``cosine_gate``; the
+former computes its probabilities, key by query, before it allocates its
+result, and writes that result through heads and group views.
 One loop, ``_blockwise``, cuts their elementwise chains, attention's dS and
 AdamW's update into blocks of at most ``BLOCK_VALUES`` values (but at least one
 row, matrix or value), so the few arrays a chain touches stay in a core's L2
@@ -624,19 +625,6 @@ def _times_heads(x: Array, c: Array, heads: int) -> Array:
     return product.reshape(*product.shape[:-2], -1)
 
 
-def _add_product(total: Array, a: Array, b: Array) -> None:
-    """``total += a * b``, a chain for ``_blockwise``."""
-    total += a * b
-
-
-def _groups(x: Array, grid: tuple[int, int], temporal: bool) -> Array:
-    """Rows 1.. of (..., H, 1 + K*P, d), frame-major, as a view of groups:
-    (..., H, P, K, d) across frames (``temporal``) or (..., H, K, P, d) within one."""
-    k, p = grid
-    body = x[..., 1:, :].reshape(*x.shape[:-2], k, p, x.shape[-1])
-    return body.swapaxes(-3, -2) if temporal else body
-
-
 def _key_max(x: Array) -> Array:
     """``x.max(axis=-2, keepdims=True)`` up to the sign of a tied zero: the last half
     of the rows folded onto the first (sharing one row when the count is odd), in
@@ -658,10 +646,9 @@ def _matrices(a: Array) -> Array:
     return a.reshape(-1, *a.shape[-2:])
 
 
-def _attend(q: Array, k: Array, v: Array, scale: Array,
-            out: Array | None = None) -> tuple[Array, Array]:
+def _key_probs(q: Array, k: Array, scale: Array) -> Array:
     """Key-by-query probabilities P = softmax over keys of ``k q^T * scale``, (..., Sk, Sq),
-    summed over keys by a ones vector, and ``P^T v`` (into ``out``), BLAS reading P^T."""
+    summed over keys by a ones vector; BLAS reads P^T for the product ``P^T v``."""
     probs = np.matmul(k, q.swapaxes(-1, -2))
     probs *= scale
     if not np.isfinite(probs).all():
@@ -669,14 +656,14 @@ def _attend(q: Array, k: Array, v: Array, scale: Array,
     probs -= _key_max(probs)
     np.exp(probs, out=probs)
     probs /= np.matmul(np.ones(probs.shape[-2], probs.dtype), probs)[..., None, :]
-    return probs, np.matmul(probs.swapaxes(-1, -2), v, out=out)
+    return probs
 
 
 def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array, scale: Array,
                      out: Sequence[Array | None] = (None, None, None)) -> tuple[Array, ...]:
-    """Gradients of ``_attend``'s output for q, k and v, all key by query: dP = v g^T,
-    dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and dv = P g; each is
-    written into its array of ``out`` if one is given there."""
+    """Gradients of ``P^T v``, P = ``_key_probs(q, k, scale)``, for q, k and v, all key by
+    query: dP = v g^T, dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and
+    dv = P g; each is written into its array of ``out`` if one is given there."""
     ones = np.ones(probs.shape[-2], probs.dtype)
 
     def softmax_rule(s, p):   # dS in place in dP
@@ -701,40 +688,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     axes broadcast.  With ``grid=(K, P)``, q, k and v hold [CLS, K*P body
     rows] with the body frame-major (TimeSformer's divided attention): row 0
     attends over every row, and a body row over its group only, the K rows
-    of its spatial slot (``temporal``) or the P rows of its frame.
+    of its spatial slot (``temporal``) or the P rows of its frame; plain
+    attention is one group, so the grid adds only row 0's steps.
 
-    One tape node.  The forward keeps the probabilities P, key by query; the
-    backward is the softmax rule dS = P * (dP - sum_keys(P * dP)), exactly
-    zero over a single key, so no gradient leaks into the queries there.
+    One tape node.  The forward computes the probabilities P, key by query,
+    then its result, writing each ``P^T v`` into the result's heads or group
+    view.  It keeps P; the backward is the softmax rule dS = P * (dP -
+    sum_keys(P * dP)), exactly zero over a single key, so no gradient leaks
+    into the queries there.
     """
     scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
+
+    def group(x):   # (..., H, S, d) as a view of its groups: plain attention is one
+        if grid is None:
+            return x
+        body = x[..., 1:, :].reshape(*x.shape[:-2], *grid, x.shape[-1])   # frame-major
+        return body.swapaxes(-3, -2) if temporal else body   # (.., P, K, d) or (.., K, P, d)
+
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
-    # Each P^T v goes into its heads or group view: no head merge or placement copies it.
+    probs = _key_probs(group(qh), group(kh), scale)
+    probs_cls = None if grid is None else _key_probs(qh[..., :1, :], kh, scale)
     data = np.empty(np.broadcast(*(t.data[..., 0, 0] for t in (q, k, v))).shape
                     + q.shape[-2:], q.dtype)
     out_h = _heads(data, heads)
-    if grid is None:
-        probs, _ = _attend(qh, kh, vh, scale, out_h)
-    else:
-        probs_cls, _ = _attend(qh[..., :1, :], kh, vh, scale, out_h[..., :1, :])
-        probs, _ = _attend(*(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale,
-                           _groups(out_h, grid, temporal))
+    np.matmul(probs.swapaxes(-1, -2), group(vh), out=group(out_h))
+    if grid is not None:
+        np.matmul(probs_cls.swapaxes(-1, -2), vh, out=out_h[..., :1, :])
     out = _node(data, (q, k, v))
     if out.requires_grad:
         def _bw(g):
             # The products are written into each gradient's (..., S, D) layout, so no head
             # merge or group placement copies them.
             gh = _heads(g, heads)
-            if grid is None:
-                grads = [np.empty(g.shape[:-2] + t.shape[-2:], g.dtype) for t in (q, k, v)]
-                _attend_backward(gh, probs, qh, kh, vh, scale,
-                                 out=[_heads(grad, heads) for grad in grads])
-            else:
-                grads = [np.empty(g.shape, g.dtype) for _ in range(3)]
-                dq_h, dk_h, dv_h = (_heads(grad, heads) for grad in grads)
-                _attend_backward(_groups(gh, grid, temporal), probs,
-                                 *(_groups(x, grid, temporal) for x in (qh, kh, vh)), scale,
-                                 out=[_groups(x, grid, temporal) for x in (dq_h, dk_h, dv_h)])
+            grads = [np.empty(g.shape[:-2] + t.shape[-2:], g.dtype) for t in (q, k, v)]
+            dq_h, dk_h, dv_h = [_heads(grad, heads) for grad in grads]
+            _attend_backward(group(gh), probs, group(qh), group(kh), group(vh), scale,
+                             out=[group(dq_h), group(dk_h), group(dv_h)])
+            if grid is not None:
                 _, *dkv_cls = _attend_backward(gh[..., :1, :], probs_cls, qh[..., :1, :], kh, vh,
                                                scale, out=(dq_h[..., :1, :], None, None))
                 for grad_h, d_cls in zip((dk_h, dv_h), dkv_cls):   # row 0 reads every row
@@ -783,10 +773,8 @@ def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Te
             np.matmul(g_dots, kh, out=_heads(dq, heads))
             np.matmul(g_dots.swapaxes(-1, -2), qh, out=_heads(dk, heads))
             dq, dk = _unbroadcast(dq, q.shape), _unbroadcast(dk, k.shape)
-            q_scale = _unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live   # (..., H, m, 1)
-            _blockwise(_add_product, *map(_rows, (
-                _head_rows(dq, heads), _head_rows(np.ascontiguousarray(q.data), heads),
-                np.ascontiguousarray(q_scale.swapaxes(-3, -2)))))
+            dq += _times_heads(q.data, _unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live,
+                               heads)
             dk += _times_heads(k.data, _unbroadcast(g_denom * qn, kn_row.shape).swapaxes(-1, -2)
                                / kn * k_live, heads)
             for t, grad in zip((q, k, v), (dq, dk, _times_heads(g, weight, heads))):

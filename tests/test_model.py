@@ -385,6 +385,40 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="checkpoint of format None"):
             load_checkpoint(tmp_path)
 
+    def test_meta_field_of_the_wrong_type_rejected_before_the_model_is_built(
+            self, tmp_path, monkeypatch, world):
+        # A count that is a string, a fraction, a bool or negative, a step past
+        # the config's steps, and names or a config of another JSON type each
+        # refuse to load, naming the field, before any model is built; a
+        # format that is not the int 3 is shown as written.
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
+        save_checkpoint(tmp_path, model, step=cfg.steps, optimizer_state=zero_moments(model))
+        full = json.loads((tmp_path / "meta.json").read_text())
+        monkeypatch.setattr(gmodel, "VideoQAModel", None)   # a build raises TypeError
+        past = cfg.steps + 1
+        for key, value, message in (
+                ("step", "2", 'step must be a non-negative integer, not "2"'),
+                ("step", -1, "step must be a non-negative integer, not -1"),
+                ("step", past, f"step {past} exceeds the config's steps {cfg.steps}"),
+                ("t", "2", 't must be a non-negative integer, not "2"'),
+                ("t", 2.5, "t must be a non-negative integer, not 2.5"),
+                ("t", True, "t must be a non-negative integer, not true"),
+                ("params_crc32", -1, "params_crc32 must be a non-negative integer, not -1"),
+                ("moments_crc32", 1.0, "moments_crc32 must be a non-negative integer, not 1.0"),
+                ("names", 5, "names must be a list of strings, not 5"),
+                ("names", ["a", 5], 'names must be a list of strings, not ["a", 5]'),
+                ("config", 5, "config must be a JSON object, not int"),
+                ("config", None, "config must be a JSON object, not NoneType"),
+                ("format", "3", "checkpoint of format '3'; only format 3"),
+                ("format", 3.0, "checkpoint of format 3.0; only format 3")):
+            (tmp_path / "meta.json").write_text(json.dumps({**full, key: value}))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_checkpoint(tmp_path)
+        monkeypatch.undo()
+        (tmp_path / "meta.json").write_text(json.dumps(full))
+        assert load_checkpoint(tmp_path)[1] == cfg.steps
+
     def test_dumps_are_plain_float32_npy_with_their_checksums(self, tmp_path, world):
         # The on-disk contract: numpy alone reads each dump as one float32
         # vector; the parameters are the model's buffer, the moments every

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -607,7 +608,7 @@ class TestFusedMixingOps:
             outer = rng.normal(size=(2, 8, 785, 1)).astype(dtype)
             assert (outer * g).tobytes() == np.matmul(outer, g).tobytes()
             scale = np.asarray(0.25, dtype=dtype)
-            probs, _ = T._attend(q, k, v, scale)
+            probs = T._key_probs(q, k, scale)
             assert probs.shape == (2, 8, 785, 1)
             dq, dk, dv = T._attend_backward(g, probs, q, k, v, scale)
             dp = np.matmul(v, g.swapaxes(-1, -2))
@@ -638,13 +639,29 @@ class TestFusedMixingOps:
     @given(st.integers(1, 40), st.integers(1, 40), seeds)
     def test_attend_probabilities_are_a_float64_softmax_per_query(self, sq, sk, seed):
         rng = np.random.default_rng(seed)
-        q, k, v = (rng.normal(size=(2, s, 8)).astype(np.float32) for s in (sq, sk, sk))
-        probs, _ = T._attend(q, k, v, np.asarray(1.0 / math.sqrt(8), np.float32))
+        q, k = (rng.normal(size=(2, s, 8)).astype(np.float32) for s in (sq, sk))
+        probs = T._key_probs(q, k, np.asarray(1.0 / math.sqrt(8), np.float32))
         assert probs.shape == (2, sk, sq) and probs.dtype == np.float32
         scores = np.matmul(q.astype(np.float64), k.astype(np.float64).swapaxes(-1, -2))
         want = np.exp((scores - scores.max(axis=-1, keepdims=True)) / math.sqrt(8))
         want /= want.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(probs.swapaxes(-1, -2), want, rtol=0, atol=1e-6)
+
+    def test_grid_forward_allocates_its_result_after_its_probabilities(self):
+        # At the bench refiner's spatial stage, (5, 785, 256) with 8 heads, the
+        # softmax's temporaries live and die before the result is allocated, so
+        # the peak stays under result + probabilities + a quarter of them.
+        rng = np.random.default_rng(34)
+        q, k, v = (Tensor(rng.normal(size=(5, 785, 256)).astype(np.float32)) for _ in range(3))
+        result_bytes, probs_bytes = 5 * 785 * 256 * 4, 5 * 8 * 16 * 49 * 49 * 4
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                T.attention(q, k, v, 8, grid=(16, 49))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < result_bytes + probs_bytes * 1.25, peak
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(32)
@@ -764,7 +781,11 @@ class TestRowBlocks:
     def test_a_chain_writes_into_the_callers_arrays(self, monkeypatch):
         monkeypatch.setattr(T, "BLOCK_VALUES", 6)
         total, a = np.zeros((4, 3, 2)), np.arange(24.0).reshape(4, 3, 2)
-        T._blockwise(T._add_product, *map(T._rows, (total, a, np.full((4, 3, 1), 2.0))))
+
+        def add_product(total, a, b):
+            total += a * b
+
+        T._blockwise(add_product, *map(T._rows, (total, a, np.full((4, 3, 1), 2.0))))
         assert (total == 2 * a).all()
 
     def test_rows_refuse_an_array_whose_reshape_would_copy(self):

@@ -682,6 +682,46 @@ class TestCli:
             assert f"error: {message}" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_config_file_that_is_no_object_or_no_file_exits_1(self, tmp_path, capsys):
+        # A config file holding another JSON value, or a path that is a
+        # directory, gives an error line and no dataset, not a traceback.
+        out = tmp_path / "data"
+        for text, message in (("5", "a config must be a JSON object, not int"),
+                              ("null", "a config must be a JSON object, not NoneType"),
+                              ('"abc"', "a config must be a JSON object, not str")):
+            (tmp_path / "config.json").write_text(text)
+            capsys.readouterr()
+            assert main(["gen-data", "--config", str(tmp_path / "config.json"),
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["gen-data", "--config", str(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_dataset_episodes_that_are_no_list_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--episodes", "2"]) == 0
+        index = json.loads((data / "index.json").read_text())
+        (data / "index.json").write_text(json.dumps({**index, "episodes": 5}))
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt")]) == 1
+        assert (capsys.readouterr().err
+                == "error: dataset index: episodes must be a JSON list, not int\n")
+
+    def test_checkpoint_step_of_the_wrong_type_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = desk_config(depth=1, seed=2)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
+                                           np.random.default_rng(2)), step=2)
+        meta = json.loads((ckpt / "meta.json").read_text())
+        (ckpt / "meta.json").write_text(json.dumps({**meta, "step": "2"}))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert 'meta.json: step must be a non-negative integer, not "2"' in err
+
     def test_dataset_index_without_meta_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
