@@ -3,7 +3,7 @@
 Subcommands: gradcheck, gen-data, train, eval, ablate.  Configuration comes
 from an optional JSON file; every field can be overridden with a
 ``--<field> value`` flag.  Exit codes: 0 success, 1 usage error, 2 numeric
-failure (gradient-check failure or non-finite loss).
+failure (gradient-check failure, non-finite loss, or logits that overflow).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .config import GRADCHECK_OVERRIDES, RunConfig, removed_note
-from .data import BLIND_MODES, load_dataset, save_dataset
+from .data import BLIND_MODES, check_dataset, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
             parser.error(f"--{name.replace('_', '-')} must be >= {low}")
     try:
         return COMMANDS[args.command](args)
-    except NumericFailure as err:
+    except (NumericFailure, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:
@@ -151,22 +151,10 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-# Dataset meta keys that must equal the model's config: the geometry of the
-# frames, and the seed of the frozen word table and frame rotation.
-_DATASET_KEYS = ("n_frames", "n_grid", "dim", "vocab_seed")
-
-
-def _check_dataset(meta: dict, cfg: RunConfig, owner: str) -> None:
-    for key in _DATASET_KEYS:
-        if meta[key] != getattr(cfg, key):
-            raise ValueError(f"dataset {key}={meta[key]} does not match {owner} "
-                             f"{key}={getattr(cfg, key)}")
-
-
 def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
     meta, _, episodes = load_dataset(args.data)
-    _check_dataset(meta, cfg, "config")
+    check_dataset(meta, cfg, "config")
     with _open_out(args.metrics) as stream:
         train(cfg, episodes, out_dir=args.out, metrics_stream=stream,
               resume=args.resume, checkpoint_every=args.checkpoint_every)
@@ -177,7 +165,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     meta, _, episodes = load_dataset(args.data)
-    _check_dataset(meta, model.cfg, "checkpoint config")
+    check_dataset(meta, model.cfg, "checkpoint config")
     report = evaluate_with_blind_probes(model, episodes, args.eval_seed, args.blind or ())
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:

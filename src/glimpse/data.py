@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import COMPUTE_DTYPE
+from .config import COMPUTE_DTYPE, RunConfig
 
 KINDS = ("color", "shape", "position")
 WINDOWS = ("early", "middle", "late")
@@ -249,6 +249,9 @@ def blind_input(episode: Episode, mode: str) -> FrameBundle:
 # -- datasets -------------------------------------------------------------------
 
 INDEX_NAME = "index.json"
+# Dataset meta keys that must equal the model's config: the geometry of the
+# frames, and the seed of the frozen word table and frame rotation.
+DATASET_KEYS = ("n_frames", "n_grid", "dim", "vocab_seed")
 
 
 def episode_seeds(base_seed: int, count: int) -> list[int]:
@@ -355,7 +358,7 @@ def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
     index = json.loads((directory / INDEX_NAME).read_text())
     _require_keys(index, ("meta", "episodes"), "dataset index")
     meta = index["meta"]
-    _require_keys(meta, ("n_frames", "n_grid", "dim", "vocab_seed"), "dataset meta", counts=True)
+    _require_keys(meta, DATASET_KEYS, "dataset meta", counts=True)
     if not isinstance(index["episodes"], list):
         raise ValueError("dataset index: episodes must be a JSON list, "
                          f"not {type(index['episodes']).__name__}")
@@ -368,3 +371,12 @@ def load_dataset(directory) -> tuple[dict, Vocab, EpisodeSet]:
     vocab = Vocab(meta["vocab_seed"], meta["dim"])
     seeds = [entry["seed"] for entry in index["episodes"]]
     return meta, vocab, EpisodeSet(seeds, meta["n_frames"], meta["n_grid"], vocab)
+
+
+def check_dataset(meta: dict, cfg: RunConfig, owner: str) -> None:
+    """Raise ``ValueError`` unless each of ``DATASET_KEYS`` in a dataset's ``meta``
+    equals the field of ``cfg``, the config of ``owner``."""
+    for key in DATASET_KEYS:
+        if meta[key] != getattr(cfg, key):
+            raise ValueError(f"dataset {key}={meta[key]} does not match {owner} "
+                             f"{key}={getattr(cfg, key)}")

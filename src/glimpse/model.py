@@ -159,13 +159,13 @@ class VideoQAModel(Module):
         cfg = self.cfg
         if self.sampler is None:
             indices = np.tile(uniform_indices(cfg.n_frames, cfg.k_select), (len(bundles), 1))
-            one_hot = np.eye(cfg.n_frames, dtype=t_cls.dtype)[indices]
-            return apply_mask(Tensor(one_hot), bundles), indices
-        y_soft = selection_rows([b.v_cls for b in bundles], t_cls, self.sampler, rng_seed)
-        indices = np.argmax(y_soft.data, axis=-1)
-        if cfg.sampler == "sparse":
-            return apply_mask(straight_through(y_soft, indices), bundles), indices
-        return apply_mask(y_soft, bundles), indices
+            rows = Tensor(np.eye(cfg.n_frames, dtype=t_cls.dtype)[indices])
+        else:
+            rows = selection_rows([b.v_cls for b in bundles], t_cls, self.sampler, rng_seed)
+            indices = np.argmax(rows.data, axis=-1)
+            if cfg.sampler == "sparse":
+                rows = straight_through(rows, indices)
+        return apply_mask(rows, bundles), indices
 
     def represent(self, bundles: Sequence[FrameBundle], token_ids: Sequence[Sequence[int]],
                   rng_seeds: Sequence[int]) -> dict:
@@ -266,7 +266,8 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     format, before the model is built for a ``meta.json`` field that is missing,
     of the wrong type or a step past its config's ``steps``, for names other
     than those of the model the config builds, for a dump that is not one float32
-    ``.npy`` vector of the model's length, and for one that fails its checksum.
+    ``.npy`` vector of the model's length, for one that fails its checksum, and
+    for one that holds a non-finite value, naming the first parameter it is in.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -300,11 +301,13 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
                   or f"order differs at position {at}: {saved!r} saved, {built!r} built")
         raise ValueError(f"checkpoint/model parameter mismatch: {differ}")
     flat = param_buffer(params, copy=False)
-    _read_dump(directory / "params.npy", flat, meta["params_crc32"])
+    sizes = [p.size for p in params]
+    _read_dump(directory / "params.npy", flat, meta["params_crc32"], names, sizes)
     optimizer_state = None
     if "t" in meta:
         moments = np.empty(2 * flat.size, flat.dtype)
-        _read_dump(directory / "moments.npy", moments, meta["moments_crc32"])
+        _read_dump(directory / "moments.npy", moments, meta["moments_crc32"],
+                   names * 2, sizes * 2)
         arrays = split_views(moments, [p.shape for p in params] * 2)
         optimizer_state = {"t": meta["t"],
                            "moments": dict(zip(names, zip(arrays[:len(names)],
@@ -312,8 +315,10 @@ def load_checkpoint(directory) -> tuple[VideoQAModel, int, dict | None]:
     return model, meta["step"], optimizer_state
 
 
-def _read_dump(path: Path, out: np.ndarray, crc32: int) -> None:
-    """Copy the float32 vector dumped at ``path`` into ``out`` and check its crc32.
+def _read_dump(path: Path, out: np.ndarray, crc32: int, names: Sequence[str],
+               sizes: Sequence[int]) -> None:
+    """Copy the float32 vector dumped at ``path`` into ``out``, check its crc32, and
+    refuse a non-finite value, naming the parameter of the run of ``sizes`` it is in.
 
     The file is mapped only for the copy: no view of it outlives the call, so
     a later save may overwrite it.
@@ -334,3 +339,7 @@ def _read_dump(path: Path, out: np.ndarray, crc32: int) -> None:
     if zlib.crc32(out) != crc32:
         raise ValueError(f"{path} does not match its checksum in meta.json: "
                          "it changed after the save")
+    finite = np.isfinite(out)
+    if not finite.all():
+        at = np.searchsorted(np.cumsum(sizes), np.argmin(finite), side="right")
+        raise ValueError(f"{path} holds a non-finite value in parameter {names[at]}")

@@ -4,13 +4,14 @@ Frame CLS tokens get a temporal embedding, pass through stacked gate+attention
 blocks, and are projected onto one logit row per selection slot.  Each row is
 Gumbel-Softmax sampled by ``selection_rows``, the one path every caller takes.
 ``VideoQAModel.select`` applies the rows in one of three modes: ``sparse``
-discretizes them with a straight-through estimator, so the forward pass copies
-exact frames while gradients flow through the soft distribution into the
-selection stack; ``soft`` weights the frames by the rows themselves; and
-``uniform``, the one configuration without a learned sampler, applies fixed
-one-hot rows that pick an even grid (``uniform_indices``).  Every
-function takes a leading batch axis: B text rows, each with its own Gumbel
-noise seed, against one video per row, read in place.
+discretizes them with the straight-through estimator, one tape node whose
+value is the one-hot rows, so the forward pass copies exact frames, and whose
+backward hands its gradient to the soft distribution unchanged; ``soft``
+weights the frames by the rows themselves; and ``uniform``, the one
+configuration without a learned sampler, applies fixed one-hot rows that pick
+an even grid (``uniform_indices``).  Every function takes a leading batch
+axis: B text rows, each with its own Gumbel noise seed, against one video per
+row, read in place.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class SamplerParams(Module):
         self.tau_g = tau_g
 
 
-def add_temporal_embedding(v_cls_seq: Tensor, table: Tensor) -> Tensor:
-    """Add table rows 0..N-1 to a (..., N, D) frame sequence."""
-    return v_cls_seq + table[:v_cls_seq.shape[-2]]
-
-
 def gumbel_noise(shape, rng_seed: int) -> np.ndarray:
     """Standard Gumbel(0, 1) noise from a seeded generator."""
     rng = np.random.default_rng(rng_seed)
@@ -73,11 +69,10 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
     noise it would draw alone, so batching and row order cannot change a
     draw.  Each distinct seed is drawn once and shared by the entries that
     carry it.  The noise is drawn in float64 and rounded to the dtype of ``x``.
+    ``softmax_stable`` refuses a non-finite perturbed logit.
     """
     if tau_g <= 0:
         raise ValueError("nonpositive temperature")
-    if not np.isfinite(x.data).all():
-        raise ValueError("non-finite logits")
     rows = x.shape[0] if x.ndim > 1 else 0
     if np.ndim(rng_seed) != 1 or len(rng_seed) != rows:
         got = f"{len(rng_seed)} noise seeds" if np.ndim(rng_seed) == 1 else "a scalar noise seed"
@@ -85,24 +80,26 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
     slot = {seed: j for j, seed in enumerate(dict.fromkeys(rng_seed))}
     draws = np.stack([gumbel_noise(x.shape[1:], seed) for seed in slot])
     noise = draws[[slot[seed] for seed in rng_seed]]
-    return T.softmax_stable((x + noise) * (1.0 / tau_g), axis=-1)
+    return T.softmax_stable((x + noise) * (1.0 / tau_g))
 
 
 def straight_through(y_soft: Tensor, indices: np.ndarray) -> Tensor:
-    """One-hot rows at ``indices`` carrying the gradient of ``y_soft``.
+    """One-hot rows at ``indices`` carrying the gradient of ``y_soft``, in one node.
 
-    The result is ``hard + (y_soft - stopgrad(y_soft))``: the parenthesised
-    difference is exactly zero elementwise, so forward values equal the
-    one-hots to the last bit, while the backward pass sees d/dy = 1.
+    The rows are ``np.eye(N)[indices]`` in the dtype of ``y_soft``, as the
+    uniform grid's are, so forward values are the one-hots to the last bit;
+    the node's backward hands its gradient to ``y_soft`` unchanged.
     """
-    hard_np = np.zeros_like(y_soft.data)
-    np.put_along_axis(hard_np, indices[..., None], 1.0, axis=-1)
-    return Tensor(hard_np) + (y_soft - y_soft.detach())
+    return T.straight_through(y_soft, np.eye(y_soft.shape[-1], dtype=y_soft.dtype)[indices])
 
 
 def selection_logits(v_cls: Tensor, t_row: Tensor, params: SamplerParams) -> Tensor:
-    """Run the selection stack; returns one length-N logit row per slot, (..., K, N)."""
-    seq = add_temporal_embedding(v_cls, params.temporal_table)
+    """Run the selection stack; returns one length-N logit row per slot, (..., K, N).
+
+    The whole temporal table is added: ``VideoQAModel.represent`` admits only
+    videos of the N frames it has rows for.
+    """
+    seq = v_cls + params.temporal_table
     for block in params.blocks:
         seq = block(seq, t_row)
     per_frame = params.w_s(seq)              # (..., N, K)

@@ -7,16 +7,19 @@ that tensor's dtype, so a float32 graph never widens silently.  The model
 computes in float32; the finite-difference oracle certifies the same ops on
 float64 modules.
 
-Only the ops the program calls exist: ``+ - * /`` with a tensor on the left,
+Only the ops the program calls exist: ``+ * /`` with a tensor on the left,
 basic slicing, and the functions below, which stand in for powers (``x * x``)
 and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.swapaxes``.
 The fused numerics at the end are one tape node each, with a hand-written
-backward: softmax, the negative log-likelihood, layer norm, the two-layer
-GELU ``mlp``, and the two token-mixing ops every block calls between its
-projections, multi-head ``attention`` (plain, as one group, or grouped as
-divided space-time attention) and the language-aware ``cosine_gate``; the
-former computes its probabilities, key by query, before it allocates its
-result, and writes that result through heads and group views.
+backward: softmax (over the last axis), the straight-through estimator
+(one-hot rows forward, the identity backward), the negative log-likelihood,
+layer norm, the two-layer GELU ``mlp``, and the two token-mixing ops every
+block calls between its projections, multi-head ``attention`` (plain, as one
+group, or grouped as divided space-time attention) and the language-aware
+``cosine_gate``; the former computes its probabilities, key by query, before
+it allocates its result, and writes that result through heads and group views.
+Softmax, attention and the negative log-likelihood refuse non-finite logits
+with ``FloatingPointError``.
 One loop, ``_blockwise``, cuts their elementwise chains, attention's dS and
 AdamW's update into blocks of at most ``BLOCK_VALUES`` values (but at least one
 row, matrix or value), so the few arrays a chain touches stay in a core's L2
@@ -145,10 +148,6 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        """Constant view of this tensor; shares data, drops the tape."""
-        return Tensor(self.data)
-
     def _accumulate(self, g: Array) -> None:
         # Rebinding keeps aliased upstream buffers safe; a grad slot is written in place.
         if self.grad is None and self.grad_slot is not None:
@@ -205,9 +204,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, _wrap(other, self))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
 
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
@@ -283,18 +279,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             for t in (a, b):
                 if t.requires_grad:
                     t._accumulate(_unbroadcast(g, t.data.shape))
-        out._backward = _bw
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _node(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.data.shape))
         out._backward = _bw
     return out
 
@@ -581,24 +565,28 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 # -- fused numerics ------------------------------------------------------------
 
 
-def _softmax(x: Array, axis: int = -1) -> Array:
-    """Softmax over ``axis`` with max-subtraction so huge logits cannot overflow."""
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite logits")
-    out = x - x.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
-
-
-def softmax_stable(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax over ``axis`` with max-subtraction so huge logits cannot overflow."""
-    y = _softmax(a.data, axis)
+def softmax_stable(a: Tensor) -> Tensor:
+    """Softmax over the last axis with max-subtraction so huge logits cannot overflow."""
+    if not np.isfinite(a.data).all():
+        raise FloatingPointError("non-finite logits")
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = _node(y, (a,))
     if out.requires_grad:
         def _bw(g):   # the softmax rule
-            a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            a._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
         out._backward = _bw
+    return out
+
+
+def straight_through(soft: Tensor, hard: Array) -> Tensor:
+    """The straight-through estimator (Bengio et al., arXiv:1308.3432) as one node:
+    its value is ``hard``, and its backward hands the incoming gradient to ``soft``
+    unchanged, as if the node were ``soft`` itself."""
+    out = _node(hard, (soft,))
+    if out.requires_grad:
+        out._backward = soft._accumulate
     return out
 
 
@@ -652,7 +640,7 @@ def _key_probs(q: Array, k: Array, scale: Array) -> Array:
     probs = np.matmul(k, q.swapaxes(-1, -2))
     probs *= scale
     if not np.isfinite(probs).all():
-        raise ValueError("non-finite logits")
+        raise FloatingPointError("non-finite logits")
     probs -= _key_max(probs)
     np.exp(probs, out=probs)
     probs /= np.matmul(np.ones(probs.shape[-2], probs.dtype), probs)[..., None, :]
@@ -797,7 +785,7 @@ def nll(logits: Tensor, targets) -> Tensor:
     if cols.shape != rows.shape:
         raise ValueError(f"nll: {cols.size} targets for {rows.size} rows")
     if not np.isfinite(logits.data).all():
-        raise ValueError("non-finite logits")
+        raise FloatingPointError("non-finite logits")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     out = _node(log_z - shifted[rows, cols], (logits,))

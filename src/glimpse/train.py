@@ -188,10 +188,8 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
         if cfg.w_qa and matched_ids:
             answers = [batch[j].episode.answer for j in matched_ids]
             l_qa = answer_cross_entropy(v_matched, answers, model.answer_head)
-    except ValueError as err:
-        if "non-finite" in str(err):  # overflowed activations surface here
-            raise NumericFailure("forward", step) from err
-        raise
+    except FloatingPointError as err:   # overflowed activations surface here
+        raise NumericFailure("forward", step) from err
 
     for term, value in (("vtm", l_vtm), ("cl", l_cl), ("vgmlm", l_vgmlm), ("qa", l_qa)):
         _finite_or_raise(value, term, step)

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is read by that module, and every
-module-level function and class is read somewhere in the package.
+module-level function and class, and every method and property of a class, is
+read somewhere in the package or in the benchmark that drives it.
 
 A deleted function or command easily leaves its imports behind, and a helper
 that only its own test calls is dead code; these guards read each module's
@@ -35,28 +36,49 @@ def unused_imports(path: Path) -> list[str]:
             if name not in read]
 
 
-def unread_definitions(paths: list[Path]) -> list[str]:
-    """Module-level functions and classes whose name no code of ``paths`` reads outside
-    the definition itself, as a plain name, an attribute or an ``__all__`` entry."""
+def definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    """A module's functions and classes, and each class's non-dunder methods and
+    properties."""
+    found = []
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            found.append(statement)
+        if isinstance(statement, ast.ClassDef):
+            found += [member for member in statement.body if isinstance(member, ast.FunctionDef)
+                      and not (member.name.startswith("__") and member.name.endswith("__"))]
+    return found
+
+
+def unread_definitions(paths: list[Path], readers: list[Path] = ()) -> list[str]:
+    """The ``definitions`` of ``paths`` whose name no code of ``paths`` or ``readers``
+    reads outside the definition itself, as a plain name, an attribute or an
+    ``__all__`` entry."""
     defined, read = [], set()
-    for path in paths:
+
+    def visit(node, owners):   # owners: the checked definitions that enclose node
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name is not None and name not in owners:
+                read.add(name)
+            visit(child, owners | {child.name} if id(child) in checked else owners)
+
+    for path in [*paths, *readers]:
         tree = ast.parse(path.read_text())
         read |= all_names(tree)
-        for statement in tree.body:
-            own = (statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                   else None)
-            if own is not None:
-                defined.append((own, f"{path.name}:{statement.lineno} {own}"))
-            for node in ast.walk(statement):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != own:
-                    read.add(name)
+        checked = set()
+        if path in paths:
+            for node in definitions(tree):
+                defined.append((node.name, f"{path.name}:{node.lineno} {node.name}"))
+                checked.add(id(node))
+        visit(tree, frozenset())
     return [where for name, where in defined if name not in read]
 
 
 def test_every_definition_is_read_outside_itself():
-    unread = unread_definitions(sorted(PACKAGE.glob("*.py")))
+    # perfbench drives the package from outside, so what it reads counts too.
+    unread = unread_definitions(sorted(PACKAGE.glob("*.py")),
+                                sorted((PACKAGE.parent.parent / "perfbench").glob("*.py")))
     assert not unread, f"defined but read only by tests or by itself: {unread}"
 
 

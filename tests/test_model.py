@@ -365,6 +365,33 @@ class TestCheckpoints:
             with pytest.raises(ValueError, match=rf"{name} does not match its checksum"):
                 load_checkpoint(tmp_path)
 
+    def test_non_finite_value_refuses_to_load_naming_its_parameter(self, tmp_path, world):
+        # A dump whose checksum matches but which holds a NaN or an infinity
+        # is refused, naming the first parameter that holds one; a moment is
+        # named by its parameter.
+        cfg, vocab, _ = world
+        model = build(cfg, vocab)
+        names = [name for name, _ in model.named_parameters()]
+        starts = np.cumsum([0] + [p.size for _, p in model.named_parameters()])
+        second = starts[-1]   # where the second moments start
+        head = names.index("answer_head.fc2.w")
+        for dump, writes, named in (
+                ("params", [(starts[head], np.nan)], head),
+                ("params", [(starts[2] - 1, np.inf), (starts[-1] - 1, np.nan)], 1),
+                ("moments", [(second + starts[3] + 2, -np.inf)], 3)):
+            save_checkpoint(tmp_path, model, step=1, optimizer_state=zero_moments(model))
+            vector = np.load(tmp_path / f"{dump}.npy")
+            for at, value in writes:
+                vector[at] = value
+            np.save(tmp_path / f"{dump}.npy", vector)
+            meta = json.loads((tmp_path / "meta.json").read_text())
+            meta[f"{dump}_crc32"] = zlib.crc32(vector)
+            (tmp_path / "meta.json").write_text(json.dumps(meta))
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(tmp_path)
+            assert str(err.value) == (f"{tmp_path / dump}.npy holds a non-finite value in "
+                                      f"parameter {names[named]}")
+
     def test_meta_without_a_required_key_rejected(self, tmp_path, world):
         # A meta.json of the current format that lacks a field refuses to load
         # and names the field; one that is not a JSON object has no format.

@@ -16,7 +16,6 @@ from glimpse.nn import widen_weights
 from glimpse.sampler import (
     FsBlock,
     SamplerParams,
-    add_temporal_embedding,
     apply_mask,
     gumbel_noise,
     gumbel_softmax,
@@ -62,35 +61,13 @@ def hard_rows(y_soft):
 
 
 class TestTemporalEmbedding:
-    def test_zero_table_is_identity(self):
-        rng = np.random.default_rng(0)
-        seq = rng.normal(size=(5, 8))
-        out = add_temporal_embedding(Tensor(seq), Tensor(np.zeros((10, 8))))
-        np.testing.assert_array_equal(out.data, seq)
-
-    def test_zero_input_returns_table_prefix(self):
-        rng = np.random.default_rng(1)
-        table = rng.normal(size=(10, 8))
-        out = add_temporal_embedding(Tensor(np.zeros((4, 8))), Tensor(table))
-        np.testing.assert_array_equal(out.data, table[:4])
-
     def test_table_too_small_rejected(self):
         # A video longer than the sampler's temporal table is stopped where it
-        # enters the model, before the embedding is added.
+        # enters the model, before the whole table is added.
         model = make_model(n=6)
         assert model.sampler.temporal_table.shape[0] == 6
         with pytest.raises(ValueError, match=r"expected float32 or float64 \(6, 4, 24\)"):
             represent(model, make_bundle(np.random.default_rng(3), n=7, d=MODEL_DIM))
-
-    def test_gradient_reaches_input_and_table(self):
-        rng = np.random.default_rng(2)
-        seq = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        table = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 6)))
-        report = grad_check(
-            lambda: T.tsum(add_temporal_embedding(seq, table) * w), [seq, table]
-        )
-        assert report.passed, report.max_rel_error
 
 
 class TestFsBlock:

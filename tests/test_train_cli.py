@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -823,6 +824,38 @@ class TestCli:
             assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
             assert (f"dataset {key}={value} does not match checkpoint config "
                     f"{key}={getattr(cfg, key)}") in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_eval_exits_2_on_overflowing_logits_and_1_on_a_non_finite_weight(self, tmp_path,
+                                                                              capsys):
+        # Finite weights whose attention logits overflow are a numeric failure,
+        # found in the forward pass; a NaN in a dump whose checksum matches is
+        # a bad checkpoint, refused at load with the parameter named.
+        desk = ["--n-frames", "30", "--k-select", "4", "--depth", "1", "--dim", "32",
+                "--heads", "2", "--n-grid", "2"]
+        cfg = desk_config(depth=1, seed=2)
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        assert main(["gen-data", "--out", str(data), "--episodes", "2", *desk]) == 0
+        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
+        rng = np.random.default_rng(5)
+        for name, p in model.named_parameters():
+            if name.endswith(("attn.w_q.w", "attn.w_k.w")):
+                p.data[...] = rng.normal(0.0, 1e20, p.shape)
+        save_checkpoint(ckpt, model, step=0)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == "error: non-finite logits\n"
+
+        names, params = zip(*model.named_parameters())
+        at = sum(p.size for p in params[:names.index("answer_head.fc2.w")])
+        params = np.load(ckpt / "params.npy")
+        params[at] = np.nan
+        np.save(ckpt / "params.npy", params)
+        meta = json.loads((ckpt / "meta.json").read_text())
+        (ckpt / "meta.json").write_text(json.dumps({**meta, "params_crc32": zlib.crc32(params)}))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (f"error: {ckpt / 'params.npy'} holds a non-finite "
+                                           "value in parameter answer_head.fc2.w\n")
 
     def test_train_rejects_dataset_vocab_seed_mismatch(self, tmp_path, capsys):
         # Another seed means another frozen word table and frame rotation.
