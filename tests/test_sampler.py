@@ -61,6 +61,26 @@ def hard_rows(y_soft):
 
 
 class TestTemporalEmbedding:
+    def test_zero_table_is_identity(self):
+        rng = np.random.default_rng(0)
+        params = make_sampler()
+        params.temporal_table = Tensor(np.zeros((6, 16)), requires_grad=True)
+        seq, t_row = rng.normal(size=(6, 16)), Tensor(rng.normal(size=(1, 16)))
+        out = selection_logits(Tensor(seq), t_row, params)
+        ref = Tensor(seq)
+        for block in params.blocks:
+            ref = block(ref, t_row)
+        np.testing.assert_array_equal(out.data, T.swapaxes(params.w_s(ref), -1, -2).data)
+
+    def test_zero_input_returns_table_prefix(self):
+        # The prefix is the whole table: represent admits only videos of the
+        # N frames the table has rows for.
+        params = make_sampler()
+        seen = []
+        params.blocks = [lambda seq, t_row: seen.append(seq.data) or seq]
+        selection_logits(Tensor(np.zeros((6, 16))), Tensor(np.ones((1, 16))), params)
+        np.testing.assert_array_equal(seen[0], params.temporal_table.data)
+
     def test_table_too_small_rejected(self):
         # A video longer than the sampler's temporal table is stopped where it
         # enters the model, before the whole table is added.
@@ -68,6 +88,18 @@ class TestTemporalEmbedding:
         assert model.sampler.temporal_table.shape[0] == 6
         with pytest.raises(ValueError, match=r"expected float32 or float64 \(6, 4, 24\)"):
             represent(model, make_bundle(np.random.default_rng(3), n=7, d=MODEL_DIM))
+
+    def test_gradient_reaches_input_and_table(self):
+        rng = np.random.default_rng(2)
+        params = make_sampler(d=8, n=5)
+        widen_weights(params, rng)
+        seq = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        t_row = Tensor(rng.normal(size=(1, 8)))
+        w = Tensor(rng.normal(size=(2, 5)))
+        report = grad_check(lambda: T.tsum(selection_logits(seq, t_row, params) * w),
+                            [seq, params.temporal_table])
+        assert report.passed, report.max_rel_error
+        assert np.abs(params.temporal_table.grad).min() > 0
 
 
 class TestFsBlock:
