@@ -3,7 +3,8 @@
 Subcommands: gradcheck, gen-data, train, eval, ablate.  Configuration comes
 from an optional JSON file; every field can be overridden with a
 ``--<field> value`` flag.  Exit codes: 0 success, 1 usage error, 2 numeric
-failure (gradient-check failure, non-finite loss, or logits that overflow).
+failure (gradient-check failure, non-finite loss, or a float overflow or
+invalid operation, which ends the command where it happens).
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
+
 from .config import GRADCHECK_OVERRIDES, RunConfig, removed_note
 from .data import BLIND_MODES, check_dataset, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
-from .train import NumericFailure, train
+from .train import train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,8 +113,9 @@ def main(argv=None) -> int:
         if getattr(args, name, low) < low:
             parser.error(f"--{name.replace('_', '-')} must be >= {low}")
     try:
-        return COMMANDS[args.command](args)
-    except (NumericFailure, FloatingPointError) as err:
+        with np.errstate(over="raise", invalid="raise"):
+            return COMMANDS[args.command](args)
+    except FloatingPointError as err:   # train's NumericFailure too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:

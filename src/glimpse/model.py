@@ -31,7 +31,7 @@ from .config import COMPUTE_DTYPE, RunConfig
 from .data import NUM_VALUES, FrameBundle, Vocab, _require_keys
 from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
-from .sampler import SamplerParams, apply_mask, selection_rows, straight_through, uniform_indices
+from .sampler import SamplerParams, apply_mask, selection_rows, uniform_indices
 from .tensor import Tensor
 
 
@@ -39,8 +39,9 @@ class TextEncoder(Block):
     """Frozen word embeddings under a small trainable encoder.
 
     One pre-norm attention/MLP block over [CLS, tokens] with learned position
-    embeddings; the CLS output conditions the visual pipeline and the token
-    outputs feed the masked-word loss.
+    embeddings, returning the one sequence of outputs.  Its CLS row conditions
+    the visual pipeline; its token rows feed the plain fusion and the
+    masked-word loss.
     """
 
     max_len = 16  # tokens per text
@@ -51,8 +52,8 @@ class TextEncoder(Block):
         self.cls = init_normal(rng, (1, dim))
         super().__init__(dim, heads, rng)
 
-    def __call__(self, token_ids) -> tuple[Tensor, Tensor]:
-        """Token ids (..., M) -> (t_cls (..., 1, D), token outputs (..., M, D)).
+    def __call__(self, token_ids) -> Tensor:
+        """Token ids (..., M) -> outputs (..., 1+M, D), the CLS row first.
 
         Every text of a batch has the same length M.
         """
@@ -67,8 +68,7 @@ class TextEncoder(Block):
             raise ValueError(f"text length {m} exceeds max {self.max_len}")
         emb = Tensor(self.embed.data[ids])                   # frozen, (..., M, D)
         cls_rows = T.broadcast_to(self.cls, (*ids.shape[:-1], 1, self.cls.shape[-1]))
-        x = super().__call__(T.concat([cls_rows, emb + self.pos[:m]], axis=-2))
-        return x[..., :1, :], x[..., 1:, :]
+        return super().__call__(T.concat([cls_rows, emb + self.pos[:m]], axis=-2))
 
 
 class PlainFusion(PatchTokens):
@@ -132,13 +132,13 @@ class VideoQAModel(Module):
 
     # -- forward paths ---------------------------------------------------
 
-    def encode_text(self, token_ids) -> tuple[Tensor, Tensor]:
-        """Token ids (..., M) -> (t_cls (..., 1, D), token outputs (..., M, D))."""
+    def encode_text(self, token_ids) -> Tensor:
+        """Token ids (..., M) -> text encoder outputs (..., 1+M, D), the CLS row first."""
         return self.text_encoder(token_ids)
 
     def encode_text_tokens(self, token_ids) -> Tensor:
         """Token outputs only, (..., M, D); the masked-word loss consumes these."""
-        return self.text_encoder(token_ids)[1]
+        return self.text_encoder(token_ids)[..., 1:, :]
 
     def select(self, bundles: Sequence[FrameBundle], t_cls: Tensor,
                rng_seed: Sequence[int]) -> tuple[Tensor, np.ndarray]:
@@ -164,7 +164,7 @@ class VideoQAModel(Module):
             rows = selection_rows([b.v_cls for b in bundles], t_cls, self.sampler, rng_seed)
             indices = np.argmax(rows.data, axis=-1)
             if cfg.sampler == "sparse":
-                rows = straight_through(rows, indices)
+                rows = T.straight_through(rows, np.eye(cfg.n_frames, dtype=rows.dtype)[indices])
         return apply_mask(rows, bundles), indices
 
     def represent(self, bundles: Sequence[FrameBundle], token_ids: Sequence[Sequence[int]],
@@ -174,9 +174,10 @@ class VideoQAModel(Module):
         ``bundles`` holds B videos, one per row, read in place: rows that show
         one video pass the same bundle object.  ``token_ids`` holds B texts of
         one length M; ``rng_seeds`` holds B selection-noise seeds.  Returns the
-        video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D), the
-        text token outputs ``t_tokens`` (B, M, D) and the selected frame
-        ``indices`` (B, K).  Rows never interact in exact arithmetic: a row's
+        video CLS ``v_star`` (B, D), the text CLS ``t_cls`` (B, 1, D) and the
+        selected frame ``indices`` (B, K).  The text CLS steers selection and
+        refinement; only the plain fusion also reads the token rows, so only
+        it slices them.  Rows never interact in exact arithmetic: a row's
         outputs are those of any batch it could run in up to float32 rounding.
         Episodes hold their frames in the compute dtype; a module in another
         dtype (the oracle's float64) casts them where they enter the
@@ -200,15 +201,14 @@ class VideoQAModel(Module):
                 raise ValueError(f"row {r}: patches {x.v_patch.shape} {x.v_patch.dtype} and frame "
                                  f"CLS {x.v_cls.shape} {x.v_cls.dtype}; expected float32 or "
                                  f"float64 ({n}, {p}, {d}) and ({n}, {d})")
-        t_cls, t_tokens = self.encode_text(token_ids)
+        text = self.encode_text(token_ids)
+        t_cls = text[..., :1, :]
         selected, indices = self.select(bundles, t_cls, list(rng_seeds))
         if self.refiner is not None:
             v_star = refine(selected, t_cls, self.refiner)
         else:
-            text_rows = T.concat([t_cls, t_tokens], axis=-2)
-            v_star = self.plain(selected, text_rows)
-        return {"v_star": v_star, "t_cls": t_cls, "t_tokens": t_tokens,
-                "indices": indices}
+            v_star = self.plain(selected, T.concat([t_cls, text[..., 1:, :]], axis=-2))
+        return {"v_star": v_star, "t_cls": t_cls, "indices": indices}
 
     # -- checkpointing -----------------------------------------------------
 

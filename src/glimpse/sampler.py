@@ -4,14 +4,14 @@ Frame CLS tokens get a temporal embedding, pass through stacked gate+attention
 blocks, and are projected onto one logit row per selection slot.  Each row is
 Gumbel-Softmax sampled by ``selection_rows``, the one path every caller takes.
 ``VideoQAModel.select`` applies the rows in one of three modes: ``sparse``
-discretizes them with the straight-through estimator, one tape node whose
-value is the one-hot rows, so the forward pass copies exact frames, and whose
-backward hands its gradient to the soft distribution unchanged; ``soft``
-weights the frames by the rows themselves; and ``uniform``, the one
-configuration without a learned sampler, applies fixed one-hot rows that pick
-an even grid (``uniform_indices``).  Every function takes a leading batch
-axis: B text rows, each with its own Gumbel noise seed, against one video per
-row, read in place.
+discretizes them with ``tensor.straight_through``, one tape node whose value
+is the one-hot rows at each row's argmax, so the forward pass copies exact
+frames, and whose backward hands its gradient to the soft distribution
+unchanged; ``soft`` weights the frames by the rows themselves; and
+``uniform``, the one configuration without a learned sampler, applies fixed
+one-hot rows that pick an even grid (``uniform_indices``).  Every function
+takes a leading batch axis: B text rows, each with its own Gumbel noise seed,
+against one video per row, read in place.
 """
 
 from __future__ import annotations
@@ -81,16 +81,6 @@ def gumbel_softmax(x: Tensor, tau_g: float, rng_seed) -> Tensor:
     draws = np.stack([gumbel_noise(x.shape[1:], seed) for seed in slot])
     noise = draws[[slot[seed] for seed in rng_seed]]
     return T.softmax_stable((x + noise) * (1.0 / tau_g))
-
-
-def straight_through(y_soft: Tensor, indices: np.ndarray) -> Tensor:
-    """One-hot rows at ``indices`` carrying the gradient of ``y_soft``, in one node.
-
-    The rows are ``np.eye(N)[indices]`` in the dtype of ``y_soft``, as the
-    uniform grid's are, so forward values are the one-hots to the last bit;
-    the node's backward hands its gradient to ``y_soft`` unchanged.
-    """
-    return T.straight_through(y_soft, np.eye(y_soft.shape[-1], dtype=y_soft.dtype)[indices])
 
 
 def selection_logits(v_cls: Tensor, t_row: Tensor, params: SamplerParams) -> Tensor:

@@ -30,7 +30,7 @@ from .objectives import (
 from .tensor import Tensor
 
 
-class NumericFailure(RuntimeError):
+class NumericFailure(FloatingPointError):
     """Non-finite loss; carries the offending term and step for the exit path."""
 
     def __init__(self, term: str, step: int):
@@ -166,14 +166,13 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
             [item.annotation for item in batch],
             [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch])
         v_batch = rep["v_star"]                                    # (B, D)
-        t_batch = T.reshape(rep["t_cls"], (len(batch), cfg.dim))   # (B, D)
         labels = [MATCHED if item.matched else UNMATCHED for item in batch]
         flags = [item.matched for item in batch]
 
         zero = Tensor(np.zeros((), dtype=model.dtype))     # for switched-off terms
         l_vtm = vtm_loss(v_batch, labels, model.vtm_head) if cfg.w_vtm else zero
-        l_cl = (contrastive_loss(v_batch, t_batch, flags, cfg.tau)
-                if cfg.w_cl and any(flags) else zero)
+        l_cl = (contrastive_loss(v_batch, T.reshape(rep["t_cls"], (len(batch), cfg.dim)),
+                                 flags, cfg.tau) if cfg.w_cl and any(flags) else zero)
 
         matched_ids = [j for j, item in enumerate(batch) if item.matched]
         v_matched = T.take(v_batch, matched_ids, axis=0)

@@ -45,19 +45,22 @@ def represent_one(model, episode, rng_seed):
 
 class TestTextEncoder:
     def test_shapes_and_determinism(self, world):
+        # One (1+M, D) sequence, the CLS row first; the token outputs are
+        # its last M rows.
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        t_cls, tokens = model.encode_text(episode.question_tokens)
-        assert t_cls.shape == (1, cfg.dim)
-        assert tokens.shape == (len(episode.question_tokens), cfg.dim)
-        t_cls2, _ = model.encode_text(episode.question_tokens)
-        assert (t_cls.data == t_cls2.data).all()
+        m = len(episode.question_tokens)
+        text = model.encode_text(episode.question_tokens)
+        tokens = model.encode_text_tokens(episode.question_tokens)
+        assert text.shape == (1 + m, cfg.dim) and tokens.shape == (m, cfg.dim)
+        assert tokens.data.tobytes() == text.data[1:].tobytes()
+        again = model.encode_text(episode.question_tokens)
+        assert text.data.tobytes() == again.data.tobytes()
 
     def test_text_encoder_is_trainable_but_embeddings_frozen(self, world):
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        t_cls, _ = model.encode_text(episode.question_tokens)
-        T.tsum(t_cls).backward()
+        T.tsum(model.encode_text(episode.question_tokens)[:1]).backward()
         assert model.text_encoder.pos.grad is not None
         assert model.text_encoder.embed.requires_grad is False
         names = dict(model.named_parameters())
@@ -94,9 +97,11 @@ class TestVariants:
         model = build(variant, vocab)
         rep = represent_one(model, episode, 5)
         assert rep["v_star"].shape == (1, cfg.dim)
+        assert rep.keys() == {"v_star", "t_cls", "indices"}
         assert rep["t_cls"].shape == (1, 1, cfg.dim)
-        assert rep["t_tokens"].shape == (1, len(episode.question_tokens), cfg.dim)
         assert rep["indices"].shape == (1, cfg.k_select)
+        tokens = model.encode_text_tokens([episode.question_tokens])
+        assert tokens.shape == (1, len(episode.question_tokens), cfg.dim)
 
     def test_plain_fusion_checks_patches_like_the_refiner(self, world):
         # Both fusions get their patches through represent's one check: rows
@@ -163,9 +168,14 @@ class TestRepresent:
             free = represent_one(model, episode, 7)
         assert taped["v_star"].requires_grad and not free["v_star"].requires_grad
         assert free["v_star"]._parents == () and free["v_star"]._backward is None
-        for key in ("v_star", "t_cls", "t_tokens"):
+        for key in ("v_star", "t_cls"):
             assert free[key].data.tobytes() == taped[key].data.tobytes()
         assert (free["indices"] == taped["indices"]).all()
+        tokens = model.encode_text_tokens([episode.question_tokens])
+        with T.no_grad():
+            free_tokens = model.encode_text_tokens([episode.question_tokens])
+        assert tokens.requires_grad and not free_tokens.requires_grad
+        assert free_tokens.data.tobytes() == tokens.data.tobytes()
 
     def test_gradient_reaches_selector_through_hard_path(self, world):
         cfg, vocab, episode = world

@@ -21,7 +21,6 @@ from glimpse.sampler import (
     gumbel_softmax,
     selection_logits,
     selection_rows,
-    straight_through,
     uniform_indices,
 )
 from glimpse.tensor import Tensor
@@ -57,7 +56,8 @@ def represent(model, bundle):
 def hard_rows(y_soft):
     """Discretize as ``VideoQAModel.select`` does: argmax per row."""
     indices = np.argmax(y_soft.data, axis=-1)
-    return straight_through(y_soft, indices), indices
+    hard = np.eye(y_soft.shape[-1], dtype=y_soft.dtype)[indices]
+    return T.straight_through(y_soft, hard), indices
 
 
 class TestTemporalEmbedding:
@@ -258,7 +258,7 @@ def test_straight_through_is_one_hot_forward_and_soft_backward(b, k, n, dtype, s
     def run(hard):
         logits = Tensor(logits_data, requires_grad=True)
         y = T.softmax_stable(logits)
-        out = straight_through(y, indices) if hard else y
+        out = T.straight_through(y, np.eye(n, dtype=dtype)[indices]) if hard else y
         T.tsum(out * weights).backward()
         return out.data, logits.grad
 

@@ -6,21 +6,25 @@ tape, its block's skip connection included: the output projection adds it
 inside its node.  A readout call adds the slice of its query row.  A biased
 ``Linear`` is one node, and so is an ``Mlp`` with its skip.  Desk training
 time is per-node overhead, so the whole step's tape is pinned: 261 nodes, 135
-of them interior.  Bench-geometry memory is the tape's bytes, so a node keeps
-only what its backward reads, ``backward`` frees each node once its rule has
-run, a parameter's gradient is written straight into the optimizer's
-vector, and the selection reads each row's frames in place, so the tape
-holds no copy of the batch's videos.
+of them interior, and in every ablation row, loss row and the desk recipe
+each node the step tapes must be one its loss reads.  Bench-geometry memory
+is the tape's bytes, so a node keeps only what its backward reads,
+``backward`` frees each node once its rule has run, a parameter's gradient is
+written straight into the optimizer's vector, and the selection reads each
+row's frames in place, so the tape holds no copy of the batch's videos.  A
+census pins, per ablation row, the parameters whose gradient one step leaves
+below 1e-12 of the largest.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glimpse import tensor as T
 from glimpse import train as gtrain
-from glimpse.config import desk_config
+from glimpse.config import RunConfig, desk_config, loss_variant, table_variant
 from glimpse.data import Vocab, gen_episode
 from glimpse.gating import cross_attention_core, gate_core
 from glimpse.model import VideoQAModel
@@ -120,15 +124,15 @@ def test_weight_gradient_is_one_product_written_into_its_slot():
     assert peak < w.data.nbytes, peak
 
 
-def desk_step(monkeypatch, at_backward, **overrides):
-    """One desk train step at B=8; ``at_backward(model, optimizer, nodes,
-    n_interior)`` runs right after the step's ``backward``, with every node of
-    its tape and the count of interior ones, taken before ``backward`` freed
-    their links."""
-    cfg = desk_config(seed=1, batch_size=8, **overrides)
+def desk_step(monkeypatch, at_backward, cfg=None, dtype=np.float32):
+    """One desk train step over 8 episodes (default: the desk config at B=8);
+    ``at_backward(model, optimizer, nodes, n_interior)`` runs right after the
+    step's ``backward``, with every node of its tape and the count of interior
+    ones, taken before ``backward`` freed their links."""
+    cfg = cfg or desk_config(seed=1, batch_size=8)
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
     batch = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
-    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed)).astype(dtype)
     optimizer = gtrain.AdamW(list(model.named_parameters()), cfg.weight_decay)
     backward = Tensor.backward
 
@@ -192,9 +196,77 @@ def test_parameter_grads_are_views_of_the_optimizer_vector(monkeypatch):
                 assert p.grad is None, name
                 unreached.append((name, p.data.copy()))
 
-    model, optimizer = desk_step(monkeypatch, check, w_vgmlm=0.0)
+    model, optimizer = desk_step(monkeypatch, check,
+                                 desk_config(seed=1, batch_size=8, w_vgmlm=0.0))
     assert unreached and all(name.startswith("mlm_head.") for name, _ in unreached)
     params, moments = dict(model.named_parameters()), optimizer.moments
     for name, before in unreached:
         assert (params[name].data == before).all(), name
         assert not moments[name][0].any() and not moments[name][1].any(), name
+
+
+def tape_config(grid, row):
+    """The desk config at B=8 as table row ``row``, as loss row ``row``, or
+    (``grid`` "recipe") the committed desk recipe, whose own batch is cut to
+    the step's 8 episodes."""
+    if grid == "recipe":
+        return RunConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_recipe.json")
+    variant = table_variant if grid == "table" else loss_variant
+    return variant(desk_config(seed=1, batch_size=8), row)
+
+
+TAPE_CONFIGS = ([("table", row) for row in "abcdef"] + [("losses", row) for row in "abcdef"]
+                + [("recipe", None)])
+
+
+@pytest.mark.parametrize("grid,row", TAPE_CONFIGS,
+                         ids=[f"{grid}-{row}" if row else grid for grid, row in TAPE_CONFIGS])
+def test_every_taped_node_is_read_by_the_loss(monkeypatch, grid, row):
+    # A node that the loss does not reach costs its op and its place on the
+    # tape for nothing: every node a step tapes must be on backward's walk.
+    taped = []
+    node = T._node
+
+    def recorded(data, parents):
+        out = node(data, parents)
+        if out._parents:
+            taped.append(out)
+        return out
+
+    walked = []
+    monkeypatch.setattr(T, "_node", recorded)
+    desk_step(monkeypatch, lambda model, optimizer, nodes, n_interior: walked.extend(nodes),
+              tape_config(grid, row))
+    on_walk = {id(n) for n in walked}
+    unread = [(n._backward.__qualname__, n.shape) for n in taped if id(n) not in on_walk]
+    assert taped and not unread, unread
+
+
+# Parameters whose gradient is below 1e-12 of a step's largest, per table row.
+# The last sampler block's output bias shifts every frame logit of a slot
+# alike, which the softmax ignores; under cross-attention over the one text
+# row, each gate's softmax is over one key, so its query side is unused.
+IDLE_SAMPLER_BIAS = {"sampler.blocks.1.mlp.fc2.b"}
+IDLE_GATE_QUERIES = {f"{stack}.blocks.{i}.{name}" for stack in ("sampler", "refiner")
+                     for i in range(2)
+                     for name in ("ln_gate.gain", "ln_gate.bias", "gate.w_q.w", "gate.w_k.w")}
+CANNOT_LEARN = {"a": set(), "b": set(), "c": IDLE_SAMPLER_BIAS, "d": IDLE_SAMPLER_BIAS,
+                "e": IDLE_SAMPLER_BIAS | IDLE_GATE_QUERIES, "f": IDLE_SAMPLER_BIAS}
+
+
+@pytest.mark.parametrize("row", sorted(CANNOT_LEARN))
+def test_census_of_parameters_that_cannot_learn(monkeypatch, row):
+    # One float64 step at B=4 over matched rows, every loss term on.
+    grads = {}
+
+    def census(model, optimizer, nodes, n_interior):
+        for name, p in model.named_parameters():
+            grads[name] = 0.0 if p.grad is None else np.abs(p.grad).max()
+
+    cfg = table_variant(desk_config(seed=1, batch_size=4, exchange_prob=0.0), row)
+    desk_step(monkeypatch, census, cfg, np.float64)
+    largest = max(grads.values())
+    assert np.isfinite(largest) and largest > 0.0
+    idle = {name for name, g in grads.items() if g < 1e-12 * largest}
+    assert idle == CANNOT_LEARN[row]
+    assert all(grads[name] == 0.0 for name in idle - IDLE_SAMPLER_BIAS)

@@ -4,7 +4,10 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -52,6 +55,26 @@ def exit_code(argv) -> int:
         return main(argv)
     except SystemExit as err:
         return err.code
+
+
+DESK_FLAGS = ["--n-frames", "30", "--k-select", "4", "--depth", "1", "--dim", "32",
+              "--heads", "2", "--n-grid", "2"]
+SRC = Path(__file__).parents[1] / "src"
+
+
+def overflowing_checkpoint(tmp_path):
+    """A 2-episode desk dataset and a depth-1 checkpoint of finite weights whose
+    attention logits overflow float32: (data dir, checkpoint dir, model)."""
+    cfg = desk_config(depth=1, seed=2)
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    assert main(["gen-data", "--out", str(data), "--episodes", "2", *DESK_FLAGS]) == 0
+    model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
+    rng = np.random.default_rng(5)
+    for name, p in model.named_parameters():
+        if name.endswith(("attn.w_q.w", "attn.w_k.w")):
+            p.data[...] = rng.normal(0.0, 1e20, p.shape)
+    save_checkpoint(ckpt, model, step=0)
+    return data, ckpt, model
 
 
 def pool(cfg, count, base=0):
@@ -825,26 +848,16 @@ class TestCli:
             assert (f"dataset {key}={value} does not match checkpoint config "
                     f"{key}={getattr(cfg, key)}") in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_eval_exits_2_on_overflowing_logits_and_1_on_a_non_finite_weight(self, tmp_path,
                                                                               capsys):
         # Finite weights whose attention logits overflow are a numeric failure,
-        # found in the forward pass; a NaN in a dump whose checksum matches is
-        # a bad checkpoint, refused at load with the parameter named.
-        desk = ["--n-frames", "30", "--k-select", "4", "--depth", "1", "--dim", "32",
-                "--heads", "2", "--n-grid", "2"]
-        cfg = desk_config(depth=1, seed=2)
-        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
-        assert main(["gen-data", "--out", str(data), "--episodes", "2", *desk]) == 0
-        model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
-        rng = np.random.default_rng(5)
-        for name, p in model.named_parameters():
-            if name.endswith(("attn.w_q.w", "attn.w_k.w")):
-                p.data[...] = rng.normal(0.0, 1e20, p.shape)
-        save_checkpoint(ckpt, model, step=0)
+        # found where the forward pass overflows; a NaN in a dump whose
+        # checksum matches is a bad checkpoint, refused at load with the
+        # parameter named.
+        data, ckpt, model = overflowing_checkpoint(tmp_path)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
-        assert capsys.readouterr().err == "error: non-finite logits\n"
+        assert capsys.readouterr().err == "error: overflow encountered in matmul\n"
 
         names, params = zip(*model.named_parameters())
         at = sum(p.size for p in params[:names.index("answer_head.fc2.w")])
@@ -888,7 +901,6 @@ class TestCli:
         assert main(train_args + ["--out", str(tmp_path / "same"), "--resume", str(ckpt),
                                   "--steps", "1"]) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_nan_exits_2(self, tmp_path):
         data = tmp_path / "data"
         overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
@@ -899,6 +911,22 @@ class TestCli:
                      "--steps", "5", "--batch-size", "4", "--lr", "1e15",
                      "--metrics", str(tmp_path / "m.jsonl"), *overrides])
         assert code == 2
+
+    def test_numeric_failure_writes_one_stderr_line(self, tmp_path):
+        # In a process of its own, where no test harness captures numpy's
+        # warnings: an overflow ends the command with its one error line.
+        data, ckpt, _ = overflowing_checkpoint(tmp_path)
+        for argv, line in (
+                (["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+                 "error: overflow encountered in matmul"),
+                (["train", "--data", str(data), "--out", str(tmp_path / "c"), "--steps", "5",
+                  "--batch-size", "2", "--lr", "1e15", "--metrics", str(tmp_path / "m.jsonl"),
+                  *DESK_FLAGS], "error: non-finite loss term 'forward' at step 1")):
+            run = subprocess.run([sys.executable, "-m", "glimpse.cli", *argv],
+                                 capture_output=True, text=True, timeout=120,
+                                 env={**os.environ, "PYTHONPATH": str(SRC),
+                                      "OPENBLAS_NUM_THREADS": "1"})
+            assert (run.returncode, run.stdout, run.stderr) == (2, "", line + "\n"), argv
 
     def test_gradcheck_detects_sabotaged_backward(self, monkeypatch, capsys):
         import glimpse.tensor as gt
