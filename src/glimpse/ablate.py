@@ -27,8 +27,7 @@ def _run_variant(label: str, cfg: RunConfig, train_episodes: int,
     train_pool = _episode_pool(cfg, data_seed, train_episodes)
     eval_pool = _episode_pool(cfg, data_seed ^ 0x5EED, eval_episodes)
     model, _, records = train(cfg, train_pool)
-    metrics = evaluate_model(model, eval_pool, eval_seed=cfg.seed + 77,
-                             with_mcq=False)
+    metrics = evaluate_model(model, eval_pool, eval_seed=cfg.seed + 77)
     return {
         "variant": label,
         "sampler": cfg.sampler,
@@ -47,8 +46,8 @@ def _run_variant(label: str, cfg: RunConfig, train_episodes: int,
     }
 
 
-def run_grid(cfg: RunConfig, grid: str, train_episodes: int = 3000,
-             eval_episodes: int = 300, data_seed: int = 1) -> list[dict]:
+def run_grid(cfg: RunConfig, grid: str, train_episodes: int, eval_episodes: int,
+             data_seed: int) -> list[dict]:
     if min(train_episodes, eval_episodes) < 1:
         raise ValueError(f"episode counts must be >= 1, got {train_episodes} and {eval_episodes}")
     rows = []
@@ -57,6 +56,9 @@ def run_grid(cfg: RunConfig, grid: str, train_episodes: int = 3000,
             rows.append(_run_variant(row, table_variant(cfg, row),
                                      train_episodes, eval_episodes, data_seed))
     elif grid == "frames":
+        if cfg.n_frames < min(FRAME_SWEEP_K):
+            raise ValueError(f"grid 'frames' sweeps K over {FRAME_SWEEP_K}, and none fits "
+                             f"n_frames={cfg.n_frames}")
         for sampler in ("sparse", "uniform"):
             for k in FRAME_SWEEP_K:
                 if k > cfg.n_frames:

@@ -21,6 +21,7 @@ import numpy as np
 from .config import GRADCHECK_OVERRIDES, RunConfig, removed_note
 from .data import BLIND_MODES, check_dataset, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
+from .gradcheck import EPSILON, TOLERANCE
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
 from .train import train
@@ -67,8 +68,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle over every block")
     _add_config_flags(p)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
+    p.add_argument("--tolerance", type=float, default=TOLERANCE)
     p.add_argument("--sweep", action="store_true",
                    help="also report epsilon sweep {1e-4, 1e-5, 1e-6}")
     p.add_argument("--out", type=Path, default=None, help="write the report as JSON")

@@ -131,27 +131,28 @@ def _evaluate(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
                                  for mode in modes}}
 
 
-def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
-                   with_mcq: bool = True) -> dict:
+def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int) -> dict:
     """Deterministic clean metrics over a sequence of episodes.
 
     QA answers come from the open-ended head on the video CLS; matching
     accuracy scores each episode against its own annotation and the next
     one that differs from it, so it is reported only when the episodes ask
-    more than one question; multiple choice asks the matching head to pick
-    the true annotation out of ``MCQ_CHOICES``; hit-rate counts episodes
-    whose ground-truth event frame appears among the selected frames.
-    Nothing is taped.
+    more than one question; hit-rate counts episodes whose ground-truth
+    event frame appears among the selected frames.  Nothing is taped.
     """
-    return _evaluate(model, episodes, eval_seed, (), with_mcq)["clean"]
+    return _evaluate(model, episodes, eval_seed, (), with_mcq=False)["clean"]
 
 
 def evaluate_with_blind_probes(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
                                modes: Sequence[str] = BLIND_MODES) -> dict:
-    """``evaluate_model``'s metrics plus each blind mode's QA accuracy and delta.
+    """``evaluate_model``'s metrics and multiple choice, plus each blind mode's
+    QA accuracy and delta.
 
-    All modes share the clean rows' pass, which reads an episode once for the
-    layout and once per chunk that shows it.  An unknown mode raises
-    ``ValueError`` before any ``represent`` call; a repeated mode runs once.
+    Multiple choice, reported when there are more than ``MCQ_CHOICES``
+    episodes, asks the matching head to pick the true annotation out of
+    ``MCQ_CHOICES``.  All modes share the clean rows' pass, which reads an
+    episode once for the layout and once per chunk that shows it.  An
+    unknown mode raises ``ValueError`` before any ``represent`` call; a
+    repeated mode runs once.
     """
-    return _evaluate(model, episodes, eval_seed, modes, True)
+    return _evaluate(model, episodes, eval_seed, modes, with_mcq=True)

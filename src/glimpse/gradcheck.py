@@ -16,6 +16,9 @@ from .tensor import Tensor, no_grad
 
 LossFn = Callable[[], Tensor]
 
+# The oracle's default central-difference step and relative-error bound.
+EPSILON, TOLERANCE = 1e-5, 1e-4
+
 
 @dataclass
 class GradReport:
@@ -34,8 +37,8 @@ class GradReport:
 def grad_check(
     loss_fn: LossFn,
     params: Sequence[Tensor],
-    epsilon: float = 1e-5,
-    tolerance: float = 1e-4,
+    epsilon: float = EPSILON,
+    tolerance: float = TOLERANCE,
     names: Sequence[str] | None = None,
 ) -> GradReport:
     """Check reverse-mode gradients of ``loss_fn`` against central differences.

@@ -55,8 +55,7 @@ def _tether_coefficients(rng, params) -> list[Tensor]:
     return coefs
 
 
-def run_gradcheck(cfg: RunConfig, epsilon: float = 1e-5,
-                  tolerance: float = 1e-4) -> dict[str, GradReport]:
+def run_gradcheck(cfg: RunConfig, epsilon: float, tolerance: float) -> dict[str, GradReport]:
     """Oracle every differentiable surface; returns per-target reports."""
     cfg.validate()
     dim, heads = cfg.dim, cfg.heads

@@ -42,8 +42,8 @@ class Module:
                 for i, block in enumerate(value):
                     yield from block.named_tensors(f"{name}.{i}")
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        return ((name, t) for name, t in self.named_tensors(prefix) if t.requires_grad)
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        return ((name, t) for name, t in self.named_tensors() if t.requires_grad)
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]

@@ -6,6 +6,9 @@ video CLS alone.  Contrastive constraint: per-row softmax over cosine
 similarities at a fixed temperature, counting only matched rows.  Masked-word
 loss: predict masked tokens from the stop-gradiented masked-sentence tokens
 combined with the video CLS, which makes the visual pathway carry the signal.
+The annotation exchange is a permutation of a batch's rows: each row shows
+another row's annotation or its own, and the matched rows are those that
+show their own.
 """
 
 from __future__ import annotations
@@ -16,47 +19,32 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import Episode, Vocab
+from .data import Vocab
 from .nn import Linear, Mlp
 from .tensor import Tensor
 
 UNMATCHED, MATCHED = 0, 1  # label convention for the matching head
 
 
-@dataclass
-class BatchItem:
-    """One training pair: an episode plus its (possibly swapped) annotation."""
+def exchange_annotations(n: int, p: float, rng_seed: int) -> np.ndarray:
+    """The row permutation ``order`` of one batch's annotation exchange.
 
-    episode: Episode
-    annotation: list[int]
-    matched: bool = True
-
-
-def make_batch(episodes: Sequence[Episode]) -> list[BatchItem]:
-    return [BatchItem(ep, list(ep.question_tokens)) for ep in episodes]
-
-
-def exchange_annotations(batch: list[BatchItem], p: float, rng_seed: int) -> list[BatchItem]:
-    """Swap annotations between randomly flagged pairs.
-
-    Each item is flagged independently with probability ``p``; flagged items
-    are paired in shuffled order and swap annotations (an involution).  A
-    leftover odd item reverts to matched.  The multiset of annotations in the
-    batch is preserved.
+    Row r shows row ``order[r]``'s annotation, and a row is matched where
+    ``order[r] == r``.  Each of the ``n`` rows is flagged independently with
+    probability ``p``; flagged rows are paired in shuffled order and swap
+    annotations, so ``order`` is an involution.  A leftover odd row stays
+    matched.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("exchange probability must be in [0, 1]")
     rng = np.random.default_rng(rng_seed)
-    flags = rng.random(len(batch)) < p
-    chosen = np.flatnonzero(flags)
+    chosen = np.flatnonzero(rng.random(n) < p)
     rng.shuffle(chosen)
-    if len(chosen) % 2:
-        chosen = chosen[:-1]
-    for a, b in zip(chosen[0::2], chosen[1::2]):
-        ia, ib = int(a), int(b)
-        batch[ia].annotation, batch[ib].annotation = batch[ib].annotation, batch[ia].annotation
-        batch[ia].matched = batch[ib].matched = False
-    return batch
+    chosen = chosen[:len(chosen) // 2 * 2]
+    first, second = chosen[0::2], chosen[1::2]
+    order = np.arange(n)
+    order[first], order[second] = second, first
+    return order
 
 
 def _nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
@@ -106,8 +94,8 @@ class MaskedText:
     replacements: list[str] = field(default_factory=list)  # mask | random | kept
 
 
-def mask_tokens(token_ids: Sequence[int], rng_seed: int, mask_rate: float = 0.15,
-                *, vocab: Vocab) -> MaskedText:
+def mask_tokens(token_ids: Sequence[int], rng_seed: int, mask_rate: float, *,
+                vocab: Vocab) -> MaskedText:
     """Standard masked-language masking with the 80/10/10 replacement split.
 
     Non-special tokens are masked independently at ``mask_rate``; if nothing

@@ -31,8 +31,7 @@ class VrBlock(Block):
     stage still run on every row, since the spatial keys and values read them.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 fusion: str = "la_gate"):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, fusion: str):
         self.ln_gate = LayerNorm(dim)
         self.gate = SelfAttention(dim, heads, rng)
         self.ln_temporal = LayerNorm(dim)
@@ -64,7 +63,7 @@ class RefinerParams(PatchTokens):
     """CLS token, positional tables, and the refinement blocks."""
 
     def __init__(self, dim: int, heads: int, k_select: int, n_patches: int,
-                 depth: int, rng: np.random.Generator, fusion: str = "la_gate"):
+                 depth: int, rng: np.random.Generator, fusion: str):
         if depth < 1:
             raise ValueError("refiner depth must be >= 1")
         super().__init__(dim, k_select, n_patches, rng)

@@ -30,8 +30,7 @@ GUMBEL_EPS = 1e-10
 class FsBlock(Block):
     """Pre-norm residual block: text-conditioned gate, then inter-frame attention."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 fusion: str = "la_gate"):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, fusion: str):
         self.ln_gate = LayerNorm(dim)
         self.gate = SelfAttention(dim, heads, rng)
         super().__init__(dim, heads, rng)
@@ -46,8 +45,7 @@ class SamplerParams(Module):
     """Everything the selection stack owns; sizes are checked by ``RunConfig``."""
 
     def __init__(self, dim: int, heads: int, n_frames: int, k_select: int,
-                 depth: int, rng: np.random.Generator, fusion: str = "la_gate",
-                 tau_g: float = 1.0):
+                 depth: int, rng: np.random.Generator, fusion: str, tau_g: float):
         self.temporal_table = init_normal(rng, (n_frames, dim))
         self.blocks = [FsBlock(dim, heads, rng, fusion) for _ in range(depth)]
         self.w_s = Linear(dim, k_select, rng)

@@ -67,6 +67,7 @@ Array = np.ndarray
 
 _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi), for the tanh GELU form
 _GELU_COEF = 0.044715
+LAYER_NORM_EPS = 1e-5  # added to each row's variance
 FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 # Values in one block of ``_blockwise``: 2^16 float32 values are 256 KB, so the
@@ -798,7 +799,7 @@ def nll(logits: Tensor, targets) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     Row means are matrix-vector products against a ``1/D`` vector, and the
@@ -814,7 +815,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     rows = x.data.reshape(-1, d)           # (N, d), only read: a copy would do
     mean = (rows @ mean_of)[:, None]
     xc = rows - mean
-    inv = (1.0 / np.sqrt((xc * xc) @ mean_of + eps))[:, None]
+    inv = (1.0 / np.sqrt((xc * xc) @ mean_of + LAYER_NORM_EPS))[:, None]
 
     def affine(y, inv):           # xc * inv * gain + bias, in place in xc
         y *= inv

@@ -22,7 +22,6 @@ from .objectives import (
     answer_cross_entropy,
     contrastive_loss,
     exchange_annotations,
-    make_batch,
     mask_tokens,
     vg_mlm_loss,
     vtm_loss,
@@ -139,75 +138,71 @@ def lr_at(cfg: RunConfig, step: int) -> float:
     return cfg.lr * max(0.0, cfg.steps - step) / span
 
 
-def _finite_or_raise(value: Tensor, term: str, step: int) -> Tensor:
-    if not np.isfinite(value.data).all():
-        raise NumericFailure(term, step)
-    return value
-
-
 def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode],
                cfg: RunConfig, step: int) -> dict:
     """One optimization step; returns the metrics record for the step.
 
-    The B sampled episodes go through one batched ``represent`` call, their
-    own frames read in place against B annotations, with each row's noise
-    from its own ``episode_noise_seed``; the masked texts of the matched rows
-    are encoded in one call.  One tape covers the whole step.
+    B episodes are sampled and their annotations exchanged by the row
+    permutation ``order`` (``exchange_annotations``): row r shows its own
+    video against row ``order[r]``'s question and is matched where
+    ``order[r] == r``.  The B rows go through one batched ``represent`` call,
+    with each row's noise from its own ``episode_noise_seed``; the masked
+    texts of the matched rows are encoded in one call.  One tape covers the
+    whole step.  ``terms`` holds each loss whose weight is non-zero and that
+    has rows to read, in the order the total sums them (vtm, vgmlm, cl, qa),
+    and then their weighted sum, ``total``; each is checked for finite values
+    before the backward pass.  The record reports 0.0 for an entry that was
+    not built: with no term, nothing is backpropagated.
     """
     rng = np.random.default_rng(derive_seed(cfg.seed, 11, step))
     take = min(cfg.batch_size, len(episodes))
-    idx = rng.choice(len(episodes), size=take, replace=False)
-    batch = make_batch([episodes[i] for i in idx])
-    exchange_annotations(batch, cfg.exchange_prob, derive_seed(cfg.seed, 13, step))
+    rows = [episodes[i] for i in rng.choice(len(episodes), size=take, replace=False)]
+    order = exchange_annotations(len(rows), cfg.exchange_prob, derive_seed(cfg.seed, 13, step))
+    matched = order == np.arange(len(rows))
+    matched_ids = np.flatnonzero(matched)
 
+    terms = {}
     try:
-        rep = model.represent(
-            [item.episode.bundle for item in batch],
-            [item.annotation for item in batch],
-            [episode_noise_seed(cfg.seed, item.episode.seed, step) for item in batch])
+        rep = model.represent([ep.bundle for ep in rows],
+                              [rows[j].question_tokens for j in order],
+                              [episode_noise_seed(cfg.seed, ep.seed, step) for ep in rows])
         v_batch = rep["v_star"]                                    # (B, D)
-        labels = [MATCHED if item.matched else UNMATCHED for item in batch]
-        flags = [item.matched for item in batch]
-
-        zero = Tensor(np.zeros((), dtype=model.dtype))     # for switched-off terms
-        l_vtm = vtm_loss(v_batch, labels, model.vtm_head) if cfg.w_vtm else zero
-        l_cl = (contrastive_loss(v_batch, T.reshape(rep["t_cls"], (len(batch), cfg.dim)),
-                                 flags, cfg.tau) if cfg.w_cl and any(flags) else zero)
-
-        matched_ids = [j for j, item in enumerate(batch) if item.matched]
-        v_matched = T.take(v_batch, matched_ids, axis=0)
-        l_vgmlm = zero
-        if cfg.w_vgmlm and matched_ids:
-            masked = [mask_tokens(batch[j].annotation, derive_seed(cfg.seed, 19, step, j),
-                                  cfg.mask_rate, vocab=model.vocab) for j in matched_ids]
-            l_vgmlm = vg_mlm_loss(masked, model.encode_text_tokens, v_matched,
-                                  model.mlm_head)
-
-        l_qa = zero
-        if cfg.w_qa and matched_ids:
-            answers = [batch[j].episode.answer for j in matched_ids]
-            l_qa = answer_cross_entropy(v_matched, answers, model.answer_head)
+        if cfg.w_vtm:
+            terms["vtm"] = vtm_loss(v_batch, np.where(matched, MATCHED, UNMATCHED),
+                                    model.vtm_head)
+        if len(matched_ids):            # the other terms read matched rows only
+            if cfg.w_vgmlm or cfg.w_qa:
+                v_matched = T.take(v_batch, matched_ids, axis=0)
+            if cfg.w_vgmlm:
+                masked = [mask_tokens(rows[j].question_tokens, derive_seed(cfg.seed, 19, step, j),
+                                      cfg.mask_rate, vocab=model.vocab) for j in matched_ids]
+                terms["vgmlm"] = vg_mlm_loss(masked, model.encode_text_tokens, v_matched,
+                                             model.mlm_head)
+            if cfg.w_cl:
+                terms["cl"] = contrastive_loss(
+                    v_batch, T.reshape(rep["t_cls"], (len(rows), cfg.dim)), matched, cfg.tau)
+            if cfg.w_qa:
+                terms["qa"] = answer_cross_entropy(
+                    v_matched, [rows[j].answer for j in matched_ids], model.answer_head)
     except FloatingPointError as err:   # overflowed activations surface here
         raise NumericFailure("forward", step) from err
 
-    for term, value in (("vtm", l_vtm), ("cl", l_cl), ("vgmlm", l_vgmlm), ("qa", l_qa)):
-        _finite_or_raise(value, term, step)
-    total = _finite_or_raise(l_vtm * cfg.w_vtm + l_vgmlm * cfg.w_vgmlm + l_cl * cfg.w_cl
-                             + l_qa * cfg.w_qa, "total", step)
+    weighted = [loss * getattr(cfg, f"w_{name}") for name, loss in terms.items()]
+    if weighted:
+        terms["total"] = sum(weighted[1:], weighted[0])
+    for name, value in terms.items():
+        if not np.isfinite(value.data).all():
+            raise NumericFailure(name, step)
 
     lr = lr_at(cfg, step)
     optimizer.zero_grad()
-    total.backward()
+    if weighted:
+        terms["total"].backward()
     optimizer.step(lr)
-    return {
-        "step": step,
-        "l_vtm": float(l_vtm.data),
-        "l_cl": float(l_cl.data),
-        "l_vgmlm": float(l_vgmlm.data),
-        "l_qa": float(l_qa.data),
-        "l_total": float(total.data),
-        "lr": lr,
-    }
+    return {"step": step,
+            **{f"l_{name}": float(terms[name].data) if name in terms else 0.0
+               for name in ("vtm", "cl", "vgmlm", "qa", "total")},
+            "lr": lr}
 
 
 def train(cfg: RunConfig, episodes: Sequence[Episode], out_dir=None,

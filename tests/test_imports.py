@@ -5,7 +5,9 @@ read somewhere in the package or in the benchmark that drives it.
 A deleted function or command easily leaves its imports behind, and a helper
 that only its own test calls is dead code; these guards read each module's
 syntax tree, so they need no import of the package.  Names listed in a
-module's ``__all__`` (the package root's re-exports) count as read.
+module's ``__all__`` (the package root's re-exports) count as read.  No
+parameter named after a ``RunConfig`` field has a default: that default is
+``RunConfig``'s alone.
 """
 
 import ast
@@ -87,3 +89,37 @@ def test_every_imported_name_is_read():
     assert len(modules) > 10
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, f"imported but never read: {unused}"
+
+
+def config_fields() -> set[str]:
+    """The field names of ``RunConfig``, read from its class body."""
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    config, = (node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    return {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+
+
+def defaulted_parameters(path: Path) -> list[tuple[str, str]]:
+    """(``file:line function``, parameter) for each parameter of a function or
+    method of ``path`` that has a default."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            found += [(f"{path.name}:{node.lineno} {node.name}", arg.arg)
+                      for arg in with_default]
+    return found
+
+
+def test_no_parameter_named_after_a_config_field_has_a_default():
+    # A RunConfig field's default belongs to RunConfig: a second copy on a
+    # parameter of the same name can drift from it unseen.
+    fields = config_fields()
+    assert {"fusion", "tau_g", "mask_rate", "seed"} <= fields
+    shadowed = [f"{where}({name}=...)" for path in sorted(PACKAGE.glob("*.py"))
+                for where, name in defaulted_parameters(path) if name in fields]
+    assert not shadowed, f"parameters that repeat a RunConfig default: {shadowed}"

@@ -10,40 +10,22 @@ from hypothesis import strategies as st
 
 from glimpse import tensor as T
 from glimpse.config import desk_config
-from glimpse.data import Episode, Vocab, gen_episode
+from glimpse.data import Vocab, gen_episode
 from glimpse.gradcheck import grad_check
 from glimpse.model import VideoQAModel
 from glimpse.nn import Linear, Mlp
 from glimpse.objectives import (
-    BatchItem,
     answer_cross_entropy,
     answer_multichoice,
     answer_open_ended,
     contrastive_loss,
     exchange_annotations,
-    make_batch,
     mask_tokens,
     vg_mlm_loss,
     vtm_loss,
 )
 from glimpse.tensor import Tensor
 from glimpse.train import AdamW, NumericFailure, train_step
-
-
-def dummy_episode(seed=0, tokens=(2, 3, 4, 5)):
-    rng = np.random.default_rng(seed)
-    return Episode(
-        seed=seed,
-        frames=rng.normal(size=(4, 2, 8)),
-        frame_cls=rng.normal(size=(4, 8)),
-        question_tokens=list(tokens),
-        question_cls=rng.normal(size=8),
-        answer=int(rng.integers(8)),
-        event_frame=1,
-        event_attr=(0, 1, 2),
-        question_kind=0,
-        window=0,
-    )
 
 
 def zero_linear(d_in, d_out):
@@ -59,80 +41,50 @@ def zero_mlp(d_in, hidden, d_out):
     return head
 
 
-def partners(before, batch):
-    """Each item's exchange partner: the index of the annotation it now holds,
-    its own if it was not swapped.  The dummy episodes' tokens are distinct,
-    so the index is unique."""
-    assert len(set(map(tuple, before))) == len(before)
-    return [before.index(item.annotation) for item in batch]
+def moved(order):
+    """The rows that show another row's annotation."""
+    return np.flatnonzero(order != np.arange(len(order)))
 
 
 class TestExchange:
-    def batch(self, size, seed=0):
-        return make_batch([dummy_episode(seed=seed * 1000 + i, tokens=(2, 3, 4 + i))
-                           for i in range(size)])
-
-    def test_p_zero_leaves_batch_matched(self):
-        batch = exchange_annotations(self.batch(6), 0.0, rng_seed=1)
-        assert all(item.matched for item in batch)
+    def test_p_zero_is_the_identity(self):
+        assert exchange_annotations(6, 0.0, rng_seed=1).tolist() == list(range(6))
 
     def test_p_one_pair_swaps_both(self):
-        batch = self.batch(2)
-        before = [list(item.annotation) for item in batch]
-        exchange_annotations(batch, 1.0, rng_seed=2)
-        assert not batch[0].matched and not batch[1].matched
-        assert batch[0].annotation == before[1]
-        assert batch[1].annotation == before[0]
+        assert exchange_annotations(2, 1.0, rng_seed=2).tolist() == [1, 0]
 
-    def test_exchange_is_involution_and_preserves_multiset(self):
-        batch = self.batch(17, seed=3)
-        before = [list(item.annotation) for item in batch]
-        exchange_annotations(batch, 0.6, rng_seed=3)
-        assert sorted(map(tuple, before)) == sorted(tuple(item.annotation) for item in batch)
-        partner = partners(before, batch)
-        for i, item in enumerate(batch):
-            if partner[i] != i:
-                assert partner[partner[i]] == i
-                assert not item.matched and not batch[partner[i]].matched
-            else:
-                assert item.matched
+    def test_exchange_is_an_involution(self):
+        order = exchange_annotations(17, 0.6, rng_seed=3)
+        assert sorted(order.tolist()) == list(range(17))
+        assert (order[order] == np.arange(17)).all()
+        assert moved(order).size
 
     def test_unmatched_fraction_tracks_probability(self):
-        fractions = []
-        for seed in range(100):
-            batch = self.batch(256, seed=seed)
-            exchange_annotations(batch, 0.5, rng_seed=seed)
-            fractions.append(np.mean([not item.matched for item in batch]))
+        fractions = [moved(exchange_annotations(256, 0.5, rng_seed=seed)).size / 256
+                     for seed in range(100)]
         assert abs(np.mean(fractions) - 0.5) < 0.07
 
     def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            exchange_annotations(self.batch(2), 1.5, rng_seed=0)
+        for p in (1.5, -0.1):
+            with pytest.raises(ValueError, match="exchange probability"):
+                exchange_annotations(2, p, rng_seed=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_exchange_pairs_flagged_items_and_keeps_the_annotations(size, p, seed):
-    batch = make_batch([dummy_episode(seed=i, tokens=(2, 3, 4 + i)) for i in range(size)])
-    before = [list(item.annotation) for item in batch]
-    exchange_annotations(batch, p, rng_seed=seed)
-    # The annotation multiset is preserved.
-    assert sorted(map(tuple, before)) == sorted(tuple(item.annotation) for item in batch)
-    # Swapped items come in pairs that hold each other's annotation and are
-    # unmatched; every other item keeps its own and stays matched.
-    partner = partners(before, batch)
-    for i, item in enumerate(batch):
-        j = partner[i]
-        if j == i:
-            assert item.matched
-        else:
-            assert partner[j] == i and not item.matched
-    # The swap is an involution: swapping every pair again restores the batch.
-    again = [batch[j].annotation for j in partner]
-    assert again == before
-    # All flagged items but an odd leftover are swapped; that one stays matched.
-    flagged = int((np.random.default_rng(seed).random(size) < p).sum())
-    assert sum(j != i for i, j in enumerate(partner)) == flagged - flagged % 2
+def test_exchange_moves_the_flagged_rows_but_an_odd_leftover(size, p, seed):
+    order = exchange_annotations(size, p, rng_seed=seed)
+    # A permutation that is its own inverse: moved rows come in pairs that
+    # show each other's annotation.
+    assert sorted(order.tolist()) == list(range(size))
+    assert (order[order] == np.arange(size)).all()
+    # The moved rows are the flagged rows, replayed from the seed, but the
+    # last one shuffled when their count is odd, which stays matched.
+    rng = np.random.default_rng(seed)
+    flagged = np.flatnonzero(rng.random(size) < p)
+    rng.shuffle(flagged)
+    leftover = set(flagged[-1:].tolist()) if len(flagged) % 2 else set()
+    assert set(moved(order).tolist()) == set(flagged.tolist()) - leftover
 
 
 class TestVtmLoss:
@@ -246,7 +198,7 @@ class TestMaskTokens:
 
     def test_positions_unique_and_originals_recorded(self):
         for seed in range(40):
-            masked = mask_tokens(self.tokens, rng_seed=seed, vocab=self.vocab)
+            masked = mask_tokens(self.tokens, rng_seed=seed, mask_rate=0.15, vocab=self.vocab)
             assert len(set(masked.mask_positions)) == len(masked.mask_positions)
             for pos, orig in zip(masked.mask_positions, masked.original_ids):
                 assert self.tokens[pos] == orig
@@ -272,7 +224,7 @@ class TestMaskTokens:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            mask_tokens([], rng_seed=0, vocab=self.vocab)
+            mask_tokens([], rng_seed=0, mask_rate=0.15, vocab=self.vocab)
 
 
 class TestVgMlmLoss:

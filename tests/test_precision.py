@@ -70,7 +70,10 @@ def test_train_step_and_eval_stay_float32(cfg, monkeypatch):
     for step in range(2):
         train_step(model, optimizer, episodes, cfg, step)
     evaluate_with_blind_probes(model, episodes[:6], eval_seed=3)
-    assert {kind for kind, _ in seen} == {"node", "grad"}
+    # With every loss weight at zero a step sums no term, so nothing is
+    # backpropagated and no gradient is accumulated.
+    trains = any((cfg.w_vtm, cfg.w_cl, cfg.w_vgmlm, cfg.w_qa))
+    assert {kind for kind, _ in seen} == ({"node", "grad"} if trains else {"node"})
     assert {dtype for _, dtype in seen} == {F32}
     assert {t.dtype for _, t in model.named_tensors()} == {F32}
     assert {p.grad.dtype for p in model.parameters() if p.grad is not None} <= {F32}

@@ -17,7 +17,7 @@ from glimpse.tensor import Tensor
 
 
 def make_refiner(seed=0, d=16, h=2, k=2, p=4, depth=1):
-    return RefinerParams(d, h, k, p, depth, np.random.default_rng(seed))
+    return RefinerParams(d, h, k, p, depth, np.random.default_rng(seed), "la_gate")
 
 
 def zero_tables(params):
@@ -81,7 +81,7 @@ class TestAssemble:
 class TestVrBlock:
     def test_zero_output_projections_make_identity(self):
         rng = np.random.default_rng(3)
-        block = VrBlock(8, 2, rng)
+        block = VrBlock(8, 2, rng, "la_gate")
         for proj in (block.gate.w_o, block.attn_temporal.w_o, block.attn.w_o):
             proj.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
@@ -94,7 +94,7 @@ class TestVrBlock:
         # Before the attention stages mix rows, the gate sublayer must leave
         # untouched rows bit-identical when another row is perturbed.
         rng = np.random.default_rng(4)
-        block = VrBlock(8, 2, rng)
+        block = VrBlock(8, 2, rng, "la_gate")
         seq = rng.normal(size=(9, 8))
         t_row = Tensor(rng.normal(size=(1, 8)))
         gated = (Tensor(seq) + gate_core(block.ln_gate(Tensor(seq)), t_row, block.gate)).data
@@ -109,7 +109,7 @@ class TestVrBlock:
         # spatial slot must not move patch outputs at other slots (the CLS row
         # sees everything, so it may move).
         rng = np.random.default_rng(5)
-        block = VrBlock(8, 2, rng)
+        block = VrBlock(8, 2, rng, "la_gate")
         block.gate.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.attn.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
@@ -127,7 +127,7 @@ class TestVrBlock:
 
     def test_gradients_pass_oracle(self):
         rng = np.random.default_rng(6)
-        block = VrBlock(16, 2, np.random.default_rng(6))
+        block = VrBlock(16, 2, np.random.default_rng(6), "la_gate")
         widen_weights(block, rng)
         seq = Tensor(rng.normal(size=(9, 16)), requires_grad=True)
         t_cls = Tensor(rng.normal(size=(1, 16)), requires_grad=True)

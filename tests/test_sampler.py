@@ -33,7 +33,7 @@ def make_bundle(rng, n=6, p=4, d=16):
 
 
 def make_sampler(rng_seed=0, d=16, h=2, n=6, k=2, depth=1, tau=1.0):
-    return SamplerParams(d, h, n, k, depth, np.random.default_rng(rng_seed), tau_g=tau)
+    return SamplerParams(d, h, n, k, depth, np.random.default_rng(rng_seed), "la_gate", tau)
 
 
 def make_model(sampler="sparse", n=6, k=2, seed=0):
@@ -105,7 +105,7 @@ class TestTemporalEmbedding:
 class TestFsBlock:
     def test_zero_output_projections_make_identity(self):
         rng = np.random.default_rng(3)
-        block = FsBlock(8, 2, rng)
+        block = FsBlock(8, 2, rng, "la_gate")
         block.gate.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.attn.w_o.w = Tensor(np.zeros((8, 8)), requires_grad=True)
         block.mlp.fc2.w = Tensor(np.zeros((32, 8)), requires_grad=True)
@@ -116,7 +116,7 @@ class TestFsBlock:
 
     def test_gradients_pass_oracle(self):
         rng = np.random.default_rng(4)
-        block = FsBlock(8, 2, np.random.default_rng(4))
+        block = FsBlock(8, 2, np.random.default_rng(4), "la_gate")
         widen_weights(block, rng)
         seq = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         t_cls = Tensor(rng.normal(size=(1, 8)), requires_grad=True)

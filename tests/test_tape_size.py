@@ -6,8 +6,9 @@ tape, its block's skip connection included: the output projection adds it
 inside its node.  A readout call adds the slice of its query row.  A biased
 ``Linear`` is one node, and so is an ``Mlp`` with its skip.  Desk training
 time is per-node overhead, so the whole step's tape is pinned: 261 nodes, 135
-of them interior, and in every ablation row, loss row and the desk recipe
-each node the step tapes must be one its loss reads.  Bench-geometry memory
+of them interior, and in every ablation row, loss row, the desk recipe and
+two desk configs whose matched rows no term reads, each node the step tapes
+must be one its loss reads.  Bench-geometry memory
 is the tape's bytes, so a node keeps only what its backward reads,
 ``backward`` frees each node once its rule has run, a parameter's gradient is
 written straight into the optimizer's vector, and the selection reads each
@@ -205,18 +206,27 @@ def test_parameter_grads_are_views_of_the_optimizer_vector(monkeypatch):
         assert not moments[name][0].any() and not moments[name][1].any(), name
 
 
+# Desk configs whose matched rows no term reads: the masked-word and answer
+# terms off, or every row exchanged (B=8 is even, so no row is left over).
+DESK_VARIANTS = {"no-qa-no-vgmlm": dict(w_qa=0.0, w_vgmlm=0.0),
+                 "all-exchanged": dict(exchange_prob=1.0)}
+
+
 def tape_config(grid, row):
-    """The desk config at B=8 as table row ``row``, as loss row ``row``, or
-    (``grid`` "recipe") the committed desk recipe, whose own batch is cut to
-    the step's 8 episodes."""
+    """The desk config at B=8 as table row ``row``, as loss row ``row``, with
+    the overrides ``DESK_VARIANTS[row]`` (``grid`` "desk"), or (``grid``
+    "recipe") the committed desk recipe, whose own batch is cut to the step's
+    8 episodes."""
     if grid == "recipe":
         return RunConfig.from_file(Path(__file__).parents[1] / "configs" / "desk_recipe.json")
+    if grid == "desk":
+        return desk_config(seed=1, batch_size=8, **DESK_VARIANTS[row])
     variant = table_variant if grid == "table" else loss_variant
     return variant(desk_config(seed=1, batch_size=8), row)
 
 
 TAPE_CONFIGS = ([("table", row) for row in "abcdef"] + [("losses", row) for row in "abcdef"]
-                + [("recipe", None)])
+                + [("desk", name) for name in DESK_VARIANTS] + [("recipe", None)])
 
 
 @pytest.mark.parametrize("grid,row", TAPE_CONFIGS,

@@ -221,7 +221,7 @@ class TestTrainLoop:
         monkeypatch.setattr("glimpse.ablate.train", no_training)
         for counts in ((0, 4), (4, 0), (-1, 4)):
             with pytest.raises(ValueError, match="episode counts must be >= 1"):
-                run_grid(smoke_config(), "modules", *counts)
+                run_grid(smoke_config(), "modules", *counts, data_seed=1)
         assert pools == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -320,7 +320,7 @@ class TestEvalBatching:
 
         def reports():
             return (evaluate_with_blind_probes(model, episodes, eval_seed=4),
-                    evaluate_model(model, episodes, eval_seed=4, with_mcq=False),
+                    evaluate_model(model, episodes, eval_seed=4),
                     evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=("gaussian",)))
 
         expected = reports()
@@ -386,8 +386,10 @@ class TestEvalBatching:
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
                              np.random.default_rng(cfg.seed))
         episodes = pool(cfg, geval.MCQ_CHOICES + 1)
-        assert "mcq_accuracy" in evaluate_model(model, episodes, eval_seed=4)
-        assert "mcq_accuracy" not in evaluate_model(model, episodes[:-1], eval_seed=4)
+        for count, asked in ((len(episodes), True), (len(episodes) - 1, False)):
+            clean = evaluate_with_blind_probes(model, episodes[:count], eval_seed=4,
+                                               modes=())["clean"]
+            assert ("mcq_accuracy" in clean) == asked, count
 
     def test_one_episode_reports_no_matching_accuracy(self):
         # One episode's "next episode's question" is its own, so the matched
@@ -425,7 +427,7 @@ class TestEvalBatching:
         assert verdict(episodes[0], questions[2]) == UNMATCHED
         hits = sum((verdict(ep, own) == MATCHED) + (verdict(ep, other) == UNMATCHED)
                    for ep, own, other in zip(episodes, questions, foreign))
-        metrics = evaluate_model(model, episodes, eval_seed=4, with_mcq=False)
+        metrics = evaluate_model(model, episodes, eval_seed=4)
         assert metrics["vtm_accuracy"] == hits / 8
         one_question = [dataclasses.replace(ep, question_tokens=list(questions[0]))
                         for ep in episodes]
@@ -519,7 +521,7 @@ class TestCli:
         from glimpse.evaluate import evaluate_model
         vocab = Vocab(cfg.vocab_seed, cfg.dim)
         model = VideoQAModel(cfg, vocab, np.random.default_rng(1))
-        metrics = evaluate_model(model, episodes, eval_seed=9, with_mcq=False)
+        metrics = evaluate_model(model, episodes, eval_seed=9)
         grid = set(uniform_indices(cfg.n_frames, cfg.k_select).tolist())
         expected = 0.0
         for window in range(3):
@@ -665,6 +667,21 @@ class TestCli:
             assert exit_code(argv) == 1, argv
             assert message in capsys.readouterr().err, argv
         assert reads == [] and trains == [] and not out.exists()
+
+    def test_frames_grid_with_no_k_that_fits_exits_1_in_one_line(self, tmp_path, capsys):
+        # Every swept K exceeds N=3, so the grid has no variant: one error
+        # line names the grid and n_frames, and no CSV is written.
+        out = tmp_path / "grid.csv"
+        argv = ["ablate", "--grid", "frames", "--n-frames", "3", "--k-select", "2",
+                "--depth", "1", "--dim", "24", "--heads", "2", "--n-grid", "2", "--steps", "1",
+                "--batch-size", "2", "--train-episodes", "2", "--eval-episodes", "2",
+                "--out", str(out)]
+        capsys.readouterr()
+        assert exit_code(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: grid 'frames'"), err
+        assert "n_frames=3" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         *((f, v) for f in ("lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "tau",

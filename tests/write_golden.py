@@ -15,7 +15,7 @@ batch 4 on 16 episodes with seed 3.  Per config the artefacts are:
   directory: its loss stream, weights and moments.
 
 ``grid/modules`` digests the rows of
-``run_grid(desk_config(steps=3, batch_size=4, seed=1), "modules", 8, 6)``.
+``run_grid(desk_config(steps=3, batch_size=4, seed=1), "modules", 8, 6, data_seed=1)``.
 
 Float results depend on the numpy build and the BLAS kernels, so the file
 records both versions next to the digests.  Regenerate it with
@@ -152,7 +152,7 @@ def fingerprints() -> dict:
             work = Path(tmp) / label
             for key, value in config_fingerprint(cfg, work).items():
                 digests[f"{label}/{key}"] = value
-    rows = run_grid(desk_config(steps=3, batch_size=4, seed=1), "modules", 8, 6)
+    rows = run_grid(desk_config(steps=3, batch_size=4, seed=1), "modules", 8, 6, data_seed=1)
     digests["grid/modules"] = _digest([json.dumps(rows, sort_keys=True)])
     return digests
 
