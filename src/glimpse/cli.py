@@ -2,9 +2,11 @@
 
 Subcommands: gradcheck, gen-data, train, eval, ablate.  Configuration comes
 from an optional JSON file; every field can be overridden with a
-``--<field> value`` flag.  Exit codes: 0 success, 1 usage error, 2 numeric
-failure (gradient-check failure, non-finite loss, or a float overflow or
-invalid operation, which ends the command where it happens).
+``--<field> value`` flag.  Exit codes: 0 success, 1 usage error (also a bad
+file or an allocation that fails with ``MemoryError``), 2 numeric failure
+(gradient-check failure, non-finite loss, or a float overflow or invalid
+operation, which ends the command where it happens).  Each failure is one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def main(argv=None) -> int:
     except FloatingPointError as err:   # train's NumericFailure too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:   # a bare MemoryError has no message
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

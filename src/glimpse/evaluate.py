@@ -144,7 +144,7 @@ def evaluate_model(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: 
 
 
 def evaluate_with_blind_probes(model: VideoQAModel, episodes: Sequence[Episode], eval_seed: int,
-                               modes: Sequence[str] = BLIND_MODES) -> dict:
+                               modes: Sequence[str]) -> dict:
     """``evaluate_model``'s metrics and multiple choice, plus each blind mode's
     QA accuracy and delta.
 

@@ -164,7 +164,7 @@ def run_gradcheck(cfg: RunConfig, epsilon: float, tolerance: float) -> dict[str,
     def mlm_loss():
         # Token encodings are stop-gradiented inside the loss, so the token
         # table is deliberately not among the checked parameters.
-        return vg_mlm_loss(masked, lambda ids: T.take(token_table, ids, axis=0),
+        return vg_mlm_loss(masked, lambda ids: T.take(token_table, ids),
                            v_star, mlm_head)
 
     check("vg_mlm_loss", mlm_loss,

@@ -113,8 +113,8 @@ def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25) -> None:
-    """Re-draw every projection matrix (``*.w``) from N(0, std^2), in place.
+def widen_weights(module: "Module", rng: np.random.Generator) -> None:
+    """Re-draw every projection matrix (``*.w``) from N(0, 0.25^2), in place.
 
     Positional tables, CLS tokens and norm parameters keep their init.  The
     training init (std 0.02) puts attention scores so close to uniform that
@@ -123,7 +123,7 @@ def widen_weights(module: "Module", rng: np.random.Generator, std: float = 0.25)
     """
     for name, p in module.named_parameters():
         if name.endswith(".w"):
-            p.data[...] = rng.normal(0.0, std, size=p.data.shape)
+            p.data[...] = rng.normal(0.0, 0.25, size=p.data.shape)
 
 
 class Linear(Module):

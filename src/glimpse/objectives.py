@@ -13,7 +13,7 @@ show their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ def exchange_annotations(n: int, p: float, rng_seed: int) -> np.ndarray:
 
 def _nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of one target class per row of ``logits``."""
-    return T.tmean(T.nll(logits, targets))
+    return T.tsum(T.nll(logits, targets)) * (1.0 / len(targets))
 
 
 def vtm_loss(v_cls_star_batch: Tensor, labels: Sequence[int], head: Linear) -> Tensor:
@@ -60,7 +60,7 @@ def vtm_loss(v_cls_star_batch: Tensor, labels: Sequence[int], head: Linear) -> T
 
 
 def _unit_rows(x: Tensor) -> Tensor:
-    norm_sq = T.tsum(x * x, axis=-1, keepdims=True)
+    norm_sq = T.tsum(x * x, axis=-1)
     if not (norm_sq.data > 0.0).all():
         raise ValueError("zero-norm vector")
     return x / T.sqrt(norm_sq)
@@ -91,7 +91,6 @@ class MaskedText:
     token_ids: list[int]
     mask_positions: list[int]
     original_ids: list[int]
-    replacements: list[str] = field(default_factory=list)  # mask | random | kept
 
 
 def mask_tokens(token_ids: Sequence[int], rng_seed: int, mask_rate: float, *,
@@ -116,20 +115,15 @@ def mask_tokens(token_ids: Sequence[int], rng_seed: int, mask_rate: float, *,
 
     candidates = [i for i in range(len(vocab)) if i not in vocab.special_ids]
     new_ids = list(token_ids)
-    originals, hows = [], []
+    originals = []
     for pos in positions:
         originals.append(int(token_ids[pos]))
         roll = rng.random()
         if roll < 0.8:
             new_ids[pos] = vocab.mask_id
-            hows.append("mask")
         elif roll < 0.9:
             new_ids[pos] = candidates[int(rng.integers(len(candidates)))]
-            hows.append("random")
-        else:
-            hows.append("kept")
-    return MaskedText(token_ids=new_ids, mask_positions=positions,
-                      original_ids=originals, replacements=hows)
+    return MaskedText(token_ids=new_ids, mask_positions=positions, original_ids=originals)
 
 
 def vg_mlm_loss(masked: Sequence[MaskedText],
@@ -154,7 +148,7 @@ def vg_mlm_loss(masked: Sequence[MaskedText],
     rows = np.concatenate([[j] * len(m.mask_positions) for j, m in enumerate(masked)])
     cols = np.concatenate([m.mask_positions for m in masked])
     w_masked = Tensor(tokens.data[rows, cols])                            # (I, D), detached
-    v_tiled = T.take(v_cls_star, rows, axis=0)                            # (I, D)
+    v_tiled = T.take(v_cls_star, rows)                                    # (I, D)
     logits = mlp_head(T.concat([w_masked, v_tiled], axis=1))              # (I, V)
     per_text = np.array([len(m.mask_positions) for m in masked], dtype=np.float64)
     weights = 1.0 / (per_text[rows] * len(masked))

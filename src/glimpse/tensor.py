@@ -7,9 +7,11 @@ that tensor's dtype, so a float32 graph never widens silently.  The model
 computes in float32; the finite-difference oracle certifies the same ops on
 float64 modules.
 
-Only the ops the program calls exist: ``+ * /`` with a tensor on the left,
-basic slicing, and the functions below, which stand in for powers (``x * x``)
-and for numpy's ``@``, ``.sum``, ``.mean``, ``.reshape`` and ``.swapaxes``.
+Only the ops the program calls exist, with only the settings its calls use:
+``+ * /`` with a tensor on the left, basic slicing, and the functions below,
+which stand in for powers (``x * x``) and for numpy's ``@`` (by a 2-D weight),
+``.sum`` (of all values, or along one axis that the result keeps), ``.reshape``
+and ``.swapaxes``, and gather rows by index (``take``).
 The fused numerics at the end are one tape node each, with a hand-written
 backward: softmax (over the last axis), the straight-through estimator
 (one-hot rows forward, the identity backward), the negative log-likelihood,
@@ -142,10 +144,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        req = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{req})"
 
     # -- graph plumbing ------------------------------------------------
 
@@ -350,7 +348,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return out
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
         sizes = [t.data.shape[axis] for t in tensors]
@@ -385,16 +383,14 @@ def getitem(a: Tensor, key) -> Tensor:
     return out
 
 
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along ``axis``; duplicate indices accumulate in backward."""
+def take(a: Tensor, indices) -> Tensor:
+    """Gather rows (slices along the first axis); duplicate indices accumulate in backward."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = _node(np.take(a.data, idx, axis=axis), (a,))
+    out = _node(np.take(a.data, idx, axis=0), (a,))
     if out.requires_grad:
         def _bw(g):
             g_full = np.zeros_like(a.data)
-            index = [slice(None)] * a.data.ndim
-            index[axis] = idx
-            np.add.at(g_full, tuple(index), g)
+            np.add.at(g_full, idx, g)
             a._accumulate(g_full)
         out._backward = _bw
     return out
@@ -403,20 +399,14 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """The sum of every value, or of each run along ``axis``, which the result keeps."""
+    out = _node(a.data.sum(axis=axis, keepdims=axis is not None), (a,))
     if out.requires_grad:
         def _bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape))
         out._backward = _bw
     return out
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 # -- linear algebra ------------------------------------------------------------
@@ -432,7 +422,8 @@ def _affine(a: Array, w: Array, *addends: Tensor | None) -> Array:
 
 
 def _affine_grads(g: Array, a: Tensor, w: Tensor, *addends: Tensor | None) -> None:
-    """Accumulate ``g``'s shares: addends, ``a``, ``w``; a bias's or 2-D weight's as one product."""
+    """Accumulate ``g``'s shares: addends, ``a``, then the 2-D ``w``'s; a bias's and the
+    weight's as one product over the rows of all batch entries."""
     rows = g.reshape(-1, g.shape[-1])
     for t in addends:
         if t is not None and t.requires_grad and t.data.shape == rows.shape[1:]:
@@ -440,33 +431,33 @@ def _affine_grads(g: Array, a: Tensor, w: Tensor, *addends: Tensor | None) -> No
         elif t is not None and t.requires_grad:
             t._accumulate(_unbroadcast(g, t.data.shape))
     if a.requires_grad:
-        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), a.data.shape))
-    if w.requires_grad and w.ndim == 2:
+        a._accumulate(_unbroadcast(g @ w.data.T, a.data.shape))
+    if w.requires_grad:
         w._accumulate_product(a.data.reshape(-1, a.data.shape[-1]).T, rows)
-    elif w.requires_grad:
-        w._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), w.data.shape))
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
+def matmul(a: Tensor, w: Tensor, bias: Tensor | None = None,
            residual: Tensor | None = None) -> Tensor:
-    """``residual + (a @ b + bias)`` over the last two axes; leading (batch) axes broadcast.
+    """``residual + (a @ w + bias)`` for an input ``a`` (..., S, D) and a 2-D weight (D, E).
 
-    A stack ``(..., S, D) @ (D, E)`` runs one small product per batch entry,
-    each the product that entry would get alone; the weight gradient is one
-    product over the rows of all entries.  The bias and a block's skip are added
-    inside this node.  The skip is the first parent, so the tape replays in
-    the order of a separate ``residual + product`` add.
+    A stack of inputs runs one small product per batch entry, each the product
+    that entry would get alone; the weight gradient is one product over the
+    rows of all entries.  The bias and a block's skip are added inside this
+    node.  The skip is the first parent, so the tape replays in the order of a
+    separate ``residual + product`` add.  A weight of another rank raises
+    ``ValueError``.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul requires tensors of rank >= 2")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.ndim < 2 or w.ndim != 2:
+        raise ValueError(f"matmul takes an input of rank >= 2 and a 2-D weight, not "
+                         f"{a.data.shape} @ {w.data.shape}")
+    if a.data.shape[-1] != w.data.shape[0]:
         raise ValueError(
-            f"matmul inner dimension mismatch: {a.data.shape} @ {b.data.shape}"
+            f"matmul inner dimension mismatch: {a.data.shape} @ {w.data.shape}"
         )
-    out = _node(_affine(a.data, b.data, bias, residual),
-                tuple(t for t in (residual, a, b, bias) if t is not None))
+    out = _node(_affine(a.data, w.data, bias, residual),
+                tuple(t for t in (residual, a, w, bias) if t is not None))
     if out.requires_grad:
-        out._backward = lambda g: _affine_grads(g, a, b, bias, residual)
+        out._backward = lambda g: _affine_grads(g, a, w, bias, residual)
     return out
 
 
@@ -540,7 +531,7 @@ def _gelu(h: Array, grad: Array | None = None) -> Array:
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        residual: Tensor | None = None) -> Tensor:
+        residual: Tensor | None) -> Tensor:
     """``residual + (gelu(x @ w1 + b1) @ w2 + b2)``, one tape node.
 
     GELU is the smooth tanh form; smoothness keeps finite differences honest.
@@ -554,8 +545,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                 tuple(t for t in (residual, x, w1, b1, w2, b2) if t is not None))
     if out.requires_grad:
         def _bw(g):
-            g_h = np.matmul(g, np.swapaxes(w2.data, -1, -2))   # the share of gelu(h) ...
-            y = _gelu(h, g_h)                                  # ... now the share of h
+            g_h = g @ w2.data.T     # the share of gelu(h) ...
+            y = _gelu(h, g_h)       # ... now the share of h
             _affine_grads(g, Tensor(y), w2, b2, residual)
             del y
             _affine_grads(g_h, x, w1, b1)
@@ -649,7 +640,7 @@ def _key_probs(q: Array, k: Array, scale: Array) -> Array:
 
 
 def _attend_backward(g: Array, probs: Array, q: Array, k: Array, v: Array, scale: Array,
-                     out: Sequence[Array | None] = (None, None, None)) -> tuple[Array, ...]:
+                     out: Sequence[Array | None]) -> tuple[Array, ...]:
     """Gradients of ``P^T v``, P = ``_key_probs(q, k, scale)``, for q, k and v, all key by
     query: dP = v g^T, dS = P * (dP - sum_keys(P * dP)), dq = dS^T k, dk = dS q and
     dv = P g; each is written into its array of ``out`` if one is given there."""
@@ -759,7 +750,8 @@ def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Te
             # dq = g_dots k + q * scale and dk = g_dots^T q + k * scale, each made in the
             # (..., S, D) layout of its input, so no head merge copies it
             dq, dk = (np.empty(g_dots.shape[:-3] + t.shape[-2:], t.dtype) for t in (q, k))
-            np.matmul(g_dots, kh, out=_heads(dq, heads))
+            # One key: dq is an outer product, as a broadcast multiply (same bits).
+            (np.multiply if k.shape[-2] == 1 else np.matmul)(g_dots, kh, out=_heads(dq, heads))
             np.matmul(g_dots.swapaxes(-1, -2), qh, out=_heads(dk, heads))
             dq, dk = _unbroadcast(dq, q.shape), _unbroadcast(dk, k.shape)
             dq += _times_heads(q.data, _unbroadcast(g_denom * kn_row, qn.shape) / qn * q_live,

@@ -148,11 +148,13 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
     ``order[r] == r``.  The B rows go through one batched ``represent`` call,
     with each row's noise from its own ``episode_noise_seed``; the masked
     texts of the matched rows are encoded in one call.  One tape covers the
-    whole step.  ``terms`` holds each loss whose weight is non-zero and that
-    has rows to read, in the order the total sums them (vtm, vgmlm, cl, qa),
-    and then their weighted sum, ``total``; each is checked for finite values
-    before the backward pass.  The record reports 0.0 for an entry that was
-    not built: with no term, nothing is backpropagated.
+    whole step.  Which terms the step sums is known before the forward: each
+    loss whose weight is non-zero and that has rows to read, in the order the
+    total sums them (vtm, vgmlm, cl, qa).  ``terms`` holds them and then their
+    weighted sum, ``total``; each is checked for finite values before the
+    backward pass.  The record reports 0.0 for an entry that was not built:
+    with no term, no forward runs, nothing is taped or backpropagated, and the
+    optimizer still counts the step.
     """
     rng = np.random.default_rng(derive_seed(cfg.seed, 11, step))
     take = min(cfg.batch_size, len(episodes))
@@ -161,33 +163,36 @@ def train_step(model: VideoQAModel, optimizer: AdamW, episodes: Sequence[Episode
     matched = order == np.arange(len(rows))
     matched_ids = np.flatnonzero(matched)
 
+    # The terms the total sums, in its order; all but vtm read matched rows only.
+    names = [name for name in ("vtm", "vgmlm", "cl", "qa")
+             if getattr(cfg, f"w_{name}") and (name == "vtm" or len(matched_ids))]
     terms = {}
     try:
-        rep = model.represent([ep.bundle for ep in rows],
-                              [rows[j].question_tokens for j in order],
-                              [episode_noise_seed(cfg.seed, ep.seed, step) for ep in rows])
-        v_batch = rep["v_star"]                                    # (B, D)
-        if cfg.w_vtm:
+        if names:   # with nothing to sum, nothing runs forward
+            rep = model.represent([ep.bundle for ep in rows],
+                                  [rows[j].question_tokens for j in order],
+                                  [episode_noise_seed(cfg.seed, ep.seed, step) for ep in rows])
+            v_batch = rep["v_star"]                                # (B, D)
+        if "vtm" in names:
             terms["vtm"] = vtm_loss(v_batch, np.where(matched, MATCHED, UNMATCHED),
                                     model.vtm_head)
-        if len(matched_ids):            # the other terms read matched rows only
-            if cfg.w_vgmlm or cfg.w_qa:
-                v_matched = T.take(v_batch, matched_ids, axis=0)
-            if cfg.w_vgmlm:
-                masked = [mask_tokens(rows[j].question_tokens, derive_seed(cfg.seed, 19, step, j),
-                                      cfg.mask_rate, vocab=model.vocab) for j in matched_ids]
-                terms["vgmlm"] = vg_mlm_loss(masked, model.encode_text_tokens, v_matched,
-                                             model.mlm_head)
-            if cfg.w_cl:
-                terms["cl"] = contrastive_loss(
-                    v_batch, T.reshape(rep["t_cls"], (len(rows), cfg.dim)), matched, cfg.tau)
-            if cfg.w_qa:
-                terms["qa"] = answer_cross_entropy(
-                    v_matched, [rows[j].answer for j in matched_ids], model.answer_head)
+        if "vgmlm" in names or "qa" in names:
+            v_matched = T.take(v_batch, matched_ids)
+        if "vgmlm" in names:
+            masked = [mask_tokens(rows[j].question_tokens, derive_seed(cfg.seed, 19, step, j),
+                                  cfg.mask_rate, vocab=model.vocab) for j in matched_ids]
+            terms["vgmlm"] = vg_mlm_loss(masked, model.encode_text_tokens, v_matched,
+                                         model.mlm_head)
+        if "cl" in names:
+            terms["cl"] = contrastive_loss(
+                v_batch, T.reshape(rep["t_cls"], (len(rows), cfg.dim)), matched, cfg.tau)
+        if "qa" in names:
+            terms["qa"] = answer_cross_entropy(
+                v_matched, [rows[j].answer for j in matched_ids], model.answer_head)
     except FloatingPointError as err:   # overflowed activations surface here
         raise NumericFailure("forward", step) from err
 
-    weighted = [loss * getattr(cfg, f"w_{name}") for name, loss in terms.items()]
+    weighted = [terms[name] * getattr(cfg, f"w_{name}") for name in names]
     if weighted:
         terms["total"] = sum(weighted[1:], weighted[0])
     for name, value in terms.items():

@@ -40,7 +40,7 @@ def model_for(sampler: str, dtype=np.float64) -> VideoQAModel:
     cfg = RunConfig(n_frames=6, k_select=2, depth=1, dim=24, heads=2, n_grid=2,
                     sampler=sampler, seed=4)
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
-    widen_weights(model, np.random.default_rng(derive_seed(cfg.seed, 0x1217)), 0.3)
+    widen_weights(model, np.random.default_rng(derive_seed(cfg.seed, 0x1217)))
     return model.astype(dtype)
 
 

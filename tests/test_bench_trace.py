@@ -14,7 +14,7 @@ import numpy as np
 import glimpse.evaluate as geval
 import glimpse.train as gtrain
 from glimpse.config import desk_config
-from glimpse.data import Vocab, gen_episode
+from glimpse.data import BLIND_MODES, Vocab, gen_episode
 from glimpse.model import VideoQAModel
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -46,7 +46,7 @@ def test_every_self_time_scope_is_called():
         tracer.register_blocks(model.refiner.blocks)
         optimizer = gtrain.AdamW(list(model.named_parameters()), cfg.weight_decay)
         gtrain.train_step(model, optimizer, episodes, cfg, 0)
-        geval.evaluate_with_blind_probes(model, episodes, cfg.seed)
+        geval.evaluate_with_blind_probes(model, episodes, cfg.seed, BLIND_MODES)
     finally:
         tracer.uninstall()
     missing = [scope for scope in spec.SELF_TIME_SCOPES if tracer.totals.calls[scope] == 0]

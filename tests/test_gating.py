@@ -187,7 +187,7 @@ class TestLaGate:
         t = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         checked = [v, t] + params.parameters()
         report = grad_check(
-            lambda: T.tmean(gate_core(v, t, params)), checked, epsilon=1e-5
+            lambda: T.tsum(gate_core(v, t, params)), checked, epsilon=1e-5
         )
         assert report.passed, report.max_rel_error
 
@@ -241,7 +241,7 @@ class TestCrossAttentionBaseline:
         v = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         t = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
         report = grad_check(
-            lambda: T.tmean(cross_attention_core(v, t, params)),
+            lambda: T.tsum(cross_attention_core(v, t, params)),
             [v, t] + params.parameters(),
         )
         assert report.passed, report.max_rel_error

@@ -7,13 +7,16 @@ that only its own test calls is dead code; these guards read each module's
 syntax tree, so they need no import of the package.  Names listed in a
 module's ``__all__`` (the package root's re-exports) count as read.  No
 parameter named after a ``RunConfig`` field has a default: that default is
-``RunConfig``'s alone.
+``RunConfig``'s alone.  And in the op, module, loss and evaluation modules,
+some call of the package or the benchmark sets each defaulted parameter: a
+default that every call leaves alone is a setting only tests use.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "glimpse"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def all_names(tree: ast.Module) -> set[str]:
@@ -79,8 +82,7 @@ def unread_definitions(paths: list[Path], readers: list[Path] = ()) -> list[str]
 
 def test_every_definition_is_read_outside_itself():
     # perfbench drives the package from outside, so what it reads counts too.
-    unread = unread_definitions(sorted(PACKAGE.glob("*.py")),
-                                sorted((PACKAGE.parent.parent / "perfbench").glob("*.py")))
+    unread = unread_definitions(sorted(PACKAGE.glob("*.py")), sorted(PERFBENCH.glob("*.py")))
     assert not unread, f"defined but read only by tests or by itself: {unread}"
 
 
@@ -99,19 +101,19 @@ def config_fields() -> set[str]:
     return {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
 
 
-def defaulted_parameters(path: Path) -> list[tuple[str, str]]:
-    """(``file:line function``, parameter) for each parameter of a function or
-    method of ``path`` that has a default."""
+def defaulted_parameters(path: Path) -> list[tuple[ast.FunctionDef, ast.arg, ast.expr]]:
+    """(function, parameter, default) for each parameter of a function or method of
+    ``path`` that has a default."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.FunctionDef):
             args = node.args
             positional = args.posonlyargs + args.args
-            with_default = positional[len(positional) - len(args.defaults):] + [
-                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                if default is not None]
-            found += [(f"{path.name}:{node.lineno} {node.name}", arg.arg)
-                      for arg in with_default]
+            found += [(node, arg, default) for arg, default in zip(
+                positional[len(positional) - len(args.defaults):], args.defaults)]
+            found += [(node, arg, default) for arg, default in zip(args.kwonlyargs,
+                                                                    args.kw_defaults)
+                      if default is not None]
     return found
 
 
@@ -120,6 +122,64 @@ def test_no_parameter_named_after_a_config_field_has_a_default():
     # parameter of the same name can drift from it unseen.
     fields = config_fields()
     assert {"fusion", "tau_g", "mask_rate", "seed"} <= fields
-    shadowed = [f"{where}({name}=...)" for path in sorted(PACKAGE.glob("*.py"))
-                for where, name in defaulted_parameters(path) if name in fields]
+    shadowed = [f"{path.name}:{node.lineno} {node.name}({arg.arg}=...)"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node, arg, _ in defaulted_parameters(path) if arg.arg in fields]
     assert not shadowed, f"parameters that repeat a RunConfig default: {shadowed}"
+
+
+# Defaulted parameters that a check below finds, each kept for the reason given.
+DEFAULTS_KEPT: dict[str, str] = {}
+
+
+def call_defaults(path: Path, calls: list[ast.Call]) -> list[str]:
+    """``name(parameter): why`` for each defaulted parameter of a function or method
+    of ``path`` that no call of ``calls`` sets to another value than its default, or
+    whose default no call leaves it at.  A call is matched by the name it calls, a
+    class's ``__init__`` by the class's name; it sets a parameter by position or by
+    keyword, and one that unpacks ``*`` or ``**`` may set or leave every parameter.
+    Other dunder methods (a module's ``__call__``) are reached through instances,
+    which a syntax tree does not name, so they are not checked."""
+    owners = {member.lineno: node.name for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef) for member in node.body}
+
+    def outcomes(call, index, arg, default):
+        """Whether ``call`` may set ``arg`` to another value than ``default``, and
+        whether it may leave it at ``default``."""
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            return True, True
+        value = call.args[index] if index < len(call.args) else next(
+            (k.value for k in call.keywords if k.arg == arg.arg), default)
+        same = ast.dump(value) == ast.dump(default)
+        return not same, same
+
+    found = []
+    for function, arg, default in defaulted_parameters(path):
+        if function.name.startswith("__") and function.name != "__init__":
+            continue
+        owner = owners.get(function.lineno)
+        name = owner if function.name == "__init__" else function.name
+        positional = (function.args.posonlyargs + function.args.args)[1 if owner else 0:]
+        index = positional.index(arg) if arg in positional else len(positional)
+        sites = [call for call in calls
+                 if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+        results = [outcomes(call, index, arg, default) for call in sites]
+        if not any(sets for sets, _ in results):
+            found.append(f"{name}({arg.arg}): no call sets it")
+        elif not any(keeps for _, keeps in results):
+            found.append(f"{name}({arg.arg}): every call sets it")
+    return found
+
+
+def test_every_default_is_both_used_and_overridden_by_some_call():
+    # A default that every call of the package and the benchmark leaves alone
+    # is a setting, and a branch behind it, that only tests reach; one that
+    # every call overrides is a value nothing reads.
+    calls = [node for path in [*sorted(PACKAGE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    found = {entry.split(": ")[0]: entry for name in ("tensor", "nn", "objectives", "evaluate")
+             for entry in (f"{name}.py {e}" for e in call_defaults(PACKAGE / f"{name}.py", calls))}
+    assert set(DEFAULTS_KEPT) <= set(found), "an allowed default no longer needs its entry"
+    flagged = [entry for key, entry in found.items() if key not in DEFAULTS_KEPT]
+    assert not flagged, f"defaults that the calls of src/ and perfbench/ do not need: {flagged}"

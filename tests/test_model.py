@@ -217,10 +217,10 @@ class TestCheckpoints:
         # for bit, also when they are far from any init.
         cfg, vocab, _ = world
         original = nn.init_normal
-        for std in (None, 0.3):
+        for wide in (False, True):
             model = build(cfg, vocab)
-            if std is not None:
-                nn.widen_weights(model, np.random.default_rng(5), std)
+            if wide:
+                nn.widen_weights(model, np.random.default_rng(5))
             save_checkpoint(tmp_path, model, step=1)
             rngs = []
 

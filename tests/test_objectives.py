@@ -210,13 +210,17 @@ class TestMaskTokens:
             assert 0 not in masked.mask_positions
 
     def test_replacement_split_is_80_10_10(self):
+        # Read from each masked position's token against its original; a random
+        # draw of the original itself counts as kept.
         counts = {"mask": 0, "random": 0, "kept": 0}
         total = 0
         for seed in range(30_000):
             masked = mask_tokens(self.tokens, rng_seed=seed, mask_rate=0.3,
                                  vocab=self.vocab)
-            for how in masked.replacements:
-                counts[how] += 1
+            for pos, original in zip(masked.mask_positions, masked.original_ids):
+                token = masked.token_ids[pos]
+                counts["mask" if token == self.vocab.mask_id
+                       else "kept" if token == original else "random"] += 1
                 total += 1
         assert counts["mask"] / total == pytest.approx(0.8, abs=0.02)
         assert counts["random"] / total == pytest.approx(0.1, abs=0.02)
@@ -251,7 +255,7 @@ class TestVgMlmLoss:
         head = Mlp(2 * dim, 16, np.random.default_rng(9), out_dim=vocab_size)
 
         def encode(ids):
-            return T.take(embed, ids, axis=0)
+            return T.take(embed, ids)
 
         loss = vg_mlm_loss(masked, encode, v_star, head)
         loss.backward()
@@ -275,7 +279,7 @@ class TestVgMlmLoss:
                   MaskedText(token_ids=[6, 8, 2, 2], mask_positions=[1], original_ids=[4])]
         v_star = rng.normal(size=(2, dim))
         head = Mlp(2 * dim, 16, np.random.default_rng(11), out_dim=vocab_size)
-        encode = lambda ids: T.take(embed, ids, axis=0)
+        encode = lambda ids: T.take(embed, ids)
         batched = vg_mlm_loss(masked, encode, Tensor(v_star), head).item()
         alone = [vg_mlm_loss([m], encode, Tensor(v_star[j:j + 1]), head).item()
                  for j, m in enumerate(masked)]

@@ -14,7 +14,7 @@ import pytest
 
 from glimpse import tensor as T
 from glimpse.config import desk_config, loss_variant, table_variant
-from glimpse.data import Vocab, gen_episode
+from glimpse.data import BLIND_MODES, Vocab, gen_episode
 from glimpse.evaluate import evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.nn import Mlp, init_normal, param_buffer
@@ -69,9 +69,9 @@ def test_train_step_and_eval_stay_float32(cfg, monkeypatch):
     seen = record_dtypes(monkeypatch)
     for step in range(2):
         train_step(model, optimizer, episodes, cfg, step)
-    evaluate_with_blind_probes(model, episodes[:6], eval_seed=3)
-    # With every loss weight at zero a step sums no term, so nothing is
-    # backpropagated and no gradient is accumulated.
+    evaluate_with_blind_probes(model, episodes[:6], eval_seed=3, modes=BLIND_MODES)
+    # With every loss weight at zero a step sums no term, so it runs no
+    # forward and accumulates no gradient; only the evaluation tapes nodes.
     trains = any((cfg.w_vtm, cfg.w_cl, cfg.w_vgmlm, cfg.w_qa))
     assert {kind for kind, _ in seen} == ({"node", "grad"} if trains else {"node"})
     assert {dtype for _, dtype in seen} == {F32}

@@ -132,7 +132,7 @@ class TestVrBlock:
         seq = Tensor(rng.normal(size=(9, 16)), requires_grad=True)
         t_cls = Tensor(rng.normal(size=(1, 16)), requires_grad=True)
         report = grad_check(
-            lambda: T.tmean(block(seq, t_cls, k=2, p=4)),
+            lambda: T.tsum(block(seq, t_cls, k=2, p=4)),
             [seq, t_cls] + block.parameters(),
         )
         assert report.passed, report.max_rel_error

@@ -121,7 +121,7 @@ class TestFsBlock:
         seq = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         t_cls = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         report = grad_check(
-            lambda: T.tmean(block(seq, t_cls)),
+            lambda: T.tsum(block(seq, t_cls)),
             [seq, t_cls] + block.parameters(),
         )
         assert report.passed, report.max_rel_error

@@ -8,7 +8,8 @@ inside its node.  A readout call adds the slice of its query row.  A biased
 time is per-node overhead, so the whole step's tape is pinned: 261 nodes, 135
 of them interior, and in every ablation row, loss row, the desk recipe and
 two desk configs whose matched rows no term reads, each node the step tapes
-must be one its loss reads.  Bench-geometry memory
+must be one its loss reads; a step with no term to sum tapes none and runs
+no forward.  Bench-geometry memory
 is the tape's bytes, so a node keeps only what its backward reads,
 ``backward`` frees each node once its rule has run, a parameter's gradient is
 written straight into the optimizer's vector, and the selection reads each
@@ -280,3 +281,30 @@ def test_census_of_parameters_that_cannot_learn(monkeypatch, row):
     idle = {name for name, g in grads.items() if g < 1e-12 * largest}
     assert idle == CANNOT_LEARN[row]
     assert all(grads[name] == 0.0 for name in idle - IDLE_SAMPLER_BIAS)
+
+
+@pytest.mark.parametrize("overrides", [dict(w_vtm=0.0, w_cl=0.0, w_vgmlm=0.0, w_qa=0.0),
+                                       dict(w_vtm=0.0, exchange_prob=1.0)],
+                         ids=["every-weight-0", "no-vtm-no-matched-row"])
+def test_a_step_with_no_term_to_sum_runs_no_forward(monkeypatch, overrides):
+    # Which terms a step sums is known before its forward.  With none (every
+    # row exchanged at an even B leaves none matched) the step represents
+    # nothing, tapes no node and moves no parameter, yet the optimizer counts
+    # it and the record reads 0.0 for every term.
+    represented, made, walked = [], [], []
+    represent, node = VideoQAModel.represent, T._node
+    monkeypatch.setattr(VideoQAModel, "represent",
+                        lambda *args, **kwargs: represented.append(1) or represent(*args, **kwargs))
+    monkeypatch.setattr(T, "_node", lambda data, parents: made.append(1) or node(data, parents))
+    cfg = desk_config(seed=1, batch_size=8, **overrides)
+    vocab = Vocab(cfg.vocab_seed, cfg.dim)
+    batch = [gen_episode(s, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for s in range(8)]
+    model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
+    optimizer = gtrain.AdamW(list(model.named_parameters()), cfg.weight_decay)
+    before = optimizer.data.copy()
+    made.clear()
+    monkeypatch.setattr(Tensor, "backward", lambda root: walked.append(root))
+    record = gtrain.train_step(model, optimizer, batch, cfg, 0)
+    assert (represented, made, walked) == ([], [], [])
+    assert optimizer.t == 1 and optimizer.data.tobytes() == before.tobytes()
+    assert all(record[f"l_{name}"] == 0.0 for name in ("vtm", "cl", "vgmlm", "qa", "total"))

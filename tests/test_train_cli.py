@@ -27,7 +27,6 @@ from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.objectives import MATCHED, UNMATCHED
 from glimpse.sampler import uniform_indices
-from glimpse.nn import widen_weights
 from glimpse.train import (AdamW, NumericFailure, derive_seed, episode_noise_seed, lr_at,
                            train, train_step)
 from glimpse.tensor import Tensor
@@ -43,9 +42,13 @@ def smoke_config(**overrides):
 
 
 def wide_model(cfg, std):
-    """A model whose projections are re-drawn at ``std``, off the near-uniform init."""
+    """A model whose projections (``*.w``) are re-drawn from N(0, std^2), off the
+    near-uniform init."""
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(cfg.seed))
-    widen_weights(model, np.random.default_rng(derive_seed(cfg.seed, 0x1217)), std)
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0x1217))
+    for name, p in model.named_parameters():
+        if name.endswith(".w"):
+            p.data[...] = rng.normal(0.0, std, size=p.data.shape)
     return model
 
 
@@ -253,7 +256,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             train_step(model, optimizer, episodes, cfg, 0)
-            evaluate_with_blind_probes(model, episodes, eval_seed=4)
+            evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=BLIND_MODES)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -270,7 +273,7 @@ class TestTapeLifetime:
         episodes = pool(cfg, 8)
         model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
                              np.random.default_rng(cfg.seed))
-        expected = evaluate_with_blind_probes(model, episodes, eval_seed=4)
+        expected = evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=BLIND_MODES)
         owner = {episode_noise_seed(4, ep.seed, 0): i for i, ep in enumerate(episodes)}
         kinds = (None, *BLIND_MODES)
         videos = {(i, kind): ep.frame_cls if kind is None else blind_input(ep, kind).v_cls
@@ -287,7 +290,8 @@ class TestTapeLifetime:
                 return real(bundles, token_ids, rng_seeds, **kwargs)
 
             monkeypatch.setattr(model, "represent", counted)
-            assert evaluate_with_blind_probes(model, episodes, eval_seed=4) == expected
+            assert evaluate_with_blind_probes(model, episodes, eval_seed=4,
+                                              modes=BLIND_MODES) == expected
             rows = []
             for bundles, texts, seeds in calls:
                 assert len(texts) <= per_call
@@ -319,7 +323,7 @@ class TestEvalBatching:
         model = wide_model(cfg, 0.3)
 
         def reports():
-            return (evaluate_with_blind_probes(model, episodes, eval_seed=4),
+            return (evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=BLIND_MODES),
                     evaluate_model(model, episodes, eval_seed=4),
                     evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=("gaussian",)))
 
@@ -366,14 +370,15 @@ class TestEvalBatching:
         calls = []
         real = data.gen_episode
         monkeypatch.setattr(data, "gen_episode", lambda *a: calls.append(a[0]) or real(*a))
-        evaluate_with_blind_probes(model, episodes, eval_seed=4)
+        evaluate_with_blind_probes(model, episodes, eval_seed=4, modes=BLIND_MODES)
         assert len(calls) <= 2 * len(episodes)
 
     def test_blind_delta_is_blind_minus_clean(self):
         # At this init the blinded videos change some answers, so each delta
         # is nonzero and its sign is pinned.
         cfg = smoke_config()
-        report = evaluate_with_blind_probes(wide_model(cfg, 0.3), pool(cfg, 12), eval_seed=4)
+        report = evaluate_with_blind_probes(wide_model(cfg, 0.3), pool(cfg, 12), eval_seed=4,
+                                            modes=BLIND_MODES)
         clean = report["clean"]["qa_accuracy"]
         for mode in BLIND_MODES:
             assert report[mode]["qa_accuracy"] != clean, mode
@@ -682,6 +687,24 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error: grid 'frames'"), err
         assert "n_frames=3" in err
         assert not out.exists()
+
+    def test_memory_error_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # An allocation the process cannot make ends the command with one
+        # error line: numpy's names the array, a bare MemoryError its type.
+        def bare(*args, **kwargs):
+            raise MemoryError
+
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--episodes", "2", *DESK_FLAGS]) == 0
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "c"), *DESK_FLAGS]
+        for exhausted, line in ((lambda *args, **kwargs: np.empty(1 << 62, np.uint8),
+                                 "error: Unable to allocate 4.00 EiB"),
+                                (bare, "error: MemoryError\n")):
+            monkeypatch.setattr(gcli, "train", exhausted)
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(line), err
 
     @pytest.mark.parametrize("field, value", [
         *((f, v) for f in ("lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "tau",

@@ -39,7 +39,7 @@ import numpy as np
 
 from glimpse.ablate import run_grid
 from glimpse.config import desk_config, table_variant
-from glimpse.data import Vocab, gen_episode
+from glimpse.data import BLIND_MODES, Vocab, gen_episode
 from glimpse.evaluate import evaluate_with_blind_probes
 from glimpse.model import load_checkpoint
 from glimpse.train import train
@@ -114,7 +114,7 @@ def _blind_probe(model, episodes) -> list:
         return out
 
     model.represent = recording
-    report = evaluate_with_blind_probes(model, episodes, eval_seed=SEED)
+    report = evaluate_with_blind_probes(model, episodes, eval_seed=SEED, modes=BLIND_MODES)
     return [json.dumps(report, sort_keys=True), np.concatenate(rows).tobytes()]
 
 
