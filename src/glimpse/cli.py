@@ -2,8 +2,10 @@
 
 Subcommands: gradcheck, gen-data, train, eval, ablate.  Configuration comes
 from an optional JSON file; every field can be overridden with a
-``--<field> value`` flag.  Exit codes: 0 success, 1 usage error (also a bad
-file or an allocation that fails with ``MemoryError``), 2 numeric failure
+``--<field> value`` flag.  ``gradcheck`` runs the oracle once, at its fixed
+step and bound.  An ``--out`` that cannot be written is refused before any
+work.  Exit codes: 0 success, 1 usage error (also a bad file or an allocation
+that fails with ``MemoryError``), 2 numeric failure
 (gradient-check failure, non-finite loss, or a float overflow or invalid
 operation, which ends the command where it happens).  Each failure is one
 ``error:`` line on stderr.
@@ -23,7 +25,7 @@ import numpy as np
 from .config import GRADCHECK_OVERRIDES, RunConfig, removed_note
 from .data import BLIND_MODES, check_dataset, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
-from .gradcheck import EPSILON, TOLERANCE
+from .gradcheck import EPSILON
 from .gradcheck_suite import run_gradcheck
 from .model import load_checkpoint
 from .train import train
@@ -58,6 +60,19 @@ def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
     return cfg.replace(**overrides) if overrides else cfg.validate()
 
 
+def _out(directory: bool):
+    """The ``type`` of an ``--out`` flag: refuses at parsing, creating nothing, a
+    path whose parent is not a directory, or one that exists as the wrong kind."""
+    def path(text: str) -> Path:
+        out = Path(text)
+        if not out.parent.is_dir():
+            raise argparse.ArgumentTypeError(f"{out.parent} is not a directory")
+        if out.exists() and out.is_dir() != directory:
+            raise argparse.ArgumentTypeError(f"{text} is {'not ' if directory else ''}a directory")
+        return out
+    return path
+
+
 def _open_out(path):
     """``path`` opened for writing, or stdout (left open on exit) when not given."""
     return open(path, "w") if path else nullcontext(sys.stdout)
@@ -68,13 +83,11 @@ def main(argv=None) -> int:
                      description="question-guided sparse video QA harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gradcheck", help="finite-difference oracle over every block")
+    p = sub.add_parser("gradcheck", help="finite-difference oracle over every block "
+                                         "(fixed step and pass bound)")
     _add_config_flags(p)
-    p.add_argument("--epsilon", type=float, default=EPSILON)
-    p.add_argument("--tolerance", type=float, default=TOLERANCE)
-    p.add_argument("--sweep", action="store_true",
-                   help="also report epsilon sweep {1e-4, 1e-5, 1e-6}")
-    p.add_argument("--out", type=Path, default=None, help="write the report as JSON")
+    p.add_argument("--out", type=_out(directory=False), default=None,
+                   help="write the report as JSON")
 
     p = sub.add_parser("gen-data",
                        help="write a synthetic dataset's index (episodes regenerate from seeds)")
@@ -86,7 +99,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("train", help="train on a generated dataset")
     _add_config_flags(p)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="checkpoint directory")
+    p.add_argument("--out", type=_out(directory=True), required=True, help="checkpoint directory")
     p.add_argument("--resume", type=Path, default=None)
     p.add_argument("--metrics", type=Path, default=None,
                    help="JSON-lines metrics file (default: stdout)")
@@ -98,7 +111,7 @@ def main(argv=None) -> int:
     p.add_argument("--blind", choices=BLIND_MODES, action="append",
                    default=None, help="also run this blinded probe (repeatable)")
     p.add_argument("--eval-seed", type=int, default=2024)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=_out(directory=False), default=None)
 
     p = sub.add_parser("ablate", help="train/evaluate a variant grid, emit CSV")
     _add_config_flags(p)
@@ -107,7 +120,7 @@ def main(argv=None) -> int:
     p.add_argument("--train-episodes", type=int, default=3000)
     p.add_argument("--eval-episodes", type=int, default=300)
     p.add_argument("--data-seed", type=int, default=1)
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--out", type=_out(directory=False), default=None)
 
     args = parser.parse_args(argv)
     # The bounded integer flags outside RunConfig, checked before any work.
@@ -130,19 +143,14 @@ def _cmd_gradcheck(args) -> int:
     cfg = _config_from_args(args, defaults=GRADCHECK_OVERRIDES)
     if cfg.dim > 32:
         raise ValueError("gradcheck requires a desk-scale config (dim <= 32)")
-    epsilons = [args.epsilon]
-    if args.sweep:
-        epsilons = [1e-4, 1e-5, 1e-6]
-    all_pass = True
+    results = run_gradcheck(cfg)
+    all_pass = all(report.passed for report in results.values())
     payload = []
-    for eps in epsilons:
-        results = run_gradcheck(cfg, epsilon=eps, tolerance=args.tolerance)
-        for target, report in results.items():
-            status = "PASS" if report.passed else "FAIL"
-            all_pass &= report.passed
-            print(f"{status}  eps={eps:.0e}  {target:28s} max_rel={report.worst:.3e}")
-            payload.append({"target": target, "epsilon": eps,
-                            "max_rel_error": report.worst, "passed": report.passed})
+    for target, report in results.items():
+        status = "PASS" if report.passed else "FAIL"
+        print(f"{status}  eps={EPSILON:.0e}  {target:28s} max_rel={report.worst:.3e}")
+        payload.append({"target": target, "epsilon": EPSILON,
+                        "max_rel_error": report.worst, "passed": report.passed})
     if args.out:
         args.out.write_text(json.dumps(payload, indent=1))
     print("gradcheck:", "PASS" if all_pass else "FAIL")

@@ -55,8 +55,8 @@ def _tether_coefficients(rng, params) -> list[Tensor]:
     return coefs
 
 
-def run_gradcheck(cfg: RunConfig, epsilon: float, tolerance: float) -> dict[str, GradReport]:
-    """Oracle every differentiable surface; returns per-target reports."""
+def run_gradcheck(cfg: RunConfig) -> dict[str, GradReport]:
+    """Oracle every differentiable surface at the fixed step; per-target reports."""
     cfg.validate()
     dim, heads = cfg.dim, cfg.heads
     n_patches = cfg.n_grid * cfg.n_grid
@@ -74,8 +74,7 @@ def run_gradcheck(cfg: RunConfig, epsilon: float, tolerance: float) -> dict[str,
                 loss = loss + T.tsum(p * c)
             return loss
 
-        results[target] = grad_check(tethered, params, epsilon=epsilon,
-                                     tolerance=tolerance, names=names)
+        results[target] = grad_check(tethered, params, names=names)
 
     # the gate and its attention baseline, under the input skip their blocks add
     gate = SelfAttention(dim, heads, np.random.default_rng(cfg.seed))

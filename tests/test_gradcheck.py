@@ -1,16 +1,19 @@
 """Behaviour of the finite-difference oracle itself."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from glimpse import tensor as T
-from glimpse.gradcheck import grad_check
+from glimpse.gradcheck import EPSILON, TOLERANCE, GradReport, grad_check
 from glimpse.tensor import Tensor
 
 
 def test_quadratic_is_exact():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    report = grad_check(lambda: T.tsum(x * x), [x], epsilon=1e-5, names=["x"])
+    report = grad_check(lambda: T.tsum(x * x), [x], names=["x"])
     assert report.passed
     assert report.max_rel_error["x"] < 1e-6
     # The analytic gradient of sum(x^2) is 2x.
@@ -20,12 +23,15 @@ def test_quadratic_is_exact():
     np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
 
-def test_epsilon_range_enforced():
+def test_step_and_bound_are_constants():
+    # A bound a caller could set, at nan or 1e9, would pass any backward rule.
+    assert (EPSILON, TOLERANCE) == (1e-5, 1e-4)
+    assert list(inspect.signature(grad_check).parameters) == ["loss_fn", "params", "names"]
+    assert [f.name for f in dataclasses.fields(GradReport)] == ["max_rel_error", "passed"]
     x = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ValueError, match="epsilon"):
-        grad_check(lambda: T.tsum(x * x), [x], epsilon=1e-2)
-    with pytest.raises(ValueError, match="epsilon"):
-        grad_check(lambda: T.tsum(x * x), [x], epsilon=1e-8)
+    for name, value in (("epsilon", 1e-2), ("tolerance", float("nan"))):
+        with pytest.raises(TypeError, match=name):
+            grad_check(lambda: T.tsum(x * x), [x], **{name: value})
 
 
 def test_float32_parameter_or_loss_rejected():
@@ -88,10 +94,7 @@ def test_report_carries_per_parameter_errors():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
-    report = grad_check(
-        lambda: T.tsum(T.sqrt(a * a + 1.0) * b), [a, b], names=["a", "b"], epsilon=1e-5
-    )
+    report = grad_check(lambda: T.tsum(T.sqrt(a * a + 1.0) * b), [a, b], names=["a", "b"])
     assert report.passed
     assert set(report.max_rel_error) == {"a", "b"}
-    assert report.epsilon == 1e-5
-    assert all(report.max_rel_error[name] < report.tolerance for name in ("a", "b"))
+    assert all(report.max_rel_error[name] < TOLERANCE for name in ("a", "b"))

@@ -91,7 +91,6 @@ class TestPrimitiveGradients:
         report = grad_check(
             lambda: T.tsum((a * b + c) / (b * b + 2.0) * (a + 0.5)),
             [a, b, c],
-            epsilon=1e-5,
         )
         assert report.passed, report.max_rel_error
 

@@ -20,10 +20,11 @@ from glimpse import evaluate as geval
 from glimpse import tensor as T
 from glimpse.ablate import run_grid
 from glimpse.cli import main
-from glimpse.config import RunConfig, desk_config
+from glimpse.config import GRADCHECK_OVERRIDES, RunConfig, desk_config
 from glimpse.data import (BLIND_MODES, EpisodeSet, Vocab, blind_input,
                           episode_seeds, gen_episode, save_dataset)
 from glimpse.evaluate import evaluate_model, evaluate_with_blind_probes
+from glimpse.gradcheck import GradReport
 from glimpse.model import VideoQAModel, load_checkpoint, save_checkpoint
 from glimpse.objectives import MATCHED, UNMATCHED
 from glimpse.sampler import uniform_indices
@@ -990,5 +991,90 @@ class TestCli:
                      "--depth", "1", "--dim", "8", "--heads", "2",
                      "--n-grid", "2"])
         assert code == 2
-        # Every target with an MLP fails, the plain fusion among them.
-        assert re.search(r"^FAIL .* plain_fusion ", capsys.readouterr().out, re.M)
+        # Every target with an MLP fails, the plain fusion among them, and
+        # every target without one still passes.
+        out = capsys.readouterr().out
+        assert re.findall(r"^(PASS|FAIL)  eps=1e-05  (\w+) +max_rel=", out, re.M) == [
+            ("PASS", "la_gate"), ("PASS", "cross_attention_v2t"), ("FAIL", "fs_block"),
+            ("FAIL", "vr_block"), ("FAIL", "selection_refine"), ("PASS", "vtm_loss"),
+            ("PASS", "contrastive_loss"), ("FAIL", "vg_mlm_loss"),
+            ("FAIL", "selection_refine_batch"), ("FAIL", "plain_fusion")]
+        assert out.endswith("\ngradcheck: FAIL\n")
+
+    def test_gradcheck_has_no_step_bound_or_sweep_flag(self, capsys, monkeypatch):
+        # The oracle's step and pass bound are constants: a flag setting the
+        # bound to nan would print PASS over a wrong backward rule.
+        runs = []
+        monkeypatch.setattr(gcli, "run_gradcheck", runs.append)
+        for flags in (["--tolerance", "1e9"], ["--tolerance", "nan"], ["--epsilon", "1e-6"],
+                      ["--sweep"]):
+            capsys.readouterr()
+            assert exit_code(["gradcheck", *flags]) == 1, flags
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: {' '.join(flags)}\n" in err, err
+        assert runs == []
+
+    def test_gradcheck_prints_a_line_per_target_and_writes_its_json(
+            self, tmp_path, capsys, monkeypatch):
+        reports = {"la_gate": GradReport({"v": 2.5e-7, "t_cls": 1.25e-7}),
+                   "vr_block": GradReport({"seq": 3e-4}, passed=False)}
+        configs = []
+
+        def fake_run(cfg):   # the reports of this round's targets
+            configs.append(cfg)
+            return {t: reports[t] for t in targets}
+
+        monkeypatch.setattr(gcli, "run_gradcheck", fake_run)
+        out = tmp_path / "report.json"
+        lines = ["PASS  eps=1e-05  la_gate                      max_rel=2.500e-07",
+                 "FAIL  eps=1e-05  vr_block                     max_rel=3.000e-04"]
+        for targets, code, verdict in ((["la_gate"], 0, "PASS"),
+                                       (["la_gate", "vr_block"], 2, "FAIL")):
+            capsys.readouterr()
+            assert main(["gradcheck", "--out", str(out)]) == code
+            assert capsys.readouterr().out == "\n".join(
+                [*lines[:len(targets)], f"gradcheck: {verdict}", ""])
+            rows = json.loads(out.read_text())
+            assert [list(row) for row in rows] == [
+                ["target", "epsilon", "max_rel_error", "passed"]] * len(targets)
+            assert [tuple(row.values()) for row in rows] == [
+                ("la_gate", 1e-5, 2.5e-7, True), ("vr_block", 1e-5, 3e-4, False)][:len(targets)]
+        assert configs == [RunConfig(**GRADCHECK_OVERRIDES)] * 2
+
+    def test_unusable_out_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # An --out the command could not write ends it at parsing, in one
+        # error line: no grid, training, evaluation or oracle runs, and no
+        # file is left.  A file's parent must be a directory and the file must
+        # not be one; a checkpoint directory must be one, or be new under one.
+        calls = []
+        monkeypatch.setattr("glimpse.ablate.run_grid", lambda *a, **k: calls.append("run_grid"))
+        monkeypatch.setattr(gcli, "train", lambda *a, **k: calls.append("train"))
+        monkeypatch.setattr(gcli, "load_checkpoint", lambda path: calls.append("load"))
+        monkeypatch.setattr(gcli, "run_gradcheck", lambda cfg: calls.append("gradcheck"))
+        data, missing, a_file = tmp_path / "data", tmp_path / "missing", tmp_path / "a_file"
+        assert main(["gen-data", "--out", str(data), "--episodes", "2", *DESK_FLAGS]) == 0
+        a_file.write_text("kept")
+        train = ["train", "--data", str(data), *DESK_FLAGS, "--out"]
+        evaluate = ["eval", "--checkpoint", str(data), "--data", str(data), "--out"]
+        cases = [(["ablate", "--steps", "300", "--out", str(missing / "x.csv")], missing),
+                 (["ablate", "--out", str(a_file / "x.csv")], a_file),
+                 (train + [str(missing / "ckpt")], missing),
+                 (evaluate + [str(missing / "report.json")], missing),
+                 (["gradcheck", "--out", str(missing / "report.json")], missing)]
+        cases = [(argv, f"{parent} is not a directory") for argv, parent in cases] + [
+            (["ablate", "--out", str(data)], f"{data} is a directory"),
+            (evaluate + [str(data)], f"{data} is a directory"),
+            (["gradcheck", "--out", str(data)], f"{data} is a directory"),
+            (train + [str(a_file)], f"{a_file} is not a directory")]
+        for argv, message in cases:
+            capsys.readouterr()
+            assert exit_code(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1, err
+            assert f"error: argument --out: {message}\n" in err, err
+        assert calls == [] and a_file.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "data"]
+        # A checkpoint directory that exists, or is new under one, is taken.
+        for ckpt in (data, tmp_path / "new"):
+            assert main(train + [str(ckpt)]) == 0
+        assert calls == ["train", "train"]
