@@ -12,6 +12,7 @@ from .data import EpisodeSet, Vocab, episode_seeds
 from .evaluate import evaluate_model
 from .train import train
 
+GRIDS = ("modules", "frames", "losses", "n-sweep")
 MODULE_ROWS = ("a", "b", "c", "d", "e", "f")
 FRAME_SWEEP_K = (4, 8, 16, 32)
 N_SWEEP = (30, 90)
@@ -50,6 +51,8 @@ def run_grid(cfg: RunConfig, grid: str, train_episodes: int, eval_episodes: int,
              data_seed: int) -> list[dict]:
     if min(train_episodes, eval_episodes) < 1:
         raise ValueError(f"episode counts must be >= 1, got {train_episodes} and {eval_episodes}")
+    if grid not in GRIDS:
+        raise ValueError(f"unknown grid {grid!r}")
     rows = []
     if grid == "modules":
         for row in MODULE_ROWS:
@@ -71,12 +74,10 @@ def run_grid(cfg: RunConfig, grid: str, train_episodes: int, eval_episodes: int,
         for row in MODULE_ROWS:
             rows.append(_run_variant(row, loss_variant(cfg, row),
                                      train_episodes, eval_episodes, data_seed))
-    elif grid == "n-sweep":
+    else:  # n-sweep
         for sampler in ("sparse", "uniform"):
             for n in N_SWEEP:
                 variant = cfg.replace(sampler=sampler, n_frames=n)
                 rows.append(_run_variant(f"{sampler}-n{n}", variant,
                                          train_episodes, eval_episodes, data_seed))
-    else:
-        raise ValueError(f"unknown grid {grid!r}")
     return rows

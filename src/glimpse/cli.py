@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GRADCHECK_OVERRIDES, RunConfig, removed_note
+from . import ablate
+from .config import GRADCHECK_OVERRIDES, RunConfig
 from .data import BLIND_MODES, check_dataset, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck import EPSILON
@@ -37,9 +38,8 @@ EXIT_NUMERIC = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
-        flags = {w.split("=")[0][2:].replace("-", "_") for w in message.split() if w[:2] == "--"}
         self.print_usage(sys.stderr)
-        print(f"error: {message}{removed_note(flags)}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -115,8 +115,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("ablate", help="train/evaluate a variant grid, emit CSV")
     _add_config_flags(p)
-    p.add_argument("--grid", choices=["modules", "frames", "losses", "n-sweep"],
-                   default="modules")
+    p.add_argument("--grid", choices=ablate.GRIDS, default="modules")
     p.add_argument("--train-episodes", type=int, default=3000)
     p.add_argument("--eval-episodes", type=int, default=300)
     p.add_argument("--data-seed", type=int, default=1)
@@ -191,10 +190,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .ablate import run_grid
     cfg = _config_from_args(args)
-    rows = run_grid(cfg, args.grid, train_episodes=args.train_episodes,
-                    eval_episodes=args.eval_episodes, data_seed=args.data_seed)
+    rows = ablate.run_grid(cfg, args.grid, train_episodes=args.train_episodes,
+                           eval_episodes=args.eval_episodes, data_seed=args.data_seed)
     with _open_out(args.out) as stream:
         header = list(rows[0])
         stream.write(",".join(header) + "\n")

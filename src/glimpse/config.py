@@ -19,24 +19,6 @@ SAMPLERS = ("sparse", "uniform", "soft")
 FUSIONS = ("la_gate", "cross_attention")
 REFINERS = ("gated", "plain")
 
-# Removed knobs and what holds instead; a config, flag or checkpoint with one fails.
-REMOVED_KEYS = {
-    "mlp_ratio": "MLPs are 4*dim wide",
-    "answer_hidden": "the answer head is 2*dim wide",
-    "text_max_len": "texts are at most 16 tokens",
-    "soft_warmup": "selection is straight-through from step 0",
-    "init_std": "weights are drawn at std 0.02",
-    "tau_g_anneal": "tau_g is fixed for the whole run",
-    "tau_g_final": "tau_g is fixed for the whole run",
-}
-
-
-def removed_note(keys) -> str:
-    """`` (key: removed, why; ...)`` for the removed keys among ``keys``, else ``""``."""
-    notes = [f"{k}: removed, {why}" for k, why in sorted(REMOVED_KEYS.items()) if k in keys]
-    return f" ({'; '.join(notes)})" if notes else ""
-
-
 # The values each declared field type takes: numpy scalars count, bool does not.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
@@ -124,7 +106,7 @@ class RunConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(values) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}{removed_note(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**values).validate()
 
     def replace(self, **overrides) -> "RunConfig":

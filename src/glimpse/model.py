@@ -225,7 +225,8 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
 
     ``params.npy`` holds the parameters back to back in ``named_parameters``
     order, ``moments.npy`` every first moment and then every second, each as
-    one float32 vector (a float64 model saves rounded).  ``meta.json``
+    one float32 vector (a float64 model saves rounded).  Both are read into
+    new vectors: the save rebinds no tensor of the model.  ``meta.json``
     (format, config, step, the optimizer's ``t``, parameter names, the crc32
     of each dump's values) marks a complete save: it is removed first, with
     the old moments and a format-2 save's ``.tdmp`` dumps, and the new one is
@@ -240,7 +241,7 @@ def save_checkpoint(directory, model: VideoQAModel, step: int,
     names, params = zip(*model.named_parameters())
     meta = {"format": CHECKPOINT_FORMAT, "config": dataclasses.asdict(model.cfg),
             "step": step, "names": list(names)}
-    dumps = {"params": param_buffer(params).astype(COMPUTE_DTYPE, copy=False)}
+    dumps = {"params": np.concatenate([p.data.reshape(-1) for p in params], dtype=COMPUTE_DTYPE)}
     if optimizer_state is not None:
         pairs = [optimizer_state["moments"][name] for name in names]
         dumps["moments"] = np.concatenate([m.reshape(-1) for m, _ in pairs]

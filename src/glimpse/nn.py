@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,7 +27,8 @@ from .tensor import Tensor
 
 class Module:
     """Base class; collects tensors by attribute introspection.  A model's parameters
-    are views of one buffer (``param_buffer``), updated in place between tapes."""
+    are views of one buffer (``param_buffer``); ``train.AdamW`` packs those it updates
+    into a vector of its own and updates them there in place, between tapes."""
 
     def named_tensors(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         """Every tensor of the module tree, trainable or frozen."""
@@ -69,34 +69,15 @@ class Module:
         return self
 
 
-# The views ``param_buffer`` laid out, by the id of their buffer, all held
-# weakly.  An array's data pointer cannot be rebound, so a parameter whose data
-# is still its view sits at its place: the check compares identities and
-# reads no addresses.  A record goes when its buffer does.
-_layouts: dict[int, tuple] = {}
-
-
 def param_buffer(params: Sequence[Tensor], dtype=None, copy: bool = True) -> np.ndarray:
-    """The one vector that holds ``params`` back to back, in order, each ``p.data``
-    a C-contiguous view of it.  Parameters not yet laid out so in ``dtype`` (default:
-    the first one's) are rounded into a new vector (``copy=False``: left unset, to be
-    filled)."""
+    """A new vector that holds ``params`` back to back, in order, in ``dtype`` (default:
+    the first one's), each ``p.data`` rebound to its C-contiguous view of it.  The
+    values are rounded into it (``copy=False``: left unset, to be filled)."""
     dtype = np.dtype(params[0].dtype if dtype is None else dtype)
-    buf = params[0].data.base
-    record = _layouts.get(id(buf))
-    if (record is not None and record[0]() is buf and buf.dtype == dtype
-            and len(record[1]) == len(params)
-            and all(view() is p.data and p.data.flags.c_contiguous
-                    for p, view in zip(params, record[1]))):
-        return buf
     buf = (np.concatenate([p.data.reshape(-1) for p in params], dtype=dtype) if copy
            else np.empty(sum(p.size for p in params), dtype))
-    views = split_views(buf, [p.shape for p in params])
-    for p, view in zip(params, views):
+    for p, view in zip(params, split_views(buf, [p.shape for p in params])):
         p.data = view
-    key = id(buf)
-    _layouts[key] = (weakref.ref(buf, lambda _: _layouts.pop(key, None)),
-                     [weakref.ref(view) for view in views])
     return buf
 
 

@@ -47,14 +47,16 @@ def episode_noise_seed(cfg_seed: int, episode_seed: int, step: int) -> int:
 class AdamW:
     """Adam with decoupled weight decay on the raw parameters.
 
-    The parameters are views of one buffer (``nn.param_buffer``) that a step
-    updates in place between tapes, in the per-tensor rule's elementwise order,
-    over each run of tensors with a grad, through the fused ops' block loop
-    ``tensor._blockwise``; moments and grads are vectors laid out alike, and
-    ``backward`` writes ``p.grad`` into its ``grad_slot`` there.  A tensor
-    without a grad keeps its data and moments.
-    A step raises ``ValueError``, naming the parameter, if one's data is no
-    longer its own view of the buffer or its grad is not its ``grad_slot``.
+    The optimizer packs the parameters it is given into a vector of its own
+    (``nn.param_buffer``), so each ``p.data`` becomes its view there, and a step
+    updates that vector in place between tapes, in the per-tensor rule's
+    elementwise order, over each run of tensors with a grad, through the fused
+    ops' block loop ``tensor._blockwise``; moments and grads are vectors laid out
+    alike, and ``backward`` writes ``p.grad`` into its ``grad_slot`` there.  A
+    tensor without a grad keeps its data and moments.
+    A step raises ``ValueError``, naming the parameter, if one was rebound after
+    the optimizer was built (its data is no longer its view of the vector) or
+    its grad is not its ``grad_slot``.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8

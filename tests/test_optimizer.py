@@ -1,8 +1,9 @@
 """The flat parameter buffer and the fused, chunked AdamW over it.
 
 A model's parameters are views of one vector in ``named_parameters`` order;
-AdamW updates that vector in place, a chunk at a time, and must give the
-bytes of the per-tensor rule kept here as the reference.
+AdamW packs the ones it is given into a vector of its own and updates that
+in place, a chunk at a time, and must give the bytes of the per-tensor rule
+kept here as the reference.
 """
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_fused_update_matches_the_per_tensor_rule_bit_for_bit(dtype, monkeypatch
             if p.grad is None:
                 assert all(a.tobytes() == b.tobytes() for a, b in
                            zip(before[name], (p.data, *opt.moments[name]))), (step, name)
-    assert param_buffer([p for _, p in fused]) is opt.data
+    assert all(p.data.base is opt.data for _, p in fused)
 
 
 def test_ufunc_calls_follow_chunks_not_tensors(monkeypatch):
@@ -127,11 +128,14 @@ def test_ufunc_calls_follow_chunks_not_tensors(monkeypatch):
     assert calls([(2,)] * 200) == calls([(400,)]) == 2 * calls([(200,)])
 
 
-def is_packed(model):
-    """Every parameter is a view of the model's one buffer, in order."""
+def one_buffer(model):
+    """The vector that holds every parameter of ``model`` back to back, in order,
+    each ``p.data`` a view of it."""
     params = model.parameters()
     buf = params[0].data.base
-    return param_buffer(params) is buf and all(p.data.base is buf for p in params)
+    assert all(p.data.base is buf for p in params)
+    assert buf.tobytes() == np.concatenate([p.data.reshape(-1) for p in params]).tobytes()
+    return buf
 
 
 def test_parameters_stay_views_of_one_buffer(tmp_path):
@@ -139,29 +143,29 @@ def test_parameters_stay_views_of_one_buffer(tmp_path):
     vocab = Vocab(cfg.vocab_seed, cfg.dim)
     episodes = [gen_episode(70 + i, cfg.n_frames, cfg.n_grid, cfg.dim, vocab) for i in range(4)]
     model = VideoQAModel(cfg, vocab, np.random.default_rng(cfg.seed))
-    assert is_packed(model) and param_buffer(model.parameters()).dtype == F32
-    buf = param_buffer(model.parameters())
+    buf = one_buffer(model)
+    assert buf.dtype == F32
     widen_weights(model, np.random.default_rng(3))
-    assert is_packed(model) and param_buffer(model.parameters()) is buf
-    assert is_packed(model.astype(F64)) and model.dtype == F64
-    assert is_packed(model.astype(F32)) and model.dtype == F32
-    buf = param_buffer(model.parameters())
+    assert one_buffer(model) is buf
+    assert one_buffer(model.astype(F64)).dtype == F64 and model.dtype == F64
+    assert one_buffer(model.astype(F32)).dtype == F32 and model.dtype == F32
+    values = one_buffer(model).tobytes()
     optimizer = AdamW(list(model.named_parameters()), cfg.weight_decay)
-    assert optimizer.data is buf
+    assert one_buffer(model) is optimizer.data and optimizer.data.tobytes() == values
     train_step(model, optimizer, episodes, cfg, 0)
-    assert is_packed(model) and param_buffer(model.parameters()) is buf
+    assert one_buffer(model) is optimizer.data
     assert all(p.grad is None or p.grad.base is optimizer.grads for p in model.parameters())
 
     save_checkpoint(tmp_path, model, 1, optimizer.state())
-    assert np.load(tmp_path / "params.npy").tobytes() == buf.tobytes()
+    assert one_buffer(model) is optimizer.data
+    assert np.load(tmp_path / "params.npy").tobytes() == optimizer.data.tobytes()
     moments = np.concatenate([optimizer.m, optimizer.v])
     assert np.load(tmp_path / "moments.npy").tobytes() == moments.tobytes()
     loaded, _, opt_state = load_checkpoint(tmp_path)
-    assert is_packed(loaded)
-    assert param_buffer(loaded.parameters()).tobytes() == buf.tobytes()
+    assert one_buffer(loaded).tobytes() == optimizer.data.tobytes()
     resumed = AdamW(list(loaded.named_parameters()), cfg.weight_decay)
     resumed.load_state(opt_state)
-    assert resumed.data is param_buffer(loaded.parameters())
+    assert one_buffer(loaded) is resumed.data
     assert np.concatenate([resumed.m, resumed.v]).tobytes() == moments.tobytes()
 
 
@@ -192,12 +196,14 @@ def test_a_step_refuses_a_parameter_it_does_not_hold(fault):
 
 
 @pytest.mark.parametrize("misplace", ["swapped", "strided", "restrided", "copied", "dropped"])
-def test_a_parameter_out_of_place_is_repacked(misplace):
-    # The layout check proves each parameter a C-contiguous view at its own
-    # place in the buffer; any other layout is packed into a new buffer.
-    params = [p for _, p in tensors(F64)]
+def test_the_optimizer_packs_any_prior_layout(misplace, monkeypatch):
+    # Whatever vector the parameters were views of, or none, the optimizer
+    # packs them into its own, in order, and steps each one bit for bit as
+    # the per-tensor rule does.
+    monkeypatch.setattr(T, "BLOCK_VALUES", 64)
+    named = tensors(F64)
+    params = [p for _, p in named]
     buf = param_buffer(params)
-    assert param_buffer(params) is buf
     if misplace == "swapped":      # two views of the buffer, out of order
         params[1].data, params[6].data = params[6].data, params[1].data
     elif misplace == "strided":    # a view of the buffer, not contiguous
@@ -208,13 +214,20 @@ def test_a_parameter_out_of_place_is_repacked(misplace):
     elif misplace == "copied":
         params[2].data = params[2].data.copy()
     else:                          # the buffer holds one more parameter
-        params = params[:-1]
-    values = [p.data.copy() for p in params]
-    packed = param_buffer(params)
-    assert packed is not buf
-    assert packed.tobytes() == np.concatenate([v.reshape(-1) for v in values]).tobytes()
-    assert all(p.data.base is packed and p.data.flags.c_contiguous for p in params)
-    assert param_buffer(params) is packed
+        named = named[:-1]
+    ref = [(name, Tensor(p.data.copy(), requires_grad=True)) for name, p in named]
+    opt = AdamW(named, weight_decay=0.05)
+    want = ReferenceAdamW(ref, weight_decay=0.05)
+    assert all(p.data.base is opt.data and p.data.flags.c_contiguous for _, p in named)
+    rng = np.random.default_rng(2)
+    for step in range(3):
+        for (_, p), (_, q) in zip(named, ref):
+            q.grad = rng.normal(size=p.shape)
+            set_grad(p, q.grad)
+        opt.step(1e-2)
+        want.step(1e-2)
+        for (name, p), (_, q) in zip(named, ref):
+            assert p.data.tobytes() == q.data.tobytes(), (step, name)
 
 
 def test_backward_writes_grads_into_the_optimizer_vector():

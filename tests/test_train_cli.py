@@ -226,6 +226,8 @@ class TestTrainLoop:
         for counts in ((0, 4), (4, 0), (-1, 4)):
             with pytest.raises(ValueError, match="episode counts must be >= 1"):
                 run_grid(smoke_config(), "modules", *counts, data_seed=1)
+        with pytest.raises(ValueError, match="^unknown grid 'n_sweep'$"):
+            run_grid(smoke_config(), "n_sweep", 4, 4, data_seed=1)
         assert pools == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -471,13 +473,11 @@ class TestCli:
         data = tmp_path / "data"
         ckpt = tmp_path / "ckpt"
         metrics = tmp_path / "metrics.jsonl"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
         assert main(["gen-data", "--out", str(data), "--episodes", "12",
-                     *overrides]) == 0
+                     *DESK_FLAGS]) == 0
         assert main(["train", "--data", str(data), "--out", str(ckpt),
                      "--metrics", str(metrics), "--steps", "2",
-                     "--batch-size", "4", "--lr", "1e-3", *overrides]) == 0
+                     "--batch-size", "4", "--lr", "1e-3", *DESK_FLAGS]) == 0
         lines = [json.loads(line) for line in metrics.read_text().splitlines()]
         assert len(lines) == 2
         assert {"step", "l_vtm", "l_cl", "l_vgmlm", "l_total", "lr"} <= set(lines[0])
@@ -506,12 +506,10 @@ class TestCli:
     def test_eval_untrained_is_near_chance(self, tmp_path):
         data = tmp_path / "data"
         ckpt = tmp_path / "ckpt"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
         main(["gen-data", "--out", str(data), "--episodes", "64",
-              *overrides])
+              *DESK_FLAGS])
         main(["train", "--data", str(data), "--out", str(ckpt), "--steps", "1",
-              "--batch-size", "4", "--metrics", str(tmp_path / "m.jsonl"), *overrides])
+              "--batch-size", "4", "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS])
         out = tmp_path / "eval.json"
         main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
               "--out", str(out)])
@@ -537,20 +535,18 @@ class TestCli:
 
     def test_stale_dataset_index_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
         assert main(["gen-data", "--out", str(data), "--episodes", "4",
-                     *overrides]) == 0
+                     *DESK_FLAGS]) == 0
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
                      "--steps", "1", "--batch-size", "2",
-                     "--metrics", str(tmp_path / "m.jsonl"), *overrides]) == 0
+                     "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS]) == 0
         index = json.loads((data / "index.json").read_text())
         index["episodes"][2]["event_frame"] += 1
         (data / "index.json").write_text(json.dumps(index))
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt2"),
                      "--steps", "1", "--batch-size", "2",
-                     "--metrics", str(tmp_path / "m2.jsonl"), *overrides]) == 1
+                     "--metrics", str(tmp_path / "m2.jsonl"), *DESK_FLAGS]) == 1
         assert "episode 2 regenerated differently" in capsys.readouterr().err
         assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
                      "--data", str(data)]) == 1
@@ -560,12 +556,10 @@ class TestCli:
         # Sizes that cannot run fail at the config, the pool or the episode
         # count with a usage error, not deep in the model with a traceback.
         data, empty = tmp_path / "data", tmp_path / "empty"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", *overrides]) == 0
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", *DESK_FLAGS]) == 0
         save_dataset(empty, base_seed=1, count=0, n_frames=30, n_grid=2, dim=32, vocab_seed=7)
         train_args = ["train", "--out", str(tmp_path / "ckpt"), "--steps", "1",
-                      "--batch-size", "2", "--metrics", str(tmp_path / "m.jsonl"), *overrides]
+                      "--batch-size", "2", "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS]
         cases = [
             (["--data", str(data), "--heads", "0"], "heads must be >= 1"),
             (["--data", str(data), "--batch-size", "0"], "batch_size must be >= 1"),
@@ -654,7 +648,8 @@ class TestCli:
             self, tmp_path, capsys, monkeypatch):
         # A negative --checkpoint-every would act as 1 (every step modulo -1
         # is 0) and an ablation with no train or eval episodes would train a
-        # whole variant first; both fail at their flag, named there.
+        # whole variant first; both fail at their flag, named there, as does
+        # a grid that ``ablate.GRIDS`` does not name.
         reads, trains = [], []
         monkeypatch.setattr(gcli, "load_dataset", lambda path: reads.append(path))
         monkeypatch.setattr("glimpse.ablate.train", lambda *a, **k: trains.append(a))
@@ -667,6 +662,8 @@ class TestCli:
             (["ablate", *tiny, "--train-episodes", "0"], "error: --train-episodes must be >= 1"),
             (["ablate", *tiny, "--eval-episodes", "0"], "error: --eval-episodes must be >= 1"),
             (["ablate", *tiny, "--eval-episodes", "-3"], "error: --eval-episodes must be >= 1"),
+            (["ablate", *tiny, "--grid", "n_sweep"],
+             "error: argument --grid: invalid choice: 'n_sweep'"),
         ]
         capsys.readouterr()
         for argv, message in cases:
@@ -811,7 +808,7 @@ class TestCli:
     def test_format_1_checkpoint_and_removed_config_keys_exit_1(self, tmp_path, capsys):
         # Both compatibility breaks fail loudly and name their cause: a
         # format-1 or format-2 checkpoint, and a config file, flag or
-        # checkpoint with a removed knob.
+        # checkpoint with a removed knob, in one error line that names it.
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
         capsys.readouterr()
@@ -826,11 +823,12 @@ class TestCli:
             path.write_text(json.dumps({**dataclasses.asdict(desk_config()), key: 4}))
             out = ["--out", str(tmp_path / key), "--episodes", "1"]
             assert main(["gen-data", "--config", str(path), *out]) == 1
-            assert f"unknown config keys: ['{key}'] ({key}: removed, " in capsys.readouterr().err
-            with pytest.raises(SystemExit) as exit_info:
-                main(["gen-data", "--" + key.replace("_", "-"), "4", *out])
-            assert exit_info.value.code == 1
-            assert f"({key}: removed, " in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+            flag = "--" + key.replace("_", "-")
+            assert exit_code(["gen-data", flag, "4", *out]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert [line for line in err if line.startswith("error:")] == [
+                f"error: unrecognized arguments: {flag} 4"], err
         # Every checkpoint saved while the four training knobs existed carries
         # them in its config, at their defaults.
         cfg = desk_config(depth=1, seed=2)
@@ -842,20 +840,16 @@ class TestCli:
                               tau_g_final=0.5)
         (old / "meta.json").write_text(json.dumps(meta))
         assert main(["eval", "--checkpoint", str(old), "--data", str(tmp_path / "data")]) == 1
-        err = capsys.readouterr().err
-        assert "soft_warmup: removed, selection is straight-through from step 0" in err
-        for key in ("init_std", "tau_g_anneal", "tau_g_final"):
-            assert f"{key}: removed, " in err
+        assert capsys.readouterr().err == ("error: unknown config keys: ['init_std', "
+                                           "'soft_warmup', 'tau_g_anneal', 'tau_g_final']\n")
 
     def test_changed_dump_or_bare_meta_exits_1(self, tmp_path, capsys):
         # eval and train --resume refuse a dump whose bytes changed after the
         # save, and a meta.json that lacks a field, with an error line.
         data, ckpt = tmp_path / "data", tmp_path / "ckpt"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", *overrides]) == 0
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", *DESK_FLAGS]) == 0
         train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
-                      "--steps", "1", "--batch-size", "2", *overrides]
+                      "--steps", "1", "--batch-size", "2", *DESK_FLAGS]
         assert main(train_args + ["--out", str(ckpt)]) == 0
         commands = (["eval", "--checkpoint", str(ckpt), "--data", str(data)],
                     train_args + ["--out", str(tmp_path / "more"), "--resume", str(ckpt)])
@@ -914,24 +908,20 @@ class TestCli:
     def test_train_rejects_dataset_vocab_seed_mismatch(self, tmp_path, capsys):
         # Another seed means another frozen word table and frame rotation.
         data = tmp_path / "data"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
         assert main(["gen-data", "--out", str(data), "--episodes", "4",
-                     "--vocab-seed", "8", *overrides]) == 0
+                     "--vocab-seed", "8", *DESK_FLAGS]) == 0
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
                      "--steps", "1", "--batch-size", "2",
-                     "--metrics", str(tmp_path / "m.jsonl"), *overrides]) == 1
+                     "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS]) == 1
         assert "dataset vocab_seed=8 does not match config vocab_seed=7" in capsys.readouterr().err
 
     def test_resume_rejects_checkpoint_with_another_config(self, tmp_path, capsys):
         data, ckpt = tmp_path / "data", tmp_path / "ckpt"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2", "--batch-size", "2"]
         assert main(["gen-data", "--out", str(data), "--episodes", "4",
-                     *overrides[:-2]]) == 0
+                     *DESK_FLAGS]) == 0
         train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
-                      *overrides]
+                      *DESK_FLAGS, "--batch-size", "2"]
         assert main(train_args + ["--out", str(ckpt), "--steps", "1"]) == 0
         capsys.readouterr()
         assert main(train_args + ["--out", str(tmp_path / "more"), "--resume", str(ckpt),
@@ -944,13 +934,11 @@ class TestCli:
 
     def test_train_nan_exits_2(self, tmp_path):
         data = tmp_path / "data"
-        overrides = ["--n-frames", "30", "--k-select", "4", "--depth", "1",
-                     "--dim", "32", "--heads", "2", "--n-grid", "2"]
         main(["gen-data", "--out", str(data), "--episodes", "8",
-              *overrides])
+              *DESK_FLAGS])
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
                      "--steps", "5", "--batch-size", "4", "--lr", "1e15",
-                     "--metrics", str(tmp_path / "m.jsonl"), *overrides])
+                     "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS])
         assert code == 2
 
     def test_numeric_failure_writes_one_stderr_line(self, tmp_path):
