@@ -7,9 +7,12 @@ are read, so no dataset directory is needed.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .config import RunConfig, loss_variant, table_variant
 from .data import EpisodeSet, Vocab, episode_seeds
 from .evaluate import evaluate_model
+from .model import check_memory
 from .train import train
 
 GRIDS = ("modules", "frames", "losses", "n-sweep")
@@ -47,37 +50,35 @@ def _run_variant(label: str, cfg: RunConfig, train_episodes: int,
     }
 
 
+def _variants(cfg: RunConfig, grid: str) -> list[tuple[str, RunConfig]]:
+    """The (label, config) rows of ``grid`` over ``cfg``, in order."""
+    if grid == "modules":
+        return [(row, table_variant(cfg, row)) for row in MODULE_ROWS]
+    if grid == "losses":
+        return [(row, loss_variant(cfg, row)) for row in MODULE_ROWS]
+    if grid == "frames":
+        if cfg.n_frames < min(FRAME_SWEEP_K):
+            raise ValueError(f"grid 'frames' sweeps K over {FRAME_SWEEP_K}, and none fits "
+                             f"n_frames={cfg.n_frames}")
+        return [(f"{sampler}-k{k}", dataclasses.replace(
+                    cfg, sampler=sampler, k_select=k,
+                    refiner=cfg.refiner if sampler == "sparse" else "plain"))
+                for sampler in ("sparse", "uniform") for k in FRAME_SWEEP_K
+                if k <= cfg.n_frames]
+    return [(f"{sampler}-n{n}", dataclasses.replace(cfg, sampler=sampler, n_frames=n))
+            for sampler in ("sparse", "uniform") for n in N_SWEEP]
+
+
 def run_grid(cfg: RunConfig, grid: str, train_episodes: int, eval_episodes: int,
              data_seed: int) -> list[dict]:
+    """Train and evaluate each row of ``grid``.  Every row's config is made and its
+    size checked (``model.check_memory``) before the first row trains."""
     if min(train_episodes, eval_episodes) < 1:
         raise ValueError(f"episode counts must be >= 1, got {train_episodes} and {eval_episodes}")
     if grid not in GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
-    rows = []
-    if grid == "modules":
-        for row in MODULE_ROWS:
-            rows.append(_run_variant(row, table_variant(cfg, row),
-                                     train_episodes, eval_episodes, data_seed))
-    elif grid == "frames":
-        if cfg.n_frames < min(FRAME_SWEEP_K):
-            raise ValueError(f"grid 'frames' sweeps K over {FRAME_SWEEP_K}, and none fits "
-                             f"n_frames={cfg.n_frames}")
-        for sampler in ("sparse", "uniform"):
-            for k in FRAME_SWEEP_K:
-                if k > cfg.n_frames:
-                    continue
-                variant = cfg.replace(sampler=sampler, k_select=k,
-                                      refiner=cfg.refiner if sampler == "sparse" else "plain")
-                rows.append(_run_variant(f"{sampler}-k{k}", variant,
-                                         train_episodes, eval_episodes, data_seed))
-    elif grid == "losses":
-        for row in MODULE_ROWS:
-            rows.append(_run_variant(row, loss_variant(cfg, row),
-                                     train_episodes, eval_episodes, data_seed))
-    else:  # n-sweep
-        for sampler in ("sparse", "uniform"):
-            for n in N_SWEEP:
-                variant = cfg.replace(sampler=sampler, n_frames=n)
-                rows.append(_run_variant(f"{sampler}-n{n}", variant,
-                                         train_episodes, eval_episodes, data_seed))
-    return rows
+    variants = _variants(cfg, grid)
+    for _, variant in variants:
+        check_memory(variant)
+    return [_run_variant(label, variant, train_episodes, eval_episodes, data_seed)
+            for label, variant in variants]

@@ -1,14 +1,15 @@
 """Command-line harness.
 
 Subcommands: gradcheck, gen-data, train, eval, ablate.  Configuration comes
-from an optional JSON file; every field can be overridden with a
-``--<field> value`` flag.  ``gradcheck`` runs the oracle once, at its fixed
-step and bound.  An ``--out`` that cannot be written is refused before any
-work.  Exit codes: 0 success, 1 usage error (also a bad file or an allocation
-that fails with ``MemoryError``), 2 numeric failure
-(gradient-check failure, non-finite loss, or a float overflow or invalid
-operation, which ends the command where it happens).  Each failure is one
-``error:`` line on stderr.
+from an optional JSON file of a whole, valid config, with a ``--<field> value``
+flag for each field the command reads: all for train and ablate, the oracle's
+ten for gradcheck and the dataset's four for gen-data (``save_dataset`` checks
+them).  ``gradcheck`` runs the oracle once, at its fixed step and bound.  An
+``--out`` that cannot be written is refused before any work.  Exit codes: 0
+success, 1 usage error (also a bad file or an allocation that fails with
+``MemoryError``), 2 numeric failure (gradient-check failure, non-finite loss,
+or a float overflow or invalid operation, which ends the command where it
+happens).  Each failure is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import ablate
 from .config import GRADCHECK_OVERRIDES, RunConfig
-from .data import BLIND_MODES, check_dataset, load_dataset, save_dataset
+from .data import BLIND_MODES, DATASET_KEYS, check_dataset, load_dataset, save_dataset
 from .evaluate import evaluate_with_blind_probes
 from .gradcheck import EPSILON
 from .gradcheck_suite import run_gradcheck
@@ -43,21 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, fields=None) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with RunConfig fields")
     for field in dataclasses.fields(RunConfig):
-        parser.add_argument("--" + field.name.replace("_", "-"), type=eval(field.type))
+        if fields is None or field.name in fields:
+            parser.add_argument("--" + field.name.replace("_", "-"), type=eval(field.type))
 
 
-def _config_from_args(args, defaults: dict | None = None) -> RunConfig:
-    if args.config is not None:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig(**(defaults or {}))
-    overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
-                 if getattr(args, field.name) is not None}
-    return cfg.replace(**overrides) if overrides else cfg.validate()
+def _settings(args, defaults: dict | None = None) -> dict:
+    """The fields of the ``--config`` file's config, or of ``defaults``, under the flags."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig(**(defaults or {}))
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    return dataclasses.asdict(cfg) | {k: v for k, v in flags.items() if v is not None}
 
 
 def _out(directory: bool):
@@ -85,13 +84,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle over every block "
                                          "(fixed step and pass bound)")
-    _add_config_flags(p)
+    _add_config_flags(p, ("n_frames", "k_select", "depth", "dim", "heads", "n_grid", "fusion",
+                          "tau_g", "tau", "seed"))   # the fields run_gradcheck reads
     p.add_argument("--out", type=_out(directory=False), default=None,
                    help="write the report as JSON")
 
     p = sub.add_parser("gen-data",
                        help="write a synthetic dataset's index (episodes regenerate from seeds)")
-    _add_config_flags(p)
+    _add_config_flags(p, DATASET_KEYS)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--data-seed", type=int, default=1)
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = _config_from_args(args, defaults=GRADCHECK_OVERRIDES)
+    cfg = RunConfig(**_settings(args, GRADCHECK_OVERRIDES))
     if cfg.dim > 32:
         raise ValueError("gradcheck requires a desk-scale config (dim <= 32)")
     results = run_gradcheck(cfg)
@@ -157,16 +157,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _config_from_args(args)
+    settings = _settings(args)
     save_dataset(args.out, base_seed=args.data_seed, count=args.episodes,
-                 n_frames=cfg.n_frames, n_grid=cfg.n_grid, dim=cfg.dim,
-                 vocab_seed=cfg.vocab_seed)
+                 **{key: settings[key] for key in DATASET_KEYS})
     print(f"wrote {args.episodes} episodes to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**_settings(args))
     meta, _, episodes = load_dataset(args.data)
     check_dataset(meta, cfg, "config")
     with _open_out(args.metrics) as stream:
@@ -190,7 +189,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**_settings(args))
     rows = ablate.run_grid(cfg, args.grid, train_episodes=args.train_episodes,
                            eval_episodes=args.eval_episodes, data_seed=args.data_seed)
     with _open_out(args.out) as stream:

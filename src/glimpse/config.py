@@ -1,4 +1,8 @@
-"""Run configuration: one flat dataclass, JSON in, CLI overrides on top."""
+"""Run configuration: one flat dataclass, JSON in, a command's flags on top.
+
+A ``RunConfig`` is frozen and checked in ``__post_init__``: however it is
+made (``from_file``, ``desk_config``, ``dataclasses.replace``), it is valid.
+"""
 
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ REFINERS = ("gated", "plain")
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # architecture sizes (reference scale; desk runs override)
     n_frames: int = 100          # dense frames per video
@@ -61,7 +65,7 @@ class RunConfig:
     # synthetic world
     vocab_seed: int = 7
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
@@ -93,7 +97,6 @@ class RunConfig:
             raise ValueError(f"refiner must be one of {REFINERS}")
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError("warmup fraction must be in [0, 1)")
-        return self
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -107,10 +110,7 @@ class RunConfig:
         unknown = set(values) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values).validate()
-
-    def replace(self, **overrides) -> "RunConfig":
-        return dataclasses.replace(self, **overrides).validate()
+        return cls(**values)
 
 
 # Small sizes for the end-to-end synthetic task: big enough to exercise the
@@ -132,8 +132,7 @@ def derive_seed(*keys: int) -> int:
 
 
 def desk_config(**overrides) -> RunConfig:
-    merged = {**DESK_OVERRIDES, **overrides}
-    return RunConfig(**merged).validate()
+    return RunConfig(**{**DESK_OVERRIDES, **overrides})
 
 
 def table_variant(config: RunConfig, row: str) -> RunConfig:
@@ -153,7 +152,7 @@ def table_variant(config: RunConfig, row: str) -> RunConfig:
     }
     if row not in rows:
         raise ValueError(f"unknown ablation row {row!r}")
-    return config.replace(**rows[row])
+    return dataclasses.replace(config, **rows[row])
 
 
 def loss_variant(config: RunConfig, row: str) -> RunConfig:
@@ -169,4 +168,4 @@ def loss_variant(config: RunConfig, row: str) -> RunConfig:
     if row not in rows:
         raise ValueError(f"unknown loss row {row!r}")
     w_vtm, w_cl, w_vgmlm = rows[row]
-    return config.replace(w_vtm=w_vtm, w_cl=w_cl, w_vgmlm=w_vgmlm)
+    return dataclasses.replace(config, w_vtm=w_vtm, w_cl=w_cl, w_vgmlm=w_vgmlm)

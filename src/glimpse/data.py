@@ -44,6 +44,10 @@ BLIND_MODES = ("static", "gaussian")  # language-bias probes, see blind_input
 
 PAD_WORD = "[pad]"
 MASK_WORD = "[mask]"
+# The vocabulary in id order: the specials, the question template's words,
+# the kinds, the windows and every attribute value.
+WORDS = (PAD_WORD, MASK_WORD, "what", "at", "with", "?", *KINDS, *WINDOWS,
+         *(word for kind in KINDS for word in VALUE_WORDS[kind]))
 
 _GAUSSIAN_BLIND_SALT = 0x67617573  # mixed into the episode seed for blind noise
 EPISODE_CACHE_BYTES = 256 << 20    # generated frames one EpisodeSet keeps
@@ -97,18 +101,14 @@ class Vocab:
         _check_dim(dim)
         self.seed = seed
         self.dim = dim
-        words = [PAD_WORD, MASK_WORD, "what", "at", "with", "?"]
-        words += list(KINDS) + list(WINDOWS)
-        for kind in KINDS:
-            words += list(VALUE_WORDS[kind])
-        self.words = words
-        self.word_to_id = {w: i for i, w in enumerate(words)}
+        self.words = WORDS
+        self.word_to_id = {w: i for i, w in enumerate(WORDS)}
         self.pad_id = self.word_to_id[PAD_WORD]
         self.mask_id = self.word_to_id[MASK_WORD]
         self.special_ids = frozenset({self.pad_id, self.mask_id})
 
         rng = np.random.default_rng(seed)
-        self.embeddings = rng.normal(0.0, 1.0, size=(len(words), dim))
+        self.embeddings = rng.normal(0.0, 1.0, size=(len(WORDS), dim))
         q, _ = np.linalg.qr(rng.normal(size=(dim, len(KINDS) * NUM_VALUES)))
         self.directions = q.T.reshape(len(KINDS), NUM_VALUES, dim)
         proj, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
@@ -309,11 +309,14 @@ def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
 
     Episodes regenerate bit-exactly from their seeds, so the index alone
     determines the dataset.  It is written from the header draws alone; no
-    frame is generated.
+    frame is generated.  Sizes or seeds out of range raise ``ValueError``
+    before the directory is made.
     """
     _check_dim(dim)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    if n_grid < 1:
+        raise ValueError("n_grid must be >= 1")
+    if vocab_seed < 0:
+        raise ValueError("vocab_seed must be >= 0")
     index = {
         "meta": {
             "base_seed": base_seed,
@@ -326,6 +329,8 @@ def save_dataset(directory, *, base_seed: int, count: int, n_frames: int,
         "episodes": [_index_entry(episode_id, seed, n_frames)
                      for episode_id, seed in enumerate(episode_seeds(base_seed, count))],
     }
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / INDEX_NAME).write_text(json.dumps(index, indent=1, sort_keys=True))
     return index
 

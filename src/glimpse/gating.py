@@ -18,11 +18,6 @@ from . import tensor as T
 from .nn import SelfAttention
 from .tensor import Tensor
 
-# Floor (not additive offset) on the projected norms: it guards all-zero
-# padded tokens without perturbing the cosine of healthy ones, which keeps
-# the gate exactly invariant to power-of-two rescaling of the text input.
-NORM_FLOOR = 1e-8
-
 
 def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention,
               residual: Tensor | None = None) -> Tensor:
@@ -35,8 +30,7 @@ def gate_core(v: Tensor, t_tokens: Tensor, params: SelfAttention,
     """
     q = params.w_q(v)
     key = params.w_k(t_tokens)
-    return params.w_o(T.cosine_gate(q, key, params.w_v(v), params.heads, NORM_FLOOR),
-                      residual)
+    return params.w_o(T.cosine_gate(q, key, params.w_v(v), params.heads), residual)
 
 
 def cross_attention_core(v: Tensor, t_tokens: Tensor, params: SelfAttention,

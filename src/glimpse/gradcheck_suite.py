@@ -29,7 +29,7 @@ from .config import RunConfig
 from .data import FrameBundle
 from .gating import cross_attention_core, gate_core
 from .gradcheck import GradReport, grad_check
-from .model import PlainFusion
+from .model import PlainFusion, check_memory
 from .nn import Linear, Mlp, SelfAttention, widen_weights
 from .objectives import (
     MaskedText,
@@ -56,8 +56,9 @@ def _tether_coefficients(rng, params) -> list[Tensor]:
 
 
 def run_gradcheck(cfg: RunConfig) -> dict[str, GradReport]:
-    """Oracle every differentiable surface at the fixed step; per-target reports."""
-    cfg.validate()
+    """Oracle every differentiable surface at the fixed step; per-target reports.
+    A config the model could not hold in memory is refused before any module is built."""
+    check_memory(cfg)
     dim, heads = cfg.dim, cfg.heads
     n_patches = cfg.n_grid * cfg.n_grid
     rng = np.random.default_rng(cfg.seed + 1234)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import COMPUTE_DTYPE, RunConfig
-from .data import NUM_VALUES, FrameBundle, Vocab, _require_keys
+from .data import NUM_VALUES, WORDS, FrameBundle, Vocab, _require_keys
 from .nn import Block, Linear, Mlp, Module, init_normal, param_buffer, split_views
 from .refiner import PatchTokens, RefinerParams, assemble_refiner_input, refine
 from .sampler import SamplerParams, apply_mask, selection_rows, uniform_indices
@@ -94,13 +94,43 @@ class PlainFusion(PatchTokens):
         return last(x, readout=True)[..., 0, :]
 
 
+def parameter_count(cfg: RunConfig) -> int:
+    """The number of trainable values ``VideoQAModel(cfg, ...)`` holds, in closed form."""
+    d = cfg.dim
+
+    def mlp(d_in: int, hidden: int, d_out: int) -> int:
+        return d_in * hidden + hidden + (hidden + 1) * d_out
+
+    stage = 2 * d + 4 * d * d                   # a LayerNorm and an attention's projections
+    block = stage + 2 * d + mlp(d, 4 * d, d)
+    count = (TextEncoder.max_len + 1) * d + block   # positions, CLS, one block
+    if cfg.sampler in ("sparse", "soft"):           # temporal table, FsBlocks, w_s
+        count += cfg.n_frames * d + cfg.depth * (stage + block) + d * cfg.k_select
+    fusion = block + 2 * stage if cfg.refiner == "gated" else block
+    count += (1 + cfg.k_select + cfg.n_grid ** 2) * d + cfg.depth * fusion
+    # the VTM, answer and masked-word heads
+    return count + 2 * d + mlp(d, 2 * d, NUM_VALUES) + mlp(2 * d, 2 * d, len(WORDS))
+
+
+def check_memory(cfg: RunConfig) -> None:
+    """Raise ``ValueError`` if the parameters of ``cfg``, their gradients and two AdamW
+    moments (16 bytes per parameter) exceed the machine's physical memory."""
+    count = parameter_count(cfg)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 16 * count > physical:
+        raise ValueError(f"the config has {count:,} parameters; with their gradients and "
+                         f"AdamW moments that is {16 * count:,} bytes, over the "
+                         f"{physical:,} bytes of physical memory")
+
+
 class VideoQAModel(Module):
     """Composes the configured pipeline and owns every trainable parameter."""
 
     def __init__(self, cfg: RunConfig, vocab: Vocab, rng: np.random.Generator | None):
         """Draw the weights from ``rng``.  ``rng=None`` draws nothing: zero weights, no buffer.
-        Only ``load_checkpoint`` passes it, then reads the saved weights into a new buffer."""
-        cfg.validate()
+        Only ``load_checkpoint`` passes it, then reads the saved weights into a new buffer.
+        A config whose training state would not fit in memory is refused first."""
+        check_memory(cfg)
         if vocab.dim != cfg.dim:
             raise ValueError("vocab dimension does not match config")
         self.cfg = cfg

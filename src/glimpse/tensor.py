@@ -717,17 +717,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return out
 
 
-def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int, floor: float) -> Tensor:
+# Floor (not additive offset) on the gate's projected norms: it guards all-zero
+# padded tokens without perturbing the cosine of healthy ones, which keeps
+# the gate exactly invariant to power-of-two rescaling of the text input.
+NORM_FLOOR = 1e-8
+
+
+def cosine_gate(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Language-aware gate over (..., S, D) projections.
 
     In each of ``heads`` slices, value row i of v (..., m, D) is scaled by
     the summed cosine of query row i of q (..., m, D) against every key row
     of k (..., L, D): ``v_i * sum_j q_i.k_j / (|q_i| |k_j|)``.  The output is
-    (..., m, D); leading axes broadcast.  A norm is floored at ``floor`` (its
-    square at ``floor**2``, so an all-zero row keeps a finite gradient), and
-    a floored norm passes no gradient.  One tape node.
+    (..., m, D); leading axes broadcast.  A norm is floored at ``NORM_FLOOR``
+    (its square at ``NORM_FLOOR**2``, so an all-zero row keeps a finite
+    gradient), and a floored norm passes no gradient.  One tape node.
     """
-    floor_sq = floor ** 2
+    floor_sq = NORM_FLOOR ** 2
     ones = np.ones(q.shape[-1] // heads, q.dtype)
     qh, kh = _heads(q.data, heads), _heads(k.data, heads)
 

@@ -8,7 +8,7 @@ import pytest
 from glimpse import tensor as T
 from glimpse.config import RunConfig
 from glimpse.data import FrameBundle, Vocab
-from glimpse.gating import NORM_FLOOR, cross_attention_core, gate_core
+from glimpse.gating import cross_attention_core, gate_core
 from glimpse.gradcheck import grad_check
 from glimpse.model import VideoQAModel
 from glimpse.nn import SelfAttention
@@ -31,7 +31,7 @@ def represent(fusion, v_patch, v_cls, texts):
 def importance(v, t_tokens, params):
     """Per-head gate coefficients (H, m): the fused gate over unit values."""
     q, k = params.w_q(v), params.w_k(t_tokens)
-    out = T.cosine_gate(q, k, Tensor(np.ones(q.shape)), params.heads, NORM_FLOOR).data
+    out = T.cosine_gate(q, k, Tensor(np.ones(q.shape)), params.heads).data
     m, d = out.shape
     return Tensor(out.reshape(m, params.heads, d // params.heads)[..., 0].T)
 

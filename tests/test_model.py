@@ -134,7 +134,7 @@ class TestVariants:
         assert (rep1["indices"] == rep2["indices"]).all()  # seed-independent
         with pytest.raises(ValueError, match=r"sampler must be one of \('sparse', 'uniform', "
                                              r"'soft'\)"):
-            cfg.replace(sampler="none")
+            dataclasses.replace(cfg, sampler="none")
 
 
 class TestRepresent:
@@ -151,7 +151,7 @@ class TestRepresent:
         # and draws its noise, so only how the rows are applied differs.
         cfg, vocab, episode = world
         model = build(cfg, vocab)
-        smooth = build(cfg.replace(sampler="soft"), vocab)
+        smooth = build(dataclasses.replace(cfg, sampler="soft"), vocab)
         params, same = model.state_dict(), smooth.state_dict()
         assert params.keys() == same.keys()
         assert all(params[k].tobytes() == same[k].tobytes() for k in params)
@@ -297,7 +297,7 @@ class TestCheckpoints:
         # dumps must not survive its save and make the load refuse.
         cfg, vocab, episode = world
         save_checkpoint(tmp_path, build(cfg, vocab), step=1)
-        uniform = build(cfg.replace(sampler="uniform"), vocab)
+        uniform = build(dataclasses.replace(cfg, sampler="uniform"), vocab)
         save_checkpoint(tmp_path, uniform, step=2)
         loaded, step, _ = load_checkpoint(tmp_path)
         assert step == 2 and loaded.cfg == uniform.cfg
@@ -508,14 +508,69 @@ def tdmp_bytes(array) -> bytes:
             + np.asarray(array, "<f8").tobytes())
 
 
+class TestSizes:
+    # The desk config, and the benchmark's bench geometry (perfbench/spec.py).
+    @pytest.mark.parametrize("geometry", [{}, dict(dim=256, n_grid=7, k_select=16,
+                                                   n_frames=100, heads=8, depth=2)])
+    def test_parameter_count_is_the_built_models(self, geometry):
+        base = desk_config(**geometry)
+        vocab = Vocab(base.vocab_seed, base.dim)
+        for row in "abcdef":
+            cfg = table_variant(base, row)
+            model = VideoQAModel(cfg, vocab, None)   # zeros: nothing drawn
+            assert gmodel.parameter_count(cfg) == sum(p.size for p in model.parameters()), row
+
+    def test_reference_geometry_is_admitted_and_a_deep_stack_refused(self):
+        gmodel.check_memory(RunConfig())
+        deep = dataclasses.replace(RunConfig(), depth=10 ** 8)
+        count = gmodel.parameter_count(deep)
+        with pytest.raises(ValueError, match=f"^the config has {count:,} parameters; "):
+            gmodel.check_memory(deep)
+
+
+# Each refusal a config can give, with a value (over the desk config) that gives it.
+REFUSALS = [
+    ({"dim": "32"}, "dim must be of type int, not str ('32')"),
+    ({"lr": True}, "lr must be of type float, not bool (True)"),
+    *(({name: float("nan")}, f"{name} must be finite")
+      for name in ("lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "tau", "tau_g")),
+    *(({name: 0}, f"{name} must be >= 1")
+      for name in ("dim", "heads", "k_select", "depth", "batch_size", "n_grid")),
+    *(({name: -1}, f"{name} must be >= 0")
+      for name in ("steps", "lr", "weight_decay", "w_vtm", "w_cl", "w_vgmlm", "w_qa", "seed",
+                   "vocab_seed")),
+    ({"mask_rate": 1.5}, "mask_rate must be in [0, 1]"),
+    ({"exchange_prob": -0.1}, "exchange_prob must be in [0, 1]"),
+    ({"dim": 30, "heads": 4}, "dim must be divisible by heads"),
+    ({"k_select": 31}, "k_select must not exceed n_frames"),
+    ({"tau": 0.0}, "temperatures must be positive"),
+    ({"tau_g": -1.0}, "temperatures must be positive"),
+    ({"sampler": "random"}, "sampler must be one of ('sparse', 'uniform', 'soft')"),
+    ({"fusion": "concat"}, "fusion must be one of ('la_gate', 'cross_attention')"),
+    ({"refiner": "none"}, "refiner must be one of ('gated', 'plain')"),
+    ({"warmup": 1.0}, "warmup fraction must be in [0, 1)"),
+]
+
+
 class TestConfig:
-    def test_validation_catches_bad_values(self):
-        with pytest.raises(ValueError):
-            RunConfig(dim=30, heads=4).validate()
-        with pytest.raises(ValueError):
-            RunConfig(k_select=200, n_frames=100).validate()
-        with pytest.raises(ValueError):
-            RunConfig(sampler="random").validate()
+    @pytest.mark.parametrize("overrides, message", REFUSALS)
+    def test_every_way_to_make_a_config_refuses_a_bad_value(self, overrides, message):
+        desk = dataclasses.asdict(desk_config())
+        makers = (lambda: RunConfig(**{**desk, **overrides}),
+                  lambda: RunConfig.from_dict({**desk, **overrides}),
+                  lambda: desk_config(**overrides),
+                  lambda: dataclasses.replace(desk_config(), **overrides))
+        for make in makers:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make()
+
+    def test_config_cannot_be_changed(self):
+        cfg = desk_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dim = 64
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sampler = "none"
+        assert cfg == desk_config()
 
     def test_json_round_trip(self, tmp_path):
         cfg = desk_config(seed=9, lr=1e-3)

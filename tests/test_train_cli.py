@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -63,6 +64,7 @@ def exit_code(argv) -> int:
 
 DESK_FLAGS = ["--n-frames", "30", "--k-select", "4", "--depth", "1", "--dim", "32",
               "--heads", "2", "--n-grid", "2"]
+DATA_FLAGS = ["--n-frames", "30", "--dim", "32", "--n-grid", "2"]   # gen-data's share
 SRC = Path(__file__).parents[1] / "src"
 
 
@@ -71,7 +73,7 @@ def overflowing_checkpoint(tmp_path):
     attention logits overflow float32: (data dir, checkpoint dir, model)."""
     cfg = desk_config(depth=1, seed=2)
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
-    assert main(["gen-data", "--out", str(data), "--episodes", "2", *DESK_FLAGS]) == 0
+    assert main(["gen-data", "--out", str(data), "--episodes", "2", *DATA_FLAGS]) == 0
     model = VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim), np.random.default_rng(2))
     rng = np.random.default_rng(5)
     for name, p in model.named_parameters():
@@ -183,7 +185,7 @@ class TestTrainLoop:
         train(cfg, episodes, out_dir=tmp_path)
         with pytest.raises(ValueError, match=r"config differs from this run's config: "
                                              r"lr=0\.001 vs 0\.002$"):
-            train(cfg.replace(lr=2e-3), episodes, resume=tmp_path)
+            train(dataclasses.replace(cfg, lr=2e-3), episodes, resume=tmp_path)
 
     def test_resume_builds_one_model(self, tmp_path, monkeypatch):
         # The checkpoint's model is the one trained on: no second model is
@@ -474,7 +476,7 @@ class TestCli:
         ckpt = tmp_path / "ckpt"
         metrics = tmp_path / "metrics.jsonl"
         assert main(["gen-data", "--out", str(data), "--episodes", "12",
-                     *DESK_FLAGS]) == 0
+                     *DATA_FLAGS]) == 0
         assert main(["train", "--data", str(data), "--out", str(ckpt),
                      "--metrics", str(metrics), "--steps", "2",
                      "--batch-size", "4", "--lr", "1e-3", *DESK_FLAGS]) == 0
@@ -501,13 +503,14 @@ class TestCli:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
                      "--metrics", str(tmp_path / "m.jsonl"), *config,
                      "--steps", "2", "--batch-size", "4"]) == 0
-        assert load_checkpoint(tmp_path / "ckpt")[0].cfg == recipe.replace(steps=2, batch_size=4)
+        assert (load_checkpoint(tmp_path / "ckpt")[0].cfg
+                == dataclasses.replace(recipe, steps=2, batch_size=4))
 
     def test_eval_untrained_is_near_chance(self, tmp_path):
         data = tmp_path / "data"
         ckpt = tmp_path / "ckpt"
         main(["gen-data", "--out", str(data), "--episodes", "64",
-              *DESK_FLAGS])
+              *DATA_FLAGS])
         main(["train", "--data", str(data), "--out", str(ckpt), "--steps", "1",
               "--batch-size", "4", "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS])
         out = tmp_path / "eval.json"
@@ -536,7 +539,7 @@ class TestCli:
     def test_stale_dataset_index_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["gen-data", "--out", str(data), "--episodes", "4",
-                     *DESK_FLAGS]) == 0
+                     *DATA_FLAGS]) == 0
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
                      "--steps", "1", "--batch-size", "2",
                      "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS]) == 0
@@ -556,7 +559,7 @@ class TestCli:
         # Sizes that cannot run fail at the config, the pool or the episode
         # count with a usage error, not deep in the model with a traceback.
         data, empty = tmp_path / "data", tmp_path / "empty"
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", *DESK_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", *DATA_FLAGS]) == 0
         save_dataset(empty, base_seed=1, count=0, n_frames=30, n_grid=2, dim=32, vocab_seed=7)
         train_args = ["train", "--out", str(tmp_path / "ckpt"), "--steps", "1",
                       "--batch-size", "2", "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS]
@@ -693,7 +696,7 @@ class TestCli:
             raise MemoryError
 
         data = tmp_path / "data"
-        assert main(["gen-data", "--out", str(data), "--episodes", "2", *DESK_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(data), "--episodes", "2", *DATA_FLAGS]) == 0
         argv = ["train", "--data", str(data), "--out", str(tmp_path / "c"), *DESK_FLAGS]
         for exhausted, line in ((lambda *args, **kwargs: np.empty(1 << 62, np.uint8),
                                  "error: Unable to allocate 4.00 EiB"),
@@ -847,7 +850,7 @@ class TestCli:
         # eval and train --resume refuse a dump whose bytes changed after the
         # save, and a meta.json that lacks a field, with an error line.
         data, ckpt = tmp_path / "data", tmp_path / "ckpt"
-        assert main(["gen-data", "--out", str(data), "--episodes", "4", *DESK_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(data), "--episodes", "4", *DATA_FLAGS]) == 0
         train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
                       "--steps", "1", "--batch-size", "2", *DESK_FLAGS]
         assert main(train_args + ["--out", str(ckpt)]) == 0
@@ -867,8 +870,7 @@ class TestCli:
                 assert err.startswith("error: ") and message in err, command[0]
 
     def test_eval_rejects_dataset_geometry_and_vocab_mismatch(self, tmp_path, capsys):
-        desk = {"--n-frames": "30", "--k-select": "4", "--depth": "1", "--dim": "32",
-                "--heads": "2", "--n-grid": "2"}
+        desk = dict(zip(DATA_FLAGS[::2], DATA_FLAGS[1::2]))
         cfg = desk_config(depth=1, seed=2)
         ckpt = tmp_path / "ckpt"
         save_checkpoint(ckpt, VideoQAModel(cfg, Vocab(cfg.vocab_seed, cfg.dim),
@@ -909,7 +911,7 @@ class TestCli:
         # Another seed means another frozen word table and frame rotation.
         data = tmp_path / "data"
         assert main(["gen-data", "--out", str(data), "--episodes", "4",
-                     "--vocab-seed", "8", *DESK_FLAGS]) == 0
+                     "--vocab-seed", "8", *DATA_FLAGS]) == 0
         capsys.readouterr()
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
                      "--steps", "1", "--batch-size", "2",
@@ -919,7 +921,7 @@ class TestCli:
     def test_resume_rejects_checkpoint_with_another_config(self, tmp_path, capsys):
         data, ckpt = tmp_path / "data", tmp_path / "ckpt"
         assert main(["gen-data", "--out", str(data), "--episodes", "4",
-                     *DESK_FLAGS]) == 0
+                     *DATA_FLAGS]) == 0
         train_args = ["train", "--data", str(data), "--metrics", str(tmp_path / "m.jsonl"),
                       *DESK_FLAGS, "--batch-size", "2"]
         assert main(train_args + ["--out", str(ckpt), "--steps", "1"]) == 0
@@ -935,7 +937,7 @@ class TestCli:
     def test_train_nan_exits_2(self, tmp_path):
         data = tmp_path / "data"
         main(["gen-data", "--out", str(data), "--episodes", "8",
-              *DESK_FLAGS])
+              *DATA_FLAGS])
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "c"),
                      "--steps", "5", "--batch-size", "4", "--lr", "1e15",
                      "--metrics", str(tmp_path / "m.jsonl"), *DESK_FLAGS])
@@ -989,6 +991,88 @@ class TestCli:
             ("FAIL", "selection_refine_batch"), ("FAIL", "plain_fusion")]
         assert out.endswith("\ngradcheck: FAIL\n")
 
+    def test_each_command_takes_flags_for_the_fields_it_reads(self, capsys):
+        def options(command):
+            capsys.readouterr()
+            assert exit_code([command, "--help"]) == 0
+            return set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+
+        def flags(fields):
+            return {"--" + name.replace("_", "-") for name in fields}
+
+        assert options("gen-data") == {"--config", "--out", "--episodes", "--data-seed",
+                                       *flags(data.DATASET_KEYS)}
+        assert options("gradcheck") == {"--config", "--out", *flags(
+            ("n_frames", "k_select", "depth", "dim", "heads", "n_grid", "fusion", "tau_g", "tau",
+             "seed"))}
+        every = flags(f.name for f in dataclasses.fields(RunConfig))
+        assert options("train") == {"--config", "--data", "--out", "--resume", "--metrics",
+                                    "--checkpoint-every", *every}
+        assert options("ablate") == {"--config", "--grid", "--train-episodes",
+                                     "--eval-episodes", "--data-seed", "--out", *every}
+
+    def test_gen_data_takes_a_geometry_that_no_model_field_constrains(self, tmp_path):
+        # k_select and heads are model fields: a dataset of 10 frames or of
+        # width 36 is one the default model could not read, but a valid one.
+        for extra, want in ((["--n-frames", "10"], dict(n_frames=10, dim=1024)),
+                            (["--dim", "36"], dict(n_frames=100, dim=36)),
+                            (["--config", str(DESK_RECIPE), "--n-frames", "3"],
+                             dict(n_frames=3, dim=32))):
+            out = tmp_path / "-".join(extra[-2:])
+            assert main(["gen-data", "--out", str(out), "--episodes", "2", *extra]) == 0
+            meta = json.loads((out / "index.json").read_text())["meta"]
+            assert {key: meta[key] for key in want} == want, extra
+
+    def test_unread_setting_or_bad_dataset_value_exits_1_in_one_error_line(
+            self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(gcli, "run_gradcheck", runs.append)
+        out = tmp_path / "data"
+        gen = ["gen-data", "--out", str(out), "--episodes", "2"]
+        cases = [(gen + ["--seed", "3"], "error: unrecognized arguments: --seed 3"),
+                 (["gradcheck", "--lr", "99"], "error: unrecognized arguments: --lr 99"),
+                 (gen + ["--n-grid", "0"], "error: n_grid must be >= 1"),
+                 (gen + ["--vocab-seed", "-1"], "error: vocab_seed must be >= 0"),
+                 (gen + ["--dim", "16"], "error: dim must be >= 24 to fit orthonormal "
+                                         "attribute directions, got 16"),
+                 (gen + ["--n-frames", "2"],
+                  "error: need at least 3 frames for the coarse-time windows")]
+        for argv, line in cases:
+            capsys.readouterr()
+            assert exit_code(argv) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert [text for text in err if text.startswith("error:")] == [line], err
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["gradcheck", "ablate"])
+    def test_depth_beyond_memory_exits_1_before_any_module_is_built(
+            self, command, capsys, monkeypatch):
+        # Every module holds tensors, so none may be made: without the check
+        # this fails at the first one instead of filling the machine.
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("a tensor was made")
+
+        monkeypatch.setattr(T.Tensor, "__init__", no_tensor)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main([command, "--depth", "100000000"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: the config has "), err
+
+    def test_depth_beyond_memory_exits_1_under_an_address_space_cap(self):
+        # The same commands in a child capped at 1 GiB of address space.
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from glimpse.cli import main; sys.exit(main(sys.argv[1:]))")
+        for command in ("gradcheck", "ablate"):
+            run = subprocess.run([sys.executable, "-c", code, command, "--depth", "100000000"],
+                                 capture_output=True, text=True, timeout=60,
+                                 env={**os.environ, "PYTHONPATH": str(SRC),
+                                      "OPENBLAS_NUM_THREADS": "1"})
+            assert (run.returncode, run.stdout) == (1, ""), run.stderr
+            assert re.fullmatch(r"error: the config has [\d,]+ parameters; [^\n]*\n",
+                                run.stderr), run.stderr
+
     def test_gradcheck_has_no_step_bound_or_sweep_flag(self, capsys, monkeypatch):
         # The oracle's step and pass bound are constants: a flag setting the
         # bound to nan would print PASS over a wrong backward rule.
@@ -1040,7 +1124,7 @@ class TestCli:
         monkeypatch.setattr(gcli, "load_checkpoint", lambda path: calls.append("load"))
         monkeypatch.setattr(gcli, "run_gradcheck", lambda cfg: calls.append("gradcheck"))
         data, missing, a_file = tmp_path / "data", tmp_path / "missing", tmp_path / "a_file"
-        assert main(["gen-data", "--out", str(data), "--episodes", "2", *DESK_FLAGS]) == 0
+        assert main(["gen-data", "--out", str(data), "--episodes", "2", *DATA_FLAGS]) == 0
         a_file.write_text("kept")
         train = ["train", "--data", str(data), *DESK_FLAGS, "--out"]
         evaluate = ["eval", "--checkpoint", str(data), "--data", str(data), "--out"]

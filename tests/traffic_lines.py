@@ -37,6 +37,7 @@ PACKAGE = ROOT / "src" / "glimpse"
 
 DESK = ["--n-frames", "30", "--k-select", "4", "--depth", "2", "--dim", "32",
         "--heads", "2", "--n-grid", "2"]
+DATASET = ["--n-frames", "30", "--dim", "32", "--n-grid", "2"]   # the flags gen-data takes
 SHORT = ["--steps", "2", "--batch-size", "4"]
 
 
@@ -85,7 +86,7 @@ def glimpse(*argv) -> None:
 
 def run_commands(tmp: Path) -> None:
     data = tmp / "data"
-    glimpse("gen-data", *DESK, "--out", data, "--episodes", 12)
+    glimpse("gen-data", *DATASET, "--out", data, "--episodes", 12)
     for sampler in ("sparse", "soft", "uniform"):
         for refiner in ("gated", "plain"):
             for fusion in ("la_gate", "cross_attention"):
